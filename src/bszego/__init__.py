@@ -21,7 +21,7 @@ from .poly import (BiPoly, RootSplit, UniPoly, gcd_approx, reflect,
 from .moments import (MomentTable, QuadratureConfig, TrigPoly, gram,
                       is_positive, moments_from_density,
                       moments_from_grid_function, moments_from_trig)
-from .space import MomentSpace, SpaceSpec, SubspaceBasis
+from .space import MomentSpace, SubspaceBasis
 from .splitshift import (ShiftOperators, ShiftSplit, StratificationReport,
                          build_operators, check_matrix_condition,
                          enumerate_split_polys, gw_check, shift_split_from_p,

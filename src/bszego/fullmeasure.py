@@ -17,10 +17,9 @@ import numpy as np
 
 from .errors import (DegenerateForm, InsufficientMoments,
                      MatrixConditionFails, NoConvergence)
-from .moments import MomentTable, gram
+from .moments import MomentTable, _rect, gram, moments_from_density
 from .poly import BiPoly
 from .reconstruct import reconstruct_p
-from .moments import moments_from_density
 
 
 @dataclass(frozen=True)
@@ -50,14 +49,23 @@ class FullMeasureReport:
                 "depth": list(self.depth), "tol": self.tol}
 
 
-def _rect(j1, k1):
-    return [(j, k) for j in range(j1 + 1) for k in range(k1 + 1)]
-
-
 def _window_gram(table, j1, k1):
-    sup = _rect(j1, k1)
+    sup = _rect(0, j1, 0, k1)
     g = gram(table, sup, sup)
     return 0.5 * (g + g.conj().T), sup
+
+
+def _gamma(table, N, M):
+    """Largest |gamma entry| of the inverse Gram on [0, N+1] x [0, M]."""
+    g, sup = _window_gram(table, N + 1, M)
+    idx = {u: i for i, u in enumerate(sup)}
+    cols = [idx[(N + 1, k)] for k in range(M + 1)]
+    rows = [idx[(0, j)] for j in range(M + 1)]
+    try:
+        X = np.linalg.solve(g, np.eye(len(sup), dtype=complex)[:, cols])
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateForm(f"singular Gram window at ({N + 1}, {M})") from exc
+    return float(np.max(np.abs(X[rows, :])))
 
 
 def check_full_measure(table: MomentTable, n, m, Nmax=None, Mmax=None,
@@ -92,15 +100,7 @@ def check_full_measure(table: MomentTable, n, m, Nmax=None, Mmax=None,
     e2 = {}
     for N in range(n, Nmax + 1):
         for M in range(max(m - 1, 0), Mmax + 1):
-            g, sup = _window_gram(table, N + 1, M)
-            idx = {u: i for i, u in enumerate(sup)}
-            cols = [idx[(N + 1, k)] for k in range(M + 1)]
-            rows = [idx[(0, j)] for j in range(M + 1)]
-            try:
-                X = np.linalg.solve(g, np.eye(len(sup), dtype=complex)[:, cols])
-            except np.linalg.LinAlgError as exc:
-                raise DegenerateForm(f"singular Gram window at ({N + 1}, {M})") from exc
-            e2[(N, M)] = float(np.max(np.abs(X[rows, :])))
+            e2[(N, M)] = _gamma(table, N, M)
 
     h = {}
     for M in range(m + 1, Mmax + 1):
@@ -133,12 +133,7 @@ def strip_match(table: MomentTable, n, m, tol=1e-7) -> BiPoly:
         for M in (m - 1, m):
             if M < 0:
                 continue
-            g, sup = _window_gram(table, N + 1, M)
-            idx = {u: i for i, u in enumerate(sup)}
-            cols = [idx[(N + 1, k)] for k in range(M + 1)]
-            rows = [idx[(0, j)] for j in range(M + 1)]
-            X = np.linalg.solve(g, np.eye(len(sup), dtype=complex)[:, cols])
-            worst = float(np.max(np.abs(X[rows, :])))
+            worst = _gamma(table, N, M)
             if worst >= tol:
                 raise MatrixConditionFails(
                     f"strip condition fails at window ({N + 1}, {M}): "

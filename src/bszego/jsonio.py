@@ -53,6 +53,7 @@ def poly_from_json(doc) -> BiPoly:
 
 
 def table_to_json(t: MomentTable) -> dict:
+    """Moment table or trig polynomial as JSON."""
     return {"jmax": t.jmax, "kmax": t.kmax, "c": _pairs(t.c)}
 
 
@@ -74,10 +75,6 @@ def table_from_json(doc) -> MomentTable:
 
 def trig_from_json(doc) -> TrigPoly:
     return _centered_from_json(doc, TrigPoly, "trig polynomial")
-
-
-def trig_to_json(t: TrigPoly) -> dict:
-    return {"jmax": t.jmax, "kmax": t.kmax, "c": _pairs(t.c)}
 
 
 def dumps(doc, indent=2) -> str:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (InsufficientMoments, MomentDivergence,
                      NonPositiveDensity, ZeroPolynomial)
-from .poly import BiPoly
+from .poly import BiPoly, _readonly
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,6 @@ class QuadratureConfig:
             raise ValueError("initial grid exceeds max grid")
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
-
-
-def _readonly(a):
-    a = np.array(a, dtype=complex)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,31 +78,18 @@ class MomentTable:
                            self.c[dj: dj + 2 * jmax + 1, dk: dk + 2 * kmax + 1])
 
 
-@dataclass(frozen=True, eq=False)
-class TrigPoly:
+class TrigPoly(MomentTable):
     """Real-valued Laurent trigonometric polynomial on the bicircle.
 
-    Same centered layout as MomentTable; Hermitian coefficient symmetry
-    makes the values on the torus real.
+    Same centered layout as MomentTable; the coefficients must already
+    be Hermitian-symmetric, which makes the values on the torus real.
     """
 
-    jmax: int
-    kmax: int
-    c: np.ndarray
-
     def __post_init__(self):
-        arr = np.asarray(self.c, dtype=complex)
-        if arr.shape != (2 * self.jmax + 1, 2 * self.kmax + 1):
-            raise InsufficientMoments("trig coefficient array has wrong shape")
-        sym = 0.5 * (arr + np.conj(arr[::-1, ::-1]))
-        if np.max(np.abs(sym - arr)) > 1e-8 * max(1.0, np.max(np.abs(arr))):
+        raw = np.asarray(self.c, dtype=complex)
+        super().__post_init__()
+        if np.max(np.abs(self.c - raw)) > 1e-8 * max(1.0, np.max(np.abs(raw))):
             raise NonPositiveDensity("coefficients are not Hermitian-symmetric")
-        object.__setattr__(self, "c", _readonly(sym))
-
-    def at(self, j, k):
-        if abs(j) > self.jmax or abs(k) > self.kmax:
-            return 0.0 + 0.0j
-        return self.c[j + self.jmax, k + self.kmax]
 
     @classmethod
     def from_abs_squared(cls, p: BiPoly) -> "TrigPoly":
@@ -127,20 +108,14 @@ class TrigPoly:
         return cls(n, m, t)
 
     def values_on_grid(self, N):
-        """Evaluate on the N x N uniform torus grid (real array)."""
-        vals = _laurent_grid_values(self.c, self.jmax, self.kmax, N)
-        return vals.real
-
-
-def _laurent_grid_values(c, jmax, kmax, N):
-    """Values of sum c[j,k] z^j w^k on the N x N torus grid via IFFT."""
-    if N <= 2 * max(jmax, kmax):
-        raise ValueError("grid too small for the coefficient window")
-    emb = np.zeros((N, N), dtype=complex)
-    js = np.arange(-jmax, jmax + 1) % N
-    ks = np.arange(-kmax, kmax + 1) % N
-    emb[np.ix_(js, ks)] = c
-    return np.fft.ifft2(emb) * (N * N)
+        """Evaluate on the N x N uniform torus grid (real array) via IFFT."""
+        if N <= 2 * max(self.jmax, self.kmax):
+            raise ValueError("grid too small for the coefficient window")
+        emb = np.zeros((N, N), dtype=complex)
+        js = np.arange(-self.jmax, self.jmax + 1) % N
+        ks = np.arange(-self.kmax, self.kmax + 1) % N
+        emb[np.ix_(js, ks)] = self.c
+        return (np.fft.ifft2(emb) * (N * N)).real
 
 
 def _poly_grid_values(p: BiPoly, N):
@@ -152,7 +127,7 @@ def _poly_grid_values(p: BiPoly, N):
     return np.fft.ifft2(emb) * (N * N)
 
 
-def _moments_of_grid_density(density_at, jmax, kmax, cfg, pole_check):
+def _moments_of_grid_density(density_at, jmax, kmax, cfg):
     """Shared doubling loop: density_at(N) -> N x N positive samples."""
     N = max(cfg.initial_grid, 2 * max(jmax, kmax) + 2)
     N = 1 << int(np.ceil(np.log2(N)))
@@ -162,7 +137,8 @@ def _moments_of_grid_density(density_at, jmax, kmax, cfg, pole_check):
     last_diff = np.inf
     while N <= cfg.max_grid:
         dens = density_at(N)
-        pole_check(dens)
+        if not np.isfinite(dens).all():
+            raise MomentDivergence("density overflowed on the grid")
         chat = np.fft.fft2(dens) / (N * N)
         win = chat[np.ix_(js % N, ks % N)]
         win = 0.5 * (win + np.conj(win[::-1, ::-1]))
@@ -198,11 +174,7 @@ def moments_from_density(p: BiPoly, jmax, kmax,
                 f"|p|^2 nearly vanishes on the torus (min/max = {lo / hi:.3e})")
         return 1.0 / a2
 
-    def pole_check(dens):
-        if not np.isfinite(dens).all():
-            raise MomentDivergence("density overflowed on the grid")
-
-    return _moments_of_grid_density(density_at, jmax, kmax, cfg, pole_check)
+    return _moments_of_grid_density(density_at, jmax, kmax, cfg)
 
 
 def moments_from_trig(t: TrigPoly, jmax, kmax,
@@ -217,11 +189,7 @@ def moments_from_trig(t: TrigPoly, jmax, kmax,
                 f"t is not strictly positive on the grid (min {lo:.3e})")
         return 1.0 / vals
 
-    def pole_check(dens):
-        if not np.isfinite(dens).all():
-            raise MomentDivergence("density overflowed on the grid")
-
-    return _moments_of_grid_density(density_at, jmax, kmax, cfg, pole_check)
+    return _moments_of_grid_density(density_at, jmax, kmax, cfg)
 
 
 def moments_from_grid_function(fn, jmax, kmax,
@@ -239,11 +207,12 @@ def moments_from_grid_function(fn, jmax, kmax,
         zz, ww = np.meshgrid(z, z, indexing="ij")
         return np.asarray(fn(zz, ww), dtype=float)
 
-    def pole_check(dens):
-        if not np.isfinite(dens).all():
-            raise MomentDivergence("density overflowed on the grid")
+    return _moments_of_grid_density(density_at, jmax, kmax, cfg)
 
-    return _moments_of_grid_density(density_at, jmax, kmax, cfg, pole_check)
+
+def _rect(j0, j1, k0, k1):
+    """Monomial exponents [j0, j1] x [k0, k1] in z-major order."""
+    return [(j, k) for j in range(j0, j1 + 1) for k in range(k0, k1 + 1)]
 
 
 def gram(table: MomentTable, rows, cols) -> np.ndarray:
@@ -266,7 +235,7 @@ def is_positive(table: MomentTable, n, m, tol=1e-12):
 
     Returns (bool, smallest eigenvalue of the Gram matrix).
     """
-    sup = [(j, k) for j in range(n + 1) for k in range(m + 1)]
+    sup = _rect(0, n, 0, m)
     g = gram(table, sup, sup)
     g = 0.5 * (g + g.conj().T)
     lam = float(np.linalg.eigvalsh(g)[0])

@@ -319,16 +319,6 @@ def gcd_approx(us, tol=CLUSTER_TOL) -> UniPoly:
     return UniPoly(npoly.polyfromroots(np.asarray(kept)))
 
 
-def divide_uni(u: UniPoly, d: UniPoly):
-    """Quotient and relative remainder norm of u / d."""
-    dt = d.trimmed()
-    if dt.is_zero():
-        raise ZeroPolynomial("division by zero polynomial")
-    q, r = npoly.polydiv(u.trimmed().coeffs, dt.coeffs)
-    scale = max(np.max(np.abs(u.coeffs)), 1e-300)
-    return UniPoly(q), float(np.max(np.abs(r)) / scale)
-
-
 def divide_bipoly_z(p: BiPoly, d: UniPoly):
     """Divide every w-column of p by the z-polynomial d.
 

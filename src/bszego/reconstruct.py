@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import (DegenerateForm, GcdUnstable, MatrixConditionFails,
                      NoConvergence, NotFactorable, NotPositive)
-from .moments import (MomentTable, QuadratureConfig, TrigPoly, is_positive,
-                      moments_from_trig)
+from .moments import (MomentTable, QuadratureConfig, TrigPoly,
+                      _poly_grid_values, is_positive, moments_from_trig)
 from .poly import (BiPoly, UniPoly, canonical_phase, divide_bipoly_z,
                    gcd_approx, reflect_uni, split_stable)
 from .space import MomentSpace
@@ -33,6 +33,13 @@ def kernel_poly(space: MomentSpace, n, m) -> BiPoly:
     For a Bernstein-Szego form this equals p(z1, z2) z1^n pbar(1/z1, 0),
     the polynomial whose z-only content drives the reconstruction.
     """
+    # The sum does not depend on the orthonormal basis of E2(n, m), yet
+    # phi_sequence is kept over the cached e2_basis(n, m) on purpose.
+    # On the recover corpus of bench/corpus.py (seed 9137), an e2_basis
+    # kernel turns six cells that fail loudly with phi_sequence
+    # (reconstruct and ar on the unstable kind at (8,6), (12,10) and
+    # (12,12)) into answers with modulus gaps up to 5.4e-9, and the
+    # worst accuracy of the workload drops from 13.4 to 8.3 digits.
     out = BiPoly(np.zeros((2 * n + 1, m + 1)))
     for phi in space.phi_sequence(n, m):
         refl = reflect_uni(phi.z_slice(0), n)
@@ -144,15 +151,10 @@ def factor_trig(t: TrigPoly, n, m, cfg: QuadratureConfig = QuadratureConfig(),
     except MatrixConditionFails as exc:
         raise NotFactorable(str(exc)) from exc
     tvals = t.values_on_grid(grid)
-    pvals = np.abs(_grid_values(p, grid)) ** 2
+    pvals = np.abs(_poly_grid_values(p.trimmed(), grid)) ** 2
     resid = float(np.max(np.abs(pvals - tvals)))
     if resid > tol * float(np.max(np.abs(tvals))):
         raise NoConvergence(
             f"|p|^2 mismatches t by {resid:.3e} despite the matrix condition")
     assert_no_face_zeros(p)
     return p
-
-
-def _grid_values(p: BiPoly, N):
-    from .moments import _poly_grid_values
-    return _poly_grid_values(p.trimmed(), N)

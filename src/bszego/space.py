@@ -14,13 +14,12 @@ first significant coefficient is real positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateForm, InsufficientMoments
-from .moments import MomentTable, gram
+from .moments import MomentTable, _rect, gram
 from .poly import BiPoly
 
 RANK_TOL = 1e-8  # relative singular-value threshold for numerical rank
@@ -105,45 +104,6 @@ def empty_basis() -> SubspaceBasis:
     return SubspaceBasis((), np.zeros((0, 0)))
 
 
-@dataclass(frozen=True)
-class SpaceSpec:
-    """Which structural subspace to build; see MomentSpace.basis."""
-
-    tag: str
-    k: int = 0
-    l: int = 0
-    generators: tuple = field(default=(), compare=False)
-    target: Optional[SubspaceBasis] = field(default=None, compare=False)
-
-    @classmethod
-    def e1(cls, k, l):
-        return cls("E1", k, l)
-
-    @classmethod
-    def f1(cls, k, l):
-        return cls("F1", k, l)
-
-    @classmethod
-    def e2(cls, k, l):
-        return cls("E2", k, l)
-
-    @classmethod
-    def f2(cls, k, l):
-        return cls("F2", k, l)
-
-    @classmethod
-    def h(cls, n, M):
-        return cls("H", n, M)
-
-    @classmethod
-    def projected_span(cls, generators, target):
-        return cls("ProjectedSpan", generators=tuple(generators), target=target)
-
-
-def _rect(j0, j1, k0, k1):
-    return [(j, k) for j in range(j0, j1 + 1) for k in range(k0, k1 + 1)]
-
-
 class MomentSpace:
     """(P_{N,M}, <.,.>_T) for the positive form given by a moment table."""
 
@@ -164,10 +124,8 @@ class MomentSpace:
             L = np.linalg.cholesky(G)
         except np.linalg.LinAlgError as exc:
             raise DegenerateForm("moment Gram matrix is not positive definite") from exc
-        self.gram_matrix = G
         self._emb = L.T           # emb(f) = L.T @ f ; columns are monomial embeddings
-        self._cache = {}
-        self.cond = float(np.linalg.cond(G))
+        self._bases = {}
 
     # -- coefficient plumbing ------------------------------------------------
 
@@ -264,51 +222,41 @@ class MomentSpace:
         vectors = self._phase_normalize(self._coeffs_from_embedded(Q, ambient))
         return SubspaceBasis(tuple(ambient), vectors)
 
-    def basis(self, spec: SpaceSpec) -> SubspaceBasis:
-        """Orthonormal basis of the requested structural subspace.
+    def basis(self, kind, k, l) -> SubspaceBasis:
+        """Orthonormal basis of a structural subspace, memoised per space.
 
         E1(k,l) = P_{k,l} minus w P_{k,l-1}   (dimension k+1)
         F1(k,l) = P_{k,l} minus P_{k,l-1}     (dimension k+1)
         E2(k,l) = P_{k,l} minus z P_{k-1,l}   (dimension l+1)
         F2(k,l) = P_{k,l} minus P_{k-1,l}     (dimension l+1)
-        H(n,M)  = P_{2n,M} minus all monomials except z^n (dimension 1)
-        ProjectedSpan = orthonormalized projection of generator
-        polynomials onto the span of a target basis.
+        H(n,M)  = P_{2n,M} minus all monomials except z^n (dimension 1),
+        requested as basis("H", n, M).
         """
-        key = spec if spec.tag != "ProjectedSpan" else None
-        if key is not None and key in self._cache:
-            return self._cache[key]
-        out = self._build(spec)
-        if key is not None:
-            self._cache[key] = out
-        return out
-
-    def _build(self, spec):
-        tag, k, l = spec.tag, spec.k, spec.l
-        if tag in ("E1", "F1", "E2", "F2"):
+        key = (kind, k, l)
+        if key in self._bases:
+            return self._bases[key]
+        if kind == "H":
+            if 2 * k > self.nmax or l > self.mmax:
+                raise InsufficientMoments("H space exceeds caps")
+            ambient = _rect(0, 2 * k, 0, l)
+            removed = [u for u in ambient if u != (k, 0)]
+        elif kind in ("E1", "F1", "E2", "F2"):
             if k < 0 or l < 0:
                 return empty_basis()
             if k > self.nmax or l > self.mmax:
                 raise InsufficientMoments(
-                    f"{tag}({k},{l}) exceeds caps ({self.nmax}, {self.mmax})")
+                    f"{kind}({k},{l}) exceeds caps ({self.nmax}, {self.mmax})")
             ambient = _rect(0, k, 0, l)
             removed = {
                 "E1": _rect(0, k, 1, l),
                 "F1": _rect(0, k, 0, l - 1),
                 "E2": _rect(1, k, 0, l),
                 "F2": _rect(0, k - 1, 0, l),
-            }[tag]
-            return self._complement(ambient, removed)
-        if tag == "H":
-            n, M = k, l
-            if 2 * n > self.nmax or M > self.mmax:
-                raise InsufficientMoments("H space exceeds caps")
-            ambient = _rect(0, 2 * n, 0, M)
-            removed = [u for u in ambient if u != (n, 0)]
-            return self._complement(ambient, removed)
-        if tag == "ProjectedSpan":
-            return self.projected_span(list(spec.generators), spec.target)
-        raise ValueError(f"unknown space tag {tag!r}")
+            }[kind]
+        else:
+            raise ValueError(f"unknown space kind {kind!r}")
+        self._bases[key] = self._complement(ambient, removed)
+        return self._bases[key]
 
     def projected_span(self, generators, target: SubspaceBasis,
                        expect=None) -> SubspaceBasis:
@@ -332,19 +280,19 @@ class MomentSpace:
     # -- named spaces --------------------------------------------------------
 
     def e1_basis(self, k, l):
-        return self.basis(SpaceSpec.e1(k, l))
+        return self.basis("E1", k, l)
 
     def f1_basis(self, k, l):
-        return self.basis(SpaceSpec.f1(k, l))
+        return self.basis("F1", k, l)
 
     def e2_basis(self, k, l):
-        return self.basis(SpaceSpec.e2(k, l))
+        return self.basis("E2", k, l)
 
     def f2_basis(self, k, l):
-        return self.basis(SpaceSpec.f2(k, l))
+        return self.basis("F2", k, l)
 
     def h_basis(self, n, M):
-        return self.basis(SpaceSpec.h(n, M))
+        return self.basis("H", n, M)
 
     # -- operations ----------------------------------------------------------
 
@@ -352,12 +300,13 @@ class MomentSpace:
         """Orthonormal basis of E2(n, m) by inverse-moment-matrix rows.
 
         phi_j is built from the inverse of (c_{v-u}) over the index set
-        S_j = [0,n] x [0,m] minus {(0,0), ..., (0,j-1)}; kept as an
-        independent construction for cross-validation against basis().
+        S_j = [0,n] x [0,m] minus {(0,0), ..., (0,j-1)}.  This is the
+        basis kernel_poly sums over (see the note there); basis("E2",
+        n, m) spans the same space through the Cholesky embedding.
         """
         if n > self.table.jmax or m > self.table.kmax:
             raise InsufficientMoments("phi sequence exceeds the table window")
-        order = [(j, k) for j in range(n + 1) for k in range(m + 1)]
+        order = _rect(0, n, 0, m)
         phis = []
         for j in range(m + 1):
             S = order[j:]

@@ -288,7 +288,7 @@ def test_criterion_11_negative_controls(tmp_path, p_2zw):
     import contextlib
     import io
     import json as _json
-    from bszego.jsonio import dumps, poly_to_json, trig_to_json
+    from bszego.jsonio import dumps, poly_to_json, table_to_json
 
     def run(argv):
         buf = io.StringIO()
@@ -321,7 +321,7 @@ def test_criterion_11_negative_controls(tmp_path, p_2zw):
     c2 = np.zeros((5, 5), dtype=complex)
     c2[1:4, 1:4] += a.c + b.c
     tbad = tmp_path / "trig.json"
-    tbad.write_text(dumps(trig_to_json(TrigPoly(2, 2, c2))))
+    tbad.write_text(dumps(table_to_json(TrigPoly(2, 2, c2))))
     code, out = run(["factor", "--trig", str(tbad), "--n", "2", "--m", "2"])
     ok &= code == 1 and _json.loads(out)["error"] == "NotFactorable"
     details.append(f"cli factor exit {code}")

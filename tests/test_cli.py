@@ -7,7 +7,7 @@ import pytest
 
 from bszego import BiPoly, TrigPoly
 from bszego.cli import main
-from bszego.jsonio import dumps, poly_from_json, poly_to_json, trig_to_json
+from bszego.jsonio import dumps, poly_from_json, poly_to_json, table_to_json
 
 
 def run(argv):
@@ -32,7 +32,7 @@ def files(tmp_path_factory, p_2zw):
     put("zw.json", poly_to_json(BiPoly([[0, -1], [1, 0]])))
     put("z2w.json", poly_to_json(BiPoly([[0, -2], [1, 0]])))
     put("divergent.json", poly_to_json(BiPoly([[1, 0], [0, -1.0]])))
-    put("trig.json", trig_to_json(TrigPoly.from_abs_squared(p_2zw)))
+    put("trig.json", table_to_json(TrigPoly.from_abs_squared(p_2zw)))
     bad = np.zeros((3, 3), dtype=complex)
     bad[1, 1] = -1.0
     put("indefinite.json", {"jmax": 1, "kmax": 1,
@@ -151,6 +151,15 @@ def test_malformed_input_exit_2(tmp_path):
     bad.write_text("{not json")
     code, out = run(["check", "--moments", str(bad), "--n", "1", "--m", "1"])
     assert code == 2
+    # a trig polynomial whose coefficients are not Hermitian-symmetric
+    c = np.zeros((3, 3), dtype=complex)
+    c[1, 1] = 4.0
+    c[2, 1] = 1.0
+    trig = tmp_path / "nonhermitian.json"
+    trig.write_text(dumps({"jmax": 1, "kmax": 1,
+                           "c": [[[v.real, v.imag] for v in row] for row in c]}))
+    code, out = run(["factor", "--trig", str(trig), "--n", "1", "--m", "1"])
+    assert code == 2 and json.loads(out)["error"] == "NonPositiveDensity"
 
 
 def test_version():

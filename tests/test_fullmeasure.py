@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from bszego import (InsufficientMoments, MomentTable, check_full_measure,
-                    moments_from_density, reconstruct_p, strip_match)
+from bszego import (DegenerateForm, InsufficientMoments, MomentTable,
+                    check_full_measure, moments_from_density, reconstruct_p,
+                    strip_match)
 
 from conftest import geometric_diag_moment
 
@@ -63,6 +64,12 @@ def test_strip_match_bs(p_2zw):
 def test_strip_match_lebesgue():
     p = strip_match(lebesgue(3, 1), 0, 0)
     assert np.allclose(p.coeffs, [[1.0]], atol=1e-10)
+
+
+def test_strip_match_singular_window():
+    # a zero table makes every Gram window singular
+    with pytest.raises(DegenerateForm):
+        strip_match(MomentTable(3, 1, np.zeros((7, 3))), 1, 1)
 
 
 def test_strip_match_accepts_strip_consistent_mixture():

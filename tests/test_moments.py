@@ -102,6 +102,12 @@ def test_trig_rejects_sign_changing():
     c[0, 0] = 1.0
     with pytest.raises(NonPositiveDensity):
         moments_from_trig(TrigPoly(1, 1, c), 1, 1)
+    # not Hermitian-symmetric: rejected when the trig polynomial is built
+    c = np.zeros((3, 3), dtype=complex)
+    c[1, 1] = 4.0
+    c[2, 1] = 1.0
+    with pytest.raises(NonPositiveDensity):
+        TrigPoly(1, 1, c)
 
 
 def test_gram_lebesgue_identity(lebesgue_table):

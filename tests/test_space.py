@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bszego import (BiPoly, DegenerateForm, InsufficientMoments, MomentSpace,
-                    MomentTable, SpaceSpec, moments_from_density, reflect)
+                    MomentTable, moments_from_density, reflect)
 from bszego.space import subspace_angle
 
 from conftest import brute_inner, gram_from_table, gram_schmidt_coeffs
@@ -50,8 +50,8 @@ def test_dimension_counts_nontrivial():
 
 
 def test_basis_orthonormal_against_brute_force(p_2zw, space_2zw):
-    for spec in (SpaceSpec.e1(1, 1), SpaceSpec.e2(1, 1), SpaceSpec.f1(0, 1)):
-        b = space_2zw.basis(spec)
+    for kind, k, l in (("E1", 1, 1), ("E2", 1, 1), ("F1", 0, 1)):
+        b = space_2zw.basis(kind, k, l)
         polys = b.polys()
         g = np.array([[brute_inner(p_2zw, x, y) for y in polys] for x in polys])
         assert np.max(np.abs(g - np.eye(b.dim))) < 1e-9
@@ -79,6 +79,16 @@ def test_e2_matches_dense_gram_schmidt(table_2zw, space_2zw):
     M = oracle.conj().T @ G.T @ vec
     s = np.linalg.svd(M, compute_uv=False)
     assert np.max(np.abs(s - 1.0)) < 1e-9
+
+
+def test_basis_cache(space_2zw):
+    e1 = space_2zw.basis("E1", 1, 1)
+    assert space_2zw.basis("E1", 1, 1) is e1
+    assert space_2zw.e1_basis(1, 1) is e1
+    f1 = space_2zw.basis("F1", 1, 1)
+    assert space_2zw.f1_basis(1, 1) is f1
+    # same dimension, different subspaces: the keys must not collide
+    assert f1.dim == e1.dim and subspace_angle(space_2zw, e1, f1) > 1e-3
 
 
 def test_h_space_dimension(p_2zw):
@@ -127,7 +137,7 @@ def test_e2_kernel_matches_phi_kernel(space_2zw):
 def test_project_onto_span(space_leb):
     z = BiPoly([[0], [1.0]])
     one = BiPoly([[1.0]])
-    span_z = space_leb.projected_span([z], space_leb.basis(SpaceSpec.f2(1, 0)))
+    span_z = space_leb.projected_span([z], space_leb.basis("F2", 1, 0))
     coeffs, resid = space_leb.project(z, span_z)
     assert abs(abs(coeffs[0]) - 1.0) < 1e-12 and resid.is_zero(1e-12)
     coeffs, resid = space_leb.project(one, span_z)
