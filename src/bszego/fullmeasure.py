@@ -49,23 +49,28 @@ class FullMeasureReport:
                 "depth": list(self.depth), "tol": self.tol}
 
 
-def _window_gram(table, j1, k1):
-    sup = _rect(0, j1, 0, k1)
-    g = gram(table, sup, sup)
-    return 0.5 * (g + g.conj().T), sup
+def _inverse_max(G, K, j1, k1, rows, cols):
+    """Largest |entry| in rows x cols of the inverse Gram on [0,j1] x [0,k1].
 
-
-def _gamma(table, N, M):
-    """Largest |gamma entry| of the inverse Gram on [0, N+1] x [0, M]."""
-    g, sup = _window_gram(table, N + 1, M)
-    idx = {u: i for i, u in enumerate(sup)}
-    cols = [idx[(N + 1, k)] for k in range(M + 1)]
-    rows = [idx[(0, j)] for j in range(M + 1)]
+    G is the Gram over [0, J] x [0, K] in z-major order, so the window's
+    Gram is the principal submatrix at exponents (j, k), j <= j1, k <= k1.
+    ``rows`` and ``cols`` are exponents inside the window.
+    """
+    idx = (np.arange(j1 + 1)[:, None] * (K + 1) + np.arange(k1 + 1)).ravel()
+    rows = [j * (k1 + 1) + k for j, k in rows]
+    cols = [j * (k1 + 1) + k for j, k in cols]
     try:
-        X = np.linalg.solve(g, np.eye(len(sup), dtype=complex)[:, cols])
+        X = np.linalg.solve(G[np.ix_(idx, idx)],
+                            np.eye(len(idx), dtype=complex)[:, cols])
     except np.linalg.LinAlgError as exc:
-        raise DegenerateForm(f"singular Gram window at ({N + 1}, {M})") from exc
+        raise DegenerateForm(f"singular Gram window at ({j1}, {k1})") from exc
     return float(np.max(np.abs(X[rows, :])))
+
+
+def _gamma(G, K, N, M):
+    """Largest |gamma entry| of the inverse Gram on [0, N+1] x [0, M]."""
+    return _inverse_max(G, K, N + 1, M, [(0, j) for j in range(M + 1)],
+                        [(N + 1, k) for k in range(M + 1)])
 
 
 def check_full_measure(table: MomentTable, n, m, Nmax=None, Mmax=None,
@@ -86,7 +91,8 @@ def check_full_measure(table: MomentTable, n, m, Nmax=None, Mmax=None,
             f"table window ({table.jmax}, {table.kmax}) below required "
             f"({need_j}, {Mmax})")
 
-    big, _ = _window_gram(table, need_j, Mmax)
+    sup = _rect(0, need_j, 0, Mmax)
+    big = gram(table, sup, sup)
     eigs = np.linalg.eigvalsh(big)
     min_eig = float(eigs[0])
     positivity_ok = min_eig > 0.0
@@ -100,18 +106,12 @@ def check_full_measure(table: MomentTable, n, m, Nmax=None, Mmax=None,
     e2 = {}
     for N in range(n, Nmax + 1):
         for M in range(max(m - 1, 0), Mmax + 1):
-            e2[(N, M)] = _gamma(table, N, M)
+            e2[(N, M)] = _gamma(big, Mmax, N, M)
 
     h = {}
     for M in range(m + 1, Mmax + 1):
-        g, sup = _window_gram(table, 2 * n, M)
-        idx = {u: i for i, u in enumerate(sup)}
-        try:
-            x = np.linalg.solve(g, np.eye(len(sup), dtype=complex)[:, idx[(n, 0)]])
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateForm(f"singular Gram window at (2n, {M})") from exc
-        rows = [idx[(j, M)] for j in range(2 * n + 1)]
-        h[M] = float(np.max(np.abs(x[rows])))
+        h[M] = _inverse_max(big, Mmax, 2 * n, M,
+                            [(j, M) for j in range(2 * n + 1)], [(n, 0)])
 
     ok = all(v < tol for v in e2.values()) and all(v < tol for v in h.values())
     return FullMeasureReport(positivity_ok=True, min_eigenvalue=min_eig,
@@ -129,21 +129,21 @@ def strip_match(table: MomentTable, n, m, tol=1e-7) -> BiPoly:
     |k| <= m to ``tol``.
     """
     Nmax = table.jmax - 1
+    sup = _rect(0, table.jmax, 0, m)
+    G = gram(table, sup, sup)
     for N in range(n, Nmax + 1):
         for M in (m - 1, m):
             if M < 0:
                 continue
-            worst = _gamma(table, N, M)
+            worst = _gamma(G, m, N, M)
             if worst >= tol:
                 raise MatrixConditionFails(
                     f"strip condition fails at window ({N + 1}, {M}): "
                     f"{worst:.3e}")
     p = reconstruct_p(table.window(n, m), n, m)
     check = moments_from_density(p, table.jmax, m)
-    diff = 0.0
-    for j in range(-table.jmax, table.jmax + 1):
-        for k in range(-m, m + 1):
-            diff = max(diff, abs(check.at(j, k) - table.at(j, k)))
+    strip = table.c[:, table.kmax - m: table.kmax + m + 1]
+    diff = float(np.max(np.abs(check.c - strip)))
     if diff > tol:
         raise NoConvergence(f"strip moments mismatch by {diff:.3e}")
     return p

@@ -219,15 +219,20 @@ def gram(table: MomentTable, rows, cols) -> np.ndarray:
     """Gram-type matrix with entry (r, c) = c_{cols[c] - rows[r]}.
 
     With rows == cols this is the Hermitian Gram matrix of the monomials
-    z^u w^v in the inner product induced by the table.
+    z^u w^v in the inner product induced by the table; it equals its
+    conjugate transpose exactly, because the table is exactly Hermitian.
     """
-    rows = list(rows)
-    cols = list(cols)
-    out = np.zeros((len(rows), len(cols)), dtype=complex)
-    for r, (a, b) in enumerate(rows):
-        for q, (u, v) in enumerate(cols):
-            out[r, q] = table.at(u - a, v - b)
-    return out
+    rows = np.array(list(rows), dtype=int).reshape(-1, 2)
+    cols = np.array(list(cols), dtype=int).reshape(-1, 2)
+    dj = cols[None, :, 0] - rows[:, None, 0]
+    dk = cols[None, :, 1] - rows[:, None, 1]
+    outside = (np.abs(dj) > table.jmax) | (np.abs(dk) > table.kmax)
+    if outside.any():
+        r, q = np.argwhere(outside)[0]
+        raise InsufficientMoments(
+            f"moment ({dj[r, q]}, {dk[r, q]}) outside window "
+            f"({table.jmax}, {table.kmax})")
+    return table.c[dj + table.jmax, dk + table.kmax]
 
 
 def is_positive(table: MomentTable, n, m, tol=1e-12):
@@ -236,7 +241,5 @@ def is_positive(table: MomentTable, n, m, tol=1e-12):
     Returns (bool, smallest eigenvalue of the Gram matrix).
     """
     sup = _rect(0, n, 0, m)
-    g = gram(table, sup, sup)
-    g = 0.5 * (g + g.conj().T)
-    lam = float(np.linalg.eigvalsh(g)[0])
+    lam = float(np.linalg.eigvalsh(gram(table, sup, sup))[0])
     return lam > tol, lam

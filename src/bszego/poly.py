@@ -123,9 +123,6 @@ class BiPoly:
         """Coefficients (ascending in w) of the slice p(z0, w)."""
         return npoly.polyval(z0, self.coeffs)  # contracts the z axis
 
-    def conj_coeffs(self):
-        return BiPoly(np.conj(self.coeffs))
-
     def transposed(self):
         """Swap the roles of z and w (for the mirrored-orientation theory)."""
         return BiPoly(self.coeffs.T)

@@ -73,10 +73,8 @@ def _toeplitz_q(table: MomentTable, g: BiPoly, n0) -> UniPoly:
         logging.getLogger(__name__).debug(
             "Toeplitz hermitization correction %.3e", correction)
     cp = herm
-    M = np.empty((n0 + 1, n0 + 1), dtype=complex)
-    for j in range(n0 + 1):
-        for k in range(n0 + 1):
-            M[j, k] = cp[k - j + n0]
+    i = np.arange(n0 + 1)
+    M = cp[i[None, :] - i[:, None] + n0]      # M[j, k] = cp_{k-j}
     try:
         row = np.linalg.solve(M.T, np.eye(n0 + 1, dtype=complex)[:, 0])
     except np.linalg.LinAlgError as exc:
@@ -87,8 +85,7 @@ def _toeplitz_q(table: MomentTable, g: BiPoly, n0) -> UniPoly:
     return UniPoly(row / np.sqrt(lead.real))
 
 
-def reconstruct_p(table: MomentTable, n, m, tol=1e-8,
-                  gcd_tol=GCD_TOL) -> BiPoly:
+def reconstruct_p(table: MomentTable, n, m, tol=1e-8) -> BiPoly:
     """The polynomial p with the given Bernstein-Szego moments.
 
     Requires the matrix condition; the result is the stable-content
@@ -106,7 +103,7 @@ def reconstruct_p(table: MomentTable, n, m, tol=1e-8,
     columns = [UniPoly(R.coeffs[:, k]) for k in range(R.deg[1] + 1)
                if np.max(np.abs(R.coeffs[:, k])) > 1e-9 * rscale]
     g = None
-    for attempt_tol in (gcd_tol, 10.0 * gcd_tol):
+    for attempt_tol in (GCD_TOL, 10.0 * GCD_TOL):
         Q = gcd_approx(columns, attempt_tol)
         cand, res = divide_bipoly_z(R, Q)
         if res <= 1e-6:
@@ -115,7 +112,7 @@ def reconstruct_p(table: MomentTable, n, m, tol=1e-8,
     if g is None:
         raise GcdUnstable(
             f"z-content gcd division residual {res:.3e} at tolerance "
-            f"{10 * gcd_tol}")
+            f"{10 * GCD_TOL}")
     g = g.trimmed()
     n0 = n - g.deg[0]
     if n0 < 0:

@@ -109,7 +109,7 @@ def _identity_mismatch(p, cert, zw, ze):
 
 
 def verify_certificate(p: BiPoly, cert: SosCertificate, samples=200,
-                       tol=1e-8, seed=0, radius=1.5) -> ResidualReport:
+                       seed=0, radius=1.5) -> ResidualReport:
     """Max relative residual of the certificate identity.
 
     Checks the diagonal identity at random points of the closed bidisk

@@ -107,7 +107,7 @@ def empty_basis() -> SubspaceBasis:
 class MomentSpace:
     """(P_{N,M}, <.,.>_T) for the positive form given by a moment table."""
 
-    def __init__(self, table: MomentTable, nmax, mmax, rank_tol=RANK_TOL):
+    def __init__(self, table: MomentTable, nmax, mmax):
         if table.jmax < nmax or table.kmax < mmax:
             raise InsufficientMoments(
                 f"table window ({table.jmax}, {table.kmax}) below caps "
@@ -115,13 +115,10 @@ class MomentSpace:
         self.table = table
         self.nmax = int(nmax)
         self.mmax = int(mmax)
-        self.rank_tol = float(rank_tol)
         self.support = _rect(0, self.nmax, 0, self.mmax)
         self._index = {u: i for i, u in enumerate(self.support)}
-        G = gram(table, self.support, self.support)
-        G = 0.5 * (G + G.conj().T)
         try:
-            L = np.linalg.cholesky(G)
+            L = np.linalg.cholesky(gram(table, self.support, self.support))
         except np.linalg.LinAlgError as exc:
             raise DegenerateForm("moment Gram matrix is not positive definite") from exc
         self._emb = L.T           # emb(f) = L.T @ f ; columns are monomial embeddings
@@ -198,7 +195,7 @@ class MomentSpace:
         u, s, _ = np.linalg.svd(X, full_matrices=False)
         if s.size == 0 or s[0] == 0.0:
             return X[:, :0]
-        rank = int(np.sum(s > self.rank_tol * s[0]))
+        rank = int(np.sum(s > RANK_TOL * s[0]))
         if expect is not None and rank != expect:
             raise DegenerateForm(
                 f"subspace rank {rank} differs from expected {expect}")
@@ -270,7 +267,7 @@ class MomentSpace:
         u, s, _ = np.linalg.svd(coords, full_matrices=False)
         if s.size == 0 or s[0] <= 1e-12 * gen_scale:
             return empty_basis()
-        rank = int(np.sum(s > self.rank_tol * s[0]))
+        rank = int(np.sum(s > RANK_TOL * s[0]))
         if expect is not None and rank != expect:
             raise DegenerateForm(
                 f"projected span rank {rank}, expected {expect}")
@@ -307,22 +304,23 @@ class MomentSpace:
         if n > self.table.jmax or m > self.table.kmax:
             raise InsufficientMoments("phi sequence exceeds the table window")
         order = _rect(0, n, 0, m)
+        G = gram(self.table, order, order)
+        d = len(order)
         phis = []
         for j in range(m + 1):
-            S = order[j:]
-            M = gram(self.table, S, S)
+            # S_j is order[j:], so its Gram is the trailing block of G
             try:
-                row = np.linalg.solve(M.T, np.eye(len(S), dtype=complex)[:, 0])
+                row = np.linalg.solve(G[j:, j:].T,
+                                      np.eye(d - j, dtype=complex)[:, 0])
             except np.linalg.LinAlgError as exc:
                 raise DegenerateForm(f"moment matrix singular at stage {j}") from exc
             lead = row[0]
             if not (lead.real > 0 and abs(lead.imag) < 1e-8 * lead.real):
                 raise DegenerateForm(
                     f"inverse diagonal not positive at stage {j}: {lead}")
-            coeffs = np.zeros((n + 1, m + 1), dtype=complex)
-            for (u1, u2), val in zip(S, row):
-                coeffs[u1, u2] = val
-            phis.append(BiPoly(coeffs / np.sqrt(lead.real)))
+            coeffs = np.zeros(d, dtype=complex)
+            coeffs[j:] = row      # z-major order: (u1, u2) sits at u1*(m+1)+u2
+            phis.append(BiPoly(coeffs.reshape(n + 1, m + 1) / np.sqrt(lead.real)))
         return phis
 
     def project(self, f: BiPoly, onto: SubspaceBasis):

@@ -152,7 +152,7 @@ def a_operator_norm(ops: ShiftOperators):
     return float(np.linalg.norm(ops.a_mat, 2))
 
 
-def _coords_to_basis(space, e1: SubspaceBasis, coords) -> SubspaceBasis:
+def _coords_to_basis(e1: SubspaceBasis, coords) -> SubspaceBasis:
     if coords.shape[1] == 0 or e1.dim == 0:
         return empty_basis()
     return SubspaceBasis(e1.support, e1.vectors @ coords)
@@ -304,9 +304,9 @@ def split_poly_from_condition(space: MomentSpace, n=None, m=None, d=0,
         raise DNotAdmissible(
             f"d = {d} outside admissible [{report.d_min}, {report.d_max}]")
     a_coords, _ = canonical_invariant_spaces(ops)
-    k1_min = _coords_to_basis(space, ops.e1, a_coords)
-    k2_max = _coords_to_basis(
-        space, ops.e1, _complement_in_coords(a_coords, ops.e1.dim))
+    k1_min = _coords_to_basis(ops.e1, a_coords)
+    k2_max = _coords_to_basis(ops.e1,
+                              _complement_in_coords(a_coords, ops.e1.dim))
     p_min = _unit_normalized(space, split_poly_of(space, k1_min, k2_max, n, m))
     q, g, flips = _formal_flips(p_min, n, margin)
     extra = d - report.d_min

@@ -106,6 +106,23 @@ def lebesgue_table():
     return MomentTable(3, 3, c)
 
 
+@pytest.fixture(scope="session")
+def p_perturb_8_8():
+    """1 + e(z, w) of degree (8, 8) with sum |e_jk| = 0.5, zero-free on the bidisk."""
+    rng = np.random.default_rng(88)
+    e = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    e[0, 0] = 0.0
+    a = 0.5 * e / np.sum(np.abs(e))
+    a[0, 0] += 1.0
+    return BiPoly(a)
+
+
+@pytest.fixture(scope="session")
+def table_perturb_8_8(p_perturb_8_8):
+    # window (16, 11) is what check_full_measure(table, 8, 8) reads
+    return moments_from_density(p_perturb_8_8, 16, 11)
+
+
 def pad_table(diag_fn, jmax, kmax):
     """Table with c_{j,j} = diag_fn(j) on the diagonal, zero elsewhere."""
     c = np.zeros((2 * jmax + 1, 2 * kmax + 1), dtype=complex)

@@ -23,6 +23,10 @@ def mixed_table(jmax, kmax):
     return MomentTable(jmax, kmax, c)
 
 
+def test_degree_8_8_passes(table_perturb_8_8):
+    assert check_full_measure(table_perturb_8_8, 8, 8).verdict == "pass"
+
+
 def test_lebesgue_passes():
     rep = check_full_measure(lebesgue(4, 3), 0, 0, 3, 3)
     assert rep.verdict == "pass"

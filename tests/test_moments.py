@@ -120,9 +120,39 @@ def test_gram_2zw_window(table_2zw):
     assert np.allclose(g, [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-12)
 
 
+def test_gram_matches_entrywise_definition():
+    rng = np.random.default_rng(21)
+    c = rng.normal(size=(9, 7)) + 1j * rng.normal(size=(9, 7))
+    t = MomentTable(4, 3, c)
+    pool = [(j, k) for j in range(5) for k in range(4)]
+    for _ in range(5):
+        rows = [pool[i] for i in rng.choice(len(pool), 7, replace=False)]
+        cols = [pool[i] for i in rng.choice(len(pool), 5, replace=False)]
+        expect = np.array([[t.at(u - a, v - b) for (u, v) in cols]
+                           for (a, b) in rows])
+        assert np.array_equal(gram(t, rows, cols), expect)
+
+
 def test_gram_out_of_range(table_2zw):
     with pytest.raises(InsufficientMoments):
         gram(table_2zw, [(0, 0)], [(5, 0)])
+    # a negative offset is out of range too; it must not wrap around
+    with pytest.raises(InsufficientMoments):
+        gram(table_2zw, [(5, 0)], [(0, 0)])
+    # the message names the first offending offset in row-major order
+    with pytest.raises(InsufficientMoments, match=r"moment \(5, 0\) outside"):
+        gram(table_2zw, [(0, 0), (0, -5)], [(0, 0), (5, 0)])
+
+
+def test_square_gram_is_exactly_hermitian():
+    rng = np.random.default_rng(22)
+    for _ in range(20):
+        c = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+        t = MomentTable(3, 3, c)
+        pool = [(j, k) for j in range(4) for k in range(4)]
+        sup = [pool[i] for i in rng.choice(len(pool), 9, replace=False)]
+        g = gram(t, sup, sup)
+        assert np.array_equal(g, g.conj().T)
 
 
 def test_is_positive_lebesgue(lebesgue_table):

@@ -17,6 +17,14 @@ def test_round_trip_2zw(p_2zw, table_2zw):
     assert np.allclose(phat.coeffs, p_2zw.coeffs, atol=1e-9)
 
 
+def test_round_trip_degree_8_8(p_perturb_8_8, table_perturb_8_8):
+    phat = reconstruct_p(table_perturb_8_8.window(8, 8), 8, 8)
+    p = p_perturb_8_8.coeffs
+    unit = phat.coeffs[0, 0] / p[0, 0]
+    assert abs(abs(unit) - 1.0) < 1e-10
+    assert np.max(np.abs(phat.coeffs - unit * p)) < 1e-10
+
+
 def test_lebesgue_degree_zero(lebesgue_table):
     phat = reconstruct_p(lebesgue_table.window(0, 0), 0, 0)
     assert np.allclose(phat.coeffs, [[1.0]], atol=1e-12)
