@@ -6,6 +6,10 @@ positive density on the two-torus, indexed over a centered window
 quadrature on uniform torus grids, which is spectrally accurate for the
 smooth densities 1/|p|^2 and 1/t handled here; the grid is doubled until
 every requested moment stabilizes.
+
+Per N x N grid, a polynomial is sampled separably (two thin tables of
+N-th roots of unity times its coefficient block), and the density is
+transformed along z only on the 2*kmax + 1 columns of the moment window.
 """
 
 from __future__ import annotations
@@ -108,39 +112,54 @@ class TrigPoly(MomentTable):
         return cls(n, m, t)
 
     def values_on_grid(self, N):
-        """Evaluate on the N x N uniform torus grid (real array) via IFFT."""
+        """Evaluate on the N x N uniform torus grid (real array)."""
         if N <= 2 * max(self.jmax, self.kmax):
             raise ValueError("grid too small for the coefficient window")
-        emb = np.zeros((N, N), dtype=complex)
-        js = np.arange(-self.jmax, self.jmax + 1) % N
-        ks = np.arange(-self.kmax, self.kmax + 1) % N
-        emb[np.ix_(js, ks)] = self.c
-        return (np.fft.ifft2(emb) * (N * N)).real
+        return _grid_values(self.c, -self.jmax, -self.kmax, N).real
+
+
+def _grid_values(coeffs, j0, k0, N):
+    """Values of sum_{a,b} coeffs[a, b] z^(j0+a) w^(k0+b) on the N x N grid.
+
+    Entry [r, s] is the value at z = e^(2 pi i r/N), w = e^(2 pi i s/N),
+    computed as Vz @ coeffs @ Vw^T with Vz[r, a] = z^(j0+a) and
+    Vw[s, b] = w^(k0+b), read from one table of N-th roots of unity.
+    """
+    t = np.arange(N)
+    # angles in [-pi, pi] round to half the error of angles up to 2 pi
+    roots = np.exp(2j * np.pi * np.where(2 * t > N, t - N, t) / N)
+    vz = roots[np.outer(t, np.arange(j0, j0 + coeffs.shape[0])) % N]
+    vw = roots[np.outer(t, np.arange(k0, k0 + coeffs.shape[1])) % N]
+    return vz @ coeffs @ vw.T
 
 
 def _poly_grid_values(p: BiPoly, N):
     n, m = p.deg
     if N <= max(n, m):
         raise ValueError("grid too small for the polynomial degree")
-    emb = np.zeros((N, N), dtype=complex)
-    emb[: n + 1, : m + 1] = p.coeffs
-    return np.fft.ifft2(emb) * (N * N)
+    return _grid_values(p.coeffs, 0, 0, N)
 
 
 def _moments_of_grid_density(density_at, jmax, kmax, cfg):
-    """Shared doubling loop: density_at(N) -> N x N positive samples."""
+    """Shared doubling loop: density_at(N) -> N x N real positive samples.
+
+    Per grid only the moment window is transformed.  A real FFT along w
+    gives columns 0..kmax; columns -kmax..-1 are their conjugates,
+    because the samples are real.  An FFT along z of those 2*kmax + 1
+    columns then gives rows -jmax..jmax.
+    """
     N = max(cfg.initial_grid, 2 * max(jmax, kmax) + 2)
     N = 1 << int(np.ceil(np.log2(N)))
     prev = None
     js = np.arange(-jmax, jmax + 1)
-    ks = np.arange(-kmax, kmax + 1)
     last_diff = np.inf
     while N <= cfg.max_grid:
         dens = density_at(N)
         if not np.isfinite(dens).all():
             raise MomentDivergence("density overflowed on the grid")
-        chat = np.fft.fft2(dens) / (N * N)
-        win = chat[np.ix_(js % N, ks % N)]
+        half = np.fft.rfft(dens, axis=1)[:, : kmax + 1]
+        cols = np.concatenate([np.conj(half[:, :0:-1]), half], axis=1)
+        win = np.fft.fft(cols, axis=0)[js % N] / (N * N)
         win = 0.5 * (win + np.conj(win[::-1, ::-1]))
         if prev is not None:
             scale = max(1.0, abs(win[jmax, kmax]))

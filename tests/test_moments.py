@@ -4,7 +4,8 @@ import pytest
 from bszego import (BiPoly, InsufficientMoments, MomentDivergence, MomentTable,
                     NonPositiveDensity, QuadratureConfig, TrigPoly,
                     ZeroPolynomial, gram, is_positive, moments_from_density,
-                    moments_from_trig)
+                    moments_from_grid_function, moments_from_trig)
+from bszego.moments import _poly_grid_values
 
 from conftest import geometric_diag_moment, riemann_moment
 
@@ -49,6 +50,79 @@ def test_grid_doubling_stability(p_2zw):
     finer = moments_from_density(
         p_2zw, 2, 2, QuadratureConfig(initial_grid=256, max_grid=4096))
     assert float(np.max(np.abs(base.c - finer.c))) < 1e-10
+
+
+def _torus_grid(N):
+    z = np.exp(2j * np.pi * np.arange(N) / N)
+    return np.meshgrid(z, z, indexing="ij")
+
+
+def test_poly_grid_values_match_direct_evaluation():
+    rng = np.random.default_rng(31)
+    # rectangular blocks, on grids just above the degree bound and finer
+    for shape, N in [((3, 5), 5), ((5, 2), 5), ((4, 7), 16), ((1, 3), 3)]:
+        p = BiPoly(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        zz, ww = _torus_grid(N)
+        assert np.max(np.abs(_poly_grid_values(p, N) - p(zz, ww))) < 1e-12
+        with pytest.raises(ValueError):
+            _poly_grid_values(p, max(p.deg))
+
+
+def test_trig_values_on_grid_match_laurent_sum():
+    rng = np.random.default_rng(32)
+    for jmax, kmax, N in [(2, 1, 5), (1, 3, 7), (3, 2, 16), (0, 2, 5)]:
+        re, im = rng.normal(size=(2, 2 * jmax + 1, 2 * kmax + 1))
+        c = re + 1j * im
+        t = TrigPoly(jmax, kmax, c + np.conj(c[::-1, ::-1]))
+        zz, ww = _torus_grid(N)
+        direct = sum(t.at(j, k) * zz ** j * ww ** k
+                     for j in range(-jmax, jmax + 1)
+                     for k in range(-kmax, kmax + 1))
+        assert np.max(np.abs(t.values_on_grid(N) - direct)) < 1e-12
+        with pytest.raises(ValueError):
+            t.values_on_grid(2 * max(jmax, kmax))
+
+
+def test_windowed_transform_matches_full_fft():
+    # p is not symmetric under z <-> w, so swapping the axes or the sign of
+    # the negative-k columns changes the window
+    p = BiPoly([[3.0, -0.5, 0.2j], [1.0, 0.4, 0.0]])
+    last = {}
+
+    def dens(zz, ww):
+        last["d"] = 1.0 / np.abs(p(zz, ww)) ** 2
+        return last["d"]
+
+    for jmax, kmax in [(3, 1), (1, 3), (2, 0), (0, 2)]:
+        table = moments_from_grid_function(dens, jmax, kmax)
+        d = last["d"]
+        N = d.shape[0]
+        win = (np.fft.fft2(d) / (N * N))[np.ix_(np.arange(-jmax, jmax + 1) % N,
+                                                 np.arange(-kmax, kmax + 1) % N)]
+        assert np.max(np.abs(table.c - MomentTable(jmax, kmax, win).c)) < 1e-14
+
+
+def test_near_torus_closed_form():
+    p = BiPoly([[1.03, 0.0], [0.0, -1.0]])           # 1.03 - zw
+    with pytest.raises(MomentDivergence):            # needs the 2048^2 grid
+        moments_from_density(p, 2, 2, QuadratureConfig(max_grid=1024))
+    t = moments_from_density(p, 2, 2)
+    for j in range(-2, 3):
+        for k in range(-2, 3):
+            if j == k:
+                expect = geometric_diag_moment(j, 1.03)
+                assert abs(t.at(j, j) - expect) < 1e-10 * expect
+            else:
+                assert abs(t.at(j, k)) < 1e-12
+
+
+def test_grid_function_overflow_rejected():
+    def dens(zz, ww):
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.abs(1.0 - zz) ** 2       # infinite at z = 1
+
+    with pytest.raises(MomentDivergence, match="density overflowed on the grid"):
+        moments_from_grid_function(dens, 1, 1)
 
 
 def test_divergence_for_torus_zero():
