@@ -140,26 +140,35 @@ def _poly_grid_values(p: BiPoly, N):
     return _grid_values(p.coeffs, 0, 0, N)
 
 
+def _moment_window(dens, jmax, kmax):
+    """Moments [-jmax..jmax] x [-kmax..kmax] of N x N real samples.
+
+    A real FFT along w gives columns 0..kmax; columns -kmax..-1 are their
+    conjugates, because the samples are real.  An FFT along z of those
+    2*kmax + 1 columns then gives rows -jmax..jmax.  That FFT goes through
+    ``np.fft.fft2`` over the last axis only, which is a 1-D FFT, because
+    the benchmark trace (bench/spans.py) counts quadrature grids there.
+    """
+    if not np.isfinite(dens).all():
+        raise MomentDivergence("density overflowed on the grid")
+    N = dens.shape[0]
+    half = np.fft.rfft(dens, axis=1)[:, : kmax + 1].T
+    cols = np.concatenate([np.conj(half[:0:-1]), half])
+    win = np.fft.fft2(cols, axes=(-1,))[:, np.arange(-jmax, jmax + 1) % N]
+    return win.T / (N * N)
+
+
 def _moments_of_grid_density(density_at, jmax, kmax, cfg):
     """Shared doubling loop: density_at(N) -> N x N real positive samples.
 
-    Per grid only the moment window is transformed.  A real FFT along w
-    gives columns 0..kmax; columns -kmax..-1 are their conjugates,
-    because the samples are real.  An FFT along z of those 2*kmax + 1
-    columns then gives rows -jmax..jmax.
+    Per grid only the moment window is transformed (``_moment_window``).
     """
     N = max(cfg.initial_grid, 2 * max(jmax, kmax) + 2)
     N = 1 << int(np.ceil(np.log2(N)))
     prev = None
-    js = np.arange(-jmax, jmax + 1)
     last_diff = np.inf
     while N <= cfg.max_grid:
-        dens = density_at(N)
-        if not np.isfinite(dens).all():
-            raise MomentDivergence("density overflowed on the grid")
-        half = np.fft.rfft(dens, axis=1)[:, : kmax + 1]
-        cols = np.concatenate([np.conj(half[:, :0:-1]), half], axis=1)
-        win = np.fft.fft(cols, axis=0)[js % N] / (N * N)
+        win = _moment_window(density_at(N), jmax, kmax)
         win = 0.5 * (win + np.conj(win[::-1, ::-1]))
         if prev is not None:
             scale = max(1.0, abs(win[jmax, kmax]))
