@@ -29,7 +29,7 @@ from .splitshift import (ShiftOperators, ShiftSplit, StratificationReport,
 from .reconstruct import factor_trig, reconstruct_p
 from .sos import (SosCertificate, certificate_closed_face,
                   certificate_open_face, verify_certificate)
-from .detrep import (DetRep, DetRepConfig, build_detrep, check_gdv_geometry,
+from .detrep import (DetRep, build_detrep, check_gdv_geometry,
                      check_self_reflective, derivative_identity_check)
 from .fullmeasure import FullMeasureReport, check_full_measure, strip_match
 from .arfilter import ArProblem, ArSolution, solve_ar

@@ -13,8 +13,7 @@ import sys
 
 from . import __version__
 from .arfilter import ArProblem, solve_ar
-from .detrep import DetRepConfig, build_detrep, check_gdv_geometry, \
-    check_self_reflective
+from .detrep import build_detrep, check_gdv_geometry, check_self_reflective
 from .errors import BszegoError, NotPositive
 from .fullmeasure import check_full_measure
 from .jsonio import (dumps, poly_from_json, poly_to_json, table_from_json,
@@ -91,7 +90,7 @@ def _cmd_sos(args):
 
 def _cmd_gdv(args):
     p = poly_from_json(_read_json(args.poly))
-    rep = build_detrep(p, DetRepConfig(seed=args.seed))
+    rep = build_detrep(p, seed=args.seed)
     mu = check_self_reflective(p)
     geometry = check_gdv_geometry(p)
     return {"mu": [mu.real, mu.imag],

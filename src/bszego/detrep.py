@@ -20,18 +20,14 @@ import numpy as np
 from .errors import (CertificateFailed, DegenerateSlice, FitResidualTooLarge,
                      NotGdv, NotSelfReflective, NumericalFailure, ZOnlyFactor)
 from .poly import BiPoly, reflect, z_content
-from .sos import DEFAULT_SCHEDULE, certificate_open_face
+from .sos import certificate_open_face
 
 
-@dataclass(frozen=True)
-class DetRepConfig:
-    samples: int = 128          # z points on the circle for variety sampling
-    offgrid_points: int = 100   # off-variety points for the scale fit
-    seed: int = 0
-    fit_tol: float = 1e-6       # on-variety Procrustes residual bound
-    residual_tol: float = 1e-6  # relative det/p deviation bound
-    schedule: tuple = DEFAULT_SCHEDULE
-    cert_tol: float = 1e-7
+SAMPLES = 128          # z points on the circle for variety sampling
+OFFGRID_POINTS = 100   # off-variety points for the scale fit
+FIT_TOL = 1e-6         # on-variety Procrustes residual bound
+RESIDUAL_TOL = 1e-6    # relative det/p deviation bound
+CERT_TOL = 1e-7        # open-face G-certificate tolerance
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +162,7 @@ def _variety_samples(p: BiPoly, count, tol=1e-6):
     return pairs
 
 
-def build_detrep(p: BiPoly, cfg: DetRepConfig = DetRepConfig()) -> DetRep:
+def build_detrep(p: BiPoly, seed=0) -> DetRep:
     """Unitary pencil representation of a generalized distinguished variety."""
     pt = p.trimmed()
     geo = check_gdv_geometry(pt)
@@ -181,9 +177,8 @@ def build_detrep(p: BiPoly, cfg: DetRepConfig = DetRepConfig()) -> DetRep:
     n, m = p1.deg
     P = reflect(p1.w_derivative(), (n, max(m - 1, 0)))
     try:
-        cert = certificate_open_face(P, schedule=cfg.schedule,
-                                     tol=cfg.cert_tol, variant="G",
-                                     seed=cfg.seed, deg=(n, max(m - 1, 0)))
+        cert = certificate_open_face(P, tol=CERT_TOL, variant="G", seed=seed,
+                                     deg=(n, max(m - 1, 0)))
     except NumericalFailure as exc:
         raise CertificateFailed(str(exc)) from exc
     a_list, b_list, c_list = cert.a_list, cert.b_list, cert.c_list
@@ -196,7 +191,7 @@ def build_detrep(p: BiPoly, cfg: DetRepConfig = DetRepConfig()) -> DetRep:
 
     # at least 4 (m+n)^2 sample pairs; each circle point carries m roots
     need = int(np.ceil(4.0 * dim * dim / max(m, 1)))
-    pairs = _variety_samples(p1, max(cfg.samples, need))
+    pairs = _variety_samples(p1, max(SAMPLES, need))
     xs = np.empty((dim, len(pairs)), dtype=complex)
     ys = np.empty((dim, len(pairs)), dtype=complex)
     for col, (z0, w0) in enumerate(pairs):
@@ -208,16 +203,16 @@ def build_detrep(p: BiPoly, cfg: DetRepConfig = DetRepConfig()) -> DetRep:
     u_l, _, v_h = np.linalg.svd(ys @ xs.conj().T)
     U = u_l @ v_h
     fit = float(np.linalg.norm(U @ xs - ys) / max(np.linalg.norm(ys), 1e-300))
-    if fit > cfg.fit_tol:
+    if fit > FIT_TOL:
         raise FitResidualTooLarge(f"lurking-isometry fit residual {fit:.3e}")
 
     rep0 = DetRep(u=U, n1=n1, n2=n2, scale=1.0 + 0.0j, residual=np.nan)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     ratios = []
     attempts = 0
-    while len(ratios) < cfg.offgrid_points:
+    while len(ratios) < OFFGRID_POINTS:
         attempts += 1
-        if attempts > 100 * cfg.offgrid_points:
+        if attempts > 100 * OFFGRID_POINTS:
             raise FitResidualTooLarge("could not sample off-variety points")
         z0 = complex(*rng.uniform(-2, 2, 2))
         w0 = complex(*rng.uniform(-2, 2, 2))
@@ -230,7 +225,7 @@ def build_detrep(p: BiPoly, cfg: DetRepConfig = DetRepConfig()) -> DetRep:
     if abs(scale) < 1e-12:
         raise FitResidualTooLarge("pencil determinant vanishes identically")
     residual = float(np.max(np.abs(ratios - scale)) / abs(scale))
-    if residual > cfg.residual_tol:
+    if residual > RESIDUAL_TOL:
         raise FitResidualTooLarge(
             f"det(U Delta - Gamma)/p varies by {residual:.3e}")
     # report the scale against the input polynomial, not the normalized one

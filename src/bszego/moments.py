@@ -20,7 +20,9 @@ import numpy as np
 
 from .errors import (InsufficientMoments, MomentDivergence,
                      NonPositiveDensity, ZeroPolynomial)
-from .poly import BiPoly, _readonly
+from .poly import BiPoly, _readonly, reflect
+
+POLE_MARGIN = 1e-12  # denominator minimum, relative to its grid maximum
 
 
 @dataclass(frozen=True)
@@ -29,14 +31,13 @@ class QuadratureConfig:
 
     initial_grid / max_grid are points per axis (powers of two);
     tol is the stabilization threshold between successive doublings,
-    relative to max(1, c00); pole_margin flags a vanishing denominator,
-    relative to its maximum on the grid.
+    relative to max(1, c00).  A denominator whose grid minimum is at most
+    POLE_MARGIN times its grid maximum counts as vanishing.
     """
 
     initial_grid: int = 64
     max_grid: int = 4096
     tol: float = 1e-10
-    pole_margin: float = 1e-12
 
     def __post_init__(self):
         if self.initial_grid > self.max_grid:
@@ -97,19 +98,14 @@ class TrigPoly(MomentTable):
 
     @classmethod
     def from_abs_squared(cls, p: BiPoly) -> "TrigPoly":
-        """Expand |p(z, w)|^2 on the torus into Laurent coefficients."""
-        a = p.trimmed().coeffs
-        n, m = a.shape[0] - 1, a.shape[1] - 1
-        t = np.zeros((2 * n + 1, 2 * m + 1), dtype=complex)
-        for j in range(-n, n + 1):
-            for k in range(-m, m + 1):
-                u0, u1 = max(0, -j), min(n, n - j)
-                v0, v1 = max(0, -k), min(m, m - k)
-                if u0 > u1 or v0 > v1:
-                    continue
-                block = a[u0 + j: u1 + j + 1, v0 + k: v1 + k + 1]
-                t[j + n, k + m] = np.sum(block * np.conj(a[u0: u1 + 1, v0: v1 + 1]))
-        return cls(n, m, t)
+        """Expand |p(z, w)|^2 on the torus into Laurent coefficients.
+
+        On the torus |p|^2 = z^-n w^-m p reflect(p), and the product's
+        coefficient grid is already centred at (n, m).
+        """
+        t = p.trimmed()
+        n, m = t.deg
+        return cls(n, m, (t * reflect(t, (n, m))).coeffs)
 
     def values_on_grid(self, N):
         """Evaluate on the N x N uniform torus grid (real array)."""
@@ -197,7 +193,7 @@ def moments_from_density(p: BiPoly, jmax, kmax,
         vals = _poly_grid_values(pt, N)
         a2 = np.abs(vals) ** 2
         lo, hi = float(np.min(a2)), float(np.max(a2))
-        if lo <= cfg.pole_margin * hi:
+        if lo <= POLE_MARGIN * hi:
             raise MomentDivergence(
                 f"|p|^2 nearly vanishes on the torus (min/max = {lo / hi:.3e})")
         return 1.0 / a2
@@ -212,7 +208,7 @@ def moments_from_trig(t: TrigPoly, jmax, kmax,
     def density_at(N):
         vals = t.values_on_grid(N)
         lo, hi = float(np.min(vals)), float(np.max(vals))
-        if lo <= cfg.pole_margin * max(hi, 1e-300):
+        if lo <= POLE_MARGIN * max(hi, 1e-300):
             raise NonPositiveDensity(
                 f"t is not strictly positive on the grid (min {lo:.3e})")
         return 1.0 / vals

@@ -10,21 +10,21 @@ inversion against the moments re-weighted by |g|^2.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from .errors import (DegenerateForm, GcdUnstable, MatrixConditionFails,
                      NoConvergence, NotFactorable, NotPositive)
 from .moments import (MomentTable, QuadratureConfig, TrigPoly,
                       _poly_grid_values, is_positive, moments_from_trig)
-from .poly import (BiPoly, UniPoly, canonical_phase, divide_bipoly_z,
-                   gcd_approx, reflect_uni, split_stable)
-from .space import MomentSpace
+from .poly import (BiPoly, UniPoly, canonical_phase, reflect_uni,
+                   split_stable, z_content)
+from .space import MomentSpace, _inverse_row
 from .splitshift import assert_no_face_zeros, build_operators, \
     check_matrix_condition
 
 GCD_TOL = 1e-6
+FACTOR_TOL = 1e-7   # factor_trig's bound on max | |p|^2 - t |, relative to max |t|
+FACTOR_GRID = 256   # points per axis of factor_trig's check grid
 
 
 def kernel_poly(space: MomentSpace, n, m) -> BiPoly:
@@ -47,42 +47,14 @@ def kernel_poly(space: MomentSpace, n, m) -> BiPoly:
     return out
 
 
-def _toeplitz_q(table: MomentTable, g: BiPoly, n0) -> UniPoly:
-    """Stable one-variable factor from the |g|^2-weighted moment strip."""
-    gc = g.trimmed().coeffs
-    n1, m1 = gc.shape[0] - 1, gc.shape[1] - 1
-    cp = np.zeros(2 * n0 + 1, dtype=complex)
-    for j in range(-n0, n0 + 1):
-        acc = 0.0 + 0.0j
-        for u1 in range(n1 + 1):
-            for u2 in range(m1 + 1):
-                gu = gc[u1, u2]
-                if gu == 0.0:
-                    continue
-                for v1 in range(n1 + 1):
-                    for v2 in range(m1 + 1):
-                        gv = gc[v1, v2]
-                        if gv == 0.0:
-                            continue
-                        acc += gu * np.conj(gv) * table.at(j + v1 - u1, v2 - u2)
-        cp[j + n0] = acc
-    # Hermitize; FFT moments leave a tiny asymmetry
-    herm = 0.5 * (cp + np.conj(cp[::-1]))
-    correction = float(np.max(np.abs(herm - cp)))
-    if correction > 0:
-        logging.getLogger(__name__).debug(
-            "Toeplitz hermitization correction %.3e", correction)
-    cp = herm
-    i = np.arange(n0 + 1)
-    M = cp[i[None, :] - i[:, None] + n0]      # M[j, k] = cp_{k-j}
-    try:
-        row = np.linalg.solve(M.T, np.eye(n0 + 1, dtype=complex)[:, 0])
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateForm("one-variable Toeplitz matrix is singular") from exc
-    lead = row[0]
-    if not lead.real > 0:
-        raise DegenerateForm("Toeplitz inverse has nonpositive diagonal")
-    return UniPoly(row / np.sqrt(lead.real))
+def _toeplitz_q(space: MomentSpace, g: BiPoly, n0) -> UniPoly:
+    """Stable one-variable factor from the |g|^2-weighted moment strip.
+
+    The Toeplitz matrix of that strip is the Gram of g, z g, ..., z^n0 g
+    under the form, so q is its normalized inverse row.
+    """
+    E = np.column_stack([space.embed(g.shifted(k, 0)) for k in range(n0 + 1)])
+    return UniPoly(_inverse_row(E.T @ np.conj(E), "the one-variable step"))
 
 
 def reconstruct_p(table: MomentTable, n, m, tol=1e-8) -> BiPoly:
@@ -99,17 +71,11 @@ def reconstruct_p(table: MomentTable, n, m, tol=1e-8) -> BiPoly:
             f"max ||A T^j B|| = {report.max_violation:.3e}; "
             "no closed-face Bernstein-Szego representation exists")
     R = kernel_poly(space, n, m).trimmed()
-    rscale = float(np.max(np.abs(R.coeffs)))
-    columns = [UniPoly(R.coeffs[:, k]) for k in range(R.deg[1] + 1)
-               if np.max(np.abs(R.coeffs[:, k])) > 1e-9 * rscale]
-    g = None
     for attempt_tol in (GCD_TOL, 10.0 * GCD_TOL):
-        Q = gcd_approx(columns, attempt_tol)
-        cand, res = divide_bipoly_z(R, Q)
+        _, g, res = z_content(R, attempt_tol)
         if res <= 1e-6:
-            g = cand
             break
-    if g is None:
+    else:
         raise GcdUnstable(
             f"z-content gcd division residual {res:.3e} at tolerance "
             f"{10 * GCD_TOL}")
@@ -117,7 +83,7 @@ def reconstruct_p(table: MomentTable, n, m, tol=1e-8) -> BiPoly:
     n0 = n - g.deg[0]
     if n0 < 0:
         raise DegenerateForm("two-variable factor exceeds the degree bound")
-    q = _toeplitz_q(table, g, n0)
+    q = _toeplitz_q(space, g, n0)
     if q.degree > 0:
         rs = split_stable(q, margin=1e-9)
         if rs.beta != 0:
@@ -130,8 +96,7 @@ def reconstruct_p(table: MomentTable, n, m, tol=1e-8) -> BiPoly:
     return canonical_phase(p * (1.0 / nrm))
 
 
-def factor_trig(t: TrigPoly, n, m, cfg: QuadratureConfig = QuadratureConfig(),
-                tol=1e-7, grid=256):
+def factor_trig(t: TrigPoly, n, m, cfg: QuadratureConfig = QuadratureConfig()):
     """Factor a strictly positive trig polynomial as |p|^2 when possible.
 
     Builds the moments of dsigma / t, tests the matrix condition, then
@@ -147,10 +112,10 @@ def factor_trig(t: TrigPoly, n, m, cfg: QuadratureConfig = QuadratureConfig(),
         p = reconstruct_p(table, n, m)
     except MatrixConditionFails as exc:
         raise NotFactorable(str(exc)) from exc
-    tvals = t.values_on_grid(grid)
-    pvals = np.abs(_poly_grid_values(p.trimmed(), grid)) ** 2
+    tvals = t.values_on_grid(FACTOR_GRID)
+    pvals = np.abs(_poly_grid_values(p.trimmed(), FACTOR_GRID)) ** 2
     resid = float(np.max(np.abs(pvals - tvals)))
-    if resid > tol * float(np.max(np.abs(tvals))):
+    if resid > FACTOR_TOL * float(np.max(np.abs(tvals))):
         raise NoConvergence(
             f"|p|^2 mismatches t by {resid:.3e} despite the matrix condition")
     assert_no_face_zeros(p)

@@ -305,22 +305,13 @@ class MomentSpace:
             raise InsufficientMoments("phi sequence exceeds the table window")
         order = _rect(0, n, 0, m)
         G = gram(self.table, order, order)
-        d = len(order)
         phis = []
         for j in range(m + 1):
             # S_j is order[j:], so its Gram is the trailing block of G
-            try:
-                row = np.linalg.solve(G[j:, j:].T,
-                                      np.eye(d - j, dtype=complex)[:, 0])
-            except np.linalg.LinAlgError as exc:
-                raise DegenerateForm(f"moment matrix singular at stage {j}") from exc
-            lead = row[0]
-            if not (lead.real > 0 and abs(lead.imag) < 1e-8 * lead.real):
-                raise DegenerateForm(
-                    f"inverse diagonal not positive at stage {j}: {lead}")
-            coeffs = np.zeros(d, dtype=complex)
-            coeffs[j:] = row      # z-major order: (u1, u2) sits at u1*(m+1)+u2
-            phis.append(BiPoly(coeffs.reshape(n + 1, m + 1) / np.sqrt(lead.real)))
+            coeffs = np.zeros(len(order), dtype=complex)
+            # z-major order: (u1, u2) sits at u1*(m+1)+u2
+            coeffs[j:] = _inverse_row(G[j:, j:], f"stage {j}")
+            phis.append(BiPoly(coeffs.reshape(n + 1, m + 1)))
         return phis
 
     def project(self, f: BiPoly, onto: SubspaceBasis):
@@ -330,6 +321,23 @@ class MomentSpace:
         for ci, b in zip(coeffs, onto.polys()):
             residual = residual - ci * b
         return coeffs, residual.trimmed()
+
+
+def _inverse_row(G, where):
+    """First row of G^-1 scaled by 1/sqrt of its lead entry.
+
+    G is the Gram of f_0, ..., f_d; the returned coefficients x give the
+    unit-norm combination sum x_i f_i orthogonal to f_1, ..., f_d with
+    <., f_0> real positive.  ``where`` names the solve in the messages.
+    """
+    try:
+        row = np.linalg.solve(G.T, np.eye(G.shape[0], dtype=complex)[:, 0])
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateForm(f"moment matrix singular at {where}") from exc
+    lead = row[0]
+    if not (lead.real > 0 and abs(lead.imag) < 1e-8 * lead.real):
+        raise DegenerateForm(f"inverse diagonal not positive at {where}: {lead}")
+    return row / np.sqrt(lead.real)
 
 
 def subspace_angle(space: MomentSpace, a: SubspaceBasis, b: SubspaceBasis):

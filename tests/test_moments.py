@@ -143,6 +143,20 @@ def test_trig_lebesgue():
 
 
 def test_trig_matches_density(p_2zw, table_2zw):
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))   # (3, 2)
+    for p in (p_2zw, BiPoly(a)):
+        trig = TrigPoly.from_abs_squared(p)
+        # entrywise: coefficient of z^j w^k is sum_u a_{u + (j, k)} conj(a_u)
+        c = p.coeffs
+        n, m = p.deg
+        assert (trig.jmax, trig.kmax) == (n, m)
+        for j in range(-n, n + 1):
+            for k in range(-m, m + 1):
+                expect = sum(c[u1 + j, u2 + k] * np.conj(c[u1, u2])
+                             for u1 in range(n + 1) for u2 in range(m + 1)
+                             if 0 <= u1 + j <= n and 0 <= u2 + k <= m)
+                assert abs(trig.at(j, k) - expect) < 1e-14 * np.sum(np.abs(c) ** 2)
     trig = TrigPoly.from_abs_squared(p_2zw)
     # |2 - zw|^2 = 5 - 2 zw - 2 conj(zw) on the torus
     assert abs(trig.at(0, 0) - 5.0) < 1e-14

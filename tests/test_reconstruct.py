@@ -5,8 +5,10 @@ from bszego import (BiPoly, MatrixConditionFails, MomentSpace,
                     NotFactorable, TrigPoly, factor_trig,
                     moments_from_density, moments_from_grid_function,
                     reconstruct_p)
+from bszego import reconstruct
 from bszego.poly import reflect_uni, split_stable, z_content
 from bszego.reconstruct import kernel_poly
+from bszego.space import _inverse_row
 
 from conftest import max_modulus_gap, random_corpus_poly
 
@@ -30,13 +32,60 @@ def test_lebesgue_degree_zero(lebesgue_table):
     assert np.allclose(phat.coeffs, [[1.0]], atol=1e-12)
 
 
+# 3 + z + iw - zw/2: no zeros on the closed bidisk, not a product in z and w
+G_MIXED = BiPoly([[3, 1j], [1, -0.5]])
+
+
 def test_unstable_content_maps_to_stable_rep():
-    p = BiPoly([[1], [-2.0]]) * BiPoly([[2, 0], [0, -1.0]])
-    table = moments_from_density(p, 2, 1)
-    phat = reconstruct_p(table, 2, 1)
-    stable = BiPoly([[2], [-1.0]]) * BiPoly([[2, 0], [0, -1.0]])
-    assert np.allclose(phat.coeffs, stable.coeffs, atol=1e-8)
-    assert max_modulus_gap(phat, p) < 1e-7 * 81  # relative to max |p|^2
+    two_zw = BiPoly([[2, 0], [0, -1.0]])
+    three_z = BiPoly([[3], [-1.0]])
+    cases = [  # (p, its stable-content representative)
+        (BiPoly([[1], [-2.0]]) * two_zw, BiPoly([[2], [-1.0]]) * two_zw),
+        (BiPoly([[1], [-2.0]]) * three_z * G_MIXED,
+         BiPoly([[2], [-1.0]]) * three_z * G_MIXED),
+        (BiPoly([[1], [-2j]]) * three_z * G_MIXED,
+         BiPoly([[2], [-1j]]) * three_z * G_MIXED),
+    ]
+    for p, stable in cases:
+        n, m = p.deg
+        table = moments_from_density(p, n, m)
+        phat = reconstruct_p(table, n, m)
+        assert np.allclose(phat.coeffs, stable.coeffs, atol=1e-8)
+        scale = max_modulus_gap(p, BiPoly([[0.0]]))   # max |p|^2 on the grid
+        assert max_modulus_gap(phat, p) < 1e-7 * scale
+
+
+def test_one_variable_step_gram_is_the_weighted_strip(monkeypatch):
+    # z-content (1 - 2iz)(3 - z) of degree 2 over the two-variable G_MIXED;
+    # complex, so that the weighted strip is not real and a transposed
+    # Gram differs from the right one
+    p = BiPoly([[1], [-2j]]) * BiPoly([[3], [-1.0]]) * G_MIXED
+    table = moments_from_density(p, 3, 1)
+    space = MomentSpace(table, 3, 1)
+    seen = []
+
+    def spy(G, where):
+        seen.append(G)
+        return _inverse_row(G, where)
+
+    monkeypatch.setattr(reconstruct, "_inverse_row", spy)
+    q = reconstruct._toeplitz_q(space, G_MIXED, 2)
+    # reference: <z^j g, z^k g> = cp_{k-j}
+    #   = sum_{u, v} g_u conj(g_v) c(k - j + v1 - u1, v2 - u2)
+    gc = G_MIXED.coeffs
+    ref = np.zeros((3, 3), dtype=complex)
+    for j in range(3):
+        for k in range(3):
+            for (u1, u2), gu in np.ndenumerate(gc):
+                for (v1, v2), gv in np.ndenumerate(gc):
+                    ref[j, k] += gu * np.conj(gv) * table.at(
+                        k - j + v1 - u1, v2 - u2)
+    assert len(seen) == 1
+    assert np.max(np.abs(ref.imag)) > 0.1 * np.max(np.abs(ref))
+    assert np.max(np.abs(seen[0] - ref)) < 1e-13 * np.max(np.abs(ref))
+    # the step returns the stable content (2 - iz)(3 - z), up to scale
+    assert np.allclose(np.sort(np.abs(np.roots(q.coeffs[::-1]))), [2, 3],
+                       atol=1e-8)
 
 
 def test_kernel_poly_identity(p_2zw):
