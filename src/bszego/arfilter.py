@@ -17,7 +17,7 @@ from typing import Optional
 from .errors import InsufficientMoments, NotPositive
 from .moments import MomentTable, is_positive
 from .poly import BiPoly
-from .reconstruct import reconstruct_p
+from .reconstruct import _reconstruct
 from .space import MomentSpace
 from .splitshift import a_operator_norm, build_operators, \
     check_matrix_condition
@@ -66,7 +66,7 @@ def solve_ar(problem: ArProblem, tol=1e-8) -> ArSolution:
         raise NotPositive(
             f"autocorrelation form is not positive definite (eig {lam:.3e})")
     space = MomentSpace(problem.table.window(n, m), n, m)
-    ops = build_operators(space, n, m)
+    ops = build_operators(space)
     report = check_matrix_condition(ops, tol)
     a_norm = a_operator_norm(ops)
     diag = report.to_json() | {"a_operator_norm": a_norm,
@@ -74,7 +74,7 @@ def solve_ar(problem: ArProblem, tol=1e-8) -> ArSolution:
     if not report.holds:
         return ArSolution(classification="none", coefficients=None,
                           diagnostics=diag)
-    p = reconstruct_p(problem.table.window(n, m), n, m, tol)
+    p = _reconstruct(space)
     classification = "causal" if a_norm < tol else "acausal"
     return ArSolution(classification=classification, coefficients=p,
                       diagnostics=diag)

@@ -28,6 +28,9 @@ OFFGRID_POINTS = 100   # off-variety points for the scale fit
 FIT_TOL = 1e-6         # on-variety Procrustes residual bound
 RESIDUAL_TOL = 1e-6    # relative det/p deviation bound
 CERT_TOL = 1e-7        # open-face G-certificate tolerance
+REFLECT_TOL = 1e-8     # relative residual of the reflection identities
+GEOMETRY_GRID = 64     # z points on the circle for the geometry check
+GEOMETRY_TOL = 1e-6    # largest accepted | |w-root| - 1 |
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +79,7 @@ class GeometryReport:
                 "worst_w": [self.worst_w.real, self.worst_w.imag]}
 
 
-def check_self_reflective(p: BiPoly, tol=1e-8) -> complex:
+def check_self_reflective(p: BiPoly) -> complex:
     """The unimodular mu with p = mu * reflection(p), if it exists.
 
     Requires p to carry no z-only factors (they make mu ill-defined).
@@ -93,13 +96,13 @@ def check_self_reflective(p: BiPoly, tol=1e-8) -> complex:
     denom = np.vdot(b, b).real
     mu = complex(np.vdot(b, a)) / denom
     resid = float(np.max(np.abs(a - mu * b))) / max(1.0, float(np.max(np.abs(a))))
-    if resid > tol or abs(abs(mu) - 1.0) > tol:
+    if resid > REFLECT_TOL or abs(abs(mu) - 1.0) > REFLECT_TOL:
         raise NotSelfReflective(
             f"no unimodular mu matches (residual {resid:.3e}, |mu| = {abs(mu):.6f})")
     return mu / abs(mu)
 
 
-def check_gdv_geometry(p: BiPoly, grid_size=64, tol=1e-6) -> GeometryReport:
+def check_gdv_geometry(p: BiPoly) -> GeometryReport:
     """Whether every w-root over the z-circle sits on the w-circle."""
     pt = p.trimmed()
     n, m = pt.deg
@@ -107,10 +110,10 @@ def check_gdv_geometry(p: BiPoly, grid_size=64, tol=1e-6) -> GeometryReport:
         raise NotGdv("p does not depend on w")
     scale = float(np.max(np.abs(pt.coeffs)))
     worst = (0.0, 1.0 + 0.0j, 1.0 + 0.0j)
-    for rot in (0.0, 0.5 / grid_size):
+    for rot in (0.0, 0.5 / GEOMETRY_GRID):
         try:
-            for idx in range(grid_size):
-                z0 = np.exp(2j * np.pi * (idx + rot) / grid_size)
+            for idx in range(GEOMETRY_GRID):
+                z0 = np.exp(2j * np.pi * (idx + rot) / GEOMETRY_GRID)
                 wcoef = pt.w_poly_at(z0)
                 if abs(wcoef[-1]) < 1e-12 * scale:
                     raise DegenerateSlice(f"leading w-coefficient ~0 at z = {z0}")
@@ -125,11 +128,12 @@ def check_gdv_geometry(p: BiPoly, grid_size=64, tol=1e-6) -> GeometryReport:
             if rot != 0.0:
                 raise
             worst = (0.0, 1.0 + 0.0j, 1.0 + 0.0j)
-    return GeometryReport(passed=worst[0] < tol, worst_deviation=worst[0],
+    return GeometryReport(passed=worst[0] < GEOMETRY_TOL,
+                          worst_deviation=worst[0],
                           worst_z=complex(worst[1]), worst_w=complex(worst[2]))
 
 
-def derivative_identity_check(p: BiPoly, tol=1e-8):
+def derivative_identity_check(p: BiPoly):
     """Check m*p = reflection of dp/dw at (n, m-1) plus w * dp/dw.
 
     Expects p already normalized to equal its own reflection.  Returns
@@ -142,10 +146,10 @@ def derivative_identity_check(p: BiPoly, tol=1e-8):
     rhs = reflect(dp, (n, max(m - 1, 0))) + dp.shifted(0, 1)
     diff = lhs - rhs
     resid = float(np.max(np.abs(diff.coeffs))) / max(1.0, float(np.max(np.abs(pt.coeffs))))
-    return resid <= tol, resid
+    return resid <= REFLECT_TOL, resid
 
 
-def _variety_samples(p: BiPoly, count, tol=1e-6):
+def _variety_samples(p: BiPoly, count):
     """(z, w) pairs on the zero set with z on the unit circle."""
     pt = p.trimmed()
     pairs = []

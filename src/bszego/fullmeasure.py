@@ -21,6 +21,8 @@ from .moments import MomentTable, _rect, gram, moments_from_density
 from .poly import BiPoly
 from .reconstruct import reconstruct_p
 
+STRIP_TOL = 1e-7   # strip_match's bound on gamma entries and moment mismatch
+
 
 @dataclass(frozen=True)
 class FullMeasureReport:
@@ -120,13 +122,13 @@ def check_full_measure(table: MomentTable, n, m, Nmax=None, Mmax=None,
                              depth=(Nmax, Mmax), tol=tol)
 
 
-def strip_match(table: MomentTable, n, m, tol=1e-7) -> BiPoly:
+def strip_match(table: MomentTable, n, m) -> BiPoly:
     """Recover p from the (n, m) window, then verify the whole strip.
 
     The gamma conditions at M = m-1 and m are checked first (they are
     what extends the window reconstruction along the z-axis); the
     reconstructed polynomial must reproduce every table moment with
-    |k| <= m to ``tol``.
+    |k| <= m to STRIP_TOL.
     """
     Nmax = table.jmax - 1
     sup = _rect(0, table.jmax, 0, m)
@@ -136,7 +138,7 @@ def strip_match(table: MomentTable, n, m, tol=1e-7) -> BiPoly:
             if M < 0:
                 continue
             worst = _gamma(G, m, N, M)
-            if worst >= tol:
+            if worst >= STRIP_TOL:
                 raise MatrixConditionFails(
                     f"strip condition fails at window ({N + 1}, {M}): "
                     f"{worst:.3e}")
@@ -144,6 +146,6 @@ def strip_match(table: MomentTable, n, m, tol=1e-7) -> BiPoly:
     check = moments_from_density(p, table.jmax, m)
     strip = table.c[:, table.kmax - m: table.kmax + m + 1]
     diff = float(np.max(np.abs(check.c - strip)))
-    if diff > tol:
+    if diff > STRIP_TOL:
         raise NoConvergence(f"strip moments mismatch by {diff:.3e}")
     return p

@@ -23,6 +23,7 @@ from .errors import (InsufficientMoments, MomentDivergence,
 from .poly import BiPoly, _readonly, reflect
 
 POLE_MARGIN = 1e-12  # denominator minimum, relative to its grid maximum
+POSITIVE_TOL = 1e-12  # smallest Gram eigenvalue is_positive accepts (absolute)
 
 
 @dataclass(frozen=True)
@@ -216,8 +217,7 @@ def moments_from_trig(t: TrigPoly, jmax, kmax,
     return _moments_of_grid_density(density_at, jmax, kmax, cfg)
 
 
-def moments_from_grid_function(fn, jmax, kmax,
-                               cfg: QuadratureConfig = QuadratureConfig()) -> MomentTable:
+def moments_from_grid_function(fn, jmax, kmax) -> MomentTable:
     """Moments of fn(z, w) dsigma for a smooth positive sample function.
 
     fn receives meshgrid arrays of unimodular z and w and must return
@@ -231,7 +231,7 @@ def moments_from_grid_function(fn, jmax, kmax,
         zz, ww = np.meshgrid(z, z, indexing="ij")
         return np.asarray(fn(zz, ww), dtype=float)
 
-    return _moments_of_grid_density(density_at, jmax, kmax, cfg)
+    return _moments_of_grid_density(density_at, jmax, kmax, QuadratureConfig())
 
 
 def _rect(j0, j1, k0, k1):
@@ -259,11 +259,11 @@ def gram(table: MomentTable, rows, cols) -> np.ndarray:
     return table.c[dj + table.jmax, dk + table.kmax]
 
 
-def is_positive(table: MomentTable, n, m, tol=1e-12):
+def is_positive(table: MomentTable, n, m):
     """Whether the form is positive definite on monomials [0,n] x [0,m].
 
     Returns (bool, smallest eigenvalue of the Gram matrix).
     """
     sup = _rect(0, n, 0, m)
     lam = float(np.linalg.eigvalsh(gram(table, sup, sup))[0])
-    return lam > tol, lam
+    return lam > POSITIVE_TOL, lam

@@ -50,17 +50,17 @@ class BiPoly:
     def __call__(self, z, w):
         return npoly.polyval2d(np.asarray(z), np.asarray(w), self.coeffs)
 
-    def is_zero(self, tol=TRIM_REL):
-        """Whether every coefficient is below ``tol`` in absolute value."""
-        return float(np.max(np.abs(self.coeffs))) < tol
+    def is_zero(self):
+        """Whether every coefficient is below TRIM_REL in absolute value."""
+        return float(np.max(np.abs(self.coeffs))) < TRIM_REL
 
-    def trimmed(self, rel=TRIM_REL):
-        """Drop trailing rows/columns with all entries < rel * max|coeff|."""
+    def trimmed(self):
+        """Drop trailing rows/columns with all entries < TRIM_REL * max|coeff|."""
         a = self.coeffs
         mx = np.max(np.abs(a))
         if mx == 0.0:
             return BiPoly(np.zeros((1, 1)))
-        keep = np.abs(a) >= rel * mx
+        keep = np.abs(a) >= TRIM_REL * mx
         rows = np.nonzero(keep.any(axis=1))[0]
         cols = np.nonzero(keep.any(axis=0))[0]
         n = rows.max() if rows.size else 0
@@ -155,16 +155,16 @@ class UniPoly:
     def __call__(self, z):
         return npoly.polyval(np.asarray(z), self.coeffs)
 
-    def is_zero(self, tol=TRIM_REL):
-        """Whether every coefficient is below ``tol`` in absolute value."""
-        return float(np.max(np.abs(self.coeffs))) < tol
+    def is_zero(self):
+        """Whether every coefficient is below TRIM_REL in absolute value."""
+        return float(np.max(np.abs(self.coeffs))) < TRIM_REL
 
-    def trimmed(self, rel=TRIM_REL):
+    def trimmed(self):
         a = self.coeffs
         mx = np.max(np.abs(a))
         if mx == 0.0:
             return UniPoly(np.zeros(1))
-        nz = np.nonzero(np.abs(a) >= rel * mx)[0]
+        nz = np.nonzero(np.abs(a) >= TRIM_REL * mx)[0]
         return UniPoly(a[: nz.max() + 1])
 
     def monic(self):
@@ -178,11 +178,9 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def to_bipoly(self, var="z"):
-        c = self.coeffs
-        if var == "z":
-            return BiPoly(c[:, None])
-        return BiPoly(c[None, :])
+    def to_bipoly(self):
+        """The same polynomial as a BiPoly in z."""
+        return BiPoly(self.coeffs[:, None])
 
 
 @dataclass(frozen=True)

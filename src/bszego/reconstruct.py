@@ -27,11 +27,12 @@ FACTOR_TOL = 1e-7   # factor_trig's bound on max | |p|^2 - t |, relative to max 
 FACTOR_GRID = 256   # points per axis of factor_trig's check grid
 
 
-def kernel_poly(space: MomentSpace, n, m) -> BiPoly:
+def kernel_poly(space: MomentSpace) -> BiPoly:
     """sum_j phi_j(z1, z2) * reflection_n of conj(phi_j)(z1, 0).
 
-    For a Bernstein-Szego form this equals p(z1, z2) z1^n pbar(1/z1, 0),
-    the polynomial whose z-only content drives the reconstruction.
+    With (n, m) the space's caps, for a Bernstein-Szego form this equals
+    p(z1, z2) z1^n pbar(1/z1, 0), the polynomial whose z-only content
+    drives the reconstruction.
     """
     # The sum does not depend on the orthonormal basis of E2(n, m), yet
     # phi_sequence is kept over the cached e2_basis(n, m) on purpose.
@@ -40,6 +41,7 @@ def kernel_poly(space: MomentSpace, n, m) -> BiPoly:
     # (reconstruct and ar on the unstable kind at (8,6), (12,10) and
     # (12,12)) into answers with modulus gaps up to 5.4e-9, and the
     # worst accuracy of the workload drops from 13.4 to 8.3 digits.
+    n, m = space.nmax, space.mmax
     out = BiPoly(np.zeros((2 * n + 1, m + 1)))
     for phi in space.phi_sequence(n, m):
         refl = reflect_uni(phi.z_slice(0), n)
@@ -64,13 +66,20 @@ def reconstruct_p(table: MomentTable, n, m, tol=1e-8) -> BiPoly:
     representative, unit-norm under the form, with canonical phase.
     """
     space = MomentSpace(table, n, m)
-    ops = build_operators(space, n, m)
-    report = check_matrix_condition(ops, tol)
+    report = check_matrix_condition(build_operators(space), tol)
     if not report.holds:
         raise MatrixConditionFails(
             f"max ||A T^j B|| = {report.max_violation:.3e}; "
             "no closed-face Bernstein-Szego representation exists")
-    R = kernel_poly(space, n, m).trimmed()
+    return _reconstruct(space)
+
+
+def _reconstruct(space: MomentSpace) -> BiPoly:
+    """Kernel, z-content, one-variable step and normalization.
+
+    The caller has checked the matrix condition on ``space``.
+    """
+    R = kernel_poly(space).trimmed()
     for attempt_tol in (GCD_TOL, 10.0 * GCD_TOL):
         _, g, res = z_content(R, attempt_tol)
         if res <= 1e-6:
@@ -80,7 +89,7 @@ def reconstruct_p(table: MomentTable, n, m, tol=1e-8) -> BiPoly:
             f"z-content gcd division residual {res:.3e} at tolerance "
             f"{10 * GCD_TOL}")
     g = g.trimmed()
-    n0 = n - g.deg[0]
+    n0 = space.nmax - g.deg[0]
     if n0 < 0:
         raise DegenerateForm("two-variable factor exceeds the degree bound")
     q = _toeplitz_q(space, g, n0)

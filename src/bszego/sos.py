@@ -22,19 +22,23 @@ keeping the largest t whose blocks still certify p itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (CommonFactor, DegenerateForm, InvalidDegree,
                      MomentDivergence, NoConvergence, RootNearTorus,
                      ZeroPolynomial)
-from .moments import QuadratureConfig, moments_from_density
-from .poly import BiPoly, UniPoly, gcd_approx, reflect, roots
+from .moments import moments_from_density
+from .poly import (CLUSTER_TOL, BiPoly, UniPoly, gcd_approx, reflect, roots,
+                   z_content)
 from .space import MomentSpace
 from .splitshift import shift_split_from_p
 
-DEFAULT_SCHEDULE = (0.9, 0.99, 0.999, 0.9999)
+DEFAULT_SCHEDULE = (0.9, 0.99, 0.999, 0.9999)   # w-shrink factors t, open face
+VERIFY_SAMPLES = 200    # points (and point pairs) per verify_certificate check
+VERIFY_RADIUS = 1.5     # half-width of the square verify_certificate samples
+PREFLIGHT_SAMPLES = 8   # z-slices compared by common_factor_with_reflection
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,59 +112,58 @@ def _identity_mismatch(p, cert, zw, ze):
     return np.abs(lhs - rhs), scale
 
 
-def verify_certificate(p: BiPoly, cert: SosCertificate, samples=200,
-                       seed=0, radius=1.5) -> ResidualReport:
+def verify_certificate(p: BiPoly, cert: SosCertificate,
+                       seed=0) -> ResidualReport:
     """Max relative residual of the certificate identity.
 
-    Checks the diagonal identity at random points of the closed bidisk
-    of the given radius and the full kernel identity at independent
-    point pairs; the identity is polynomial, so sampling past the torus
-    is a strengthening.
+    Checks the diagonal identity at VERIFY_SAMPLES random points of the
+    square of half-width VERIFY_RADIUS and the full kernel identity at
+    as many independent point pairs; the identity is polynomial, so
+    sampling past the torus is a strengthening.
     """
     rng = np.random.default_rng(seed)
 
     def draw(k):
-        re = rng.uniform(-radius, radius, size=k)
-        im = rng.uniform(-radius, radius, size=k)
+        re = rng.uniform(-VERIFY_RADIUS, VERIFY_RADIUS, size=k)
+        im = rng.uniform(-VERIFY_RADIUS, VERIFY_RADIUS, size=k)
         return re + 1j * im
 
-    z, w = draw(samples), draw(samples)
-    zeta, eta = draw(samples), draw(samples)
+    z, w = draw(VERIFY_SAMPLES), draw(VERIFY_SAMPLES)
+    zeta, eta = draw(VERIFY_SAMPLES), draw(VERIFY_SAMPLES)
     mism_d, scale_d = _identity_mismatch(p, cert, (z, w), (z, w))
     mism_k, scale_k = _identity_mismatch(p, cert, (z, w), (zeta, eta))
     rel_d = mism_d / np.max(scale_d)
     rel_k = mism_k / np.max(scale_k)
     rel = np.concatenate([rel_d, rel_k])
     worst = int(np.argmax(rel))
-    if worst < samples:
+    if worst < VERIFY_SAMPLES:
         pt = (z[worst], w[worst], z[worst], w[worst])
     else:
-        i = worst - samples
+        i = worst - VERIFY_SAMPLES
         pt = (z[i], w[i], zeta[i], eta[i])
     return ResidualReport(residual=float(np.max(rel)), worst_point=pt)
 
 
-def _blocks_closed_face(p: BiPoly, variant, cfg: QuadratureConfig, margin,
-                        deg=None):
+def _blocks_closed_face(p: BiPoly, variant, deg) -> SosCertificate:
+    """The blocks for p at degree ``deg``, residual not yet verified (nan)."""
     pt = p.trimmed()
     n, m = pt.deg if deg is None else deg
     if pt.deg[0] > n or pt.deg[1] > m:
         raise InvalidDegree("declared degree below the actual degree")
-    table = moments_from_density(pt, max(n, 1), max(m, 1), cfg)
+    table = moments_from_density(pt, max(n, 1), max(m, 1))
     space = MomentSpace(table, n, m)
-    split = shift_split_from_p(space, pt, margin)
+    split = shift_split_from_p(space, pt)
     a_list = tuple(space.e2_basis(n, m - 1).polys()) if m >= 1 else ()
     if variant == "G":
         a_list = a_list + (reflect(pt, (n, m)),)
     b_list = tuple(split.k2.reflected((max(n - 1, 0), m)).polys()) \
         if split.k2.dim else ()
     c_list = tuple(split.k1.polys()) if split.k1.dim else ()
-    return a_list, b_list, c_list, (n, m)
+    return SosCertificate(a_list=a_list, b_list=b_list, c_list=c_list,
+                          variant=variant, residual=np.nan, deg=(n, m))
 
 
-def certificate_closed_face(p: BiPoly, variant="L",
-                            cfg: QuadratureConfig = QuadratureConfig(),
-                            margin=1e-6, samples=200, seed=0,
+def certificate_closed_face(p: BiPoly, variant="L", seed=0,
                             deg=None) -> SosCertificate:
     """Certificate for p with no zeros on the closed face.
 
@@ -169,13 +172,8 @@ def certificate_closed_face(p: BiPoly, variant="L",
     polynomial.  ``deg`` declares a formal degree pair above the actual
     one (the reflection and the block counts are taken there).
     """
-    a_list, b_list, c_list, at = _blocks_closed_face(p, variant, cfg,
-                                                     margin, deg)
-    cert = SosCertificate(a_list=a_list, b_list=b_list, c_list=c_list,
-                          variant=variant, residual=np.nan, deg=at)
-    report = verify_certificate(p, cert, samples=samples, seed=seed)
-    return SosCertificate(a_list=a_list, b_list=b_list, c_list=c_list,
-                          variant=variant, residual=report.residual, deg=at)
+    cert = _blocks_closed_face(p, variant, deg)
+    return replace(cert, residual=verify_certificate(p, cert, seed).residual)
 
 
 def _scale_w(p: BiPoly, t) -> BiPoly:
@@ -184,27 +182,28 @@ def _scale_w(p: BiPoly, t) -> BiPoly:
     return BiPoly(c)
 
 
-def common_factor_with_reflection(p: BiPoly, tol=1e-6, samples=8, deg=None):
+def common_factor_with_reflection(p: BiPoly, deg=None):
     """Sampled test whether p and its reflection share a factor.
 
     A common factor of positive w-degree forces shared w-roots on every
     z-slice; a z-only common factor shows up in the z-contents.  Both
-    checks are sampled, which is enough for the certificate preflight.
+    checks are sampled (PREFLIGHT_SAMPLES slices, roots matched within
+    CLUSTER_TOL), which is enough for the certificate preflight.
     """
     pt = p.trimmed()
     n, m = pt.deg if deg is None else deg
     prev = reflect(pt, (n, m))
     if m == 0:
-        g = gcd_approx([pt.z_slice(0), prev.z_slice(0)], tol)
+        g = gcd_approx([pt.z_slice(0), prev.z_slice(0)])
         return g.degree > 0
-    from .poly import z_content
     h1, _, _ = z_content(pt)
     h2, _, _ = z_content(prev)
     if h1.degree > 0 and h2.degree > 0:
         r1, r2 = roots(h1), roots(h2)
-        if np.min(np.abs(r1[:, None] - r2[None, :])) < tol:
+        if np.min(np.abs(r1[:, None] - r2[None, :])) < CLUSTER_TOL:
             return True
-    zs = 0.9371 * np.exp(2j * np.pi * (np.arange(samples) + 0.17) / samples)
+    zs = 0.9371 * np.exp(2j * np.pi * (np.arange(PREFLIGHT_SAMPLES) + 0.17)
+                         / PREFLIGHT_SAMPLES)
     for z0 in zs:
         c1 = pt.w_poly_at(z0)
         c2 = prev.w_poly_at(z0)
@@ -215,44 +214,35 @@ def common_factor_with_reflection(p: BiPoly, tol=1e-6, samples=8, deg=None):
             continue
         if r1.size == 0 or r2.size == 0:
             return False
-        if np.min(np.abs(r1[:, None] - r2[None, :])) >= tol:
+        if np.min(np.abs(r1[:, None] - r2[None, :])) >= CLUSTER_TOL:
             return False
     return True
 
 
-def certificate_open_face(p: BiPoly, schedule=DEFAULT_SCHEDULE, tol=1e-8,
-                          variant="L", cfg: QuadratureConfig = QuadratureConfig(),
-                          margin=1e-6, samples=200, seed=0,
+def certificate_open_face(p: BiPoly, tol=1e-8, variant="L", seed=0,
                           deg=None) -> SosCertificate:
     """Certificate for p with no zeros on |z| = 1, |w| < 1.
 
     Zeros on the torus itself are allowed provided p shares no factor
     with its reflection.  Shrinking w by t < 1 moves the zeros off the
     closed face; the certificate of p(z, t w) is kept for the largest t
-    at which it still certifies p within ``tol``.
+    of DEFAULT_SCHEDULE at which it still certifies p within ``tol``.
     """
     pt = p.trimmed()
     if common_factor_with_reflection(pt, deg=deg):
         raise CommonFactor("p shares a factor with its reflection")
     try:
-        return certificate_closed_face(pt, variant, cfg, margin,
-                                       samples=samples, seed=seed, deg=deg)
+        return certificate_closed_face(pt, variant, seed, deg)
     except (MomentDivergence, RootNearTorus, DegenerateForm):
         pass
     tried = []
-    for t in sorted(schedule):
+    for t in sorted(DEFAULT_SCHEDULE):
         try:
-            blocks = _blocks_closed_face(_scale_w(pt, t), variant, cfg,
-                                         margin, deg)
+            cand = _blocks_closed_face(_scale_w(pt, t), variant, deg)
         except (MomentDivergence, RootNearTorus, DegenerateForm):
             break                    # larger t only gets worse
-        cand = SosCertificate(a_list=blocks[0], b_list=blocks[1],
-                              c_list=blocks[2], variant=variant,
-                              residual=np.nan, deg=blocks[3])
-        report = verify_certificate(pt, cand, samples=samples, seed=seed)
-        tried.append(SosCertificate(a_list=blocks[0], b_list=blocks[1],
-                                    c_list=blocks[2], variant=variant,
-                                    residual=report.residual, deg=blocks[3]))
+        tried.append(replace(
+            cand, residual=verify_certificate(pt, cand, seed).residual))
     passing = [c for c in tried if c.residual <= tol]
     if passing:
         return passing[-1]           # schedule is ascending: largest t wins

@@ -24,11 +24,15 @@ import numpy as np
 
 from .errors import (DegenerateForm, DNotAdmissible, InvalidDegree,
                      MatrixConditionFails, RootNearTorus)
-from .poly import (BiPoly, UniPoly, _cluster, canonical_phase, flip_root,
-                   roots, split_stable, z_content)
+from .poly import (CLUSTER_TOL, BiPoly, UniPoly, _cluster, canonical_phase,
+                   flip_root, roots, split_stable, z_content)
 from .space import MomentSpace, SubspaceBasis, empty_basis
 
 MC_TOL = 1e-8
+KRYLOV_RANK_TOL = 1e-8  # absolute singular-value cut of the Krylov spans
+FACE_SAMPLES = 64       # z points on the circle in assert_no_face_zeros
+FACE_MARGIN = 1e-7      # w-roots this close to the closed disk are face zeros
+DEDUPE_TOL = 1e-8       # relative coefficient distance of duplicate split-polys
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,12 +77,9 @@ class StratificationReport:
                 "d_min": self.d_min, "d_max": self.d_max}
 
 
-def build_operators(space: MomentSpace, n=None, m=None) -> ShiftOperators:
-    """The A, B, T matrices for the form truncated at degree (n, m)."""
-    n = space.nmax if n is None else n
-    m = space.mmax if m is None else m
-    if n > space.nmax or m > space.mmax:
-        raise InvalidDegree("operator degree exceeds space caps")
+def build_operators(space: MomentSpace) -> ShiftOperators:
+    """The A, B, T matrices for the form at the space's caps (n, m)."""
+    n, m = space.nmax, space.mmax
     e1 = space.e1_basis(n - 1, m)
     we2 = space.e2_basis(n, m - 1).shifted(0, 1) if m >= 1 else empty_basis()
     wf2 = space.f2_basis(n, m - 1).shifted(0, 1) if m >= 1 else empty_basis()
@@ -93,7 +94,7 @@ def build_operators(space: MomentSpace, n=None, m=None) -> ShiftOperators:
                           e1=e1, we2=we2, wf2=wf2, n=n, m=m)
 
 
-def _krylov_span(step, seed, n, rank_tol):
+def _krylov_span(step, seed, n):
     """Orthonormal columns spanning sum_j step^j seed, j < n."""
     if seed.size == 0:
         return seed.reshape(seed.shape[0], 0)
@@ -106,11 +107,11 @@ def _krylov_span(step, seed, n, rank_tol):
     u, s, _ = np.linalg.svd(K, full_matrices=False)
     # operators are contractions in orthonormal coordinates, so rank is
     # judged on the absolute scale 1 (an all-noise Krylov block is empty)
-    rank = int(np.sum(s > rank_tol)) if s.size else 0
+    rank = int(np.sum(s > KRYLOV_RANK_TOL)) if s.size else 0
     return u[:, :rank]
 
 
-def canonical_invariant_spaces(ops: ShiftOperators, rank_tol=1e-8):
+def canonical_invariant_spaces(ops: ShiftOperators):
     """Coordinates (in the E1 basis) of the minimal K1 and minimal K2.
 
     The minimal K2 is the T-invariant span of the range of B, the
@@ -118,9 +119,8 @@ def canonical_invariant_spaces(ops: ShiftOperators, rank_tol=1e-8):
     caps the powers at n-1.
     """
     n = ops.t_mat.shape[0]
-    b_space = _krylov_span(ops.t_mat, ops.b_mat, max(n, 1), rank_tol)
-    a_space = _krylov_span(ops.t_mat.conj().T, ops.a_mat.conj().T,
-                           max(n, 1), rank_tol)
+    b_space = _krylov_span(ops.t_mat, ops.b_mat, max(n, 1))
+    a_space = _krylov_span(ops.t_mat.conj().T, ops.a_mat.conj().T, max(n, 1))
     return a_space, b_space
 
 
@@ -169,12 +169,10 @@ def _complement_in_coords(coords, dim):
     return u[:, :rank]
 
 
-def split_poly_of(space: MomentSpace, k1: SubspaceBasis, k2: SubspaceBasis,
-                  n=None, m=None) -> BiPoly:
+def split_poly_of(space: MomentSpace, k1: SubspaceBasis,
+                  k2: SubspaceBasis) -> BiPoly:
     """Unit-norm generator of E1(n, m) minus (K1 + z K2), phase-canonical."""
-    n = space.nmax if n is None else n
-    m = space.mmax if m is None else m
-    e1big = space.e1_basis(n, m)
+    e1big = space.e1_basis(space.nmax, space.mmax)
     cols = []
     emb_big = space.embed_basis(e1big)
     for b in (k1, k2.shifted(1, 0)):
@@ -189,8 +187,7 @@ def split_poly_of(space: MomentSpace, k1: SubspaceBasis, k2: SubspaceBasis,
     return canonical_phase(SubspaceBasis(e1big.support, vec[:, None]).poly(0))
 
 
-def shift_split_from_p(space: MomentSpace, p: BiPoly,
-                       margin=1e-6) -> ShiftSplit:
+def shift_split_from_p(space: MomentSpace, p: BiPoly) -> ShiftSplit:
     """The shift-split canonically attached to p via its z-axis slice.
 
     p(z, 0) is split into a stable factor a and monic unstable factor b;
@@ -204,7 +201,7 @@ def shift_split_from_p(space: MomentSpace, p: BiPoly,
     p0 = pt.z_slice(0)
     if p0.is_zero():
         raise RootNearTorus("p(z, 0) vanishes identically (zero at w = 0)")
-    rs = split_stable(p0, margin)
+    rs = split_stable(p0)
     beta = rs.beta
     e1 = space.e1_basis(n - 1, m)
     a_pol = rs.stable.to_bipoly()
@@ -216,7 +213,7 @@ def shift_split_from_p(space: MomentSpace, p: BiPoly,
     return ShiftSplit(k1=k1, k2=k2, split_poly=split_poly_of(space, k1, k2))
 
 
-def _formal_flips(p: BiPoly, n, margin, cluster_tol=1e-6):
+def _formal_flips(p: BiPoly, n):
     """Stable z-content factorization with the available root flips.
 
     Returns (q, g, flips) where p = q(z) g(z, w) up to normalization,
@@ -224,13 +221,13 @@ def _formal_flips(p: BiPoly, n, margin, cluster_tol=1e-6):
     roots sorted by modulus, then one None per missing formal degree
     (a flip at infinity, i.e. multiplication by z).
     """
-    h, g, res = z_content(p, cluster_tol)
+    h, g, res = z_content(p)
     if res > 1e-6:
         raise DegenerateForm(f"z-content division residual {res:.3e}")
     q = h
     if q.degree > 0:
         # flip any unstable content roots out of the disk first
-        rs = split_stable(q, margin)
+        rs = split_stable(q)
         q = rs.stable
         if rs.beta:
             for rho in roots(rs.unstable):
@@ -243,7 +240,7 @@ def _formal_flips(p: BiPoly, n, margin, cluster_tol=1e-6):
     if q.degree > 0:
         # cluster so that a repeated root yields identical flip values
         # (double roots come out of the eigensolver ~sqrt(eps) apart)
-        centers, counts = _cluster(list(roots(q)), cluster_tol)
+        centers, counts = _cluster(list(roots(q)), CLUSTER_TOL)
         for center, count in zip(centers, counts):
             finite.extend([complex(center)] * count)
         finite.sort(key=lambda r: (abs(r), r.real, r.imag))
@@ -268,11 +265,11 @@ def _unit_normalized(space: MomentSpace, p: BiPoly) -> BiPoly:
     return canonical_phase(p * (1.0 / nrm))
 
 
-def assert_no_face_zeros(p: BiPoly, samples=64, margin=1e-7):
+def assert_no_face_zeros(p: BiPoly):
     """Sampled check that p has no zeros on |z| = 1, |w| <= 1."""
     pt = p.trimmed()
     n, m = pt.deg
-    zs = np.exp(2j * np.pi * (np.arange(samples) + 0.31) / samples)
+    zs = np.exp(2j * np.pi * (np.arange(FACE_SAMPLES) + 0.31) / FACE_SAMPLES)
     for z0 in zs:
         wcoef = pt.w_poly_at(z0)
         if m == 0 or np.max(np.abs(wcoef[1:])) < 1e-13 * np.max(np.abs(wcoef)):
@@ -280,26 +277,23 @@ def assert_no_face_zeros(p: BiPoly, samples=64, margin=1e-7):
                 raise RootNearTorus(f"p({z0}, w) vanishes identically in w")
             continue
         rts = np.roots(wcoef[::-1])
-        if rts.size and np.min(np.abs(rts)) <= 1.0 + margin:
+        if rts.size and np.min(np.abs(rts)) <= 1.0 + FACE_MARGIN:
             raise RootNearTorus(
                 f"w-root of modulus {np.min(np.abs(rts)):.6f} at z = {z0}")
 
 
-def split_poly_from_condition(space: MomentSpace, n=None, m=None, d=0,
-                              tol=MC_TOL, margin=1e-6) -> ShiftSplit:
+def split_poly_from_condition(space: MomentSpace, d=0) -> ShiftSplit:
     """Construct a shift-split with dim K1 = d from the operators alone.
 
     The minimal-K1 split (K1 = A-space) gives the stable-content
     representative; requesting a larger admissible d flips the
     smallest-modulus stable roots of the z-content into the disk.
     """
-    n = space.nmax if n is None else n
-    m = space.mmax if m is None else m
-    ops = build_operators(space, n, m)
-    report = check_matrix_condition(ops, tol)
+    ops = build_operators(space)
+    report = check_matrix_condition(ops)
     if not report.holds:
         raise MatrixConditionFails(
-            f"max ||A T^j B|| = {report.max_violation:.3e} >= {tol}")
+            f"max ||A T^j B|| = {report.max_violation:.3e} >= {MC_TOL}")
     if not (report.d_min <= d <= report.d_max):
         raise DNotAdmissible(
             f"d = {d} outside admissible [{report.d_min}, {report.d_max}]")
@@ -307,34 +301,32 @@ def split_poly_from_condition(space: MomentSpace, n=None, m=None, d=0,
     k1_min = _coords_to_basis(ops.e1, a_coords)
     k2_max = _coords_to_basis(ops.e1,
                               _complement_in_coords(a_coords, ops.e1.dim))
-    p_min = _unit_normalized(space, split_poly_of(space, k1_min, k2_max, n, m))
-    q, g, flips = _formal_flips(p_min, n, margin)
+    p_min = _unit_normalized(space, split_poly_of(space, k1_min, k2_max))
+    q, g, flips = _formal_flips(p_min, space.nmax)
     extra = d - report.d_min
     if extra > len(flips):
         raise DNotAdmissible(
             f"only {len(flips)} flips available for d = {d}")
     p_d = _unit_normalized(space, _apply_flips(q, g, flips[:extra]))
     assert_no_face_zeros(p_d)
-    rs = split_stable(p_d.z_slice(0), margin)
+    rs = split_stable(p_d.z_slice(0))
     if rs.beta != d:
         raise DegenerateForm(
             f"constructed split-poly has {rs.beta} disk roots, wanted {d}")
-    split = shift_split_from_p(space, p_d, margin)
+    split = shift_split_from_p(space, p_d)
     return ShiftSplit(k1=split.k1, k2=split.k2, split_poly=p_d)
 
 
-def enumerate_split_polys(space: MomentSpace, p: BiPoly, margin=1e-6,
-                          dedupe_tol=1e-8):
+def enumerate_split_polys(space: MomentSpace, p: BiPoly):
     """All split-polys sharing |p|^2, as (polynomial, d) pairs.
 
     One representative per subset of the formal z-content roots (finite
     stable roots and slots at infinity); duplicates arising from
-    repeated roots are removed by coefficient distance.
+    repeated roots are removed by coefficient distance (DEDUPE_TOL).
     """
-    n = space.nmax
     p_unit = _unit_normalized(space, p.trimmed())
-    q, g, flips = _formal_flips(p_unit, n, margin)
-    d_g = split_stable(g.z_slice(0), margin).beta
+    q, g, flips = _formal_flips(p_unit, space.nmax)
+    d_g = split_stable(g.z_slice(0)).beta
     out = []
     for size in range(len(flips) + 1):
         for subset in combinations(range(len(flips)), size):
@@ -344,7 +336,7 @@ def enumerate_split_polys(space: MomentSpace, p: BiPoly, margin=1e-6,
             for seen, _ in out:
                 if seen.coeffs.shape == cand.coeffs.shape and \
                         np.max(np.abs(seen.coeffs - cand.coeffs)) <= \
-                        dedupe_tol * max(1.0, np.max(np.abs(seen.coeffs))):
+                        DEDUPE_TOL * max(1.0, np.max(np.abs(seen.coeffs))):
                     dup = True
                     break
             if not dup:
@@ -353,12 +345,11 @@ def enumerate_split_polys(space: MomentSpace, p: BiPoly, margin=1e-6,
     return out
 
 
-def gw_check(space: MomentSpace, n=None, m=None, tol=MC_TOL):
+def gw_check(space: MomentSpace):
     """Stable-on-the-closed-bidisk test: F1(n-1, m) perpendicular to F2(n, m-1)."""
-    n = space.nmax if n is None else n
-    m = space.mmax if m is None else m
+    n, m = space.nmax, space.mmax
     f1 = space.f1_basis(n - 1, m)
     f2 = space.f2_basis(n, m - 1)
     if f1.dim == 0 or f2.dim == 0:
         return True
-    return float(np.linalg.norm(space.cross(f1, f2), 2)) < tol
+    return float(np.linalg.norm(space.cross(f1, f2), 2)) < MC_TOL

@@ -15,6 +15,21 @@ def test_causal_product_filter(p_2zw):
     assert np.allclose(sol.coefficients.coeffs, [[2, 0], [0, -1]], atol=1e-8)
 
 
+def test_one_space_per_solve(p_2zw, monkeypatch):
+    # the reconstruction reuses the space the matrix condition was tested on
+    from bszego.space import MomentSpace
+    init, builds = MomentSpace.__init__, []
+
+    def spy(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MomentSpace, "__init__", spy)
+    sol = solve_ar(ArProblem(1, 1, moments_from_density(p_2zw, 1, 1)))
+    assert sol.classification == "causal"
+    assert len(builds) == 1
+
+
 def test_acausal_forced():
     # z - w/2 admits no causal solution: the disk root of p(z, 0) cannot
     # be flipped away (no z-only factor)

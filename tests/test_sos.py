@@ -4,6 +4,7 @@ import pytest
 from bszego import (BiPoly, CommonFactor, NoConvergence, UniPoly,
                     certificate_closed_face, certificate_open_face, reflect,
                     verify_certificate)
+from bszego import sos
 from bszego.sos import SosCertificate, common_factor_with_reflection
 
 from conftest import brute_inner, torus_grid
@@ -120,17 +121,19 @@ def test_open_face_self_reflective_rejected():
         certificate_open_face(BiPoly([[0, -1], [1, 0]]))   # z - w
 
 
-def test_open_face_boundary_zero_schedule():
+def test_open_face_boundary_zero_schedule(monkeypatch):
     # 2 - z - w vanishes at (1, 1) on the torus; the scaled certificates
     # converge slowly, so only a loose tolerance is reachable on the
     # default grids -- the residual is reported honestly
     p = BiPoly([[2, -1], [-1, 0]])
     assert not common_factor_with_reflection(p)
-    cert = certificate_open_face(p, schedule=(0.9, 0.99), tol=0.05)
+    monkeypatch.setattr(sos, "DEFAULT_SCHEDULE", (0.9, 0.99))
+    cert = certificate_open_face(p, tol=0.05)
     assert (len(cert.a_list), cert.n1, cert.n2) == (1, 1, 0)
     assert cert.residual < 0.05
+    monkeypatch.setattr(sos, "DEFAULT_SCHEDULE", (0.9,))
     with pytest.raises(NoConvergence):
-        certificate_open_face(p, schedule=(0.9,), tol=1e-8)
+        certificate_open_face(p, tol=1e-8)
 
 
 def test_schur_cohn_counts():

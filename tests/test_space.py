@@ -139,7 +139,7 @@ def test_project_onto_span(space_leb):
     one = BiPoly([[1.0]])
     span_z = space_leb.projected_span([z], space_leb.basis("F2", 1, 0))
     coeffs, resid = space_leb.project(z, span_z)
-    assert abs(abs(coeffs[0]) - 1.0) < 1e-12 and resid.is_zero(1e-12)
+    assert abs(abs(coeffs[0]) - 1.0) < 1e-12 and resid.is_zero()
     coeffs, resid = space_leb.project(one, span_z)
     assert abs(coeffs[0]) < 1e-12
     assert np.allclose(resid.coeffs, [[1.0]])

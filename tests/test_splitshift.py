@@ -144,14 +144,14 @@ def test_divergent_density_split(p_2zw):
 
 
 def test_split_from_condition_d0(space_2zw, p_2zw):
-    split = split_poly_from_condition(space_2zw, 1, 1, 0)
+    split = split_poly_from_condition(space_2zw, 0)
     assert max_modulus_gap(split.split_poly,
                            p_2zw * (1.0 / space_2zw.norm(p_2zw))) < 1e-8
 
 
 def test_split_from_condition_d1_not_admissible(space_2zw):
     with pytest.raises(DNotAdmissible):
-        split_poly_from_condition(space_2zw, 1, 1, 1)
+        split_poly_from_condition(space_2zw, 1)
 
 
 def test_split_from_condition_fails_without_condition():
@@ -161,7 +161,7 @@ def test_split_from_condition_fails_without_condition():
     table = moments_from_grid_function(dens, 2, 1)
     sp = MomentSpace(table, 2, 1)
     with pytest.raises(MatrixConditionFails):
-        split_poly_from_condition(sp, 2, 1, 0)
+        split_poly_from_condition(sp, 0)
 
 
 def test_stratification_all_d():
@@ -170,14 +170,14 @@ def test_stratification_all_d():
     table = moments_from_density(p, 2, 1)
     sp = MomentSpace(table, 2, 1)
     for d in (0, 1):
-        split = split_poly_from_condition(sp, 2, 1, d)
+        split = split_poly_from_condition(sp, d)
         from bszego.poly import split_stable
         assert split_stable(split.split_poly.z_slice(0)).beta == d
         assert split.k1.dim == d
         assert max_modulus_gap(split.split_poly,
                                p * (1.0 / sp.norm(p))) < 1e-7
     with pytest.raises(DNotAdmissible):
-        split_poly_from_condition(sp, 2, 1, 2)
+        split_poly_from_condition(sp, 2)
 
 
 def test_split_uniqueness_for_fixed_poly():
@@ -187,7 +187,7 @@ def test_split_uniqueness_for_fixed_poly():
     table = moments_from_density(p, 2, 1)
     sp = MomentSpace(table, 2, 1)
     for d in (0, 1):
-        split = split_poly_from_condition(sp, 2, 1, d)
+        split = split_poly_from_condition(sp, d)
         again = shift_split_from_p(sp, split.split_poly)
         assert subspace_angle(sp, split.k1, again.k1) < 1e-7
         assert subspace_angle(sp, split.k2, again.k2) < 1e-7
