@@ -13,13 +13,13 @@ fit yields U with det(U Delta - Gamma) a constant multiple of p, where
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (CertificateFailed, DegenerateSlice, FitResidualTooLarge,
                      NotGdv, NotSelfReflective, NumericalFailure, ZOnlyFactor)
-from .poly import BiPoly, reflect, z_content
+from .poly import BiPoly, reflect, w_roots, z_content
 from .sos import certificate_open_face
 
 
@@ -40,6 +40,8 @@ class DetRep:
     n2: int
     scale: complex
     residual: float
+    mu: complex                 # unimodular, p = mu * reflection(p)
+    geometry: GeometryReport    # the check build_detrep passed
 
     @property
     def m(self):
@@ -103,34 +105,32 @@ def check_self_reflective(p: BiPoly) -> complex:
 
 
 def check_gdv_geometry(p: BiPoly) -> GeometryReport:
-    """Whether every w-root over the z-circle sits on the w-circle."""
+    """Whether every w-root over the z-circle sits on the w-circle.
+
+    Roots are taken at GEOMETRY_GRID equispaced z from z = 1, or on that
+    grid rotated by half a step if the w^m coefficient is below 1e-12 of
+    max |coeff| at one of its points.  DegenerateSlice names the first
+    such point of the rotated grid.
+    """
     pt = p.trimmed()
     n, m = pt.deg
     if m == 0:
         raise NotGdv("p does not depend on w")
     scale = float(np.max(np.abs(pt.coeffs)))
-    worst = (0.0, 1.0 + 0.0j, 1.0 + 0.0j)
     for rot in (0.0, 0.5 / GEOMETRY_GRID):
-        try:
-            for idx in range(GEOMETRY_GRID):
-                z0 = np.exp(2j * np.pi * (idx + rot) / GEOMETRY_GRID)
-                wcoef = pt.w_poly_at(z0)
-                if abs(wcoef[-1]) < 1e-12 * scale:
-                    raise DegenerateSlice(f"leading w-coefficient ~0 at z = {z0}")
-                rts = np.roots(wcoef[::-1])
-                if rts.size == 0:
-                    continue
-                dev = float(np.max(np.abs(np.abs(rts) - 1.0)))
-                if dev > worst[0]:
-                    worst = (dev, z0, rts[np.argmax(np.abs(np.abs(rts) - 1.0))])
+        zs = np.exp(2j * np.pi * (np.arange(GEOMETRY_GRID) + rot)
+                    / GEOMETRY_GRID)
+        wcoef, rts = w_roots(pt, zs)
+        small = np.abs(wcoef[-1]) < 1e-12 * scale
+        if not small.any():
             break
-        except DegenerateSlice:
-            if rot != 0.0:
-                raise
-            worst = (0.0, 1.0 + 0.0j, 1.0 + 0.0j)
-    return GeometryReport(passed=worst[0] < GEOMETRY_TOL,
-                          worst_deviation=worst[0],
-                          worst_z=complex(worst[1]), worst_w=complex(worst[2]))
+    else:
+        raise DegenerateSlice(
+            f"leading w-coefficient ~0 at z = {zs[np.argmax(small)]}")
+    dev = np.abs(np.abs(rts) - 1.0)
+    k = int(np.argmax(dev))       # first maximum in grid order, then root order
+    return GeometryReport(bool(dev.flat[k] < GEOMETRY_TOL), float(dev.flat[k]),
+                          complex(zs[k // m]), complex(rts.flat[k]))
 
 
 def derivative_identity_check(p: BiPoly):
@@ -150,20 +150,15 @@ def derivative_identity_check(p: BiPoly):
 
 
 def _variety_samples(p: BiPoly, count):
-    """(z, w) pairs on the zero set with z on the unit circle."""
+    """Arrays (z, w) of points on the zero set with z on the unit circle."""
     pt = p.trimmed()
-    pairs = []
-    scale = float(np.max(np.abs(pt.coeffs)))
-    for idx in range(count):
-        z0 = np.exp(2j * np.pi * (idx + 0.123) / count)
-        wcoef = pt.w_poly_at(z0)
-        if abs(wcoef[-1]) < 1e-12 * scale:
-            continue
-        for w0 in np.roots(wcoef[::-1]):
-            pairs.append((z0, complex(w0)))
-    if not pairs:
+    # real angles: a complex division by count would multiply by 1/count
+    zs = np.exp(1j * (2 * np.pi * (np.arange(count) + 0.123) / count))
+    wcoef, rts = w_roots(pt, zs)
+    keep = np.abs(wcoef[-1]) >= 1e-12 * np.max(np.abs(pt.coeffs))
+    if rts.size == 0 or not keep.any():
         raise NotGdv("zero set has no sheets over the unit circle")
-    return pairs
+    return np.repeat(zs[keep], rts.shape[1]), rts[keep].ravel()
 
 
 def build_detrep(p: BiPoly, seed=0) -> DetRep:
@@ -195,22 +190,19 @@ def build_detrep(p: BiPoly, seed=0) -> DetRep:
 
     # at least 4 (m+n)^2 sample pairs; each circle point carries m roots
     need = int(np.ceil(4.0 * dim * dim / max(m, 1)))
-    pairs = _variety_samples(p1, max(SAMPLES, need))
-    xs = np.empty((dim, len(pairs)), dtype=complex)
-    ys = np.empty((dim, len(pairs)), dtype=complex)
-    for col, (z0, w0) in enumerate(pairs):
-        av = np.array([q(z0, w0) for q in a_list])
-        bv = np.array([q(z0, w0) for q in b_list])
-        cv = np.array([q(z0, w0) for q in c_list])
-        xs[:, col] = np.concatenate([w0 * av, z0 * bv, cv])
-        ys[:, col] = np.concatenate([av, bv, z0 * cv])
+    z, w = _variety_samples(p1, max(SAMPLES, need))
+    av, bv, cv = (np.array([q(z, w) for q in qs]).reshape(len(qs), z.size)
+                  for qs in (a_list, b_list, c_list))
+    xs = np.concatenate([w * av, z * bv, cv])
+    ys = np.concatenate([av, bv, z * cv])
     u_l, _, v_h = np.linalg.svd(ys @ xs.conj().T)
     U = u_l @ v_h
     fit = float(np.linalg.norm(U @ xs - ys) / max(np.linalg.norm(ys), 1e-300))
     if fit > FIT_TOL:
         raise FitResidualTooLarge(f"lurking-isometry fit residual {fit:.3e}")
 
-    rep0 = DetRep(u=U, n1=n1, n2=n2, scale=1.0 + 0.0j, residual=np.nan)
+    rep0 = DetRep(u=U, n1=n1, n2=n2, scale=1.0 + 0.0j, residual=np.nan,
+                  mu=mu, geometry=geo)
     rng = np.random.default_rng(seed)
     ratios = []
     attempts = 0
@@ -233,4 +225,4 @@ def build_detrep(p: BiPoly, seed=0) -> DetRep:
         raise FitResidualTooLarge(
             f"det(U Delta - Gamma)/p varies by {residual:.3e}")
     # report the scale against the input polynomial, not the normalized one
-    return DetRep(u=U, n1=n1, n2=n2, scale=scale / nu, residual=residual)
+    return replace(rep0, scale=scale / nu, residual=residual)

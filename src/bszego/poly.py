@@ -115,9 +115,9 @@ class BiPoly:
             return BiPoly(np.zeros((n + 1, 1)))
         return BiPoly(self.coeffs[:, 1:] * np.arange(1, m + 1))
 
-    def z_slice(self, w_power=0):
-        """Coefficient column of w^k as a UniPoly in z."""
-        return UniPoly(self.coeffs[:, w_power])
+    def z_slice(self):
+        """The slice p(z, 0) as a UniPoly in z."""
+        return UniPoly(self.coeffs[:, 0])
 
     def w_poly_at(self, z0):
         """Coefficients (ascending in w) of the slice p(z0, w)."""
@@ -166,10 +166,6 @@ class UniPoly:
             return UniPoly(np.zeros(1))
         nz = np.nonzero(np.abs(a) >= TRIM_REL * mx)[0]
         return UniPoly(a[: nz.max() + 1])
-
-    def monic(self):
-        t = self.trimmed()
-        return UniPoly(t.coeffs / t.coeffs[-1])
 
     def __mul__(self, other):
         if np.isscalar(other):
@@ -239,6 +235,25 @@ def roots(u: UniPoly):
     if t.degree == 0:
         return np.zeros(0, dtype=complex)
     return np.roots(t.coeffs[::-1])
+
+
+def w_roots(p: BiPoly, zs):
+    """Coefficients (m+1, S) and w-roots (S, m) of the slices p(zs[s], w).
+
+    The roots are the eigenvalues of the companion matrices ``np.roots``
+    builds, from one batched call; a slice whose w^m coefficient is
+    exactly 0 gets a row of nan.
+    """
+    coeffs = p.w_poly_at(np.asarray(zs))
+    m = coeffs.shape[0] - 1
+    ok = coeffs[m] != 0
+    out = np.full((ok.size, m), np.nan, dtype=complex)
+    if m and ok.any():
+        comp = np.zeros((int(ok.sum()), m, m), dtype=complex)
+        comp[:, 0] = -coeffs[m - 1::-1, ok].T / coeffs[m, ok, None]
+        comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+        out[ok] = np.linalg.eigvals(comp)
+    return coeffs, out
 
 
 def split_stable(u: UniPoly, margin=DEFAULT_MARGIN) -> RootSplit:

@@ -44,7 +44,7 @@ def kernel_poly(space: MomentSpace) -> BiPoly:
     n, m = space.nmax, space.mmax
     out = BiPoly(np.zeros((2 * n + 1, m + 1)))
     for phi in space.phi_sequence(n, m):
-        refl = reflect_uni(phi.z_slice(0), n)
+        refl = reflect_uni(phi.z_slice(), n)
         out = out + phi * refl.to_bipoly()
     return out
 

@@ -27,10 +27,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (CommonFactor, DegenerateForm, InvalidDegree,
-                     MomentDivergence, NoConvergence, RootNearTorus,
-                     ZeroPolynomial)
+                     MomentDivergence, NoConvergence, RootNearTorus)
 from .moments import moments_from_density
-from .poly import (CLUSTER_TOL, BiPoly, UniPoly, gcd_approx, reflect, roots,
+from .poly import (CLUSTER_TOL, BiPoly, gcd_approx, reflect, roots, w_roots,
                    z_content)
 from .space import MomentSpace
 from .splitshift import shift_split_from_p
@@ -192,9 +191,9 @@ def common_factor_with_reflection(p: BiPoly, deg=None):
     """
     pt = p.trimmed()
     n, m = pt.deg if deg is None else deg
-    prev = reflect(pt, (n, m))
+    prev = reflect(pt, (n, m)).trimmed()
     if m == 0:
-        g = gcd_approx([pt.z_slice(0), prev.z_slice(0)])
+        g = gcd_approx([pt.z_slice(), prev.z_slice()])
         return g.degree > 0
     h1, _, _ = z_content(pt)
     h2, _, _ = z_content(prev)
@@ -204,19 +203,11 @@ def common_factor_with_reflection(p: BiPoly, deg=None):
             return True
     zs = 0.9371 * np.exp(2j * np.pi * (np.arange(PREFLIGHT_SAMPLES) + 0.17)
                          / PREFLIGHT_SAMPLES)
-    for z0 in zs:
-        c1 = pt.w_poly_at(z0)
-        c2 = prev.w_poly_at(z0)
-        try:
-            r1 = roots(UniPoly(c1))
-            r2 = roots(UniPoly(c2))
-        except ZeroPolynomial:
-            continue
-        if r1.size == 0 or r2.size == 0:
-            return False
-        if np.min(np.abs(r1[:, None] - r2[None, :])) >= CLUSTER_TOL:
-            return False
-    return True
+    _, r1 = w_roots(pt, zs)
+    _, r2 = w_roots(prev, zs)
+    # a slice without roots has gap inf, one with a nan row decides nothing
+    gap = np.abs(r1[:, :, None] - r2[:, None, :]).min((1, 2), initial=np.inf)
+    return not np.any(gap >= CLUSTER_TOL)
 
 
 def certificate_open_face(p: BiPoly, tol=1e-8, variant="L", seed=0,

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import (DegenerateForm, DNotAdmissible, InvalidDegree,
                      MatrixConditionFails, RootNearTorus)
 from .poly import (CLUSTER_TOL, BiPoly, UniPoly, _cluster, canonical_phase,
-                   flip_root, roots, split_stable, z_content)
+                   flip_root, roots, split_stable, w_roots, z_content)
 from .space import MomentSpace, SubspaceBasis, empty_basis
 
 MC_TOL = 1e-8
@@ -198,7 +198,7 @@ def shift_split_from_p(space: MomentSpace, p: BiPoly) -> ShiftSplit:
     pt = p.trimmed()
     if pt.deg[0] > n or pt.deg[1] > m:
         raise InvalidDegree("polynomial degree exceeds the space caps")
-    p0 = pt.z_slice(0)
+    p0 = pt.z_slice()
     if p0.is_zero():
         raise RootNearTorus("p(z, 0) vanishes identically (zero at w = 0)")
     rs = split_stable(p0)
@@ -270,16 +270,19 @@ def assert_no_face_zeros(p: BiPoly):
     pt = p.trimmed()
     n, m = pt.deg
     zs = np.exp(2j * np.pi * (np.arange(FACE_SAMPLES) + 0.31) / FACE_SAMPLES)
-    for z0 in zs:
-        wcoef = pt.w_poly_at(z0)
-        if m == 0 or np.max(np.abs(wcoef[1:])) < 1e-13 * np.max(np.abs(wcoef)):
-            if abs(wcoef[0]) < 1e-10:
-                raise RootNearTorus(f"p({z0}, w) vanishes identically in w")
-            continue
-        rts = np.roots(wcoef[::-1])
-        if rts.size and np.min(np.abs(rts)) <= 1.0 + FACE_MARGIN:
-            raise RootNearTorus(
-                f"w-root of modulus {np.min(np.abs(rts)):.6f} at z = {z0}")
+    wcoef, rts = w_roots(pt, zs)
+    size = np.abs(wcoef)
+    # a flat slice is constant in w: only its constant term can vanish
+    top = size[1:].max(axis=0, initial=0.0)
+    flat = (m == 0) | (top < 1e-13 * size.max(axis=0))
+    low = np.abs(rts).min(axis=1, initial=np.inf)
+    vanishes = flat & (size[0] < 1e-10)
+    bad = vanishes | (~flat & (low <= 1.0 + FACE_MARGIN))
+    if bad.any():
+        i = int(np.argmax(bad))           # the first failing z in grid order
+        if vanishes[i]:
+            raise RootNearTorus(f"p({zs[i]}, w) vanishes identically in w")
+        raise RootNearTorus(f"w-root of modulus {low[i]:.6f} at z = {zs[i]}")
 
 
 def split_poly_from_condition(space: MomentSpace, d=0) -> ShiftSplit:
@@ -309,7 +312,7 @@ def split_poly_from_condition(space: MomentSpace, d=0) -> ShiftSplit:
             f"only {len(flips)} flips available for d = {d}")
     p_d = _unit_normalized(space, _apply_flips(q, g, flips[:extra]))
     assert_no_face_zeros(p_d)
-    rs = split_stable(p_d.z_slice(0))
+    rs = split_stable(p_d.z_slice())
     if rs.beta != d:
         raise DegenerateForm(
             f"constructed split-poly has {rs.beta} disk roots, wanted {d}")
@@ -326,7 +329,7 @@ def enumerate_split_polys(space: MomentSpace, p: BiPoly):
     """
     p_unit = _unit_normalized(space, p.trimmed())
     q, g, flips = _formal_flips(p_unit, space.nmax)
-    d_g = split_stable(g.z_slice(0)).beta
+    d_g = split_stable(g.z_slice()).beta
     out = []
     for size in range(len(flips) + 1):
         for subset in combinations(range(len(flips)), size):

@@ -1,11 +1,18 @@
 import cmath
+import contextlib
+import io
+import json
+import re
 
 import numpy as np
 import pytest
 
-from bszego import (BiPoly, NotGdv, NotSelfReflective, ZOnlyFactor,
-                    build_detrep, check_gdv_geometry, check_self_reflective,
-                    derivative_identity_check)
+from bszego import (BiPoly, DegenerateSlice, NotGdv, NotSelfReflective,
+                    ZOnlyFactor, build_detrep, check_gdv_geometry,
+                    check_self_reflective, derivative_identity_check)
+from bszego import cli, detrep
+from bszego.detrep import GEOMETRY_GRID
+from bszego.jsonio import dumps, poly_to_json
 
 P_ZW = BiPoly([[0, -1], [1, 0]])          # z - w
 P_Z2W = BiPoly([[0, -1], [0, 0], [1, 0]])  # z^2 - w
@@ -34,6 +41,54 @@ def test_geometry():
     rep = check_gdv_geometry(P_Z2W_BAD)
     assert not rep.passed
     assert abs(rep.worst_deviation - 0.5) < 1e-9   # |w| = 1/2 everywhere
+
+
+# first point of the half-step rotated geometry grid
+ZETA = np.exp(2j * np.pi * (0.5 / GEOMETRY_GRID) / GEOMETRY_GRID)
+
+
+@pytest.mark.parametrize("idx", [0, 5])
+def test_geometry_degenerate_on_both_grids(idx):
+    # 2 + (1 - z)(z - zeta) w, zeta a point of the rotated grid, loses its
+    # w-term at z = 1 and at z = zeta
+    zeta = np.exp(2j * np.pi * (idx + 0.5 / GEOMETRY_GRID) / GEOMETRY_GRID)
+    p = BiPoly([[2, -zeta], [0, 1 + zeta], [0, -1]])
+    with pytest.raises(DegenerateSlice, match=re.escape(str(zeta))):
+        check_gdv_geometry(p)
+
+
+def test_geometry_retries_on_rotated_grid():
+    # 2 + (1 - z) w loses its w-term at z = 1 only; |w| = 2 / |1 - z| is
+    # largest at the rotated grid's first point
+    rep = check_gdv_geometry(BiPoly([[2, 1], [0, -1]]))
+    assert not rep.passed
+    assert rep.worst_z == complex(ZETA)
+    assert abs(rep.worst_w * (1 - ZETA) + 2) < 1e-12
+    # (w - z/2)(2 + (1 + z) w): two sheets; the root of the second is
+    # largest next to z = -1, at point 32 of the rotated grid
+    rep = check_gdv_geometry(BiPoly([[0, 1], [-0.5, 0]])
+                             * BiPoly([[2, 1], [0, 1]]))
+    z32 = np.exp(2j * np.pi * (32 + 0.5 / GEOMETRY_GRID) / GEOMETRY_GRID)
+    assert abs(rep.worst_z - z32) < 1e-15
+    assert abs(rep.worst_w * (1 + z32) + 2) < 1e-12
+
+
+def test_gdv_command_checks_once(monkeypatch, tmp_path):
+    # Blaschke sheet w = (z - a) / (1 - conj(a) z) with a = 1/2
+    path = tmp_path / "blaschke.json"
+    path.write_text(dumps(poly_to_json(BiPoly([[0.5, 1], [-1, -0.5]]))))
+    calls = {"check_gdv_geometry": 0, "check_self_reflective": 0}
+    for name in calls:
+        def spy(p, _real=getattr(detrep, name), _name=name):
+            calls[_name] += 1
+            return _real(p)
+        monkeypatch.setattr(detrep, name, spy)
+        monkeypatch.setattr(cli, name, spy, raising=False)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["gdv", "--poly", str(path)]) == 0
+    doc = json.loads(out.getvalue())
+    assert calls == {"check_gdv_geometry": 1, "check_self_reflective": 1}
+    assert np.allclose(doc["mu"], [-1.0, 0.0]) and doc["geometry"]["passed"]
 
 
 def test_derivative_identity():

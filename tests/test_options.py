@@ -36,7 +36,6 @@ ALLOWED = {
     "poly.split_stable(margin)",
     "poly.gcd_approx(tol)",
     "poly.z_content(tol)",
-    "poly.BiPoly.z_slice(w_power)",
     "space.MomentSpace.projected_span(expect)",
     "splitshift.split_poly_from_condition(d)",
     "cli.main(argv)",

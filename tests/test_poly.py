@@ -4,7 +4,7 @@ import pytest
 from bszego import (BiPoly, InvalidDegree, RootNearTorus, UniPoly,
                     ZeroPolynomial, gcd_approx, reflect, roots, split_stable)
 from bszego.poly import (canonical_phase, divide_bipoly_z, flip_root,
-                         reflect_uni, z_content)
+                         reflect_uni, w_roots, z_content)
 
 from conftest import torus_grid
 
@@ -192,3 +192,29 @@ def test_reflect_uni_padding():
     u = UniPoly([1.0, -2.0])
     r = reflect_uni(u, 3)
     assert np.allclose(r.coeffs, [0, 0, -2, 1])
+
+
+def test_w_roots_match_np_roots():
+    rng = np.random.default_rng(17)
+    zs = np.exp(2j * np.pi * (np.arange(64) + 0.2) / 64)
+    for _ in range(20):
+        n, m = rng.integers(0, 9, 2)
+        p = BiPoly(rng.normal(size=(n + 1, m + 1))
+                   + 1j * rng.normal(size=(n + 1, m + 1)))
+        coeffs, rts = w_roots(p, zs)
+        assert rts.shape == (64, m)
+        for s, z0 in enumerate(zs):
+            assert np.array_equal(coeffs[:, s], p.w_poly_at(z0))
+            assert np.array_equal(rts[s], np.roots(p.w_poly_at(z0)[::-1]))
+
+
+def test_w_roots_zero_lead_gives_nan_row():
+    p = BiPoly([[2, 1], [0, -1]])              # 2 + (1 - z) w
+    _, rts = w_roots(p, np.array([1.0, -1.0]))
+    assert np.isnan(rts[0]).all()
+    assert np.allclose(rts[1], [-1.0])
+
+
+def test_w_roots_constant_in_w():
+    coeffs, rts = w_roots(BiPoly([[1], [2]]), np.array([1.0, 1j, -1.0]))
+    assert coeffs.shape == (1, 3) and rts.shape == (3, 0)

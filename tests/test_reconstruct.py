@@ -93,7 +93,7 @@ def test_kernel_poly_identity(p_2zw):
     table = moments_from_density(p_2zw, 1, 1)
     sp = MomentSpace(table, 1, 1)
     R = kernel_poly(sp).trimmed()
-    expect = (p_2zw * reflect_uni(p_2zw.z_slice(0), 1).to_bipoly()).trimmed()
+    expect = (p_2zw * reflect_uni(p_2zw.z_slice(), 1).to_bipoly()).trimmed()
     assert R.coeffs.shape == expect.coeffs.shape
     assert np.max(np.abs(R.coeffs - expect.coeffs)) < 1e-7
 

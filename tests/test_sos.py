@@ -52,7 +52,7 @@ def test_count_law_and_stable_case():
         assert len(cert.a_list) == m
         assert cert.n1 + cert.n2 == n
         from bszego.poly import split_stable
-        assert cert.n2 == split_stable(p.z_slice(0)).beta
+        assert cert.n2 == split_stable(p.z_slice()).beta
         if cert.n2 == 0:
             assert cert.c_list == ()   # Cole-Wermer two-term form
         assert cert.residual < 1e-8

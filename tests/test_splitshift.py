@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from bszego import (BiPoly, DNotAdmissible, MatrixConditionFails,
-                    MomentDivergence, MomentSpace,
+                    MomentDivergence, MomentSpace, RootNearTorus,
                     build_operators, check_matrix_condition,
                     enumerate_split_polys, gw_check, moments_from_density,
                     moments_from_grid_function, shift_split_from_p,
                     split_poly_from_condition)
 from bszego.space import containment_defect, subspace_angle
+from bszego.splitshift import FACE_MARGIN, FACE_SAMPLES, assert_no_face_zeros
 
 from conftest import (gram_from_table, gram_schmidt_coeffs, max_modulus_gap,
                       random_corpus_poly)
@@ -172,7 +173,7 @@ def test_stratification_all_d():
     for d in (0, 1):
         split = split_poly_from_condition(sp, d)
         from bszego.poly import split_stable
-        assert split_stable(split.split_poly.z_slice(0)).beta == d
+        assert split_stable(split.split_poly.z_slice()).beta == d
         assert split.k1.dim == d
         assert max_modulus_gap(split.split_poly,
                                p * (1.0 / sp.norm(p))) < 1e-7
@@ -255,3 +256,42 @@ def test_report_json(space_2zw):
     assert doc["holds"] is True
     assert set(doc) == {"holds", "max_violation", "dimA", "dimB",
                         "d_min", "d_max"}
+
+
+def _face_zero_message(p):
+    """The face check one z-slice at a time, with np.roots per slice."""
+    pt = p.trimmed()
+    m = pt.deg[1]
+    zs = np.exp(2j * np.pi * (np.arange(FACE_SAMPLES) + 0.31) / FACE_SAMPLES)
+    for z0 in zs:
+        wcoef = pt.w_poly_at(z0)
+        if m == 0 or np.max(np.abs(wcoef[1:])) < 1e-13 * np.max(np.abs(wcoef)):
+            if abs(wcoef[0]) < 1e-10:
+                return f"p({z0}, w) vanishes identically in w"
+            continue
+        rts = np.roots(wcoef[::-1])
+        if rts.size and np.min(np.abs(rts)) <= 1.0 + FACE_MARGIN:
+            return f"w-root of modulus {np.min(np.abs(rts)):.6f} at z = {z0}"
+    return None
+
+
+def test_face_check_matches_slice_loop():
+    z3 = np.exp(2j * np.pi * 3.31 / FACE_SAMPLES)
+    polys = [BiPoly([[1, 2]]),                       # root w = -1/2
+             BiPoly([[-z3], [1]]),                   # z - z3, flat slices
+             BiPoly([[3, 1], [-3 / z3, -1 / z3]]),   # (1 - z/z3)(3 + w)
+             BiPoly([[2, 1.5j], [0, 1]]),            # a face arc around z = i
+             BiPoly([[3, 1], [1, 0]])]               # zero-free on the face
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        c = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        c[0, 0] = 4.0                                # some raise, some pass
+        polys.append(BiPoly(c))
+    for p in polys:
+        want = _face_zero_message(p)
+        if want is None:
+            assert_no_face_zeros(p)
+        else:
+            with pytest.raises(RootNearTorus) as err:
+                assert_no_face_zeros(p)
+            assert str(err.value) == want
