@@ -8,6 +8,7 @@ variety), 2 invalid input, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -113,7 +114,9 @@ def _cmd_ar(args):
     return sol.to_json(), 0 if sol.classification != "none" else 1
 
 
+@functools.cache
 def build_parser():
+    """The CLI parser, built on first use and shared for the process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None,
                         help="tolerance override (condition tests default "

@@ -20,6 +20,7 @@ from .errors import (DegenerateForm, InsufficientMoments,
 from .moments import MomentTable, _rect, gram, moments_from_density
 from .poly import BiPoly
 from .reconstruct import reconstruct_p
+from .space import _solve_lower
 
 STRIP_TOL = 1e-7   # strip_match's bound on gamma entries and moment mismatch
 
@@ -51,28 +52,40 @@ class FullMeasureReport:
                 "depth": list(self.depth), "tol": self.tol}
 
 
-def _inverse_max(G, K, j1, k1, rows, cols):
-    """Largest |entry| in rows x cols of the inverse Gram on [0,j1] x [0,k1].
+def _nested_inverse_max(G, blocks, first, cols, where):
+    """Largest |entry| in the last block rows of nested windows' inverses.
 
-    G is the Gram over [0, J] x [0, K] in z-major order, so the window's
-    Gram is the principal submatrix at exponents (j, k), j <= j1, k <= k1.
-    ``rows`` and ``cols`` are exponents inside the window.
+    Row t of ``blocks`` indexes block t of G, and window t is blocks 0..t.
+    Entry t - first of the result, t >= first, is the largest |entry| in
+    the block-t rows and block-0 columns ``cols`` of window t's inverse.
+    With G = L L^H over the blocks, those rows are D_t^-H (L^-1 E_cols)_t
+    for the diagonal block D_t of L, so one factor serves every window.
     """
-    idx = (np.arange(j1 + 1)[:, None] * (K + 1) + np.arange(k1 + 1)).ravel()
-    rows = [j * (k1 + 1) + k for j, k in rows]
-    cols = [j * (k1 + 1) + k for j, k in cols]
+    size = blocks.shape[1]
+    idx = blocks.ravel()
     try:
-        X = np.linalg.solve(G[np.ix_(idx, idx)],
-                            np.eye(len(idx), dtype=complex)[:, cols])
+        L = np.linalg.cholesky(G[np.ix_(idx, idx)])
     except np.linalg.LinAlgError as exc:
-        raise DegenerateForm(f"singular Gram window at ({j1}, {k1})") from exc
-    return float(np.max(np.abs(X[rows, :])))
+        raise DegenerateForm(
+            f"Gram windows {where} not positive definite") from exc
+    X = _solve_lower(L, np.eye(len(idx))[:, cols])
+    out = []
+    for t in range(first, len(blocks)):
+        b = slice(t * size, (t + 1) * size)
+        Dinv = _solve_lower(L[b, b], np.eye(size))
+        out.append(float(np.max(np.abs(Dinv.conj().T @ X[b]))))
+    return out
 
 
-def _gamma(G, K, N, M):
-    """Largest |gamma entry| of the inverse Gram on [0, N+1] x [0, M]."""
-    return _inverse_max(G, K, N + 1, M, [(0, j) for j in range(M + 1)],
-                        [(N + 1, k) for k in range(M + 1)])
+def _gammas(G, K, n, Nmax, M):
+    """Largest |gamma entry| on [0, N+1] x [0, M] for N = n..Nmax.
+
+    G is the z-major Gram over [0, J] x [0, K], J > Nmax, in which these
+    windows are the leading blocks of [0, Nmax+1] x [0, M].
+    """
+    blocks = np.arange(Nmax + 2)[:, None] * (K + 1) + np.arange(M + 1)
+    return _nested_inverse_max(G, blocks, n + 1, range(M + 1),
+                               f"[0, {Nmax + 1}] x [0, {M}]")
 
 
 def check_full_measure(table: MomentTable, n, m, Nmax=None, Mmax=None,
@@ -82,6 +95,11 @@ def check_full_measure(table: MomentTable, n, m, Nmax=None, Mmax=None,
     Defaults to depth (n + 3, m + 3).  The verdict "pass" means all
     tested entries vanish below ``tol`` and the Gram windows are
     positive; it certifies the measure only up to the stated depth.
+
+    Nested windows are leading blocks of one Gram (the gamma windows of
+    each M in z-major order, the xi windows in w-major order), so one
+    Cholesky factor per family gives all their entries by triangular
+    substitution; no window's Gram is inverted on its own.
     """
     Nmax = n + 3 if Nmax is None else int(Nmax)
     Mmax = m + 3 if Mmax is None else int(Mmax)
@@ -105,15 +123,15 @@ def check_full_measure(table: MomentTable, n, m, Nmax=None, Mmax=None,
                                  e2_conditions={}, h_conditions={},
                                  verdict=verdict, depth=(Nmax, Mmax), tol=tol)
 
-    e2 = {}
-    for N in range(n, Nmax + 1):
-        for M in range(max(m - 1, 0), Mmax + 1):
-            e2[(N, M)] = _gamma(big, Mmax, N, M)
+    Ms = range(max(m - 1, 0), Mmax + 1)
+    gam = {M: _gammas(big, Mmax, n, Nmax, M) for M in Ms}
+    e2 = {(N, M): gam[M][N - n] for N in range(n, Nmax + 1) for M in Ms}
 
-    h = {}
-    for M in range(m + 1, Mmax + 1):
-        h[M] = _inverse_max(big, Mmax, 2 * n, M,
-                            [(j, M) for j in range(2 * n + 1)], [(n, 0)])
+    # in w-major order the xi rows (j, M) are the last block of window M
+    blocks = np.arange(Mmax + 1)[:, None] + (Mmax + 1) * np.arange(2 * n + 1)
+    xi = _nested_inverse_max(big, blocks, m + 1, [n],
+                             f"[0, {2 * n}] x [0, {Mmax}]")
+    h = dict(zip(range(m + 1, Mmax + 1), xi))
 
     ok = all(v < tol for v in e2.values()) and all(v < tol for v in h.values())
     return FullMeasureReport(positivity_ok=True, min_eigenvalue=min_eig,
@@ -133,11 +151,11 @@ def strip_match(table: MomentTable, n, m) -> BiPoly:
     Nmax = table.jmax - 1
     sup = _rect(0, table.jmax, 0, m)
     G = gram(table, sup, sup)
+    Ms = [M for M in (m - 1, m) if M >= 0]
+    gam = {M: _gammas(G, m, n, Nmax, M) for M in Ms}
     for N in range(n, Nmax + 1):
-        for M in (m - 1, m):
-            if M < 0:
-                continue
-            worst = _gamma(G, m, N, M)
+        for M in Ms:
+            worst = gam[M][N - n]
             if worst >= STRIP_TOL:
                 raise MatrixConditionFails(
                     f"strip condition fails at window ({N + 1}, {M}): "

@@ -18,7 +18,7 @@ from .moments import (MomentTable, QuadratureConfig, TrigPoly,
                       _poly_grid_values, is_positive, moments_from_trig)
 from .poly import (BiPoly, UniPoly, canonical_phase, reflect_uni,
                    split_stable, z_content)
-from .space import MomentSpace, _inverse_row
+from .space import MomentSpace, _inverse_rows
 from .splitshift import assert_no_face_zeros, build_operators, \
     check_matrix_condition
 
@@ -42,11 +42,14 @@ def kernel_poly(space: MomentSpace) -> BiPoly:
     # (12,12)) into answers with modulus gaps up to 5.4e-9, and the
     # worst accuracy of the workload drops from 13.4 to 8.3 digits.
     n, m = space.nmax, space.mmax
-    out = BiPoly(np.zeros((2 * n + 1, m + 1)))
-    for phi in space.phi_sequence(n, m):
-        refl = reflect_uni(phi.z_slice(), n)
-        out = out + phi * refl.to_bipoly()
-    return out
+    phis = space.phi_sequence(n, m)
+    # reflect_uni trims: a negligible slice reflects to exact zeros
+    refl = np.stack([reflect_uni(phi.z_slice(), n).coeffs for phi in phis])
+    terms = np.tensordot(refl, [phi.coeffs for phi in phis], axes=(0, 0))
+    out = np.zeros((2 * n + 1, m + 1), dtype=complex)
+    for i in range(n + 1):      # terms[i] carries z^i of each reflection
+        out[i: i + n + 1] += terms[i]
+    return BiPoly(out)
 
 
 def _toeplitz_q(space: MomentSpace, g: BiPoly, n0) -> UniPoly:
@@ -56,7 +59,8 @@ def _toeplitz_q(space: MomentSpace, g: BiPoly, n0) -> UniPoly:
     under the form, so q is its normalized inverse row.
     """
     E = np.column_stack([space.embed(g.shifted(k, 0)) for k in range(n0 + 1)])
-    return UniPoly(_inverse_row(E.T @ np.conj(E), "the one-variable step"))
+    return UniPoly(_inverse_rows(E.T @ np.conj(E), 1,
+                                 "the one-variable step")[0])
 
 
 def reconstruct_p(table: MomentTable, n, m, tol=1e-8) -> BiPoly:

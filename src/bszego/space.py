@@ -23,6 +23,7 @@ from .moments import MomentTable, _rect, gram
 from .poly import BiPoly
 
 RANK_TOL = 1e-8  # relative singular-value threshold for numerical rank
+TRI_BLOCK = 32   # rows per diagonal block of _solve_lower's substitution
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,7 +173,8 @@ class MomentSpace:
         """Recover coefficient columns over ``support`` from embeddings."""
         if Q.shape[1] == 0:
             return np.zeros((len(support), 0), dtype=complex)
-        full = np.linalg.solve(self._emb, Q)
+        # _emb is upper triangular; reversing both axes makes it lower
+        full = _solve_lower(self._emb[::-1, ::-1], Q[::-1])[::-1]
         rows = [self._index[u] for u in support]
         return full[rows, :]
 
@@ -297,22 +299,18 @@ class MomentSpace:
         """Orthonormal basis of E2(n, m) by inverse-moment-matrix rows.
 
         phi_j is built from the inverse of (c_{v-u}) over the index set
-        S_j = [0,n] x [0,m] minus {(0,0), ..., (0,j-1)}.  This is the
-        basis kernel_poly sums over (see the note there); basis("E2",
-        n, m) spans the same space through the Cholesky embedding.
+        S_j = [0,n] x [0,m] minus {(0,0), ..., (0,j-1)}, whose Gram is a
+        trailing block of the z-major Gram of [0,n] x [0,m]: one Cholesky
+        factor serves every stage (_inverse_rows).  This is the basis
+        kernel_poly sums over (see the note there); basis("E2", n, m)
+        spans the same space through the Cholesky embedding.
         """
         if n > self.table.jmax or m > self.table.kmax:
             raise InsufficientMoments("phi sequence exceeds the table window")
         order = _rect(0, n, 0, m)
-        G = gram(self.table, order, order)
-        phis = []
-        for j in range(m + 1):
-            # S_j is order[j:], so its Gram is the trailing block of G
-            coeffs = np.zeros(len(order), dtype=complex)
-            # z-major order: (u1, u2) sits at u1*(m+1)+u2
-            coeffs[j:] = _inverse_row(G[j:, j:], f"stage {j}")
-            phis.append(BiPoly(coeffs.reshape(n + 1, m + 1)))
-        return phis
+        rows = _inverse_rows(gram(self.table, order, order), m + 1,
+                             f"the phi sequence ({n}, {m})")
+        return [BiPoly(row.reshape(n + 1, m + 1)) for row in rows]
 
     def project(self, f: BiPoly, onto: SubspaceBasis):
         """Coefficients of f along the basis, plus the residual polynomial."""
@@ -323,21 +321,38 @@ class MomentSpace:
         return coeffs, residual.trimmed()
 
 
-def _inverse_row(G, where):
-    """First row of G^-1 scaled by 1/sqrt of its lead entry.
+def _solve_lower(L, B):
+    """X with L X = B for lower-triangular L, by blocked substitution.
 
-    G is the Gram of f_0, ..., f_d; the returned coefficients x give the
-    unit-norm combination sum x_i f_i orthogonal to f_1, ..., f_d with
-    <., f_0> real positive.  ``where`` names the solve in the messages.
+    Each block of TRI_BLOCK rows costs one dense solve on its diagonal
+    block and one product with the rows already solved, so no dense
+    solve is larger than TRI_BLOCK.
+    """
+    X = np.array(B, dtype=complex)
+    for i in range(0, L.shape[0], TRI_BLOCK):
+        k = min(i + TRI_BLOCK, L.shape[0])
+        X[i:k] = np.linalg.solve(L[i:k, i:k], X[i:k] - L[i:k, :i] @ X[:i])
+    return X
+
+
+def _inverse_rows(G, count, where):
+    """First rows of the inverses of the trailing blocks G[j:, j:], j < count.
+
+    G is the Gram of f_0, ..., f_d; row j holds coefficients x (zero
+    before index j) of the unit-norm combination sum x_i f_i orthogonal
+    to f_{j+1}, ..., f_d with <., f_j> real positive: the first row of
+    G[j:, j:]^-1 scaled by 1/sqrt of its lead entry.  With G = U U^H, U
+    upper triangular (the Cholesky factor of G in reversed order), each
+    trailing block is U[j:, j:] U[j:, j:]^H, so that row is row j of
+    U^-1.  ``where`` names the factorization in the messages.
     """
     try:
-        row = np.linalg.solve(G.T, np.eye(G.shape[0], dtype=complex)[:, 0])
+        L = np.linalg.cholesky(G[::-1, ::-1])
     except np.linalg.LinAlgError as exc:
-        raise DegenerateForm(f"moment matrix singular at {where}") from exc
-    lead = row[0]
-    if not (lead.real > 0 and abs(lead.imag) < 1e-8 * lead.real):
-        raise DegenerateForm(f"inverse diagonal not positive at {where}: {lead}")
-    return row / np.sqrt(lead.real)
+        raise DegenerateForm(
+            f"moment matrix not positive definite at {where}") from exc
+    # U = L reversed on both axes; rows of U^-1 from U^T Y = I
+    return np.triu(_solve_lower(L.T[::-1, ::-1], np.eye(len(G))[:, :count]).T)
 
 
 def subspace_angle(space: MomentSpace, a: SubspaceBasis, b: SubspaceBasis):

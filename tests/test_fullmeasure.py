@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from bszego import (DegenerateForm, InsufficientMoments, MomentTable,
-                    check_full_measure, moments_from_density, reconstruct_p,
-                    strip_match)
+from bszego import (BiPoly, DegenerateForm, InsufficientMoments, MomentSpace,
+                    MomentTable, check_full_measure, moments_from_density,
+                    reconstruct_p, strip_match)
+from bszego.fullmeasure import _nested_inverse_max
+from bszego.moments import _rect, gram
+from bszego.space import TRI_BLOCK
 
 from conftest import geometric_diag_moment
 
@@ -109,3 +112,62 @@ def test_report_json():
     doc = check_full_measure(lebesgue(4, 3), 0, 0, 2, 2).to_json()
     assert doc["verdict"] == "pass"
     assert doc["depth"] == [2, 2]
+
+
+def dense_conditions(table, n, m, Nmax, Mmax):
+    """gamma / xi maxima with one dense inverse per window."""
+    def worst(j1, k1, rows, cols):
+        sup = _rect(0, j1, 0, k1)
+        pos = {u: i for i, u in enumerate(sup)}
+        inv = np.linalg.inv(gram(table, sup, sup))
+        return float(np.max(np.abs(
+            inv[np.ix_([pos[u] for u in rows], [pos[u] for u in cols])])))
+
+    e2 = {(N, M): worst(N + 1, M, [(0, k) for k in range(M + 1)],
+                        [(N + 1, k) for k in range(M + 1)])
+          for N in range(n, Nmax + 1) for M in range(max(m - 1, 0), Mmax + 1)}
+    h = {M: worst(2 * n, M, [(j, M) for j in range(2 * n + 1)], [(n, 0)])
+         for M in range(m + 1, Mmax + 1)}
+    return e2, h
+
+
+def test_nested_windows_match_dense_inverses():
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    G = a @ a.conj().T + 0.1 * np.eye(12)
+    blocks = rng.permutation(12).reshape(4, 3)
+    got = _nested_inverse_max(G, blocks, 1, [0, 2], "a test matrix")
+    for t in range(1, 4):
+        idx = blocks[:t + 1].ravel()
+        inv = np.linalg.inv(G[np.ix_(idx, idx)])
+        ref = np.max(np.abs(inv[3 * t: 3 * t + 3][:, [0, 2]]))
+        assert abs(got[t - 1] - ref) < 1e-12 * ref
+
+
+def test_conditions_match_dense_windows(table_perturb_8_8, p_2zw):
+    # (1 - 2z)(2 - zw) and the mixture fail, with gamma entries up to 4
+    # and 0.07; the perturbation passes
+    cases = [(table_perturb_8_8, 8, 8),
+             (moments_from_density(BiPoly([[1], [-2.0]]) * p_2zw, 6, 5), 1, 1),
+             (mixed_table(5, 4), 1, 1)]
+    for table, n, m in cases:
+        rep = check_full_measure(table, n, m)
+        e2, h = dense_conditions(table, n, m, *rep.depth)
+        for ref, got in ((e2, rep.e2_conditions), (h, rep.h_conditions)):
+            assert list(got) == list(ref)
+            scale = max(1.0, max(ref.values(), default=0.0))
+            assert max(abs(got[k] - ref[k]) for k in ref) < 1e-12 * scale
+
+
+def test_no_dense_solve_beyond_one_block(monkeypatch, table_perturb_8_8):
+    sizes = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        sizes.append(a.shape[-1])
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    assert check_full_measure(table_perturb_8_8, 8, 8).verdict == "pass"
+    MomentSpace(table_perturb_8_8, 8, 8).phi_sequence(8, 8)
+    assert sizes and max(sizes) <= TRI_BLOCK

@@ -8,7 +8,7 @@ from bszego import (BiPoly, MatrixConditionFails, MomentSpace,
 from bszego import reconstruct
 from bszego.poly import reflect_uni, split_stable, z_content
 from bszego.reconstruct import kernel_poly
-from bszego.space import _inverse_row
+from bszego.space import _inverse_rows
 
 from conftest import max_modulus_gap, random_corpus_poly
 
@@ -64,11 +64,11 @@ def test_one_variable_step_gram_is_the_weighted_strip(monkeypatch):
     space = MomentSpace(table, 3, 1)
     seen = []
 
-    def spy(G, where):
+    def spy(G, count, where):
         seen.append(G)
-        return _inverse_row(G, where)
+        return _inverse_rows(G, count, where)
 
-    monkeypatch.setattr(reconstruct, "_inverse_row", spy)
+    monkeypatch.setattr(reconstruct, "_inverse_rows", spy)
     q = reconstruct._toeplitz_q(space, G_MIXED, 2)
     # reference: <z^j g, z^k g> = cp_{k-j}
     #   = sum_{u, v} g_u conj(g_v) c(k - j + v1 - u1, v2 - u2)
@@ -96,6 +96,44 @@ def test_kernel_poly_identity(p_2zw):
     expect = (p_2zw * reflect_uni(p_2zw.z_slice(), 1).to_bipoly()).trimmed()
     assert R.coeffs.shape == expect.coeffs.shape
     assert np.max(np.abs(R.coeffs - expect.coeffs)) < 1e-7
+
+
+def _kernel_by_products(space):
+    """kernel_poly as a sum of BiPoly products, one per phi."""
+    n, m = space.nmax, space.mmax
+    out = BiPoly(np.zeros((2 * n + 1, m + 1)))
+    for phi in space.phi_sequence(n, m):
+        out = out + phi * reflect_uni(phi.z_slice(), n).to_bipoly()
+    return out
+
+
+class _PhiSpace:
+    """Stand-in for a MomentSpace that hands out fixed phis."""
+
+    def __init__(self, phis):
+        self.phis = phis
+        self.nmax, self.mmax = phis[0].deg
+
+    def phi_sequence(self, n, m):
+        return self.phis
+
+
+def test_kernel_poly_matches_products(table_perturb_8_8):
+    space = MomentSpace(table_perturb_8_8.window(8, 8), 8, 8)
+    ref = _kernel_by_products(space).coeffs
+    got = kernel_poly(space).coeffs
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) < 1e-14 * np.max(np.abs(ref))
+    # a stage whose z-slice is below TRIM_REL adds exact zeros, as
+    # reflect_uni drops such a slice
+    rng = np.random.default_rng(5)
+    coeffs = rng.normal(size=(3, 4, 3)) + 1j * rng.normal(size=(3, 4, 3))
+    coeffs[1, :, 0] *= 1e-14
+    phis = [BiPoly(c) for c in coeffs]
+    ref = _kernel_by_products(_PhiSpace(phis)).coeffs
+    got = kernel_poly(_PhiSpace(phis)).coeffs
+    assert np.max(np.abs(got - ref)) < 1e-14 * np.max(np.abs(ref))
+    assert not np.any(kernel_poly(_PhiSpace(phis[1:2])).coeffs)
 
 
 def test_reconstructed_content_is_stable():

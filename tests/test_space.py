@@ -3,7 +3,9 @@ import pytest
 
 from bszego import (BiPoly, DegenerateForm, InsufficientMoments, MomentSpace,
                     MomentTable, moments_from_density, reflect)
-from bszego.space import subspace_angle
+from bszego.fullmeasure import _nested_inverse_max
+from bszego.space import (TRI_BLOCK, _inverse_rows, _solve_lower,
+                          subspace_angle)
 
 from conftest import brute_inner, gram_from_table, gram_schmidt_coeffs
 
@@ -252,3 +254,30 @@ def test_caps_and_degeneracy():
     c[1, 1] = 1.0
     with pytest.raises(InsufficientMoments):
         MomentSpace(MomentTable(1, 1, c), 2, 1)
+
+
+@pytest.mark.parametrize("d", [1, TRI_BLOCK - 1, TRI_BLOCK + 1, 70])
+def test_inverse_rows_match_dense_inverses(d):
+    rng = np.random.default_rng(d)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    # a weak diagonal makes the block solves pivot, so the zeros before
+    # each stage are not left to round-off
+    G = a @ a.conj().T + 0.01 * d * np.eye(d)
+    rows = _inverse_rows(G, d, "a test matrix")
+    for j in range(d):
+        inv = np.linalg.inv(G[j:, j:])
+        ref = inv[0] / np.sqrt(inv[0, 0].real)
+        assert not np.any(rows[j, :j])
+        assert np.max(np.abs(rows[j, j:] - ref)) < 1e-12 * np.max(np.abs(ref))
+    L = np.linalg.cholesky(G)
+    B = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
+    ref = np.linalg.inv(L) @ B
+    assert np.max(np.abs(_solve_lower(L, B) - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def test_indefinite_gram_raises_degenerate():
+    G = np.diag([2.0, -1.0, 1.0])
+    with pytest.raises(DegenerateForm, match="stage x"):
+        _inverse_rows(G, 1, "stage x")
+    with pytest.raises(DegenerateForm, match="window y"):
+        _nested_inverse_max(G, np.arange(3)[:, None], 0, [0], "window y")
