@@ -10,12 +10,12 @@ representations of generalized distinguished varieties.
 
 from .errors import (BszegoError, CertificateFailed, CommonFactor,
                      DegenerateForm, DegenerateSlice, DNotAdmissible,
-                     FitResidualTooLarge, GcdUnstable, InsufficientMoments,
-                     InvalidDegree, InvalidInput, MatrixConditionFails,
-                     MomentDivergence, NegativeResult, NoConvergence,
-                     NonPositiveDensity, NotFactorable, NotGdv, NotPositive,
-                     NotSelfReflective, NumericalFailure, RootNearTorus,
-                     ZeroPolynomial, ZOnlyFactor)
+                     FitResidualTooLarge, InsufficientMoments, InvalidDegree,
+                     InvalidInput, MatrixConditionFails, MomentDivergence,
+                     NegativeResult, NoConvergence, NonPositiveDensity,
+                     NotFactorable, NotGdv, NotPositive, NotSelfReflective,
+                     NumericalFailure, RootNearTorus, ZeroPolynomial,
+                     ZOnlyFactor)
 from .poly import (BiPoly, RootSplit, UniPoly, gcd_approx, reflect,
                    reflect_uni, roots, split_stable, z_content)
 from .moments import (MomentTable, QuadratureConfig, TrigPoly, gram,

@@ -74,7 +74,7 @@ def solve_ar(problem: ArProblem, tol=1e-8) -> ArSolution:
     if not report.holds:
         return ArSolution(classification="none", coefficients=None,
                           diagnostics=diag)
-    p = _reconstruct(space)
+    p = _reconstruct(space, ops)
     classification = "causal" if a_norm < tol else "acausal"
     return ArSolution(classification=classification, coefficients=p,
                       diagnostics=diag)

@@ -96,10 +96,6 @@ class DegenerateForm(NumericalFailure):
     pass
 
 
-class GcdUnstable(NumericalFailure):
-    pass
-
-
 class NoConvergence(NumericalFailure):
     pass
 

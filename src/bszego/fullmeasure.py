@@ -93,8 +93,9 @@ def check_full_measure(table: MomentTable, n, m, Nmax=None, Mmax=None,
     """Run the gamma / xi vanishing tests up to depth (Nmax, Mmax).
 
     Defaults to depth (n + 3, m + 3).  The verdict "pass" means all
-    tested entries vanish below ``tol`` and the Gram windows are
-    positive; it certifies the measure only up to the stated depth.
+    tested entries, times c00, vanish below ``tol`` and the Gram windows
+    are positive; it certifies the measure only up to the stated depth.
+    The reported entries are not scaled.
 
     Nested windows are leading blocks of one Gram (the gamma windows of
     each M in z-major order, the xi windows in w-major order), so one
@@ -116,7 +117,7 @@ def check_full_measure(table: MomentTable, n, m, Nmax=None, Mmax=None,
     eigs = np.linalg.eigvalsh(big)
     min_eig = float(eigs[0])
     positivity_ok = min_eig > 0.0
-    if not positivity_ok or min_eig < 1e-13 * max(float(eigs[-1]), 1.0):
+    if not positivity_ok or min_eig < 1e-13 * float(eigs[-1]):
         verdict = "fail" if not positivity_ok else "inconclusive"
         return FullMeasureReport(positivity_ok=positivity_ok,
                                  min_eigenvalue=min_eig,
@@ -133,7 +134,9 @@ def check_full_measure(table: MomentTable, n, m, Nmax=None, Mmax=None,
                              f"[0, {2 * n}] x [0, {Mmax}]")
     h = dict(zip(range(m + 1, Mmax + 1), xi))
 
-    ok = all(v < tol for v in e2.values()) and all(v < tol for v in h.values())
+    # inverse-Gram entries scale as 1 / c00, so compare them times c00
+    c00 = float(table.at(0, 0).real)
+    ok = all(c00 * v < tol for v in (*e2.values(), *h.values()))
     return FullMeasureReport(positivity_ok=True, min_eigenvalue=min_eig,
                              e2_conditions=e2, h_conditions=h,
                              verdict="pass" if ok else "fail",

@@ -23,7 +23,7 @@ from .errors import (InsufficientMoments, MomentDivergence,
 from .poly import BiPoly, _readonly, reflect
 
 POLE_MARGIN = 1e-12  # denominator minimum, relative to its grid maximum
-POSITIVE_TOL = 1e-12  # smallest Gram eigenvalue is_positive accepts (absolute)
+POSITIVE_TOL = 1e-12  # is_positive's bound on the Gram's eigenvalue ratio
 
 
 @dataclass(frozen=True)
@@ -262,8 +262,11 @@ def gram(table: MomentTable, rows, cols) -> np.ndarray:
 def is_positive(table: MomentTable, n, m):
     """Whether the form is positive definite on monomials [0,n] x [0,m].
 
+    The Gram's smallest eigenvalue must exceed POSITIVE_TOL times its
+    largest, so the verdict does not depend on the table's scale.
     Returns (bool, smallest eigenvalue of the Gram matrix).
     """
     sup = _rect(0, n, 0, m)
-    lam = float(np.linalg.eigvalsh(gram(table, sup, sup))[0])
-    return lam > POSITIVE_TOL, lam
+    eigs = np.linalg.eigvalsh(gram(table, sup, sup))
+    lam = float(eigs[0])
+    return lam > POSITIVE_TOL * float(eigs[-1]), lam

@@ -18,8 +18,8 @@ from numpy.polynomial import polynomial as npoly
 from .errors import InvalidDegree, RootNearTorus, ZeroPolynomial
 
 TRIM_REL = 1e-12          # drop trailing coefficients below this times max |coeff|
-DEFAULT_MARGIN = 1e-6     # width of the forbidden band around |root| = 1
-CLUSTER_TOL = 1e-6        # default root-clustering radius for approximate gcd
+ROOT_MARGIN = 1e-6        # width of the forbidden band around |root| = 1
+CLUSTER_TOL = 1e-6        # root-clustering radius of the approximate gcd
 
 
 def _readonly(a):
@@ -256,10 +256,10 @@ def w_roots(p: BiPoly, zs):
     return coeffs, out
 
 
-def split_stable(u: UniPoly, margin=DEFAULT_MARGIN) -> RootSplit:
+def split_stable(u: UniPoly) -> RootSplit:
     """Split u into a stable and a monic unstable factor by root modulus.
 
-    Raises RootNearTorus if any root lies within ``margin`` of the unit
+    Raises RootNearTorus if any root lies within ROOT_MARGIN of the unit
     circle; the theory requires a clean separation.
     """
     t = u.trimmed()
@@ -267,10 +267,11 @@ def split_stable(u: UniPoly, margin=DEFAULT_MARGIN) -> RootSplit:
         raise ZeroPolynomial("cannot split the zero polynomial")
     rts = roots(t)
     mods = np.abs(rts)
-    near = np.abs(mods - 1.0) <= margin
+    near = np.abs(mods - 1.0) <= ROOT_MARGIN
     if np.any(near):
         worst = rts[np.argmin(np.abs(mods - 1.0))]
-        raise RootNearTorus(f"root {worst} within {margin} of the unit circle")
+        raise RootNearTorus(
+            f"root {worst} within {ROOT_MARGIN} of the unit circle")
     inside = rts[mods < 1.0]
     outside = rts[mods > 1.0]
     unstable = UniPoly(npoly.polyfromroots(inside)) if inside.size else UniPoly([1.0])
@@ -300,10 +301,10 @@ def _cluster(values, tol):
     return centers, [len(ms) for ms in members]
 
 
-def gcd_approx(us, tol=CLUSTER_TOL) -> UniPoly:
+def gcd_approx(us) -> UniPoly:
     """Monic approximate gcd of several UniPoly by root clustering.
 
-    Roots shared by every input (within ``tol``) are kept with the
+    Roots shared by every input (within CLUSTER_TOL) are kept with the
     minimal shared multiplicity.  Raises ZeroPolynomial if every input
     is zero.
     """
@@ -313,14 +314,14 @@ def gcd_approx(us, tol=CLUSTER_TOL) -> UniPoly:
     if any(p.degree == 0 for p in polys):
         return UniPoly([1.0])
     ref = min(polys, key=lambda p: p.degree)
-    centers, counts = _cluster(list(roots(ref)), tol)
+    centers, counts = _cluster(list(roots(ref)), CLUSTER_TOL)
     all_roots = [list(roots(p)) for p in polys]
     kept = []
     for center, count in zip(centers, counts):
         mult = count
         for rs in all_roots:
             d = np.abs(np.asarray(rs) - center) if rs else np.zeros(0)
-            mult = min(mult, int(np.sum(d <= tol)))
+            mult = min(mult, int(np.sum(d <= CLUSTER_TOL)))
             if mult == 0:
                 break
         kept.extend([center] * mult)
@@ -364,7 +365,7 @@ def flip_root(u: UniPoly, root) -> UniPoly:
     return UniPoly(np.convolve(q, np.array([1.0, -np.conj(root)])))
 
 
-def z_content(p: BiPoly, tol=CLUSTER_TOL):
+def z_content(p: BiPoly):
     """Factor p = h(z) g(z, w) with h the z-only content.
 
     h is the monic approximate gcd of the w-coefficient columns of p;
@@ -374,7 +375,7 @@ def z_content(p: BiPoly, tol=CLUSTER_TOL):
     scale = np.max(np.abs(t.coeffs))
     cols = [UniPoly(t.coeffs[:, k]) for k in range(t.deg[1] + 1)
             if np.max(np.abs(t.coeffs[:, k])) > 1e-9 * scale]
-    h = gcd_approx(cols, tol)
+    h = gcd_approx(cols)
     if h.degree == 0:
         return UniPoly([1.0]), t, 0.0
     g, res = divide_bipoly_z(t, h)

@@ -1,28 +1,28 @@
 """Recover the factor polynomial from moments alone.
 
-Pipeline: orthonormal polynomials of the E2 space evaluated against a
-reflected argument collapse to p(z1, z2) times the reflection of
-p(z1, 0); the z-only content of that product is pulled out with an
-approximate gcd, the two-variable factor g falls out by division, and
-the remaining one-variable stable factor q is produced by a Toeplitz
-inversion against the moments re-weighted by |g|^2.
+Once the matrix condition holds, p is the split polynomial of the
+minimal shift-split (K1 the A-space, K2 its complement): the
+stable-content representative, unit-norm under the form.  The paper's
+kernel identity checks it independently: the orthonormal polynomials
+of E2(n, m), each times the reflection of its z-slice, sum to
+p(z1, z2) times the reflection of p(z1, 0).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import (DegenerateForm, GcdUnstable, MatrixConditionFails,
-                     NoConvergence, NotFactorable, NotPositive)
+from .errors import (DegenerateForm, MatrixConditionFails, NoConvergence,
+                     NotFactorable, NotPositive)
 from .moments import (MomentTable, QuadratureConfig, TrigPoly,
                       _poly_grid_values, is_positive, moments_from_trig)
-from .poly import (BiPoly, UniPoly, canonical_phase, reflect_uni,
-                   split_stable, z_content)
-from .space import MomentSpace, _inverse_rows
-from .splitshift import assert_no_face_zeros, build_operators, \
-    check_matrix_condition
+from .poly import BiPoly, reflect_uni
+from .space import MomentSpace
+from .splitshift import (ShiftOperators, assert_no_face_zeros,
+                         build_operators, check_matrix_condition,
+                         minimal_split_poly)
 
-GCD_TOL = 1e-6
+KERNEL_TOL = 1e-8   # kernel identity residual, relative to max |kernel|
 FACTOR_TOL = 1e-7   # factor_trig's bound on max | |p|^2 - t |, relative to max |t|
 FACTOR_GRID = 256   # points per axis of factor_trig's check grid
 
@@ -31,16 +31,12 @@ def kernel_poly(space: MomentSpace) -> BiPoly:
     """sum_j phi_j(z1, z2) * reflection_n of conj(phi_j)(z1, 0).
 
     With (n, m) the space's caps, for a Bernstein-Szego form this equals
-    p(z1, z2) z1^n pbar(1/z1, 0), the polynomial whose z-only content
-    drives the reconstruction.
+    p(z1, z2) z1^n pbar(1/z1, 0), which checks the reconstruction.
     """
     # The sum does not depend on the orthonormal basis of E2(n, m), yet
-    # phi_sequence is kept over the cached e2_basis(n, m) on purpose.
-    # On the recover corpus of bench/corpus.py (seed 9137), an e2_basis
-    # kernel turns six cells that fail loudly with phi_sequence
-    # (reconstruct and ar on the unstable kind at (8,6), (12,10) and
-    # (12,12)) into answers with modulus gaps up to 5.4e-9, and the
-    # worst accuracy of the workload drops from 13.4 to 8.3 digits.
+    # it is built from phi_sequence, with its own Gram factor, over the
+    # cached e2_basis(n, m) on purpose: the check must share nothing
+    # with the operator bases that the split polynomial comes from.
     n, m = space.nmax, space.mmax
     phis = space.phi_sequence(n, m)
     # reflect_uni trims: a negligible slice reflects to exact zeros
@@ -52,17 +48,6 @@ def kernel_poly(space: MomentSpace) -> BiPoly:
     return BiPoly(out)
 
 
-def _toeplitz_q(space: MomentSpace, g: BiPoly, n0) -> UniPoly:
-    """Stable one-variable factor from the |g|^2-weighted moment strip.
-
-    The Toeplitz matrix of that strip is the Gram of g, z g, ..., z^n0 g
-    under the form, so q is its normalized inverse row.
-    """
-    E = np.column_stack([space.embed(g.shifted(k, 0)) for k in range(n0 + 1)])
-    return UniPoly(_inverse_rows(E.T @ np.conj(E), 1,
-                                 "the one-variable step")[0])
-
-
 def reconstruct_p(table: MomentTable, n, m, tol=1e-8) -> BiPoly:
     """The polynomial p with the given Bernstein-Szego moments.
 
@@ -70,43 +55,27 @@ def reconstruct_p(table: MomentTable, n, m, tol=1e-8) -> BiPoly:
     representative, unit-norm under the form, with canonical phase.
     """
     space = MomentSpace(table, n, m)
-    report = check_matrix_condition(build_operators(space), tol)
+    ops = build_operators(space)
+    report = check_matrix_condition(ops, tol)
     if not report.holds:
         raise MatrixConditionFails(
             f"max ||A T^j B|| = {report.max_violation:.3e}; "
             "no closed-face Bernstein-Szego representation exists")
-    return _reconstruct(space)
+    return _reconstruct(space, ops)
 
 
-def _reconstruct(space: MomentSpace) -> BiPoly:
-    """Kernel, z-content, one-variable step and normalization.
+def _reconstruct(space: MomentSpace, ops: ShiftOperators) -> BiPoly:
+    """The minimal split polynomial, checked by the kernel identity.
 
-    The caller has checked the matrix condition on ``space``.
+    The caller has checked the matrix condition on ``ops``.
     """
-    R = kernel_poly(space).trimmed()
-    for attempt_tol in (GCD_TOL, 10.0 * GCD_TOL):
-        _, g, res = z_content(R, attempt_tol)
-        if res <= 1e-6:
-            break
-    else:
-        raise GcdUnstable(
-            f"z-content gcd division residual {res:.3e} at tolerance "
-            f"{10 * GCD_TOL}")
-    g = g.trimmed()
-    n0 = space.nmax - g.deg[0]
-    if n0 < 0:
-        raise DegenerateForm("two-variable factor exceeds the degree bound")
-    q = _toeplitz_q(space, g, n0)
-    if q.degree > 0:
-        rs = split_stable(q, margin=1e-9)
-        if rs.beta != 0:
-            raise DegenerateForm(
-                f"one-variable factor has {rs.beta} roots inside the disk")
-    p = q.to_bipoly() * g
-    nrm = space.norm(p)
-    if nrm == 0.0:
-        raise DegenerateForm("reconstructed polynomial vanished")
-    return canonical_phase(p * (1.0 / nrm))
+    p = minimal_split_poly(space, ops)
+    kernel = kernel_poly(space)
+    gap = kernel - p * reflect_uni(p.z_slice(), space.nmax).to_bipoly()
+    resid = float(np.max(np.abs(gap.coeffs)) / np.max(np.abs(kernel.coeffs)))
+    if resid > KERNEL_TOL:
+        raise DegenerateForm(f"kernel identity residual {resid:.3e}")
+    return p
 
 
 def factor_trig(t: TrigPoly, n, m, cfg: QuadratureConfig = QuadratureConfig()):

@@ -141,6 +141,11 @@ def check_matrix_condition(ops: ShiftOperators, tol=MC_TOL) -> StratificationRep
     holds = viol < tol
     a_space, b_space = canonical_invariant_spaces(ops)
     dim_a, dim_b = a_space.shape[1], b_space.shape[1]
+    if holds and dim_a + dim_b > n:
+        # under the condition the two spaces are orthogonal in the
+        # n-dimensional E1(n-1, m): the Krylov rank cut has overcounted
+        raise DegenerateForm(
+            f"dim A-space {dim_a} + dim B-space {dim_b} exceeds n = {n}")
     return StratificationReport(holds=holds, max_violation=viol,
                                 dim_a=dim_a, dim_b=dim_b,
                                 d_min=dim_a, d_max=n - dim_b)
@@ -285,6 +290,19 @@ def assert_no_face_zeros(p: BiPoly):
         raise RootNearTorus(f"w-root of modulus {low[i]:.6f} at z = {zs[i]}")
 
 
+def minimal_split_poly(space: MomentSpace, ops: ShiftOperators) -> BiPoly:
+    """Unit-norm split-poly of the minimal shift-split, phase-canonical.
+
+    K1 is the A-space and K2 its complement in E1(n-1, m); the result is
+    the stable-content representative of p.  The caller has checked the
+    matrix condition on ``ops``.
+    """
+    a_coords, _ = canonical_invariant_spaces(ops)
+    k1 = _coords_to_basis(ops.e1, a_coords)
+    k2 = _coords_to_basis(ops.e1, _complement_in_coords(a_coords, ops.e1.dim))
+    return _unit_normalized(space, split_poly_of(space, k1, k2))
+
+
 def split_poly_from_condition(space: MomentSpace, d=0) -> ShiftSplit:
     """Construct a shift-split with dim K1 = d from the operators alone.
 
@@ -300,12 +318,7 @@ def split_poly_from_condition(space: MomentSpace, d=0) -> ShiftSplit:
     if not (report.d_min <= d <= report.d_max):
         raise DNotAdmissible(
             f"d = {d} outside admissible [{report.d_min}, {report.d_max}]")
-    a_coords, _ = canonical_invariant_spaces(ops)
-    k1_min = _coords_to_basis(ops.e1, a_coords)
-    k2_max = _coords_to_basis(ops.e1,
-                              _complement_in_coords(a_coords, ops.e1.dim))
-    p_min = _unit_normalized(space, split_poly_of(space, k1_min, k2_max))
-    q, g, flips = _formal_flips(p_min, space.nmax)
+    q, g, flips = _formal_flips(minimal_split_poly(space, ops), space.nmax)
     extra = d - report.d_min
     if extra > len(flips):
         raise DNotAdmissible(

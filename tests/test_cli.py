@@ -5,7 +5,7 @@ import contextlib
 import numpy as np
 import pytest
 
-from bszego import BiPoly, TrigPoly
+from bszego import BiPoly, MomentTable, TrigPoly, moments_from_density
 from bszego.cli import main
 from bszego.jsonio import dumps, poly_from_json, poly_to_json, table_to_json
 
@@ -72,6 +72,46 @@ def test_check_indefinite_exit_2(files):
                      "--n", "1", "--m", "1"])
     assert code == 2
     assert json.loads(out)["error"] == "NotPositive"
+
+
+def _table_file(tmp_path, name, table):
+    path = tmp_path / name
+    path.write_text(dumps(table_to_json(table)))
+    return str(path)
+
+
+def test_check_verdict_does_not_depend_on_scale(tmp_path, table_2zw):
+    keys = ("holds", "dimA", "dimB", "d_min", "d_max")
+    nm = ["--n", "3", "--m", "3"]
+    code, out = run(["check", "--moments",
+                     _table_file(tmp_path, "c.json", table_2zw)] + nm)
+    assert code == 0
+    base = {k: json.loads(out)[k] for k in keys}
+    bad = np.zeros((3, 3), dtype=complex)
+    bad[1, 1] = -1.0
+    for s in (1e-15, 1e15):
+        table = MomentTable(3, 3, s * table_2zw.c)
+        code, out = run(["check", "--moments",
+                         _table_file(tmp_path, f"c{s}.json", table)] + nm)
+        assert code == 0
+        assert {k: json.loads(out)[k] for k in keys} == base
+        path = _table_file(tmp_path, f"i{s}.json", MomentTable(1, 1, s * bad))
+        code, out = run(["check", "--moments", path, "--n", "1", "--m", "1"])
+        assert code == 2 and json.loads(out)["error"] == "NotPositive"
+
+
+def test_ill_conditioned_table_exit_3(tmp_path):
+    # prod (alpha - zw) over alpha = linspace(2, 4, 16): positive, but the
+    # Krylov rank cut overcounts the A-space (dim 7 next to a 16-dim B-space)
+    p = BiPoly([[1.0]])
+    for alpha in np.linspace(2, 4, 16):
+        p = p * BiPoly([[alpha, 0], [0, -1.0]])
+    path = _table_file(tmp_path, "a.json", moments_from_density(p, 16, 16))
+    nm = ["--n", "16", "--m", "16"]
+    for argv in (["check", "--moments", path], ["reconstruct", "--moments", path],
+                 ["ar", "--autocorr", path]):
+        code, out = run(argv + nm)
+        assert code == 3 and json.loads(out)["error"] == "DegenerateForm"
 
 
 def test_moments_divergence_exit_3(files):

@@ -33,9 +33,6 @@ ALLOWED = {
     "sos.verify_certificate(seed)",
     "sos.common_factor_with_reflection(deg)",
     "detrep.build_detrep(seed)",
-    "poly.split_stable(margin)",
-    "poly.gcd_approx(tol)",
-    "poly.z_content(tol)",
     "space.MomentSpace.projected_span(expect)",
     "splitshift.split_poly_from_condition(d)",
     "cli.main(argv)",

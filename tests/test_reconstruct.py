@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from bszego import (BiPoly, MatrixConditionFails, MomentSpace,
+from bszego import (BiPoly, DegenerateForm, MatrixConditionFails, MomentSpace,
                     NotFactorable, TrigPoly, factor_trig,
                     moments_from_density, moments_from_grid_function,
                     reconstruct_p)
 from bszego import reconstruct
 from bszego.poly import reflect_uni, split_stable, z_content
 from bszego.reconstruct import kernel_poly
-from bszego.space import _inverse_rows
 
 from conftest import max_modulus_gap, random_corpus_poly
 
@@ -55,37 +54,32 @@ def test_unstable_content_maps_to_stable_rep():
         assert max_modulus_gap(phat, p) < 1e-7 * scale
 
 
-def test_one_variable_step_gram_is_the_weighted_strip(monkeypatch):
-    # z-content (1 - 2iz)(3 - z) of degree 2 over the two-variable G_MIXED;
-    # complex, so that the weighted strip is not real and a transposed
-    # Gram differs from the right one
-    p = BiPoly([[1], [-2j]]) * BiPoly([[3], [-1.0]]) * G_MIXED
-    table = moments_from_density(p, 3, 1)
-    space = MomentSpace(table, 3, 1)
-    seen = []
+@pytest.mark.parametrize("n, m", [(8, 6), (12, 10), (16, 16)])
+def test_round_trip_high_multiplicity_content(n, m):
+    # the kernel's z-content holds z^n: a root-clustering gcd of it
+    # finds too low a degree, the split route does not need one
+    p = BiPoly([[1.0]])
+    for alpha in np.linspace(3, 6, m):
+        p = p * BiPoly([[alpha, 0], [0, -1.0]])
+    for root in np.linspace(1.4, 2.6, n - m):
+        p = p * BiPoly([[-root], [1.0]])
+    table = moments_from_density(p, n, m)
+    phat = reconstruct_p(table, n, m)
+    unit = p * (1.0 / _norm(table, n, m, p))
+    scale = max_modulus_gap(unit, BiPoly([[0.0]]))
+    assert max_modulus_gap(phat, unit) < 1e-9 * scale
 
-    def spy(G, count, where):
-        seen.append(G)
-        return _inverse_rows(G, count, where)
 
-    monkeypatch.setattr(reconstruct, "_inverse_rows", spy)
-    q = reconstruct._toeplitz_q(space, G_MIXED, 2)
-    # reference: <z^j g, z^k g> = cp_{k-j}
-    #   = sum_{u, v} g_u conj(g_v) c(k - j + v1 - u1, v2 - u2)
-    gc = G_MIXED.coeffs
-    ref = np.zeros((3, 3), dtype=complex)
-    for j in range(3):
-        for k in range(3):
-            for (u1, u2), gu in np.ndenumerate(gc):
-                for (v1, v2), gv in np.ndenumerate(gc):
-                    ref[j, k] += gu * np.conj(gv) * table.at(
-                        k - j + v1 - u1, v2 - u2)
-    assert len(seen) == 1
-    assert np.max(np.abs(ref.imag)) > 0.1 * np.max(np.abs(ref))
-    assert np.max(np.abs(seen[0] - ref)) < 1e-13 * np.max(np.abs(ref))
-    # the step returns the stable content (2 - iz)(3 - z), up to scale
-    assert np.allclose(np.sort(np.abs(np.roots(q.coeffs[::-1]))), [2, 3],
-                       atol=1e-8)
+def test_kernel_identity_rejects_a_wrong_split_poly(monkeypatch,
+                                                    table_perturb_8_8):
+    table = table_perturb_8_8.window(8, 8)
+    right = reconstruct_p(table, 8, 8)
+    bump = np.zeros(right.coeffs.shape)
+    bump[3, 5] = 1e-6 * np.max(np.abs(right.coeffs))
+    monkeypatch.setattr(reconstruct, "minimal_split_poly",
+                        lambda space, ops: BiPoly(right.coeffs + bump))
+    with pytest.raises(DegenerateForm, match="kernel identity"):
+        reconstruct_p(table, 8, 8)
 
 
 def test_kernel_poly_identity(p_2zw):
