@@ -47,18 +47,24 @@ class DetRep:
     def m(self):
         return self.u.shape[0] - self.n1 - self.n2
 
+    def _diagonals(self, z, w):
+        """Diagonals of Delta and Gamma at (z, w), on a trailing axis."""
+        z, w = np.broadcast_arrays(np.asarray(z, dtype=complex), w)
+        one, sizes = np.ones_like(z), (self.m, self.n1, self.n2)
+        return tuple(np.moveaxis(np.repeat(d, sizes, axis=0), 0, -1)
+                     for d in ([w, z, one], [one, one, z]))
+
     def delta(self, z, w):
-        return np.diag(np.concatenate([np.full(self.m, w),
-                                       np.full(self.n1, z),
-                                       np.ones(self.n2)]).astype(complex))
+        return np.diag(self._diagonals(z, w)[0])
 
     def gamma(self, z, w):
-        return np.diag(np.concatenate([np.ones(self.m),
-                                       np.ones(self.n1),
-                                       np.full(self.n2, z)]).astype(complex))
+        return np.diag(self._diagonals(z, w)[1])
 
     def det_pencil(self, z, w):
-        return complex(np.linalg.det(self.u @ self.delta(z, w) - self.gamma(z, w)))
+        """det(U Delta - Gamma) at (z, w); arrays of points give an array."""
+        dd, dg = (d[..., None, :] for d in self._diagonals(z, w))
+        det = np.linalg.det(self.u * dd - np.eye(len(self.u)) * dg)
+        return complex(det) if det.ndim == 0 else det
 
     def to_json(self):
         return {"U": [[[v.real, v.imag] for v in row] for row in self.u],
@@ -161,6 +167,20 @@ def _variety_samples(p: BiPoly, count):
     return np.repeat(zs[keep], rts.shape[1]), rts[keep].ravel()
 
 
+def _offgrid_points(p1: BiPoly, seed):
+    """The first OFFGRID_POINTS of 100 times as many draws (z0, w0) from
+    [-2, 2]^4 where |p1| is at least 1e-3 max |coeff|, and p1 there."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-2, 2, (100 * OFFGRID_POINTS, 2, 2))
+    z0, w0 = (pts[..., 0] + 1j * pts[..., 1]).T
+    pv = p1(z0, w0)
+    keep = np.nonzero(np.abs(pv) >= 1e-3 * float(np.max(np.abs(p1.coeffs))))[0]
+    if keep.size < OFFGRID_POINTS:
+        raise FitResidualTooLarge("could not sample off-variety points")
+    keep = keep[:OFFGRID_POINTS]
+    return z0[keep], w0[keep], pv[keep]
+
+
 def build_detrep(p: BiPoly, seed=0) -> DetRep:
     """Unitary pencil representation of a generalized distinguished variety."""
     pt = p.trimmed()
@@ -203,20 +223,8 @@ def build_detrep(p: BiPoly, seed=0) -> DetRep:
 
     rep0 = DetRep(u=U, n1=n1, n2=n2, scale=1.0 + 0.0j, residual=np.nan,
                   mu=mu, geometry=geo)
-    rng = np.random.default_rng(seed)
-    ratios = []
-    attempts = 0
-    while len(ratios) < OFFGRID_POINTS:
-        attempts += 1
-        if attempts > 100 * OFFGRID_POINTS:
-            raise FitResidualTooLarge("could not sample off-variety points")
-        z0 = complex(*rng.uniform(-2, 2, 2))
-        w0 = complex(*rng.uniform(-2, 2, 2))
-        pv = complex(p1(z0, w0))
-        if abs(pv) < 1e-3 * float(np.max(np.abs(p1.coeffs))):
-            continue
-        ratios.append(rep0.det_pencil(z0, w0) / pv)
-    ratios = np.asarray(ratios)
+    z0, w0, pv = _offgrid_points(p1, seed)
+    ratios = rep0.det_pencil(z0, w0) / pv
     scale = complex(np.median(ratios.real), np.median(ratios.imag))
     if abs(scale) < 1e-12:
         raise FitResidualTooLarge("pencil determinant vanishes identically")

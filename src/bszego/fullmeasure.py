@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import (DegenerateForm, InsufficientMoments,
                      MatrixConditionFails, NoConvergence)
-from .moments import MomentTable, _rect, gram, moments_from_density
+from .moments import (MomentTable, _rect, _rect_gram_eigvalsh, gram,
+                      moments_from_density)
 from .poly import BiPoly
 from .reconstruct import reconstruct_p
 from .space import _solve_lower
@@ -114,7 +115,7 @@ def check_full_measure(table: MomentTable, n, m, Nmax=None, Mmax=None,
 
     sup = _rect(0, need_j, 0, Mmax)
     big = gram(table, sup, sup)
-    eigs = np.linalg.eigvalsh(big)
+    eigs = _rect_gram_eigvalsh(big)
     min_eig = float(eigs[0])
     positivity_ok = min_eig > 0.0
     if not positivity_ok or min_eig < 1e-13 * float(eigs[-1]):

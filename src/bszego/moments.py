@@ -245,18 +245,20 @@ def gram(table: MomentTable, rows, cols) -> np.ndarray:
     With rows == cols this is the Hermitian Gram matrix of the monomials
     z^u w^v in the inner product induced by the table; it equals its
     conjugate transpose exactly, because the table is exactly Hermitian.
+    Entries are read by flat index into the table's array.
     """
     rows = np.array(list(rows), dtype=int).reshape(-1, 2)
     cols = np.array(list(cols), dtype=int).reshape(-1, 2)
-    dj = cols[None, :, 0] - rows[:, None, 0]
-    dk = cols[None, :, 1] - rows[:, None, 1]
-    outside = (np.abs(dj) > table.jmax) | (np.abs(dk) > table.kmax)
-    if outside.any():
-        r, q = np.argwhere(outside)[0]
+    bound = (table.jmax, table.kmax)
+    if rows.size and cols.size and np.any(np.maximum(
+            cols.max(0) - rows.min(0), rows.max(0) - cols.min(0)) > bound):
+        d = cols[None, :, :] - rows[:, None, :]
+        r, q = np.argwhere((np.abs(d) > bound).any(axis=-1))[0]
         raise InsufficientMoments(
-            f"moment ({dj[r, q]}, {dk[r, q]}) outside window "
-            f"({table.jmax}, {table.kmax})")
-    return table.c[dj + table.jmax, dk + table.kmax]
+            f"moment ({d[r, q, 0]}, {d[r, q, 1]}) outside window {bound}")
+    key = np.array([2 * table.kmax + 1, 1])
+    flat = (cols @ key)[None, :] - (rows @ key)[:, None] + key @ bound
+    return table.c.ravel()[flat]
 
 
 def is_positive(table: MomentTable, n, m):
@@ -267,6 +269,19 @@ def is_positive(table: MomentTable, n, m):
     Returns (bool, smallest eigenvalue of the Gram matrix).
     """
     sup = _rect(0, n, 0, m)
-    eigs = np.linalg.eigvalsh(gram(table, sup, sup))
+    eigs = _rect_gram_eigvalsh(gram(table, sup, sup))
     lam = float(eigs[0])
     return lam > POSITIVE_TOL * float(eigs[-1]), lam
+
+
+def _rect_gram_eigvalsh(G):
+    """Ascending eigenvalues of a Gram over a rectangle, in real arithmetic.
+
+    Over [0, J] x [0, K] in z-major order, reversing the flat index maps u
+    to (J, K) - u, so the reversal permutation J gives (J G J)[a, b] =
+    c_{u_a - u_b} = conj(G[a, b]), bit for bit for an exactly Hermitian
+    table.  With the unitary Q = (I + iJ)/sqrt(2), Q^H G Q = Re G - (Im G) J
+    is real symmetric with G's eigenvalues (a centro-Hermitian matrix is
+    unitarily similar to a real one; A. Lee, LAA 29, 1980).
+    """
+    return np.linalg.eigvalsh(G.real - G.imag[:, ::-1])

@@ -3,9 +3,10 @@
 ``MomentSpace`` wraps a moment table with degree caps (N, M) and realizes
 the inner product <f, g> = sum f_u conj(g_v) c_{v-u} on monomials
 z^u w^v with u in [0,N] x [0,M].  A Cholesky factor of the full Gram
-matrix embeds coefficient vectors isometrically into C^d, after which
-all subspace constructions (orthogonal complements, projected spans,
-orthonormalization) are plain dense linear algebra.
+matrix embeds coefficient vectors isometrically into C^d for inner
+products and projected spans.  The structural subspaces (E1, F1, E2, F2,
+H), complements of monomial spans in a rectangle, all come from one
+Cholesky Gram-Schmidt that orders the removed monomials first.
 
 Subspace conventions follow the lexicographic support order
 (z-power major), and every basis column is phase-normalized so its
@@ -144,8 +145,7 @@ class MomentSpace:
     def _vec_basis(self, b: SubspaceBasis):
         """Scatter a SubspaceBasis into full-support coordinate columns."""
         out = np.zeros((len(self.support), b.dim), dtype=complex)
-        for row, u in enumerate(b.support):
-            out[self._index[u], :] = b.vectors[row, :]
+        out[[self._index[u] for u in b.support]] = b.vectors
         return out
 
     def embed(self, p: BiPoly):
@@ -169,15 +169,6 @@ class MomentSpace:
 
     # -- subspace construction ----------------------------------------------
 
-    def _coeffs_from_embedded(self, Q, support):
-        """Recover coefficient columns over ``support`` from embeddings."""
-        if Q.shape[1] == 0:
-            return np.zeros((len(support), 0), dtype=complex)
-        # _emb is upper triangular; reversing both axes makes it lower
-        full = _solve_lower(self._emb[::-1, ::-1], Q[::-1])[::-1]
-        rows = [self._index[u] for u in support]
-        return full[rows, :]
-
     def _phase_normalize(self, vectors):
         out = np.array(vectors)
         for i in range(out.shape[1]):
@@ -190,39 +181,42 @@ class MomentSpace:
             out[:, i] = col * (np.abs(lead) / lead)
         return out
 
-    def _orth_columns(self, X, expect=None):
-        """Orthonormalize embedded columns, truncating at numerical rank."""
-        if X.shape[1] == 0:
-            return X[:, :0]
-        u, s, _ = np.linalg.svd(X, full_matrices=False)
-        if s.size == 0 or s[0] == 0.0:
-            return X[:, :0]
-        rank = int(np.sum(s > RANK_TOL * s[0]))
-        if expect is not None and rank != expect:
-            raise DegenerateForm(
-                f"subspace rank {rank} differs from expected {expect}")
-        return u[:, :rank]
-
     def _complement(self, ambient, removed):
-        """Orthonormal basis of span(ambient) minus span(removed)."""
-        ambient = [u for u in ambient]
-        removed = [u for u in removed]
-        if not ambient:
-            return empty_basis()
+        """Orthonormal basis of span(ambient) minus span(removed).
+
+        Gram-Schmidt with the removed monomials first: for the form's Gram
+        F = L L^H over ``removed`` then the g generators, the last g columns
+        of L^-H are orthonormal and orthogonal to every removed monomial.
+        The projected generators have coordinates L[-g:, -g:]^H in them;
+        its left singular vectors rotate them to the basis an SVD of the
+        projected generators gives, and its singular values decide the rank.
+        """
         removed_set = set(removed)
         gens = [u for u in ambient if u not in removed_set]
-        cols_g = [self._index[u] for u in gens]
-        X_C = self._emb[:, cols_g]
-        if removed:
-            cols_r = [self._index[u] for u in removed]
-            Q_R, _ = np.linalg.qr(self._emb[:, cols_r])
-            X_C = X_C - Q_R @ (Q_R.conj().T @ X_C)
-        Q = self._orth_columns(X_C, expect=len(gens))
-        vectors = self._phase_normalize(self._coeffs_from_embedded(Q, ambient))
-        return SubspaceBasis(tuple(ambient), vectors)
+        order = list(removed) + gens
+        g = len(gens)
+        try:
+            # the form is <x, y> = y^H conj(G) x, G the monomials' Gram
+            L = np.linalg.cholesky(np.conj(gram(self.table, order, order)))
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateForm("moment Gram matrix is not positive definite") from exc
+        u, s, _ = np.linalg.svd(L[-g:, -g:].conj().T)
+        rank = int(np.sum(s > RANK_TOL * s[0]))
+        if rank != g:
+            raise DegenerateForm(
+                f"subspace rank {rank} differs from expected {g}")
+        rhs = np.vstack([np.zeros((len(order) - g, g)), u])
+        # L^H is upper triangular; reversing both axes makes it lower
+        X = _solve_lower(L.conj().T[::-1, ::-1], rhs[::-1])[::-1]
+        row = {v: i for i, v in enumerate(order)}
+        vectors = X[[row[v] for v in ambient]]
+        return SubspaceBasis(tuple(ambient), self._phase_normalize(vectors))
 
     def basis(self, kind, k, l) -> SubspaceBasis:
         """Orthonormal basis of a structural subspace, memoised per space.
+
+        Every kind is built by the same Cholesky Gram-Schmidt
+        (``_complement``), which raises DegenerateForm on a rank drop.
 
         E1(k,l) = P_{k,l} minus w P_{k,l-1}   (dimension k+1)
         F1(k,l) = P_{k,l} minus P_{k,l-1}     (dimension k+1)
@@ -303,7 +297,7 @@ class MomentSpace:
         trailing block of the z-major Gram of [0,n] x [0,m]: one Cholesky
         factor serves every stage (_inverse_rows).  This is the basis
         kernel_poly sums over (see the note there); basis("E2", n, m)
-        spans the same space through the Cholesky embedding.
+        spans the same space by its own Gram-Schmidt.
         """
         if n > self.table.jmax or m > self.table.kmax:
             raise InsufficientMoments("phi sequence exceeds the table window")

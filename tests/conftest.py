@@ -58,6 +58,21 @@ def gram_schmidt_coeffs(G, vectors):
     return np.column_stack(out) if out else np.zeros((len(vectors[0]), 0))
 
 
+def rect(j0, j1, k0, k1):
+    """Monomial exponents [j0, j1] x [k0, k1], z-major."""
+    return [(j, k) for j in range(j0, j1 + 1) for k in range(k0, k1 + 1)]
+
+
+def structural(kind, k, l):
+    """(ambient, removed) monomials of MomentSpace.basis(kind, k, l)."""
+    if kind == "H":
+        ambient = rect(0, 2 * k, 0, l)
+        return ambient, [u for u in ambient if u != (k, 0)]
+    removed = {"E1": rect(0, k, 1, l), "F1": rect(0, k, 0, l - 1),
+               "E2": rect(1, k, 0, l), "F2": rect(0, k - 1, 0, l)}[kind]
+    return rect(0, k, 0, l), removed
+
+
 def torus_grid(N):
     th = 2.0 * np.pi * np.arange(N) / N
     z = np.exp(1j * th)

@@ -9,7 +9,8 @@ import pytest
 
 from bszego import (BiPoly, DegenerateSlice, NotGdv, NotSelfReflective,
                     ZOnlyFactor, build_detrep, check_gdv_geometry,
-                    check_self_reflective, derivative_identity_check)
+                    check_self_reflective, derivative_identity_check,
+                    reflect)
 from bszego import cli, detrep
 from bszego.detrep import GEOMETRY_GRID
 from bszego.jsonio import dumps, poly_to_json
@@ -198,3 +199,48 @@ def test_detrep_scale_against_input():
     z, w = 0.37 + 0.21j, -0.55 + 0.4j
     assert abs(rep.det_pencil(z, w) - rep.scale * P_ZW(z, w)) \
         < 1e-8 * abs(rep.scale)
+
+
+def _scalar_scale_fit(p, rep, seed=0):
+    """The off-grid scale fit one point at a time: draws, filter, ratios."""
+    nu = cmath.sqrt(check_self_reflective(p))
+    p1 = p.trimmed() * (1.0 / nu)
+    p1 = (p1 + reflect(p1, p1.deg)) * 0.5
+    rng = np.random.default_rng(seed)
+    points, ratios = [], []
+    while len(ratios) < detrep.OFFGRID_POINTS:
+        z0 = complex(*rng.uniform(-2, 2, 2))
+        w0 = complex(*rng.uniform(-2, 2, 2))
+        pv = complex(p1(z0, w0))
+        if abs(pv) < 1e-3 * float(np.max(np.abs(p1.coeffs))):
+            continue
+        det = np.linalg.det(rep.u @ rep.delta(z0, w0) - rep.gamma(z0, w0))
+        points.append((z0, w0))
+        ratios.append(complex(det) / pv)
+    ratios = np.asarray(ratios)
+    scale = complex(np.median(ratios.real), np.median(ratios.imag))
+    residual = float(np.max(np.abs(ratios - scale)) / abs(scale))
+    return p1, np.array(points), scale / nu, residual
+
+
+def _blaschke_gdv(zeros, m):
+    """w^m prod (1 - conj(a) z) - prod (z - a): the sheets w^m = B(z)."""
+    q = np.polynomial.polynomial.polyfromroots(zeros)
+    a = np.zeros((len(q), m + 1), dtype=complex)
+    a[:, m] = q[::-1].conj()
+    a[:, 0] -= q
+    return BiPoly(a)
+
+
+@pytest.mark.parametrize("p", [
+    BiPoly([[0.5, 1], [-1, -0.5]]),                  # Blaschke sheet, a = 1/2
+    _blaschke_gdv([0.3, -0.4j], 2),
+], ids=["blaschke", "blaschke-2-2"])
+def test_batched_scale_fit_matches_scalar_loop(p):
+    rep = build_detrep(p)
+    p1, points, scale, residual = _scalar_scale_fit(p, rep)
+    z0, w0, _ = detrep._offgrid_points(p1, 0)
+    assert np.array_equal(z0, points[:, 0]) and np.array_equal(w0, points[:, 1])
+    assert abs(rep.scale - scale) <= 1e-12 * abs(scale)
+    # the residual is already relative to |scale|
+    assert abs(rep.residual - residual) <= 1e-12

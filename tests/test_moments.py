@@ -5,7 +5,7 @@ from bszego import (BiPoly, InsufficientMoments, MomentDivergence, MomentTable,
                     NonPositiveDensity, QuadratureConfig, TrigPoly,
                     ZeroPolynomial, gram, is_positive, moments_from_density,
                     moments_from_grid_function, moments_from_trig)
-from bszego.moments import _poly_grid_values
+from bszego.moments import _poly_grid_values, _rect_gram_eigvalsh
 
 from conftest import geometric_diag_moment, riemann_moment
 
@@ -241,6 +241,23 @@ def test_square_gram_is_exactly_hermitian():
         sup = [pool[i] for i in rng.choice(len(pool), 9, replace=False)]
         g = gram(t, sup, sup)
         assert np.array_equal(g, g.conj().T)
+
+
+@pytest.mark.parametrize("jmax, kmax", [(0, 7), (1, 1), (2, 5), (4, 4), (6, 3)])
+def test_rect_gram_real_form(jmax, kmax):
+    # over a rectangle the index reversal J gives J G J = conj(G) bit for
+    # bit, and the real symmetric form has the Gram's eigenvalues
+    rng = np.random.default_rng(10 * jmax + kmax)
+    sup = [(j, k) for j in range(jmax + 1) for k in range(kmax + 1)]
+    for _ in range(5):
+        shape = (2 * jmax + 1, 2 * kmax + 1)
+        t = MomentTable(jmax, kmax, rng.normal(size=shape)
+                        + 1j * rng.normal(size=shape))
+        g = gram(t, sup, sup)
+        assert np.array_equal(g[::-1, ::-1], g.conj())
+        ref = np.linalg.eigvalsh(g)
+        got = _rect_gram_eigvalsh(g)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_is_positive_lebesgue(lebesgue_table):

@@ -3,11 +3,13 @@ import pytest
 
 from bszego import (BiPoly, DegenerateForm, InsufficientMoments, MomentSpace,
                     MomentTable, moments_from_density, reflect)
+from bszego import space as space_mod
 from bszego.fullmeasure import _nested_inverse_max
-from bszego.space import (TRI_BLOCK, _inverse_rows, _solve_lower,
-                          subspace_angle)
+from bszego.space import (RANK_TOL, TRI_BLOCK, SubspaceBasis, _inverse_rows,
+                          _solve_lower, subspace_angle)
 
-from conftest import brute_inner, gram_from_table, gram_schmidt_coeffs
+from conftest import (brute_inner, gram_from_table, gram_schmidt_coeffs,
+                      structural)
 
 
 @pytest.fixture(scope="module")
@@ -281,3 +283,70 @@ def test_indefinite_gram_raises_degenerate():
         _inverse_rows(G, 1, "stage x")
     with pytest.raises(DegenerateForm, match="window y"):
         _nested_inverse_max(G, np.arange(3)[:, None], 0, [0], "window y")
+
+
+def _reference_complement(sp, ambient, removed):
+    """The QR/SVD complement: project the generators' embeddings off the
+    removed monomials' by QR, orthonormalize them by SVD, solve back."""
+    removed_set = set(removed)
+    gens = [u for u in ambient if u not in removed_set]
+    X = sp._emb[:, [sp._index[u] for u in gens]]
+    q, _ = np.linalg.qr(sp._emb[:, [sp._index[u] for u in removed]])
+    X = X - q @ (q.conj().T @ X)
+    u, s, _ = np.linalg.svd(X, full_matrices=False)
+    assert np.sum(s > RANK_TOL * s[0]) == len(gens)
+    full = np.linalg.solve(sp._emb, u)
+    vectors = sp._phase_normalize(full[[sp._index[v] for v in ambient]])
+    return SubspaceBasis(tuple(ambient), vectors)
+
+
+def _basis_defects(sp, kind, k, l):
+    """Angle and largest entry gap to the reference, orthonormality
+    defect, and the largest |<b, z^j w^k>| over removed monomials."""
+    ambient, removed = structural(kind, k, l)
+    b = sp.basis(kind, k, l)
+    ref = _reference_complement(sp, ambient, removed)
+    assert b.support == ref.support
+    gap = np.max(np.abs(b.vectors - ref.vectors)) / np.max(np.abs(ref.vectors))
+    ortho = np.max(np.abs(sp.cross(b, b) - np.eye(b.dim)))
+    monomials = SubspaceBasis(tuple(removed), np.eye(len(removed)))
+    leak = np.max(np.abs(sp.cross(b, monomials)))
+    return subspace_angle(sp, b, ref), gap, ortho, leak
+
+
+@pytest.fixture(scope="module")
+def table_perturb_16_16():
+    """Moments of 1 + e(z, w) of degree (16, 16), sum |e_jk| = 0.5."""
+    rng = np.random.default_rng(1616)
+    e = rng.normal(size=(17, 17)) + 1j * rng.normal(size=(17, 17))
+    e[0, 0] = 0.0
+    a = 0.5 * e / np.sum(np.abs(e))
+    a[0, 0] += 1.0
+    return moments_from_density(BiPoly(a), 16, 16)
+
+
+@pytest.mark.parametrize("which", ["8x8", "16x16"])
+def test_bases_match_qr_svd_reference(which, table_perturb_8_8,
+                                      table_perturb_16_16):
+    table, n = {"8x8": (table_perturb_8_8, 8),
+                "16x16": (table_perturb_16_16, 16)}[which]
+    sp = MomentSpace(table, n, n)
+    # the caps, then two rectangles that are not leading blocks of the
+    # z-major or the w-major order
+    cases = [(kind, n, n) for kind in ("E1", "F1", "E2", "F2")]
+    cases += [("H", n // 2, n)]
+    cases += [(kind, k, l) for kind in ("E1", "F1", "E2", "F2")
+              for k, l in ((n - 3, n - 2), (2, n - 1))]
+    for kind, k, l in cases:
+        angle, gap, ortho, leak = _basis_defects(sp, kind, k, l)
+        assert angle <= 1e-10, (kind, k, l, angle)
+        # the rotation by the singular vectors reproduces the SVD basis
+        assert gap <= 1e-10, (kind, k, l, gap)
+        assert ortho <= 1e-13, (kind, k, l, ortho)
+        assert leak <= 1e-12, (kind, k, l, leak)
+
+
+def test_complement_rank_check_is_live(monkeypatch, table_2zw):
+    monkeypatch.setattr(space_mod, "RANK_TOL", 1.0)
+    with pytest.raises(DegenerateForm, match="subspace rank"):
+        MomentSpace(table_2zw, 1, 1).basis("E1", 1, 1)
