@@ -10,6 +10,9 @@ every requested moment stabilizes.
 Per N x N grid, a polynomial is sampled separably (two thin tables of
 N-th roots of unity times its coefficient block), and the density is
 transformed along z only on the 2*kmax + 1 columns of the moment window.
+The pass runs in blocks of about BLOCK_POINTS grid points (whole rows):
+each block is sampled, inverted and transformed along w before the next
+is formed, so no N x N array is ever held.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .poly import BiPoly, _readonly, reflect
 
 POLE_MARGIN = 1e-12  # denominator minimum, relative to its grid maximum
 POSITIVE_TOL = 1e-12  # is_positive's bound on the Gram's eigenvalue ratio
+BLOCK_POINTS = 1 << 15  # grid points per row block of the quadrature pass
 
 
 @dataclass(frozen=True)
@@ -110,62 +114,85 @@ class TrigPoly(MomentTable):
 
     def values_on_grid(self, N):
         """Evaluate on the N x N uniform torus grid (real array)."""
+        return np.concatenate(list(self._rows_on_grid(N)))
+
+    def _rows_on_grid(self, N):
         if N <= 2 * max(self.jmax, self.kmax):
             raise ValueError("grid too small for the coefficient window")
-        return _grid_values(self.c, -self.jmax, -self.kmax, N).real
+        return (v.real for v in _grid_rows(self.c, -self.jmax, -self.kmax, N))
 
 
-def _grid_values(coeffs, j0, k0, N):
+def _grid_rows(coeffs, j0, k0, N):
     """Values of sum_{a,b} coeffs[a, b] z^(j0+a) w^(k0+b) on the N x N grid.
 
     Entry [r, s] is the value at z = e^(2 pi i r/N), w = e^(2 pi i s/N),
-    computed as Vz @ coeffs @ Vw^T with Vz[r, a] = z^(j0+a) and
+    computed as (Vz @ coeffs) @ Vw^T with Vz[r, a] = z^(j0+a) and
     Vw[s, b] = w^(k0+b), read from one table of N-th roots of unity.
+    Yields consecutive blocks of max(1, BLOCK_POINTS // N) rows; only the
+    thin factor Vz @ coeffs is held for the whole grid.
     """
     t = np.arange(N)
     # angles in [-pi, pi] round to half the error of angles up to 2 pi
     roots = np.exp(2j * np.pi * np.where(2 * t > N, t - N, t) / N)
     vz = roots[np.outer(t, np.arange(j0, j0 + coeffs.shape[0])) % N]
     vw = roots[np.outer(t, np.arange(k0, k0 + coeffs.shape[1])) % N]
-    return vz @ coeffs @ vw.T
+    left = vz @ coeffs
+    step = max(1, BLOCK_POINTS // N)
+    for r in range(0, N, step):
+        yield left[r: r + step] @ vw.T
 
 
-def _poly_grid_values(p: BiPoly, N):
+def _poly_grid_rows(p: BiPoly, N):
     n, m = p.deg
     if N <= max(n, m):
         raise ValueError("grid too small for the polynomial degree")
-    return _grid_values(p.coeffs, 0, 0, N)
+    return _grid_rows(p.coeffs, 0, 0, N)
 
 
-def _moment_window(dens, jmax, kmax):
+def _poly_grid_values(p: BiPoly, N):
+    return np.concatenate(list(_poly_grid_rows(p, N)))
+
+
+def _moment_window(blocks, N, jmax, kmax):
     """Moments [-jmax..jmax] x [-kmax..kmax] of N x N real samples.
 
-    A real FFT along w gives columns 0..kmax; columns -kmax..-1 are their
-    conjugates, because the samples are real.  An FFT along z of those
-    2*kmax + 1 columns then gives rows -jmax..jmax.  That FFT goes through
-    ``np.fft.fft2`` over the last axis only, which is a 1-D FFT, because
-    the benchmark trace (bench/spans.py) counts quadrature grids there.
+    The samples arrive as consecutive row blocks, and no N x N array is
+    formed.  A real FFT along w of each block gives its entries of columns
+    0..kmax; columns -kmax..-1 are their conjugates, because the samples
+    are real.  An FFT along z of those 2*kmax + 1 columns then gives rows
+    -jmax..jmax.  That FFT goes through ``np.fft.fft2`` over the last axis
+    only, which is a 1-D FFT, because the benchmark trace (bench/spans.py)
+    counts quadrature grids there.  A block that is not finite is not
+    transformed; the overflow is raised once the blocks are drained, so
+    that a check the block source runs at its end comes first.
     """
-    if not np.isfinite(dens).all():
+    half = np.empty((kmax + 1, N), dtype=complex)
+    finite = True
+    r = 0
+    for dens in blocks:
+        finite = finite and bool(np.isfinite(dens).all())
+        if finite:
+            half[:, r: r + len(dens)] = np.fft.rfft(dens, axis=1)[:, : kmax + 1].T
+        r += len(dens)
+    if not finite:
         raise MomentDivergence("density overflowed on the grid")
-    N = dens.shape[0]
-    half = np.fft.rfft(dens, axis=1)[:, : kmax + 1].T
     cols = np.concatenate([np.conj(half[:0:-1]), half])
     win = np.fft.fft2(cols, axes=(-1,))[:, np.arange(-jmax, jmax + 1) % N]
     return win.T / (N * N)
 
 
 def _moments_of_grid_density(density_at, jmax, kmax, cfg):
-    """Shared doubling loop: density_at(N) -> N x N real positive samples.
+    """Shared doubling loop over density_at(N).
 
-    Per grid only the moment window is transformed (``_moment_window``).
+    density_at(N) yields the N x N real positive samples as row blocks;
+    per grid only the moment window is transformed (``_moment_window``).
     """
     N = max(cfg.initial_grid, 2 * max(jmax, kmax) + 2)
     N = 1 << int(np.ceil(np.log2(N)))
     prev = None
     last_diff = np.inf
     while N <= cfg.max_grid:
-        win = _moment_window(density_at(N), jmax, kmax)
+        win = _moment_window(density_at(N), N, jmax, kmax)
         win = 0.5 * (win + np.conj(win[::-1, ::-1]))
         if prev is not None:
             scale = max(1.0, abs(win[jmax, kmax]))
@@ -191,13 +218,16 @@ def moments_from_density(p: BiPoly, jmax, kmax,
         raise ZeroPolynomial("density 1/|p|^2 needs a nonzero p")
 
     def density_at(N):
-        vals = _poly_grid_values(pt, N)
-        a2 = np.abs(vals) ** 2
-        lo, hi = float(np.min(a2)), float(np.max(a2))
+        lo, hi = np.inf, 0.0
+        for vals in _poly_grid_rows(pt, N):
+            a2 = np.abs(vals) ** 2
+            lo, hi = min(lo, float(np.min(a2))), max(hi, float(np.max(a2)))
+            with np.errstate(divide="ignore"):
+                dens = 1.0 / a2
+            yield dens
         if lo <= POLE_MARGIN * hi:
             raise MomentDivergence(
                 f"|p|^2 nearly vanishes on the torus (min/max = {lo / hi:.3e})")
-        return 1.0 / a2
 
     return _moments_of_grid_density(density_at, jmax, kmax, cfg)
 
@@ -207,12 +237,15 @@ def moments_from_trig(t: TrigPoly, jmax, kmax,
     """Moments of dsigma / t for a strictly positive trig polynomial t."""
 
     def density_at(N):
-        vals = t.values_on_grid(N)
-        lo, hi = float(np.min(vals)), float(np.max(vals))
+        lo, hi = np.inf, -np.inf
+        for vals in t._rows_on_grid(N):
+            lo, hi = min(lo, float(np.min(vals))), max(hi, float(np.max(vals)))
+            with np.errstate(divide="ignore"):
+                dens = 1.0 / vals
+            yield dens
         if lo <= POLE_MARGIN * max(hi, 1e-300):
             raise NonPositiveDensity(
                 f"t is not strictly positive on the grid (min {lo:.3e})")
-        return 1.0 / vals
 
     return _moments_of_grid_density(density_at, jmax, kmax, cfg)
 
@@ -229,7 +262,7 @@ def moments_from_grid_function(fn, jmax, kmax) -> MomentTable:
         theta = 2.0 * np.pi * np.arange(N) / N
         z = np.exp(1j * theta)
         zz, ww = np.meshgrid(z, z, indexing="ij")
-        return np.asarray(fn(zz, ww), dtype=float)
+        yield np.asarray(fn(zz, ww), dtype=float)
 
     return _moments_of_grid_density(density_at, jmax, kmax, QuadratureConfig())
 

@@ -20,6 +20,7 @@ from .errors import InvalidDegree, RootNearTorus, ZeroPolynomial
 TRIM_REL = 1e-12          # drop trailing coefficients below this times max |coeff|
 ROOT_MARGIN = 1e-6        # width of the forbidden band around |root| = 1
 CLUSTER_TOL = 1e-6        # root-clustering radius of the approximate gcd
+PHASE_TIE_REL = 1e-8      # canonical_phase: moduli this close to the row maximum tie
 
 
 def _readonly(a):
@@ -386,13 +387,16 @@ def canonical_phase(p: BiPoly) -> BiPoly:
     """Rotate p by a unimodular constant fixing a canonical phase.
 
     The coefficient of largest modulus in the w^0 row is made real
-    positive; ties broken by the lowest z-power.
+    positive.  Moduli within PHASE_TIE_REL of the largest count as a tie,
+    which the lowest z-power wins, so that round-off cannot pick the
+    pivot of an exact tie such as (8, -8, 2).
     """
     t = p.trimmed()
     row = t.coeffs[:, 0]
     if np.max(np.abs(row)) < TRIM_REL * max(1.0, np.max(np.abs(t.coeffs))):
         row = t.coeffs.ravel()
-    idx = int(np.argmax(np.abs(row)))
+    mod = np.abs(row)
+    idx = int(np.argmax(mod >= (1.0 - PHASE_TIE_REL) * np.max(mod)))
     pivot = row[idx]
     if pivot == 0.0:
         return p

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from bszego import (BiPoly, InsufficientMoments, MomentDivergence, MomentTable,
                     NonPositiveDensity, QuadratureConfig, TrigPoly,
                     ZeroPolynomial, gram, is_positive, moments_from_density,
                     moments_from_grid_function, moments_from_trig)
+from bszego import moments
 from bszego.moments import _poly_grid_values, _rect_gram_eigvalsh
 
 from conftest import geometric_diag_moment, riemann_moment
@@ -123,6 +127,75 @@ def test_grid_function_overflow_rejected():
 
     with pytest.raises(MomentDivergence, match="density overflowed on the grid"):
         moments_from_grid_function(dens, 1, 1)
+
+
+def _block_tables(monkeypatch, p, points):
+    monkeypatch.setattr(moments, "BLOCK_POINTS", points)
+    return (moments_from_density(p, 3, 2).c,
+            moments_from_trig(TrigPoly.from_abs_squared(p), 3, 2).c)
+
+
+def test_quadrature_is_block_invariant(monkeypatch):
+    p = BiPoly([[1.4, 0.3], [0.2j, -1.0]])
+    with pytest.raises(MomentDivergence):            # needs the 256^2 grid
+        moments_from_density(p, 3, 2, QuadratureConfig(max_grid=128))
+    whole = _block_tables(monkeypatch, p, 1 << 24)   # one block per grid
+    # one row per block; then 12, 6 and 3 rows at 64, 128 and 256, each
+    # grid with a ragged last block
+    for points in (1, 3 * 256):
+        for got, ref in zip(_block_tables(monkeypatch, p, points), whole):
+            assert np.max(np.abs(got - ref)) <= 1e-15 * abs(ref[3, 2])
+
+
+def _pole_message(p, N):
+    a2 = np.abs(_poly_grid_values(p, N)) ** 2
+    return f"|p|^2 nearly vanishes on the torus (min/max = {a2.min() / a2.max():.3e})"
+
+
+def test_pole_in_last_block(monkeypatch):
+    # the first (64^2) grid, read in blocks of 5 rows: zeros on its last
+    # row, then a near zero on its first row with the grid maximum in a
+    # later block.  The pole check runs after the last block, on the whole
+    # grid's min and max, and must win over the overflow of the inverted
+    # samples, with no divide-by-zero warning.
+    zeta = np.exp(2j * np.pi * 63 / 64)
+    root = np.exp(-2j * np.pi / 64)                 # exactly the grid's last z
+    cases = [BiPoly([[2.0, -1.0], [-np.conj(zeta), 0.0]]),   # 2 - conj(zeta) z - w
+             BiPoly([[-2.0 * root, root], [2.0, -1.0]]),     # (z - root)(2 - w)
+             BiPoly([[2.0 + 1e-7, -1.0], [-1.0, 0.0]])]      # 2 + 1e-7 - z - w
+    messages = [_pole_message(p, 64) for p in cases]
+    assert np.min(np.abs(_poly_grid_values(cases[1], 64))) == 0.0
+    monkeypatch.setattr(moments, "BLOCK_POINTS", 5 * 64)
+    for p, msg in zip(cases, messages):
+        with pytest.raises(MomentDivergence, match=re.escape(msg)):
+            moments_from_density(p, 1, 1)
+
+
+def test_negative_trig_in_late_block(monkeypatch):
+    # t = 1 - delta - cos(theta_z - phi), read in blocks of 5 rows of the
+    # 64^2 grid: negative only on the last row; negative on the last and the
+    # first row, deepest on the last; zero on row 32, with no divide-by-zero
+    # warning.  The message reports the minimum over the whole grid.
+    monkeypatch.setattr(moments, "BLOCK_POINTS", 5 * 64)
+    for phi, delta in [(63 / 64, 1e-3), (63.4 / 64, 5e-3), (0.5, 0.0)]:
+        e = np.exp(-2j * np.pi * phi)
+        t = TrigPoly(1, 0, np.array([[-np.conj(e) / 2], [1.0 - delta], [-e / 2]]))
+        lo = t.values_on_grid(64).min()
+        assert lo < 0.0 if delta else lo == 0.0
+        msg = f"t is not strictly positive on the grid (min {lo:.3e})"
+        with pytest.raises(NonPositiveDensity, match=re.escape(msg)):
+            moments_from_trig(t, 1, 1)
+
+
+def test_quadrature_memory_stays_in_blocks():
+    p = BiPoly([[1.03, 0.0], [0.0, -1.0]])           # reaches the 2048^2 grid
+    tracemalloc.start()
+    try:
+        moments_from_density(p, 2, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20                        # one 2048^2 float array is 32 MiB
 
 
 def test_divergence_for_torus_zero():

@@ -177,6 +177,9 @@ def test_canonical_phase():
     cp = canonical_phase(p)
     # the largest w^0-row coefficient becomes real positive
     assert abs(cp.coeffs[0, 0] - 2.0) < 1e-14
+    # |-8| and |8 + 1e-14| tie within PHASE_TIE_REL: the z^0 entry wins
+    cp = canonical_phase(BiPoly(np.array([[-8.0], [8.0 + 1e-14], [2.0]])))
+    assert cp.coeffs[0, 0] == 8.0
 
 
 def test_transpose_swaps_variables():

@@ -5,8 +5,8 @@ from bszego import (BiPoly, DNotAdmissible, MatrixConditionFails,
                     MomentDivergence, MomentSpace, RootNearTorus,
                     build_operators, check_matrix_condition,
                     enumerate_split_polys, gw_check, moments_from_density,
-                    moments_from_grid_function, shift_split_from_p,
-                    split_poly_from_condition)
+                    moments_from_grid_function, reconstruct_p,
+                    shift_split_from_p, split_poly_from_condition)
 from bszego.space import containment_defect, subspace_angle
 from bszego.splitshift import FACE_MARGIN, FACE_SAMPLES, assert_no_face_zeros
 
@@ -148,6 +148,18 @@ def test_split_from_condition_d0(space_2zw, p_2zw):
     split = split_poly_from_condition(space_2zw, 0)
     assert max_modulus_gap(split.split_poly,
                            p_2zw * (1.0 / space_2zw.norm(p_2zw))) < 1e-8
+
+
+def test_exact_modulus_tie_gives_plus_p():
+    # the w^0 row of (2 - z)^2 (2 - zw) is (8, -8, 2): the z^0 entry wins
+    p = (BiPoly([[2.0], [-1.0]]) * BiPoly([[2.0], [-1.0]])
+         * BiPoly([[2.0, 0.0], [0.0, -1.0]]))
+    table = moments_from_density(p, 6, 2)
+    for q in (reconstruct_p(table, 3, 1),
+              split_poly_from_condition(MomentSpace(table, 3, 1), 0).split_poly):
+        scale = q.coeffs[0, 0].real / 8.0
+        assert scale > 0
+        assert np.max(np.abs(q.coeffs - scale * p.coeffs)) < 1e-10 * scale
 
 
 def test_split_from_condition_d1_not_admissible(space_2zw):
