@@ -353,19 +353,6 @@ def divide_bipoly_z(p: BiPoly, d: UniPoly):
     return BiPoly(out), worst
 
 
-def flip_root(u: UniPoly, root) -> UniPoly:
-    """Replace the factor (z - root) by (1 - conj(root) z).
-
-    The two factors have identical modulus on the unit circle, so the
-    flip preserves |u| on the circle while moving the root to
-    1/conj(root).
-    """
-    q, rem = npoly.polydiv(u.trimmed().coeffs, np.array([-root, 1.0]))
-    if np.max(np.abs(rem)) > 1e-6 * max(1.0, np.max(np.abs(u.coeffs))):
-        raise InvalidDegree(f"{root} is not a root (remainder {np.max(np.abs(rem)):.2e})")
-    return UniPoly(np.convolve(q, np.array([1.0, -np.conj(root)])))
-
-
 def z_content(p: BiPoly):
     """Factor p = h(z) g(z, w) with h the z-only content.
 

@@ -13,26 +13,32 @@ Bernstein-Szego moment form for some p with no zeros on the closed face
 |z| = 1, |w| <= 1, and the admissible stratification parameter d (the
 number of zeros of p(z, 0) inside the disk) fills the interval
 [dim A-space, n - dim B-space].
+
+Each admissible d has a shift-split (K1, K2), dim K1 = d: K1 is the
+A-space plus a T*-invariant part of the middle space E1(n-1, m) minus
+(A-space + B-space), and K2 its complement.  T* compressed to the middle
+space has eigenvalue 1/r for each root r of the z-content of p and 0 for
+each formal slot at infinity (cap n above deg p), one Jordan block per
+distinct value; the kernel of prod (T* - 1/r)^k, k up to the
+multiplicity, gives the split-poly with k copies of each root flipped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import product
 
 import numpy as np
 
 from .errors import (DegenerateForm, DNotAdmissible, InvalidDegree,
                      MatrixConditionFails, RootNearTorus)
-from .poly import (CLUSTER_TOL, BiPoly, UniPoly, _cluster, canonical_phase,
-                   flip_root, roots, split_stable, w_roots, z_content)
+from .poly import BiPoly, canonical_phase, split_stable, w_roots
 from .space import MomentSpace, SubspaceBasis, empty_basis
 
 MC_TOL = 1e-8
 KRYLOV_RANK_TOL = 1e-8  # absolute singular-value cut of the Krylov spans
 FACE_SAMPLES = 64       # z points on the circle in assert_no_face_zeros
 FACE_MARGIN = 1e-7      # w-roots this close to the closed disk are face zeros
-DEDUPE_TOL = 1e-8       # relative coefficient distance of duplicate split-polys
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,11 +173,11 @@ def _complement_in_coords(coords, dim):
     """Orthonormal complement of the column span inside C^dim."""
     if coords.shape[1] == 0:
         return np.eye(dim, dtype=complex)
-    q = np.linalg.qr(coords)[0]
-    proj = np.eye(dim, dtype=complex) - q @ q.conj().T
-    u, s, _ = np.linalg.svd(proj)
+    # the columns of a direct split are orthonormal: a singular value
+    # below 0.5 is a rank drop, and the complement grows by one
+    u, s, _ = np.linalg.svd(coords)
     rank = int(np.sum(s > 0.5))
-    return u[:, :rank]
+    return u[:, rank:]
 
 
 def split_poly_of(space: MomentSpace, k1: SubspaceBasis,
@@ -218,51 +224,6 @@ def shift_split_from_p(space: MomentSpace, p: BiPoly) -> ShiftSplit:
     return ShiftSplit(k1=k1, k2=k2, split_poly=split_poly_of(space, k1, k2))
 
 
-def _formal_flips(p: BiPoly, n):
-    """Stable z-content factorization with the available root flips.
-
-    Returns (q, g, flips) where p = q(z) g(z, w) up to normalization,
-    q is stable, and flips lists the flippable items: finite stable
-    roots sorted by modulus, then one None per missing formal degree
-    (a flip at infinity, i.e. multiplication by z).
-    """
-    h, g, res = z_content(p)
-    if res > 1e-6:
-        raise DegenerateForm(f"z-content division residual {res:.3e}")
-    q = h
-    if q.degree > 0:
-        # flip any unstable content roots out of the disk first
-        rs = split_stable(q)
-        q = rs.stable
-        if rs.beta:
-            for rho in roots(rs.unstable):
-                q = q * UniPoly([1.0, -np.conj(rho)])
-    n1 = g.trimmed().deg[0]
-    n0 = n - n1
-    if q.degree > n0:
-        raise InvalidDegree("content degree exceeds the formal bound")
-    finite = []
-    if q.degree > 0:
-        # cluster so that a repeated root yields identical flip values
-        # (double roots come out of the eigensolver ~sqrt(eps) apart)
-        centers, counts = _cluster(list(roots(q)), CLUSTER_TOL)
-        for center, count in zip(centers, counts):
-            finite.extend([complex(center)] * count)
-        finite.sort(key=lambda r: (abs(r), r.real, r.imag))
-    flips = finite + [None] * (n0 - q.degree)
-    return q, g, flips
-
-
-def _apply_flips(q: UniPoly, g: BiPoly, flips_chosen):
-    h = q
-    for item in flips_chosen:
-        if item is None:
-            h = UniPoly(np.concatenate([[0.0], h.coeffs]))  # multiply by z
-        else:
-            h = flip_root(h, item)
-    return h.to_bipoly() * g
-
-
 def _unit_normalized(space: MomentSpace, p: BiPoly) -> BiPoly:
     nrm = space.norm(p)
     if nrm == 0.0:
@@ -290,6 +251,13 @@ def assert_no_face_zeros(p: BiPoly):
         raise RootNearTorus(f"w-root of modulus {low[i]:.6f} at z = {zs[i]}")
 
 
+def _split_from_k1(space: MomentSpace, ops: ShiftOperators, k1_coords) -> ShiftSplit:
+    """K1 spanned by ``k1_coords`` (E1 coordinates), K2 its complement."""
+    k1 = _coords_to_basis(ops.e1, k1_coords)
+    k2 = _coords_to_basis(ops.e1, _complement_in_coords(k1_coords, ops.e1.dim))
+    return ShiftSplit(k1, k2, _unit_normalized(space, split_poly_of(space, k1, k2)))
+
+
 def minimal_split_poly(space: MomentSpace, ops: ShiftOperators) -> BiPoly:
     """Unit-norm split-poly of the minimal shift-split, phase-canonical.
 
@@ -298,65 +266,109 @@ def minimal_split_poly(space: MomentSpace, ops: ShiftOperators) -> BiPoly:
     matrix condition on ``ops``.
     """
     a_coords, _ = canonical_invariant_spaces(ops)
-    k1 = _coords_to_basis(ops.e1, a_coords)
-    k2 = _coords_to_basis(ops.e1, _complement_in_coords(a_coords, ops.e1.dim))
-    return _unit_normalized(space, split_poly_of(space, k1, k2))
+    return _split_from_k1(space, ops, a_coords).split_poly
 
 
-def split_poly_from_condition(space: MomentSpace, d=0) -> ShiftSplit:
-    """Construct a shift-split with dim K1 = d from the operators alone.
-
-    The minimal-K1 split (K1 = A-space) gives the stable-content
-    representative; requesting a larger admissible d flips the
-    smallest-modulus stable roots of the z-content into the disk.
-    """
+def _operators_under_condition(space: MomentSpace):
     ops = build_operators(space)
     report = check_matrix_condition(ops)
     if not report.holds:
         raise MatrixConditionFails(
             f"max ||A T^j B|| = {report.max_violation:.3e} >= {MC_TOL}")
+    return ops, report
+
+
+def _middle_spectrum(ops: ShiftOperators):
+    """(a, mid, t_mid, clusters): E1 coordinates of the A-space and the
+    middle space, T* compressed to the latter, and its eigenvalue clusters
+    as (mean, multiplicity), largest |mean| first.
+
+    A k-fold eigenvalue computes as a ring of radius about eps^(1/k).  The
+    k eigenvalues nearest a seed, none in an earlier cluster, with mean
+    lam, are one k-fold eigenvalue when (t_mid - lam)^k has k singular
+    values at most MC_TOL: the largest such k, then the smallest value.
+    """
+    a, b = canonical_invariant_spaces(ops)
+    mid = _complement_in_coords(np.hstack([a, b]), ops.e1.dim)
+    t_mid = mid.conj().T @ ops.t_mat.conj().T @ mid
+    r, ev = t_mid.shape[0], np.linalg.eigvals(t_mid)
+    free, clusters = np.ones(r, dtype=bool), []
+    while free.any():
+        for k in range(int(free.sum()), 0, -1):
+            groups = [np.argsort(np.abs(ev - ev[i]) - (np.arange(r) == i))[:k]
+                      for i in np.flatnonzero(free)]
+            groups = [g for g in groups if free[g].all()]
+            tests = [np.linalg.svd(np.linalg.matrix_power(
+                t_mid - np.mean(ev[g]) * np.eye(r), k), compute_uv=False)[r - k]
+                for g in groups]
+            if k == 1 or (tests and min(tests) <= MC_TOL):
+                break
+        group = groups[int(np.argmin(tests))]
+        clusters.append((complex(np.mean(ev[group])), k))
+        free[group] = False
+    clusters.sort(key=lambda c: -abs(c[0]))
+    return a, mid, t_mid, clusters
+
+
+def _k1_coords(a, mid, t_mid, clusters, counts):
+    """A-space plus the kernel of prod (t_mid - lam_c)^(k_c), in E1 coordinates."""
+    r, extra = t_mid.shape[0], sum(counts)
+    prod = np.eye(r, dtype=complex)
+    for (lam, _), k in zip(clusters, counts):
+        prod = prod @ np.linalg.matrix_power(t_mid - lam * np.eye(r), k)
+    kernel = np.linalg.svd(prod)[2][r - extra:].conj().T
+    return np.hstack([a, mid @ kernel])
+
+
+def _checked_split(space, ops, k1_coords) -> ShiftSplit:
+    """_split_from_k1 checked: K1 orthogonal to z K2, no face zeros, d disk roots."""
+    split = _split_from_k1(space, ops, k1_coords)
+    if np.abs(space.cross(split.k1, split.k2.shifted(1, 0))).max(initial=0.0) > MC_TOL:
+        raise DegenerateForm("K1 is not orthogonal to z K2")
+    assert_no_face_zeros(split.split_poly)
+    beta, d = split_stable(split.split_poly.z_slice()).beta, split.k1.dim
+    if beta != d:
+        raise DegenerateForm(f"constructed split-poly has {beta} disk roots, wanted {d}")
+    return split
+
+
+def split_poly_from_condition(space: MomentSpace, d=0) -> ShiftSplit:
+    """Construct a shift-split with dim K1 = d from the operators alone.
+
+    K1 is T*-invariant and contains the A-space; K2 is its complement.
+    The minimal K1 (the A-space) gives the stable-content representative.
+    The other d - dim A dimensions are taken from the generalized
+    eigenspaces of T* compressed to the middle space, whole clusters in
+    order of decreasing |eigenvalue| (see the module docstring): the
+    smallest-modulus content roots are flipped into the disk first and
+    the slots at infinity last.
+    """
+    ops, report = _operators_under_condition(space)
     if not (report.d_min <= d <= report.d_max):
         raise DNotAdmissible(
             f"d = {d} outside admissible [{report.d_min}, {report.d_max}]")
-    q, g, flips = _formal_flips(minimal_split_poly(space, ops), space.nmax)
-    extra = d - report.d_min
-    if extra > len(flips):
-        raise DNotAdmissible(
-            f"only {len(flips)} flips available for d = {d}")
-    p_d = _unit_normalized(space, _apply_flips(q, g, flips[:extra]))
-    assert_no_face_zeros(p_d)
-    rs = split_stable(p_d.z_slice())
-    if rs.beta != d:
-        raise DegenerateForm(
-            f"constructed split-poly has {rs.beta} disk roots, wanted {d}")
-    split = shift_split_from_p(space, p_d)
-    return ShiftSplit(k1=split.k1, k2=split.k2, split_poly=p_d)
+    a, mid, t_mid, clusters = _middle_spectrum(ops)
+    # whole clusters in order, the last one in part
+    filled = np.cumsum([0] + [k for _, k in clusters])
+    counts = np.diff(np.minimum(filled, d - report.d_min))
+    return _checked_split(space, ops, _k1_coords(a, mid, t_mid, clusters, counts))
 
 
-def enumerate_split_polys(space: MomentSpace, p: BiPoly):
-    """All split-polys sharing |p|^2, as (polynomial, d) pairs.
+def enumerate_split_polys(space: MomentSpace):
+    """All split-polys of the form, as (polynomial, d) pairs sorted by d.
 
-    One representative per subset of the formal z-content roots (finite
-    stable roots and slots at infinity); duplicates arising from
-    repeated roots are removed by coefficient distance (DEDUPE_TOL).
+    One per T*-invariant K1 between the A-space and the orthogonal
+    complement of the B-space: a choice of k_c <= multiplicity for each
+    eigenvalue cluster of T* compressed to the middle space, with
+    d = dim A + sum k_c.  All share |p|^2 on the torus.  Raises
+    MatrixConditionFails when the form is not Bernstein-Szego.
     """
-    p_unit = _unit_normalized(space, p.trimmed())
-    q, g, flips = _formal_flips(p_unit, space.nmax)
-    d_g = split_stable(g.z_slice()).beta
+    ops, _ = _operators_under_condition(space)
+    a, mid, t_mid, clusters = _middle_spectrum(ops)
     out = []
-    for size in range(len(flips) + 1):
-        for subset in combinations(range(len(flips)), size):
-            cand = _unit_normalized(
-                space, _apply_flips(q, g, [flips[i] for i in subset]))
-            dup = False
-            for seen, _ in out:
-                if seen.coeffs.shape == cand.coeffs.shape and \
-                        np.max(np.abs(seen.coeffs - cand.coeffs)) <= \
-                        DEDUPE_TOL * max(1.0, np.max(np.abs(seen.coeffs))):
-                    dup = True
-                    break
-            if not dup:
-                out.append((cand, size + d_g))
+    for counts in product(*(range(mult + 1) for _, mult in clusters)):
+        split = _checked_split(space, ops, _k1_coords(a, mid, t_mid, clusters, counts))
+        out.append((split.split_poly, split.k1.dim))
     out.sort(key=lambda pair: pair[1])
     return out
 

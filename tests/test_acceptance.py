@@ -128,7 +128,7 @@ def test_criterion_05_stratification():
     table = moments_from_density(p, 3, 1)
     sp = MomentSpace(table, 3, 1)
     rep = check_matrix_condition(build_operators(sp))
-    out = enumerate_split_polys(sp, p)
+    out = enumerate_split_polys(sp)
     nrm = sp.norm(p)
     zz, ww = torus_grid(128)
     ref = np.abs(p(zz, ww)) / nrm

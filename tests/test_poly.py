@@ -3,8 +3,8 @@ import pytest
 
 from bszego import (BiPoly, InvalidDegree, RootNearTorus, UniPoly,
                     ZeroPolynomial, gcd_approx, reflect, roots, split_stable)
-from bszego.poly import (canonical_phase, divide_bipoly_z, flip_root,
-                         reflect_uni, w_roots, z_content)
+from bszego.poly import (canonical_phase, divide_bipoly_z, reflect_uni,
+                         w_roots, z_content)
 
 from conftest import torus_grid
 
@@ -144,14 +144,6 @@ def test_gcd_multiplicity():
 def test_gcd_all_zero():
     with pytest.raises(ZeroPolynomial):
         gcd_approx([UniPoly([0.0]), UniPoly([0.0, 0.0])])
-
-
-def test_flip_root_preserves_circle_modulus():
-    u = UniPoly(np.polynomial.polynomial.polyfromroots([2.5, -1.7j]))
-    flipped = flip_root(u, 2.5)
-    z = np.exp(1j * np.linspace(0, 2 * np.pi, 101))
-    assert np.max(np.abs(np.abs(u(z)) - np.abs(flipped(z)))) < 1e-12
-    assert np.min(np.abs(roots(flipped))) < 1.0
 
 
 def test_z_content():

@@ -1,14 +1,18 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
-from bszego import (BiPoly, DNotAdmissible, MatrixConditionFails,
-                    MomentDivergence, MomentSpace, RootNearTorus,
-                    build_operators, check_matrix_condition,
-                    enumerate_split_polys, gw_check, moments_from_density,
-                    moments_from_grid_function, reconstruct_p,
-                    shift_split_from_p, split_poly_from_condition)
+from bszego import (BiPoly, DegenerateForm, DNotAdmissible,
+                    MatrixConditionFails, MomentDivergence, MomentSpace,
+                    RootNearTorus, SubspaceBasis, build_operators,
+                    check_matrix_condition, enumerate_split_polys, gw_check,
+                    moments_from_density, moments_from_grid_function,
+                    reconstruct_p, shift_split_from_p,
+                    split_poly_from_condition)
 from bszego.space import containment_defect, subspace_angle
-from bszego.splitshift import FACE_MARGIN, FACE_SAMPLES, assert_no_face_zeros
+from bszego.splitshift import (FACE_MARGIN, FACE_SAMPLES, assert_no_face_zeros,
+                               split_poly_of)
 
 from conftest import (gram_from_table, gram_schmidt_coeffs, max_modulus_gap,
                       random_corpus_poly)
@@ -167,14 +171,45 @@ def test_split_from_condition_d1_not_admissible(space_2zw):
         split_poly_from_condition(space_2zw, 1)
 
 
-def test_split_from_condition_fails_without_condition():
+def _mixture_space():
+    """The non-Bernstein-Szego blend of test_condition_fails_generic."""
     def dens(zz, ww):
         return 0.5 / np.abs(2.0 - zz * ww) ** 2 + 0.5 / np.abs(2.0 - zz) ** 2
 
-    table = moments_from_grid_function(dens, 2, 1)
-    sp = MomentSpace(table, 2, 1)
+    return MomentSpace(moments_from_grid_function(dens, 2, 1), 2, 1)
+
+
+def test_split_from_condition_fails_without_condition():
     with pytest.raises(MatrixConditionFails):
-        split_poly_from_condition(sp, 0)
+        split_poly_from_condition(_mixture_space(), 0)
+
+
+def test_enumerate_fails_without_condition():
+    with pytest.raises(MatrixConditionFails):
+        enumerate_split_polys(_mixture_space())
+
+
+def test_no_split_beyond_a_point_interval():
+    # prod (alpha - zw), alpha = linspace(3, 6, 16): the true interval is
+    # [0, 0], but the Krylov rank cut reads dim B = 14 and admits [0, 2];
+    # the d = 1, 2 candidates from the two noise directions are not
+    # shift-splits (K1 is not orthogonal to z K2) and must not come back
+    p = BiPoly([[1.0]])
+    for alpha in np.linspace(3, 6, 16):
+        p = p * BiPoly([[alpha, 0], [0, -1.0]])
+    sp = MomentSpace(moments_from_density(p, 16, 16), 16, 16)
+    for d in (1, 2):
+        with pytest.raises((DegenerateForm, DNotAdmissible)):
+            split_poly_from_condition(sp, d)
+
+
+def test_split_poly_of_rejects_overlapping_k1_zk2(lebesgue_table):
+    # K1 = z K2 = span{z}: K1 + z K2 is not direct, and its complement in
+    # E1(2, 1) = span{1, z, z^2} has dimension 2, not 1
+    sp = MomentSpace(lebesgue_table, 2, 1)
+    k2 = SubspaceBasis(((0, 0),), np.ones((1, 1)))
+    with pytest.raises(DegenerateForm):
+        split_poly_of(sp, k2.shifted(1, 0), k2)
 
 
 def test_stratification_all_d():
@@ -210,7 +245,7 @@ def test_enumerate_single():
     p = BiPoly([[2, 0], [0, -1.0]])
     table = moments_from_density(p, 1, 1)
     sp = MomentSpace(table, 1, 1)
-    out = enumerate_split_polys(sp, p)
+    out = enumerate_split_polys(sp)
     assert len(out) == 1 and out[0][1] == 0
 
 
@@ -218,7 +253,7 @@ def test_enumerate_one_stable_factor():
     p = BiPoly([[3], [-1.0]]) * BiPoly([[2, 0], [0, -1.0]])
     table = moments_from_density(p, 2, 1)
     sp = MomentSpace(table, 2, 1)
-    out = enumerate_split_polys(sp, p)
+    out = enumerate_split_polys(sp)
     assert [d for _, d in out] == [0, 1]
     for cand, _ in out:
         assert max_modulus_gap(cand, out[0][0]) < 1e-8
@@ -228,19 +263,74 @@ def test_enumerate_two_stable_factors():
     p = BiPoly([[3], [-1.0]]) * BiPoly([[2], [-1.0]]) * BiPoly([[2, 0], [0, -1.0]])
     table = moments_from_density(p, 3, 1)
     sp = MomentSpace(table, 3, 1)
-    out = enumerate_split_polys(sp, p)
+    out = enumerate_split_polys(sp)
     assert len(out) == 4
     assert sorted(d for _, d in out) == [0, 1, 1, 2]
 
 
 def test_enumerate_repeated_root_dedupe():
-    # a double stable root offers two nominally distinct single flips
-    # that give the same polynomial; only one survives
+    # a double stable root is one 2-fold eigenvalue of the compressed T*,
+    # flipped 0, 1 or 2 times: three split-polys, not four
     p = BiPoly([[3], [-1.0]]) * BiPoly([[3], [-1.0]]) * BiPoly([[2, 0], [0, -1.0]])
     table = moments_from_density(p, 3, 1)
     sp = MomentSpace(table, 3, 1)
-    out = enumerate_split_polys(sp, p)
+    out = enumerate_split_polys(sp)
     assert [d for _, d in out] == [0, 1, 2]
+
+
+# (root, multiplicity) pairs of the z-content of p = content * (2 - zw),
+# and the number of formal slots at infinity (degree caps above deg p)
+FLIP_CASES = {
+    "(2-z)^3": ([(2.0, 3)], 0),
+    "(3-z)^4": ([(3.0, 4)], 0),
+    "(1.5-z)^3(3-z)^2": ([(1.5, 3), (3.0, 2)], 0),
+    "(2-z)^2(2.5i-z)": ([(2.0, 2), (2.5j, 1)], 0),
+    "(2-z)^2 at n+2": ([(2.0, 2)], 2),
+}
+
+
+def _flipped(roots, counts):
+    """(2 - zw) prod (r - z)^(mult - k) (1 - conj(r) z)^k, times z^slots."""
+    p = BiPoly([[2.0, 0.0], [0.0, -1.0]])
+    for (r, mult), k in zip(roots, counts):
+        for j in range(mult):
+            p = p * (BiPoly([[1.0], [-np.conj(r)]]) if j < k else BiPoly([[r], [-1.0]]))
+    return p * BiPoly([[0.0]] * counts[-1] + [[1.0]])
+
+
+def _coeff_gap(q, ref):
+    """Relative coefficient distance of q from ref, up to a unimodular phase."""
+    shape = np.maximum(q.coeffs.shape, ref.coeffs.shape)
+    a, b = np.zeros(shape, complex), np.zeros(shape, complex)
+    a[:q.coeffs.shape[0], :q.coeffs.shape[1]] = q.coeffs
+    b[:ref.coeffs.shape[0], :ref.coeffs.shape[1]] = ref.coeffs
+    ip = np.vdot(a, b)
+    return float(np.max(np.abs(a * (ip / abs(ip)) - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("case", list(FLIP_CASES))
+def test_splits_are_the_flipped_polynomials(case):
+    roots, slots = FLIP_CASES[case]
+    p = _flipped(roots, [0] * len(roots) + [0])
+    n = p.deg[0] + slots
+    sp = MomentSpace(moments_from_density(p, n, 1), n, 1)
+    refs = {}
+    for counts in product(*[range(mult + 1) for _, mult in roots], range(slots + 1)):
+        ref = _flipped(roots, counts)
+        refs[counts] = (ref * (1.0 / sp.norm(ref)), sum(counts))
+    out = enumerate_split_polys(sp)
+    assert len(out) == len(refs)
+    for q, d in out:
+        assert min(_coeff_gap(q, ref) for ref, dr in refs.values() if dr == d) < 1e-10
+    # d fills the smallest-modulus roots first and the slots last
+    for d in range(sum(mult for _, mult in roots) + slots + 1):
+        counts, extra = [], d
+        for mult in [mult for _, mult in roots] + [slots]:
+            counts.append(min(mult, extra))
+            extra -= counts[-1]
+        split = split_poly_from_condition(sp, d)
+        assert split.k1.dim == d
+        assert _coeff_gap(split.split_poly, refs[tuple(counts)][0]) < 1e-10
 
 
 def test_gw_examples(space_2zw, lebesgue_table):
