@@ -43,7 +43,7 @@ def _cond_tol(args):
 def _qcfg(args):
     grid = args.grid or 4096
     tol = QUAD_TOL if args.tol is None else args.tol
-    return QuadratureConfig(initial_grid=min(64, grid), max_grid=grid, tol=tol)
+    return QuadratureConfig(initial_grid=min(64, grid // 2), max_grid=grid, tol=tol)
 
 
 def _positive_space(args, doc):
@@ -124,7 +124,8 @@ def build_parser():
     common.add_argument("--seed", type=int, default=0,
                         help="seed for all randomized sampling (default 0)")
     common.add_argument("--grid", type=int, default=None,
-                        help="maximum quadrature grid per axis (default 4096)")
+                        help="maximum quadrature grid per axis, a power of two "
+                             "(default 4096)")
     common.add_argument("--json-indent", type=int, default=2)
 
     ap = argparse.ArgumentParser(

@@ -8,8 +8,10 @@ smooth densities 1/|p|^2 and 1/t handled here; the grid is doubled until
 every requested moment stabilizes.
 
 Per N x N grid, a polynomial is sampled separably (two thin tables of
-N-th roots of unity times its coefficient block), and the density is
-transformed along z only on the 2*kmax + 1 columns of the moment window.
+N-th roots of unity times its coefficient block).  Along w only the
+kmax + 1 needed frequencies of each row are computed, by a pruned
+two-level DFT (chunks of CHUNK samples, then one twiddle sum over the
+chunks); along z an FFT of the 2*kmax + 1 window columns gives the rows.
 The pass runs in blocks of about BLOCK_POINTS grid points (whole rows):
 each block is sampled, inverted and transformed along w before the next
 is formed, so no N x N array is ever held.
@@ -18,6 +20,7 @@ is formed, so no N x N array is ever held.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +31,7 @@ from .poly import BiPoly, _readonly, reflect
 POLE_MARGIN = 1e-12  # denominator minimum, relative to its grid maximum
 POSITIVE_TOL = 1e-12  # is_positive's bound on the Gram's eigenvalue ratio
 BLOCK_POINTS = 1 << 15  # grid points per row block of the quadrature pass
+CHUNK = 64  # w-samples per chunk of the pruned DFT along w (at most N)
 
 
 @dataclass(frozen=True)
@@ -45,6 +49,10 @@ class QuadratureConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
+        for name in ("max_grid", "initial_grid"):
+            grid = getattr(self, name)
+            if grid < 1 or grid & (grid - 1):
+                raise ValueError(f"{name} {grid} is not a power of two")
         if self.initial_grid > self.max_grid:
             raise ValueError("initial grid exceeds max grid")
         if self.tol <= 0:
@@ -122,6 +130,13 @@ class TrigPoly(MomentTable):
         return (v.real for v in _grid_rows(self.c, -self.jmax, -self.kmax, N))
 
 
+def _roots(N):
+    """The N-th roots of unity e^(2 pi i t/N), t = 0..N-1."""
+    t = np.arange(N)
+    # angles in [-pi, pi] round to half the error of angles up to 2 pi
+    return np.exp(2j * np.pi * np.where(2 * t > N, t - N, t) / N)
+
+
 def _grid_rows(coeffs, j0, k0, N):
     """Values of sum_{a,b} coeffs[a, b] z^(j0+a) w^(k0+b) on the N x N grid.
 
@@ -132,8 +147,7 @@ def _grid_rows(coeffs, j0, k0, N):
     thin factor Vz @ coeffs is held for the whole grid.
     """
     t = np.arange(N)
-    # angles in [-pi, pi] round to half the error of angles up to 2 pi
-    roots = np.exp(2j * np.pi * np.where(2 * t > N, t - N, t) / N)
+    roots = _roots(N)
     vz = roots[np.outer(t, np.arange(j0, j0 + coeffs.shape[0])) % N]
     vw = roots[np.outer(t, np.arange(k0, k0 + coeffs.shape[1])) % N]
     left = vz @ coeffs
@@ -153,29 +167,66 @@ def _poly_grid_values(p: BiPoly, N):
     return np.concatenate(list(_poly_grid_rows(p, N)))
 
 
+@lru_cache(maxsize=32)
+def _w_dft_tables(N, kmax):
+    """Real tables (cs, tw) of the pruned DFT along w, columns 0..kmax.
+
+    With L = min(N, CHUNK) and s = qL + l, the sum over s of
+    d[s] e^(-2 pi i s k/N) is taken in two short levels, both real GEMMs.
+    First each L-sample chunk against cs = [Re, Im] of e^(-2 pi i l k/N)
+    (L x 2(kmax+1)); then the N/L chunk sums against the twiddles
+    e^(-2 pi i q L k/N), as the real matrix tw of the complex products:
+    row (q, part, k) takes chunk q's real or imaginary part of column k
+    to the real and imaginary parts of column k.  The entries are read
+    from the N-th roots table.  The tables are cached read-only, since
+    the doubling loop asks for the same few (N, kmax) pairs on every call.
+    """
+    L, K = min(N, CHUNK), kmax + 1
+    conj = np.conj(_roots(N))
+    k = np.arange(K)
+    fine = conj[np.outer(np.arange(L), k) % N]
+    coarse = conj[np.outer(np.arange(0, N, L), k) % N]
+    tw = np.zeros((N // L, 2, K, 2, K))
+    tw[:, 0, k, 0, k] = tw[:, 1, k, 1, k] = coarse.real
+    tw[:, 0, k, 1, k] = coarse.imag
+    tw[:, 1, k, 0, k] = -coarse.imag
+    cs = np.concatenate([fine.real, fine.imag], axis=1)
+    tw = tw.reshape(-1, 2 * K)
+    cs.setflags(write=False)
+    tw.setflags(write=False)
+    return cs, tw
+
+
 def _moment_window(blocks, N, jmax, kmax):
     """Moments [-jmax..jmax] x [-kmax..kmax] of N x N real samples.
 
     The samples arrive as consecutive row blocks, and no N x N array is
-    formed.  A real FFT along w of each block gives its entries of columns
-    0..kmax; columns -kmax..-1 are their conjugates, because the samples
-    are real.  An FFT along z of those 2*kmax + 1 columns then gives rows
+    formed.  Along w only columns 0..kmax of each row are computed, by the
+    pruned two-level DFT of ``_w_dft_tables``; both of its sums stay
+    short, which keeps the rounding at the order of a full FFT's (one
+    N-term product is several times worse at N >= 1024).  Columns
+    -kmax..-1 are the conjugates of 1..kmax, because the samples are
+    real.  An FFT along z of those 2*kmax + 1 columns then gives rows
     -jmax..jmax.  That FFT goes through ``np.fft.fft2`` over the last axis
     only, which is a 1-D FFT, because the benchmark trace (bench/spans.py)
     counts quadrature grids there.  A block that is not finite is not
     transformed; the overflow is raised once the blocks are drained, so
     that a check the block source runs at its end comes first.
     """
-    half = np.empty((kmax + 1, N), dtype=complex)
+    cs, tw = _w_dft_tables(N, kmax)
+    chunk = cs.shape[0]
+    reim = np.empty((2 * (kmax + 1), N))
     finite = True
     r = 0
     for dens in blocks:
+        b = len(dens)
         finite = finite and bool(np.isfinite(dens).all())
         if finite:
-            half[:, r: r + len(dens)] = np.fft.rfft(dens, axis=1)[:, : kmax + 1].T
-        r += len(dens)
+            reim[:, r: r + b] = ((dens.reshape(-1, chunk) @ cs).reshape(b, -1) @ tw).T
+        r += b
     if not finite:
         raise MomentDivergence("density overflowed on the grid")
+    half = reim[: kmax + 1] + 1j * reim[kmax + 1:]
     cols = np.concatenate([np.conj(half[:0:-1]), half])
     win = np.fft.fft2(cols, axes=(-1,))[:, np.arange(-jmax, jmax + 1) % N]
     return win.T / (N * N)
@@ -186,9 +237,15 @@ def _moments_of_grid_density(density_at, jmax, kmax, cfg):
 
     density_at(N) yields the N x N real positive samples as row blocks;
     per grid only the moment window is transformed (``_moment_window``).
+    Stability needs two grids to compare, so a window that leaves room
+    for fewer than two grids up to cfg.max_grid is a ValueError.
     """
     N = max(cfg.initial_grid, 2 * max(jmax, kmax) + 2)
     N = 1 << int(np.ceil(np.log2(N)))
+    if 2 * N > cfg.max_grid:
+        raise ValueError(
+            f"window ({jmax}, {kmax}) starts at grid {N}^2, which leaves "
+            f"fewer than two grids up to {cfg.max_grid}^2")
     prev = None
     last_diff = np.inf
     while N <= cfg.max_grid:
@@ -202,7 +259,7 @@ def _moments_of_grid_density(density_at, jmax, kmax, cfg):
         prev = win
         N *= 2
     raise MomentDivergence(
-        f"moments did not stabilize at grid {cfg.max_grid}^2 "
+        f"moments did not stabilize at grid {N // 2}^2 "
         f"(last change {last_diff:.3e})")
 
 
@@ -220,10 +277,11 @@ def moments_from_density(p: BiPoly, jmax, kmax,
     def density_at(N):
         lo, hi = np.inf, 0.0
         for vals in _poly_grid_rows(pt, N):
-            a2 = np.abs(vals) ** 2
-            lo, hi = min(lo, float(np.min(a2))), max(hi, float(np.max(a2)))
+            dens = np.abs(vals)
+            np.multiply(dens, dens, out=dens)        # |p|^2, bit for bit ** 2
+            lo, hi = min(lo, float(np.min(dens))), max(hi, float(np.max(dens)))
             with np.errstate(divide="ignore"):
-                dens = 1.0 / a2
+                np.divide(1.0, dens, out=dens)
             yield dens
         if lo <= POLE_MARGIN * hi:
             raise MomentDivergence(
@@ -241,7 +299,7 @@ def moments_from_trig(t: TrigPoly, jmax, kmax,
         for vals in t._rows_on_grid(N):
             lo, hi = min(lo, float(np.min(vals))), max(hi, float(np.max(vals)))
             with np.errstate(divide="ignore"):
-                dens = 1.0 / vals
+                dens = 1.0 / vals     # contiguous; vals is a strided real view
             yield dens
         if lo <= POLE_MARGIN * max(hi, 1e-300):
             raise NonPositiveDensity(

@@ -121,6 +121,23 @@ def test_moments_divergence_exit_3(files):
     assert json.loads(out)["error"] == "MomentDivergence"
 
 
+def test_grid_limits(tmp_path):
+    path = tmp_path / "three.json"
+    path.write_text(dumps(poly_to_json(BiPoly([[3.0, 0.0], [0.0, -1.0]]))))
+    base = ["moments", "--poly", str(path), "--jmax", "1", "--kmax", "1", "--grid"]
+    for grid in ("100", "-8"):                       # not powers of two
+        code, out = run(base + [grid])
+        assert code == 2 and json.loads(out)["error"] == "ValueError"
+        assert f"max_grid {grid} is not a power of two" in json.loads(out)["message"]
+    code, out = run(base + ["2"])                    # one grid: nothing to compare
+    assert code == 2 and "fewer than two grids" in json.loads(out)["message"]
+    code, out = run(base + ["64"])                   # 32^2 and 64^2
+    assert code == 0 and json.loads(out)["jmax"] == 1
+    code, out = run(base + ["16"])                   # 8^2 and 16^2 differ by 1e-4
+    assert code == 3
+    assert "did not stabilize at grid 16^2" in json.loads(out)["message"]
+
+
 def test_gdv_negative_exit_1(files):
     code, out = run(["gdv", "--poly", files["z2w.json"]])
     assert code == 1

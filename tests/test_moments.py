@@ -106,6 +106,35 @@ def test_windowed_transform_matches_full_fft():
         assert np.max(np.abs(table.c - MomentTable(jmax, kmax, win).c)) < 1e-14
 
 
+def _w_transform_of_row(row, kmax):
+    # the row on grid row 0 and zeros elsewhere: the z-FFT of a delta is
+    # exact, so the (0, k) moments are the row's w-DFT over N^2
+    N = len(row)
+    zeros = np.zeros((max(1, moments.BLOCK_POINTS // N), N))
+    blocks = [row[None, :]] + [zeros[: N - r] for r in range(1, N, len(zeros))]
+    win = moments._moment_window(iter(blocks), N, 0, kmax)
+    return win[0, kmax:] * (N * N)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="needs an extended-precision long double")
+@pytest.mark.parametrize("N", [16, 64, 2048, 4096])
+def test_w_transform_accuracy(N):
+    # lognormal rows (sigma = 2) against a long-double direct sum: within
+    # 1.5e-15 of the row sum, which one unchunked N-term product (a single
+    # chunk of N samples) fails at N = 4096
+    rng = np.random.default_rng(N)
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    for kmax in (0, 1, 8, 16):
+        for row in rng.lognormal(0.0, 2.0, size=(2, N)):
+            k = np.arange(kmax + 1)
+            ang = 2 * pi * (np.outer(np.arange(N), k) % N) / N
+            exact = row.astype(np.longdouble)
+            ref = (exact @ np.cos(ang)).astype(float) - 1j * (exact @ np.sin(ang)).astype(float)
+            got = _w_transform_of_row(row, kmax)
+            assert np.max(np.abs(got - ref)) <= 1.5e-15 * row.sum()
+
+
 def test_near_torus_closed_form():
     p = BiPoly([[1.03, 0.0], [0.0, -1.0]])           # 1.03 - zw
     with pytest.raises(MomentDivergence):            # needs the 2048^2 grid
@@ -145,6 +174,28 @@ def test_quadrature_is_block_invariant(monkeypatch):
     for points in (1, 3 * 256):
         for got, ref in zip(_block_tables(monkeypatch, p, points), whole):
             assert np.max(np.abs(got - ref)) <= 1e-15 * abs(ref[3, 2])
+
+
+def test_density_samples_bit_identical_in_blocks(monkeypatch):
+    # ragged blocks (5 rows at 64^2) hold exactly 1 / |p|^2 (squared and
+    # inverted in place) and 1 / t of the whole grid
+    p = BiPoly([[1.4, 0.3], [0.2j, -1.0]])
+    t = TrigPoly.from_abs_squared(p)
+    seen = {}
+    window = moments._moment_window
+
+    def record(blocks, N, jmax, kmax):
+        copies = [b.copy() for b in blocks]
+        seen.setdefault(N, np.concatenate(copies))
+        return window(iter(copies), N, jmax, kmax)
+
+    monkeypatch.setattr(moments, "BLOCK_POINTS", 5 * 64)
+    monkeypatch.setattr(moments, "_moment_window", record)
+    moments_from_density(p, 2, 2)
+    assert np.array_equal(seen[64], 1.0 / np.abs(_poly_grid_values(p, 64)) ** 2)
+    seen.clear()
+    moments_from_trig(t, 2, 2)
+    assert np.array_equal(seen[64], 1.0 / t.values_on_grid(64))
 
 
 def _pole_message(p, N):
@@ -196,6 +247,40 @@ def test_quadrature_memory_stays_in_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20                        # one 2048^2 float array is 32 MiB
+
+
+@pytest.mark.parametrize("kwargs", [dict(max_grid=100), dict(max_grid=-8),
+                                    dict(max_grid=0), dict(initial_grid=48),
+                                    dict(initial_grid=0)])
+def test_grids_must_be_powers_of_two(kwargs):
+    with pytest.raises(ValueError, match="is not a power of two"):
+        QuadratureConfig(**kwargs)
+
+
+def test_fewer_than_two_grids_rejected():
+    p = BiPoly([[3.0, 0.0], [0.0, -1.0]])            # 3 - zw
+    for jmax, cfg in [(1, QuadratureConfig(initial_grid=64, max_grid=64)),
+                      (40, QuadratureConfig(max_grid=128))]:
+        with pytest.raises(ValueError, match="fewer than two grids"):
+            moments_from_density(p, jmax, 1, cfg)
+    # two grids are enough: 32^2 and 64^2
+    table = moments_from_density(p, 1, 1, QuadratureConfig(initial_grid=32, max_grid=64))
+    assert abs(table.at(1, 1) - geometric_diag_moment(1, 3.0)) < 1e-14
+
+
+def test_divergence_names_largest_grid_sampled(monkeypatch):
+    grids = []
+    window = moments._moment_window
+
+    def record(blocks, N, jmax, kmax):
+        grids.append(N)
+        return window(blocks, N, jmax, kmax)
+
+    monkeypatch.setattr(moments, "_moment_window", record)
+    p = BiPoly([[1.03, 0.0], [0.0, -1.0]])           # needs the 2048^2 grid
+    with pytest.raises(MomentDivergence, match=r"did not stabilize at grid 1024\^2"):
+        moments_from_density(p, 2, 2, QuadratureConfig(max_grid=1024))
+    assert grids == [64, 128, 256, 512, 1024]
 
 
 def test_divergence_for_torus_zero():
