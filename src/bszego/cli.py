@@ -15,7 +15,7 @@ import sys
 from . import __version__
 from .arfilter import ArProblem, solve_ar
 from .detrep import build_detrep
-from .errors import BszegoError, NotPositive
+from .errors import BszegoError, InvalidInput, NotPositive
 from .fullmeasure import check_full_measure
 from .jsonio import (dumps, poly_from_json, poly_to_json, table_from_json,
                      table_to_json, trig_from_json)
@@ -41,9 +41,9 @@ def _cond_tol(args):
 
 
 def _qcfg(args):
-    grid = args.grid or 4096
+    grid = 4096 if args.grid is None else args.grid
     tol = QUAD_TOL if args.tol is None else args.tol
-    return QuadratureConfig(initial_grid=min(64, grid // 2), max_grid=grid, tol=tol)
+    return QuadratureConfig(max_grid=grid, tol=tol)
 
 
 def _positive_space(args, doc):
@@ -82,16 +82,15 @@ def _cmd_factor(args):
 def _cmd_sos(args):
     p = poly_from_json(_read_json(args.poly))
     if args.open_face:
-        cert = certificate_open_face(p, tol=max(_cond_tol(args), 1e-8),
-                                     seed=args.seed)
+        cert = certificate_open_face(p, tol=max(_cond_tol(args), 1e-8))
     else:
-        cert = certificate_closed_face(p, seed=args.seed)
+        cert = certificate_closed_face(p)
     return cert.to_json(), 0
 
 
 def _cmd_gdv(args):
     p = poly_from_json(_read_json(args.poly))
-    rep = build_detrep(p, seed=args.seed)
+    rep = build_detrep(p)
     return {"mu": [rep.mu.real, rep.mu.imag],
             "geometry": rep.geometry.to_json(),
             "detrep": rep.to_json()}, 0
@@ -121,8 +120,6 @@ def build_parser():
     common.add_argument("--tol", type=float, default=None,
                         help="tolerance override (condition tests default "
                              "1e-8, quadrature 1e-10)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for all randomized sampling (default 0)")
     common.add_argument("--grid", type=int, default=None,
                         help="maximum quadrature grid per axis, a power of two "
                              "(default 4096)")
@@ -179,6 +176,11 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        for name in ("n", "m", "jmax", "kmax"):
+            if getattr(args, name, 0) < 0:
+                raise InvalidInput(f"--{name} {getattr(args, name)} is negative")
+        if args.tol is not None and not 0 < args.tol < float("inf"):
+            raise InvalidInput(f"--tol {args.tol} is not a positive number")
         doc, code = args.func(args)
     except BszegoError as exc:
         doc = {"error": type(exc).__name__, "message": str(exc)}

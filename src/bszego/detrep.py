@@ -167,10 +167,10 @@ def _variety_samples(p: BiPoly, count):
     return np.repeat(zs[keep], rts.shape[1]), rts[keep].ravel()
 
 
-def _offgrid_points(p1: BiPoly, seed):
-    """The first OFFGRID_POINTS of 100 times as many draws (z0, w0) from
-    [-2, 2]^4 where |p1| is at least 1e-3 max |coeff|, and p1 there."""
-    rng = np.random.default_rng(seed)
+def _offgrid_points(p1: BiPoly):
+    """The first OFFGRID_POINTS of 100 times as many default_rng(0) draws
+    (z0, w0) from [-2, 2]^4 where |p1| >= 1e-3 max |coeff|, and p1 there."""
+    rng = np.random.default_rng(0)
     pts = rng.uniform(-2, 2, (100 * OFFGRID_POINTS, 2, 2))
     z0, w0 = (pts[..., 0] + 1j * pts[..., 1]).T
     pv = p1(z0, w0)
@@ -181,7 +181,7 @@ def _offgrid_points(p1: BiPoly, seed):
     return z0[keep], w0[keep], pv[keep]
 
 
-def build_detrep(p: BiPoly, seed=0) -> DetRep:
+def build_detrep(p: BiPoly) -> DetRep:
     """Unitary pencil representation of a generalized distinguished variety."""
     pt = p.trimmed()
     geo = check_gdv_geometry(pt)
@@ -196,7 +196,7 @@ def build_detrep(p: BiPoly, seed=0) -> DetRep:
     n, m = p1.deg
     P = reflect(p1.w_derivative(), (n, max(m - 1, 0)))
     try:
-        cert = certificate_open_face(P, tol=CERT_TOL, variant="G", seed=seed,
+        cert = certificate_open_face(P, tol=CERT_TOL, variant="G",
                                      deg=(n, max(m - 1, 0)))
     except NumericalFailure as exc:
         raise CertificateFailed(str(exc)) from exc
@@ -223,7 +223,7 @@ def build_detrep(p: BiPoly, seed=0) -> DetRep:
 
     rep0 = DetRep(u=U, n1=n1, n2=n2, scale=1.0 + 0.0j, residual=np.nan,
                   mu=mu, geometry=geo)
-    z0, w0, pv = _offgrid_points(p1, seed)
+    z0, w0, pv = _offgrid_points(p1)
     ratios = rep0.det_pencil(z0, w0) / pv
     scale = complex(np.median(ratios.real), np.median(ratios.imag))
     if abs(scale) < 1e-12:

@@ -33,6 +33,14 @@ def _unpairs(data, what):
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _count(value, what):
+    """A nonnegative integer field; a bool, float, string or null is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < 0:
+        raise InvalidInput(f"{what} must be a nonnegative integer, not {value!r}")
+    return int(value)
+
+
 def poly_to_json(p: BiPoly) -> dict:
     t = p.trimmed()
     n, m = t.deg
@@ -44,7 +52,9 @@ def poly_from_json(doc) -> BiPoly:
         raise InvalidInput("polynomial JSON needs a 'coeffs' field")
     coeffs = _unpairs(doc["coeffs"], "polynomial")
     if "deg" in doc:
-        n, m = doc["deg"]
+        if not isinstance(doc["deg"], list) or len(doc["deg"]) != 2:
+            raise InvalidInput(f"'deg' must be a pair [n, m], not {doc['deg']!r}")
+        n, m = (_count(d, "each 'deg' entry") for d in doc["deg"])
         if coeffs.shape != (n + 1, m + 1):
             raise InvalidInput(
                 f"declared degree {doc['deg']} does not match grid "
@@ -61,8 +71,8 @@ def _centered_from_json(doc, cls, what):
     if not isinstance(doc, dict) or "c" not in doc:
         raise InvalidInput(f"{what} JSON needs a 'c' field")
     c = _unpairs(doc["c"], what)
-    jmax = int(doc.get("jmax", (c.shape[0] - 1) // 2))
-    kmax = int(doc.get("kmax", (c.shape[1] - 1) // 2))
+    jmax = _count(doc.get("jmax", (c.shape[0] - 1) // 2), "'jmax'")
+    kmax = _count(doc.get("kmax", (c.shape[1] - 1) // 2), "'kmax'")
     if c.shape != (2 * jmax + 1, 2 * kmax + 1):
         raise InvalidInput(
             f"{what} grid {c.shape} does not match window ({jmax}, {kmax})")

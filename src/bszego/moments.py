@@ -38,23 +38,20 @@ CHUNK = 64  # w-samples per chunk of the pruned DFT along w (at most N)
 class QuadratureConfig:
     """Controls the FFT quadrature loop.
 
-    initial_grid / max_grid are points per axis (powers of two);
-    tol is the stabilization threshold between successive doublings,
-    relative to max(1, c00).  A denominator whose grid minimum is at most
-    POLE_MARGIN times its grid maximum counts as vanishing.
+    max_grid is the last grid, in points per axis (a power of two); doubling
+    starts at min(64, max_grid // 2), or at the first power of two above
+    twice the moment window if larger.  tol is the stabilization threshold
+    between successive doublings, relative to max(1, c00).  A denominator
+    whose grid minimum is at most POLE_MARGIN times its grid maximum counts
+    as vanishing.
     """
 
-    initial_grid: int = 64
     max_grid: int = 4096
     tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("max_grid", "initial_grid"):
-            grid = getattr(self, name)
-            if grid < 1 or grid & (grid - 1):
-                raise ValueError(f"{name} {grid} is not a power of two")
-        if self.initial_grid > self.max_grid:
-            raise ValueError("initial grid exceeds max grid")
+        if self.max_grid < 1 or self.max_grid & (self.max_grid - 1):
+            raise ValueError(f"max_grid {self.max_grid} is not a power of two")
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
 
@@ -240,7 +237,7 @@ def _moments_of_grid_density(density_at, jmax, kmax, cfg):
     Stability needs two grids to compare, so a window that leaves room
     for fewer than two grids up to cfg.max_grid is a ValueError.
     """
-    N = max(cfg.initial_grid, 2 * max(jmax, kmax) + 2)
+    N = max(min(64, cfg.max_grid // 2), 2 * max(jmax, kmax) + 2)
     N = 1 << int(np.ceil(np.log2(N)))
     if 2 * N > cfg.max_grid:
         raise ValueError(

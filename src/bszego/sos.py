@@ -111,16 +111,16 @@ def _identity_mismatch(p, cert, zw, ze):
     return np.abs(lhs - rhs), scale
 
 
-def verify_certificate(p: BiPoly, cert: SosCertificate,
-                       seed=0) -> ResidualReport:
+def verify_certificate(p: BiPoly, cert: SosCertificate) -> ResidualReport:
     """Max relative residual of the certificate identity.
 
-    Checks the diagonal identity at VERIFY_SAMPLES random points of the
-    square of half-width VERIFY_RADIUS and the full kernel identity at
-    as many independent point pairs; the identity is polynomial, so
-    sampling past the torus is a strengthening.
+    Checks the diagonal identity at VERIFY_SAMPLES points of the square
+    of half-width VERIFY_RADIUS and the full kernel identity at as many
+    point pairs, the same on every call: uniform draws from
+    ``np.random.default_rng(0)``.  The identity is polynomial, so sampling
+    past the torus is a strengthening.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
 
     def draw(k):
         re = rng.uniform(-VERIFY_RADIUS, VERIFY_RADIUS, size=k)
@@ -162,8 +162,7 @@ def _blocks_closed_face(p: BiPoly, variant, deg) -> SosCertificate:
                           variant=variant, residual=np.nan, deg=(n, m))
 
 
-def certificate_closed_face(p: BiPoly, variant="L", seed=0,
-                            deg=None) -> SosCertificate:
+def certificate_closed_face(p: BiPoly, variant="L", deg=None) -> SosCertificate:
     """Certificate for p with no zeros on the closed face.
 
     Block counts are (m, n1, n2) in the L variant, with n2 the number of
@@ -172,7 +171,7 @@ def certificate_closed_face(p: BiPoly, variant="L", seed=0,
     one (the reflection and the block counts are taken there).
     """
     cert = _blocks_closed_face(p, variant, deg)
-    return replace(cert, residual=verify_certificate(p, cert, seed).residual)
+    return replace(cert, residual=verify_certificate(p, cert).residual)
 
 
 def _scale_w(p: BiPoly, t) -> BiPoly:
@@ -210,7 +209,7 @@ def common_factor_with_reflection(p: BiPoly, deg=None):
     return not np.any(gap >= CLUSTER_TOL)
 
 
-def certificate_open_face(p: BiPoly, tol=1e-8, variant="L", seed=0,
+def certificate_open_face(p: BiPoly, tol=1e-8, variant="L",
                           deg=None) -> SosCertificate:
     """Certificate for p with no zeros on |z| = 1, |w| < 1.
 
@@ -223,7 +222,7 @@ def certificate_open_face(p: BiPoly, tol=1e-8, variant="L", seed=0,
     if common_factor_with_reflection(pt, deg=deg):
         raise CommonFactor("p shares a factor with its reflection")
     try:
-        return certificate_closed_face(pt, variant, seed, deg)
+        return certificate_closed_face(pt, variant, deg)
     except (MomentDivergence, RootNearTorus, DegenerateForm):
         pass
     tried = []
@@ -233,7 +232,7 @@ def certificate_open_face(p: BiPoly, tol=1e-8, variant="L", seed=0,
         except (MomentDivergence, RootNearTorus, DegenerateForm):
             break                    # larger t only gets worse
         tried.append(replace(
-            cand, residual=verify_certificate(pt, cand, seed).residual))
+            cand, residual=verify_certificate(pt, cand).residual))
     passing = [c for c in tried if c.residual <= tol]
     if passing:
         return passing[-1]           # schedule is ascending: largest t wins

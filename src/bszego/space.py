@@ -252,21 +252,23 @@ class MomentSpace:
         return self._bases[key]
 
     def projected_span(self, generators, target: SubspaceBasis,
-                       expect=None) -> SubspaceBasis:
-        """Orthonormal basis of P_target(span of generator polynomials)."""
-        if target.dim == 0 or not generators:
-            return empty_basis()
-        emb_t = self.embed_basis(target)
-        emb_g = np.column_stack([self.embed(g) for g in generators])
-        coords = emb_t.conj().T @ emb_g       # coords[t, i] = <g_i, b_t>
-        gen_scale = float(np.max(np.linalg.norm(emb_g, axis=0)))
-        u, s, _ = np.linalg.svd(coords, full_matrices=False)
-        if s.size == 0 or s[0] <= 1e-12 * gen_scale:
-            return empty_basis()
-        rank = int(np.sum(s > RANK_TOL * s[0]))
-        if expect is not None and rank != expect:
+                       expect) -> SubspaceBasis:
+        """Orthonormal basis of P_target(span of generator polynomials), whose
+        dimension must be ``expect`` (DegenerateForm otherwise)."""
+        rank = 0
+        if target.dim and generators:
+            emb_t = self.embed_basis(target)
+            emb_g = np.column_stack([self.embed(g) for g in generators])
+            coords = emb_t.conj().T @ emb_g       # coords[t, i] = <g_i, b_t>
+            gen_scale = float(np.max(np.linalg.norm(emb_g, axis=0)))
+            u, s, _ = np.linalg.svd(coords, full_matrices=False)
+            if s[0] > 1e-12 * gen_scale:
+                rank = int(np.sum(s > RANK_TOL * s[0]))
+        if rank != expect:
             raise DegenerateForm(
                 f"projected span rank {rank}, expected {expect}")
+        if rank == 0:
+            return empty_basis()
         vectors = self._phase_normalize(target.vectors @ u[:, :rank])
         return SubspaceBasis(target.support, vectors)
 

@@ -26,6 +26,7 @@ multiplicity, gives the split-poly with k copies of each root flipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -53,6 +54,21 @@ class ShiftOperators:
     wf2: SubspaceBasis      # w F2(n, m-1)
     n: int
     m: int
+
+    @cached_property
+    def invariant_spaces(self):
+        """Coordinates (in the E1 basis) of the minimal K1 and minimal K2.
+
+        The minimal K2 is the T-invariant span of the range of B, the
+        minimal K1 the T*-invariant span of the range of A*; Cayley-Hamilton
+        caps the powers at n-1.  Computed on first use and shared, read-only.
+        """
+        n = max(self.t_mat.shape[0], 1)
+        b_space = _krylov_span(self.t_mat, self.b_mat, n)
+        a_space = _krylov_span(self.t_mat.conj().T, self.a_mat.conj().T, n)
+        a_space.setflags(write=False)
+        b_space.setflags(write=False)
+        return a_space, b_space
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,19 +133,6 @@ def _krylov_span(step, seed, n):
     return u[:, :rank]
 
 
-def canonical_invariant_spaces(ops: ShiftOperators):
-    """Coordinates (in the E1 basis) of the minimal K1 and minimal K2.
-
-    The minimal K2 is the T-invariant span of the range of B, the
-    minimal K1 the T*-invariant span of the range of A*; Cayley-Hamilton
-    caps the powers at n-1.
-    """
-    n = ops.t_mat.shape[0]
-    b_space = _krylov_span(ops.t_mat, ops.b_mat, max(n, 1))
-    a_space = _krylov_span(ops.t_mat.conj().T, ops.a_mat.conj().T, max(n, 1))
-    return a_space, b_space
-
-
 def check_matrix_condition(ops: ShiftOperators, tol=MC_TOL) -> StratificationReport:
     """Evaluate max_j ||A T^j B|| and the admissible d interval.
 
@@ -145,7 +148,7 @@ def check_matrix_condition(ops: ShiftOperators, tol=MC_TOL) -> StratificationRep
             viol = max(viol, float(np.linalg.norm(prod, 2)))
             cur = ops.t_mat @ cur
     holds = viol < tol
-    a_space, b_space = canonical_invariant_spaces(ops)
+    a_space, b_space = ops.invariant_spaces
     dim_a, dim_b = a_space.shape[1], b_space.shape[1]
     if holds and dim_a + dim_b > n:
         # under the condition the two spaces are orthogonal in the
@@ -219,8 +222,8 @@ def shift_split_from_p(space: MomentSpace, p: BiPoly) -> ShiftSplit:
     b_pol = rs.unstable.to_bipoly()
     gens_k1 = [a_pol.shifted(j, 0) for j in range(beta)]
     gens_k2 = [b_pol.shifted(j, 0) for j in range(n - beta)]
-    k1 = space.projected_span(gens_k1, e1, expect=beta) if gens_k1 else empty_basis()
-    k2 = space.projected_span(gens_k2, e1, expect=n - beta) if gens_k2 else empty_basis()
+    k1 = space.projected_span(gens_k1, e1, beta)
+    k2 = space.projected_span(gens_k2, e1, n - beta)
     return ShiftSplit(k1=k1, k2=k2, split_poly=split_poly_of(space, k1, k2))
 
 
@@ -265,7 +268,7 @@ def minimal_split_poly(space: MomentSpace, ops: ShiftOperators) -> BiPoly:
     the stable-content representative of p.  The caller has checked the
     matrix condition on ``ops``.
     """
-    a_coords, _ = canonical_invariant_spaces(ops)
+    a_coords, _ = ops.invariant_spaces
     return _split_from_k1(space, ops, a_coords).split_poly
 
 
@@ -288,7 +291,7 @@ def _middle_spectrum(ops: ShiftOperators):
     lam, are one k-fold eigenvalue when (t_mid - lam)^k has k singular
     values at most MC_TOL: the largest such k, then the smallest value.
     """
-    a, b = canonical_invariant_spaces(ops)
+    a, b = ops.invariant_spaces
     mid = _complement_in_coords(np.hstack([a, b]), ops.e1.dim)
     t_mid = mid.conj().T @ ops.t_mat.conj().T @ mid
     r, ev = t_mid.shape[0], np.linalg.eigvals(t_mid)

@@ -37,7 +37,7 @@ def corpus(rng, count, allow_unstable_q=False):
 
 def test_criterion_01_moment_engine(p_2zw):
     start = time.time()
-    cfg = QuadratureConfig(initial_grid=64, max_grid=256)
+    cfg = QuadratureConfig(max_grid=256)
     table = moments_from_density(p_2zw, 3, 3, cfg)
     worst = max(abs(table.at(j, j) - geometric_diag_moment(j, 2.0))
                 for j in range(-3, 4))

@@ -158,7 +158,7 @@ def test_sos_command(files):
     doc = json.loads(out)
     assert (len(doc["A"]), doc["n1"], doc["n2"]) == (1, 1, 0)
     code2, out2 = run(["sos", "--poly", files["p.json"]])
-    assert out == out2          # byte-identical with the same seed
+    assert out == out2          # byte-identical: the sampled points are fixed
 
 
 def test_sos_open_face_common_factor(files):
@@ -217,6 +217,58 @@ def test_malformed_input_exit_2(tmp_path):
                            "c": [[[v.real, v.imag] for v in row] for row in c]}))
     code, out = run(["factor", "--trig", str(trig), "--n", "1", "--m", "1"])
     assert code == 2 and json.loads(out)["error"] == "NonPositiveDensity"
+
+
+def _case(id_, argv, field=None):
+    return pytest.param(argv, field, id=id_)
+
+
+N_M = ["--n", "1", "--m", "1"]
+WINDOW = ["--jmax", "1", "--kmax", "1"]
+
+
+@pytest.mark.parametrize("argv, field", [
+    _case("check n<0", ["check", "--moments", "{trig}", "--n", "-1", "--m", "1"]),
+    _case("reconstruct m<0", ["reconstruct", "--moments", "{trig}", "--n", "1",
+                              "--m", "-1"]),
+    _case("ar n<0", ["ar", "--autocorr", "{trig}", "--n", "-1", "--m", "1"]),
+    _case("factor n<0", ["factor", "--trig", "{trig}", "--n", "-1", "--m", "1"]),
+    _case("full m<0", ["full", "--moments", "{trig}", "--n", "1", "--m", "-1"]),
+    _case("jmax<0", ["moments", "--poly", "{poly}", "--jmax", "-1", "--kmax", "1"]),
+    _case("kmax<0", ["moments", "--poly", "{poly}", "--jmax", "1", "--kmax", "-1"]),
+    _case("grid 0", ["moments", "--poly", "{poly}", "--grid", "0"] + WINDOW),
+    _case("tol 0", ["check", "--moments", "{trig}", "--tol", "0"] + N_M),
+    _case("tol<0", ["ar", "--autocorr", "{trig}", "--tol=-1"] + N_M),
+    _case("tol nan", ["full", "--moments", "{trig}", "--tol", "nan"] + N_M),
+    _case("deg null", ["sos", "--poly", "{poly}"], ("deg", None)),
+    _case("deg triple", ["sos", "--poly", "{poly}"], ("deg", [1, 1, 1])),
+    _case("deg string", ["sos", "--poly", "{poly}"], ("deg", "ab")),
+    _case("deg float", ["sos", "--poly", "{poly}"], ("deg", [1.0, 1])),
+    _case("deg negative", ["sos", "--poly", "{poly}"], ("deg", [-1, 1])),
+    _case("jmax null", ["factor", "--trig", "{trig}"] + N_M, ("jmax", None)),
+    _case("jmax list", ["factor", "--trig", "{trig}"] + N_M, ("jmax", [1])),
+    _case("jmax string", ["factor", "--trig", "{trig}"] + N_M, ("jmax", "1")),
+    _case("kmax bool", ["factor", "--trig", "{trig}"] + N_M, ("kmax", True)),
+    _case("kmax float", ["factor", "--trig", "{trig}"] + N_M, ("kmax", 1.0)),
+])
+def test_malformed_numbers_exit_2(tmp_path, argv, field):
+    p = BiPoly([[2.0, 0.0], [0.0, -1.0]])
+    paths = {}
+    for name, doc in (("poly", poly_to_json(p)),
+                      ("trig", table_to_json(TrigPoly.from_abs_squared(p)))):
+        if field is not None and field[0] in doc:
+            doc = {**doc, field[0]: field[1]}
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    code, out = run([a.format(**paths) for a in argv])
+    assert code == 2
+    assert json.loads(out)["error"] in ("InvalidInput", "ValueError")
+
+
+def test_seed_flag_is_gone(files):
+    with pytest.raises(SystemExit) as exc:
+        main(["sos", "--seed", "1", "--poly", files["p.json"]])
+    assert exc.value.code == 2
 
 
 def test_version():

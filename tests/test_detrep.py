@@ -201,12 +201,12 @@ def test_detrep_scale_against_input():
         < 1e-8 * abs(rep.scale)
 
 
-def _scalar_scale_fit(p, rep, seed=0):
+def _scalar_scale_fit(p, rep):
     """The off-grid scale fit one point at a time: draws, filter, ratios."""
     nu = cmath.sqrt(check_self_reflective(p))
     p1 = p.trimmed() * (1.0 / nu)
     p1 = (p1 + reflect(p1, p1.deg)) * 0.5
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     points, ratios = [], []
     while len(ratios) < detrep.OFFGRID_POINTS:
         z0 = complex(*rng.uniform(-2, 2, 2))
@@ -239,7 +239,7 @@ def _blaschke_gdv(zeros, m):
 def test_batched_scale_fit_matches_scalar_loop(p):
     rep = build_detrep(p)
     p1, points, scale, residual = _scalar_scale_fit(p, rep)
-    z0, w0, _ = detrep._offgrid_points(p1, 0)
+    z0, w0, _ = detrep._offgrid_points(p1)
     assert np.array_equal(z0, points[:, 0]) and np.array_equal(w0, points[:, 1])
     assert abs(rep.scale - scale) <= 1e-12 * abs(scale)
     # the residual is already relative to |scale|

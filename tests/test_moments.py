@@ -49,11 +49,29 @@ def test_real_coefficients_give_real_moments():
     assert float(np.max(np.abs(t.c.imag))) < 1e-11
 
 
-def test_grid_doubling_stability(p_2zw):
-    base = moments_from_density(p_2zw, 2, 2)
-    finer = moments_from_density(
-        p_2zw, 2, 2, QuadratureConfig(initial_grid=256, max_grid=4096))
-    assert float(np.max(np.abs(base.c - finer.c))) < 1e-10
+def _sampled_grids(monkeypatch):
+    """The grid sizes the quadrature samples, in order, from here on."""
+    grids = []
+    window = moments._moment_window
+
+    def record(blocks, N, jmax, kmax):
+        grids.append(N)
+        return window(blocks, N, jmax, kmax)
+
+    monkeypatch.setattr(moments, "_moment_window", record)
+    return grids
+
+
+def test_grid_doubling_stability(monkeypatch):
+    # 1.1 - zw: the default tol stops at 512^2, a tighter one a grid later
+    p = BiPoly([[1.1, 0.0], [0.0, -1.0]])
+    grids = _sampled_grids(monkeypatch)
+    base = moments_from_density(p, 2, 2)
+    assert grids == [64, 128, 256, 512]
+    grids.clear()
+    finer = moments_from_density(p, 2, 2, QuadratureConfig(tol=1e-14))
+    assert grids == [64, 128, 256, 512, 1024]
+    assert float(np.max(np.abs(base.c - finer.c))) < 1e-14
 
 
 def _torus_grid(N):
@@ -250,33 +268,26 @@ def test_quadrature_memory_stays_in_blocks():
 
 
 @pytest.mark.parametrize("kwargs", [dict(max_grid=100), dict(max_grid=-8),
-                                    dict(max_grid=0), dict(initial_grid=48),
-                                    dict(initial_grid=0)])
+                                    dict(max_grid=0)])
 def test_grids_must_be_powers_of_two(kwargs):
     with pytest.raises(ValueError, match="is not a power of two"):
         QuadratureConfig(**kwargs)
 
 
-def test_fewer_than_two_grids_rejected():
+def test_fewer_than_two_grids_rejected(monkeypatch):
     p = BiPoly([[3.0, 0.0], [0.0, -1.0]])            # 3 - zw
-    for jmax, cfg in [(1, QuadratureConfig(initial_grid=64, max_grid=64)),
-                      (40, QuadratureConfig(max_grid=128))]:
+    for jmax, grid in [(40, 128), (1, 2)]:
         with pytest.raises(ValueError, match="fewer than two grids"):
-            moments_from_density(p, jmax, 1, cfg)
-    # two grids are enough: 32^2 and 64^2
-    table = moments_from_density(p, 1, 1, QuadratureConfig(initial_grid=32, max_grid=64))
+            moments_from_density(p, jmax, 1, QuadratureConfig(max_grid=grid))
+    # doubling starts at min(64, max_grid // 2): two grids, as --grid 64 gives
+    grids = _sampled_grids(monkeypatch)
+    table = moments_from_density(p, 1, 1, QuadratureConfig(max_grid=64))
+    assert grids == [32, 64]
     assert abs(table.at(1, 1) - geometric_diag_moment(1, 3.0)) < 1e-14
 
 
 def test_divergence_names_largest_grid_sampled(monkeypatch):
-    grids = []
-    window = moments._moment_window
-
-    def record(blocks, N, jmax, kmax):
-        grids.append(N)
-        return window(blocks, N, jmax, kmax)
-
-    monkeypatch.setattr(moments, "_moment_window", record)
+    grids = _sampled_grids(monkeypatch)
     p = BiPoly([[1.03, 0.0], [0.0, -1.0]])           # needs the 2048^2 grid
     with pytest.raises(MomentDivergence, match=r"did not stabilize at grid 1024\^2"):
         moments_from_density(p, 2, 2, QuadratureConfig(max_grid=1024))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,53 @@ def test_blocks_orthonormal_in_density(p_2zw):
     # covered by the corpus; here cross-check A vs B reflected spaces
     g12 = brute_inner(p_2zw, cert.a_list[0], cert.b_list[0])
     assert abs(g12) < 1.0  # distinct blocks need not be orthogonal
+
+
+def _scalar_residual(p, cert):
+    """verify_certificate one point at a time: the default_rng(0) draws,
+    the identity at each diagonal point and point pair, and its scale."""
+    rng = np.random.default_rng(0)
+    R, k = sos.VERIFY_RADIUS, sos.VERIFY_SAMPLES
+
+    def draw():
+        re = [rng.uniform(-R, R) for _ in range(k)]
+        return [complex(x, rng.uniform(-R, R)) for x in re]
+
+    z, w, zeta, eta = draw(), draw(), draw(), draw()
+    prev = reflect(p, cert.deg)
+
+    def mismatch(a, b):
+        pp = complex(p(*a)) * np.conj(complex(p(*b)))
+        rr = complex(prev(*a)) * np.conj(complex(prev(*b)))
+        sums, sizes = [], [abs(pp), abs(rr), 1.0]
+        for block in (cert.a_list, cert.b_list, cert.c_list):
+            terms = [complex(q(*a)) * np.conj(complex(q(*b))) for q in block]
+            sums.append(sum(terms))
+            sizes += [abs(t) for t in terms]
+        rhs = (1 - a[1] * np.conj(b[1])) * sums[0] \
+            + (1 - a[0] * np.conj(b[0])) * (sums[1] - sums[2])
+        return abs(pp - rr - rhs), max(sizes)
+
+    pairs = [(z[i], w[i], z[i], w[i]) for i in range(k)] \
+        + [(z[i], w[i], zeta[i], eta[i]) for i in range(k)]
+    rows = [mismatch(pt[:2], pt[2:]) for pt in pairs]
+    rel = [m / max(s for _, s in rows[:k]) for m, _ in rows[:k]] \
+        + [m / max(s for _, s in rows[k:]) for m, _ in rows[k:]]
+    worst = int(np.argmax(rel))
+    return rel[worst], pairs[worst]
+
+
+def test_verify_samples_the_default_rng_0_points():
+    p = BiPoly([[1.0], [-2.0]]) * BiPoly([[2.0, 0.0], [0.0, -1.0]])  # (1-2z)(2-zw)
+    cert = certificate_closed_face(p)
+    assert (len(cert.a_list), cert.n1, cert.n2) == (1, 1, 1)
+    # a wrong C block makes the residual O(1), so the worst point is sharp
+    bad = replace(cert, c_list=tuple(1.1 * q for q in cert.c_list))
+    residual, point = _scalar_residual(p, bad)
+    report = verify_certificate(p, bad)
+    assert residual > 1e-2
+    assert report.worst_point == point
+    assert abs(report.residual - residual) < 1e-12 * residual
 
 
 def test_verify_detects_corruption(p_2zw):

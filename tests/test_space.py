@@ -6,7 +6,7 @@ from bszego import (BiPoly, DegenerateForm, InsufficientMoments, MomentSpace,
 from bszego import space as space_mod
 from bszego.fullmeasure import _nested_inverse_max
 from bszego.space import (RANK_TOL, TRI_BLOCK, SubspaceBasis, _inverse_rows,
-                          _solve_lower, subspace_angle)
+                          _solve_lower, empty_basis, subspace_angle)
 
 from conftest import (brute_inner, gram_from_table, gram_schmidt_coeffs,
                       structural)
@@ -141,12 +141,25 @@ def test_e2_kernel_matches_phi_kernel(space_2zw):
 def test_project_onto_span(space_leb):
     z = BiPoly([[0], [1.0]])
     one = BiPoly([[1.0]])
-    span_z = space_leb.projected_span([z], space_leb.basis("F2", 1, 0))
+    span_z = space_leb.projected_span([z], space_leb.basis("F2", 1, 0), 1)
     coeffs, resid = space_leb.project(z, span_z)
     assert abs(abs(coeffs[0]) - 1.0) < 1e-12 and resid.is_zero()
     coeffs, resid = space_leb.project(one, span_z)
     assert abs(coeffs[0]) < 1e-12
     assert np.allclose(resid.coeffs, [[1.0]])
+
+
+def test_projected_span_checks_its_dimension_on_every_path(space_leb):
+    # 1 projects to zero on F2(1, 0) = span{z} under Lebesgue measure
+    f2 = space_leb.basis("F2", 1, 0)
+    one = BiPoly([[1.0]])
+    assert space_leb.projected_span([one], f2, 0).dim == 0
+    assert space_leb.projected_span([], f2, 0).dim == 0
+    for gens, target in [([one], f2), ([], f2), ([one], empty_basis())]:
+        with pytest.raises(DegenerateForm, match="rank 0, expected 1"):
+            space_leb.projected_span(gens, target, 1)
+    with pytest.raises(DegenerateForm, match="rank 1, expected 2"):
+        space_leb.projected_span([BiPoly([[0], [1.0]])], f2, 2)
 
 
 def test_project_matches_normal_equations():
@@ -181,7 +194,7 @@ def test_project_matches_normal_equations():
 
 def test_kernel_constants_and_monomials(space_leb):
     one_span = space_leb.projected_span(
-        [BiPoly([[1.0]])], space_leb.e1_basis(0, 0))
+        [BiPoly([[1.0]])], space_leb.e1_basis(0, 0), 1)
     assert abs(one_span.kernel((0.3, 0.1), (0.7, -0.2)) - 1.0) < 1e-12
     p10 = space_leb.f2_basis(1, 0)  # holds z only; combine with constants
     full = space_leb.e1_basis(1, 0)  # P_{1,0} itself under Lebesgue

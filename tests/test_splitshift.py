@@ -10,6 +10,7 @@ from bszego import (BiPoly, DegenerateForm, DNotAdmissible,
                     moments_from_density, moments_from_grid_function,
                     reconstruct_p, shift_split_from_p,
                     split_poly_from_condition)
+from bszego import splitshift
 from bszego.space import containment_defect, subspace_angle
 from bszego.splitshift import (FACE_MARGIN, FACE_SAMPLES, assert_no_face_zeros,
                                split_poly_of)
@@ -91,6 +92,25 @@ def test_condition_unstable_content():
     rep = check_matrix_condition(build_operators(MomentSpace(table, 2, 1)))
     assert rep.holds
     assert (rep.d_min, rep.d_max) == (0, 1)
+
+
+def test_krylov_spans_computed_once_per_operators(monkeypatch):
+    # (2 - z)(2 - zw) at (2, 1): the report, the minimal split and the
+    # middle spectrum all read the same two spans
+    p = BiPoly([[2.0], [-1.0]]) * BiPoly([[2.0, 0.0], [0.0, -1.0]])
+    space = MomentSpace(moments_from_density(p, 2, 1), 2, 1)
+    calls = []
+    krylov = splitshift._krylov_span
+    monkeypatch.setattr(splitshift, "_krylov_span",
+                        lambda *a: calls.append(1) or krylov(*a))
+    ops = build_operators(space)
+    report = check_matrix_condition(ops)
+    splitshift.minimal_split_poly(space, ops)
+    a, _, _, clusters = splitshift._middle_spectrum(ops)
+    assert len(calls) == 2
+    assert (report.d_min, report.d_max, a.shape[1]) == (0, 1, 0)
+    assert [k for _, k in clusters] == [1]
+    assert not a.flags.writeable
 
 
 def test_condition_fails_generic():
