@@ -29,6 +29,14 @@ COND_TOL = 1e-8
 QUAD_TOL = 1e-10
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise InvalidInput, so that they exit 2
+    with the usual JSON error document."""
+
+    def error(self, message):
+        raise InvalidInput(message)
+
+
 def _read_json(path):
     if path == "-":
         return json.load(sys.stdin)
@@ -123,9 +131,8 @@ def build_parser():
     common.add_argument("--grid", type=int, default=None,
                         help="maximum quadrature grid per axis, a power of two "
                              "(default 4096)")
-    common.add_argument("--json-indent", type=int, default=2)
 
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="bszego", parents=[common],
         description="Bernstein-Szego measures on the bicircle: moments, "
                     "factorization, certificates, filters.")
@@ -173,9 +180,8 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for name in ("n", "m", "jmax", "kmax"):
             if getattr(args, name, 0) < 0:
                 raise InvalidInput(f"--{name} {getattr(args, name)} is negative")
@@ -188,7 +194,7 @@ def main(argv=None):
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         doc = {"error": type(exc).__name__, "message": str(exc)}
         code = 2
-    print(dumps(doc, indent=args.json_indent))
+    print(dumps(doc))
     return code
 
 

@@ -47,22 +47,13 @@ class DetRep:
     def m(self):
         return self.u.shape[0] - self.n1 - self.n2
 
-    def _diagonals(self, z, w):
-        """Diagonals of Delta and Gamma at (z, w), on a trailing axis."""
-        z, w = np.broadcast_arrays(np.asarray(z, dtype=complex), w)
-        one, sizes = np.ones_like(z), (self.m, self.n1, self.n2)
-        return tuple(np.moveaxis(np.repeat(d, sizes, axis=0), 0, -1)
-                     for d in ([w, z, one], [one, one, z]))
-
-    def delta(self, z, w):
-        return np.diag(self._diagonals(z, w)[0])
-
-    def gamma(self, z, w):
-        return np.diag(self._diagonals(z, w)[1])
-
     def det_pencil(self, z, w):
         """det(U Delta - Gamma) at (z, w); arrays of points give an array."""
-        dd, dg = (d[..., None, :] for d in self._diagonals(z, w))
+        z, w = np.broadcast_arrays(np.asarray(z, dtype=complex), w)
+        one, sizes = np.ones_like(z), (self.m, self.n1, self.n2)
+        # the diagonals of Delta and Gamma, on a trailing axis
+        dd, dg = (np.moveaxis(np.repeat(d, sizes, axis=0), 0, -1)[..., None, :]
+                  for d in ([w, z, one], [one, one, z]))
         det = np.linalg.det(self.u * dd - np.eye(len(self.u)) * dg)
         return complex(det) if det.ndim == 0 else det
 

@@ -36,12 +36,6 @@ class FullMeasureReport:
     depth: tuple
     tol: float
 
-    def max_gamma(self):
-        return max(self.e2_conditions.values(), default=0.0)
-
-    def max_xi(self):
-        return max(self.h_conditions.values(), default=0.0)
-
     def to_json(self):
         return {"positivity_ok": self.positivity_ok,
                 "min_eigenvalue": self.min_eigenvalue,

@@ -30,6 +30,8 @@ def _unpairs(data, what):
         raise InvalidInput(f"malformed {what} coefficient grid") from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise InvalidInput(f"{what} grid must be rows x cols x [re, im]")
+    if not np.isfinite(arr).all():
+        raise InvalidInput(f"{what} grid holds a non-finite number")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -87,6 +89,6 @@ def trig_from_json(doc) -> TrigPoly:
     return _centered_from_json(doc, TrigPoly, "trig polynomial")
 
 
-def dumps(doc, indent=2) -> str:
-    """Deterministic JSON with full-precision floats."""
-    return json.dumps(doc, indent=indent, sort_keys=True, allow_nan=False)
+def dumps(doc) -> str:
+    """Deterministic JSON with full-precision floats, indented by 2."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (InsufficientMoments, MomentDivergence,
                      NonPositiveDensity, ZeroPolynomial)
-from .poly import BiPoly, _readonly, reflect
+from .poly import BiPoly, _readonly
 
 POLE_MARGIN = 1e-12  # denominator minimum, relative to its grid maximum
 POSITIVE_TOL = 1e-12  # is_positive's bound on the Gram's eigenvalue ratio
@@ -105,17 +105,6 @@ class TrigPoly(MomentTable):
         super().__post_init__()
         if np.max(np.abs(self.c - raw)) > 1e-8 * max(1.0, np.max(np.abs(raw))):
             raise NonPositiveDensity("coefficients are not Hermitian-symmetric")
-
-    @classmethod
-    def from_abs_squared(cls, p: BiPoly) -> "TrigPoly":
-        """Expand |p(z, w)|^2 on the torus into Laurent coefficients.
-
-        On the torus |p|^2 = z^-n w^-m p reflect(p), and the product's
-        coefficient grid is already centred at (n, m).
-        """
-        t = p.trimmed()
-        n, m = t.deg
-        return cls(n, m, (t * reflect(t, (n, m))).coeffs)
 
     def values_on_grid(self, N):
         """Evaluate on the N x N uniform torus grid (real array)."""

@@ -47,7 +47,7 @@ class SosCertificate:
     c_list: tuple
     variant: str            # "L" or "G"
     residual: float
-    deg: tuple = None       # degree pair at which p and its reflection live
+    deg: tuple              # degree pair at which p and its reflection live
 
     @property
     def n1(self):
@@ -59,24 +59,17 @@ class SosCertificate:
 
     def to_json(self):
         from .jsonio import poly_to_json
-        doc = {"A": [poly_to_json(q) for q in self.a_list],
-               "B": [poly_to_json(q) for q in self.b_list],
-               "C": [poly_to_json(q) for q in self.c_list],
-               "n1": self.n1, "n2": self.n2,
-               "residual": self.residual, "variant": self.variant}
-        if self.deg is not None:
-            doc["deg"] = list(self.deg)
-        return doc
+        return {"A": [poly_to_json(q) for q in self.a_list],
+                "B": [poly_to_json(q) for q in self.b_list],
+                "C": [poly_to_json(q) for q in self.c_list],
+                "n1": self.n1, "n2": self.n2, "deg": list(self.deg),
+                "residual": self.residual, "variant": self.variant}
 
 
 @dataclass(frozen=True)
 class ResidualReport:
     residual: float
     worst_point: tuple
-
-    def to_json(self):
-        return {"residual": self.residual,
-                "worst_point": [[v.real, v.imag] for v in self.worst_point]}
 
 
 def _sum_products(polys, zw, ze):
@@ -92,8 +85,7 @@ def _sum_products(polys, zw, ze):
 
 
 def _identity_mismatch(p, cert, zw, ze):
-    at = cert.deg if cert.deg is not None else p.trimmed().deg
-    prev = reflect(p, at)
+    prev = reflect(p, cert.deg)
     z, w = zw
     zeta, eta = ze
     pp = p(z, w) * np.conj(p(zeta, eta))
@@ -152,7 +144,7 @@ def _blocks_closed_face(p: BiPoly, variant, deg) -> SosCertificate:
     table = moments_from_density(pt, max(n, 1), max(m, 1))
     space = MomentSpace(table, n, m)
     split = shift_split_from_p(space, pt)
-    a_list = tuple(space.e2_basis(n, m - 1).polys()) if m >= 1 else ()
+    a_list = tuple(space.basis("E2", n, m - 1).polys()) if m >= 1 else ()
     if variant == "G":
         a_list = a_list + (reflect(pt, (n, m)),)
     b_list = tuple(split.k2.reflected((max(n - 1, 0), m)).polys()) \

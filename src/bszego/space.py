@@ -66,23 +66,6 @@ class SubspaceBasis:
     def polys(self):
         return [self.poly(i) for i in range(self.dim)]
 
-    def evaluate(self, z, w):
-        """Values of all basis polynomials at (z, w); trailing axis = index."""
-        z = np.asarray(z, dtype=complex)
-        w = np.asarray(w, dtype=complex)
-        if not self.support:
-            return np.zeros(z.shape + (0,), dtype=complex)
-        js = np.array([j for j, _ in self.support])
-        ks = np.array([k for _, k in self.support])
-        mono = z[..., None] ** js * w[..., None] ** ks
-        return mono @ self.vectors
-
-    def kernel(self, zw, zeta_eta):
-        """Reproducing kernel sum_i b_i(z, w) conj(b_i(zeta, eta))."""
-        a = self.evaluate(*zw)
-        b = self.evaluate(*zeta_eta)
-        return np.sum(a * np.conj(b), axis=-1)
-
     def shifted(self, dz, dw):
         """Image under multiplication by z^dz w^dw.
 
@@ -272,23 +255,6 @@ class MomentSpace:
         vectors = self._phase_normalize(target.vectors @ u[:, :rank])
         return SubspaceBasis(target.support, vectors)
 
-    # -- named spaces --------------------------------------------------------
-
-    def e1_basis(self, k, l):
-        return self.basis("E1", k, l)
-
-    def f1_basis(self, k, l):
-        return self.basis("F1", k, l)
-
-    def e2_basis(self, k, l):
-        return self.basis("E2", k, l)
-
-    def f2_basis(self, k, l):
-        return self.basis("F2", k, l)
-
-    def h_basis(self, n, M):
-        return self.basis("H", n, M)
-
     # -- operations ----------------------------------------------------------
 
     def phi_sequence(self, n, m):
@@ -307,14 +273,6 @@ class MomentSpace:
         rows = _inverse_rows(gram(self.table, order, order), m + 1,
                              f"the phi sequence ({n}, {m})")
         return [BiPoly(row.reshape(n + 1, m + 1)) for row in rows]
-
-    def project(self, f: BiPoly, onto: SubspaceBasis):
-        """Coefficients of f along the basis, plus the residual polynomial."""
-        coeffs = np.array([self.inner(f, b) for b in onto.polys()])
-        residual = f
-        for ci, b in zip(coeffs, onto.polys()):
-            residual = residual - ci * b
-        return coeffs, residual.trimmed()
 
 
 def _solve_lower(L, B):
@@ -350,30 +308,3 @@ def _inverse_rows(G, count, where):
     # U = L reversed on both axes; rows of U^-1 from U^T Y = I
     return np.triu(_solve_lower(L.T[::-1, ::-1], np.eye(len(G))[:, :count]).T)
 
-
-def subspace_angle(space: MomentSpace, a: SubspaceBasis, b: SubspaceBasis):
-    """Largest principal-angle sine between two subspaces (0 = equal span).
-
-    Computed as the spectral distance of the orthogonal projections,
-    which resolves tiny angles down to machine precision.
-    """
-    if a.dim != b.dim:
-        return 1.0
-    if a.dim == 0:
-        return 0.0
-    qa = np.linalg.qr(space.embed_basis(a))[0]
-    qb = np.linalg.qr(space.embed_basis(b))[0]
-    pa = qa @ qa.conj().T
-    pb = qb @ qb.conj().T
-    return float(np.linalg.norm(pa - pb, 2))
-
-
-def containment_defect(space: MomentSpace, inner_b: SubspaceBasis,
-                       outer_b: SubspaceBasis):
-    """max over basis vectors v of ||v - P_outer v|| (0 = contained)."""
-    if inner_b.dim == 0:
-        return 0.0
-    qi = space.embed_basis(inner_b)
-    qo = space.embed_basis(outer_b)
-    resid = qi - qo @ (qo.conj().T @ qi)
-    return float(np.max(np.linalg.norm(resid, axis=0)))

@@ -50,10 +50,6 @@ class ShiftOperators:
     b_mat: np.ndarray       # (n, m)
     t_mat: np.ndarray       # (n, n)
     e1: SubspaceBasis       # E1(n-1, m)
-    we2: SubspaceBasis      # w E2(n, m-1)
-    wf2: SubspaceBasis      # w F2(n, m-1)
-    n: int
-    m: int
 
     @cached_property
     def invariant_spaces(self):
@@ -89,10 +85,6 @@ class StratificationReport:
     d_min: int
     d_max: int
 
-    @property
-    def admissible(self):
-        return range(self.d_min, self.d_max + 1) if self.holds else range(0)
-
     def to_json(self):
         return {"holds": self.holds, "max_violation": self.max_violation,
                 "dimA": self.dim_a, "dimB": self.dim_b,
@@ -102,18 +94,17 @@ class StratificationReport:
 def build_operators(space: MomentSpace) -> ShiftOperators:
     """The A, B, T matrices for the form at the space's caps (n, m)."""
     n, m = space.nmax, space.mmax
-    e1 = space.e1_basis(n - 1, m)
-    we2 = space.e2_basis(n, m - 1).shifted(0, 1) if m >= 1 else empty_basis()
-    wf2 = space.f2_basis(n, m - 1).shifted(0, 1) if m >= 1 else empty_basis()
+    e1 = space.basis("E1", n - 1, m)
+    a_out = space.basis("E2", n, m - 1).shifted(0, 1) if m >= 1 else empty_basis()
+    b_in = space.basis("F2", n, m - 1).shifted(0, 1) if m >= 1 else empty_basis()
     ze1 = e1.shifted(1, 0)
     # entry (i, j) of each operator is <op(basis_j), out_basis_i>
-    a_mat = space.cross(ze1, we2).T if min(e1.dim, we2.dim) else \
-        np.zeros((we2.dim, e1.dim), dtype=complex)
+    a_mat = space.cross(ze1, a_out).T if min(e1.dim, a_out.dim) else \
+        np.zeros((a_out.dim, e1.dim), dtype=complex)
     t_mat = space.cross(ze1, e1).T if e1.dim else np.zeros((0, 0), dtype=complex)
-    b_mat = space.cross(wf2, e1).T if min(e1.dim, wf2.dim) else \
-        np.zeros((e1.dim, wf2.dim), dtype=complex)
-    return ShiftOperators(a_mat=a_mat, b_mat=b_mat, t_mat=t_mat,
-                          e1=e1, we2=we2, wf2=wf2, n=n, m=m)
+    b_mat = space.cross(b_in, e1).T if min(e1.dim, b_in.dim) else \
+        np.zeros((e1.dim, b_in.dim), dtype=complex)
+    return ShiftOperators(a_mat=a_mat, b_mat=b_mat, t_mat=t_mat, e1=e1)
 
 
 def _krylov_span(step, seed, n):
@@ -186,7 +177,7 @@ def _complement_in_coords(coords, dim):
 def split_poly_of(space: MomentSpace, k1: SubspaceBasis,
                   k2: SubspaceBasis) -> BiPoly:
     """Unit-norm generator of E1(n, m) minus (K1 + z K2), phase-canonical."""
-    e1big = space.e1_basis(space.nmax, space.mmax)
+    e1big = space.basis("E1", space.nmax, space.mmax)
     cols = []
     emb_big = space.embed_basis(e1big)
     for b in (k1, k2.shifted(1, 0)):
@@ -217,7 +208,7 @@ def shift_split_from_p(space: MomentSpace, p: BiPoly) -> ShiftSplit:
         raise RootNearTorus("p(z, 0) vanishes identically (zero at w = 0)")
     rs = split_stable(p0)
     beta = rs.beta
-    e1 = space.e1_basis(n - 1, m)
+    e1 = space.basis("E1", n - 1, m)
     a_pol = rs.stable.to_bipoly()
     b_pol = rs.unstable.to_bipoly()
     gens_k1 = [a_pol.shifted(j, 0) for j in range(beta)]
@@ -335,7 +326,7 @@ def _checked_split(space, ops, k1_coords) -> ShiftSplit:
     return split
 
 
-def split_poly_from_condition(space: MomentSpace, d=0) -> ShiftSplit:
+def split_poly_from_condition(space: MomentSpace, d) -> ShiftSplit:
     """Construct a shift-split with dim K1 = d from the operators alone.
 
     K1 is T*-invariant and contains the A-space; K2 is its complement.
@@ -379,8 +370,8 @@ def enumerate_split_polys(space: MomentSpace):
 def gw_check(space: MomentSpace):
     """Stable-on-the-closed-bidisk test: F1(n-1, m) perpendicular to F2(n, m-1)."""
     n, m = space.nmax, space.mmax
-    f1 = space.f1_basis(n - 1, m)
-    f2 = space.f2_basis(n, m - 1)
+    f1 = space.basis("F1", n - 1, m)
+    f2 = space.basis("F2", n, m - 1)
     if f1.dim == 0 or f2.dim == 0:
         return True
     return float(np.linalg.norm(space.cross(f1, f2), 2)) < MC_TOL

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bszego import BiPoly, MomentTable, UniPoly, moments_from_density
+from bszego import (BiPoly, MomentSpace, MomentTable, SubspaceBasis, TrigPoly,
+                    UniPoly, moments_from_density, reflect)
 from bszego.poly import as_bipoly
 
 
@@ -98,6 +99,73 @@ def random_corpus_poly(rng, max_q_deg=2, max_factors=2, allow_unstable_q=False):
         alpha = rng.uniform(1.5, 3.0) * np.exp(2j * np.pi * rng.uniform())
         g = g * BiPoly([[alpha, 0.0], [0.0, -1.0]])
     return (q.to_bipoly() * g).trimmed()
+
+
+def trig_abs_squared(p: BiPoly) -> TrigPoly:
+    """|p(z, w)|^2 on the torus as a trig polynomial.
+
+    On the torus |p|^2 = z^-n w^-m p reflect(p), and the product's
+    coefficient grid is already centred at (n, m).
+    """
+    t = p.trimmed()
+    n, m = t.deg
+    return TrigPoly(n, m, (t * reflect(t, (n, m))).coeffs)
+
+
+# ---------------------------------------------------------------------------
+# subspace oracles over a MomentSpace
+# ---------------------------------------------------------------------------
+
+def basis_values(b: SubspaceBasis, z, w):
+    """Values of all basis polynomials at (z, w); trailing axis = index."""
+    z = np.asarray(z, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    if not b.support:
+        return np.zeros(z.shape + (0,), dtype=complex)
+    js = np.array([j for j, _ in b.support])
+    ks = np.array([k for _, k in b.support])
+    return (z[..., None] ** js * w[..., None] ** ks) @ b.vectors
+
+
+def basis_kernel(b: SubspaceBasis, zw, zeta_eta):
+    """Reproducing kernel sum_i b_i(z, w) conj(b_i(zeta, eta))."""
+    return np.sum(basis_values(b, *zw) * np.conj(basis_values(b, *zeta_eta)),
+                  axis=-1)
+
+
+def project(space: MomentSpace, f: BiPoly, onto: SubspaceBasis):
+    """Coefficients of f along the basis, plus the residual polynomial."""
+    coeffs = np.array([space.inner(f, b) for b in onto.polys()])
+    residual = f
+    for ci, b in zip(coeffs, onto.polys()):
+        residual = residual - ci * b
+    return coeffs, residual.trimmed()
+
+
+def subspace_angle(space: MomentSpace, a: SubspaceBasis, b: SubspaceBasis):
+    """Largest principal-angle sine between two subspaces (0 = equal span).
+
+    Computed as the spectral distance of the orthogonal projections,
+    which resolves tiny angles down to machine precision.
+    """
+    if a.dim != b.dim:
+        return 1.0
+    if a.dim == 0:
+        return 0.0
+    qa = np.linalg.qr(space.embed_basis(a))[0]
+    qb = np.linalg.qr(space.embed_basis(b))[0]
+    return float(np.linalg.norm(qa @ qa.conj().T - qb @ qb.conj().T, 2))
+
+
+def containment_defect(space: MomentSpace, inner_b: SubspaceBasis,
+                       outer_b: SubspaceBasis):
+    """max over basis vectors v of ||v - P_outer v|| (0 = contained)."""
+    if inner_b.dim == 0:
+        return 0.0
+    qi = space.embed_basis(inner_b)
+    qo = space.embed_basis(outer_b)
+    resid = qi - qo @ (qo.conj().T @ qi)
+    return float(np.max(np.linalg.norm(resid, axis=0)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,9 @@ from bszego import (ArProblem, BiPoly, MomentSpace, MomentTable,
                     is_positive, moments_from_density, reconstruct_p,
                     shift_split_from_p, solve_ar)
 from bszego.cli import main as cli_main
-from bszego.space import containment_defect
 
-from conftest import (geometric_diag_moment, random_corpus_poly,
-                      torus_grid)
+from conftest import (containment_defect, geometric_diag_moment,
+                      random_corpus_poly, torus_grid, trig_abs_squared)
 
 
 def report(num, ok, detail=""):
@@ -61,11 +60,11 @@ def test_criterion_02_equivalence_suite():
         if split.k1.dim and split.k2.dim:
             worst_orth = max(worst_orth, float(np.max(np.abs(
                 sp.cross(split.k1, split.k2.shifted(1, 0))))))
-        e1big = sp.e1_basis(n, m)
+        e1big = sp.basis("E1", n, m)
         worst_contain = max(worst_contain,
                             containment_defect(sp, split.k1, e1big),
                             containment_defect(sp, split.k2.shifted(1, 0), e1big))
-        e1small = sp.e1_basis(n - 1, m)
+        e1small = sp.basis("E1", n - 1, m)
         both = np.hstack([sp.embed_basis(split.k1), sp.embed_basis(split.k2)])
         proj = sp.embed_basis(e1small)
         resid = both - proj @ (proj.conj().T @ both)
@@ -220,8 +219,10 @@ def test_criterion_09_full_measure(p_2zw):
         n, m = p.deg
         table = moments_from_density(p, max(n + 4, 2 * n), m + 3)
         rep = check_full_measure(table, n, m)
-        ok &= rep.verdict == "pass" and max(rep.max_gamma(), rep.max_xi()) < 1e-7
-        details.append(f"{rep.verdict} {max(rep.max_gamma(), rep.max_xi()):.1e}")
+        worst = max((*rep.e2_conditions.values(), *rep.h_conditions.values()),
+                    default=0.0)
+        ok &= rep.verdict == "pass" and worst < 1e-7
+        details.append(f"{rep.verdict} {worst:.1e}")
     c = np.zeros((11, 9), dtype=complex)
     for j in range(-4, 5):
         c[j + 5, j + 4] = 0.5 * geometric_diag_moment(j, 2.0)
@@ -311,8 +312,8 @@ def test_criterion_11_negative_controls(tmp_path, p_2zw):
     details.append(f"cli gdv exit {code}")
 
     # a sum of two incompatible squared moduli is not factorable
-    a = TrigPoly.from_abs_squared(p_2zw)
-    b = TrigPoly.from_abs_squared(BiPoly([[2, -1.0], [-0.5, 0]]))
+    a = trig_abs_squared(p_2zw)
+    b = trig_abs_squared(BiPoly([[2, -1.0], [-0.5, 0]]))
     c2 = np.zeros((5, 5), dtype=complex)
     c2[1:4, 1:4] += a.c + b.c
     tbad = tmp_path / "trig.json"

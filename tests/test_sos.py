@@ -124,14 +124,14 @@ def test_verify_detects_corruption(p_2zw):
     bad = SosCertificate(a_list=cert.a_list,
                          b_list=(BiPoly([[0.0, 2.0]]),),  # 2w instead of sqrt(3) w
                          c_list=cert.c_list,
-                         variant="L", residual=cert.residual)
+                         variant="L", residual=cert.residual, deg=cert.deg)
     report = verify_certificate(p_2zw, bad)
     assert report.residual > 1e-3
 
 
 def test_verify_empty_cert_of_one():
     cert = SosCertificate(a_list=(), b_list=(), c_list=(), variant="L",
-                          residual=0.0)
+                          residual=0.0, deg=(0, 0))
     report = verify_certificate(BiPoly([[1.0]]), cert)
     assert report.residual < 1e-14
 

@@ -6,10 +6,10 @@ from bszego import (BiPoly, DegenerateForm, InsufficientMoments, MomentSpace,
 from bszego import space as space_mod
 from bszego.fullmeasure import _nested_inverse_max
 from bszego.space import (RANK_TOL, TRI_BLOCK, SubspaceBasis, _inverse_rows,
-                          _solve_lower, empty_basis, subspace_angle)
+                          _solve_lower, empty_basis)
 
-from conftest import (brute_inner, gram_from_table, gram_schmidt_coeffs,
-                      structural)
+from conftest import (basis_kernel, basis_values, brute_inner, gram_from_table,
+                      gram_schmidt_coeffs, project, structural, subspace_angle)
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +23,7 @@ def space_leb(lebesgue_table):
 
 
 def test_lebesgue_e1_is_monomials(space_leb):
-    b = space_leb.e1_basis(1, 1)
+    b = space_leb.basis("E1", 1, 1)
     assert b.dim == 2
     polys = b.polys()
     got = sorted(tuple(np.argwhere(np.abs(q.coeffs) > 0.5)[0]) for q in polys)
@@ -31,12 +31,12 @@ def test_lebesgue_e1_is_monomials(space_leb):
 
 
 def test_dimension_counts(space_2zw):
-    assert space_2zw.e1_basis(0, 1).dim == 1
-    assert space_2zw.f1_basis(0, 1).dim == 1
-    assert space_2zw.e2_basis(1, 0).dim == 1
-    assert space_2zw.f2_basis(1, 0).dim == 1
-    assert space_2zw.e2_basis(1, 1).dim == 2
-    assert space_2zw.e1_basis(1, 1).dim == 2
+    assert space_2zw.basis("E1", 0, 1).dim == 1
+    assert space_2zw.basis("F1", 0, 1).dim == 1
+    assert space_2zw.basis("E2", 1, 0).dim == 1
+    assert space_2zw.basis("F2", 1, 0).dim == 1
+    assert space_2zw.basis("E2", 1, 1).dim == 2
+    assert space_2zw.basis("E1", 1, 1).dim == 2
 
 
 def test_dimension_counts_nontrivial():
@@ -49,8 +49,8 @@ def test_dimension_counts_nontrivial():
     sp = MomentSpace(t, 2, 2)
     for k in range(3):
         for l in range(3):
-            assert sp.e1_basis(k, l).dim == k + 1
-            assert sp.e2_basis(k, l).dim == l + 1
+            assert sp.basis("E1", k, l).dim == k + 1
+            assert sp.basis("E2", k, l).dim == l + 1
 
 
 def test_basis_orthonormal_against_brute_force(p_2zw, space_2zw):
@@ -74,7 +74,7 @@ def test_e2_matches_dense_gram_schmidt(table_2zw, space_2zw):
             proj = proj + (e @ G @ np.conj(q)) * q
         gens.append(e - proj)
     oracle = gram_schmidt_coeffs(G, gens)
-    lib = space_2zw.e2_basis(1, 1)
+    lib = space_2zw.basis("E2", 1, 1)
     vec = np.zeros((4, lib.dim), dtype=complex)
     for row, u in enumerate(sup):
         if u in lib.support:
@@ -88,9 +88,9 @@ def test_e2_matches_dense_gram_schmidt(table_2zw, space_2zw):
 def test_basis_cache(space_2zw):
     e1 = space_2zw.basis("E1", 1, 1)
     assert space_2zw.basis("E1", 1, 1) is e1
-    assert space_2zw.e1_basis(1, 1) is e1
+    assert space_2zw.basis("E1", 1, 1) is e1
     f1 = space_2zw.basis("F1", 1, 1)
-    assert space_2zw.f1_basis(1, 1) is f1
+    assert space_2zw.basis("F1", 1, 1) is f1
     # same dimension, different subspaces: the keys must not collide
     assert f1.dim == e1.dim and subspace_angle(space_2zw, e1, f1) > 1e-3
 
@@ -98,7 +98,7 @@ def test_basis_cache(space_2zw):
 def test_h_space_dimension(p_2zw):
     t = moments_from_density(p_2zw, 2, 1)
     sp = MomentSpace(t, 2, 1)
-    assert sp.h_basis(1, 1).dim == 1
+    assert sp.basis("H", 1, 1).dim == 1
 
 
 def test_phi_sequence_lebesgue(space_leb):
@@ -124,16 +124,16 @@ def test_phi_sequence_spans_e2(space_2zw):
         for row, (a, b) in enumerate(sup):
             vecs[row, i] = phi.coeffs[a, b]
     phib = SubspaceBasis(tuple(sup), vecs)
-    assert subspace_angle(space_2zw, phib, space_2zw.e2_basis(1, 1)) < 1e-8
+    assert subspace_angle(space_2zw, phib, space_2zw.basis("E2", 1, 1)) < 1e-8
 
 
 def test_e2_kernel_matches_phi_kernel(space_2zw):
     # the reproducing kernel is basis-independent: the orthonormalized
     # complement and the inverse-moment-matrix route agree pointwise
-    b = space_2zw.e2_basis(1, 1)
+    b = space_2zw.basis("E2", 1, 1)
     phis = space_2zw.phi_sequence(1, 1)
     pt1, pt2 = (0.3, 0.2), (0.1, -0.4)
-    lib = b.kernel(pt1, pt2)
+    lib = basis_kernel(b, pt1, pt2)
     oracle = sum(phi(*pt1) * np.conj(phi(*pt2)) for phi in phis)
     assert abs(lib - oracle) < 1e-9
 
@@ -142,9 +142,9 @@ def test_project_onto_span(space_leb):
     z = BiPoly([[0], [1.0]])
     one = BiPoly([[1.0]])
     span_z = space_leb.projected_span([z], space_leb.basis("F2", 1, 0), 1)
-    coeffs, resid = space_leb.project(z, span_z)
+    coeffs, resid = project(space_leb, z, span_z)
     assert abs(abs(coeffs[0]) - 1.0) < 1e-12 and resid.is_zero()
-    coeffs, resid = space_leb.project(one, span_z)
+    coeffs, resid = project(space_leb, one, span_z)
     assert abs(coeffs[0]) < 1e-12
     assert np.allclose(resid.coeffs, [[1.0]])
 
@@ -168,9 +168,9 @@ def test_project_matches_normal_equations():
     n, m = p.deg
     table = moments_from_density(p, n, m)
     sp = MomentSpace(table, n, m)
-    e1 = sp.e1_basis(n - 1, m)
+    e1 = sp.basis("E1", n - 1, m)
     f = BiPoly([[0, 0], [2.0, 0], [1.0, 0]])        # z (2 + z)
-    coeffs, resid = sp.project(f, e1)
+    coeffs, resid = project(sp, f, e1)
     # oracle: dense normal equations over the e1 polynomials
     sup = [(j, k) for j in range(n + 1) for k in range(m + 1)]
     G = gram_from_table(table, sup)
@@ -194,26 +194,26 @@ def test_project_matches_normal_equations():
 
 def test_kernel_constants_and_monomials(space_leb):
     one_span = space_leb.projected_span(
-        [BiPoly([[1.0]])], space_leb.e1_basis(0, 0), 1)
-    assert abs(one_span.kernel((0.3, 0.1), (0.7, -0.2)) - 1.0) < 1e-12
-    p10 = space_leb.f2_basis(1, 0)  # holds z only; combine with constants
-    full = space_leb.e1_basis(1, 0)  # P_{1,0} itself under Lebesgue
+        [BiPoly([[1.0]])], space_leb.basis("E1", 0, 0), 1)
+    assert abs(basis_kernel(one_span, (0.3, 0.1), (0.7, -0.2)) - 1.0) < 1e-12
+    p10 = space_leb.basis("F2", 1, 0)  # holds z only; combine with constants
+    full = space_leb.basis("E1", 1, 0)  # P_{1,0} itself under Lebesgue
     z, zeta = 0.3 + 0.1j, -0.2 + 0.4j
-    val = full.kernel((z, 0.0), (zeta, 0.0))
+    val = basis_kernel(full, (z, 0.0), (zeta, 0.0))
     assert abs(val - (1 + z * np.conj(zeta))) < 1e-12
 
 
 def test_kernel_reproducing_property(p_2zw, space_2zw):
-    b = space_2zw.e2_basis(1, 1)
+    b = space_2zw.basis("E2", 1, 1)
     rng = np.random.default_rng(4)
     coefs = rng.normal(size=b.dim) + 1j * rng.normal(size=b.dim)
     f = BiPoly(sum(c * q._padded_to((2, 2))
                    for c, q in zip(coefs, b.polys())))
     for _ in range(5):
         zeta, eta = rng.normal(size=2) + 1j * rng.normal(size=2)
-        kern_poly_vals = b.evaluate(zeta, eta)
+        kern_poly_vals = basis_values(b, zeta, eta)
         # <f, K_(zeta,eta)> = sum_i <f, b_i> b_i(zeta, eta) = f(zeta, eta)
-        coeffs, _ = space_2zw.project(f, b)
+        coeffs, _ = project(space_2zw, f, b)
         lhs = np.sum(coeffs * kern_poly_vals)
         assert abs(lhs - f(zeta, eta)) < 1e-9
 
@@ -230,8 +230,8 @@ def test_reflection_antiunitary(space_2zw):
 
 
 def test_e1_f1_reflection_pair(space_2zw):
-    e1 = space_2zw.e1_basis(1, 1)
-    f1 = space_2zw.f1_basis(1, 1)
+    e1 = space_2zw.basis("E1", 1, 1)
+    f1 = space_2zw.basis("F1", 1, 1)
     assert subspace_angle(space_2zw, e1.reflected((1, 1)), f1) < 1e-8
 
 
@@ -240,15 +240,16 @@ def test_kernel_subtraction_identity(p_2zw):
     table = moments_from_density(p_2zw, 2, 2)
     sp = MomentSpace(table, 2, 2)
     j, m = 2, 2
-    e1 = sp.e1_basis(j, m)
-    f1 = sp.f1_basis(j, m)
+    e1 = sp.basis("E1", j, m)
+    f1 = sp.basis("F1", j, m)
     # K_{j, m-1}: reproducing kernel of the full P_{j, m-1}
     kfull = sp._complement([(a, b) for a in range(j + 1) for b in range(m)], [])
     rng = np.random.default_rng(7)
     for _ in range(50):
         z, w, zeta, eta = 0.8 * (rng.normal(size=4) + 1j * rng.normal(size=4))
-        lhs = e1.kernel((z, w), (zeta, eta)) - f1.kernel((z, w), (zeta, eta))
-        rhs = (1 - w * np.conj(eta)) * kfull.kernel((z, w), (zeta, eta))
+        lhs = (basis_kernel(e1, (z, w), (zeta, eta))
+               - basis_kernel(f1, (z, w), (zeta, eta)))
+        rhs = (1 - w * np.conj(eta)) * basis_kernel(kfull, (z, w), (zeta, eta))
         assert abs(lhs - rhs) < 1e-8
 
 

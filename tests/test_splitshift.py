@@ -11,12 +11,11 @@ from bszego import (BiPoly, DegenerateForm, DNotAdmissible,
                     reconstruct_p, shift_split_from_p,
                     split_poly_from_condition)
 from bszego import splitshift
-from bszego.space import containment_defect, subspace_angle
 from bszego.splitshift import (FACE_MARGIN, FACE_SAMPLES, assert_no_face_zeros,
                                split_poly_of)
 
-from conftest import (gram_from_table, gram_schmidt_coeffs, max_modulus_gap,
-                      random_corpus_poly)
+from conftest import (containment_defect, gram_from_table, gram_schmidt_coeffs,
+                      max_modulus_gap, random_corpus_poly, subspace_angle)
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +129,7 @@ def test_condition_fails_generic():
 def test_shift_split_2zw(space_2zw, p_2zw):
     split = shift_split_from_p(space_2zw, p_2zw)
     assert split.k1.dim == 0 and split.k2.dim == 1
-    assert subspace_angle(space_2zw, split.k2, space_2zw.e1_basis(0, 1)) < 1e-10
+    assert subspace_angle(space_2zw, split.k2, space_2zw.basis("E1", 0, 1)) < 1e-10
     # split poly proportional to p itself (both unit norm, canonical phase)
     ip = space_2zw.inner(split.split_poly, p_2zw)
     assert abs(abs(ip) - space_2zw.norm(p_2zw)) < 1e-9
@@ -158,7 +157,7 @@ def test_shift_split_invariants_corpus():
         if split.k1.dim and split.k2.dim:
             cross = sp.cross(split.k1, split.k2.shifted(1, 0))
             assert float(np.max(np.abs(cross))) < 1e-8
-        e1big = sp.e1_basis(n, m)
+        e1big = sp.basis("E1", n, m)
         assert containment_defect(sp, split.k1, e1big) < 1e-8
         assert containment_defect(sp, split.k2.shifted(1, 0), e1big) < 1e-8
 
@@ -367,8 +366,8 @@ def test_gw_examples(space_2zw, lebesgue_table):
 
 def test_gw_equals_shift_containment(space_2zw):
     # the d = 0 case is exactly z E1(n-1, m) inside E1(n, m)
-    ze1 = space_2zw.e1_basis(0, 1).shifted(1, 0)
-    e1big = space_2zw.e1_basis(1, 1)
+    ze1 = space_2zw.basis("E1", 0, 1).shifted(1, 0)
+    e1big = space_2zw.basis("E1", 1, 1)
     assert containment_defect(space_2zw, ze1, e1big) < 1e-8
 
 
