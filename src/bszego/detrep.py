@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (CertificateFailed, DegenerateSlice, FitResidualTooLarge,
                      NotGdv, NotSelfReflective, NumericalFailure, ZOnlyFactor)
-from .poly import BiPoly, reflect, w_roots, z_content
+from .poly import BiPoly, content_roots, reflect, w_roots
 from .sos import certificate_open_face
 
 
@@ -86,9 +86,9 @@ def check_self_reflective(p: BiPoly) -> complex:
     pt = p.trimmed()
     if pt.is_zero():
         raise NotSelfReflective("zero polynomial")
-    h, _, _ = z_content(pt)
-    if h.degree > 0:
-        raise ZOnlyFactor(f"p carries the z-only factor of degree {h.degree}")
+    degree = content_roots(pt).size
+    if degree:
+        raise ZOnlyFactor(f"p carries the z-only factor of degree {degree}")
     prev = reflect(pt, pt.deg)
     a = pt.coeffs.ravel()
     b = prev.coeffs.ravel()

@@ -24,13 +24,19 @@ def _pairs(arr):
 
 
 def _unpairs(data, what):
-    try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"malformed {what} coefficient grid") from exc
+    arr = np.asarray(data, dtype=object)
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise InvalidInput(f"{what} grid must be rows x cols x [re, im]")
-    if not np.isfinite(arr).all():
+    # numpy would read a JSON string or bool as a number
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in arr.flat):
+        raise InvalidInput(f"{what} grid holds an entry that is not a number")
+    try:
+        arr = arr.astype(float)
+        finite = np.isfinite(arr).all()
+    except OverflowError:       # an integer beyond the float range
+        finite = False
+    if not finite:
         raise InvalidInput(f"{what} grid holds a non-finite number")
     return arr[..., 0] + 1j * arr[..., 1]
 

@@ -19,7 +19,7 @@ from .errors import InvalidDegree, RootNearTorus, ZeroPolynomial
 
 TRIM_REL = 1e-12          # drop trailing coefficients below this times max |coeff|
 ROOT_MARGIN = 1e-6        # width of the forbidden band around |root| = 1
-CLUSTER_TOL = 1e-6        # root-clustering radius of the approximate gcd
+CLUSTER_TOL = 1e-6        # roots this close count as shared
 PHASE_TIE_REL = 1e-8      # canonical_phase: moduli this close to the row maximum tie
 
 
@@ -283,87 +283,27 @@ def split_stable(u: UniPoly) -> RootSplit:
     return RootSplit(stable=stable, unstable=unstable, beta=int(inside.size))
 
 
-def _cluster(values, tol):
-    """Greedy clustering of complex values; returns (centers, counts)."""
-    centers, members = [], []
-    for v in values:
-        for i, c in enumerate(centers):
-            if abs(v - c) <= tol:
-                members[i].append(v)
-                centers[i] = np.mean(members[i])
-                break
-        else:
-            centers.append(v)
-            members.append([v])
-    return centers, [len(ms) for ms in members]
+def content_roots(p: BiPoly):
+    """Roots, with multiplicity, of the z-only content of p.
 
-
-def gcd_approx(us) -> UniPoly:
-    """Monic approximate gcd of several UniPoly by root clustering.
-
-    Roots shared by every input (within CLUSTER_TOL) are kept with the
-    minimal shared multiplicity.  Raises ZeroPolynomial if every input
-    is zero.
-    """
-    polys = [u.trimmed() for u in us if not u.trimmed().is_zero()]
-    if not polys:
-        raise ZeroPolynomial("gcd of all-zero inputs")
-    if any(p.degree == 0 for p in polys):
-        return UniPoly([1.0])
-    ref = min(polys, key=lambda p: p.degree)
-    centers, counts = _cluster(list(roots(ref)), CLUSTER_TOL)
-    all_roots = [list(roots(p)) for p in polys]
-    kept = []
-    for center, count in zip(centers, counts):
-        mult = count
-        for rs in all_roots:
-            d = np.abs(np.asarray(rs) - center) if rs else np.zeros(0)
-            mult = min(mult, int(np.sum(d <= CLUSTER_TOL)))
-            if mult == 0:
-                break
-        kept.extend([center] * mult)
-    if not kept:
-        return UniPoly([1.0])
-    return UniPoly(npoly.polyfromroots(np.asarray(kept)))
-
-
-def divide_bipoly_z(p: BiPoly, d: UniPoly):
-    """Divide every w-column of p by the z-polynomial d.
-
-    Returns (quotient BiPoly, max relative remainder over columns).
-    """
-    dt = d.trimmed()
-    if dt.is_zero():
-        raise ZeroPolynomial("division by zero polynomial")
-    n, m = p.deg
-    qdeg = n - dt.degree
-    if qdeg < 0:
-        return BiPoly(np.zeros((1, m + 1))), 1.0
-    out = np.zeros((qdeg + 1, m + 1), dtype=complex)
-    scale = max(np.max(np.abs(p.coeffs)), 1e-300)
-    worst = 0.0
-    for k in range(m + 1):
-        q, r = npoly.polydiv(p.coeffs[:, k], dt.coeffs)
-        out[: q.size, k] = q
-        worst = max(worst, float(np.max(np.abs(r))) / scale)
-    return BiPoly(out), worst
-
-
-def z_content(p: BiPoly):
-    """Factor p = h(z) g(z, w) with h the z-only content.
-
-    h is the monic approximate gcd of the w-coefficient columns of p;
-    g carries everything else.  Returns (h, g, relative residual).
+    The content is read from the roots of the w-columns above 1e-9 of
+    max |coeff|: each root of the column with the fewest roots is kept
+    as many times as the fewest roots within CLUSTER_TOL of it in any
+    column, unless one within CLUSTER_TOL of it is kept already.
+    Raises ZeroPolynomial for the zero polynomial.
     """
     t = p.trimmed()
+    if t.is_zero():
+        raise ZeroPolynomial("the zero polynomial has no content")
     scale = np.max(np.abs(t.coeffs))
-    cols = [UniPoly(t.coeffs[:, k]) for k in range(t.deg[1] + 1)
-            if np.max(np.abs(t.coeffs[:, k])) > 1e-9 * scale]
-    h = gcd_approx(cols)
-    if h.degree == 0:
-        return UniPoly([1.0]), t, 0.0
-    g, res = divide_bipoly_z(t, h)
-    return h, g, res
+    cols = [roots(UniPoly(c)) for c in t.coeffs.T
+            if np.max(np.abs(c)) > 1e-9 * scale]
+    kept = []
+    for r in min(cols, key=len):
+        if all(abs(r - k) > CLUSTER_TOL for k in kept):
+            kept += [r] * min(int(np.sum(np.abs(rs - r) <= CLUSTER_TOL))
+                              for rs in cols)
+    return np.array(kept, dtype=complex)
 
 
 def canonical_phase(p: BiPoly) -> BiPoly:

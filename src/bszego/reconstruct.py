@@ -18,9 +18,8 @@ from .moments import (MomentTable, QuadratureConfig, TrigPoly,
                       _poly_grid_values, is_positive, moments_from_trig)
 from .poly import BiPoly, reflect_uni
 from .space import MomentSpace
-from .splitshift import (ShiftOperators, assert_no_face_zeros,
-                         build_operators, check_matrix_condition,
-                         minimal_split_poly)
+from .splitshift import (ShiftOperators, _operators_under_condition,
+                         assert_no_face_zeros, minimal_split_poly)
 
 KERNEL_TOL = 1e-8   # kernel identity residual, relative to max |kernel|
 FACTOR_TOL = 1e-7   # factor_trig's bound on max | |p|^2 - t |, relative to max |t|
@@ -55,12 +54,7 @@ def reconstruct_p(table: MomentTable, n, m, tol=1e-8) -> BiPoly:
     representative, unit-norm under the form, with canonical phase.
     """
     space = MomentSpace(table, n, m)
-    ops = build_operators(space)
-    report = check_matrix_condition(ops, tol)
-    if not report.holds:
-        raise MatrixConditionFails(
-            f"max ||A T^j B|| = {report.max_violation:.3e}; "
-            "no closed-face Bernstein-Szego representation exists")
+    ops, _ = _operators_under_condition(space, tol)
     return _reconstruct(space, ops)
 
 

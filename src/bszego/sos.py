@@ -29,8 +29,7 @@ import numpy as np
 from .errors import (CommonFactor, DegenerateForm, InvalidDegree,
                      MomentDivergence, NoConvergence, RootNearTorus)
 from .moments import moments_from_density
-from .poly import (CLUSTER_TOL, BiPoly, gcd_approx, reflect, roots, w_roots,
-                   z_content)
+from .poly import CLUSTER_TOL, BiPoly, content_roots, reflect, w_roots
 from .space import MomentSpace
 from .splitshift import shift_split_from_p
 
@@ -173,25 +172,19 @@ def _scale_w(p: BiPoly, t) -> BiPoly:
 
 
 def common_factor_with_reflection(p: BiPoly, deg=None):
-    """Sampled test whether p and its reflection share a factor.
+    """Test whether p and its reflection share a factor.
 
-    A common factor of positive w-degree forces shared w-roots on every
-    z-slice; a z-only common factor shows up in the z-contents.  Both
-    checks are sampled (PREFLIGHT_SAMPLES slices, roots matched within
-    CLUSTER_TOL), which is enough for the certificate preflight.
+    A z-only common factor is a root shared by the two z-only contents
+    (``content_roots``, matched within CLUSTER_TOL); for p in z alone
+    that is the whole test.  A common factor of positive w-degree forces
+    shared w-roots on every z-slice, which is sampled at PREFLIGHT_SAMPLES
+    slices: enough for the certificate preflight.
     """
     pt = p.trimmed()
-    n, m = pt.deg if deg is None else deg
-    prev = reflect(pt, (n, m)).trimmed()
-    if m == 0:
-        g = gcd_approx([pt.z_slice(), prev.z_slice()])
-        return g.degree > 0
-    h1, _, _ = z_content(pt)
-    h2, _, _ = z_content(prev)
-    if h1.degree > 0 and h2.degree > 0:
-        r1, r2 = roots(h1), roots(h2)
-        if np.min(np.abs(r1[:, None] - r2[None, :])) < CLUSTER_TOL:
-            return True
+    prev = reflect(pt, pt.deg if deg is None else deg).trimmed()
+    r1, r2 = content_roots(pt), content_roots(prev)
+    if np.abs(r1[:, None] - r2[None, :]).min(initial=np.inf) < CLUSTER_TOL:
+        return True
     zs = 0.9371 * np.exp(2j * np.pi * (np.arange(PREFLIGHT_SAMPLES) + 0.17)
                          / PREFLIGHT_SAMPLES)
     _, r1 = w_roots(pt, zs)

@@ -263,12 +263,15 @@ def minimal_split_poly(space: MomentSpace, ops: ShiftOperators) -> BiPoly:
     return _split_from_k1(space, ops, a_coords).split_poly
 
 
-def _operators_under_condition(space: MomentSpace):
+def _operators_under_condition(space: MomentSpace, tol):
+    """(operators, report) of the space; MatrixConditionFails unless the
+    matrix condition holds within ``tol``."""
     ops = build_operators(space)
-    report = check_matrix_condition(ops)
+    report = check_matrix_condition(ops, tol)
     if not report.holds:
         raise MatrixConditionFails(
-            f"max ||A T^j B|| = {report.max_violation:.3e} >= {MC_TOL}")
+            f"max ||A T^j B|| = {report.max_violation:.3e}; "
+            "no closed-face Bernstein-Szego representation exists")
     return ops, report
 
 
@@ -337,7 +340,7 @@ def split_poly_from_condition(space: MomentSpace, d) -> ShiftSplit:
     smallest-modulus content roots are flipped into the disk first and
     the slots at infinity last.
     """
-    ops, report = _operators_under_condition(space)
+    ops, report = _operators_under_condition(space, MC_TOL)
     if not (report.d_min <= d <= report.d_max):
         raise DNotAdmissible(
             f"d = {d} outside admissible [{report.d_min}, {report.d_max}]")
@@ -357,7 +360,7 @@ def enumerate_split_polys(space: MomentSpace):
     d = dim A + sum k_c.  All share |p|^2 on the torus.  Raises
     MatrixConditionFails when the form is not Bernstein-Szego.
     """
-    ops, _ = _operators_under_condition(space)
+    ops, _ = _operators_under_condition(space, MC_TOL)
     a, mid, t_mid, clusters = _middle_spectrum(ops)
     out = []
     for counts in product(*(range(mult + 1) for _, mult in clusters)):

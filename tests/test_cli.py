@@ -296,6 +296,29 @@ def test_non_finite_input_exit_2(tmp_path, pipeline, flag, extra, what, value):
                                "message": f"{what} grid holds a non-finite number"}
 
 
+@pytest.mark.parametrize("pipeline, flag, extra, what", [
+    ("moments", "--poly", WINDOW, "polynomial"),
+    ("factor", "--trig", N_M, "trig polynomial"),
+    ("check", "--moments", N_M, "moment table"),
+], ids=["polynomial", "trig", "table"])
+@pytest.mark.parametrize("value", ["2", "-0", True, False, 10 ** 400],
+                         ids=["string", "string -0", "true", "false", "huge int"])
+def test_non_number_entries_exit_2(tmp_path, pipeline, flag, extra, what, value):
+    # only JSON numbers that fit a float may stand in a coefficient grid
+    p = BiPoly([[2.0, 0.0], [0.0, -1.0]])
+    doc = poly_to_json(p) if flag == "--poly" \
+        else table_to_json(trig_abs_squared(p))
+    doc["coeffs" if flag == "--poly" else "c"][0][0][1] = value
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out = run([pipeline, flag, str(path)] + extra)
+    problem = "a non-finite number" if value == 10 ** 400 \
+        else "an entry that is not a number"
+    assert code == 2
+    assert json.loads(out) == {"error": "InvalidInput",
+                               "message": f"{what} grid holds {problem}"}
+
+
 @pytest.mark.parametrize("argv, message", [
     _case("flag-like value", ["full", "--moments", "{p}", "--depth", "-1,2"] + N_M,
           "argument --depth: expected one argument"),

@@ -34,6 +34,9 @@ def test_mu_rejects_z_only_factor():
     with pytest.raises(ZOnlyFactor):
         check_self_reflective(BiPoly([[0, 0], [0, -1], [0, 0]])
                               + BiPoly([[0], [0], [1]]))  # z^2 - zw = z(z - w)
+    z2 = BiPoly([[-2], [1]]) * BiPoly([[-2], [1]])
+    with pytest.raises(ZOnlyFactor, match="degree 2"):
+        check_self_reflective(z2 * P_ZW)                    # (z - 2)^2 (z - w)
 
 
 def test_geometry():

@@ -34,7 +34,7 @@ ALLOWED = {
 }
 
 # top-level public functions and classes plus their public methods
-PUBLIC_NAMES = 127
+PUBLIC_NAMES = 125
 
 
 def _options(module, body, prefix=""):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from bszego import (BiPoly, InvalidDegree, RootNearTorus, UniPoly,
-                    ZeroPolynomial, gcd_approx, reflect, roots, split_stable)
-from bszego.poly import (canonical_phase, divide_bipoly_z, reflect_uni,
-                         w_roots, z_content)
+                    ZeroPolynomial, content_roots, reflect, roots,
+                    split_stable)
+from bszego.poly import canonical_phase, reflect_uni, w_roots
 
 from conftest import torus_grid
 
@@ -120,48 +120,35 @@ def test_split_stable_product_property():
         assert rs.beta == int(np.sum(mods < 1))
 
 
-def test_gcd_exact_factor():
-    a = UniPoly([-2, 1])
-    b = UniPoly(np.convolve([-2, 1], [-3, 1]))
-    g = gcd_approx([a, b])
-    assert np.allclose(g.coeffs, [-2, 1])
+def _columns(*cols):
+    """The BiPoly whose w^k column is the ascending z-coefficients cols[k]."""
+    out = np.zeros((max(len(c) for c in cols), len(cols)), dtype=complex)
+    for k, c in enumerate(cols):
+        out[: len(c), k] = c
+    return BiPoly(out)
 
 
-def test_gcd_coprime():
-    g = gcd_approx([UniPoly([4.0]), UniPoly([0, 2.0])])
-    assert np.allclose(g.coeffs, [1.0])
+_FROM_ROOTS = np.polynomial.polynomial.polyfromroots
 
 
-def test_gcd_multiplicity():
-    # (z-2)^2 (z+1) and (z-2)(z-5): shared root z=2 with multiplicity 1
-    u1 = UniPoly(np.polynomial.polynomial.polyfromroots([2, 2, -1]))
-    u2 = UniPoly(np.polynomial.polynomial.polyfromroots([2, 5]))
-    g = gcd_approx([u1, u2])
-    assert g.degree == 1
-    assert np.allclose(g.coeffs, [-2, 1], atol=1e-8)
+@pytest.mark.parametrize("p, expected", [
+    (_columns([-2, 1], _FROM_ROOTS([2, 3])), [2]),          # shared factor
+    (_columns([4.0], [0, 2.0]), []),                         # constant column
+    # (z-2)^2 (z+1) and (z-2)(z-5): z = 2 shared once
+    (_columns(_FROM_ROOTS([2, 2, -1]), _FROM_ROOTS([2, 5])), [2]),
+    # h(z) g(z, w) with h = (z-2)^2 (z+1) and g = 3 + z - zw
+    (UniPoly(_FROM_ROOTS([2, 2, -1])).to_bipoly() * BiPoly([[3, 0], [1, -1.0]]),
+     [-1, 2, 2]),
+], ids=["shared", "constant", "multiplicity", "product"])
+def test_content_roots(p, expected):
+    got = np.sort_complex(content_roots(p))
+    assert got.shape == (len(expected),)
+    assert np.allclose(got, expected, atol=1e-6)
 
 
-def test_gcd_all_zero():
+def test_content_roots_of_zero():
     with pytest.raises(ZeroPolynomial):
-        gcd_approx([UniPoly([0.0]), UniPoly([0.0, 0.0])])
-
-
-def test_z_content():
-    h = UniPoly([-2, 1.0])
-    g = BiPoly([[3, 0], [0, -1.0]])
-    p = h.to_bipoly() * g
-    hh, gg, res = z_content(p)
-    assert res < 1e-10
-    assert np.allclose(hh.coeffs, [-2, 1])          # monic gcd
-    assert np.allclose((hh.to_bipoly() * gg).coeffs, p.coeffs, atol=1e-10)
-
-
-def test_divide_bipoly_z():
-    d = UniPoly([1, 1.0])
-    p = d.to_bipoly() * BiPoly([[1, 2], [3, 4.0]])
-    q, res = divide_bipoly_z(p, d)
-    assert res < 1e-12
-    assert np.allclose(q.coeffs, [[1, 2], [3, 4]])
+        content_roots(BiPoly(np.zeros((2, 3))))
 
 
 def test_canonical_phase():

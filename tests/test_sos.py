@@ -170,6 +170,21 @@ def test_open_face_self_reflective_rejected():
         certificate_open_face(BiPoly([[0, -1], [1, 0]]))   # z - w
 
 
+@pytest.mark.parametrize("factors, shared", [
+    (([[2], [-1]], [[1], [-2]]), True),
+    (([[2], [-1]],), False),
+    (([[2], [-1]], [[1], [-2]], [[2, -1]]), True),
+    (([[2], [-1]], [[2, 0], [0, -1]]), False),
+], ids=["(2-z)(1-2z)", "2-z", "(2-z)(1-2z)(2-w)", "(2-z)(2-zw)"])
+def test_common_z_only_factor(factors, shared):
+    # the reflection of 2 - z is 2z - 1: a shared z-content root 1/2; the
+    # first two have m = 0, where the z-contents are the whole polynomials
+    p = BiPoly([[1.0]])
+    for f in factors:
+        p = p * BiPoly(f)
+    assert common_factor_with_reflection(p) == shared
+
+
 def test_open_face_boundary_zero_schedule(monkeypatch):
     # 2 - z - w vanishes at (1, 1) on the torus; the scaled certificates
     # converge slowly, so only a loose tolerance is reachable on the
