@@ -104,7 +104,7 @@ class BiPoly:
     __rmul__ = __mul__
 
     def shifted(self, dz, dw):
-        """Multiply by z^dz w^dw (monomial shift of the support)."""
+        """Multiply by z^dz w^dw (a monomial shift of the grid)."""
         out = np.zeros((self.coeffs.shape[0] + dz, self.coeffs.shape[1] + dw),
                        dtype=complex)
         out[dz:, dw:] = self.coeffs

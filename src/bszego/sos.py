@@ -143,12 +143,11 @@ def _blocks_closed_face(p: BiPoly, variant, deg) -> SosCertificate:
     table = moments_from_density(pt, max(n, 1), max(m, 1))
     space = MomentSpace(table, n, m)
     split = shift_split_from_p(space, pt)
-    a_list = tuple(space.basis("E2", n, m - 1).polys()) if m >= 1 else ()
+    a_list = tuple(space.basis("E2", n, m - 1).polys())
     if variant == "G":
         a_list = a_list + (reflect(pt, (n, m)),)
-    b_list = tuple(split.k2.reflected((max(n - 1, 0), m)).polys()) \
-        if split.k2.dim else ()
-    c_list = tuple(split.k1.polys()) if split.k1.dim else ()
+    b_list = tuple(split.k2.reflected((max(n - 1, 0), m)).polys())
+    c_list = tuple(split.k1.polys())
     return SosCertificate(a_list=a_list, b_list=b_list, c_list=c_list,
                           variant=variant, residual=np.nan, deg=(n, m))
 

@@ -8,9 +8,11 @@ products and projected spans.  The structural subspaces (E1, F1, E2, F2,
 H), complements of monomial spans in a rectangle, all come from one
 Cholesky Gram-Schmidt that orders the removed monomials first.
 
-Subspace conventions follow the lexicographic support order
-(z-power major), and every basis column is phase-normalized so its
-first significant coefficient is real positive.
+A basis stores its polynomials as BiPoly coefficient grids stacked
+along a last axis, ``coeffs[j, k, i]``; flattened z-major, each grid is
+a coordinate column for the Cholesky embedding.  Every basis polynomial
+is phase-normalized so its first significant coefficient in that order
+is real positive.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateForm, InsufficientMoments
 from .moments import MomentTable, _rect, gram
-from .poly import BiPoly
+from .poly import BiPoly, _readonly
 
 RANK_TOL = 1e-8  # relative singular-value threshold for numerical rank
 TRI_BLOCK = 32   # rows per diagonal block of _solve_lower's substitution
@@ -31,40 +33,31 @@ TRI_BLOCK = 32   # rows per diagonal block of _solve_lower's substitution
 class SubspaceBasis:
     """Orthonormal spanning set of a polynomial subspace.
 
-    ``support`` lists monomial exponents (j, k); column i of ``vectors``
-    holds the coefficients of the i-th basis polynomial over that
-    support.  Orthonormality is with respect to the moment form of the
-    space that built the basis.
+    ``coeffs[j, k, i]`` is the coefficient of z^j w^k in the i-th basis
+    polynomial: BiPoly's grid with the basis index last.  Orthonormality
+    is with respect to the moment form of the space that built the basis.
     """
 
-    support: tuple
-    vectors: np.ndarray
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=complex)
-        if v.ndim != 2 or v.shape[0] != len(self.support):
-            raise DegenerateForm("basis vectors do not match support")
-        v = np.array(v)
-        v.setflags(write=False)
-        object.__setattr__(self, "support", tuple(map(tuple, self.support)))
-        object.__setattr__(self, "vectors", v)
+        c = _readonly(self.coeffs)
+        if c.ndim != 3:
+            raise DegenerateForm("basis coefficients must be a stack of grids")
+        object.__setattr__(self, "coeffs", c)
 
     @property
     def dim(self):
-        return self.vectors.shape[1]
+        return self.coeffs.shape[2]
 
-    def poly(self, i) -> BiPoly:
-        if not self.support:
-            return BiPoly(np.zeros((1, 1)))
-        n = max(j for j, _ in self.support)
-        m = max(k for _, k in self.support)
-        out = np.zeros((n + 1, m + 1), dtype=complex)
-        for row, (j, k) in enumerate(self.support):
-            out[j, k] = self.vectors[row, i]
-        return BiPoly(out)
+    @property
+    def vectors(self):
+        """The grids flattened z-major: one coefficient column per polynomial."""
+        rows, cols, dim = self.coeffs.shape
+        return self.coeffs.reshape(rows * cols, dim)
 
     def polys(self):
-        return [self.poly(i) for i in range(self.dim)]
+        return [BiPoly(self.coeffs[:, :, i]) for i in range(self.dim)]
 
     def shifted(self, dz, dw):
         """Image under multiplication by z^dz w^dw.
@@ -72,21 +65,30 @@ class SubspaceBasis:
         Monomial shifts are isometric within the form's degree caps, so
         the shifted set stays orthonormal there.
         """
-        sup = tuple((j + dz, k + dw) for j, k in self.support)
-        return SubspaceBasis(sup, self.vectors)
+        rows, cols, dim = self.coeffs.shape
+        out = np.zeros((rows + dz, cols + dw, dim), dtype=complex)
+        out[dz:, dw:] = self.coeffs
+        return SubspaceBasis(out)
 
     def reflected(self, at):
         """Image under the anti-unitary reflection at degree ``at``."""
-        J, K = at
-        for j, k in self.support:
-            if j > J or k > K:
-                raise InsufficientMoments("reflection degree below support")
-        sup = tuple((J - j, K - k) for j, k in self.support)
-        return SubspaceBasis(sup, np.conj(self.vectors))
+        rows, cols, _ = self.coeffs.shape
+        if rows > at[0] + 1 or cols > at[1] + 1:
+            raise InsufficientMoments("reflection degree below the basis degree")
+        flipped = SubspaceBasis(np.conj(self.coeffs[::-1, ::-1]))
+        return flipped.shifted(at[0] + 1 - rows, at[1] + 1 - cols)
 
 
-def empty_basis() -> SubspaceBasis:
-    return SubspaceBasis((), np.zeros((0, 0)))
+def _phase_normalize(vectors):
+    """Scale every (nonzero) column so that its first entry above 1e-8 of
+    the column's largest modulus is real positive."""
+    if vectors.size == 0:
+        return vectors
+    mags = np.abs(vectors)
+    top = mags.max(axis=0)
+    lead = vectors[np.argmax(mags > 1e-8 * top, axis=0),
+                   np.arange(vectors.shape[1])]
+    return vectors * (np.abs(lead) / lead)
 
 
 class MomentSpace:
@@ -100,10 +102,9 @@ class MomentSpace:
         self.table = table
         self.nmax = int(nmax)
         self.mmax = int(mmax)
-        self.support = _rect(0, self.nmax, 0, self.mmax)
-        self._index = {u: i for i, u in enumerate(self.support)}
+        order = _rect(0, self.nmax, 0, self.mmax)
         try:
-            L = np.linalg.cholesky(gram(table, self.support, self.support))
+            L = np.linalg.cholesky(gram(table, order, order))
         except np.linalg.LinAlgError as exc:
             raise DegenerateForm("moment Gram matrix is not positive definite") from exc
         self._emb = L.T           # emb(f) = L.T @ f ; columns are monomial embeddings
@@ -111,31 +112,22 @@ class MomentSpace:
 
     # -- coefficient plumbing ------------------------------------------------
 
-    def _vec(self, p: BiPoly):
-        """Coefficient vector of p over the full support (caps enforced)."""
-        t = p.trimmed()
-        n, m = t.deg
-        if n > self.nmax or m > self.mmax:
-            raise InsufficientMoments(
-                f"polynomial degree {(n, m)} exceeds caps "
-                f"({self.nmax}, {self.mmax})")
-        out = np.zeros(len(self.support), dtype=complex)
-        for j in range(n + 1):
-            base = j * (self.mmax + 1)
-            out[base: base + m + 1] = t.coeffs[j]
-        return out
-
-    def _vec_basis(self, b: SubspaceBasis):
-        """Scatter a SubspaceBasis into full-support coordinate columns."""
-        out = np.zeros((len(self.support), b.dim), dtype=complex)
-        out[[self._index[u] for u in b.support]] = b.vectors
-        return out
+    def _coords(self, grids):
+        """A coefficient grid, or a stack of grids along a last axis, padded
+        to the caps and flattened z-major (caps enforced)."""
+        rows, cols, *tail = grids.shape
+        if rows > self.nmax + 1 or cols > self.mmax + 1:
+            raise InsufficientMoments(f"polynomial degree {(rows - 1, cols - 1)} "
+                                      f"exceeds caps ({self.nmax}, {self.mmax})")
+        out = np.zeros((self.nmax + 1, self.mmax + 1, *tail), dtype=complex)
+        out[:rows, :cols] = grids
+        return out.reshape(len(self._emb), *tail)
 
     def embed(self, p: BiPoly):
-        return self._emb @ self._vec(p)
+        return self._emb @ self._coords(p.trimmed().coeffs)
 
     def embed_basis(self, b: SubspaceBasis):
-        return self._emb @ self._vec_basis(b)
+        return self._emb @ self._coords(b.coeffs)
 
     def inner(self, f: BiPoly, g: BiPoly):
         """<f, g> under the moment form (linear in f, conjugate in g)."""
@@ -152,20 +144,8 @@ class MomentSpace:
 
     # -- subspace construction ----------------------------------------------
 
-    def _phase_normalize(self, vectors):
-        out = np.array(vectors)
-        for i in range(out.shape[1]):
-            col = out[:, i]
-            mags = np.abs(col)
-            top = mags.max()
-            if top == 0.0:
-                continue
-            lead = col[np.nonzero(mags > 1e-8 * top)[0][0]]
-            out[:, i] = col * (np.abs(lead) / lead)
-        return out
-
-    def _complement(self, ambient, removed):
-        """Orthonormal basis of span(ambient) minus span(removed).
+    def _complement(self, k, l, removed):
+        """Orthonormal basis of P_{k,l} minus span(removed).
 
         Gram-Schmidt with the removed monomials first: for the form's Gram
         F = L L^H over ``removed`` then the g generators, the last g columns
@@ -174,6 +154,7 @@ class MomentSpace:
         its left singular vectors rotate them to the basis an SVD of the
         projected generators gives, and its singular values decide the rank.
         """
+        ambient = _rect(0, k, 0, l)
         removed_set = set(removed)
         gens = [u for u in ambient if u not in removed_set]
         order = list(removed) + gens
@@ -192,8 +173,8 @@ class MomentSpace:
         # L^H is upper triangular; reversing both axes makes it lower
         X = _solve_lower(L.conj().T[::-1, ::-1], rhs[::-1])[::-1]
         row = {v: i for i, v in enumerate(order)}
-        vectors = X[[row[v] for v in ambient]]
-        return SubspaceBasis(tuple(ambient), self._phase_normalize(vectors))
+        vectors = _phase_normalize(X[[row[v] for v in ambient]])
+        return SubspaceBasis(vectors.reshape(k + 1, l + 1, g))
 
     def basis(self, kind, k, l) -> SubspaceBasis:
         """Orthonormal basis of a structural subspace, memoised per space.
@@ -214,15 +195,15 @@ class MomentSpace:
         if kind == "H":
             if 2 * k > self.nmax or l > self.mmax:
                 raise InsufficientMoments("H space exceeds caps")
-            ambient = _rect(0, 2 * k, 0, l)
-            removed = [u for u in ambient if u != (k, 0)]
+            corner = (2 * k, l)
+            removed = [u for u in _rect(0, 2 * k, 0, l) if u != (k, 0)]
         elif kind in ("E1", "F1", "E2", "F2"):
             if k < 0 or l < 0:
-                return empty_basis()
+                return SubspaceBasis(np.zeros((max(k + 1, 0), max(l + 1, 0), 0)))
             if k > self.nmax or l > self.mmax:
                 raise InsufficientMoments(
                     f"{kind}({k},{l}) exceeds caps ({self.nmax}, {self.mmax})")
-            ambient = _rect(0, k, 0, l)
+            corner = (k, l)
             removed = {
                 "E1": _rect(0, k, 1, l),
                 "F1": _rect(0, k, 0, l - 1),
@@ -231,14 +212,14 @@ class MomentSpace:
             }[kind]
         else:
             raise ValueError(f"unknown space kind {kind!r}")
-        self._bases[key] = self._complement(ambient, removed)
+        self._bases[key] = self._complement(*corner, removed)
         return self._bases[key]
 
     def projected_span(self, generators, target: SubspaceBasis,
                        expect) -> SubspaceBasis:
         """Orthonormal basis of P_target(span of generator polynomials), whose
         dimension must be ``expect`` (DegenerateForm otherwise)."""
-        rank = 0
+        rank, u = 0, np.zeros((target.dim, 0))
         if target.dim and generators:
             emb_t = self.embed_basis(target)
             emb_g = np.column_stack([self.embed(g) for g in generators])
@@ -250,10 +231,9 @@ class MomentSpace:
         if rank != expect:
             raise DegenerateForm(
                 f"projected span rank {rank}, expected {expect}")
-        if rank == 0:
-            return empty_basis()
-        vectors = self._phase_normalize(target.vectors @ u[:, :rank])
-        return SubspaceBasis(target.support, vectors)
+        rows, cols, _ = target.coeffs.shape
+        vectors = _phase_normalize(target.vectors @ u[:, :rank])
+        return SubspaceBasis(vectors.reshape(rows, cols, rank))
 
     # -- operations ----------------------------------------------------------
 

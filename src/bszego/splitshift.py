@@ -34,7 +34,7 @@ import numpy as np
 from .errors import (DegenerateForm, DNotAdmissible, InvalidDegree,
                      MatrixConditionFails, RootNearTorus)
 from .poly import BiPoly, canonical_phase, split_stable, w_roots
-from .space import MomentSpace, SubspaceBasis, empty_basis
+from .space import MomentSpace, SubspaceBasis
 
 MC_TOL = 1e-8
 KRYLOV_RANK_TOL = 1e-8  # absolute singular-value cut of the Krylov spans
@@ -95,22 +95,17 @@ def build_operators(space: MomentSpace) -> ShiftOperators:
     """The A, B, T matrices for the form at the space's caps (n, m)."""
     n, m = space.nmax, space.mmax
     e1 = space.basis("E1", n - 1, m)
-    a_out = space.basis("E2", n, m - 1).shifted(0, 1) if m >= 1 else empty_basis()
-    b_in = space.basis("F2", n, m - 1).shifted(0, 1) if m >= 1 else empty_basis()
+    a_out = space.basis("E2", n, m - 1).shifted(0, 1)
+    b_in = space.basis("F2", n, m - 1).shifted(0, 1)
     ze1 = e1.shifted(1, 0)
     # entry (i, j) of each operator is <op(basis_j), out_basis_i>
-    a_mat = space.cross(ze1, a_out).T if min(e1.dim, a_out.dim) else \
-        np.zeros((a_out.dim, e1.dim), dtype=complex)
-    t_mat = space.cross(ze1, e1).T if e1.dim else np.zeros((0, 0), dtype=complex)
-    b_mat = space.cross(b_in, e1).T if min(e1.dim, b_in.dim) else \
-        np.zeros((e1.dim, b_in.dim), dtype=complex)
-    return ShiftOperators(a_mat=a_mat, b_mat=b_mat, t_mat=t_mat, e1=e1)
+    return ShiftOperators(a_mat=space.cross(ze1, a_out).T,
+                          b_mat=space.cross(b_in, e1).T,
+                          t_mat=space.cross(ze1, e1).T, e1=e1)
 
 
 def _krylov_span(step, seed, n):
     """Orthonormal columns spanning sum_j step^j seed, j < n."""
-    if seed.size == 0:
-        return seed.reshape(seed.shape[0], 0)
     blocks = [seed]
     cur = seed
     for _ in range(1, n):
@@ -120,7 +115,7 @@ def _krylov_span(step, seed, n):
     u, s, _ = np.linalg.svd(K, full_matrices=False)
     # operators are contractions in orthonormal coordinates, so rank is
     # judged on the absolute scale 1 (an all-noise Krylov block is empty)
-    rank = int(np.sum(s > KRYLOV_RANK_TOL)) if s.size else 0
+    rank = int(np.sum(s > KRYLOV_RANK_TOL))
     return u[:, :rank]
 
 
@@ -158,9 +153,8 @@ def a_operator_norm(ops: ShiftOperators):
 
 
 def _coords_to_basis(e1: SubspaceBasis, coords) -> SubspaceBasis:
-    if coords.shape[1] == 0 or e1.dim == 0:
-        return empty_basis()
-    return SubspaceBasis(e1.support, e1.vectors @ coords)
+    rows, cols, _ = e1.coeffs.shape
+    return SubspaceBasis((e1.vectors @ coords).reshape(rows, cols, coords.shape[1]))
 
 
 def _complement_in_coords(coords, dim):
@@ -178,18 +172,14 @@ def split_poly_of(space: MomentSpace, k1: SubspaceBasis,
                   k2: SubspaceBasis) -> BiPoly:
     """Unit-norm generator of E1(n, m) minus (K1 + z K2), phase-canonical."""
     e1big = space.basis("E1", space.nmax, space.mmax)
-    cols = []
     emb_big = space.embed_basis(e1big)
-    for b in (k1, k2.shifted(1, 0)):
-        if b.dim:
-            cols.append(emb_big.conj().T @ space.embed_basis(b))
-    coords = np.hstack(cols) if cols else np.zeros((e1big.dim, 0), dtype=complex)
+    coords = np.hstack([emb_big.conj().T @ space.embed_basis(b)
+                        for b in (k1, k2.shifted(1, 0))])
     comp = _complement_in_coords(coords, e1big.dim)
     if comp.shape[1] != 1:
         raise DegenerateForm(
             f"split complement has dimension {comp.shape[1]}, expected 1")
-    vec = e1big.vectors @ comp[:, 0]
-    return canonical_phase(SubspaceBasis(e1big.support, vec[:, None]).poly(0))
+    return canonical_phase(_coords_to_basis(e1big, comp).polys()[0])
 
 
 def shift_split_from_p(space: MomentSpace, p: BiPoly) -> ShiftSplit:

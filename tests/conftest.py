@@ -116,14 +116,20 @@ def trig_abs_squared(p: BiPoly) -> TrigPoly:
 # subspace oracles over a MomentSpace
 # ---------------------------------------------------------------------------
 
+def monomial_basis(exps):
+    """The monomials z^j w^k, (j, k) in ``exps``, as a SubspaceBasis."""
+    js, ks = np.array(exps, dtype=int).reshape(-1, 2).T
+    c = np.zeros((js.max(initial=-1) + 1, ks.max(initial=-1) + 1, len(js)))
+    c[js, ks, np.arange(len(js))] = 1.0
+    return SubspaceBasis(c)
+
+
 def basis_values(b: SubspaceBasis, z, w):
     """Values of all basis polynomials at (z, w); trailing axis = index."""
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    if not b.support:
-        return np.zeros(z.shape + (0,), dtype=complex)
-    js = np.array([j for j, _ in b.support])
-    ks = np.array([k for _, k in b.support])
+    rows, cols, _ = b.coeffs.shape
+    js, ks = np.divmod(np.arange(rows * cols), cols)   # z-major, as b.vectors
     return (z[..., None] ** js * w[..., None] ** ks) @ b.vectors
 
 

@@ -6,10 +6,11 @@ from bszego import (BiPoly, DegenerateForm, InsufficientMoments, MomentSpace,
 from bszego import space as space_mod
 from bszego.fullmeasure import _nested_inverse_max
 from bszego.space import (RANK_TOL, TRI_BLOCK, SubspaceBasis, _inverse_rows,
-                          _solve_lower, empty_basis)
+                          _phase_normalize, _solve_lower)
 
 from conftest import (basis_kernel, basis_values, brute_inner, gram_from_table,
-                      gram_schmidt_coeffs, project, structural, subspace_angle)
+                      gram_schmidt_coeffs, monomial_basis, project, structural,
+                      subspace_angle)
 
 
 @pytest.fixture(scope="module")
@@ -74,11 +75,7 @@ def test_e2_matches_dense_gram_schmidt(table_2zw, space_2zw):
             proj = proj + (e @ G @ np.conj(q)) * q
         gens.append(e - proj)
     oracle = gram_schmidt_coeffs(G, gens)
-    lib = space_2zw.basis("E2", 1, 1)
-    vec = np.zeros((4, lib.dim), dtype=complex)
-    for row, u in enumerate(sup):
-        if u in lib.support:
-            vec[row] = lib.vectors[lib.support.index(u)]
+    vec = space_2zw.basis("E2", 1, 1).vectors     # rows in the order of sup
     # same span: orthonormal coords of one set in the other are unitary
     M = oracle.conj().T @ G.T @ vec
     s = np.linalg.svd(M, compute_uv=False)
@@ -116,14 +113,8 @@ def test_phi_sequence_orthonormal(space_2zw):
 
 
 def test_phi_sequence_spans_e2(space_2zw):
-    from bszego.space import SubspaceBasis
     phis = space_2zw.phi_sequence(1, 1)
-    sup = [(j, k) for j in range(2) for k in range(2)]
-    vecs = np.zeros((4, 2), dtype=complex)
-    for i, phi in enumerate(phis):
-        for row, (a, b) in enumerate(sup):
-            vecs[row, i] = phi.coeffs[a, b]
-    phib = SubspaceBasis(tuple(sup), vecs)
+    phib = SubspaceBasis(np.stack([phi.coeffs for phi in phis], axis=-1))
     assert subspace_angle(space_2zw, phib, space_2zw.basis("E2", 1, 1)) < 1e-8
 
 
@@ -155,7 +146,8 @@ def test_projected_span_checks_its_dimension_on_every_path(space_leb):
     one = BiPoly([[1.0]])
     assert space_leb.projected_span([one], f2, 0).dim == 0
     assert space_leb.projected_span([], f2, 0).dim == 0
-    for gens, target in [([one], f2), ([], f2), ([one], empty_basis())]:
+    empty = SubspaceBasis(np.zeros((1, 1, 0)))
+    for gens, target in [([one], f2), ([], f2), ([one], empty)]:
         with pytest.raises(DegenerateForm, match="rank 0, expected 1"):
             space_leb.projected_span(gens, target, 1)
     with pytest.raises(DegenerateForm, match="rank 1, expected 2"):
@@ -243,7 +235,7 @@ def test_kernel_subtraction_identity(p_2zw):
     e1 = sp.basis("E1", j, m)
     f1 = sp.basis("F1", j, m)
     # K_{j, m-1}: reproducing kernel of the full P_{j, m-1}
-    kfull = sp._complement([(a, b) for a in range(j + 1) for b in range(m)], [])
+    kfull = sp._complement(j, m - 1, [])
     rng = np.random.default_rng(7)
     for _ in range(50):
         z, w, zeta, eta = 0.8 * (rng.normal(size=4) + 1j * rng.normal(size=4))
@@ -302,16 +294,20 @@ def test_indefinite_gram_raises_degenerate():
 def _reference_complement(sp, ambient, removed):
     """The QR/SVD complement: project the generators' embeddings off the
     removed monomials' by QR, orthonormalize them by SVD, solve back."""
+    def index(exps):                      # positions in the z-major order
+        return [j * (sp.mmax + 1) + k for j, k in exps]
+
     removed_set = set(removed)
     gens = [u for u in ambient if u not in removed_set]
-    X = sp._emb[:, [sp._index[u] for u in gens]]
-    q, _ = np.linalg.qr(sp._emb[:, [sp._index[u] for u in removed]])
+    X = sp._emb[:, index(gens)]
+    q, _ = np.linalg.qr(sp._emb[:, index(removed)])
     X = X - q @ (q.conj().T @ X)
     u, s, _ = np.linalg.svd(X, full_matrices=False)
     assert np.sum(s > RANK_TOL * s[0]) == len(gens)
     full = np.linalg.solve(sp._emb, u)
-    vectors = sp._phase_normalize(full[[sp._index[v] for v in ambient]])
-    return SubspaceBasis(tuple(ambient), vectors)
+    vectors = _phase_normalize(full[index(ambient)])
+    k, l = ambient[-1]                    # the ambient rectangle's corner
+    return SubspaceBasis(vectors.reshape(k + 1, l + 1, len(gens)))
 
 
 def _basis_defects(sp, kind, k, l):
@@ -320,11 +316,10 @@ def _basis_defects(sp, kind, k, l):
     ambient, removed = structural(kind, k, l)
     b = sp.basis(kind, k, l)
     ref = _reference_complement(sp, ambient, removed)
-    assert b.support == ref.support
+    assert b.coeffs.shape == ref.coeffs.shape
     gap = np.max(np.abs(b.vectors - ref.vectors)) / np.max(np.abs(ref.vectors))
     ortho = np.max(np.abs(sp.cross(b, b) - np.eye(b.dim)))
-    monomials = SubspaceBasis(tuple(removed), np.eye(len(removed)))
-    leak = np.max(np.abs(sp.cross(b, monomials)))
+    leak = np.max(np.abs(sp.cross(b, monomial_basis(removed))))
     return subspace_angle(sp, b, ref), gap, ortho, leak
 
 
@@ -364,3 +359,71 @@ def test_complement_rank_check_is_live(monkeypatch, table_2zw):
     monkeypatch.setattr(space_mod, "RANK_TOL", 1.0)
     with pytest.raises(DegenerateForm, match="subspace rank"):
         MomentSpace(table_2zw, 1, 1).basis("E1", 1, 1)
+
+
+def test_embedding_beyond_the_caps_raises_insufficient_moments(space_2zw):
+    # a basis grid and a polynomial past the caps fail alike
+    e1 = space_2zw.basis("E1", 1, 1)
+    beyond = r"polynomial degree \(2, 1\) exceeds caps \(1, 1\)"
+    with pytest.raises(InsufficientMoments, match=beyond):
+        space_2zw.cross(e1.shifted(1, 0), e1)
+    with pytest.raises(InsufficientMoments, match=beyond):
+        space_2zw.embed(BiPoly(np.ones((3, 2))))
+
+
+@pytest.fixture(scope="module")
+def space_perturb_4_4():
+    """MomentSpace at caps (4, 4) of 1 + e(z, w), sum |e_jk| = 0.5."""
+    rng = np.random.default_rng(44)
+    e = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    e[0, 0] = 0.0
+    a = 0.5 * e / np.sum(np.abs(e))
+    a[0, 0] += 1.0
+    return MomentSpace(moments_from_density(BiPoly(a), 4, 4), 4, 4)
+
+
+@pytest.mark.parametrize("kind, k, l, grid", [
+    ("E1", 3, 4, (4, 5)), ("F1", 3, 4, (4, 5)), ("E2", 4, 3, (5, 4)),
+    ("F2", 4, 3, (5, 4)), ("H", 2, 4, (5, 5)), ("E1", 2, 1, (3, 2))])
+def test_basis_layout_shifts_and_reflects_like_bipoly(space_perturb_4_4,
+                                                      kind, k, l, grid):
+    b = space_perturb_4_4.basis(kind, k, l)
+    assert b.coeffs.shape == grid + (b.dim,)
+    polys = b.polys()
+    assert all(np.array_equal(q.coeffs, b.coeffs[:, :, i])
+               for i, q in enumerate(polys))
+    for dz, dw in [(0, 0), (1, 0), (0, 1), (2, 3)]:
+        for q, ref in zip(b.shifted(dz, dw).polys(), polys):
+            assert np.array_equal(q.coeffs, ref.shifted(dz, dw).coeffs)
+    for at in [(grid[0] - 1, grid[1] - 1), (grid[0] + 1, grid[1])]:
+        for q, ref in zip(b.reflected(at).polys(), polys):
+            want = reflect(ref, at).coeffs      # trims first, then reflects
+            assert q.coeffs.shape == want.shape
+            assert np.max(np.abs(q.coeffs - want)) <= \
+                1e-12 * np.max(np.abs(want))
+    with pytest.raises(InsufficientMoments):
+        b.reflected((grid[0] - 2, grid[1] - 1))
+
+
+def test_phase_normalize_matches_the_column_loop():
+    def reference(vectors):
+        out = np.array(vectors)
+        for i in range(out.shape[1]):
+            col = out[:, i]
+            mags = np.abs(col)
+            lead = col[np.nonzero(mags > 1e-8 * mags.max())[0][0]]
+            out[:, i] = col * (np.abs(lead) / lead)
+        return out
+
+    rng = np.random.default_rng(12)
+    v = rng.normal(size=(30, 9)) + 1j * rng.normal(size=(30, 9))
+    # leading entries below the 1e-8 cut, at it, and just above it
+    v[:4, 1] = 1e-12
+    v[:2, 2] = 0.0
+    v[0, 3] = 1e-8 * np.max(np.abs(v[:, 3]))
+    v[0, 4] = 1.01e-8 * np.max(np.abs(v[:, 4]))
+    out = _phase_normalize(v)
+    assert np.array_equal(out, reference(v))
+    assert out[4, 1].real > 0.0 and abs(out[4, 1].imag) < 1e-15 * abs(out[4, 1])
+    assert _phase_normalize(np.zeros((0, 0))).shape == (0, 0)
+    assert _phase_normalize(np.zeros((4, 0))).shape == (4, 0)

@@ -70,6 +70,18 @@ def test_operators_product_measure_dense_oracle():
     assert rep.holds and abs(ops.a_mat[0, 0]) < 1e-10
 
 
+@pytest.mark.parametrize("n, m", [(3, 0), (0, 3)])
+def test_operators_on_a_one_variable_space(n, m):
+    # E1(-1, m) and E2(n, -1) are empty grids; the operators keep the shapes
+    p = BiPoly([[2.0, 0.5], [0.3, -1.0]])
+    sp = MomentSpace(moments_from_density(p, max(n, 1), max(m, 1)), n, m)
+    ops = build_operators(sp)
+    assert ops.a_mat.shape == (m, n)
+    assert ops.b_mat.shape == (n, m)
+    assert ops.t_mat.shape == (n, n)
+    assert ops.e1.coeffs.shape == (n, m + 1, n)
+
+
 def test_condition_2zw(space_2zw):
     rep = check_matrix_condition(build_operators(space_2zw))
     assert rep.holds
@@ -226,7 +238,7 @@ def test_split_poly_of_rejects_overlapping_k1_zk2(lebesgue_table):
     # K1 = z K2 = span{z}: K1 + z K2 is not direct, and its complement in
     # E1(2, 1) = span{1, z, z^2} has dimension 2, not 1
     sp = MomentSpace(lebesgue_table, 2, 1)
-    k2 = SubspaceBasis(((0, 0),), np.ones((1, 1)))
+    k2 = SubspaceBasis(np.ones((1, 1, 1)))
     with pytest.raises(DegenerateForm):
         split_poly_of(sp, k2.shifted(1, 0), k2)
 
