@@ -11,6 +11,8 @@ row-major over j = -J..J then k = -K..K.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -28,8 +30,8 @@ def _unpairs(data, what):
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise InvalidInput(f"{what} grid must be rows x cols x [re, im]")
     # numpy would read a JSON string or bool as a number
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-               for v in arr.flat):
+    if not all(issubclass(t, (int, float)) and not issubclass(t, bool)
+               for t in set(map(type, arr.flat))):
         raise InvalidInput(f"{what} grid holds an entry that is not a number")
     try:
         arr = arr.astype(float)
@@ -95,6 +97,66 @@ def trig_from_json(doc) -> TrigPoly:
     return _centered_from_json(doc, TrigPoly, "trig polynomial")
 
 
+# one call of the C encoder writes every leaf; ensure_ascii escapes each
+# newline inside a string, so the item separator "\n" splits them apart
+_LEAVES = json.JSONEncoder(separators=("\n", ":"), allow_nan=False)
+_LEAF_TYPES = frozenset([str, int, float, bool, type(None), np.float64])
+
+
 def dumps(doc) -> str:
-    """Deterministic JSON with full-precision floats, indented by 2."""
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    """Deterministic JSON with full-precision floats, indented by 2.
+
+    Byte for byte ``json.dumps(doc, indent=2, sort_keys=True,
+    allow_nan=False)`` for a document whose keys are strings.  The layout
+    is written with a %s for each key and leaf, and the C encoder writes
+    all of those in one call, in document order.
+    """
+    leaves = []
+    layout = _layout(doc, 0, leaves)
+    if not leaves:
+        return layout
+    return layout % tuple(_LEAVES.encode(leaves)[1:-1].split("\n"))
+
+
+def _wrap(parts, depth, brackets="[]"):
+    """Items at depth + 1, one a line, in brackets at depth."""
+    if not parts:
+        return brackets
+    ind = "\n" + "  " * (depth + 1)
+    return (brackets[0] + ind + ("," + ind).join(parts)
+            + "\n" + "  " * depth + brackets[1])
+
+
+@lru_cache(maxsize=64)
+def _leaf_block(n, depth, m=None):
+    """The layout of a list of n leaves, or of n lists of m leaves each."""
+    return _wrap(["%s" if m is None else _leaf_block(m, depth + 1)] * n, depth)
+
+
+def _layout(o, depth, leaves):
+    """The indented layout of o at depth, appending its keys and leaves.
+
+    A list of leaves, and a list of equal-length lists of leaves (the
+    [re, im] rows of every coefficient grid), take their layout from a
+    cache without a step per leaf.
+    """
+    if isinstance(o, dict):
+        parts = []
+        for key, value in sorted(o.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            leaves.append(key)
+            parts.append("%s: " + _layout(value, depth + 1, leaves))
+        return _wrap(parts, depth, "{}")
+    if isinstance(o, (list, tuple)):
+        types = set(map(type, o))
+        if _LEAF_TYPES.issuperset(types):
+            leaves.extend(o)
+            return _leaf_block(len(o), depth)
+        if types == {list} and len(set(map(len, o))) == 1 \
+                and _LEAF_TYPES.issuperset(map(type, chain.from_iterable(o))):
+            leaves.extend(chain.from_iterable(o))
+            return _leaf_block(len(o), depth, len(o[0]))
+        return _wrap([_layout(v, depth + 1, leaves) for v in o], depth)
+    leaves.append(o)
+    return "%s"

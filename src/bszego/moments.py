@@ -7,18 +7,26 @@ quadrature on uniform torus grids, which is spectrally accurate for the
 smooth densities 1/|p|^2 and 1/t handled here; the grid is doubled until
 every requested moment stabilizes.
 
-Per N x N grid, a polynomial is sampled separably (two thin tables of
-N-th roots of unity times its coefficient block).  Along w only the
-kmax + 1 needed frequencies of each row are computed, by a pruned
-two-level DFT (chunks of CHUNK samples, then one twiddle sum over the
-chunks); along z an FFT of the 2*kmax + 1 window columns gives the rows.
-The pass runs in blocks of about BLOCK_POINTS grid points (whole rows):
-each block is sampled, inverted and transformed along w before the next
-is formed, so no N x N array is ever held.
+The grids are nested: the points of grid N are the even rows and even
+columns of grid 2N.  Each level keeps, for every one of its rows, the
+kmax + 1 needed w-frequencies of that row (its w-sums), and level 2N is
+built from level N's w-sums plus three half-shifted N x N sub-grids of
+new points, so a run that stops at grid N samples each of its N^2 points
+once, as the nested trapezoid rule does (Trefethen & Weideman, SIAM
+Review 56, 2014).  A polynomial is sampled separably (two thin tables of
+2N-th roots of unity times its coefficient block), and |p|^2 is taken as
+re^2 + im^2.  Along w the sums come from a pruned two-level DFT (chunks
+of CHUNK samples, then one twiddle sum over the chunks); along z one FFT
+per level of the 2*kmax + 1 window columns gives the rows.  Sampling runs
+in blocks of about BLOCK_POINTS points (whole rows): each block is
+sampled, inverted and transformed along w before the next is formed, so
+no N x N array is ever held.  The min and max each block computes for the
+pole check also decide whether its reciprocal is finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,6 +40,8 @@ POLE_MARGIN = 1e-12  # denominator minimum, relative to its grid maximum
 POSITIVE_TOL = 1e-12  # is_positive's bound on the Gram's eigenvalue ratio
 BLOCK_POINTS = 1 << 15  # grid points per row block of the quadrature pass
 CHUNK = 64  # w-samples per chunk of the pruned DFT along w (at most N)
+WHOLE_GRID = ((0, 0),)  # the first level's one sub-grid, unshifted
+NEW_POINTS = ((0, 1), (1, 0), (1, 1))  # the sub-grids level 2N adds to level N
 
 
 @dataclass(frozen=True)
@@ -110,10 +120,10 @@ class TrigPoly(MomentTable):
         """Evaluate on the N x N uniform torus grid (real array)."""
         return np.concatenate(list(self._rows_on_grid(N)))
 
-    def _rows_on_grid(self, N):
+    def _rows_on_grid(self, N, shifts=WHOLE_GRID):
         if N <= 2 * max(self.jmax, self.kmax):
             raise ValueError("grid too small for the coefficient window")
-        return (v.real for v in _grid_rows(self.c, -self.jmax, -self.kmax, N))
+        return (v.real for v in _grid_rows(self.c, -self.jmax, -self.kmax, N, shifts))
 
 
 def _roots(N):
@@ -123,30 +133,35 @@ def _roots(N):
     return np.exp(2j * np.pi * np.where(2 * t > N, t - N, t) / N)
 
 
-def _grid_rows(coeffs, j0, k0, N):
-    """Values of sum_{a,b} coeffs[a, b] z^(j0+a) w^(k0+b) on the N x N grid.
+def _grid_rows(coeffs, j0, k0, N, shifts=WHOLE_GRID):
+    """Values of sum_{a,b} coeffs[a, b] z^(j0+a) w^(k0+b) on N x N sub-grids.
 
-    Entry [r, s] is the value at z = e^(2 pi i r/N), w = e^(2 pi i s/N),
-    computed as (Vz @ coeffs) @ Vw^T with Vz[r, a] = z^(j0+a) and
-    Vw[s, b] = w^(k0+b), read from one table of N-th roots of unity.
-    Yields consecutive blocks of max(1, BLOCK_POINTS // N) rows; only the
-    thin factor Vz @ coeffs is held for the whole grid.
+    For each (u, v) in shifts, entry [r, s] of its sub-grid is the value at
+    z = e^(2 pi i (2r+u)/2N), w = e^(2 pi i (2s+v)/2N): rows u::2 and
+    columns v::2 of the 2N x 2N grid, so (0, 0) is the N x N grid itself.
+    Computed as (Vz @ coeffs) @ Vw^T with Vz[r, a] = z^(j0+a) and
+    Vw[s, b] = w^(k0+b), read from one table of 2N-th roots of unity.
+    Yields consecutive blocks of max(1, BLOCK_POINTS // N) rows, sub-grid
+    after sub-grid; only the thin factor Vz @ coeffs of one sub-grid is
+    held whole.
     """
-    t = np.arange(N)
-    roots = _roots(N)
-    vz = roots[np.outer(t, np.arange(j0, j0 + coeffs.shape[0])) % N]
-    vw = roots[np.outer(t, np.arange(k0, k0 + coeffs.shape[1])) % N]
-    left = vz @ coeffs
+    t = 2 * np.arange(N)
+    roots = _roots(2 * N)
+    jz = np.arange(j0, j0 + coeffs.shape[0])
+    kw = np.arange(k0, k0 + coeffs.shape[1])
     step = max(1, BLOCK_POINTS // N)
-    for r in range(0, N, step):
-        yield left[r: r + step] @ vw.T
+    for u, v in shifts:
+        left = roots[np.outer(t + u, jz) % (2 * N)] @ coeffs
+        vw = roots[np.outer(t + v, kw) % (2 * N)]
+        for r in range(0, N, step):
+            yield left[r: r + step] @ vw.T
 
 
-def _poly_grid_rows(p: BiPoly, N):
+def _poly_grid_rows(p: BiPoly, N, shifts=WHOLE_GRID):
     n, m = p.deg
     if N <= max(n, m):
         raise ValueError("grid too small for the polynomial degree")
-    return _grid_rows(p.coeffs, 0, 0, N)
+    return _grid_rows(p.coeffs, 0, 0, N, shifts)
 
 
 def _poly_grid_values(p: BiPoly, N):
@@ -183,48 +198,72 @@ def _w_dft_tables(N, kmax):
     return cs, tw
 
 
-def _moment_window(blocks, N, jmax, kmax):
-    """Moments [-jmax..jmax] x [-kmax..kmax] of N x N real samples.
+def _w_sums(blocks, N, kmax):
+    """Columns 0..kmax of the w-DFT of rows of N real samples.
 
-    The samples arrive as consecutive row blocks, and no N x N array is
-    formed.  Along w only columns 0..kmax of each row are computed, by the
-    pruned two-level DFT of ``_w_dft_tables``; both of its sums stay
-    short, which keeps the rounding at the order of a full FFT's (one
-    N-term product is several times worse at N >= 1024).  Columns
-    -kmax..-1 are the conjugates of 1..kmax, because the samples are
-    real.  An FFT along z of those 2*kmax + 1 columns then gives rows
-    -jmax..jmax.  That FFT goes through ``np.fft.fft2`` over the last axis
-    only, which is a 1-D FFT, because the benchmark trace (bench/spans.py)
-    counts quadrature grids there.  A block that is not finite is not
-    transformed; the overflow is raised once the blocks are drained, so
-    that a check the block source runs at its end comes first.
+    The rows arrive as consecutive blocks, and the result is the
+    (kmax + 1) x R complex array of their transforms, R rows in all.  Each
+    row is transformed by the pruned two-level DFT of ``_w_dft_tables``;
+    both of its sums stay short, which keeps the rounding at the order of
+    a full FFT's (one N-term product is several times worse at N >= 1024).
+    A block that is None (its samples are not all finite) is not
+    transformed, nor is any later one; the overflow is raised once the
+    blocks are drained, so that a check the block source runs at its end
+    comes first.
     """
     cs, tw = _w_dft_tables(N, kmax)
     chunk = cs.shape[0]
-    reim = np.empty((2 * (kmax + 1), N))
-    finite = True
-    r = 0
+    parts, finite = [], True
     for dens in blocks:
-        b = len(dens)
-        finite = finite and bool(np.isfinite(dens).all())
+        finite = finite and dens is not None
         if finite:
-            reim[:, r: r + b] = ((dens.reshape(-1, chunk) @ cs).reshape(b, -1) @ tw).T
-        r += b
+            parts.append((dens.reshape(-1, chunk) @ cs).reshape(len(dens), -1) @ tw)
     if not finite:
         raise MomentDivergence("density overflowed on the grid")
-    half = reim[: kmax + 1] + 1j * reim[kmax + 1:]
-    cols = np.concatenate([np.conj(half[:0:-1]), half])
-    win = np.fft.fft2(cols, axes=(-1,))[:, np.arange(-jmax, jmax + 1) % N]
-    return win.T / (N * N)
+    reim = np.concatenate(parts).T
+    return reim[: kmax + 1] + 1j * reim[kmax + 1:]
+
+
+def _level_sums(density_at, N, kmax):
+    """The w-sums of the nested grids N, 2N, 4N, ..., as (N, sums) per level.
+
+    sums[k, r] = sum_s d(z_r, w_s) e^(-2 pi i s k/N) for k = 0..kmax and
+    every row r of the level's N x N grid.  The first level samples its
+    whole grid.  Level 2N keeps level N's sums, which cover its even rows
+    at their even columns, and samples only its new points: the three
+    N x N sub-grids NEW_POINTS, shifted by half a step in w, in z, and in
+    both.  With their sums S01, S10, S11 and tw_k = e^(-pi i k/N),
+
+        sums2[:, 2r]     = sums[:, r] + tw * S01[:, r]
+        sums2[:, 2r + 1] = S10[:, r]  + tw * S11[:, r]
+
+    so a run that stops at grid N samples each of its N^2 points once.
+    """
+    sums = _w_sums(density_at(N, WHOLE_GRID), N, kmax)
+    while True:
+        yield N, sums
+        new = _w_sums(density_at(N, NEW_POINTS), N, kmax).reshape(kmax + 1, 3, N)
+        tw = np.conj(_roots(2 * N)[: kmax + 1, None])
+        sums2 = np.empty((kmax + 1, 2 * N), dtype=complex)
+        sums2[:, 0::2] = sums + tw * new[:, 0]
+        sums2[:, 1::2] = new[:, 1] + tw * new[:, 2]
+        sums, N = sums2, 2 * N
 
 
 def _moments_of_grid_density(density_at, jmax, kmax, cfg):
-    """Shared doubling loop over density_at(N).
+    """Shared doubling loop over density_at(N, shifts).
 
-    density_at(N) yields the N x N real positive samples as row blocks;
-    per grid only the moment window is transformed (``_moment_window``).
-    Stability needs two grids to compare, so a window that leaves room
-    for fewer than two grids up to cfg.max_grid is a ValueError.
+    density_at(N, shifts) yields the real positive samples of the N x N
+    sub-grids ``shifts`` (see ``_grid_rows``) in turn, as row blocks, with
+    None for a block that is not all finite; it may check, after its last
+    block, the level the sub-grids complete.  Per level, ``_level_sums``
+    gives the w-sums of every row, and an FFT along z of the 2*kmax + 1
+    window columns (columns -kmax..-1 are the conjugates of 1..kmax,
+    because the samples are real) gives rows -jmax..jmax.  That FFT goes
+    through ``np.fft.fft2`` over the last axis only, which is a 1-D FFT,
+    because the benchmark trace (bench/spans.py) counts quadrature grids
+    there.  Stability needs two grids to compare, so a window that leaves
+    room for fewer than two grids up to cfg.max_grid is a ValueError.
     """
     N = max(min(64, cfg.max_grid // 2), 2 * max(jmax, kmax) + 2)
     N = 1 << int(np.ceil(np.log2(N)))
@@ -234,19 +273,44 @@ def _moments_of_grid_density(density_at, jmax, kmax, cfg):
             f"fewer than two grids up to {cfg.max_grid}^2")
     prev = None
     last_diff = np.inf
-    while N <= cfg.max_grid:
-        win = _moment_window(density_at(N), N, jmax, kmax)
+    for N, sums in _level_sums(density_at, N, kmax):
+        cols = np.concatenate([np.conj(sums[:0:-1]), sums])
+        win = np.fft.fft2(cols, axes=(-1,))[:, np.arange(-jmax, jmax + 1) % N]
+        win = win.T / (N * N)
         win = 0.5 * (win + np.conj(win[::-1, ::-1]))
         if prev is not None:
             scale = max(1.0, abs(win[jmax, kmax]))
             last_diff = float(np.max(np.abs(win - prev)))
             if last_diff <= cfg.tol * scale:
                 return MomentTable(jmax, kmax, win)
+        if N == cfg.max_grid:
+            raise MomentDivergence(
+                f"moments did not stabilize at grid {N}^2 "
+                f"(last change {last_diff:.3e})")
         prev = win
-        N *= 2
-    raise MomentDivergence(
-        f"moments did not stabilize at grid {N // 2}^2 "
-        f"(last change {last_diff:.3e})")
+
+
+def _reciprocals(blocks, bounds):
+    """1 / d for each real block d, or None where that is not all finite.
+
+    bounds is the running [min, max] of every d, updated in place; over
+    nested levels that is the min and max of the level they complete.  The
+    block's min and max decide: 1 / d is finite everywhere when its min is
+    positive with a finite reciprocal (a NaN propagates into the min).  A
+    block with a zero or a negative value is None too, and then the whole
+    level fails its positivity check.
+    """
+    for d in blocks:
+        lo, hi = float(np.min(d)), float(np.max(d))
+        bounds[0], bounds[1] = min(bounds[0], lo), max(bounds[1], hi)
+        yield 1.0 / d if lo > 0.0 and math.isfinite(1.0 / lo) else None
+
+
+def _abs2(vals):
+    """|vals|^2 as re^2 + im^2, squaring vals' parts in place."""
+    parts = vals.view(float)
+    np.multiply(parts, parts, out=parts)
+    return parts[:, 0::2] + parts[:, 1::2]
 
 
 def moments_from_density(p: BiPoly, jmax, kmax,
@@ -259,16 +323,12 @@ def moments_from_density(p: BiPoly, jmax, kmax,
     pt = p.trimmed()
     if pt.is_zero():
         raise ZeroPolynomial("density 1/|p|^2 needs a nonzero p")
+    bounds = [np.inf, 0.0]
 
-    def density_at(N):
-        lo, hi = np.inf, 0.0
-        for vals in _poly_grid_rows(pt, N):
-            dens = np.abs(vals)
-            np.multiply(dens, dens, out=dens)        # |p|^2, bit for bit ** 2
-            lo, hi = min(lo, float(np.min(dens))), max(hi, float(np.max(dens)))
-            with np.errstate(divide="ignore"):
-                np.divide(1.0, dens, out=dens)
-            yield dens
+    def density_at(N, shifts):
+        rows = _poly_grid_rows(pt, N, shifts)
+        yield from _reciprocals((_abs2(vals) for vals in rows), bounds)
+        lo, hi = bounds
         if lo <= POLE_MARGIN * hi:
             raise MomentDivergence(
                 f"|p|^2 nearly vanishes on the torus (min/max = {lo / hi:.3e})")
@@ -279,14 +339,11 @@ def moments_from_density(p: BiPoly, jmax, kmax,
 def moments_from_trig(t: TrigPoly, jmax, kmax,
                       cfg: QuadratureConfig = QuadratureConfig()) -> MomentTable:
     """Moments of dsigma / t for a strictly positive trig polynomial t."""
+    bounds = [np.inf, -np.inf]
 
-    def density_at(N):
-        lo, hi = np.inf, -np.inf
-        for vals in t._rows_on_grid(N):
-            lo, hi = min(lo, float(np.min(vals))), max(hi, float(np.max(vals)))
-            with np.errstate(divide="ignore"):
-                dens = 1.0 / vals     # contiguous; vals is a strided real view
-            yield dens
+    def density_at(N, shifts):
+        yield from _reciprocals(t._rows_on_grid(N, shifts), bounds)
+        lo, hi = bounds
         if lo <= POLE_MARGIN * max(hi, 1e-300):
             raise NonPositiveDensity(
                 f"t is not strictly positive on the grid (min {lo:.3e})")
@@ -297,16 +354,17 @@ def moments_from_trig(t: TrigPoly, jmax, kmax,
 def moments_from_grid_function(fn, jmax, kmax) -> MomentTable:
     """Moments of fn(z, w) dsigma for a smooth positive sample function.
 
-    fn receives meshgrid arrays of unimodular z and w and must return
-    real positive values; used for densities that are neither 1/|p|^2
-    nor the reciprocal of a trig polynomial.
+    fn receives meshgrid arrays of unimodular z and w (one N x N sub-grid
+    per call) and must return real positive values; used for densities
+    that are neither 1/|p|^2 nor the reciprocal of a trig polynomial.
     """
 
-    def density_at(N):
-        theta = 2.0 * np.pi * np.arange(N) / N
-        z = np.exp(1j * theta)
-        zz, ww = np.meshgrid(z, z, indexing="ij")
-        yield np.asarray(fn(zz, ww), dtype=float)
+    def density_at(N, shifts):
+        for u, v in shifts:
+            z, w = (np.exp(1j * (2.0 * np.pi * (2 * np.arange(N) + a) / (2 * N)))
+                    for a in (u, v))
+            dens = np.asarray(fn(*np.meshgrid(z, w, indexing="ij")), dtype=float)
+            yield dens if np.isfinite(dens).all() else None
 
     return _moments_of_grid_density(density_at, jmax, kmax, QuadratureConfig())
 

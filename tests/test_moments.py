@@ -50,15 +50,16 @@ def test_real_coefficients_give_real_moments():
 
 
 def _sampled_grids(monkeypatch):
-    """The grid sizes the quadrature samples, in order, from here on."""
+    """The grid sizes the quadrature reaches, in order, from here on."""
     grids = []
-    window = moments._moment_window
+    levels = moments._level_sums
 
-    def record(blocks, N, jmax, kmax):
-        grids.append(N)
-        return window(blocks, N, jmax, kmax)
+    def record(density_at, N, kmax):
+        for level in levels(density_at, N, kmax):
+            grids.append(level[0])
+            yield level
 
-    monkeypatch.setattr(moments, "_moment_window", record)
+    monkeypatch.setattr(moments, "_level_sums", record)
     return grids
 
 
@@ -109,29 +110,50 @@ def test_windowed_transform_matches_full_fft():
     # p is not symmetric under z <-> w, so swapping the axes or the sign of
     # the negative-k columns changes the window
     p = BiPoly([[3.0, -0.5, 0.2j], [1.0, 0.4, 0.0]])
-    last = {}
+    shapes = []
 
     def dens(zz, ww):
-        last["d"] = 1.0 / np.abs(p(zz, ww)) ** 2
-        return last["d"]
+        shapes.append(zz.shape)
+        return 1.0 / np.abs(p(zz, ww)) ** 2
 
     for jmax, kmax in [(3, 1), (1, 3), (2, 0), (0, 2)]:
         table = moments_from_grid_function(dens, jmax, kmax)
-        d = last["d"]
-        N = d.shape[0]
+        N = 2 * shapes[-1][0]      # the last call samples new points of grid N
+        d = dens(*_torus_grid(N))
         win = (np.fft.fft2(d) / (N * N))[np.ix_(np.arange(-jmax, jmax + 1) % N,
                                                  np.arange(-kmax, kmax + 1) % N)]
         assert np.max(np.abs(table.c - MomentTable(jmax, kmax, win).c)) < 1e-14
 
 
-def _w_transform_of_row(row, kmax):
-    # the row on grid row 0 and zeros elsewhere: the z-FFT of a delta is
-    # exact, so the (0, k) moments are the row's w-DFT over N^2
+def _nested_sums(values, N, kmax, start):
+    """The w-sums of grid N, built level by level from grid start.
+
+    values(ri, ci) gives the samples at rows ri and columns ci of the N x N
+    grid; the doubling loop's own level builder reads them in row blocks.
+    """
+    def density_at(n, shifts):
+        idx = 2 * np.arange(n)
+        step = max(1, moments.BLOCK_POINTS // n)
+        for u, v in shifts:
+            ci = (idx + v) * N // (2 * n)
+            for r in range(0, n, step):
+                yield values((idx[r: r + step] + u) * N // (2 * n), ci)
+
+    for n, sums in moments._level_sums(density_at, start, kmax):
+        if n == N:
+            return sums
+
+
+def _w_transform_of_row(row, kmax, start=64):
+    # the row on grid row 0 and zeros elsewhere, nested from grid
+    # min(start, N) as the doubling loop nests: row 0's w-sums are the
+    # row's w-DFT
     N = len(row)
-    zeros = np.zeros((max(1, moments.BLOCK_POINTS // N), N))
-    blocks = [row[None, :]] + [zeros[: N - r] for r in range(1, N, len(zeros))]
-    win = moments._moment_window(iter(blocks), N, 0, kmax)
-    return win[0, kmax:] * (N * N)
+
+    def values(ri, ci):
+        return np.where(ri[:, None] == 0, row[ci], 0.0)
+
+    return _nested_sums(values, N, kmax, min(start, N))[:, 0]
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
@@ -151,6 +173,45 @@ def test_w_transform_accuracy(N):
             ref = (exact @ np.cos(ang)).astype(float) - 1j * (exact @ np.sin(ang)).astype(float)
             got = _w_transform_of_row(row, kmax)
             assert np.max(np.abs(got - ref)) <= 1.5e-15 * row.sum()
+
+
+@pytest.mark.parametrize("N", [128, 4096])
+def test_nested_sums_match_one_grid(N):
+    # lognormal samples (sigma = 2): a whole random grid at 128^2, an outer
+    # product at 4096^2.  The sums nested from grid 64 match one transform
+    # of grid N, row by row, within 1.5e-15 of the row sum.
+    rng = np.random.default_rng(N + 1)
+    if N == 128:
+        grid = rng.lognormal(0.0, 2.0, size=(N, N))
+        values = lambda ri, ci: grid[np.ix_(ri, ci)]       # noqa: E731
+        row_sums = grid.sum(axis=1)
+    else:
+        a, b = rng.lognormal(0.0, 2.0, size=(2, N))
+        values = lambda ri, ci: np.outer(a[ri], b[ci])     # noqa: E731
+        row_sums = a * b.sum()
+    for kmax in (0, 1, 16):
+        nested = _nested_sums(values, N, kmax, 64)
+        direct = _nested_sums(values, N, kmax, N)
+        assert np.all(np.max(np.abs(nested - direct), axis=0) <= 1.5e-15 * row_sums)
+
+
+def test_run_samples_each_point_once(monkeypatch):
+    # 1.1 - zw, as a grid function: the run stops at 512^2, and the calls
+    # sample each of that grid's points exactly once
+    p = BiPoly([[1.1, 0.0], [0.0, -1.0]])
+    grids = _sampled_grids(monkeypatch)
+    seen = []
+
+    def dens(zz, ww):
+        seen.append(np.stack([zz.ravel(), ww.ravel()]))
+        return 1.0 / np.abs(p(zz, ww)) ** 2
+
+    moments_from_grid_function(dens, 2, 2)
+    N = grids[-1]
+    assert grids == [64, 128, 256, 512]
+    index = np.rint(np.angle(np.concatenate(seen, axis=1)) * N / (2 * np.pi)) % N
+    assert index.shape[1] == N * N
+    assert len(np.unique(index[0] * N + index[1])) == N * N
 
 
 def test_near_torus_closed_form():
@@ -176,6 +237,14 @@ def test_grid_function_overflow_rejected():
         moments_from_grid_function(dens, 1, 1)
 
 
+def test_subnormal_trig_overflows_without_warning():
+    # t = 1e-309 passes the positivity check (min/max = 1), but 1 / t
+    # overflows: its blocks are not inverted or transformed, so no overflow
+    # warning is raised (warnings are errors in this suite)
+    with pytest.raises(MomentDivergence, match="density overflowed on the grid"):
+        moments_from_trig(TrigPoly(0, 0, np.array([[1e-309 + 0j]])), 1, 1)
+
+
 def _block_tables(monkeypatch, p, points):
     monkeypatch.setattr(moments, "BLOCK_POINTS", points)
     return (moments_from_density(p, 3, 2).c,
@@ -187,33 +256,46 @@ def test_quadrature_is_block_invariant(monkeypatch):
     with pytest.raises(MomentDivergence):            # needs the 256^2 grid
         moments_from_density(p, 3, 2, QuadratureConfig(max_grid=128))
     whole = _block_tables(monkeypatch, p, 1 << 24)   # one block per grid
-    # one row per block; then 12, 6 and 3 rows at 64, 128 and 256, each
-    # grid with a ragged last block
+    # one row per block; then 12 rows on grid 64 and on the 64-row
+    # sub-grids of new points of grid 128, and 6 rows on those of grid
+    # 256, each sub-grid with a ragged last block
     for points in (1, 3 * 256):
         for got, ref in zip(_block_tables(monkeypatch, p, points), whole):
             assert np.max(np.abs(got - ref)) <= 1e-15 * abs(ref[3, 2])
 
 
+def _new_points(grid):
+    """The sub-grids of new points of a 2N x 2N grid, stacked in order."""
+    return np.concatenate([grid[u::2, v::2] for u, v in moments.NEW_POINTS])
+
+
 def test_density_samples_bit_identical_in_blocks(monkeypatch):
-    # ragged blocks (5 rows at 64^2) hold exactly 1 / |p|^2 (squared and
-    # inverted in place) and 1 / t of the whole grid
+    # ragged blocks (5 rows of 64) hold exactly 1 / |p|^2, with |p|^2 as
+    # re^2 + im^2, and 1 / t: of the whole 64^2 grid, then of the new points
+    # of the 128^2 grid
     p = BiPoly([[1.4, 0.3], [0.2j, -1.0]])
     t = trig_abs_squared(p)
-    seen = {}
-    window = moments._moment_window
+    seen = []
+    sums = moments._w_sums
 
-    def record(blocks, N, jmax, kmax):
+    def record(blocks, N, kmax):
         copies = [b.copy() for b in blocks]
-        seen.setdefault(N, np.concatenate(copies))
-        return window(iter(copies), N, jmax, kmax)
+        seen.append(np.concatenate(copies))
+        return sums(iter(copies), N, kmax)
+
+    def inverse_abs2(N):
+        vals = _poly_grid_values(p, N)
+        return 1.0 / (vals.real ** 2 + vals.imag ** 2)
 
     monkeypatch.setattr(moments, "BLOCK_POINTS", 5 * 64)
-    monkeypatch.setattr(moments, "_moment_window", record)
+    monkeypatch.setattr(moments, "_w_sums", record)
     moments_from_density(p, 2, 2)
-    assert np.array_equal(seen[64], 1.0 / np.abs(_poly_grid_values(p, 64)) ** 2)
+    assert np.array_equal(seen[0], inverse_abs2(64))
+    assert np.array_equal(seen[1], _new_points(inverse_abs2(128)))
     seen.clear()
     moments_from_trig(t, 2, 2)
-    assert np.array_equal(seen[64], 1.0 / t.values_on_grid(64))
+    assert np.array_equal(seen[0], 1.0 / t.values_on_grid(64))
+    assert np.array_equal(seen[1], _new_points(1.0 / t.values_on_grid(128)))
 
 
 def _pole_message(p, N):
