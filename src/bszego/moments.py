@@ -123,7 +123,7 @@ class TrigPoly(MomentTable):
     def _rows_on_grid(self, N, shifts=WHOLE_GRID):
         if N <= 2 * max(self.jmax, self.kmax):
             raise ValueError("grid too small for the coefficient window")
-        return (v.real for v in _grid_rows(self.c, -self.jmax, -self.kmax, N, shifts))
+        return _grid_rows(self.c, -self.jmax, -self.kmax, N, shifts, real=True)
 
 
 def _roots(N):
@@ -133,7 +133,7 @@ def _roots(N):
     return np.exp(2j * np.pi * np.where(2 * t > N, t - N, t) / N)
 
 
-def _grid_rows(coeffs, j0, k0, N, shifts=WHOLE_GRID):
+def _grid_rows(coeffs, j0, k0, N, shifts=WHOLE_GRID, real=False):
     """Values of sum_{a,b} coeffs[a, b] z^(j0+a) w^(k0+b) on N x N sub-grids.
 
     For each (u, v) in shifts, entry [r, s] of its sub-grid is the value at
@@ -143,7 +143,9 @@ def _grid_rows(coeffs, j0, k0, N, shifts=WHOLE_GRID):
     Vw[s, b] = w^(k0+b), read from one table of 2N-th roots of unity.
     Yields consecutive blocks of max(1, BLOCK_POINTS // N) rows, sub-grid
     after sub-grid; only the thin factor Vz @ coeffs of one sub-grid is
-    held whole.
+    held whole.  With ``real`` the blocks are the real parts, for Hermitian
+    coefficients: with Vw = Cw + i Sw, Re(A Vw^T) = [Re A, -Im A] [Cw, Sw]^T
+    for the thin factor A, one real GEMM per block into new contiguous rows.
     """
     t = 2 * np.arange(N)
     roots = _roots(2 * N)
@@ -153,6 +155,9 @@ def _grid_rows(coeffs, j0, k0, N, shifts=WHOLE_GRID):
     for u, v in shifts:
         left = roots[np.outer(t + u, jz) % (2 * N)] @ coeffs
         vw = roots[np.outer(t + v, kw) % (2 * N)]
+        if real:
+            left = np.hstack([left.real, -left.imag])
+            vw = np.hstack([vw.real, vw.imag])
         for r in range(0, N, step):
             yield left[r: r + step] @ vw.T
 
@@ -291,7 +296,8 @@ def _moments_of_grid_density(density_at, jmax, kmax, cfg):
 
 
 def _reciprocals(blocks, bounds):
-    """1 / d for each real block d, or None where that is not all finite.
+    """1 / d for each real block d, in place, or None where that is not
+    all finite.
 
     bounds is the running [min, max] of every d, updated in place; over
     nested levels that is the min and max of the level they complete.  The
@@ -303,7 +309,8 @@ def _reciprocals(blocks, bounds):
     for d in blocks:
         lo, hi = float(np.min(d)), float(np.max(d))
         bounds[0], bounds[1] = min(bounds[0], lo), max(bounds[1], hi)
-        yield 1.0 / d if lo > 0.0 and math.isfinite(1.0 / lo) else None
+        finite = lo > 0.0 and math.isfinite(1.0 / lo)
+        yield np.divide(1.0, d, out=d) if finite else None
 
 
 def _abs2(vals):
@@ -409,14 +416,19 @@ def is_positive(table: MomentTable, n, m):
     return lam > POSITIVE_TOL * float(eigs[-1]), lam
 
 
-def _rect_gram_eigvalsh(G):
-    """Ascending eigenvalues of a Gram over a rectangle, in real arithmetic.
+def _real_form(G):
+    """Re G - (Im G) J, the real symmetric form of a Gram over a rectangle.
 
     Over [0, J] x [0, K] in z-major order, reversing the flat index maps u
     to (J, K) - u, so the reversal permutation J gives (J G J)[a, b] =
     c_{u_a - u_b} = conj(G[a, b]), bit for bit for an exactly Hermitian
     table.  With the unitary Q = (I + iJ)/sqrt(2), Q^H G Q = Re G - (Im G) J
-    is real symmetric with G's eigenvalues (a centro-Hermitian matrix is
-    unitarily similar to a real one; A. Lee, LAA 29, 1980).
+    is real symmetric, so G = Q R Q^H with R this matrix (a centro-Hermitian
+    matrix is unitarily similar to a real one; A. Lee, LAA 29, 1980).
     """
-    return np.linalg.eigvalsh(G.real - G.imag[:, ::-1])
+    return G.real - G.imag[:, ::-1]
+
+
+def _rect_gram_eigvalsh(G):
+    """Ascending eigenvalues of a Gram over a rectangle, in real arithmetic."""
+    return np.linalg.eigvalsh(_real_form(G))

@@ -2,11 +2,15 @@
 
 ``MomentSpace`` wraps a moment table with degree caps (N, M) and realizes
 the inner product <f, g> = sum f_u conj(g_v) c_{v-u} on monomials
-z^u w^v with u in [0,N] x [0,M].  A Cholesky factor of the full Gram
-matrix embeds coefficient vectors isometrically into C^d for inner
-products and projected spans.  The structural subspaces (E1, F1, E2, F2,
-H), complements of monomial spans in a rectangle, all come from one
-Cholesky Gram-Schmidt that orders the removed monomials first.
+z^u w^v with u in [0,N] x [0,M].  The Gram G of a rectangle [0,k] x [0,l]
+of monomials is centro-Hermitian, so G = Q R Q^H with the real symmetric
+R = Re G - (Im G) J and the unitary Q = (I + iJ)/sqrt(2), J the reversal
+(``moments._real_form``).  The space factors R = L L^T once per rectangle,
+in real arithmetic.  The caps' factor gives the embedding (Q L)^T, which
+maps coefficient vectors isometrically into C^d for inner products and
+projected spans.  The structural subspaces (E1, F1, E2, F2, H),
+complements of monomial spans in a rectangle, all come from one formula
+on their rectangle's factor (``_complement``).
 
 A basis stores its polynomials as BiPoly coefficient grids stacked
 along a last axis, ``coeffs[j, k, i]``; flattened z-major, each grid is
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateForm, InsufficientMoments
-from .moments import MomentTable, _rect, gram
+from .moments import MomentTable, _real_form, _rect, gram
 from .poly import BiPoly, _readonly
 
 RANK_TOL = 1e-8  # relative singular-value threshold for numerical rank
@@ -102,13 +106,11 @@ class MomentSpace:
         self.table = table
         self.nmax = int(nmax)
         self.mmax = int(mmax)
-        order = _rect(0, self.nmax, 0, self.mmax)
-        try:
-            L = np.linalg.cholesky(gram(table, order, order))
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateForm("moment Gram matrix is not positive definite") from exc
-        self._emb = L.T           # emb(f) = L.T @ f ; columns are monomial embeddings
+        self._factors = {}
         self._bases = {}
+        L = self._factor(self.nmax, self.mmax)
+        # G = (Q L)(Q L)^H with Q L = (L + i JL)/sqrt(2), JL = L rows reversed
+        self._emb = ((L + 1j * L[::-1]) / np.sqrt(2)).T   # emb(f) = _emb @ f
 
     # -- coefficient plumbing ------------------------------------------------
 
@@ -144,43 +146,63 @@ class MomentSpace:
 
     # -- subspace construction ----------------------------------------------
 
+    def _factor(self, k, l):
+        """Real Cholesky factor of the rectangle [0,k] x [0,l]'s Gram in real
+        form, R = Re G - (Im G) J = L L^T, memoised per space."""
+        if (k, l) not in self._factors:
+            order = _rect(0, k, 0, l)
+            try:
+                self._factors[k, l] = np.linalg.cholesky(
+                    _real_form(gram(self.table, order, order)))
+            except np.linalg.LinAlgError as exc:
+                raise DegenerateForm(
+                    "moment Gram matrix is not positive definite") from exc
+        return self._factors[k, l]
+
     def _complement(self, k, l, removed):
         """Orthonormal basis of P_{k,l} minus span(removed).
 
-        Gram-Schmidt with the removed monomials first: for the form's Gram
-        F = L L^H over ``removed`` then the g generators, the last g columns
-        of L^-H are orthonormal and orthogonal to every removed monomial.
-        The projected generators have coordinates L[-g:, -g:]^H in them;
-        its left singular vectors rotate them to the basis an SVD of the
-        projected generators gives, and its singular values decide the rank.
+        On coefficient vectors over the rectangle the form is <x, y> =
+        y^H conj(G) x, G the monomials' Gram.  With E the unit columns of
+        the generators (the monomials not removed), the columns of
+        X = conj(G)^-1 E are orthogonal to every removed monomial and span
+        the complement; their Gram X^H conj(G) X is S = X[gens].  With
+        S = V diag(lam) V^H, X V lam^-1/2 is orthonormal: it is the basis an
+        SVD of the projected generators X S^-1 gives (their Gram is S^-1,
+        their singular values lam^-1/2 in descending order), so the rank is
+        full when lam > 0 and max lam / min lam < RANK_TOL^-2.  Since
+        G = Q R Q^H with Q symmetric, conj(G)^-1 = conj(Q) R^-1 Q, and R^-1
+        takes two real triangular solves on the rectangle's factor.
         """
         ambient = _rect(0, k, 0, l)
         removed_set = set(removed)
-        gens = [u for u in ambient if u not in removed_set]
-        order = list(removed) + gens
+        gens = [i for i, u in enumerate(ambient) if u not in removed_set]
         g = len(gens)
-        try:
-            # the form is <x, y> = y^H conj(G) x, G the monomials' Gram
-            L = np.linalg.cholesky(np.conj(gram(self.table, order, order)))
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateForm("moment Gram matrix is not positive definite") from exc
-        u, s, _ = np.linalg.svd(L[-g:, -g:].conj().T)
-        rank = int(np.sum(s > RANK_TOL * s[0]))
+        L = self._factor(k, l)
+        E = np.zeros((len(ambient), g))
+        E[gens, np.arange(g)] = 1.0
+        # R^-1 [E, JE] is R^-1 sqrt(2) Q E in real and imaginary parts; L^T
+        # is upper triangular, and reversing both axes makes it lower
+        Y = _solve_lower(L, np.hstack([E, E[::-1]]))
+        Y = _solve_lower(L.T[::-1, ::-1], Y[::-1])[::-1]
+        re, im = Y[:, :g], Y[:, g:]
+        X = 0.5 * ((re + im[::-1]) + 1j * (im - re[::-1]))   # conj(Q) R^-1 Q E
+        lam, V = np.linalg.eigh(X[gens])
+        rank = int(np.sum(lam * RANK_TOL ** 2 < lam[0])) if lam[0] > 0 else 0
         if rank != g:
             raise DegenerateForm(
                 f"subspace rank {rank} differs from expected {g}")
-        rhs = np.vstack([np.zeros((len(order) - g, g)), u])
-        # L^H is upper triangular; reversing both axes makes it lower
-        X = _solve_lower(L.conj().T[::-1, ::-1], rhs[::-1])[::-1]
-        row = {v: i for i, v in enumerate(order)}
-        vectors = _phase_normalize(X[[row[v] for v in ambient]])
+        vectors = _phase_normalize(X @ (V / np.sqrt(lam)))
         return SubspaceBasis(vectors.reshape(k + 1, l + 1, g))
 
     def basis(self, kind, k, l) -> SubspaceBasis:
         """Orthonormal basis of a structural subspace, memoised per space.
 
-        Every kind is built by the same Cholesky Gram-Schmidt
-        (``_complement``), which raises DegenerateForm on a rank drop.
+        Every kind is the complement of a monomial span in the rectangle
+        P_{k,l} (P_{2n,M} for H), built by ``_complement`` from that
+        rectangle's real Cholesky factor, which is computed once per space
+        and shared by the kinds on one rectangle (the caps' factor also
+        gives the embedding).  A rank drop raises DegenerateForm.
 
         E1(k,l) = P_{k,l} minus w P_{k,l-1}   (dimension k+1)
         F1(k,l) = P_{k,l} minus P_{k,l-1}     (dimension k+1)
@@ -260,9 +282,9 @@ def _solve_lower(L, B):
 
     Each block of TRI_BLOCK rows costs one dense solve on its diagonal
     block and one product with the rows already solved, so no dense
-    solve is larger than TRI_BLOCK.
+    solve is larger than TRI_BLOCK.  X is real when L and B are.
     """
-    X = np.array(B, dtype=complex)
+    X = np.array(B, dtype=np.result_type(L, B, float))
     for i in range(0, L.shape[0], TRI_BLOCK):
         k = min(i + TRI_BLOCK, L.shape[0])
         X[i:k] = np.linalg.solve(L[i:k, i:k], X[i:k] - L[i:k, :i] @ X[:i])

@@ -39,11 +39,12 @@ def test_changed_stdout_and_exit_code(tmp_path):
     assert _diff(tmp_path, CALLS, head) == [
         "2 of 4 calls differ", "certify: 1 of 2 calls differ",
         "recover: 1 of 2 calls differ",
-        "  differs: certify seed 1 call 1 (sos stable): exit equal, shape differs",
+        "  differs: certify seed 1 call 1 (sos stable): exit equal, "
+        "shape differs: sos ok true -> false",
         "  differs: recover seed 2 call 0 (sos stable): exit 0 -> 3, shape equal, "
         "no number moved",
         "worst 2 calls:",
-        "  certify seed 1 call 1 (sos stable): shape differs",
+        "  certify seed 1 call 1 (sos stable): shape differs: sos ok true -> false",
         "  recover seed 2 call 0 (sos stable): no number moved"]
 
 
@@ -95,21 +96,32 @@ def test_round_off_moves_by_field(tmp_path):
 def test_shape_changes(tmp_path):
     # each head differs from the base in one way: a new degree, a longer
     # list, another key, other text, a number that became null or a
-    # string, or stdout that is not JSON
-    words = "some words"
-    heads = [_doc(deg=[1, 1], message=words),
-             _doc(c=[[1.0, -2.0, 0.0], [4.0, 0.5, 0.0]], message=words),
-             _doc(extra=1.0, message=words), _doc(message="other words"),
-             _doc(residual=None, message=words),
-             _doc(residual="1e-16", message=words), "Traceback\n"]
-    base = [_call("certify", 1, i, stdout=_doc(message=words))
-            for i in range(len(heads))]
+    # string, a block's degree, a longer list under a data key, or stdout
+    # that is not JSON; the detail names the first path that differs and
+    # the values there
+    fields = {"message": "some words", "by_cell": {"5,7": [1.0]},
+              "B": [{"deg": [3, 8]}, {"deg": [3, 8], "c": [1.0]}]}
+    changes = [({"deg": [1, 1]}, "deg [1, 2] -> [1, 1]"),
+               ({"c": [[1.0, -2.0, 0.0], [4.0, 0.5, 0.0]]},
+                "c[0] [1.0, -2.0] -> [1.0, -2.0, 0.0]"),
+               ({"extra": 1.0}, "extra absent -> 1.0"),
+               ({"message": "other words"}, 'message "some words" -> "other words"'),
+               ({"residual": None}, "residual 1e-16 -> null"),
+               ({"residual": "1e-16"}, 'residual 1e-16 -> "1e-16"'),
+               ({"B": [{"deg": [3, 8]}, {"c": [2.0, 0.0], "deg": [2, 8]}]},
+                "B[1].deg [3, 8] -> [2, 8]"),
+               ({"by_cell": {"5,7": [1.0, 2.0]}}, "by_cell[5,7] [1.0] -> [1.0, 2.0]")]
+    heads = [_doc(**{**fields, **change}) for change, _ in changes]
+    heads.append("Traceback\n")
+    wheres = [where for _, where in changes]
+    wheres.append('. {"deg": [1, 2], "c": [[1.0, -2.0], [4... -> "Traceback\\n"')
+    base = [_call("certify", 1, i, stdout=_doc(**fields)) for i in range(len(heads))]
     head = [_call("certify", 1, i, stdout=text) for i, text in enumerate(heads)]
     lines = _diff(tmp_path, base, head)
     assert lines[0] == f"{len(heads)} of {len(heads)} calls differ"
     details = [line for line in lines if line.startswith("  differs:")]
-    assert len(details) == len(heads)
-    assert all(line.endswith("exit equal, shape differs") for line in details)
+    assert details == [f"  differs: certify seed 1 call {i} (sos stable): exit equal, "
+                       f"shape differs: sos {where}" for i, where in enumerate(wheres)]
     assert "fields that moved, by largest change of their scale:" not in lines
 
 

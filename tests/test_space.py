@@ -5,6 +5,8 @@ from bszego import (BiPoly, DegenerateForm, InsufficientMoments, MomentSpace,
                     MomentTable, moments_from_density, reflect)
 from bszego import space as space_mod
 from bszego.fullmeasure import _nested_inverse_max
+from bszego.moments import _rect, _rect_gram_eigvalsh, gram
+from bszego.reconstruct import reconstruct_p
 from bszego.space import (RANK_TOL, TRI_BLOCK, SubspaceBasis, _inverse_rows,
                           _phase_normalize, _solve_lower)
 
@@ -427,3 +429,60 @@ def test_phase_normalize_matches_the_column_loop():
     assert out[4, 1].real > 0.0 and abs(out[4, 1].imag) < 1e-15 * abs(out[4, 1])
     assert _phase_normalize(np.zeros((0, 0))).shape == (0, 0)
     assert _phase_normalize(np.zeros((4, 0))).shape == (4, 0)
+
+
+def _alpha_zw_space(alphas, n):
+    """MomentSpace at caps (n, n) of prod (alpha - zw)."""
+    p = BiPoly([[1.0]])
+    for alpha in alphas:
+        p = p * BiPoly([[alpha, 0], [0, -1.0]])
+    return MomentSpace(moments_from_density(p, n, n), n, n)
+
+
+def test_one_real_factor_per_rectangle(monkeypatch, space_perturb_4_4):
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        factored.append((a.dtype.kind, len(a)))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    reconstruct_p(space_perturb_4_4.table, 4, 4)
+    # the caps (4, 4), E1(3, 4) and E2 = F2(4, 3) in real form; the phi
+    # sequence factors its own complex Gram
+    assert sorted(factored) == [("c", 25), ("f", 20), ("f", 20), ("f", 25)]
+    sp = MomentSpace(space_perturb_4_4.table, 4, 4)
+    sp.basis("E2", 4, 3)
+    factored.clear()
+    for kind, k, l in [("F2", 4, 3), ("E2", 4, 3), ("E1", 4, 4), ("F1", 4, 4),
+                       ("H", 2, 4)]:
+        sp.basis(kind, k, l)
+    assert factored == []
+
+
+def test_solve_lower_keeps_real_inputs_real():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(40, 40))
+    L = np.linalg.cholesky(a @ a.T + np.eye(40))
+    B = rng.normal(size=(40, 2))
+    X = _solve_lower(L, B)
+    assert X.dtype == np.float64
+    assert np.max(np.abs(L @ X - B)) < 1e-12 * np.max(np.abs(B))
+    assert _solve_lower(L.astype(complex), B).dtype == np.complex128
+
+
+@pytest.mark.parametrize("alphas, n", [(np.linspace(1.2, 2, 8), 8),
+                                       (np.linspace(2, 4, 16), 16)])
+def test_ill_conditioned_bases_stay_orthonormal(alphas, n):
+    # Gram condition numbers 1.5e10 and 9.6e9: every basis the operators and
+    # the split polynomial use is orthonormal up to eps * cond(G)
+    sp = _alpha_zw_space(alphas, n)
+    sup = _rect(0, n, 0, n)
+    eigs = _rect_gram_eigvalsh(gram(sp.table, sup, sup))
+    bound = np.finfo(float).eps * eigs[-1] / eigs[0]
+    assert bound > 1e-6
+    for kind, k, l in [("E1", n - 1, n), ("F1", n - 1, n), ("E2", n, n - 1),
+                       ("F2", n, n - 1), ("E1", n, n)]:
+        b = sp.basis(kind, k, l)
+        assert np.max(np.abs(sp.cross(b, b) - np.eye(b.dim))) < bound, (kind, k, l)

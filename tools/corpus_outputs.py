@@ -14,8 +14,10 @@ The second form prints how many calls differ between two such files in
 exit code or stdout bytes, in all and per workload.  For each differing
 call it says whether the exit code and the JSON shape are equal (keys,
 list lengths, the values of ``deg``, and the text of strings with their
-numbers taken out), and the largest change of a printed number relative
-to the largest magnitude in its field, in the base.  A field is a
+numbers taken out); where the shape differs, the first path at which it
+does and the values there on both sides, such as ``sos B[2].deg [3, 8]
+-> [2, 8]``; where it is equal, the largest change of a printed number
+relative to the largest magnitude in its field, in the base.  A field is a
 pipeline and a path of keys, with list indices dropped; numbers inside a
 string count in the string's field.  Then come the worst calls by that
 change, and every field that moved, with its largest change.  It only
@@ -42,6 +44,8 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
                      "bench")
 SEEDS = (9137, 311)
 WORST = 5        # calls listed by their largest change
+SHOWN = 40       # characters of a value shown where a shape differs
+ABSENT = object()  # the value of a key on the other side only
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b")
 
 
@@ -86,30 +90,70 @@ def _numbers(doc, pipeline):
     printed in that field, in order.
     """
     fields = {}
-
-    def walk(node, path):
-        if isinstance(node, dict):
-            # a key such as "5,7" indexes data, like a list position
-            return {key: value if key == "deg" else
-                    walk(value, f"{path}.{key}" if key.isidentifier() else path)
-                    for key, value in node.items()}
-        if isinstance(node, list):
-            return [walk(value, path) for value in node]
-        name = f"{pipeline} {path[1:] or '.'}"
-        if isinstance(node, str):
-            fields.setdefault(name, []).extend(
-                float(x) for x in NUMBER.findall(node))
-            return NUMBER.sub("#", node)
-        if isinstance(node, (int, float)) and not isinstance(node, bool):
-            fields.setdefault(name, []).append(float(node))
-            return float
-        return node
-
     try:
         doc = json.loads(doc)
     except ValueError:
         return doc, {}
-    return walk(doc, ""), fields
+    return _walk(doc, "", pipeline, fields), fields
+
+
+def _walk(node, path, pipeline, fields):
+    """The shape of a parsed document (see ``_numbers``), adding its
+    printed numbers to ``fields``."""
+    if isinstance(node, dict):
+        # a key such as "5,7" indexes data, like a list position
+        return {key: value if key == "deg" else
+                _walk(value, f"{path}.{key}" if key.isidentifier() else path,
+                      pipeline, fields)
+                for key, value in node.items()}
+    if isinstance(node, list):
+        return [_walk(value, path, pipeline, fields) for value in node]
+    name = f"{pipeline} {path[1:] or '.'}"
+    if isinstance(node, str):
+        fields.setdefault(name, []).extend(float(x) for x in NUMBER.findall(node))
+        return NUMBER.sub("#", node)
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        fields.setdefault(name, []).append(float(node))
+        return float
+    return node
+
+
+def _shape_difference(old, new, path=""):
+    """(path, old, new) at the first place where two parsed documents of
+    different shapes differ.  The path keeps list indices and data keys,
+    as in ``B[2].deg``.  A ``deg`` value differs as a whole and comes
+    before its siblings, since it sums up the coefficient grid next to it;
+    a key on one side only is ABSENT on the other."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        keys = list(old) + [key for key in new if key not in old]
+        inner = [(f"{path}.{key}" if key.isidentifier() else f"{path}[{key}]",
+                  old.get(key, ABSENT), new.get(key, ABSENT), key == "deg")
+                 for key in sorted(keys, key=lambda key: key != "deg")]
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        inner = [(f"{path}[{i}]", a, b, False) for i, (a, b) in enumerate(zip(old, new))]
+    else:
+        inner = []
+    for where, a, b, raw in inner:
+        if raw and a != b:
+            return where, a, b
+        if not raw and _walk(a, "", "", {}) != _walk(b, "", "", {}):
+            return _shape_difference(a, b, where)
+    return path, old, new
+
+
+def _parsed(text):
+    """A call's stdout parsed as JSON, or the text itself if it is not JSON."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+def _shown(value):
+    if value is ABSENT:
+        return "absent"
+    text = json.dumps(value)
+    return text if len(text) <= SHOWN else text[:SHOWN - 3] + "..."
 
 
 def _compare(old, new):
@@ -119,7 +163,9 @@ def _compare(old, new):
     shape_old, fields_old = _numbers(old["stdout"], old["pipeline"])
     shape_new, fields_new = _numbers(new["stdout"], new["pipeline"])
     if shape_old != shape_new:
-        return detail + ["shape differs"], math.inf, {}
+        path, a, b = _shape_difference(_parsed(old["stdout"]), _parsed(new["stdout"]))
+        return detail + [f"shape differs: {old['pipeline']} {path.lstrip('.') or '.'} "
+                         f"{_shown(a)} -> {_shown(b)}"], math.inf, {}
     moved = {}
     for field, values in fields_old.items():
         change = max((abs(b - a) for a, b in zip(values, fields_new[field])
