@@ -19,14 +19,14 @@ import numpy as np
 
 from .errors import (CertificateFailed, DegenerateSlice, FitResidualTooLarge,
                      NotGdv, NotSelfReflective, NumericalFailure, ZOnlyFactor)
+from .moments import _roots
 from .poly import BiPoly, content_roots, reflect, w_roots
 from .sos import certificate_open_face
 
 
 SAMPLES = 128          # z points on the circle for variety sampling
-OFFGRID_POINTS = 100   # off-variety points for the scale fit
 FIT_TOL = 1e-6         # on-variety Procrustes residual bound
-RESIDUAL_TOL = 1e-6    # relative det/p deviation bound
+RESIDUAL_TOL = 1e-6    # largest det - scale * p coefficient gap, relative
 CERT_TOL = 1e-7        # open-face G-certificate tolerance
 REFLECT_TOL = 1e-8     # relative residual of the reflection identities
 GEOMETRY_GRID = 64     # z points on the circle for the geometry check
@@ -158,22 +158,20 @@ def _variety_samples(p: BiPoly, count):
     return np.repeat(zs[keep], rts.shape[1]), rts[keep].ravel()
 
 
-def _offgrid_points(p1: BiPoly):
-    """The first OFFGRID_POINTS of 100 times as many default_rng(0) draws
-    (z0, w0) from [-2, 2]^4 where |p1| >= 1e-3 max |coeff|, and p1 there."""
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(-2, 2, (100 * OFFGRID_POINTS, 2, 2))
-    z0, w0 = (pts[..., 0] + 1j * pts[..., 1]).T
-    pv = p1(z0, w0)
-    keep = np.nonzero(np.abs(pv) >= 1e-3 * float(np.max(np.abs(p1.coeffs))))[0]
-    if keep.size < OFFGRID_POINTS:
-        raise FitResidualTooLarge("could not sample off-variety points")
-    keep = keep[:OFFGRID_POINTS]
-    return z0[keep], w0[keep], pv[keep]
+def _pencil_coeffs(rep: DetRep, deg):
+    """Coefficients of det(U Delta - Gamma), of degree at most ``deg``,
+    from its values on the (n+1) x (m+1) grid of roots of unity."""
+    zz, ww = np.meshgrid(_roots(deg[0] + 1), _roots(deg[1] + 1), indexing="ij")
+    vals = rep.det_pencil(zz, ww)
+    return np.fft.fft2(vals) / vals.size
 
 
 def build_detrep(p: BiPoly) -> DetRep:
-    """Unitary pencil representation of a generalized distinguished variety."""
+    """Unitary pencil representation of a generalized distinguished variety.
+
+    det(U Delta - Gamma) = scale * p is checked on coefficients: ``residual``
+    is their largest gap relative to |scale| max |coeff of p|.
+    """
     pt = p.trimmed()
     geo = check_gdv_geometry(pt)
     if not geo.passed:
@@ -214,14 +212,15 @@ def build_detrep(p: BiPoly) -> DetRep:
 
     rep0 = DetRep(u=U, n1=n1, n2=n2, scale=1.0 + 0.0j, residual=np.nan,
                   mu=mu, geometry=geo)
-    z0, w0, pv = _offgrid_points(p1)
-    ratios = rep0.det_pencil(z0, w0) / pv
-    scale = complex(np.median(ratios.real), np.median(ratios.imag))
+    d = _pencil_coeffs(rep0, (n, m))
+    c = p1.coeffs
+    scale = complex(np.vdot(c, d) / np.vdot(c, c).real)     # least squares
     if abs(scale) < 1e-12:
         raise FitResidualTooLarge("pencil determinant vanishes identically")
-    residual = float(np.max(np.abs(ratios - scale)) / abs(scale))
+    residual = float(np.max(np.abs(d - scale * c))
+                     / (abs(scale) * np.max(np.abs(c))))
     if residual > RESIDUAL_TOL:
         raise FitResidualTooLarge(
-            f"det(U Delta - Gamma)/p varies by {residual:.3e}")
+            f"det(U Delta - Gamma) - scale * p reaches {residual:.3e}")
     # report the scale against the input polynomial, not the normalized one
     return replace(rep0, scale=scale / nu, residual=residual)

@@ -116,10 +116,6 @@ class TrigPoly(MomentTable):
         if np.max(np.abs(self.c - raw)) > 1e-8 * max(1.0, np.max(np.abs(raw))):
             raise NonPositiveDensity("coefficients are not Hermitian-symmetric")
 
-    def values_on_grid(self, N):
-        """Evaluate on the N x N uniform torus grid (real array)."""
-        return np.concatenate(list(self._rows_on_grid(N)))
-
     def _rows_on_grid(self, N, shifts=WHOLE_GRID):
         if N <= 2 * max(self.jmax, self.kmax):
             raise ValueError("grid too small for the coefficient window")
@@ -167,10 +163,6 @@ def _poly_grid_rows(p: BiPoly, N, shifts=WHOLE_GRID):
     if N <= max(n, m):
         raise ValueError("grid too small for the polynomial degree")
     return _grid_rows(p.coeffs, 0, 0, N, shifts)
-
-
-def _poly_grid_values(p: BiPoly, N):
-    return np.concatenate(list(_poly_grid_rows(p, N)))
 
 
 @lru_cache(maxsize=32)

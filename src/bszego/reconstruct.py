@@ -14,16 +14,15 @@ import numpy as np
 
 from .errors import (DegenerateForm, MatrixConditionFails, NoConvergence,
                      NotFactorable, NotPositive)
-from .moments import (MomentTable, QuadratureConfig, TrigPoly,
-                      _poly_grid_values, is_positive, moments_from_trig)
+from .moments import (MomentTable, QuadratureConfig, TrigPoly, is_positive,
+                      moments_from_trig)
 from .poly import BiPoly, reflect_uni
 from .space import MomentSpace
 from .splitshift import (ShiftOperators, _operators_under_condition,
                          assert_no_face_zeros, minimal_split_poly)
 
 KERNEL_TOL = 1e-8   # kernel identity residual, relative to max |kernel|
-FACTOR_TOL = 1e-7   # factor_trig's bound on max | |p|^2 - t |, relative to max |t|
-FACTOR_GRID = 256   # points per axis of factor_trig's check grid
+FACTOR_TOL = 1e-7   # factor_trig's bound on the l1 gap of |p|^2 - t, relative to t_00
 
 
 def kernel_poly(space: MomentSpace) -> BiPoly:
@@ -76,7 +75,8 @@ def factor_trig(t: TrigPoly, n, m, cfg: QuadratureConfig = QuadratureConfig()):
     """Factor a strictly positive trig polynomial as |p|^2 when possible.
 
     Builds the moments of dsigma / t, tests the matrix condition, then
-    reconstructs and verifies the factor on a torus grid.  Raises
+    reconstructs p and checks t = |p|^2 on coefficients; the l1 norm of
+    their gap bounds |p|^2 - t on the whole torus.  Raises
     NotFactorable when no p of degree (n, m) without zeros on the closed
     face exists.
     """
@@ -88,10 +88,18 @@ def factor_trig(t: TrigPoly, n, m, cfg: QuadratureConfig = QuadratureConfig()):
         p = reconstruct_p(table, n, m)
     except MatrixConditionFails as exc:
         raise NotFactorable(str(exc)) from exc
-    tvals = t.values_on_grid(FACTOR_GRID)
-    pvals = np.abs(_poly_grid_values(p.trimmed(), FACTOR_GRID)) ** 2
-    resid = float(np.max(np.abs(pvals - tvals)))
-    if resid > FACTOR_TOL * float(np.max(np.abs(tvals))):
+    # |p|^2's Laurent coefficients, centred at (a, b): p times its reflection,
+    # as one 1-D convolution of rows zero-padded to 2b + 1 (no carries)
+    a, b = p.deg
+    rows = np.zeros((2, a + 1, 2 * b + 1), dtype=complex)
+    rows[0, :, :b + 1], rows[1, :, :b + 1] = p.coeffs, np.conj(p.coeffs[::-1, ::-1])
+    auto = np.convolve(rows[0].ravel(), rows[1].ravel())[: (2 * a + 1) * (2 * b + 1)]
+    J, K = max(t.jmax, a), max(t.kmax, b)
+    gap = np.zeros((2 * J + 1, 2 * K + 1), dtype=complex)
+    gap[J - t.jmax: J + t.jmax + 1, K - t.kmax: K + t.kmax + 1] = t.c
+    gap[J - a: J + a + 1, K - b: K + b + 1] -= auto.reshape(2 * a + 1, 2 * b + 1)
+    resid = float(np.sum(np.abs(gap)))
+    if resid > FACTOR_TOL * t.at(0, 0).real:     # t_00 = mean(t) <= max(t)
         raise NoConvergence(
             f"|p|^2 mismatches t by {resid:.3e} despite the matrix condition")
     assert_no_face_zeros(p)

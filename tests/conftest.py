@@ -3,6 +3,7 @@ import pytest
 
 from bszego import (BiPoly, MomentSpace, MomentTable, SubspaceBasis, TrigPoly,
                     UniPoly, moments_from_density, reflect)
+from bszego.moments import _poly_grid_rows
 from bszego.poly import as_bipoly
 
 
@@ -78,6 +79,16 @@ def torus_grid(N):
     th = 2.0 * np.pi * np.arange(N) / N
     z = np.exp(1j * th)
     return np.meshgrid(z, z, indexing="ij")
+
+
+def poly_grid_values(p: BiPoly, N):
+    """p on the N x N uniform torus grid, by the quadrature's row sampler."""
+    return np.concatenate(list(_poly_grid_rows(p, N)))
+
+
+def trig_values_on_grid(t: TrigPoly, N):
+    """t on the N x N uniform torus grid (real), by the quadrature's sampler."""
+    return np.concatenate(list(t._rows_on_grid(N)))
 
 
 def max_modulus_gap(p, q, N=256):

@@ -3,14 +3,15 @@ import contextlib
 import io
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bszego import (BiPoly, DegenerateSlice, NotGdv, NotSelfReflective,
-                    ZOnlyFactor, build_detrep, check_gdv_geometry,
-                    check_self_reflective, derivative_identity_check,
-                    reflect)
+from bszego import (BiPoly, DegenerateSlice, FitResidualTooLarge, NotGdv,
+                    NotSelfReflective, ZOnlyFactor, build_detrep,
+                    check_gdv_geometry, check_self_reflective,
+                    derivative_identity_check)
 from bszego import cli, detrep
 from bszego.detrep import GEOMETRY_GRID
 from bszego.jsonio import dumps, poly_to_json
@@ -201,31 +202,6 @@ def test_detrep_scale_against_input():
         < 1e-8 * abs(rep.scale)
 
 
-def _scalar_scale_fit(p, rep):
-    """The off-grid scale fit one point at a time: draws, filter, ratios."""
-    nu = cmath.sqrt(check_self_reflective(p))
-    p1 = p.trimmed() * (1.0 / nu)
-    p1 = (p1 + reflect(p1, p1.deg)) * 0.5
-    rng = np.random.default_rng(0)
-    sizes = (rep.m, rep.n1, rep.n2)
-    points, ratios = [], []
-    while len(ratios) < detrep.OFFGRID_POINTS:
-        z0 = complex(*rng.uniform(-2, 2, 2))
-        w0 = complex(*rng.uniform(-2, 2, 2))
-        pv = complex(p1(z0, w0))
-        if abs(pv) < 1e-3 * float(np.max(np.abs(p1.coeffs))):
-            continue
-        delta = np.diag(np.repeat([w0, z0, 1.0], sizes))
-        gamma = np.diag(np.repeat([1.0, 1.0, z0], sizes))
-        det = np.linalg.det(rep.u @ delta - gamma)
-        points.append((z0, w0))
-        ratios.append(complex(det) / pv)
-    ratios = np.asarray(ratios)
-    scale = complex(np.median(ratios.real), np.median(ratios.imag))
-    residual = float(np.max(np.abs(ratios - scale)) / abs(scale))
-    return p1, np.array(points), scale / nu, residual
-
-
 def _blaschke_gdv(zeros, m):
     """w^m prod (1 - conj(a) z) - prod (z - a): the sheets w^m = B(z)."""
     q = np.polynomial.polynomial.polyfromroots(zeros)
@@ -235,15 +211,48 @@ def _blaschke_gdv(zeros, m):
     return BiPoly(a)
 
 
-@pytest.mark.parametrize("p", [
-    BiPoly([[0.5, 1], [-1, -0.5]]),                  # Blaschke sheet, a = 1/2
-    _blaschke_gdv([0.3, -0.4j], 2),
-], ids=["blaschke", "blaschke-2-2"])
-def test_batched_scale_fit_matches_scalar_loop(p):
+BLASCHKE = [BiPoly([[0.5, 1], [-1, -0.5]]),          # Blaschke sheet, a = 1/2
+            _blaschke_gdv([0.3, -0.4j], 2)]
+BLASCHKE_IDS = ["blaschke", "blaschke-2-2"]
+
+
+def _scalar_det(rep, z0, w0):
+    """det(U Delta - Gamma) at one point, as one dense determinant."""
+    sizes = (rep.m, rep.n1, rep.n2)
+    delta = np.diag(np.repeat([w0, z0, 1.0], sizes))
+    gamma = np.diag(np.repeat([1.0, 1.0, z0], sizes))
+    return complex(np.linalg.det(rep.u @ delta - gamma))
+
+
+@pytest.mark.parametrize("p", BLASCHKE, ids=BLASCHKE_IDS)
+def test_pencil_coeffs_match_scalar_det(p):
+    # the coefficients interpolated on the roots of unity reproduce the
+    # determinant away from that grid and away from the variety
     rep = build_detrep(p)
-    p1, points, scale, residual = _scalar_scale_fit(p, rep)
-    z0, w0, _ = detrep._offgrid_points(p1)
-    assert np.array_equal(z0, points[:, 0]) and np.array_equal(w0, points[:, 1])
-    assert abs(rep.scale - scale) <= 1e-12 * abs(scale)
-    # the residual is already relative to |scale|
-    assert abs(rep.residual - residual) <= 1e-12
+    d = BiPoly(detrep._pencil_coeffs(rep, p.deg))
+    rng = np.random.default_rng(5)
+    z0, w0 = (rng.uniform(-2, 2, (2, 6)) + 1j * rng.uniform(-2, 2, (2, 6)))
+    for z, w in zip(z0, w0):
+        ref = _scalar_det(rep, z, w)
+        assert abs(ref) > 1e-2
+        assert abs(d(z, w) - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("p", BLASCHKE, ids=BLASCHKE_IDS)
+def test_perturbed_pencil_is_refused(p, monkeypatch):
+    # U moved by 1e-4 in a generic direction (not a block-diagonal unitary
+    # conjugation, which leaves the determinant unchanged): det(U Delta -
+    # Gamma) is no longer a multiple of p, and the coefficient gap shows it
+    coeffs = detrep._pencil_coeffs
+    e = np.random.default_rng(7).normal(size=(8, 8, 2)) @ [1, 1j]
+    unperturbed = build_detrep(p)
+    assert unperturbed.residual < 1e-12
+
+    def perturbed(rep, deg):
+        k = len(rep.u)
+        shift = e[:k, :k] / np.linalg.norm(e[:k, :k])
+        return coeffs(replace(rep, u=rep.u + 1e-4 * shift), deg)
+
+    monkeypatch.setattr(detrep, "_pencil_coeffs", perturbed)
+    with pytest.raises(FitResidualTooLarge, match=r"scale \* p reaches"):
+        build_detrep(p)

@@ -9,9 +9,10 @@ from bszego import (BiPoly, InsufficientMoments, MomentDivergence, MomentTable,
                     ZeroPolynomial, gram, is_positive, moments_from_density,
                     moments_from_grid_function, moments_from_trig)
 from bszego import moments
-from bszego.moments import _poly_grid_values, _rect_gram_eigvalsh
+from bszego.moments import _rect_gram_eigvalsh
 
-from conftest import geometric_diag_moment, riemann_moment, trig_abs_squared
+from conftest import (geometric_diag_moment, poly_grid_values, riemann_moment,
+                      trig_abs_squared, trig_values_on_grid)
 
 
 def test_lebesgue_measure():
@@ -86,9 +87,9 @@ def test_poly_grid_values_match_direct_evaluation():
     for shape, N in [((3, 5), 5), ((5, 2), 5), ((4, 7), 16), ((1, 3), 3)]:
         p = BiPoly(rng.normal(size=shape) + 1j * rng.normal(size=shape))
         zz, ww = _torus_grid(N)
-        assert np.max(np.abs(_poly_grid_values(p, N) - p(zz, ww))) < 1e-12
+        assert np.max(np.abs(poly_grid_values(p, N) - p(zz, ww))) < 1e-12
         with pytest.raises(ValueError):
-            _poly_grid_values(p, max(p.deg))
+            poly_grid_values(p, max(p.deg))
 
 
 def test_trig_values_on_grid_match_laurent_sum():
@@ -101,9 +102,9 @@ def test_trig_values_on_grid_match_laurent_sum():
         direct = sum(t.at(j, k) * zz ** j * ww ** k
                      for j in range(-jmax, jmax + 1)
                      for k in range(-kmax, kmax + 1))
-        assert np.max(np.abs(t.values_on_grid(N) - direct)) < 1e-12
+        assert np.max(np.abs(trig_values_on_grid(t, N) - direct)) < 1e-12
         with pytest.raises(ValueError):
-            t.values_on_grid(2 * max(jmax, kmax))
+            trig_values_on_grid(t, 2 * max(jmax, kmax))
 
 
 def test_windowed_transform_matches_full_fft():
@@ -284,7 +285,7 @@ def test_density_samples_bit_identical_in_blocks(monkeypatch):
         return sums(iter(copies), N, kmax)
 
     def inverse_abs2(N):
-        vals = _poly_grid_values(p, N)
+        vals = poly_grid_values(p, N)
         return 1.0 / (vals.real ** 2 + vals.imag ** 2)
 
     monkeypatch.setattr(moments, "BLOCK_POINTS", 5 * 64)
@@ -294,12 +295,12 @@ def test_density_samples_bit_identical_in_blocks(monkeypatch):
     assert np.array_equal(seen[1], _new_points(inverse_abs2(128)))
     seen.clear()
     moments_from_trig(t, 2, 2)
-    assert np.array_equal(seen[0], 1.0 / t.values_on_grid(64))
-    assert np.array_equal(seen[1], _new_points(1.0 / t.values_on_grid(128)))
+    assert np.array_equal(seen[0], 1.0 / trig_values_on_grid(t, 64))
+    assert np.array_equal(seen[1], _new_points(1.0 / trig_values_on_grid(t, 128)))
 
 
 def _pole_message(p, N):
-    a2 = np.abs(_poly_grid_values(p, N)) ** 2
+    a2 = np.abs(poly_grid_values(p, N)) ** 2
     return f"|p|^2 nearly vanishes on the torus (min/max = {a2.min() / a2.max():.3e})"
 
 
@@ -315,7 +316,7 @@ def test_pole_in_last_block(monkeypatch):
              BiPoly([[-2.0 * root, root], [2.0, -1.0]]),     # (z - root)(2 - w)
              BiPoly([[2.0 + 1e-7, -1.0], [-1.0, 0.0]])]      # 2 + 1e-7 - z - w
     messages = [_pole_message(p, 64) for p in cases]
-    assert np.min(np.abs(_poly_grid_values(cases[1], 64))) == 0.0
+    assert np.min(np.abs(poly_grid_values(cases[1], 64))) == 0.0
     monkeypatch.setattr(moments, "BLOCK_POINTS", 5 * 64)
     for p, msg in zip(cases, messages):
         with pytest.raises(MomentDivergence, match=re.escape(msg)):
@@ -331,7 +332,7 @@ def test_negative_trig_in_late_block(monkeypatch):
     for phi, delta in [(63 / 64, 1e-3), (63.4 / 64, 5e-3), (0.5, 0.0)]:
         e = np.exp(-2j * np.pi * phi)
         t = TrigPoly(1, 0, np.array([[-np.conj(e) / 2], [1.0 - delta], [-e / 2]]))
-        lo = t.values_on_grid(64).min()
+        lo = trig_values_on_grid(t, 64).min()
         assert lo < 0.0 if delta else lo == 0.0
         msg = f"t is not strictly positive on the grid (min {lo:.3e})"
         with pytest.raises(NonPositiveDensity, match=re.escape(msg)):

@@ -1,22 +1,26 @@
 """Property tests over random Bernstein-Szego densities 1/|p|^2."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bszego import (BiPoly, MomentSpace, enumerate_split_polys,
-                    is_positive, moments_from_density,
+from bszego import (BiPoly, MomentSpace, NoConvergence, enumerate_split_polys,
+                    factor_trig, is_positive, moments_from_density,
                     split_poly_from_condition)
+from bszego import reconstruct
 from bszego.moments import gram
+from bszego.reconstruct import FACTOR_TOL
 
-from conftest import monomial_basis, rect, structural, torus_grid
+from conftest import (monomial_basis, poly_grid_values, rect, structural,
+                      torus_grid, trig_abs_squared, trig_values_on_grid)
 
 
 @st.composite
-def perturbations(draw):
-    """p = 1 + e of degree at most (6, 6) with sum |e_jk| <= 0.5."""
-    n = draw(st.integers(1, 6))
-    m = draw(st.integers(1, 6))
+def perturbations(draw, max_deg=6):
+    """p = 1 + e of degree at most (max_deg, max_deg) with sum |e_jk| <= 0.5."""
+    n = draw(st.integers(1, max_deg))
+    m = draw(st.integers(1, max_deg))
     size = 2 * (n + 1) * (m + 1)
     e = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=size,
                                max_size=size)))
@@ -97,3 +101,33 @@ def test_every_split_from_the_operators(case):
         assert np.max(np.abs(np.abs(q(zz, ww)) - ref)) <= 1e-8 * np.max(ref)
     for d in range(sum(mu for _, mu in roots) + slots + 1):
         assert split_poly_from_condition(sp, d).k1.dim == d
+
+
+def _grid_check_passes(t, q):
+    """The 256^2 sampled check: max | |q|^2 - t | on the torus grid within
+    FACTOR_TOL of max |t| there."""
+    tvals = trig_values_on_grid(t, 256)
+    qvals = np.abs(poly_grid_values(q.trimmed(), 256)) ** 2
+    return np.max(np.abs(qvals - tvals)) <= FACTOR_TOL * np.max(np.abs(tvals))
+
+
+@settings(max_examples=30, deadline=None)
+@given(perturbations(max_deg=4), st.floats(-10.0, -6.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_factor_check_never_weaker_than_grid_check(p, log_shift, seed):
+    # factor_trig's coefficient check accepts only factors that the 256^2
+    # sampled check accepts too: on |p|^2 itself, and with the
+    # reconstruction moved off p by 1e-10 to 1e-6 in l1, which puts the
+    # coefficient gap on both sides of FACTOR_TOL
+    n, m = p.deg
+    t = trig_abs_squared(p)
+    assert _grid_check_passes(t, factor_trig(t, n, m))
+    e = np.random.default_rng(seed).normal(size=(n + 1, m + 1, 2)) @ [1, 1j]
+    q = p + BiPoly(10.0 ** log_shift * e / np.sum(np.abs(e)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reconstruct, "reconstruct_p", lambda *args: q)
+        try:
+            out = factor_trig(t, n, m)
+        except NoConvergence:
+            return
+    assert out is q and _grid_check_passes(t, q)
