@@ -54,7 +54,7 @@ def _qcfg(args):
     return QuadratureConfig(max_grid=grid, tol=tol)
 
 
-def _positive_space(args, doc):
+def _positive_table(args, doc):
     table = table_from_json(doc)
     ok, lam = is_positive(table, args.n, args.m)
     if not ok:
@@ -69,14 +69,14 @@ def _cmd_moments(args):
 
 
 def _cmd_check(args):
-    table = _positive_space(args, _read_json(args.moments))
+    table = _positive_table(args, _read_json(args.moments))
     space = MomentSpace(table, args.n, args.m)
     report = check_matrix_condition(build_operators(space), tol=_cond_tol(args))
     return report.to_json(), 0 if report.holds else 1
 
 
 def _cmd_reconstruct(args):
-    table = _positive_space(args, _read_json(args.moments))
+    table = _positive_table(args, _read_json(args.moments))
     p = reconstruct_p(table, args.n, args.m, tol=_cond_tol(args))
     return poly_to_json(p), 0
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (DegenerateForm, InsufficientMoments,
                      MatrixConditionFails, NoConvergence)
-from .moments import (MomentTable, _rect, _rect_gram_eigvalsh, gram,
+from .moments import (MomentTable, _rect_gram_eigvalsh, gram,
                       moments_from_density)
 from .poly import BiPoly
 from .reconstruct import reconstruct_p
@@ -47,40 +47,38 @@ class FullMeasureReport:
                 "depth": list(self.depth), "tol": self.tol}
 
 
-def _nested_inverse_max(G, blocks, first, cols, where):
+def _nested_inverse_max(G, size, first, cols, where):
     """Largest |entry| in the last block rows of nested windows' inverses.
 
-    Row t of ``blocks`` indexes block t of G, and window t is blocks 0..t.
-    Entry t - first of the result, t >= first, is the largest |entry| in
-    the block-t rows and block-0 columns ``cols`` of window t's inverse.
-    With G = L L^H over the blocks, those rows are D_t^-H (L^-1 E_cols)_t
-    for the diagonal block D_t of L, so one factor serves every window.
+    G is in window order: window t is its leading (t + 1) * size rows and
+    columns, of which the last ``size`` are block t.  Entry t - first of
+    the result, t >= first, is the largest |entry| in the block-t rows and
+    block-0 columns ``cols`` of window t's inverse.  With G = L L^H, those
+    rows are D_t^-H (L^-1 E_cols)_t for the diagonal block D_t of L, so
+    one factor serves every window.
     """
-    size = blocks.shape[1]
-    idx = blocks.ravel()
     try:
-        L = np.linalg.cholesky(G[np.ix_(idx, idx)])
+        L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
         raise DegenerateForm(
             f"Gram windows {where} not positive definite") from exc
-    X = _solve_lower(L, np.eye(len(idx))[:, cols])
+    X = _solve_lower(L, np.eye(len(G))[:, cols])
     out = []
-    for t in range(first, len(blocks)):
+    for t in range(first, len(G) // size):
         b = slice(t * size, (t + 1) * size)
         Dinv = _solve_lower(L[b, b], np.eye(size))
         out.append(float(np.max(np.abs(Dinv.conj().T @ X[b]))))
     return out
 
 
-def _gammas(G, K, n, Nmax, M):
+def _gammas(table, n, Nmax, M):
     """Largest |gamma entry| on [0, N+1] x [0, M] for N = n..Nmax.
 
-    G is the z-major Gram over [0, J] x [0, K], J > Nmax, in which these
-    windows are the leading blocks of [0, Nmax+1] x [0, M].
+    The windows are the leading blocks of the z-major Gram of
+    [0, Nmax+1] x [0, M].
     """
-    blocks = np.arange(Nmax + 2)[:, None] * (K + 1) + np.arange(M + 1)
-    return _nested_inverse_max(G, blocks, n + 1, range(M + 1),
-                               f"[0, {Nmax + 1}] x [0, {M}]")
+    return _nested_inverse_max(gram(table, Nmax + 1, M), M + 1, n + 1,
+                               range(M + 1), f"[0, {Nmax + 1}] x [0, {M}]")
 
 
 def check_full_measure(table: MomentTable, n, m, Nmax=None, Mmax=None,
@@ -92,9 +90,11 @@ def check_full_measure(table: MomentTable, n, m, Nmax=None, Mmax=None,
     are positive; it certifies the measure only up to the stated depth.
     The reported entries are not scaled.
 
-    Nested windows are leading blocks of one Gram (the gamma windows of
-    each M in z-major order, the xi windows in w-major order), so one
-    Cholesky factor per family gives all their entries by triangular
+    Each family of nested windows is the leading blocks of one Gram:
+    ``gram`` of [0, Nmax+1] x [0, M] for the gamma windows of each M, in
+    z-major order, and for the xi windows the same gather on the
+    transposed table, which is w-major order on [0, 2n] x [0, Mmax].  So
+    one Cholesky factor per family gives all their entries by triangular
     substitution; no window's Gram is inverted on its own.
     """
     Nmax = n + 3 if Nmax is None else int(Nmax)
@@ -107,9 +107,7 @@ def check_full_measure(table: MomentTable, n, m, Nmax=None, Mmax=None,
             f"table window ({table.jmax}, {table.kmax}) below required "
             f"({need_j}, {Mmax})")
 
-    sup = _rect(0, need_j, 0, Mmax)
-    big = gram(table, sup, sup)
-    eigs = _rect_gram_eigvalsh(big)
+    eigs = _rect_gram_eigvalsh(gram(table, need_j, Mmax))
     min_eig = float(eigs[0])
     positivity_ok = min_eig > 0.0
     if not positivity_ok or min_eig < 1e-13 * float(eigs[-1]):
@@ -120,12 +118,14 @@ def check_full_measure(table: MomentTable, n, m, Nmax=None, Mmax=None,
                                  verdict=verdict, depth=(Nmax, Mmax), tol=tol)
 
     Ms = range(max(m - 1, 0), Mmax + 1)
-    gam = {M: _gammas(big, Mmax, n, Nmax, M) for M in Ms}
+    gam = {M: _gammas(table, n, Nmax, M) for M in Ms}
     e2 = {(N, M): gam[M][N - n] for N in range(n, Nmax + 1) for M in Ms}
 
-    # in w-major order the xi rows (j, M) are the last block of window M
-    blocks = np.arange(Mmax + 1)[:, None] + (Mmax + 1) * np.arange(2 * n + 1)
-    xi = _nested_inverse_max(big, blocks, m + 1, [n],
+    # in w-major order the xi rows (j, M) are the last block of window M;
+    # that is z-major order on the transposed table, which keeps every entry
+    # bit for bit: the table is exactly Hermitian, so re-symmetrising is exact
+    wmajor = gram(MomentTable(table.kmax, table.jmax, table.c.T), Mmax, 2 * n)
+    xi = _nested_inverse_max(wmajor, 2 * n + 1, m + 1, [n],
                              f"[0, {2 * n}] x [0, {Mmax}]")
     h = dict(zip(range(m + 1, Mmax + 1), xi))
 
@@ -147,10 +147,8 @@ def strip_match(table: MomentTable, n, m) -> BiPoly:
     |k| <= m to STRIP_TOL.
     """
     Nmax = table.jmax - 1
-    sup = _rect(0, table.jmax, 0, m)
-    G = gram(table, sup, sup)
     Ms = [M for M in (m - 1, m) if M >= 0]
-    gam = {M: _gammas(G, m, n, Nmax, M) for M in Ms}
+    gam = {M: _gammas(table, n, Nmax, M) for M in Ms}
     for N in range(n, Nmax + 1):
         for M in Ms:
             worst = gam[M][N - n]

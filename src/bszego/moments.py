@@ -368,31 +368,21 @@ def moments_from_grid_function(fn, jmax, kmax) -> MomentTable:
     return _moments_of_grid_density(density_at, jmax, kmax, QuadratureConfig())
 
 
-def _rect(j0, j1, k0, k1):
-    """Monomial exponents [j0, j1] x [k0, k1] in z-major order."""
-    return [(j, k) for j in range(j0, j1 + 1) for k in range(k0, k1 + 1)]
+def gram(table: MomentTable, k, l) -> np.ndarray:
+    """Gram matrix of the monomials [0,k] x [0,l] in z-major order.
 
-
-def gram(table: MomentTable, rows, cols) -> np.ndarray:
-    """Gram-type matrix with entry (r, c) = c_{cols[c] - rows[r]}.
-
-    With rows == cols this is the Hermitian Gram matrix of the monomials
-    z^u w^v in the inner product induced by the table; it equals its
-    conjugate transpose exactly, because the table is exactly Hermitian.
-    Entries are read by flat index into the table's array.
+    Entry (a, b) is c_{u_b - u_a}, u_a the exponents of the a-th
+    monomial; it equals its conjugate transpose exactly, because the table
+    is exactly Hermitian.  Entries are read by one broadcast flat index
+    into the table's array.
     """
-    rows = np.array(list(rows), dtype=int).reshape(-1, 2)
-    cols = np.array(list(cols), dtype=int).reshape(-1, 2)
-    bound = (table.jmax, table.kmax)
-    if rows.size and cols.size and np.any(np.maximum(
-            cols.max(0) - rows.min(0), rows.max(0) - cols.min(0)) > bound):
-        d = cols[None, :, :] - rows[:, None, :]
-        r, q = np.argwhere((np.abs(d) > bound).any(axis=-1))[0]
+    if k > table.jmax or l > table.kmax:
         raise InsufficientMoments(
-            f"moment ({d[r, q, 0]}, {d[r, q, 1]}) outside window {bound}")
-    key = np.array([2 * table.kmax + 1, 1])
-    flat = (cols @ key)[None, :] - (rows @ key)[:, None] + key @ bound
-    return table.c.ravel()[flat]
+            f"moment ({k}, {l}) outside window ({table.jmax}, {table.kmax})")
+    width = 2 * table.kmax + 1
+    flat = (np.arange(k + 1)[:, None] * width + np.arange(l + 1)).ravel()
+    offset = table.jmax * width + table.kmax
+    return table.c.ravel()[flat[None, :] - flat[:, None] + offset]
 
 
 def is_positive(table: MomentTable, n, m):
@@ -402,8 +392,7 @@ def is_positive(table: MomentTable, n, m):
     largest, so the verdict does not depend on the table's scale.
     Returns (bool, smallest eigenvalue of the Gram matrix).
     """
-    sup = _rect(0, n, 0, m)
-    eigs = _rect_gram_eigvalsh(gram(table, sup, sup))
+    eigs = _rect_gram_eigvalsh(gram(table, n, m))
     lam = float(eigs[0])
     return lam > POSITIVE_TOL * float(eigs[-1]), lam
 

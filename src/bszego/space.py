@@ -8,9 +8,9 @@ R = Re G - (Im G) J and the unitary Q = (I + iJ)/sqrt(2), J the reversal
 (``moments._real_form``).  The space factors R = L L^T once per rectangle,
 in real arithmetic.  The caps' factor gives the embedding (Q L)^T, which
 maps coefficient vectors isometrically into C^d for inner products and
-projected spans.  The structural subspaces (E1, F1, E2, F2, H),
-complements of monomial spans in a rectangle, all come from one formula
-on their rectangle's factor (``_complement``).
+projected spans.  The structural subspaces (E1, F1, E2, F2, H), each
+the complement of every monomial of a rectangle but one edge of it, all
+come from one formula on their rectangle's factor (``_complement``).
 
 A basis stores its polynomials as BiPoly coefficient grids stacked
 along a last axis, ``coeffs[j, k, i]``; flattened z-major, each grid is
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateForm, InsufficientMoments
-from .moments import MomentTable, _real_form, _rect, gram
+from .moments import MomentTable, _real_form, gram
 from .poly import BiPoly, _readonly
 
 RANK_TOL = 1e-8  # relative singular-value threshold for numerical rank
@@ -150,36 +150,33 @@ class MomentSpace:
         """Real Cholesky factor of the rectangle [0,k] x [0,l]'s Gram in real
         form, R = Re G - (Im G) J = L L^T, memoised per space."""
         if (k, l) not in self._factors:
-            order = _rect(0, k, 0, l)
             try:
                 self._factors[k, l] = np.linalg.cholesky(
-                    _real_form(gram(self.table, order, order)))
+                    _real_form(gram(self.table, k, l)))
             except np.linalg.LinAlgError as exc:
                 raise DegenerateForm(
                     "moment Gram matrix is not positive definite") from exc
         return self._factors[k, l]
 
-    def _complement(self, k, l, removed):
-        """Orthonormal basis of P_{k,l} minus span(removed).
+    def _complement(self, k, l, gens):
+        """Orthonormal basis of P_{k,l} minus the span of every monomial
+        but the generators, given by their z-major positions ``gens``.
 
         On coefficient vectors over the rectangle the form is <x, y> =
         y^H conj(G) x, G the monomials' Gram.  With E the unit columns of
-        the generators (the monomials not removed), the columns of
-        X = conj(G)^-1 E are orthogonal to every removed monomial and span
-        the complement; their Gram X^H conj(G) X is S = X[gens].  With
-        S = V diag(lam) V^H, X V lam^-1/2 is orthonormal: it is the basis an
-        SVD of the projected generators X S^-1 gives (their Gram is S^-1,
-        their singular values lam^-1/2 in descending order), so the rank is
-        full when lam > 0 and max lam / min lam < RANK_TOL^-2.  Since
+        the generators, the columns of X = conj(G)^-1 E are orthogonal to
+        every other monomial and span the complement; their Gram X^H conj(G)
+        X is S = X[gens].  With S = V diag(lam) V^H, X V lam^-1/2 is
+        orthonormal: it is the basis an SVD of the projected generators
+        X S^-1 gives (their Gram is S^-1, their singular values lam^-1/2 in
+        descending order), so the rank is full when lam > 0 and
+        max lam / min lam < RANK_TOL^-2.  Since
         G = Q R Q^H with Q symmetric, conj(G)^-1 = conj(Q) R^-1 Q, and R^-1
         takes two real triangular solves on the rectangle's factor.
         """
-        ambient = _rect(0, k, 0, l)
-        removed_set = set(removed)
-        gens = [i for i, u in enumerate(ambient) if u not in removed_set]
         g = len(gens)
         L = self._factor(k, l)
-        E = np.zeros((len(ambient), g))
+        E = np.zeros((len(L), g))
         E[gens, np.arange(g)] = 1.0
         # R^-1 [E, JE] is R^-1 sqrt(2) Q E in real and imaginary parts; L^T
         # is upper triangular, and reversing both axes makes it lower
@@ -198,11 +195,12 @@ class MomentSpace:
     def basis(self, kind, k, l) -> SubspaceBasis:
         """Orthonormal basis of a structural subspace, memoised per space.
 
-        Every kind is the complement of a monomial span in the rectangle
-        P_{k,l} (P_{2n,M} for H), built by ``_complement`` from that
-        rectangle's real Cholesky factor, which is computed once per space
-        and shared by the kinds on one rectangle (the caps' factor also
-        gives the embedding).  A rank drop raises DegenerateForm.
+        Every kind is the complement in the rectangle P_{k,l} (P_{2n,M}
+        for H) of every monomial but one edge of it, built by
+        ``_complement`` from that rectangle's real Cholesky factor, which
+        is computed once per space and shared by the kinds on one rectangle
+        (the caps' factor also gives the embedding).  A rank drop raises
+        DegenerateForm.
 
         E1(k,l) = P_{k,l} minus w P_{k,l-1}   (dimension k+1)
         F1(k,l) = P_{k,l} minus P_{k,l-1}     (dimension k+1)
@@ -217,24 +215,20 @@ class MomentSpace:
         if kind == "H":
             if 2 * k > self.nmax or l > self.mmax:
                 raise InsufficientMoments("H space exceeds caps")
-            corner = (2 * k, l)
-            removed = [u for u in _rect(0, 2 * k, 0, l) if u != (k, 0)]
+            corner, gens = (2 * k, l), [k * (l + 1)]
         elif kind in ("E1", "F1", "E2", "F2"):
             if k < 0 or l < 0:
                 return SubspaceBasis(np.zeros((max(k + 1, 0), max(l + 1, 0), 0)))
             if k > self.nmax or l > self.mmax:
                 raise InsufficientMoments(
                     f"{kind}({k},{l}) exceeds caps ({self.nmax}, {self.mmax})")
+            grid = np.arange((k + 1) * (l + 1)).reshape(k + 1, l + 1)
             corner = (k, l)
-            removed = {
-                "E1": _rect(0, k, 1, l),
-                "F1": _rect(0, k, 0, l - 1),
-                "E2": _rect(1, k, 0, l),
-                "F2": _rect(0, k - 1, 0, l),
-            }[kind]
+            gens = {"E1": grid[:, 0], "F1": grid[:, l],
+                    "E2": grid[0], "F2": grid[k]}[kind]
         else:
             raise ValueError(f"unknown space kind {kind!r}")
-        self._bases[key] = self._complement(*corner, removed)
+        self._bases[key] = self._complement(*corner, gens)
         return self._bases[key]
 
     def projected_span(self, generators, target: SubspaceBasis,
@@ -269,10 +263,7 @@ class MomentSpace:
         kernel_poly sums over (see the note there); basis("E2", n, m)
         spans the same space by its own Gram-Schmidt.
         """
-        if n > self.table.jmax or m > self.table.kmax:
-            raise InsufficientMoments("phi sequence exceeds the table window")
-        order = _rect(0, n, 0, m)
-        rows = _inverse_rows(gram(self.table, order, order), m + 1,
+        rows = _inverse_rows(gram(self.table, n, m), m + 1,
                              f"the phi sequence ({n}, {m})")
         return [BiPoly(row.reshape(n + 1, m + 1)) for row in rows]
 

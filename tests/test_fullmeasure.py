@@ -5,10 +5,10 @@ from bszego import (BiPoly, DegenerateForm, InsufficientMoments, MomentSpace,
                     MomentTable, check_full_measure, moments_from_density,
                     reconstruct_p, strip_match)
 from bszego.fullmeasure import _nested_inverse_max
-from bszego.moments import _rect, gram
+from bszego.moments import gram
 from bszego.space import TRI_BLOCK
 
-from conftest import geometric_diag_moment
+from conftest import geometric_diag_moment, rect
 
 
 def lebesgue(jmax, kmax):
@@ -123,9 +123,8 @@ def test_report_json():
 def dense_conditions(table, n, m, Nmax, Mmax):
     """gamma / xi maxima with one dense inverse per window."""
     def worst(j1, k1, rows, cols):
-        sup = _rect(0, j1, 0, k1)
-        pos = {u: i for i, u in enumerate(sup)}
-        inv = np.linalg.inv(gram(table, sup, sup))
+        pos = {u: i for i, u in enumerate(rect(0, j1, 0, k1))}
+        inv = np.linalg.inv(gram(table, j1, k1))
         return float(np.max(np.abs(
             inv[np.ix_([pos[u] for u in rows], [pos[u] for u in cols])])))
 
@@ -141,21 +140,22 @@ def test_nested_windows_match_dense_inverses():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
     G = a @ a.conj().T + 0.1 * np.eye(12)
-    blocks = rng.permutation(12).reshape(4, 3)
-    got = _nested_inverse_max(G, blocks, 1, [0, 2], "a test matrix")
+    got = _nested_inverse_max(G, 3, 1, [0, 2], "a test matrix")
     for t in range(1, 4):
-        idx = blocks[:t + 1].ravel()
-        inv = np.linalg.inv(G[np.ix_(idx, idx)])
+        inv = np.linalg.inv(G[:3 * t + 3, :3 * t + 3])
         ref = np.max(np.abs(inv[3 * t: 3 * t + 3][:, [0, 2]]))
         assert abs(got[t - 1] - ref) < 1e-12 * ref
 
 
 def test_conditions_match_dense_windows(table_perturb_8_8, p_2zw):
     # (1 - 2z)(2 - zw) and the mixture fail, with gamma entries up to 4
-    # and 0.07; the perturbation passes
+    # and 0.07; the perturbation passes.  (2 - zw)(3 - w) at (1, 2) has xi
+    # windows of 3 rows in 6 blocks, so the w-major gather is checked with
+    # a block size other than the block count
     cases = [(table_perturb_8_8, 8, 8),
              (moments_from_density(BiPoly([[1], [-2.0]]) * p_2zw, 6, 5), 1, 1),
-             (mixed_table(5, 4), 1, 1)]
+             (mixed_table(5, 4), 1, 1),
+             (moments_from_density(p_2zw * BiPoly([[3.0, -1]]), 5, 5), 1, 2)]
     for table, n, m in cases:
         rep = check_full_measure(table, n, m)
         e2, h = dense_conditions(table, n, m, *rep.depth)

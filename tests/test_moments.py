@@ -451,48 +451,39 @@ def test_trig_rejects_sign_changing():
 
 
 def test_gram_lebesgue_identity(lebesgue_table):
-    g = gram(lebesgue_table, [(0, 0), (1, 0)], [(0, 0), (1, 0)])
-    assert np.allclose(g, np.eye(2))
+    assert np.allclose(gram(lebesgue_table, 1, 0), np.eye(2))
 
 
 def test_gram_2zw_window(table_2zw):
-    g = gram(table_2zw, [(0, 0), (1, 1)], [(0, 0), (1, 1)])
+    # monomials 1 and zw are positions 0 and 3 of [0,1] x [0,1], z-major
+    g = gram(table_2zw, 1, 1)[np.ix_([0, 3], [0, 3])]
     assert np.allclose(g, [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-12)
 
 
-def test_gram_matches_entrywise_definition():
-    rng = np.random.default_rng(21)
+@pytest.mark.parametrize("k, l", [(0, 0), (2, 1), (1, 3), (4, 0), (0, 3),
+                                  (4, 2), (4, 3)])
+def test_gram_matches_entrywise_definition(k, l):
+    # entry (a, b) is c_{u_b - u_a} over [0,k] x [0,l] in z-major order, up
+    # to the window edges k = jmax and l = kmax, and the Gram equals its
+    # conjugate transpose bit for bit
+    rng = np.random.default_rng(10 * k + l)
     c = rng.normal(size=(9, 7)) + 1j * rng.normal(size=(9, 7))
     t = MomentTable(4, 3, c)
-    pool = [(j, k) for j in range(5) for k in range(4)]
-    for _ in range(5):
-        rows = [pool[i] for i in rng.choice(len(pool), 7, replace=False)]
-        cols = [pool[i] for i in rng.choice(len(pool), 5, replace=False)]
-        expect = np.array([[t.at(u - a, v - b) for (u, v) in cols]
-                           for (a, b) in rows])
-        assert np.array_equal(gram(t, rows, cols), expect)
+    sup = [(j, i) for j in range(k + 1) for i in range(l + 1)]
+    expect = np.array([[t.at(u - a, v - b) for (u, v) in sup]
+                       for (a, b) in sup])
+    g = gram(t, k, l)
+    assert np.array_equal(g, expect)
+    assert np.array_equal(g, g.conj().T)
 
 
 def test_gram_out_of_range(table_2zw):
-    with pytest.raises(InsufficientMoments):
-        gram(table_2zw, [(0, 0)], [(5, 0)])
-    # a negative offset is out of range too; it must not wrap around
-    with pytest.raises(InsufficientMoments):
-        gram(table_2zw, [(5, 0)], [(0, 0)])
-    # the message names the first offending offset in row-major order
-    with pytest.raises(InsufficientMoments, match=r"moment \(5, 0\) outside"):
-        gram(table_2zw, [(0, 0), (0, -5)], [(0, 0), (5, 0)])
-
-
-def test_square_gram_is_exactly_hermitian():
-    rng = np.random.default_rng(22)
-    for _ in range(20):
-        c = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
-        t = MomentTable(3, 3, c)
-        pool = [(j, k) for j in range(4) for k in range(4)]
-        sup = [pool[i] for i in rng.choice(len(pool), 9, replace=False)]
-        g = gram(t, sup, sup)
-        assert np.array_equal(g, g.conj().T)
+    with pytest.raises(InsufficientMoments,
+                       match=r"moment \(4, 0\) outside window \(3, 3\)"):
+        gram(table_2zw, 4, 0)
+    with pytest.raises(InsufficientMoments,
+                       match=r"moment \(0, 4\) outside window \(3, 3\)"):
+        gram(table_2zw, 0, 4)
 
 
 @pytest.mark.parametrize("jmax, kmax", [(0, 7), (1, 1), (2, 5), (4, 4), (6, 3)])
@@ -500,12 +491,11 @@ def test_rect_gram_real_form(jmax, kmax):
     # over a rectangle the index reversal J gives J G J = conj(G) bit for
     # bit, and the real symmetric form has the Gram's eigenvalues
     rng = np.random.default_rng(10 * jmax + kmax)
-    sup = [(j, k) for j in range(jmax + 1) for k in range(kmax + 1)]
     for _ in range(5):
         shape = (2 * jmax + 1, 2 * kmax + 1)
         t = MomentTable(jmax, kmax, rng.normal(size=shape)
                         + 1j * rng.normal(size=shape))
-        g = gram(t, sup, sup)
+        g = gram(t, jmax, kmax)
         assert np.array_equal(g[::-1, ::-1], g.conj())
         ref = np.linalg.eigvalsh(g)
         got = _rect_gram_eigvalsh(g)
@@ -532,8 +522,7 @@ def test_gram_positive_for_bounded_density():
     rng = np.random.default_rng(5)
     p = BiPoly(rng.normal(size=(2, 2)) + np.diag([4.0, 0])[:2, :2])
     t = moments_from_density(p, 2, 2)
-    sup = [(j, k) for j in range(3) for k in range(3)]
-    g = gram(t, sup, sup)
+    g = gram(t, 2, 2)
     assert np.linalg.eigvalsh(0.5 * (g + g.conj().T))[0] > 0
 
 

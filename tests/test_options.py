@@ -90,3 +90,25 @@ def test_public_names_are_counted():
     found = public_names()
     assert len(found) == len(set(found))
     assert len(found) == PUBLIC_NAMES
+
+
+def unused_imports():
+    """Names a src/bszego module imports but never uses, as module.name;
+    the re-exports of __init__.py are its purpose and are not listed."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = [alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.stem}.{name}" for name in imported if name not in used]
+    return found
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []

@@ -12,7 +12,7 @@ from bszego import reconstruct
 from bszego.moments import gram
 from bszego.reconstruct import FACTOR_TOL
 
-from conftest import (monomial_basis, poly_grid_values, rect, structural,
+from conftest import (monomial_basis, poly_grid_values, structural,
                       torus_grid, trig_abs_squared, trig_values_on_grid)
 
 
@@ -54,8 +54,7 @@ def test_structural_bases_and_positivity(p, data):
             mono = monomial_basis(removed)
             assert np.max(np.abs(sp.cross(basis, mono))) < 1e-12
     ok, lam = is_positive(table, n, m)
-    sup = rect(0, n, 0, m)
-    eigs = np.linalg.eigvalsh(gram(table, sup, sup))
+    eigs = np.linalg.eigvalsh(gram(table, n, m))
     assert ok and abs(lam - eigs[0]) <= 1e-13 * eigs[-1]
 
 
