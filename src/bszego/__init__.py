@@ -16,8 +16,8 @@ from .errors import (BszegoError, CertificateFailed, CommonFactor,
                      NotFactorable, NotGdv, NotPositive, NotSelfReflective,
                      NumericalFailure, RootNearTorus, ZeroPolynomial,
                      ZOnlyFactor)
-from .poly import (BiPoly, RootSplit, UniPoly, content_roots, reflect,
-                   reflect_uni, roots, split_stable)
+from .poly import (BiPoly, RootSplit, content_roots, reflect, roots,
+                   split_stable)
 from .moments import (MomentTable, QuadratureConfig, TrigPoly, gram,
                       is_positive, moments_from_density,
                       moments_from_grid_function, moments_from_trig)

@@ -65,7 +65,7 @@ def solve_ar(problem: ArProblem, tol=1e-8) -> ArSolution:
     if not ok:
         raise NotPositive(
             f"autocorrelation form is not positive definite (eig {lam:.3e})")
-    space = MomentSpace(problem.table.window(n, m), n, m)
+    space = MomentSpace(problem.table, n, m)
     ops = build_operators(space)
     report = check_matrix_condition(ops, tol)
     a_norm = a_operator_norm(ops)

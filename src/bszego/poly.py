@@ -1,9 +1,9 @@
-"""Dense complex polynomials in one and two variables.
+"""Dense complex polynomials in two variables.
 
 ``BiPoly`` stores a coefficient grid ``coeffs[j, k]`` = coefficient of
-``z**j * w**k``.  ``UniPoly`` stores ascending coefficients of a single
-variable.  Degrees in this artifact stay small (<= ~16 per variable), so
-everything is dense and direct.
+``z**j * w**k``.  A polynomial in z alone, such as the slice p(z, 0), is
+a ``BiPoly`` of one column.  Degrees in this artifact stay small
+(<= ~16 per variable), so everything is dense and direct.
 
 All values are immutable after construction; operations are pure.
 """
@@ -91,15 +91,12 @@ class BiPoly:
         if np.isscalar(other):
             return BiPoly(self.coeffs * other)
         other = as_bipoly(other)
-        a, b = self.coeffs, other.coeffs
-        out = np.zeros((a.shape[0] + b.shape[0] - 1,
-                        a.shape[1] + b.shape[1] - 1), dtype=complex)
-        for j in range(a.shape[0]):
-            for k in range(a.shape[1]):
-                c = a[j, k]
-                if c != 0.0:
-                    out[j: j + b.shape[0], k: k + b.shape[1]] += c * b
-        return BiPoly(out)
+        (ja, ka), (jb, kb) = self.coeffs.shape, other.coeffs.shape
+        # rows zero-padded to the product's width convolve without carries
+        width = ka + kb - 1
+        out = np.convolve(self._padded_to((ja, width)).ravel(),
+                          other._padded_to((jb, width)).ravel())
+        return BiPoly(out[: (ja + jb - 1) * width].reshape(-1, width))
 
     __rmul__ = __mul__
 
@@ -117,8 +114,8 @@ class BiPoly:
         return BiPoly(self.coeffs[:, 1:] * np.arange(1, m + 1))
 
     def z_slice(self):
-        """The slice p(z, 0) as a UniPoly in z."""
-        return UniPoly(self.coeffs[:, 0])
+        """The slice p(z, 0), a one-column BiPoly."""
+        return BiPoly(self.coeffs[:, :1])
 
     def w_poly_at(self, z0):
         """Coefficients (ascending in w) of the slice p(z0, w)."""
@@ -128,64 +125,22 @@ class BiPoly:
 def as_bipoly(x) -> BiPoly:
     if isinstance(x, BiPoly):
         return x
-    if isinstance(x, UniPoly):
-        return x.to_bipoly()
     if np.isscalar(x):
         return BiPoly(np.array([[x]], dtype=complex))
     return BiPoly(np.asarray(x, dtype=complex))
-
-
-@dataclass(frozen=True, eq=False)
-class UniPoly:
-    """Univariate polynomial with ascending complex coefficients."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
-        object.__setattr__(self, "coeffs", _readonly(arr))
-
-    @property
-    def degree(self):
-        return self.coeffs.shape[0] - 1
-
-    def __call__(self, z):
-        return npoly.polyval(np.asarray(z), self.coeffs)
-
-    def is_zero(self):
-        """Whether every coefficient is below TRIM_REL in absolute value."""
-        return float(np.max(np.abs(self.coeffs))) < TRIM_REL
-
-    def trimmed(self):
-        a = self.coeffs
-        mx = np.max(np.abs(a))
-        if mx == 0.0:
-            return UniPoly(np.zeros(1))
-        nz = np.nonzero(np.abs(a) >= TRIM_REL * mx)[0]
-        return UniPoly(a[: nz.max() + 1])
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            return UniPoly(self.coeffs * other)
-        return UniPoly(np.convolve(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def to_bipoly(self):
-        """The same polynomial as a BiPoly in z."""
-        return BiPoly(self.coeffs[:, None])
 
 
 @dataclass(frozen=True)
 class RootSplit:
     """Factorization u = stable * unstable with unstable monic.
 
-    ``stable`` has no roots in the closed unit disk, ``unstable`` has all
-    roots in the open disk, ``beta`` is the degree of the unstable part.
+    Both factors are one-column BiPolys in z.  ``stable`` has no roots in
+    the closed unit disk, ``unstable`` has all roots in the open disk,
+    ``beta`` is the degree of the unstable part.
     """
 
-    stable: UniPoly
-    unstable: UniPoly
+    stable: BiPoly
+    unstable: BiPoly
     beta: int
 
 
@@ -211,27 +166,21 @@ def reflect(p: BiPoly, at) -> BiPoly:
     return BiPoly(out)
 
 
-def reflect_uni(u: UniPoly, at: int) -> UniPoly:
-    """One-variable reflection z^at conj(u)(1/z)."""
-    t = u.trimmed()
-    if t.is_zero():
-        return UniPoly(np.zeros(at + 1))
-    d = t.degree
-    if at < d:
-        raise InvalidDegree(f"reflection degree {at} below actual {d}")
-    out = np.zeros(at + 1, dtype=complex)
-    out[at - d:] = np.conj(t.coeffs)[::-1]
-    return UniPoly(out)
+def roots(u: BiPoly):
+    """All roots (with multiplicity) of a polynomial in z alone.
 
-
-def roots(u: UniPoly):
-    """All roots (with multiplicity) via companion-matrix eigenvalues."""
+    Companion-matrix eigenvalues of the trimmed one-column ``u``; raises
+    InvalidDegree if ``u`` depends on w.
+    """
     t = u.trimmed()
     if t.is_zero():
         raise ZeroPolynomial("cannot take roots of the zero polynomial")
-    if t.degree == 0:
+    n, m = t.deg
+    if m > 0:
+        raise InvalidDegree(f"roots of a polynomial in w, degree {(n, m)}")
+    if n == 0:
         return np.zeros(0, dtype=complex)
-    return np.roots(t.coeffs[::-1])
+    return np.roots(t.coeffs[::-1, 0])
 
 
 def w_roots(p: BiPoly, zs):
@@ -253,16 +202,17 @@ def w_roots(p: BiPoly, zs):
     return coeffs, out
 
 
-def split_stable(u: UniPoly) -> RootSplit:
-    """Split u into a stable and a monic unstable factor by root modulus.
+def split_stable(u: BiPoly) -> RootSplit:
+    """Split u, in z alone, into a stable and a monic unstable factor.
 
-    Raises RootNearTorus if any root lies within ROOT_MARGIN of the unit
-    circle; the theory requires a clean separation.
+    The factors part u's roots by modulus.  Raises RootNearTorus if any
+    root lies within ROOT_MARGIN of the unit circle; the theory requires
+    a clean separation.
     """
-    t = u.trimmed()
-    if t.is_zero():
+    if u.is_zero():
         raise ZeroPolynomial("cannot split the zero polynomial")
-    rts = roots(t)
+    rts = roots(u)
+    c = u.coeffs[: rts.size + 1, 0]     # trimmed u: one root per degree
     mods = np.abs(rts)
     near = np.abs(mods - 1.0) <= ROOT_MARGIN
     if np.any(near):
@@ -271,16 +221,14 @@ def split_stable(u: UniPoly) -> RootSplit:
             f"root {worst} within {ROOT_MARGIN} of the unit circle")
     inside = rts[mods < 1.0]
     outside = rts[mods > 1.0]
-    unstable = UniPoly(npoly.polyfromroots(inside)) if inside.size else UniPoly([1.0])
-    lead = t.coeffs[-1]
-    stable = UniPoly(lead * npoly.polyfromroots(outside)) if outside.size \
-        else UniPoly([lead])
-    prod = np.convolve(stable.coeffs, unstable.coeffs)
-    padded = np.pad(t.coeffs, (0, prod.size - t.coeffs.size))
-    err = np.max(np.abs(prod - padded)) / max(1.0, np.max(np.abs(t.coeffs)))
+    unstable = npoly.polyfromroots(inside) if inside.size else np.ones(1)
+    stable = c[-1] * npoly.polyfromroots(outside) if outside.size else c[-1:]
+    prod = np.convolve(stable, unstable)
+    err = np.max(np.abs(prod - c)) / max(1.0, np.max(np.abs(c)))
     if err > 1e-8:
         raise RootNearTorus(f"stable/unstable refactorization residual {err:.3e}")
-    return RootSplit(stable=stable, unstable=unstable, beta=int(inside.size))
+    return RootSplit(stable=BiPoly(stable[:, None]),
+                     unstable=BiPoly(unstable[:, None]), beta=int(inside.size))
 
 
 def content_roots(p: BiPoly):
@@ -296,7 +244,7 @@ def content_roots(p: BiPoly):
     if t.is_zero():
         raise ZeroPolynomial("the zero polynomial has no content")
     scale = np.max(np.abs(t.coeffs))
-    cols = [roots(UniPoly(c)) for c in t.coeffs.T
+    cols = [roots(BiPoly(c[:, None])) for c in t.coeffs.T
             if np.max(np.abs(c)) > 1e-9 * scale]
     kept = []
     for r in min(cols, key=len):

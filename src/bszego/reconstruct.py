@@ -16,7 +16,7 @@ from .errors import (DegenerateForm, MatrixConditionFails, NoConvergence,
                      NotFactorable, NotPositive)
 from .moments import (MomentTable, QuadratureConfig, TrigPoly, is_positive,
                       moments_from_trig)
-from .poly import BiPoly, reflect_uni
+from .poly import BiPoly, reflect
 from .space import MomentSpace
 from .splitshift import (ShiftOperators, _operators_under_condition,
                          assert_no_face_zeros, minimal_split_poly)
@@ -37,8 +37,8 @@ def kernel_poly(space: MomentSpace) -> BiPoly:
     # with the operator bases that the split polynomial comes from.
     n, m = space.nmax, space.mmax
     phis = space.phi_sequence(n, m)
-    # reflect_uni trims: a negligible slice reflects to exact zeros
-    refl = np.stack([reflect_uni(phi.z_slice(), n).coeffs for phi in phis])
+    # reflect trims: a negligible slice reflects to exact zeros
+    refl = np.stack([reflect(phi.z_slice(), (n, 0)).coeffs[:, 0] for phi in phis])
     terms = np.tensordot(refl, [phi.coeffs for phi in phis], axes=(0, 0))
     out = np.zeros((2 * n + 1, m + 1), dtype=complex)
     for i in range(n + 1):      # terms[i] carries z^i of each reflection
@@ -64,7 +64,7 @@ def _reconstruct(space: MomentSpace, ops: ShiftOperators) -> BiPoly:
     """
     p = minimal_split_poly(space, ops)
     kernel = kernel_poly(space)
-    gap = kernel - p * reflect_uni(p.z_slice(), space.nmax).to_bipoly()
+    gap = kernel - p * reflect(p.z_slice(), (space.nmax, 0))
     resid = float(np.max(np.abs(gap.coeffs)) / np.max(np.abs(kernel.coeffs)))
     if resid > KERNEL_TOL:
         raise DegenerateForm(f"kernel identity residual {resid:.3e}")
@@ -88,16 +88,12 @@ def factor_trig(t: TrigPoly, n, m, cfg: QuadratureConfig = QuadratureConfig()):
         p = reconstruct_p(table, n, m)
     except MatrixConditionFails as exc:
         raise NotFactorable(str(exc)) from exc
-    # |p|^2's Laurent coefficients, centred at (a, b): p times its reflection,
-    # as one 1-D convolution of rows zero-padded to 2b + 1 (no carries)
+    # |p|^2's Laurent coefficients, centred at (a, b): p times its reflection
     a, b = p.deg
-    rows = np.zeros((2, a + 1, 2 * b + 1), dtype=complex)
-    rows[0, :, :b + 1], rows[1, :, :b + 1] = p.coeffs, np.conj(p.coeffs[::-1, ::-1])
-    auto = np.convolve(rows[0].ravel(), rows[1].ravel())[: (2 * a + 1) * (2 * b + 1)]
     J, K = max(t.jmax, a), max(t.kmax, b)
     gap = np.zeros((2 * J + 1, 2 * K + 1), dtype=complex)
     gap[J - t.jmax: J + t.jmax + 1, K - t.kmax: K + t.kmax + 1] = t.c
-    gap[J - a: J + a + 1, K - b: K + b + 1] -= auto.reshape(2 * a + 1, 2 * b + 1)
+    gap[J - a: J + a + 1, K - b: K + b + 1] -= (p * reflect(p, (a, b))).coeffs
     resid = float(np.sum(np.abs(gap)))
     if resid > FACTOR_TOL * t.at(0, 0).real:     # t_00 = mean(t) <= max(t)
         raise NoConvergence(

@@ -199,10 +199,8 @@ def shift_split_from_p(space: MomentSpace, p: BiPoly) -> ShiftSplit:
     rs = split_stable(p0)
     beta = rs.beta
     e1 = space.basis("E1", n - 1, m)
-    a_pol = rs.stable.to_bipoly()
-    b_pol = rs.unstable.to_bipoly()
-    gens_k1 = [a_pol.shifted(j, 0) for j in range(beta)]
-    gens_k2 = [b_pol.shifted(j, 0) for j in range(n - beta)]
+    gens_k1 = [rs.stable.shifted(j, 0) for j in range(beta)]
+    gens_k2 = [rs.unstable.shifted(j, 0) for j in range(n - beta)]
     k1 = space.projected_span(gens_k1, e1, beta)
     k2 = space.projected_span(gens_k2, e1, n - beta)
     return ShiftSplit(k1=k1, k2=k2, split_poly=split_poly_of(space, k1, k2))

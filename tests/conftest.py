@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bszego import (BiPoly, MomentSpace, MomentTable, SubspaceBasis, TrigPoly,
-                    UniPoly, moments_from_density, reflect)
+                    moments_from_density, reflect)
 from bszego.moments import _poly_grid_rows
 from bszego.poly import as_bipoly
 
@@ -99,17 +99,17 @@ def max_modulus_gap(p, q, N=256):
 
 def random_corpus_poly(rng, max_q_deg=2, max_factors=2, allow_unstable_q=False):
     """q(z) (stable unless flipped) times products of (alpha - z w)."""
-    q = UniPoly([1.0])
+    q = BiPoly([[1.0]])
     for _ in range(int(rng.integers(0, max_q_deg + 1))):
         rho = rng.uniform(1.3, 3.0) * np.exp(2j * np.pi * rng.uniform())
         if allow_unstable_q and rng.uniform() < 0.5:
             rho = 1.0 / np.conj(rho)
-        q = q * UniPoly([-rho, 1.0])
+        q = q * BiPoly([[-rho], [1.0]])
     g = BiPoly([[1.0]])
     for _ in range(int(rng.integers(1, max_factors + 1))):
         alpha = rng.uniform(1.5, 3.0) * np.exp(2j * np.pi * rng.uniform())
         g = g * BiPoly([[alpha, 0.0], [0.0, -1.0]])
-    return (q.to_bipoly() * g).trimmed()
+    return (q * g).trimmed()
 
 
 def trig_abs_squared(p: BiPoly) -> TrigPoly:

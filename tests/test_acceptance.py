@@ -9,7 +9,7 @@ import numpy as np
 
 from bszego import (ArProblem, BiPoly, MomentSpace, MomentTable,
                     MomentDivergence, NotGdv, NotPositive, QuadratureConfig,
-                    TrigPoly, UniPoly, build_operators, build_detrep,
+                    TrigPoly, build_operators, build_detrep,
                     certificate_closed_face, check_full_measure,
                     check_matrix_condition, enumerate_split_polys, gw_check,
                     is_positive, moments_from_density, reconstruct_p,
@@ -173,7 +173,7 @@ def test_criterion_07_schur_cohn():
                         rng.uniform(0.2, 0.85, deg),
                         rng.uniform(1.15, 3.0, deg))
         rts = mods * np.exp(2j * np.pi * rng.uniform(size=deg))
-        p = UniPoly(np.polynomial.polynomial.polyfromroots(rts)).to_bipoly()
+        p = BiPoly(np.polynomial.polynomial.polyfromroots(rts)[:, None])
         cert = certificate_closed_face(p)
         ok &= cert.n2 == int(np.sum(mods < 1.0))
     report(7, ok, "certificate-implied disk-root count matches companion "

@@ -34,7 +34,7 @@ ALLOWED = {
 }
 
 # top-level public functions and classes plus their public methods
-PUBLIC_NAMES = 123
+PUBLIC_NAMES = 117
 
 
 def _options(module, body, prefix=""):

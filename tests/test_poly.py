@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from bszego import (BiPoly, InvalidDegree, RootNearTorus, UniPoly,
-                    ZeroPolynomial, content_roots, reflect, roots,
-                    split_stable)
-from bszego.poly import canonical_phase, reflect_uni, w_roots
+from bszego import (BiPoly, InvalidDegree, RootNearTorus, ZeroPolynomial,
+                    content_roots, reflect, roots, split_stable)
+from bszego.poly import canonical_phase, w_roots
 
 from conftest import torus_grid
+
+
+def zpoly(c):
+    """The polynomial in z alone with ascending coefficients c."""
+    return BiPoly(np.asarray(c, dtype=complex)[:, None])
 
 
 def test_reflect_constant():
@@ -53,23 +57,33 @@ def test_reflect_rejects_small_degree():
 
 
 def test_roots_linear():
-    assert np.allclose(roots(UniPoly([1, -2])), [0.5])
+    assert np.allclose(roots(zpoly([1, -2])), [0.5])
 
 
 def test_roots_quadratic_pair():
-    got = sorted(roots(UniPoly([1, 0, 1])), key=lambda v: v.imag)
+    got = sorted(roots(zpoly([1, 0, 1])), key=lambda v: v.imag)
     assert np.allclose(got, [-1j, 1j])
 
 
 def test_roots_product_expansion():
     # (1 - 2z)(3 - z) = 3 - 7z + 2z^2 ; companion oracle gives {1/2, 3}
-    got = sorted(roots(UniPoly([3, -7, 2])).real)
+    got = sorted(roots(zpoly([3, -7, 2])).real)
     assert np.allclose(got, [0.5, 3.0], atol=1e-12)
 
 
 def test_roots_zero_rejected():
     with pytest.raises(ZeroPolynomial):
-        roots(UniPoly([0.0]))
+        roots(zpoly([0.0]))
+
+
+def test_roots_rejects_w_dependence():
+    with pytest.raises(InvalidDegree):
+        roots(BiPoly([[1, 1], [2, 0]]))
+
+
+def test_roots_of_constant_is_empty_complex():
+    got = roots(zpoly([2.0]))
+    assert got.shape == (0,) and got.dtype == np.complex128
 
 
 def test_roots_vieta_property():
@@ -78,30 +92,30 @@ def test_roots_vieta_property():
         deg = int(rng.integers(1, 11))
         c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
         c[-1] += 3.0  # keep the leading coefficient well away from zero
-        u = UniPoly(c)
+        u = zpoly(c)
         rebuilt = c[-1] * np.polynomial.polynomial.polyfromroots(roots(u))
         assert np.max(np.abs(rebuilt - c)) < 1e-8 * np.max(np.abs(c))
 
 
 def test_split_stable_constant():
-    rs = split_stable(UniPoly([2.0]))
+    rs = split_stable(zpoly([2.0]))
     assert rs.beta == 0
-    assert np.allclose(rs.stable.coeffs, [2.0])
-    assert np.allclose(rs.unstable.coeffs, [1.0])
+    assert np.allclose(rs.stable.coeffs[:, 0], [2.0])
+    assert np.allclose(rs.unstable.coeffs[:, 0], [1.0])
 
 
 def test_split_stable_mixed():
-    rs = split_stable(UniPoly([3, -7, 2]))
+    rs = split_stable(zpoly([3, -7, 2]))
     assert rs.beta == 1
     # unstable part is monic with the single disk root 1/2
-    assert np.allclose(rs.unstable.coeffs, [-0.5, 1.0])
-    prod = np.convolve(rs.stable.coeffs, rs.unstable.coeffs)
+    assert np.allclose(rs.unstable.coeffs[:, 0], [-0.5, 1.0])
+    prod = np.convolve(rs.stable.coeffs[:, 0], rs.unstable.coeffs[:, 0])
     assert np.allclose(prod, [3, -7, 2])
 
 
 def test_split_stable_root_on_circle():
     with pytest.raises(RootNearTorus):
-        split_stable(UniPoly([1, -1]))
+        split_stable(zpoly([1, -1]))
 
 
 def test_split_stable_product_property():
@@ -112,10 +126,12 @@ def test_split_stable_product_property():
                         rng.uniform(0.2, 0.9, deg), rng.uniform(1.1, 3.0, deg))
         rts = mods * np.exp(2j * np.pi * rng.uniform(size=deg))
         lead = 1.0 + rng.normal() * 0.2
-        u = UniPoly(lead * np.polynomial.polynomial.polyfromroots(rts))
+        u = zpoly(lead * np.polynomial.polynomial.polyfromroots(rts))
         rs = split_stable(u)
-        prod = np.convolve(rs.stable.coeffs, rs.unstable.coeffs)
-        prod = np.pad(prod, (0, len(u.coeffs) - len(prod)))
+        assert rs.stable.deg == (deg - rs.beta, 0)
+        assert rs.unstable.deg == (rs.beta, 0)
+        prod = (rs.stable * rs.unstable).coeffs
+        assert prod.shape == u.coeffs.shape
         assert np.max(np.abs(prod - u.coeffs)) < 1e-10 * np.max(np.abs(u.coeffs))
         assert rs.beta == int(np.sum(mods < 1))
 
@@ -137,7 +153,7 @@ _FROM_ROOTS = np.polynomial.polynomial.polyfromroots
     # (z-2)^2 (z+1) and (z-2)(z-5): z = 2 shared once
     (_columns(_FROM_ROOTS([2, 2, -1]), _FROM_ROOTS([2, 5])), [2]),
     # h(z) g(z, w) with h = (z-2)^2 (z+1) and g = 3 + z - zw
-    (UniPoly(_FROM_ROOTS([2, 2, -1])).to_bipoly() * BiPoly([[3, 0], [1, -1.0]]),
+    (zpoly(_FROM_ROOTS([2, 2, -1])) * BiPoly([[3, 0], [1, -1.0]]),
      [-1, 2, 2]),
 ], ids=["shared", "constant", "multiplicity", "product"])
 def test_content_roots(p, expected):
@@ -161,10 +177,10 @@ def test_canonical_phase():
     assert cp.coeffs[0, 0] == 8.0
 
 
-def test_reflect_uni_padding():
-    u = UniPoly([1.0, -2.0])
-    r = reflect_uni(u, 3)
-    assert np.allclose(r.coeffs, [0, 0, -2, 1])
+def test_reflect_z_poly_padding():
+    r = reflect(zpoly([1.0, -2.0]), (3, 0))
+    assert r.deg == (3, 0)
+    assert np.allclose(r.coeffs[:, 0], [0, 0, -2, 1])
 
 
 def test_w_roots_match_np_roots():

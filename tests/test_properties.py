@@ -59,6 +59,34 @@ def test_structural_bases_and_positivity(p, data):
 
 
 @st.composite
+def grids(draw):
+    """A complex coefficient grid of 1-6 rows and 1-6 columns."""
+    j, k = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    e = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * j * k,
+                               max_size=2 * j * k)))
+    return BiPoly((e[::2] + 1j * e[1::2]).reshape(j, k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grids(), grids(), st.integers(0, 2 ** 32 - 1))
+# one-column times one-row, and one-row times one-column
+@example(BiPoly([[1.0], [2j], [-3.0]]), BiPoly([[0.5, 1.0, -1j, 2.0]]), 0)
+@example(BiPoly([[1.0, -2.0, 1j]]), BiPoly([[3.0], [1j]]), 1)
+def test_product_matches_pointwise(p, q, seed):
+    # (p * q)(z, w) = p(z, w) q(z, w) at random points, relative to the
+    # same product with every coefficient and point replaced by its modulus
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(0.5, 1.5, (2, 8))
+    z, w = r * np.exp(2j * np.pi * rng.uniform(size=(2, 8)))
+    pq = p * q
+    assert pq.deg == (p.deg[0] + q.deg[0], p.deg[1] + q.deg[1])
+    scale = BiPoly(np.abs(p.coeffs))(*r) * BiPoly(np.abs(q.coeffs))(*r)
+    assert np.all(np.abs(pq(z, w) - p(z, w) * q(z, w)) <= 1e-12 * scale)
+    assert np.array_equal((p * 2.0).coeffs, 2.0 * p.coeffs)
+    assert np.array_equal((2.0 * p).coeffs, 2.0 * p.coeffs)
+
+
+@st.composite
 def contents(draw):
     """(alpha, mu) pairs and a slot count for prod (alpha - z)^mu (2 - zw).
 

@@ -6,7 +6,7 @@ from bszego import (BiPoly, DegenerateForm, MatrixConditionFails, MomentSpace,
                     moments_from_density, moments_from_grid_function,
                     reconstruct_p)
 from bszego import reconstruct
-from bszego.poly import content_roots, reflect_uni
+from bszego.poly import content_roots, reflect
 from bszego.reconstruct import kernel_poly
 
 from conftest import max_modulus_gap, random_corpus_poly, trig_abs_squared
@@ -87,7 +87,7 @@ def test_kernel_poly_identity(p_2zw):
     table = moments_from_density(p_2zw, 1, 1)
     sp = MomentSpace(table, 1, 1)
     R = kernel_poly(sp).trimmed()
-    expect = (p_2zw * reflect_uni(p_2zw.z_slice(), 1).to_bipoly()).trimmed()
+    expect = (p_2zw * reflect(p_2zw.z_slice(), (1, 0))).trimmed()
     assert R.coeffs.shape == expect.coeffs.shape
     assert np.max(np.abs(R.coeffs - expect.coeffs)) < 1e-7
 
@@ -97,7 +97,7 @@ def _kernel_by_products(space):
     n, m = space.nmax, space.mmax
     out = BiPoly(np.zeros((2 * n + 1, m + 1)))
     for phi in space.phi_sequence(n, m):
-        out = out + phi * reflect_uni(phi.z_slice(), n).to_bipoly()
+        out = out + phi * reflect(phi.z_slice(), (n, 0))
     return out
 
 
@@ -119,7 +119,7 @@ def test_kernel_poly_matches_products(table_perturb_8_8):
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) < 1e-14 * np.max(np.abs(ref))
     # a stage whose z-slice is below TRIM_REL adds exact zeros, as
-    # reflect_uni drops such a slice
+    # reflect drops such a slice
     rng = np.random.default_rng(5)
     coeffs = rng.normal(size=(3, 4, 3)) + 1j * rng.normal(size=(3, 4, 3))
     coeffs[1, :, 0] *= 1e-14

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bszego import (BiPoly, CommonFactor, NoConvergence, UniPoly,
+from bszego import (BiPoly, CommonFactor, NoConvergence,
                     certificate_closed_face, certificate_open_face, reflect,
                     verify_certificate)
 from bszego import sos
@@ -209,7 +209,7 @@ def test_schur_cohn_counts():
                         rng.uniform(1.15, 3.0, deg))
         rts = mods * np.exp(2j * np.pi * rng.uniform(size=deg))
         coeffs = np.polynomial.polynomial.polyfromroots(rts)
-        p = UniPoly(coeffs).to_bipoly()
+        p = BiPoly(coeffs[:, None])
         cert = certificate_closed_face(p)
         inside = int(np.sum(mods < 1.0))
         assert cert.n2 == inside
