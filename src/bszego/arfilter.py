@@ -19,7 +19,7 @@ from .moments import MomentTable, is_positive
 from .poly import BiPoly
 from .reconstruct import _reconstruct
 from .space import MomentSpace
-from .splitshift import a_operator_norm, build_operators, \
+from .splitshift import MC_TOL, a_operator_norm, build_operators, \
     check_matrix_condition
 
 
@@ -51,7 +51,7 @@ class ArSolution:
                 "diagnostics": self.diagnostics}
 
 
-def solve_ar(problem: ArProblem, tol=1e-8) -> ArSolution:
+def solve_ar(problem: ArProblem, tol=MC_TOL) -> ArSolution:
     """Decide eAR(n, m) solvability and emit the filter coefficients.
 
     The returned coefficients are the representative that the data pick

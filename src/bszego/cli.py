@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import sys
 
@@ -25,10 +26,6 @@ from .sos import certificate_closed_face, certificate_open_face
 from .space import MomentSpace
 from .splitshift import build_operators, check_matrix_condition
 
-COND_TOL = 1e-8
-QUAD_TOL = 1e-10
-
-
 class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors raise InvalidInput, so that they exit 2
     with the usual JSON error document."""
@@ -44,14 +41,15 @@ def _read_json(path):
         return json.load(fh)
 
 
-def _cond_tol(args):
-    return COND_TOL if args.tol is None else args.tol
+def _given(args, *names):
+    """The named flags the user gave, as keyword arguments: a flag left
+    out keeps the library's default."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name) is not None}
 
 
 def _qcfg(args):
-    grid = 4096 if args.grid is None else args.grid
-    tol = QUAD_TOL if args.tol is None else args.tol
-    return QuadratureConfig(max_grid=grid, tol=tol)
+    return QuadratureConfig(**_given(args, "max_grid", "tol"))
 
 
 def _positive_table(args, doc):
@@ -71,13 +69,13 @@ def _cmd_moments(args):
 def _cmd_check(args):
     table = _positive_table(args, _read_json(args.moments))
     space = MomentSpace(table, args.n, args.m)
-    report = check_matrix_condition(build_operators(space), tol=_cond_tol(args))
+    report = check_matrix_condition(build_operators(space), **_given(args, "tol"))
     return report.to_json(), 0 if report.holds else 1
 
 
 def _cmd_reconstruct(args):
     table = _positive_table(args, _read_json(args.moments))
-    p = reconstruct_p(table, args.n, args.m, tol=_cond_tol(args))
+    p = reconstruct_p(table, args.n, args.m, **_given(args, "tol"))
     return poly_to_json(p), 0
 
 
@@ -88,11 +86,11 @@ def _cmd_factor(args):
 
 
 def _cmd_sos(args):
+    if args.tol is not None and not args.open_face:
+        raise InvalidInput("--tol applies only with --open-face")
     p = poly_from_json(_read_json(args.poly))
-    if args.open_face:
-        cert = certificate_open_face(p, tol=max(_cond_tol(args), 1e-8))
-    else:
-        cert = certificate_closed_face(p)
+    cert = certificate_open_face(p, **_given(args, "tol")) if args.open_face \
+        else certificate_closed_face(p)
     return cert.to_json(), 0
 
 
@@ -110,72 +108,70 @@ def _cmd_full(args):
     if args.depth:
         Nmax, Mmax = (int(x) for x in args.depth.split(","))
     report = check_full_measure(table, args.n, args.m, Nmax, Mmax,
-                                tol=max(_cond_tol(args), 1e-7))
+                                **_given(args, "tol"))
     code = {"pass": 0, "fail": 1, "inconclusive": 3}[report.verdict]
     return report.to_json(), code
 
 
 def _cmd_ar(args):
     table = table_from_json(_read_json(args.autocorr))
-    sol = solve_ar(ArProblem(args.n, args.m, table), tol=_cond_tol(args))
+    sol = solve_ar(ArProblem(args.n, args.m, table), **_given(args, "tol"))
     return sol.to_json(), 0 if sol.classification != "none" else 1
 
 
 @functools.cache
 def build_parser():
-    """The CLI parser, built on first use and shared for the process."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None,
-                        help="tolerance override (condition tests default "
-                             "1e-8, quadrature 1e-10)")
-    common.add_argument("--grid", type=int, default=None,
-                        help="maximum quadrature grid per axis, a power of two "
-                             "(default 4096)")
+    """The CLI parser, built on first use and shared for the process.
 
+    Each subcommand declares only the flags it reads, so a flag it would
+    ignore is a usage error.  The help of --tol and --grid gives the
+    default of the library parameter they set.
+    """
     ap = _Parser(
-        prog="bszego", parents=[common],
+        prog="bszego",
         description="Bernstein-Szego measures on the bicircle: moments, "
                     "factorization, certificates, filters.")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def cmd(name, func, help_text):
-        s = sub.add_parser(name, parents=[common], help=help_text)
+    # name, handler, help, the input flag then the integer flags, and the
+    # library parameter whose default --tol replaces
+    for name, func, help_text, required, tol_of in (
+            ("moments", _cmd_moments, "moments of dsigma/|p|^2",
+             "--poly --jmax --kmax", QuadratureConfig),
+            ("check", _cmd_check, "matrix condition / stratification report",
+             "--moments --n --m", check_matrix_condition),
+            ("reconstruct", _cmd_reconstruct, "recover p from moments",
+             "--moments --n --m", reconstruct_p),
+            ("full", _cmd_full, "full-measure Bernstein-Szego test",
+             "--moments --n --m", check_full_measure),
+            ("factor", _cmd_factor, "factor a positive trig polynomial",
+             "--trig --n --m", QuadratureConfig),
+            ("sos", _cmd_sos, "sum-of-squares certificate", "--poly",
+             certificate_open_face),
+            ("gdv", _cmd_gdv, "distinguished-variety geometry and pencil", "--poly",
+             None),
+            ("ar", _cmd_ar, "solve the extended autoregressive model",
+             "--autocorr --n --m", solve_ar)):
+        s = sub.add_parser(name, help=help_text)
         s.set_defaults(func=func)
-        return s
-
-    s = cmd("moments", _cmd_moments, "moments of dsigma/|p|^2")
-    s.add_argument("--poly", required=True)
-    s.add_argument("--jmax", type=int, required=True)
-    s.add_argument("--kmax", type=int, required=True)
-
-    for name, func, help_text in (
-            ("check", _cmd_check, "matrix condition / stratification report"),
-            ("reconstruct", _cmd_reconstruct, "recover p from moments"),
-            ("full", _cmd_full, "full-measure Bernstein-Szego test")):
-        s = cmd(name, func, help_text)
-        s.add_argument("--moments", required=True)
-        s.add_argument("--n", type=int, required=True)
-        s.add_argument("--m", type=int, required=True)
+        source, *ints = required.split()
+        s.add_argument(source, required=True)
+        for flag in ints:
+            s.add_argument(flag, type=int, required=True)
+        if name == "sos":
+            s.add_argument("--open-face", action="store_true")
         if name == "full":
-            s.add_argument("--depth", default=None, help="Nmax,Mmax")
-
-    s = cmd("factor", _cmd_factor, "factor a positive trig polynomial")
-    s.add_argument("--trig", required=True)
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--m", type=int, required=True)
-
-    s = cmd("sos", _cmd_sos, "sum-of-squares certificate")
-    s.add_argument("--poly", required=True)
-    s.add_argument("--open-face", action="store_true")
-
-    s = cmd("gdv", _cmd_gdv, "distinguished-variety geometry and pencil")
-    s.add_argument("--poly", required=True)
-
-    s = cmd("ar", _cmd_ar, "solve the extended autoregressive model")
-    s.add_argument("--autocorr", required=True)
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--m", type=int, required=True)
+            s.add_argument("--depth", help="Nmax,Mmax")
+        if tol_of is None:
+            continue
+        default = inspect.signature(tol_of).parameters
+        s.add_argument("--tol", type=float,
+                       help=f"tolerance of {tol_of.__name__} "
+                            f"(default {default['tol'].default:g})")
+        if tol_of is QuadratureConfig:
+            s.add_argument("--grid", dest="max_grid", metavar="GRID", type=int,
+                           help="maximum quadrature grid per axis, a power of two "
+                                f"(default {default['max_grid'].default})")
     return ap
 
 
@@ -185,8 +181,9 @@ def main(argv=None):
         for name in ("n", "m", "jmax", "kmax"):
             if getattr(args, name, 0) < 0:
                 raise InvalidInput(f"--{name} {getattr(args, name)} is negative")
-        if args.tol is not None and not 0 < args.tol < float("inf"):
-            raise InvalidInput(f"--tol {args.tol} is not a positive number")
+        tol = getattr(args, "tol", None)
+        if tol is not None and not 0 < tol < float("inf"):
+            raise InvalidInput(f"--tol {tol} is not a positive number")
         doc, code = args.func(args)
     except BszegoError as exc:
         doc = {"error": type(exc).__name__, "message": str(exc)}

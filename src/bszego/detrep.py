@@ -105,9 +105,9 @@ def check_gdv_geometry(p: BiPoly) -> GeometryReport:
     """Whether every w-root over the z-circle sits on the w-circle.
 
     Roots are taken at GEOMETRY_GRID equispaced z from z = 1, or on that
-    grid rotated by half a step if the w^m coefficient is below 1e-12 of
-    max |coeff| at one of its points.  DegenerateSlice names the first
-    such point of the rotated grid.
+    grid rotated by 1/(2 GEOMETRY_GRID) of a step (1/128 of a step) if the
+    w^m coefficient is below 1e-12 of max |coeff| at one of its points.
+    DegenerateSlice names the first such point of the rotated grid.
     """
     pt = p.trimmed()
     n, m = pt.deg

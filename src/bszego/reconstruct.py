@@ -18,7 +18,7 @@ from .moments import (MomentTable, QuadratureConfig, TrigPoly, is_positive,
                       moments_from_trig)
 from .poly import BiPoly, reflect
 from .space import MomentSpace
-from .splitshift import (ShiftOperators, _operators_under_condition,
+from .splitshift import (MC_TOL, ShiftOperators, _operators_under_condition,
                          assert_no_face_zeros, minimal_split_poly)
 
 KERNEL_TOL = 1e-8   # kernel identity residual, relative to max |kernel|
@@ -46,7 +46,7 @@ def kernel_poly(space: MomentSpace) -> BiPoly:
     return BiPoly(out)
 
 
-def reconstruct_p(table: MomentTable, n, m, tol=1e-8) -> BiPoly:
+def reconstruct_p(table: MomentTable, n, m, tol=MC_TOL) -> BiPoly:
     """The polynomial p with the given Bernstein-Szego moments.
 
     Requires the matrix condition; the result is the stable-content

@@ -7,6 +7,7 @@ import pytest
 
 from bszego import BiPoly, MomentTable, moments_from_density
 from bszego.cli import main
+from bszego.errors import InvalidInput
 from bszego.jsonio import dumps, poly_from_json, poly_to_json, table_to_json
 
 from conftest import trig_abs_squared
@@ -330,6 +331,47 @@ def test_usage_errors_exit_2_with_json(files, argv, message):
     code, out = run([a.format(p=files["p.json"]) for a in argv])
     assert code == 2
     assert json.loads(out) == {"error": "InvalidInput", "message": message}
+
+
+@pytest.mark.parametrize("argv, message", [
+    _case("grid before moments", ["--grid", "16", "moments", "--poly", "{p}"] + WINDOW,
+          "argument command: invalid choice: '16'"),
+    _case("tol before check", ["--tol", "0", "check", "--moments", "{t}"] + N_M,
+          "argument command: invalid choice: '0'"),
+    _case("check grid", ["check", "--moments", "{t}", "--grid", "64"] + N_M,
+          "unrecognized arguments: --grid 64"),
+    _case("gdv tol", ["gdv", "--poly", "{p}", "--tol", "1e-3"],
+          "unrecognized arguments: --tol 1e-3"),
+    _case("closed-face sos tol", ["sos", "--poly", "{p}", "--tol", "1e-3"],
+          "--tol applies only with --open-face"),
+])
+def test_unread_flags_exit_2(files, argv, message):
+    # each subcommand declares only the flags it reads, and none come
+    # before the subcommand
+    code, out = run([a.format(p=files["p.json"], t=files["trig.json"]) for a in argv])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "InvalidInput" and doc["message"].startswith(message)
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["full", "--moments", "{t}"] + N_M, "check_full_measure"),
+    (["sos", "--open-face", "--poly", "{p}"], "certificate_open_face"),
+], ids=["full", "open-face sos"])
+def test_tol_reaches_the_library_as_given(files, monkeypatch, argv, name):
+    # an explicit --tol arrives unchanged, below the library default too;
+    # without one the library keeps its own default
+    seen = []
+
+    def record(*args, **kwargs):
+        seen.append(kwargs)
+        raise InvalidInput("recorded")
+
+    monkeypatch.setattr(f"bszego.cli.{name}", record)
+    argv = [a.format(p=files["p.json"], t=files["trig.json"]) for a in argv]
+    for extra in (["--tol", "1e-9"], []):
+        assert run(argv + extra)[0] == 2
+    assert seen == [{"tol": 1e-9}, {}]
 
 
 def test_seed_flag_is_gone(files):

@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "corpus_outputs.py"
@@ -134,3 +136,20 @@ def test_worst_calls_are_capped_and_ordered(tmp_path):
     worst = lines[lines.index("worst 5 calls:") + 1:][:5]
     assert [int(line.split(" call ")[1].split()[0]) for line in worst] == [3, 6, 5, 1, 4]
     assert lines[-1] == "  1.0e-03 sos c (7 calls)"
+
+
+def test_diff_into_a_closed_pipe_exits_0(tmp_path):
+    # a report well past the 64 KB pipe buffer, read one line at a time
+    # and then closed, as `--diff BASE HEAD | head -1` does
+    base = [_call("recover", 1, i) for i in range(3000)]
+    head = [_call("recover", 1, i, exit=3) for i in range(3000)]
+    for name, calls in (("base.json", base), ("head.json", head)):
+        (tmp_path / name).write_text(json.dumps({"tree": ".", "calls": calls}))
+    argv = [sys.executable, str(TOOL), "--diff", str(tmp_path / "base.json"),
+            str(tmp_path / "head.json")]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"3000 of 3000 calls differ\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""

@@ -48,7 +48,7 @@ def test_geometry():
     assert abs(rep.worst_deviation - 0.5) < 1e-9   # |w| = 1/2 everywhere
 
 
-# first point of the half-step rotated geometry grid
+# first point of the geometry grid rotated by 1/(2 GEOMETRY_GRID) of a step
 ZETA = np.exp(2j * np.pi * (0.5 / GEOMETRY_GRID) / GEOMETRY_GRID)
 
 

@@ -1,14 +1,17 @@
-"""Every settable option of the library is listed here, and its public
-names are counted.
+"""Every settable option of the library and every optional CLI flag is
+listed here, and the library's public names are counted.
 
 An option is a defaulted parameter of a public function or method, or a
 field of a ``*Config`` dataclass, anywhere in ``src/bszego``.  A new one
-must be added to ALLOWED, and a new public name must raise PUBLIC_NAMES,
-so that either is seen in review.
+must be added to ALLOWED, a new CLI flag to CLI_FLAGS, and a new public
+name must raise PUBLIC_NAMES, so that each is seen in review.
 """
 
+import argparse
 import ast
 from pathlib import Path
+
+from bszego.cli import build_parser
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bszego"
 
@@ -35,6 +38,15 @@ ALLOWED = {
 
 # top-level public functions and classes plus their public methods
 PUBLIC_NAMES = 117
+
+# (subcommand, flag) for each optional flag, on the subcommands that read it
+CLI_FLAGS = {
+    ("moments", "--tol"), ("moments", "--grid"),
+    ("factor", "--tol"), ("factor", "--grid"),
+    ("check", "--tol"), ("reconstruct", "--tol"), ("ar", "--tol"),
+    ("full", "--tol"), ("full", "--depth"),
+    ("sos", "--tol"), ("sos", "--open-face"),
+}
 
 
 def _options(module, body, prefix=""):
@@ -80,6 +92,20 @@ def public_names():
     return found
 
 
+def cli_flags():
+    """(subcommand, flag) for every optional flag of the bszego parser, the
+    top-level parser's under "bszego"; --help and --version are left out."""
+    top = build_parser()
+    parsers = [("bszego", top)]
+    for action in top._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            parsers += action.choices.items()
+    return [(name, flag) for name, parser in parsers for action in parser._actions
+            if not action.required
+            and not isinstance(action, (argparse._HelpAction, argparse._VersionAction))
+            for flag in action.option_strings]
+
+
 def test_settable_options_are_the_allowed_ones():
     found = settable_options()
     assert len(found) == len(set(found))
@@ -90,6 +116,12 @@ def test_public_names_are_counted():
     found = public_names()
     assert len(found) == len(set(found))
     assert len(found) == PUBLIC_NAMES
+
+
+def test_cli_flags_are_the_allowed_ones():
+    found = cli_flags()
+    assert len(found) == len(set(found))
+    assert set(found) == CLI_FLAGS
 
 
 def unused_imports():

@@ -232,7 +232,13 @@ def main(argv=None):
     parser.add_argument("second", help="output file, or the head record file")
     args = parser.parse_args(argv)
     if args.diff:
-        print("\n".join(diff(args.first, args.second)))
+        try:
+            print("\n".join(diff(args.first, args.second)), flush=True)
+        except BrokenPipeError:
+            # the reader stopped early, as `| head` does: the report is
+            # cut short, not failed, and the exit stays 0; stdout goes to
+            # devnull so that the interpreter's last flush does not fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     else:
         record(args.first, args.second)
 
