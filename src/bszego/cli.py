@@ -11,6 +11,7 @@ import argparse
 import functools
 import inspect
 import json
+import os
 import sys
 
 from . import __version__
@@ -191,7 +192,12 @@ def main(argv=None):
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         doc = {"error": type(exc).__name__, "message": str(exc)}
         code = 2
-    print(dumps(doc))
+    try:
+        print(dumps(doc), flush=True)
+    except BrokenPipeError:
+        # the reader stopped early, as `| head` does: the exit code stands,
+        # and stdout goes to devnull so that the last flush at exit succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bszego import (BiPoly, MomentSpace, MomentTable, SubspaceBasis, TrigPoly,
-                    moments_from_density, reflect)
+                    moments_from_density, reflect, sos)
 from bszego.moments import _poly_grid_rows
 from bszego.poly import as_bipoly
 
@@ -148,6 +148,16 @@ def basis_kernel(b: SubspaceBasis, zw, zeta_eta):
     """Reproducing kernel sum_i b_i(z, w) conj(b_i(zeta, eta))."""
     return np.sum(basis_values(b, *zw) * np.conj(basis_values(b, *zeta_eta)),
                   axis=-1)
+
+
+def assert_stacked_values_match(polys, z, w):
+    """The values of sos's stacked evaluation against q(z, w), one
+    polynomial at a time, within 1e-13 of sum |c_jk| |z|^j |w|^k."""
+    values = sos._values(polys, z, w)
+    assert values.shape == (len(z), len(polys))
+    for q, got in zip(polys, values.T):
+        size = BiPoly(np.abs(q.coeffs))(np.abs(z), np.abs(w))
+        assert np.all(np.abs(got - q(z, w)) <= 1e-13 * size)
 
 
 def project(space: MomentSpace, f: BiPoly, onto: SubspaceBasis):

@@ -1,6 +1,10 @@
 import io
 import json
 import contextlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -393,3 +397,17 @@ def test_help_still_exits_0():
         main(["sos", "--help"])
     assert exc.value.code == 0
     assert buf.getvalue().startswith("usage: bszego sos")
+
+
+def test_answer_into_a_closed_pipe_keeps_its_exit_code(files):
+    # a moment table well past the 64 KB pipe buffer, read for its first
+    # bytes and then closed, as `bszego moments ... | head -c 200` does
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = [sys.executable, "-m", "bszego.cli", "moments", "--poly",
+            files["p.json"], "--jmax", "30", "--kmax", "30"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.read(200).startswith(b"{")
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""

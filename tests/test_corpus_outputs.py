@@ -69,7 +69,8 @@ def _doc(**fields):
 
 def test_round_off_moves_by_field(tmp_path):
     # a table entry moves by 1e-12 of the table's largest magnitude, and a
-    # residual by twice itself; numbers inside a string are a field too
+    # residual by twice itself, shown old -> new since it is one number;
+    # numbers inside a string are a field too
     base = [_call("certify", 1, 0, stdout=_doc()),
             _call("certify", 1, 1, stdout=_doc(message="last change 7.0e-10")),
             _call("recover", 1, 0, stdout=_doc())]
@@ -83,16 +84,37 @@ def test_round_off_moves_by_field(tmp_path):
         "  differs: certify seed 1 call 0 (sos stable): exit equal, shape equal, "
         "largest change 1.0e-12 of its scale in sos c",
         "  differs: certify seed 1 call 1 (sos stable): exit equal, shape equal, "
-        "largest change 2.0e+00 of its scale in sos residual",
+        "largest change 2.0e+00 of its scale in sos residual (1e-16 -> 3e-16)",
         "worst 2 calls:",
         "  certify seed 1 call 1 (sos stable): largest change 2.0e+00 of its "
-        "scale in sos residual",
+        "scale in sos residual (1e-16 -> 3e-16)",
         "  certify seed 1 call 0 (sos stable): largest change 1.0e-12 of its "
         "scale in sos c",
         "fields that moved, by largest change of their scale:",
         "  2.0e+00 sos residual (1 calls)",
         "  1.0e-01 sos message (1 calls)",
         "  1.0e-12 sos c (1 calls)"]
+
+
+def test_one_number_field_shows_both_values(tmp_path):
+    # a one-number field that moves most is followed by its values on both
+    # sides, also when the number is inside a string; a field of several
+    # numbers is not
+    base = [_call("near_torus", 1, 0, stdout=_doc(residual=0.0408)),
+            _call("near_torus", 1, 1, stdout=_doc(message="t = 0.999")),
+            _call("near_torus", 1, 2, stdout=_doc(message="t = 0.999 of 4"))]
+    head = [_call("near_torus", 1, 0, stdout=_doc(residual=0.04080000000000011)),
+            _call("near_torus", 1, 1, stdout=_doc(message="t = 0.9999")),
+            _call("near_torus", 1, 2, stdout=_doc(message="t = 0.9999 of 4"))]
+    details = [line for line in _diff(tmp_path, base, head)
+               if line.startswith("  differs:")]
+    assert [line.split(": ", 2)[2] for line in details] == [
+        "exit equal, shape equal, largest change 2.6e-15 of its scale in sos "
+        "residual (0.0408 -> 0.04080000000000011)",
+        "exit equal, shape equal, largest change 9.0e-04 of its scale in sos "
+        "message (0.999 -> 0.9999)",
+        "exit equal, shape equal, largest change 2.3e-04 of its scale in sos "
+        "message"]
 
 
 def test_shape_changes(tmp_path):

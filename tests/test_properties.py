@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from bszego import (BiPoly, MomentSpace, NoConvergence, enumerate_split_polys,
                     factor_trig, is_positive, moments_from_density,
                     split_poly_from_condition)
-from bszego import reconstruct
+from bszego import reconstruct, sos
 from bszego.moments import gram
 from bszego.reconstruct import FACTOR_TOL
 
-from conftest import (monomial_basis, poly_grid_values, structural,
-                      torus_grid, trig_abs_squared, trig_values_on_grid)
+from conftest import (assert_stacked_values_match, monomial_basis,
+                      poly_grid_values, structural, torus_grid, trig_abs_squared,
+                      trig_values_on_grid)
 
 
 @st.composite
@@ -59,9 +60,9 @@ def test_structural_bases_and_positivity(p, data):
 
 
 @st.composite
-def grids(draw):
-    """A complex coefficient grid of 1-6 rows and 1-6 columns."""
-    j, k = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+def grids(draw, size=6):
+    """A complex coefficient grid of 1-size rows and 1-size columns."""
+    j, k = draw(st.integers(1, size)), draw(st.integers(1, size))
     e = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * j * k,
                                max_size=2 * j * k)))
     return BiPoly((e[::2] + 1j * e[1::2]).reshape(j, k))
@@ -84,6 +85,16 @@ def test_product_matches_pointwise(p, q, seed):
     assert np.all(np.abs(pq(z, w) - p(z, w) * q(z, w)) <= 1e-12 * scale)
     assert np.array_equal((p * 2.0).coeffs, 2.0 * p.coeffs)
     assert np.array_equal((2.0 * p).coeffs, 2.0 * p.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(grids(size=9), min_size=1, max_size=8), st.integers(0, 2 ** 32 - 1))
+def test_stacked_values_match_pointwise(polys, seed):
+    # grids of any shapes, zero-padded into one stack, evaluated at points
+    # of the square that verify_certificate samples
+    rng = np.random.default_rng(seed)
+    z, w = sos.VERIFY_RADIUS * (rng.uniform(-1, 1, (2, 20, 2)) @ [1, 1j])
+    assert_stacked_values_match(polys, z, w)
 
 
 @st.composite

@@ -9,7 +9,7 @@ from bszego import (BiPoly, CommonFactor, NoConvergence,
 from bszego import sos
 from bszego.sos import SosCertificate, common_factor_with_reflection
 
-from conftest import brute_inner, torus_grid
+from conftest import assert_stacked_values_match, brute_inner, torus_grid
 
 
 def test_cert_2zw_matches_analytic(p_2zw):
@@ -134,6 +134,26 @@ def test_verify_empty_cert_of_one():
                           residual=0.0, deg=(0, 0))
     report = verify_certificate(BiPoly([[1.0]]), cert)
     assert report.residual < 1e-14
+
+
+@pytest.mark.parametrize("poly, variant, blocks", [
+    ([[2.0, 0.0], [-4.0, -1.0], [0.0, 2.0]], "L", (1, 1, 1)),
+    ([[2.0, 0.0], [-4.0, -1.0], [0.0, 2.0]], "G", (2, 1, 1)),
+    ([[2.0, 0.0], [0.0, -1.0]], "L", (1, 1, 0)),
+    ([[1.0]], "L", (0, 0, 0))])
+def test_stacked_values_match_each_polynomial(poly, variant, blocks):
+    # (1-2z)(2-zw) with C block, its G variant whose extra A polynomial
+    # has another grid shape, 2-zw without C block, and the empty
+    # certificate of 1
+    p = BiPoly(poly)
+    cert = certificate_closed_face(p, variant=variant)
+    assert (len(cert.a_list), cert.n1, cert.n2) == blocks
+    polys = (p, reflect(p, cert.deg), *cert.a_list, *cert.b_list, *cert.c_list)
+    if variant == "G":
+        assert len({q.coeffs.shape for q in polys[2:]}) > 1
+    rng = np.random.default_rng(5)
+    z, w = sos.VERIFY_RADIUS * (rng.uniform(-1, 1, (2, 50, 2)) @ [1, 1j])
+    assert_stacked_values_match(polys, z, w)
 
 
 def test_torus_modulus_equality(p_2zw):

@@ -17,9 +17,10 @@ list lengths, the values of ``deg``, and the text of strings with their
 numbers taken out); where the shape differs, the first path at which it
 does and the values there on both sides, such as ``sos B[2].deg [3, 8]
 -> [2, 8]``; where it is equal, the largest change of a printed number
-relative to the largest magnitude in its field, in the base.  A field is a
-pipeline and a path of keys, with list indices dropped; numbers inside a
-string count in the string's field.  Then come the worst calls by that
+relative to the largest magnitude in its field, in the base, followed by
+``(old -> new)`` where that field holds one number, such as a residual.  A
+field is a pipeline and a path of keys, with list indices dropped; numbers
+inside a string count in the string's field.  Then come the worst calls by that
 change, and every field that moved, with its largest change.  It only
 reports and always exits 0: a change that only removes code expects 0
 differences, while one that reorders arithmetic may move round-off.
@@ -177,8 +178,10 @@ def _compare(old, new):
     if not moved:
         return detail + ["shape equal", "no number moved"], 0.0, {}
     worst = max(moved, key=moved.get)
-    return (detail + ["shape equal", f"largest change {moved[worst]:.1e} of "
-                      f"its scale in {worst}"], moved[worst], moved)
+    largest = f"largest change {moved[worst]:.1e} of its scale in {worst}"
+    if len(fields_old[worst]) == 1:
+        largest += f" ({fields_old[worst][0]!r} -> {fields_new[worst][0]!r})"
+    return detail + ["shape equal", largest], moved[worst], moved
 
 
 def diff(base, head):
