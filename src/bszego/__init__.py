@@ -32,6 +32,6 @@ from .sos import (SosCertificate, certificate_closed_face,
 from .detrep import (DetRep, build_detrep, check_gdv_geometry,
                      check_self_reflective, derivative_identity_check)
 from .fullmeasure import FullMeasureReport, check_full_measure, strip_match
-from .arfilter import ArProblem, ArSolution, solve_ar
+from .arfilter import ArSolution, solve_ar
 
 __version__ = "0.1.0"

@@ -14,67 +14,47 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InsufficientMoments, NotPositive
+from .errors import NotPositive
 from .moments import MomentTable, is_positive
 from .poly import BiPoly
 from .reconstruct import _reconstruct
 from .space import MomentSpace
-from .splitshift import MC_TOL, a_operator_norm, build_operators, \
-    check_matrix_condition
-
-
-@dataclass(frozen=True, eq=False)
-class ArProblem:
-    """Autocorrelations c_{k,l} on [-n..n] x [-m..m], Hermitian."""
-
-    n: int
-    m: int
-    table: MomentTable
-
-    def __post_init__(self):
-        if self.table.jmax < self.n or self.table.kmax < self.m:
-            raise InsufficientMoments(
-                "autocorrelation window below the model order")
+from .splitshift import (MC_TOL, StratificationReport, a_operator_norm,
+                         build_operators, check_matrix_condition)
 
 
 @dataclass(frozen=True, eq=False)
 class ArSolution:
     classification: str                 # "causal" | "acausal" | "none"
     coefficients: Optional[BiPoly]
-    diagnostics: dict
-
-    def to_json(self):
-        from .jsonio import poly_to_json
-        return {"classification": self.classification,
-                "a": poly_to_json(self.coefficients)
-                if self.coefficients is not None else None,
-                "diagnostics": self.diagnostics}
+    report: StratificationReport        # the matrix condition at (n, m)
+    a_operator_norm: float
+    min_eigenvalue: float               # of the autocorrelation Gram
 
 
-def solve_ar(problem: ArProblem, tol=MC_TOL) -> ArSolution:
+def solve_ar(table: MomentTable, n, m, tol=MC_TOL) -> ArSolution:
     """Decide eAR(n, m) solvability and emit the filter coefficients.
 
-    The returned coefficients are the representative that the data pick
-    out; for data that admit a causal filter it is the stable one, so a
-    product filter (1 - 2z)(2 - w) comes back as (2 - z)(2 - w), causal.
-    The classification is invariant under positive rescaling of the
-    autocorrelations: the operators live in orthonormal coordinates.
+    ``table`` holds the autocorrelations c_{k,l}, Hermitian, on a window
+    of at least [-n..n] x [-m..m]; a smaller one raises
+    InsufficientMoments.  The returned coefficients are the
+    representative that the data pick out; for data that admit a causal
+    filter it is the stable one, so a product filter (1 - 2z)(2 - w)
+    comes back as (2 - z)(2 - w), causal.  The classification is
+    invariant under positive rescaling of the autocorrelations: the
+    operators live in orthonormal coordinates.
     """
-    n, m = problem.n, problem.m
-    ok, lam = is_positive(problem.table, n, m)
+    ok, lam = is_positive(table, n, m)
     if not ok:
         raise NotPositive(
             f"autocorrelation form is not positive definite (eig {lam:.3e})")
-    space = MomentSpace(problem.table, n, m)
+    space = MomentSpace(table, n, m)
     ops = build_operators(space)
     report = check_matrix_condition(ops, tol)
     a_norm = a_operator_norm(ops)
-    diag = report.to_json() | {"a_operator_norm": a_norm,
-                               "min_eigenvalue": lam}
     if not report.holds:
-        return ArSolution(classification="none", coefficients=None,
-                          diagnostics=diag)
-    p = _reconstruct(space, ops)
-    classification = "causal" if a_norm < tol else "acausal"
-    return ArSolution(classification=classification, coefficients=p,
-                      diagnostics=diag)
+        classification, p = "none", None
+    else:
+        classification = "causal" if a_norm < tol else "acausal"
+        p = _reconstruct(space, ops)
+    return ArSolution(classification, p, report, a_norm, lam)

@@ -3,6 +3,21 @@
 Exit codes: 0 success or affirmative answer, 1 well-posed negative
 (condition fails, not factorable, not a generalized distinguished
 variety), 2 invalid input, 3 numerical failure.
+
+This module alone writes the documents; the library returns plain data.
+A complex number is [re, im]; polynomials and moment tables are as in
+``jsonio``.  The keys of each subcommand's document:
+
+    moments: a moment table; reconstruct, factor: a polynomial
+    check: holds, max_violation, dimA, dimB, d_min, d_max
+    sos: A, B, C (lists of polynomials), n1, n2, deg, residual, variant
+    gdv: mu, geometry {passed, worst_deviation, worst_z, worst_w},
+        detrep {U, n1, n2, scale, residual}
+    full: positivity_ok, min_eigenvalue, e2_conditions {"N,M": max},
+        h_conditions {"M": max}, verdict, depth, tol
+    ar: classification, a (a polynomial or null), diagnostics {the check
+        keys, a_operator_norm, min_eigenvalue}
+    any failure: error, message
 """
 
 from __future__ import annotations
@@ -15,12 +30,12 @@ import os
 import sys
 
 from . import __version__
-from .arfilter import ArProblem, solve_ar
+from .arfilter import solve_ar
 from .detrep import build_detrep
 from .errors import BszegoError, InvalidInput, NotPositive
 from .fullmeasure import check_full_measure
-from .jsonio import (dumps, poly_from_json, poly_to_json, table_from_json,
-                     table_to_json, trig_from_json)
+from .jsonio import (_pairs, dumps, poly_from_json, poly_to_json,
+                     table_from_json, table_to_json, trig_from_json)
 from .moments import QuadratureConfig, is_positive, moments_from_density
 from .reconstruct import factor_trig, reconstruct_p
 from .sos import certificate_closed_face, certificate_open_face
@@ -67,11 +82,17 @@ def _cmd_moments(args):
     return table_to_json(table), 0
 
 
+def _check_doc(report):
+    return {"holds": report.holds, "max_violation": report.max_violation,
+            "dimA": report.dim_a, "dimB": report.dim_b,
+            "d_min": report.d_min, "d_max": report.d_max}
+
+
 def _cmd_check(args):
     table = _positive_table(args, _read_json(args.moments))
     space = MomentSpace(table, args.n, args.m)
     report = check_matrix_condition(build_operators(space), **_given(args, "tol"))
-    return report.to_json(), 0 if report.holds else 1
+    return _check_doc(report), 0 if report.holds else 1
 
 
 def _cmd_reconstruct(args):
@@ -92,32 +113,56 @@ def _cmd_sos(args):
     p = poly_from_json(_read_json(args.poly))
     cert = certificate_open_face(p, **_given(args, "tol")) if args.open_face \
         else certificate_closed_face(p)
-    return cert.to_json(), 0
+    return {"A": [poly_to_json(q) for q in cert.a_list],
+            "B": [poly_to_json(q) for q in cert.b_list],
+            "C": [poly_to_json(q) for q in cert.c_list],
+            "n1": cert.n1, "n2": cert.n2, "deg": list(cert.deg),
+            "residual": cert.residual, "variant": cert.variant}, 0
 
 
 def _cmd_gdv(args):
-    p = poly_from_json(_read_json(args.poly))
-    rep = build_detrep(p)
-    return {"mu": [rep.mu.real, rep.mu.imag],
-            "geometry": rep.geometry.to_json(),
-            "detrep": rep.to_json()}, 0
+    rep = build_detrep(poly_from_json(_read_json(args.poly)))
+    geo = rep.geometry
+    return {"mu": _pairs(rep.mu),
+            "geometry": {"passed": geo.passed, "worst_deviation": geo.worst_deviation,
+                         "worst_z": _pairs(geo.worst_z),
+                         "worst_w": _pairs(geo.worst_w)},
+            "detrep": {"U": _pairs(rep.u), "n1": rep.n1, "n2": rep.n2,
+                       "scale": _pairs(rep.scale), "residual": rep.residual}}, 0
+
+
+def _depth(text):
+    """--depth's Nmax,Mmax as a pair of integers."""
+    try:
+        Nmax, Mmax = map(int, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected Nmax,Mmax, not {text!r}") from None
+    return Nmax, Mmax
 
 
 def _cmd_full(args):
     table = table_from_json(_read_json(args.moments))
-    Nmax, Mmax = (None, None)
-    if args.depth:
-        Nmax, Mmax = (int(x) for x in args.depth.split(","))
-    report = check_full_measure(table, args.n, args.m, Nmax, Mmax,
+    report = check_full_measure(table, args.n, args.m, *args.depth or (None, None),
                                 **_given(args, "tol"))
     code = {"pass": 0, "fail": 1, "inconclusive": 3}[report.verdict]
-    return report.to_json(), code
+    return {"positivity_ok": report.positivity_ok,
+            "min_eigenvalue": report.min_eigenvalue,
+            "e2_conditions": {f"{N},{M}": v
+                              for (N, M), v in report.e2_conditions.items()},
+            "h_conditions": {str(M): v for M, v in report.h_conditions.items()},
+            "verdict": report.verdict,
+            "depth": list(report.depth), "tol": report.tol}, code
 
 
 def _cmd_ar(args):
     table = table_from_json(_read_json(args.autocorr))
-    sol = solve_ar(ArProblem(args.n, args.m, table), **_given(args, "tol"))
-    return sol.to_json(), 0 if sol.classification != "none" else 1
+    sol = solve_ar(table, args.n, args.m, **_given(args, "tol"))
+    a = None if sol.coefficients is None else poly_to_json(sol.coefficients)
+    diagnostics = _check_doc(sol.report) | {
+        "a_operator_norm": sol.a_operator_norm,
+        "min_eigenvalue": sol.min_eigenvalue}
+    return {"classification": sol.classification, "a": a,
+            "diagnostics": diagnostics}, 0 if sol.classification != "none" else 1
 
 
 @functools.cache
@@ -162,7 +207,7 @@ def build_parser():
         if name == "sos":
             s.add_argument("--open-face", action="store_true")
         if name == "full":
-            s.add_argument("--depth", help="Nmax,Mmax")
+            s.add_argument("--depth", type=_depth, help="Nmax,Mmax")
         if tol_of is None:
             continue
         default = inspect.signature(tol_of).parameters

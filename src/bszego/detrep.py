@@ -57,12 +57,6 @@ class DetRep:
         det = np.linalg.det(self.u * dd - np.eye(len(self.u)) * dg)
         return complex(det) if det.ndim == 0 else det
 
-    def to_json(self):
-        return {"U": [[[v.real, v.imag] for v in row] for row in self.u],
-                "n1": self.n1, "n2": self.n2,
-                "scale": [self.scale.real, self.scale.imag],
-                "residual": self.residual}
-
 
 @dataclass(frozen=True)
 class GeometryReport:
@@ -70,12 +64,6 @@ class GeometryReport:
     worst_deviation: float
     worst_z: complex
     worst_w: complex
-
-    def to_json(self):
-        return {"passed": self.passed,
-                "worst_deviation": self.worst_deviation,
-                "worst_z": [self.worst_z.real, self.worst_z.imag],
-                "worst_w": [self.worst_w.real, self.worst_w.imag]}
 
 
 def check_self_reflective(p: BiPoly) -> complex:

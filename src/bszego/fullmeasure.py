@@ -36,16 +36,6 @@ class FullMeasureReport:
     depth: tuple
     tol: float
 
-    def to_json(self):
-        return {"positivity_ok": self.positivity_ok,
-                "min_eigenvalue": self.min_eigenvalue,
-                "e2_conditions": {f"{N},{M}": v
-                                  for (N, M), v in self.e2_conditions.items()},
-                "h_conditions": {str(M): v
-                                 for M, v in self.h_conditions.items()},
-                "verdict": self.verdict,
-                "depth": list(self.depth), "tol": self.tol}
-
 
 def _nested_inverse_max(G, size, first, cols, where):
     """Largest |entry| in the last block rows of nested windows' inverses.

@@ -21,8 +21,11 @@ from .moments import MomentTable, TrigPoly
 from .poly import BiPoly
 
 
-def _pairs(arr):
-    return [[[v.real, v.imag] for v in row] for row in np.asarray(arr, dtype=complex)]
+def _pairs(a):
+    """Complex numbers as [re, im]: one pair for a number, rows for a grid."""
+    a = np.asarray(a, dtype=complex)
+    rows = [[[v.real, v.imag] for v in row] for row in np.atleast_2d(a)]
+    return rows if a.ndim else rows[0][0]
 
 
 def _unpairs(data, what):

@@ -22,6 +22,7 @@ keeping the largest t whose blocks still certify p itself.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,7 +30,8 @@ import numpy as np
 from .errors import (CommonFactor, DegenerateForm, InvalidDegree,
                      MomentDivergence, NoConvergence, RootNearTorus)
 from .moments import moments_from_density
-from .poly import CLUSTER_TOL, BiPoly, content_roots, reflect, w_roots
+from .poly import (CLUSTER_TOL, BiPoly, _readonly, content_roots, reflect,
+                   w_roots)
 from .space import MomentSpace
 from .splitshift import shift_split_from_p
 
@@ -56,14 +58,6 @@ class SosCertificate:
     def n2(self):
         return len(self.c_list)
 
-    def to_json(self):
-        from .jsonio import poly_to_json
-        return {"A": [poly_to_json(q) for q in self.a_list],
-                "B": [poly_to_json(q) for q in self.b_list],
-                "C": [poly_to_json(q) for q in self.c_list],
-                "n1": self.n1, "n2": self.n2, "deg": list(self.deg),
-                "residual": self.residual, "variant": self.variant}
-
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -84,31 +78,33 @@ def _values(polys, z, w):
     return (rows @ (w[:, None] ** np.arange(P))[:, :, None])[:, :, 0]
 
 
+@functools.cache
+def _verify_points():
+    """verify_certificate's z, w, zeta and eta, read-only.  Row i pairs
+    (z, w) with (zeta, eta): the diagonal rows, where the two are equal,
+    then the pairs."""
+    d = np.random.default_rng(0).uniform(-VERIFY_RADIUS, VERIFY_RADIUS,
+                                         (8, VERIFY_SAMPLES))
+    z, w, zeta, eta = d[::2] + 1j * d[1::2]     # rows: re z, im z, re w, ...
+    return tuple(map(_readonly, (np.tile(z, 2), np.tile(w, 2),
+                                 np.concatenate([z, zeta]),
+                                 np.concatenate([w, eta]))))
+
+
 def verify_certificate(p: BiPoly, cert: SosCertificate) -> ResidualReport:
     """Max relative residual of the certificate identity.
 
     Checks the diagonal identity at VERIFY_SAMPLES points of the square
     of half-width VERIFY_RADIUS and the full kernel identity at as many
-    point pairs, the same on every call: uniform draws from
-    ``np.random.default_rng(0)``.  The identity is polynomial, so sampling
-    past the torus is a strengthening.  The (z, w) and the (zeta, eta)
-    points are each evaluated once, in one product for p, its reflection
-    and every block polynomial; the diagonal check takes the values at
-    (z, w) as both factors.  Each check is relative to its largest term
-    at any of its points (at least 1).
+    point pairs: uniform draws from ``np.random.default_rng(0)``, made
+    once per process.  The identity is polynomial, so sampling past the
+    torus is a strengthening.  The (z, w) and the (zeta, eta) points are
+    each evaluated once, in one product for p, its reflection and every
+    block polynomial; the diagonal check takes the values at (z, w) as
+    both factors.  Each check is relative to its largest term at any of
+    its points (at least 1).
     """
-    rng = np.random.default_rng(0)
-
-    def draw(k):
-        re = rng.uniform(-VERIFY_RADIUS, VERIFY_RADIUS, size=k)
-        im = rng.uniform(-VERIFY_RADIUS, VERIFY_RADIUS, size=k)
-        return re + 1j * im
-
-    z, w = draw(VERIFY_SAMPLES), draw(VERIFY_SAMPLES)
-    zeta, eta = draw(VERIFY_SAMPLES), draw(VERIFY_SAMPLES)
-    # row i pairs (z, w) with (zeta, eta): the diagonal rows, then the pairs
-    zeta, eta = np.concatenate([z, zeta]), np.concatenate([w, eta])
-    z, w = np.tile(z, 2), np.tile(w, 2)
+    z, w, zeta, eta = _verify_points()
     values = _values((p, reflect(p, cert.deg), *cert.a_list, *cert.b_list,
                       *cert.c_list), zeta, eta)
     terms = np.tile(values[:VERIFY_SAMPLES], (2, 1)) * np.conj(values)

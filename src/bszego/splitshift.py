@@ -85,11 +85,6 @@ class StratificationReport:
     d_min: int
     d_max: int
 
-    def to_json(self):
-        return {"holds": self.holds, "max_violation": self.max_violation,
-                "dimA": self.dim_a, "dimB": self.dim_b,
-                "d_min": self.d_min, "d_max": self.d_max}
-
 
 def build_operators(space: MomentSpace) -> ShiftOperators:
     """The A, B, T matrices for the form at the space's caps (n, m)."""

@@ -1,8 +1,14 @@
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 
 from bszego import (BiPoly, MomentSpace, MomentTable, SubspaceBasis, TrigPoly,
                     moments_from_density, reflect, sos)
+from bszego.cli import main as cli_main
+from bszego.jsonio import dumps
 from bszego.moments import _poly_grid_rows
 from bszego.poly import as_bipoly
 
@@ -243,3 +249,13 @@ def pad_table(diag_fn, jmax, kmax):
 
 def poly(rows):
     return as_bipoly(np.asarray(rows, dtype=complex))
+
+
+def cli_document(tmp_path, command, flag, doc, *args):
+    """Exit code and printed document of one CLI call whose input flag
+    names a file holding doc."""
+    path = tmp_path / f"{command}-input.json"
+    path.write_text(dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli_main([command, flag, str(path), *args])
+    return code, json.loads(out.getvalue())

@@ -7,8 +7,8 @@ import time
 
 import numpy as np
 
-from bszego import (ArProblem, BiPoly, MomentSpace, MomentTable,
-                    MomentDivergence, NotGdv, NotPositive, QuadratureConfig,
+from bszego import (BiPoly, MomentSpace, MomentTable, MomentDivergence,
+                    NotGdv, NotPositive, QuadratureConfig,
                     TrigPoly, build_operators, build_detrep,
                     certificate_closed_face, check_full_measure,
                     check_matrix_condition, enumerate_split_polys, gw_check,
@@ -249,16 +249,16 @@ def test_criterion_10_autoregressive(p_2zw):
     details = []
     for p, expected, coeffs in cases:
         table = moments_from_density(p, 1, 1)
-        sol = solve_ar(ArProblem(1, 1, table))
+        sol = solve_ar(table, 1, 1)
         case_ok = (sol.classification == expected
                    and np.allclose(sol.coefficients.coeffs, coeffs,
                                    atol=1e-8))
         for s in (1e-3, 1e3):
-            case_ok &= solve_ar(ArProblem(1, 1, MomentTable(1, 1, table.c * s))
+            case_ok &= solve_ar(MomentTable(1, 1, table.c * s), 1, 1
                                 ).classification == expected
         ok &= case_ok
         details.append(f"{sol.classification} (A "
-                       f"{sol.diagnostics['a_operator_norm']:.1e}) "
+                       f"{sol.a_operator_norm:.1e}) "
                        f"{'ok' if case_ok else 'WRONG'}")
     report(10, ok, "2-zw, 1+4z+w, (1-2z)(2-w): " + "; ".join(details))
 
@@ -276,7 +276,7 @@ def test_criterion_11_negative_controls(tmp_path, p_2zw):
     posi, _ = is_positive(MomentTable(1, 1, bad), 1, 1)
     ok &= not posi
     try:
-        solve_ar(ArProblem(1, 1, MomentTable(1, 1, bad)))
+        solve_ar(MomentTable(1, 1, bad), 1, 1)
         ok = False
     except NotPositive:
         details.append("indefinite NotPositive")

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from bszego import (ArProblem, BiPoly, MomentTable, NotPositive,
-                    moments_from_density, solve_ar)
+from bszego import (BiPoly, MomentTable, NotPositive, moments_from_density,
+                    solve_ar)
 
-from conftest import max_modulus_gap
+from bszego.jsonio import table_to_json
+
+from conftest import cli_document, max_modulus_gap
 
 
 def test_causal_product_filter(p_2zw):
     table = moments_from_density(p_2zw, 1, 1)
-    sol = solve_ar(ArProblem(1, 1, table))
+    sol = solve_ar(table, 1, 1)
     assert sol.classification == "causal"
     # coefficients follow the (2, -1) pattern exactly (unit noise variance)
     assert np.allclose(sol.coefficients.coeffs, [[2, 0], [0, -1]], atol=1e-8)
@@ -25,7 +27,7 @@ def test_one_space_per_solve(p_2zw, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(MomentSpace, "__init__", spy)
-    sol = solve_ar(ArProblem(1, 1, moments_from_density(p_2zw, 1, 1)))
+    sol = solve_ar(moments_from_density(p_2zw, 1, 1), 1, 1)
     assert sol.classification == "causal"
     assert len(builds) == 1
 
@@ -35,9 +37,9 @@ def test_acausal_forced():
     # be flipped away (no z-only factor)
     p = BiPoly([[0, -0.5], [1, 0]])
     table = moments_from_density(p, 1, 1)
-    sol = solve_ar(ArProblem(1, 1, table))
+    sol = solve_ar(table, 1, 1)
     assert sol.classification == "acausal"
-    assert sol.diagnostics["a_operator_norm"] > 1e-4
+    assert sol.a_operator_norm > 1e-4
     assert max_modulus_gap(sol.coefficients, p * (1 / _norm(table, p))) < 1e-7
 
 
@@ -53,7 +55,7 @@ def test_none_classification():
         return 0.5 / np.abs(2.0 - zz * ww) ** 2 + 0.5 / np.abs(2.0 - zz) ** 2
 
     table = moments_from_grid_function(dens, 2, 1)
-    sol = solve_ar(ArProblem(2, 1, table))
+    sol = solve_ar(table, 2, 1)
     assert sol.classification == "none"
     assert sol.coefficients is None
 
@@ -61,25 +63,29 @@ def test_none_classification():
 def test_not_positive():
     c = np.zeros((3, 3), dtype=complex)
     with pytest.raises(NotPositive):
-        solve_ar(ArProblem(1, 1, MomentTable(1, 1, c)))
+        solve_ar(MomentTable(1, 1, c), 1, 1)
 
 
 def test_scale_invariance(p_2zw):
     table = moments_from_density(p_2zw, 1, 1)
-    base = solve_ar(ArProblem(1, 1, table)).classification
+    base = solve_ar(table, 1, 1).classification
     pA = BiPoly([[0, -0.5], [1, 0]])
     tableA = moments_from_density(pA, 1, 1)
-    baseA = solve_ar(ArProblem(1, 1, tableA)).classification
+    baseA = solve_ar(tableA, 1, 1).classification
     for s in (1e-3, 1e3):
-        sol = solve_ar(ArProblem(1, 1, MomentTable(1, 1, table.c * s)))
+        sol = solve_ar(MomentTable(1, 1, table.c * s), 1, 1)
         assert sol.classification == base
-        solA = solve_ar(ArProblem(1, 1, MomentTable(1, 1, tableA.c * s)))
+        solA = solve_ar(MomentTable(1, 1, tableA.c * s), 1, 1)
         assert solA.classification == baseA
 
 
-def test_solution_json(p_2zw):
+def test_solution_json(p_2zw, tmp_path):
     table = moments_from_density(p_2zw, 1, 1)
-    doc = solve_ar(ArProblem(1, 1, table)).to_json()
-    assert doc["classification"] == "causal"
+    sol = solve_ar(table, 1, 1)
+    code, doc = cli_document(tmp_path, "ar", "--autocorr", table_to_json(table),
+                             "--n", "1", "--m", "1")
+    assert code == 0
+    assert doc["classification"] == sol.classification == "causal"
     assert doc["a"]["deg"] == [1, 1]
-    assert "a_operator_norm" in doc["diagnostics"]
+    assert doc["diagnostics"]["a_operator_norm"] == sol.a_operator_norm
+    assert doc["diagnostics"]["min_eigenvalue"] == sol.min_eigenvalue

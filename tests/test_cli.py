@@ -24,6 +24,9 @@ def run(argv):
     return code, buf.getvalue()
 
 
+CHECK_KEYS = {"holds", "max_violation", "dimA", "dimB", "d_min", "d_max"}
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory, p_2zw):
     d = tmp_path_factory.mktemp("cli")
@@ -58,6 +61,7 @@ def test_moments_then_check_then_reconstruct(files, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["holds"] is True and doc["d_max"] == 0
+    assert set(doc) == CHECK_KEYS
 
     code, out = run(["reconstruct", "--moments", str(mpath),
                      "--n", "1", "--m", "1"])
@@ -157,6 +161,8 @@ def test_gdv_positive(files):
     doc = json.loads(out)
     assert doc["detrep"]["residual"] < 1e-6
     assert doc["geometry"]["passed"] is True
+    assert doc["detrep"]["n1"] == 0 and doc["detrep"]["n2"] == 1
+    assert len(doc["detrep"]["U"]) == 2 and len(doc["detrep"]["U"][0]) == 2
 
 
 def test_sos_command(files):
@@ -164,6 +170,7 @@ def test_sos_command(files):
     assert code == 0
     doc = json.loads(out)
     assert (len(doc["A"]), doc["n1"], doc["n2"]) == (1, 1, 0)
+    assert doc["variant"] == "L"
     code2, out2 = run(["sos", "--poly", files["p.json"]])
     assert out == out2          # byte-identical: the sampled points are fixed
 
@@ -183,7 +190,9 @@ def test_full_command(files, tmp_path):
     code, out = run(["full", "--moments", str(mpath),
                      "--n", "1", "--m", "1", "--depth", "4,4"])
     assert code == 0
-    assert json.loads(out)["verdict"] == "pass"
+    doc = json.loads(out)
+    assert doc["verdict"] == "pass"
+    assert doc["depth"] == [4, 4]
 
 
 def test_ar_command(files, tmp_path):
@@ -193,7 +202,51 @@ def test_ar_command(files, tmp_path):
     mpath.write_text(out)
     code, out = run(["ar", "--autocorr", str(mpath), "--n", "1", "--m", "1"])
     assert code == 0
-    assert json.loads(out)["classification"] == "causal"
+    doc = json.loads(out)
+    assert doc["classification"] == "causal"
+    assert doc["a"]["deg"] == [1, 1]
+    assert "a_operator_norm" in doc["diagnostics"]
+    # an order above the table's window
+    code, out = run(["ar", "--autocorr", str(mpath), "--n", "2", "--m", "1"])
+    assert code == 2
+    assert json.loads(out)["error"] == "InsufficientMoments"
+
+
+def test_document_keys(files, tmp_path):
+    # the top-level keys of every subcommand's document, and of its nested
+    # objects
+    mpath = tmp_path / "m.json"
+    mpath.write_text(run(["moments", "--poly", files["p.json"],
+                          "--jmax", "5", "--kmax", "4"])[1])
+    table = ["--moments", str(mpath)] + N_M
+    poly = {"deg", "coeffs"}
+    docs = {}
+    for argv in (["moments", "--poly", files["p.json"]] + WINDOW,
+                 ["check"] + table, ["reconstruct"] + table,
+                 ["factor", "--trig", files["trig.json"]] + N_M,
+                 ["sos", "--poly", files["p.json"]],
+                 ["gdv", "--poly", files["zw.json"]],
+                 ["full"] + table, ["ar", "--autocorr", str(mpath)] + N_M):
+        code, out = run(argv)
+        assert code == 0
+        docs[argv[0]] = json.loads(out)
+    assert {name: set(doc) for name, doc in docs.items()} == {
+        "moments": {"jmax", "kmax", "c"},
+        "check": CHECK_KEYS,
+        "reconstruct": poly,
+        "factor": poly,
+        "sos": {"A", "B", "C", "n1", "n2", "deg", "residual", "variant"},
+        "gdv": {"mu", "geometry", "detrep"},
+        "full": {"positivity_ok", "min_eigenvalue", "e2_conditions",
+                 "h_conditions", "verdict", "depth", "tol"},
+        "ar": {"classification", "a", "diagnostics"},
+    }
+    assert set(docs["gdv"]["geometry"]) == {"passed", "worst_deviation",
+                                            "worst_z", "worst_w"}
+    assert set(docs["gdv"]["detrep"]) == {"U", "n1", "n2", "scale", "residual"}
+    assert set(docs["ar"]["diagnostics"]) == CHECK_KEYS | {"a_operator_norm",
+                                                           "min_eigenvalue"}
+    assert set(docs["ar"]["a"]) == poly
 
 
 def test_stdin_input(files, monkeypatch, p_2zw):
@@ -330,6 +383,9 @@ def test_non_number_entries_exit_2(tmp_path, pipeline, flag, extra, what, value)
     _case("no command", [], "the following arguments are required: command"),
     _case("bad int", ["moments", "--poly", "{p}", "--jmax", "x", "--kmax", "1"],
           "argument --jmax: invalid int value: 'x'"),
+    *(_case(f"depth {depth}", ["full", "--moments", "{p}", "--depth", depth] + N_M,
+            f"argument --depth: expected Nmax,Mmax, not '{depth}'")
+      for depth in ("4", "4,x", "4,4,4", "1.5,2")),
 ])
 def test_usage_errors_exit_2_with_json(files, argv, message):
     code, out = run([a.format(p=files["p.json"]) for a in argv])

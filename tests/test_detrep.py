@@ -16,6 +16,8 @@ from bszego import cli, detrep
 from bszego.detrep import GEOMETRY_GRID
 from bszego.jsonio import dumps, poly_to_json
 
+from conftest import cli_document
+
 P_ZW = BiPoly([[0, -1], [1, 0]])          # z - w
 P_Z2W = BiPoly([[0, -1], [0, 0], [1, 0]])  # z^2 - w
 P_Z2W_BAD = BiPoly([[0, -2], [1, 0]])      # z - 2w
@@ -187,10 +189,14 @@ def test_detrep_rejects_non_gdv():
         build_detrep(P_Z2W_BAD)
 
 
-def test_detrep_json():
-    doc = build_detrep(P_ZW).to_json()
-    assert doc["n1"] == 0 and doc["n2"] == 1
-    assert len(doc["U"]) == 2 and len(doc["U"][0]) == 2
+def test_detrep_json(tmp_path):
+    rep = build_detrep(P_ZW)
+    code, doc = cli_document(tmp_path, "gdv", "--poly", poly_to_json(P_ZW))
+    assert code == 0
+    assert doc["detrep"]["n1"] == rep.n1 == 0 and doc["detrep"]["n2"] == rep.n2 == 1
+    U = doc["detrep"]["U"]
+    assert len(U) == 2 and len(U[0]) == 2
+    assert np.allclose(np.array(U)[..., 0] + 1j * np.array(U)[..., 1], rep.u)
 
 
 def test_detrep_scale_against_input():

@@ -8,7 +8,9 @@ from bszego.fullmeasure import _nested_inverse_max
 from bszego.moments import gram
 from bszego.space import TRI_BLOCK
 
-from conftest import geometric_diag_moment, rect
+from bszego.jsonio import table_to_json
+
+from conftest import cli_document, geometric_diag_moment, rect
 
 
 def lebesgue(jmax, kmax):
@@ -114,10 +116,13 @@ def test_window_normalization_stability(p_2zw):
     assert np.max(np.abs(a.coeffs - bt.coeffs)) < 1e-8
 
 
-def test_report_json():
-    doc = check_full_measure(lebesgue(4, 3), 0, 0, 2, 2).to_json()
-    assert doc["verdict"] == "pass"
-    assert doc["depth"] == [2, 2]
+def test_report_json(tmp_path):
+    report = check_full_measure(lebesgue(4, 3), 0, 0, 2, 2)
+    code, doc = cli_document(tmp_path, "full", "--moments", table_to_json(lebesgue(4, 3)),
+                             "--n", "0", "--m", "0", "--depth", "2,2")
+    assert code == 0
+    assert doc["verdict"] == report.verdict == "pass"
+    assert doc["depth"] == list(report.depth) == [2, 2]
 
 
 def dense_conditions(table, n, m, Nmax, Mmax):

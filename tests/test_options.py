@@ -1,5 +1,6 @@
 """Every settable option of the library and every optional CLI flag is
-listed here, and the library's public names are counted.
+listed here, the library's public names are counted, and only the CLI
+may import the JSON layer.
 
 An option is a defaulted parameter of a public function or method, or a
 field of a ``*Config`` dataclass, anywhere in ``src/bszego``.  A new one
@@ -37,7 +38,7 @@ ALLOWED = {
 }
 
 # top-level public functions and classes plus their public methods
-PUBLIC_NAMES = 117
+PUBLIC_NAMES = 110
 
 # (subcommand, flag) for each optional flag, on the subcommands that read it
 CLI_FLAGS = {
@@ -144,3 +145,26 @@ def unused_imports():
 
 def test_every_import_is_used():
     assert unused_imports() == []
+
+
+def jsonio_importers():
+    """The src/bszego modules that import jsonio, in any form of import and
+    at any depth, function-local imports included."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any("jsonio" in name.split(".") for name in names):
+                found.add(path.stem)
+    return found
+
+
+def test_only_the_cli_imports_jsonio():
+    # the layout of every output document lives in one module: the library
+    # returns plain data and the CLI writes it
+    assert jsonio_importers() == {"cli"}

@@ -9,7 +9,10 @@ from bszego import (BiPoly, CommonFactor, NoConvergence,
 from bszego import sos
 from bszego.sos import SosCertificate, common_factor_with_reflection
 
-from conftest import assert_stacked_values_match, brute_inner, torus_grid
+from bszego.jsonio import poly_to_json
+
+from conftest import (assert_stacked_values_match, brute_inner, cli_document,
+                      torus_grid)
 
 
 def test_cert_2zw_matches_analytic(p_2zw):
@@ -260,8 +263,10 @@ def test_cert_declared_degree():
     assert cert.deg == (1, 0)
 
 
-def test_cert_json(p_2zw):
-    doc = certificate_closed_face(p_2zw).to_json()
-    assert doc["variant"] == "L"
+def test_cert_json(p_2zw, tmp_path):
+    cert = certificate_closed_face(p_2zw)
+    code, doc = cli_document(tmp_path, "sos", "--poly", poly_to_json(p_2zw))
+    assert code == 0
+    assert doc["variant"] == cert.variant == "L"
     assert doc["n1"] == 1 and doc["n2"] == 0
-    assert len(doc["A"]) == 1
+    assert len(doc["A"]) == len(cert.a_list) == 1

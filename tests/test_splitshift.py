@@ -14,8 +14,11 @@ from bszego import splitshift
 from bszego.splitshift import (FACE_MARGIN, FACE_SAMPLES, assert_no_face_zeros,
                                split_poly_of)
 
-from conftest import (containment_defect, gram_from_table, gram_schmidt_coeffs,
-                      max_modulus_gap, random_corpus_poly, subspace_angle)
+from bszego.jsonio import table_to_json
+
+from conftest import (cli_document, containment_defect, gram_from_table,
+                      gram_schmidt_coeffs, max_modulus_gap, random_corpus_poly,
+                      subspace_angle)
 
 
 @pytest.fixture(scope="module")
@@ -383,12 +386,15 @@ def test_gw_equals_shift_containment(space_2zw):
     assert containment_defect(space_2zw, ze1, e1big) < 1e-8
 
 
-def test_report_json(space_2zw):
+def test_report_json(space_2zw, table_2zw, tmp_path):
     rep = check_matrix_condition(build_operators(space_2zw))
-    doc = rep.to_json()
-    assert doc["holds"] is True
+    code, doc = cli_document(tmp_path, "check", "--moments",
+                             table_to_json(table_2zw.window(1, 1)), "--n", "1", "--m", "1")
+    assert code == 0
+    assert doc["holds"] is rep.holds is True
     assert set(doc) == {"holds", "max_violation", "dimA", "dimB",
                         "d_min", "d_max"}
+    assert doc["max_violation"] == rep.max_violation
 
 
 def _face_zero_message(p):
