@@ -14,13 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NotPositive
-from .moments import MomentTable, is_positive
+import numpy as np
+
+from .moments import MomentTable
 from .poly import BiPoly
 from .reconstruct import _reconstruct
-from .space import MomentSpace
-from .splitshift import (MC_TOL, StratificationReport, a_operator_norm,
-                         build_operators, check_matrix_condition)
+from .splitshift import MC_TOL, StratificationReport, _positive_form
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,14 +43,9 @@ def solve_ar(table: MomentTable, n, m, tol=MC_TOL) -> ArSolution:
     invariant under positive rescaling of the autocorrelations: the
     operators live in orthonormal coordinates.
     """
-    ok, lam = is_positive(table, n, m)
-    if not ok:
-        raise NotPositive(
-            f"autocorrelation form is not positive definite (eig {lam:.3e})")
-    space = MomentSpace(table, n, m)
-    ops = build_operators(space)
-    report = check_matrix_condition(ops, tol)
-    a_norm = a_operator_norm(ops)
+    space, ops, report, lam = _positive_form(table, n, m, tol)
+    # at m = 0 the A operator is 0 x n, which the spectral norm cannot take
+    a_norm = float(np.linalg.norm(ops.a_mat, 2)) if ops.a_mat.size else 0.0
     if not report.holds:
         classification, p = "none", None
     else:

@@ -32,15 +32,14 @@ import sys
 from . import __version__
 from .arfilter import solve_ar
 from .detrep import build_detrep
-from .errors import BszegoError, InvalidInput, NotPositive
+from .errors import BszegoError, InvalidInput
 from .fullmeasure import check_full_measure
 from .jsonio import (_pairs, dumps, poly_from_json, poly_to_json,
                      table_from_json, table_to_json, trig_from_json)
-from .moments import QuadratureConfig, is_positive, moments_from_density
+from .moments import QuadratureConfig, moments_from_density
 from .reconstruct import factor_trig, reconstruct_p
 from .sos import certificate_closed_face, certificate_open_face
-from .space import MomentSpace
-from .splitshift import build_operators, check_matrix_condition
+from .splitshift import _positive_form, check_matrix_condition
 
 class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors raise InvalidInput, so that they exit 2
@@ -68,14 +67,6 @@ def _qcfg(args):
     return QuadratureConfig(**_given(args, "max_grid", "tol"))
 
 
-def _positive_table(args, doc):
-    table = table_from_json(doc)
-    ok, lam = is_positive(table, args.n, args.m)
-    if not ok:
-        raise NotPositive(f"moment form not positive (eigenvalue {lam:.3e})")
-    return table
-
-
 def _cmd_moments(args):
     p = poly_from_json(_read_json(args.poly))
     table = moments_from_density(p, args.jmax, args.kmax, _qcfg(args))
@@ -89,14 +80,13 @@ def _check_doc(report):
 
 
 def _cmd_check(args):
-    table = _positive_table(args, _read_json(args.moments))
-    space = MomentSpace(table, args.n, args.m)
-    report = check_matrix_condition(build_operators(space), **_given(args, "tol"))
+    table = table_from_json(_read_json(args.moments))
+    _, _, report, _ = _positive_form(table, args.n, args.m, **_given(args, "tol"))
     return _check_doc(report), 0 if report.holds else 1
 
 
 def _cmd_reconstruct(args):
-    table = _positive_table(args, _read_json(args.moments))
+    table = table_from_json(_read_json(args.moments))
     p = reconstruct_p(table, args.n, args.m, **_given(args, "tol"))
     return poly_to_json(p), 0
 

@@ -13,13 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (DegenerateForm, MatrixConditionFails, NoConvergence,
-                     NotFactorable, NotPositive)
-from .moments import (MomentTable, QuadratureConfig, TrigPoly, is_positive,
-                      moments_from_trig)
+                     NotFactorable)
+from .moments import MomentTable, QuadratureConfig, TrigPoly, moments_from_trig
 from .poly import BiPoly, reflect
 from .space import MomentSpace
-from .splitshift import (MC_TOL, ShiftOperators, _operators_under_condition,
-                         assert_no_face_zeros, minimal_split_poly)
+from .splitshift import (MC_TOL, ShiftOperators, _positive_form,
+                         _require_condition, assert_no_face_zeros,
+                         minimal_split_poly)
 
 KERNEL_TOL = 1e-8   # kernel identity residual, relative to max |kernel|
 FACTOR_TOL = 1e-7   # factor_trig's bound on the l1 gap of |p|^2 - t, relative to t_00
@@ -49,11 +49,12 @@ def kernel_poly(space: MomentSpace) -> BiPoly:
 def reconstruct_p(table: MomentTable, n, m, tol=MC_TOL) -> BiPoly:
     """The polynomial p with the given Bernstein-Szego moments.
 
-    Requires the matrix condition; the result is the stable-content
-    representative, unit-norm under the form, with canonical phase.
+    Requires a positive form (NotPositive otherwise) and the matrix
+    condition; the result is the stable-content representative,
+    unit-norm under the form, with canonical phase.
     """
-    space = MomentSpace(table, n, m)
-    ops, _ = _operators_under_condition(space, tol)
+    space, ops, report, _ = _positive_form(table, n, m, tol)
+    _require_condition(report)
     return _reconstruct(space, ops)
 
 
@@ -81,9 +82,6 @@ def factor_trig(t: TrigPoly, n, m, cfg: QuadratureConfig = QuadratureConfig()):
     face exists.
     """
     table = moments_from_trig(t, n, m, cfg)
-    ok, lam = is_positive(table, n, m)
-    if not ok:
-        raise NotPositive(f"moment Gram has eigenvalue {lam:.3e}")
     try:
         p = reconstruct_p(table, n, m)
     except MatrixConditionFails as exc:

@@ -32,7 +32,8 @@ from itertools import product
 import numpy as np
 
 from .errors import (DegenerateForm, DNotAdmissible, InvalidDegree,
-                     MatrixConditionFails, RootNearTorus)
+                     MatrixConditionFails, NotPositive, RootNearTorus)
+from .moments import MomentTable, is_positive
 from .poly import BiPoly, canonical_phase, split_stable, w_roots
 from .space import MomentSpace, SubspaceBasis
 
@@ -141,10 +142,28 @@ def check_matrix_condition(ops: ShiftOperators, tol=MC_TOL) -> StratificationRep
                                 d_min=dim_a, d_max=n - dim_b)
 
 
-def a_operator_norm(ops: ShiftOperators):
-    if ops.a_mat.size == 0:
-        return 0.0
-    return float(np.linalg.norm(ops.a_mat, 2))
+def _positive_form(table: MomentTable, n, m, tol=MC_TOL):
+    """(space, operators, report, lam) of the form at caps (n, m).
+
+    The one positivity gate of check, reconstruct, ar and factor:
+    NotPositive unless the form is positive definite on [0,n] x [0,m],
+    lam being its Gram's smallest eigenvalue.  Then the moment space,
+    its shift operators and their matrix condition within ``tol``.
+    """
+    ok, lam = is_positive(table, n, m)
+    if not ok:
+        raise NotPositive(f"moment form not positive (eigenvalue {lam:.3e})")
+    space = MomentSpace(table, n, m)
+    ops = build_operators(space)
+    return space, ops, check_matrix_condition(ops, tol), lam
+
+
+def _require_condition(report: StratificationReport):
+    """MatrixConditionFails unless the report's matrix condition holds."""
+    if not report.holds:
+        raise MatrixConditionFails(
+            f"max ||A T^j B|| = {report.max_violation:.3e}; "
+            "no closed-face Bernstein-Szego representation exists")
 
 
 def _coords_to_basis(e1: SubspaceBasis, coords) -> SubspaceBasis:
@@ -246,18 +265,6 @@ def minimal_split_poly(space: MomentSpace, ops: ShiftOperators) -> BiPoly:
     return _split_from_k1(space, ops, a_coords).split_poly
 
 
-def _operators_under_condition(space: MomentSpace, tol):
-    """(operators, report) of the space; MatrixConditionFails unless the
-    matrix condition holds within ``tol``."""
-    ops = build_operators(space)
-    report = check_matrix_condition(ops, tol)
-    if not report.holds:
-        raise MatrixConditionFails(
-            f"max ||A T^j B|| = {report.max_violation:.3e}; "
-            "no closed-face Bernstein-Szego representation exists")
-    return ops, report
-
-
 def _middle_spectrum(ops: ShiftOperators):
     """(a, mid, t_mid, clusters): E1 coordinates of the A-space and the
     middle space, T* compressed to the latter, and its eigenvalue clusters
@@ -323,7 +330,9 @@ def split_poly_from_condition(space: MomentSpace, d) -> ShiftSplit:
     smallest-modulus content roots are flipped into the disk first and
     the slots at infinity last.
     """
-    ops, report = _operators_under_condition(space, MC_TOL)
+    ops = build_operators(space)
+    report = check_matrix_condition(ops)
+    _require_condition(report)
     if not (report.d_min <= d <= report.d_max):
         raise DNotAdmissible(
             f"d = {d} outside admissible [{report.d_min}, {report.d_max}]")
@@ -343,7 +352,8 @@ def enumerate_split_polys(space: MomentSpace):
     d = dim A + sum k_c.  All share |p|^2 on the torus.  Raises
     MatrixConditionFails when the form is not Bernstein-Szego.
     """
-    ops, _ = _operators_under_condition(space, MC_TOL)
+    ops = build_operators(space)
+    _require_condition(check_matrix_condition(ops))
     a, mid, t_mid, clusters = _middle_spectrum(ops)
     out = []
     for counts in product(*(range(mult + 1) for _, mult in clusters)):

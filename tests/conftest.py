@@ -103,6 +103,20 @@ def max_modulus_gap(p, q, N=256):
     return float(np.max(np.abs(np.abs(p(zz, ww)) ** 2 - np.abs(q(zz, ww)) ** 2)))
 
 
+def torus_modulus_gap(doc, p, N=64):
+    """max over the N x N torus grid of | |q|^2 - |p|^2 | relative to
+    max |p|^2, q the polynomial of a JSON document.
+
+    numpy only: the document's [re, im] pairs are read as an array, and
+    both polynomials are evaluated at the N-th roots of unity by the
+    inverse FFT of their zero-padded coefficient grids.
+    """
+    pairs = np.asarray(doc["coeffs"], dtype=float)
+    q = pairs[..., 0] + 1j * pairs[..., 1]
+    q2, p2 = (np.abs(N * N * np.fft.ifft2(c, s=(N, N))) ** 2 for c in (q, p))
+    return float(np.max(np.abs(q2 - p2)) / np.max(p2))
+
+
 def random_corpus_poly(rng, max_q_deg=2, max_factors=2, allow_unstable_q=False):
     """q(z) (stable unless flipped) times products of (alpha - z w)."""
     q = BiPoly([[1.0]])

@@ -106,9 +106,17 @@ def test_check_verdict_does_not_depend_on_scale(tmp_path, table_2zw):
                          _table_file(tmp_path, f"c{s}.json", table)] + nm)
         assert code == 0
         assert {k: json.loads(out)[k] for k in keys} == base
+        # one gate: check, reconstruct and ar refuse the indefinite table
+        # alike, with one message
         path = _table_file(tmp_path, f"i{s}.json", MomentTable(1, 1, s * bad))
-        code, out = run(["check", "--moments", path, "--n", "1", "--m", "1"])
-        assert code == 2 and json.loads(out)["error"] == "NotPositive"
+        docs = []
+        for command, flag in (("check", "--moments"), ("reconstruct", "--moments"),
+                              ("ar", "--autocorr")):
+            code, out = run([command, flag, path, "--n", "1", "--m", "1"])
+            docs.append(json.loads(out))
+            assert code == 2 and docs[-1]["error"] == "NotPositive"
+        assert docs[0]["message"].startswith("moment form not positive")
+        assert all(doc == docs[0] for doc in docs)
 
 
 def test_ill_conditioned_table_exit_3(tmp_path):

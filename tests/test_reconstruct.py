@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bszego import (BiPoly, DegenerateForm, MatrixConditionFails, MomentSpace,
-                    NotFactorable, TrigPoly, factor_trig,
+                    MomentTable, NotFactorable, NotPositive, TrigPoly, factor_trig,
                     moments_from_density, moments_from_grid_function,
                     reconstruct_p)
 from bszego import reconstruct
@@ -163,6 +163,12 @@ def test_matrix_condition_failure_raises():
     table = moments_from_grid_function(dens, 2, 1)
     with pytest.raises(MatrixConditionFails):
         reconstruct_p(table, 2, 1)
+
+
+def test_not_positive():
+    c = np.zeros((3, 3), dtype=complex)
+    with pytest.raises(NotPositive):
+        reconstruct_p(MomentTable(1, 1, c), 1, 1)
 
 
 def test_factor_trig_square_modulus(p_2zw):
