@@ -10,7 +10,7 @@ A complex number is [re, im]; polynomials and moment tables are as in
 
     moments: a moment table; reconstruct, factor: a polynomial
     check: holds, max_violation, dimA, dimB, d_min, d_max
-    sos: A, B, C (lists of polynomials), n1, n2, deg, residual, variant
+    sos: A, B, C (lists of polynomials), n1, n2, deg, residual, variant "L"
     gdv: mu, geometry {passed, worst_deviation, worst_z, worst_w},
         detrep {U, n1, n2, scale, residual}
     full: positivity_ok, min_eigenvalue, e2_conditions {"N,M": max},
@@ -107,7 +107,7 @@ def _cmd_sos(args):
             "B": [poly_to_json(q) for q in cert.b_list],
             "C": [poly_to_json(q) for q in cert.c_list],
             "n1": cert.n1, "n2": cert.n2, "deg": list(cert.deg),
-            "residual": cert.residual, "variant": cert.variant}, 0
+            "residual": cert.residual, "variant": "L"}, 0
 
 
 def _cmd_gdv(args):

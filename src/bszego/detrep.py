@@ -2,12 +2,17 @@
 
 A curve p(z, w) = 0 whose zero set avoids the bands |z| = 1, |w| != 1
 is self-reflective up to a unimodular constant; after normalizing
-p equal to its own reflection, the reflected w-derivative admits a
-G-variant sum-of-squares certificate whose blocks, sampled along the
-curve, define a partial isometry.  Completing it by a unitary Procrustes
+p equal to its own reflection, the reflected w-derivative P has a
+sum-of-squares certificate of G form: P's closed-face blocks with its
+reflection appended to the A block.  Sampled along the curve, they
+define a partial isometry.  Completing it by a unitary Procrustes
 fit yields U with det(U Delta - Gamma) a constant multiple of p, where
 
     Delta = diag(w I_m, z I_n1, I_n2),  Gamma = diag(I_m, I_n1, z I_n2).
+
+The fit bound and the pencil's coefficients check the answer.  Where P
+vanishes on the torus (sheets meeting over the circle, a repeated
+factor) its blocks cannot be built, and CertificateFailed is raised.
 """
 
 from __future__ import annotations
@@ -21,13 +26,12 @@ from .errors import (CertificateFailed, DegenerateSlice, FitResidualTooLarge,
                      NotGdv, NotSelfReflective, NumericalFailure, ZOnlyFactor)
 from .moments import _roots
 from .poly import BiPoly, content_roots, reflect, w_roots
-from .sos import certificate_open_face
+from .sos import _blocks_closed_face, _values
 
 
 SAMPLES = 128          # z points on the circle for variety sampling
 FIT_TOL = 1e-6         # on-variety Procrustes residual bound
 RESIDUAL_TOL = 1e-6    # largest det - scale * p coefficient gap, relative
-CERT_TOL = 1e-7        # open-face G-certificate tolerance
 REFLECT_TOL = 1e-8     # relative residual of the reflection identities
 GEOMETRY_GRID = 64     # z points on the circle for the geometry check
 GEOMETRY_TOL = 1e-6    # largest accepted | |w-root| - 1 |
@@ -171,25 +175,24 @@ def build_detrep(p: BiPoly) -> DetRep:
     p1 = pt * (1.0 / nu)
     p1 = (p1 + reflect(p1, p1.deg)) * 0.5     # exactify p1 = reflection(p1)
     n, m = p1.deg
-    P = reflect(p1.w_derivative(), (n, max(m - 1, 0)))
+    deg = (n, max(m - 1, 0))
+    P = reflect(p1.w_derivative(), deg)
     try:
-        cert = certificate_open_face(P, tol=CERT_TOL, variant="G",
-                                     deg=(n, max(m - 1, 0)))
+        cert = _blocks_closed_face(P, deg)
     except NumericalFailure as exc:
-        raise CertificateFailed(str(exc)) from exc
-    a_list, b_list, c_list = cert.a_list, cert.b_list, cert.c_list
-    n1, n2 = len(b_list), len(c_list)
-    dim = len(a_list) + n1 + n2
-    if len(a_list) != m or n1 + n2 != n:
         raise CertificateFailed(
-            f"block sizes ({len(a_list)}, {n1}, {n2}) incompatible with "
-            f"degree ({n}, {m})")
+            f"certificate of the reflected w-derivative: {exc}") from exc
+    # the G form: P's reflection is one more A polynomial
+    polys = (*cert.a_list, reflect(P, deg), *cert.b_list, *cert.c_list)
+    k, n1, n2 = len(cert.a_list) + 1, cert.n1, cert.n2
+    if k != m or n1 + n2 != n:
+        raise CertificateFailed(
+            f"block sizes ({k}, {n1}, {n2}) incompatible with degree ({n}, {m})")
 
     # at least 4 (m+n)^2 sample pairs; each circle point carries m roots
-    need = int(np.ceil(4.0 * dim * dim / max(m, 1)))
+    need = int(np.ceil(4.0 * len(polys) ** 2 / max(m, 1)))
     z, w = _variety_samples(p1, max(SAMPLES, need))
-    av, bv, cv = (np.array([q(z, w) for q in qs]).reshape(len(qs), z.size)
-                  for qs in (a_list, b_list, c_list))
+    av, bv, cv = np.split(_values(polys, z, w).T, [m, m + n1])
     xs = np.concatenate([w * av, z * bv, cv])
     ys = np.concatenate([av, bv, z * cv])
     u_l, _, v_h = np.linalg.svd(ys @ xs.conj().T)

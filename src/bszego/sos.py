@@ -12,9 +12,10 @@ and the kernel identity
     p pbar - prev prevbar = (1 - w etabar) sum A_j A_jbar
         + (1 - z zetabar) (sum B_j B_jbar - sum C_j C_jbar)
 
-holds as polynomials in (z, w, conj zeta, conj eta).  The G variant
-certifies p pbar - w etabar prev prevbar instead and simply appends the
-reflection of p to the A block.  Polynomials with zeros on the torus
+holds as polynomials in (z, w, conj zeta, conj eta).  That L identity is
+the only one certified here.  Its G form, p pbar - w etabar prev prevbar,
+takes the same blocks with the reflection of p appended to the A block;
+``detrep`` composes it for itself.  Polynomials with zeros on the torus
 (but none on |z| = 1, |w| < 1, and no common factor with their
 reflection) are handled by shrinking w, certifying p(z, t w), and
 keeping the largest t whose blocks still certify p itself.
@@ -27,8 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (CommonFactor, DegenerateForm, InvalidDegree,
-                     MomentDivergence, NoConvergence, RootNearTorus)
+from .errors import (CommonFactor, DegenerateForm, MomentDivergence,
+                     NoConvergence, RootNearTorus)
 from .moments import moments_from_density
 from .poly import (CLUSTER_TOL, BiPoly, _readonly, content_roots, reflect,
                    w_roots)
@@ -46,7 +47,6 @@ class SosCertificate:
     a_list: tuple
     b_list: tuple
     c_list: tuple
-    variant: str            # "L" or "G"
     residual: float
     deg: tuple              # degree pair at which p and its reflection live
 
@@ -110,8 +110,7 @@ def verify_certificate(p: BiPoly, cert: SosCertificate) -> ResidualReport:
     terms = np.tile(values[:VERIFY_SAMPLES], (2, 1)) * np.conj(values)
     s_a, s_b, s_c = (t.sum(axis=1) for t in np.split(
         terms[:, 2:], [len(cert.a_list), len(cert.a_list) + cert.n1], axis=1))
-    shift = w * np.conj(eta) if cert.variant == "G" else 1.0
-    lhs = terms[:, 0] - shift * terms[:, 1]
+    lhs = terms[:, 0] - terms[:, 1]
     rhs = (1 - w * np.conj(eta)) * s_a + (1 - z * np.conj(zeta)) * (s_b - s_c)
     scale = np.maximum(np.abs(terms).max(axis=1), 1.0).reshape(2, -1).max(axis=1)
     rel = (np.abs(lhs - rhs).reshape(2, -1) / scale[:, None]).ravel()
@@ -120,33 +119,28 @@ def verify_certificate(p: BiPoly, cert: SosCertificate) -> ResidualReport:
                           worst_point=(z[worst], w[worst], zeta[worst], eta[worst]))
 
 
-def _blocks_closed_face(p: BiPoly, variant, deg) -> SosCertificate:
-    """The blocks for p at degree ``deg``, residual not yet verified (nan)."""
+def _blocks_closed_face(p: BiPoly, deg) -> SosCertificate:
+    """The blocks for p at a degree pair ``deg`` at or above p's, residual
+    not yet verified (nan)."""
     pt = p.trimmed()
-    n, m = pt.deg if deg is None else deg
-    if pt.deg[0] > n or pt.deg[1] > m:
-        raise InvalidDegree("declared degree below the actual degree")
+    n, m = deg
     table = moments_from_density(pt, max(n, 1), max(m, 1))
     space = MomentSpace(table, n, m)
     split = shift_split_from_p(space, pt)
     a_list = tuple(space.basis("E2", n, m - 1).polys())
-    if variant == "G":
-        a_list = a_list + (reflect(pt, (n, m)),)
     b_list = tuple(split.k2.reflected((max(n - 1, 0), m)).polys())
     c_list = tuple(split.k1.polys())
     return SosCertificate(a_list=a_list, b_list=b_list, c_list=c_list,
-                          variant=variant, residual=np.nan, deg=(n, m))
+                          residual=np.nan, deg=(n, m))
 
 
-def certificate_closed_face(p: BiPoly, variant="L", deg=None) -> SosCertificate:
+def certificate_closed_face(p: BiPoly) -> SosCertificate:
     """Certificate for p with no zeros on the closed face.
 
-    Block counts are (m, n1, n2) in the L variant, with n2 the number of
-    zeros of p(z, 0) in the open disk; the G variant has one extra A
-    polynomial.  ``deg`` declares a formal degree pair above the actual
-    one (the reflection and the block counts are taken there).
+    Block counts are (m, n1, n2), with n2 the number of zeros of p(z, 0)
+    in the open disk.
     """
-    cert = _blocks_closed_face(p, variant, deg)
+    cert = _blocks_closed_face(p, p.trimmed().deg)
     return replace(cert, residual=verify_certificate(p, cert).residual)
 
 
@@ -156,7 +150,7 @@ def _scale_w(p: BiPoly, t) -> BiPoly:
     return BiPoly(c)
 
 
-def common_factor_with_reflection(p: BiPoly, deg=None):
+def common_factor_with_reflection(p: BiPoly):
     """Test whether p and its reflection share a factor.
 
     A z-only common factor is a root shared by the two z-only contents
@@ -166,7 +160,7 @@ def common_factor_with_reflection(p: BiPoly, deg=None):
     slices: enough for the certificate preflight.
     """
     pt = p.trimmed()
-    prev = reflect(pt, pt.deg if deg is None else deg).trimmed()
+    prev = reflect(pt, pt.deg).trimmed()
     r1, r2 = content_roots(pt), content_roots(prev)
     if np.abs(r1[:, None] - r2[None, :]).min(initial=np.inf) < CLUSTER_TOL:
         return True
@@ -179,8 +173,7 @@ def common_factor_with_reflection(p: BiPoly, deg=None):
     return not np.any(gap >= CLUSTER_TOL)
 
 
-def certificate_open_face(p: BiPoly, tol=1e-8, variant="L",
-                          deg=None) -> SosCertificate:
+def certificate_open_face(p: BiPoly, tol=1e-8) -> SosCertificate:
     """Certificate for p with no zeros on |z| = 1, |w| < 1.
 
     Zeros on the torus itself are allowed provided p shares no factor
@@ -189,16 +182,17 @@ def certificate_open_face(p: BiPoly, tol=1e-8, variant="L",
     of DEFAULT_SCHEDULE at which it still certifies p within ``tol``.
     """
     pt = p.trimmed()
-    if common_factor_with_reflection(pt, deg=deg):
+    if common_factor_with_reflection(pt):
         raise CommonFactor("p shares a factor with its reflection")
     try:
-        return certificate_closed_face(pt, variant, deg)
+        return certificate_closed_face(pt)
     except (MomentDivergence, RootNearTorus, DegenerateForm):
         pass
     tried = []
     for t in sorted(DEFAULT_SCHEDULE):
+        q = _scale_w(pt, t).trimmed()
         try:
-            cand = _blocks_closed_face(_scale_w(pt, t), variant, deg)
+            cand = _blocks_closed_face(q, q.deg)
         except (MomentDivergence, RootNearTorus, DegenerateForm):
             break                    # larger t only gets worse
         tried.append(replace(

@@ -111,10 +111,81 @@ def torus_modulus_gap(doc, p, N=64):
     both polynomials are evaluated at the N-th roots of unity by the
     inverse FFT of their zero-padded coefficient grids.
     """
-    pairs = np.asarray(doc["coeffs"], dtype=float)
-    q = pairs[..., 0] + 1j * pairs[..., 1]
-    q2, p2 = (np.abs(N * N * np.fft.ifft2(c, s=(N, N))) ** 2 for c in (q, p))
+    q2, p2 = (np.abs(N * N * np.fft.ifft2(c, s=(N, N))) ** 2
+              for c in (complex_grid(doc["coeffs"]), p))
     return float(np.max(np.abs(q2 - p2)) / np.max(p2))
+
+
+def complex_grid(pairs):
+    """A JSON grid of [re, im] pairs as a complex array."""
+    return np.asarray(pairs, dtype=float) @ [1, 1j]
+
+
+def sos_identity_gap(doc, p, rng, count=64):
+    """Largest gap of the L identity of an ``sos`` document,
+
+        p pbar - prev prevbar = (1 - w etabar) sum A_j A_jbar
+            + (1 - z zetabar) (sum B_j B_jbar - sum C_j C_jbar),
+
+    at ``count`` diagonal points (zeta, eta) = (z, w) and as many point
+    pairs drawn from ``rng`` in the square of half-width 1.5, relative to
+    the largest term (at least 1).  numpy only: the reflection of p's
+    grid at the document's ``deg`` is its conjugate flipped into the
+    corner, and every polynomial is evaluated by ``polyval2d``.
+    """
+    a = np.asarray(p, dtype=complex)
+    J, K = doc["deg"]
+    refl = np.zeros((J + 1, K + 1), dtype=complex)
+    refl[J + 1 - a.shape[0]:, K + 1 - a.shape[1]:] = np.conj(a[::-1, ::-1])
+    blocks = [[complex_grid(q["coeffs"]) for q in doc[name]] for name in "ABC"]
+
+    def draw():
+        return rng.uniform(-1.5, 1.5, count) + 1j * rng.uniform(-1.5, 1.5, count)
+
+    z, w = draw(), draw()
+    worst = 0.0
+    for zeta, eta in ((z, w), (draw(), draw())):
+        def kern(c):
+            return np.polynomial.polynomial.polyval2d(z, w, c) \
+                * np.conj(np.polynomial.polynomial.polyval2d(zeta, eta, c))
+
+        pp, rr = kern(a), kern(refl)
+        terms = [[kern(c) for c in block] for block in blocks]
+        sums = [np.sum(t, axis=0) if t else np.zeros(count) for t in terms]
+        rhs = (1 - w * np.conj(eta)) * sums[0] \
+            + (1 - z * np.conj(zeta)) * (sums[1] - sums[2])
+        scale = max(np.max(np.abs(t)) for t in [1.0, pp, rr, *sum(terms, [])])
+        worst = max(worst, float(np.max(np.abs(pp - rr - rhs)) / scale))
+    return worst
+
+
+def pencil_gap(doc, p, rng, count=64):
+    """Largest |det(U Delta - Gamma) - scale p| of a ``gdv`` document at
+    ``count`` points drawn from ``rng`` in the unit square, relative to
+    the largest |scale p| there; Delta = diag(w I_m, z I_n1, I_n2) and
+    Gamma = diag(I_m, I_n1, z I_n2).  numpy only: one batched ``det``."""
+    rep = doc["detrep"]
+    U = complex_grid(rep["U"])
+    scale = complex(*rep["scale"])
+    sizes = (len(U) - rep["n1"] - rep["n2"], rep["n1"], rep["n2"])
+    z, w = rng.uniform(-1, 1, (2, count)) + 1j * rng.uniform(-1, 1, (2, count))
+    one = np.ones(count)
+    delta, gamma = (np.repeat(np.stack(d, axis=1), sizes, axis=1)
+                    for d in ((w, z, one), (one, one, z)))
+    det = np.linalg.det(U * delta[:, None, :] - np.eye(len(U)) * gamma[:, None, :])
+    want = scale * np.polynomial.polynomial.polyval2d(z, w, np.asarray(p))
+    return float(np.max(np.abs(det - want)) / np.max(np.abs(want)))
+
+
+def gram_eigenvalue_range(doc, J, K):
+    """Smallest and largest eigenvalue of the Gram of the monomials
+    [0, J] x [0, K] of a JSON moment table, entry (a, b), (u, v) being
+    c_{u-a, v-b}; numpy only: one index gather and ``eigvalsh``."""
+    c = complex_grid(doc["c"])
+    j, k = np.divmod(np.arange((J + 1) * (K + 1)), K + 1)
+    eigs = np.linalg.eigvalsh(c[j[None, :] - j[:, None] + doc["jmax"],
+                                k[None, :] - k[:, None] + doc["kmax"]])
+    return float(eigs[0]), float(eigs[-1])
 
 
 def random_corpus_poly(rng, max_q_deg=2, max_factors=2, allow_unstable_q=False):

@@ -8,11 +8,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bszego import (BiPoly, DegenerateSlice, FitResidualTooLarge, NotGdv,
-                    NotSelfReflective, ZOnlyFactor, build_detrep,
-                    check_gdv_geometry, check_self_reflective,
-                    derivative_identity_check)
-from bszego import cli, detrep
+from bszego import (BiPoly, CertificateFailed, DegenerateSlice,
+                    FitResidualTooLarge, NotGdv, NotSelfReflective,
+                    ZOnlyFactor, build_detrep, check_gdv_geometry,
+                    check_self_reflective, derivative_identity_check)
+from bszego import cli, detrep, sos
 from bszego.detrep import GEOMETRY_GRID
 from bszego.jsonio import dumps, poly_to_json
 
@@ -187,6 +187,31 @@ def test_detrep_rejects_non_unimodular_sheets():
 def test_detrep_rejects_non_gdv():
     with pytest.raises(NotGdv):
         build_detrep(P_Z2W_BAD)
+
+
+W_MINUS_Z = BiPoly([[0, 1], [-1, 0]])      # w - z
+
+
+def test_detrep_sheets_meeting_on_the_circle(monkeypatch):
+    # (w - z)(zw - 1) has the sheets w = z and w = 1/z, which meet over
+    # z = +-1: the reflected w-derivative vanishes there on the torus, so
+    # its closed-face blocks cannot be built.  The pencil is judged by its
+    # own fit and coefficient check, never by a sampled certificate check
+    def no_verification(*args):
+        raise AssertionError("build_detrep verified a certificate")
+
+    monkeypatch.setattr(sos, "verify_certificate", no_verification)
+    with pytest.raises(CertificateFailed, match="reflected w-derivative"):
+        build_detrep(W_MINUS_Z * BiPoly([[-1, 0], [0, 1]]))
+
+
+def test_detrep_repeated_factor_exits_3(tmp_path):
+    # (w - z)^2: the reflected w-derivative vanishes on the whole sheet
+    with pytest.raises(CertificateFailed):
+        build_detrep(W_MINUS_Z * W_MINUS_Z)
+    code, doc = cli_document(tmp_path, "gdv", "--poly",
+                             poly_to_json(W_MINUS_Z * W_MINUS_Z))
+    assert (code, doc["error"]) == (3, "CertificateFailed")
 
 
 def test_detrep_json(tmp_path):

@@ -28,12 +28,7 @@ ALLOWED = {
     "fullmeasure.check_full_measure(Nmax)",
     "fullmeasure.check_full_measure(Mmax)",
     "fullmeasure.check_full_measure(tol)",
-    "sos.certificate_closed_face(variant)",
-    "sos.certificate_closed_face(deg)",
     "sos.certificate_open_face(tol)",
-    "sos.certificate_open_face(variant)",
-    "sos.certificate_open_face(deg)",
-    "sos.common_factor_with_reflection(deg)",
     "cli.main(argv)",
 }
 

@@ -127,35 +127,56 @@ def test_verify_detects_corruption(p_2zw):
     bad = SosCertificate(a_list=cert.a_list,
                          b_list=(BiPoly([[0.0, 2.0]]),),  # 2w instead of sqrt(3) w
                          c_list=cert.c_list,
-                         variant="L", residual=cert.residual, deg=cert.deg)
+                         residual=cert.residual, deg=cert.deg)
     report = verify_certificate(p_2zw, bad)
     assert report.residual > 1e-3
 
 
 def test_verify_empty_cert_of_one():
-    cert = SosCertificate(a_list=(), b_list=(), c_list=(), variant="L",
-                          residual=0.0, deg=(0, 0))
+    cert = SosCertificate(a_list=(), b_list=(), c_list=(), residual=0.0,
+                          deg=(0, 0))
     report = verify_certificate(BiPoly([[1.0]]), cert)
     assert report.residual < 1e-14
 
 
-@pytest.mark.parametrize("poly, variant, blocks", [
+def _g_blocks(p, deg):
+    """The blocks of the G identity at ``deg``, built as build_detrep builds
+    them: the closed-face blocks with the reflection of p appended to A."""
+    cert = sos._blocks_closed_face(p, deg)
+    return replace(cert, a_list=cert.a_list + (reflect(p, deg),))
+
+
+def _g_residual(p, cert, z, w):
+    """Largest gap of |p|^2 - |w|^2 |prev|^2 = (1 - |w|^2) sum |A|^2
+    + (1 - |z|^2) (sum |B|^2 - sum |C|^2) at the points, relative to the
+    largest |p|^2 there (at least 1)."""
+    sq = [np.abs(sos._values(block, z, w)) ** 2
+          for block in ((p, reflect(p, cert.deg)), cert.a_list, cert.b_list,
+                        cert.c_list)]
+    lhs = sq[0][:, 0] - np.abs(w) ** 2 * sq[0][:, 1]
+    rhs = (1 - np.abs(w) ** 2) * sq[1].sum(axis=1) \
+        + (1 - np.abs(z) ** 2) * (sq[2].sum(axis=1) - sq[3].sum(axis=1))
+    return float(np.max(np.abs(lhs - rhs)) / max(1.0, np.max(sq[0][:, 0])))
+
+
+@pytest.mark.parametrize("poly, form, blocks", [
     ([[2.0, 0.0], [-4.0, -1.0], [0.0, 2.0]], "L", (1, 1, 1)),
     ([[2.0, 0.0], [-4.0, -1.0], [0.0, 2.0]], "G", (2, 1, 1)),
     ([[2.0, 0.0], [0.0, -1.0]], "L", (1, 1, 0)),
     ([[1.0]], "L", (0, 0, 0))])
-def test_stacked_values_match_each_polynomial(poly, variant, blocks):
-    # (1-2z)(2-zw) with C block, its G variant whose extra A polynomial
+def test_stacked_values_match_each_polynomial(poly, form, blocks):
+    # (1-2z)(2-zw) with C block, its G blocks whose extra A polynomial
     # has another grid shape, 2-zw without C block, and the empty
     # certificate of 1
     p = BiPoly(poly)
-    cert = certificate_closed_face(p, variant=variant)
+    cert = _g_blocks(p, p.deg) if form == "G" else certificate_closed_face(p)
     assert (len(cert.a_list), cert.n1, cert.n2) == blocks
     polys = (p, reflect(p, cert.deg), *cert.a_list, *cert.b_list, *cert.c_list)
-    if variant == "G":
-        assert len({q.coeffs.shape for q in polys[2:]}) > 1
     rng = np.random.default_rng(5)
     z, w = sos.VERIFY_RADIUS * (rng.uniform(-1, 1, (2, 50, 2)) @ [1, 1j])
+    if form == "G":
+        assert len({q.coeffs.shape for q in polys[2:]}) > 1
+        assert _g_residual(p, cert, z, w) < 1e-12
     assert_stacked_values_match(polys, z, w)
 
 
@@ -179,7 +200,7 @@ def test_open_face_z_only_reflected_derivative():
     # blocks (0, 0, 2) and the C block sums to 1 + |z|^2
     P = reflect(BiPoly([[0, -1], [0, 0], [1, 0]]).w_derivative(), (2, 0))
     assert np.allclose(P.coeffs.ravel(), [0, 0, -1])
-    cert = certificate_open_face(P, variant="L")
+    cert = certificate_open_face(P)
     assert (len(cert.a_list), cert.n1, cert.n2) == (0, 0, 2)
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -240,9 +261,8 @@ def test_schur_cohn_counts():
 
 
 def test_g_variant_identity(p_2zw):
-    cert = certificate_closed_face(p_2zw, variant="G")
+    cert = _g_blocks(p_2zw, p_2zw.deg)
     assert len(cert.a_list) == 2     # L blocks plus the reflection of p
-    assert cert.residual < 1e-10
     rng = np.random.default_rng(5)
     for _ in range(50):
         z, w = 1.4 * (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2))
@@ -256,17 +276,18 @@ def test_g_variant_identity(p_2zw):
 def test_cert_declared_degree():
     # the constant 1 treated at formal degree (1, 0): reflection is z and
     # |1|^2 - |z|^2 = (1 - |z|^2) * |B_1|^2 with a single unimodular B
-    cert = certificate_closed_face(BiPoly([[1.0]]), deg=(1, 0))
+    p = BiPoly([[1.0]])
+    cert = sos._blocks_closed_face(p, (1, 0))
     assert (len(cert.a_list), cert.n1, cert.n2) == (0, 1, 0)
     assert abs(abs(cert.b_list[0].coeffs[0, 0]) - 1.0) < 1e-10
-    assert cert.residual < 1e-12
     assert cert.deg == (1, 0)
+    assert verify_certificate(p, cert).residual < 1e-12
 
 
 def test_cert_json(p_2zw, tmp_path):
     cert = certificate_closed_face(p_2zw)
     code, doc = cli_document(tmp_path, "sos", "--poly", poly_to_json(p_2zw))
     assert code == 0
-    assert doc["variant"] == cert.variant == "L"
+    assert doc["variant"] == "L"
     assert doc["n1"] == 1 and doc["n2"] == 0
     assert len(doc["A"]) == len(cert.a_list) == 1
