@@ -72,11 +72,12 @@ def test_round_off_moves_by_field(tmp_path):
     # residual by twice itself, shown old -> new since it is one number;
     # numbers inside a string are a field too
     base = [_call("certify", 1, 0, stdout=_doc()),
-            _call("certify", 1, 1, stdout=_doc(message="last change 7.0e-10")),
+            _call("certify", 1, 1, stdout=_doc(message="last change 7.0e-10",
+                                               residual=1e-6)),
             _call("recover", 1, 0, stdout=_doc())]
     head = [_call("certify", 1, 0, stdout=_doc(c=[[1.0, -2.0], [4.000000000004, 0.5]])),
             _call("certify", 1, 1, stdout=_doc(message="last change 7.7e-10",
-                                               residual=3e-16)),
+                                               residual=3e-6)),
             _call("recover", 1, 0, stdout=_doc())]
     assert _diff(tmp_path, base, head) == [
         "2 of 3 calls differ", "certify: 2 of 2 calls differ",
@@ -84,16 +85,34 @@ def test_round_off_moves_by_field(tmp_path):
         "  differs: certify seed 1 call 0 (sos stable): exit equal, shape equal, "
         "largest change 1.0e-12 of its scale in sos c",
         "  differs: certify seed 1 call 1 (sos stable): exit equal, shape equal, "
-        "largest change 2.0e+00 of its scale in sos residual (1e-16 -> 3e-16)",
+        "largest change 2.0e+00 of its scale in sos residual (1e-06 -> 3e-06)",
         "worst 2 calls:",
         "  certify seed 1 call 1 (sos stable): largest change 2.0e+00 of its "
-        "scale in sos residual (1e-16 -> 3e-16)",
+        "scale in sos residual (1e-06 -> 3e-06)",
         "  certify seed 1 call 0 (sos stable): largest change 1.0e-12 of its "
         "scale in sos c",
         "fields that moved, by largest change of their scale:",
         "  2.0e+00 sos residual (1 calls)",
         "  1.0e-01 sos message (1 calls)",
         "  1.0e-12 sos c (1 calls)"]
+
+
+def test_round_off_field_is_judged_against_the_floor(tmp_path):
+    # a residual that is itself round-off moves by twice itself, 2e-16,
+    # which is 2e-4 of the ROUND_OFF floor and no O(1) change; a zero
+    # that becomes 1e-13 is judged against the floor too
+    base = [_call("certify", 1, 0, stdout=_doc()),
+            _call("certify", 1, 1, stdout=_doc(shift=0.0))]
+    head = [_call("certify", 1, 0, stdout=_doc(residual=3e-16)),
+            _call("certify", 1, 1, stdout=_doc(shift=1e-13))]
+    details = [line for line in _diff(tmp_path, base, head)
+               if line.startswith("  differs:")]
+    assert corpus_outputs.ROUND_OFF == 1e-12
+    assert [line.split(": ", 2)[2] for line in details] == [
+        "exit equal, shape equal, largest change 2.0e-04 of its scale in sos "
+        "residual (1e-16 -> 3e-16)",
+        "exit equal, shape equal, largest change 1.0e-01 of its scale in sos "
+        "shift (0.0 -> 1e-13)"]
 
 
 def test_one_number_field_shows_both_values(tmp_path):

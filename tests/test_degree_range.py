@@ -91,6 +91,24 @@ def test_pipelines_with_more_w_than_z_degree(tmp_path):
     assert torus_modulus_gap(p, a) < 1e-12
 
 
+@pytest.mark.parametrize("factors, counts", [
+    ([[[0.5], [-1]]], (1, 1, 1)),
+    ([[[3, 0], [0, -1]]], (2, 2, 0)),
+    ([[[3, 0], [0, -1]], [[2.5, 0], [0, -1]], [[2, 0], [0, -1]]], (4, 4, 0)),
+], ids=["(2,1)", "(2,2)", "(4,4)"])
+def test_open_face_sos_at_larger_degrees(tmp_path, factors, counts):
+    # 2 - z - w, which vanishes at (1, 1) on the torus, times a factor
+    # with a zero in the disk (n2 = 1) or times factors (a - zw)
+    a = np.array([[2, -1], [-1, 0]], dtype=complex)
+    for f in factors:
+        a = (BiPoly(a) * BiPoly(f)).coeffs
+    code, cert = cli_document(tmp_path, "sos", "--poly", poly_to_json(BiPoly(a)),
+                              "--open-face")
+    assert code == 0 and (len(cert["A"]), cert["n1"], cert["n2"]) == counts
+    assert cert["residual"] < 1e-12
+    assert sos_identity_gap(cert, a, np.random.default_rng(len(a))) < 1e-12
+
+
 def test_gdv_at_16_16(tmp_path):
     # w^16 prod (1 - conj(a_i) z) - prod (z - a_i): the sheets w^16 = B(z)
     # of a Blaschke product whose 16 zeros have moduli spread over

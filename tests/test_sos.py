@@ -12,7 +12,7 @@ from bszego.sos import SosCertificate, common_factor_with_reflection
 from bszego.jsonio import poly_to_json
 
 from conftest import (assert_stacked_values_match, brute_inner, cli_document,
-                      torus_grid)
+                      sos_identity_gap, torus_grid)
 
 
 def test_cert_2zw_matches_analytic(p_2zw):
@@ -229,19 +229,55 @@ def test_common_z_only_factor(factors, shared):
     assert common_factor_with_reflection(p) == shared
 
 
-def test_open_face_boundary_zero_schedule(monkeypatch):
-    # 2 - z - w vanishes at (1, 1) on the torus; the scaled certificates
-    # converge slowly, so only a loose tolerance is reachable on the
-    # default grids -- the residual is reported honestly
+def test_open_face_boundary_zero_refined():
+    # 2 - z - w vanishes at (1, 1) on the torus; the blocks of
+    # 2 - z - 0.9 w certify it only to 4e-2, and refined at t = 1 they
+    # certify it to round-off, within the default tolerance; a tolerance
+    # below round-off is still refused with the residual reached
     p = BiPoly([[2, -1], [-1, 0]])
     assert not common_factor_with_reflection(p)
-    monkeypatch.setattr(sos, "DEFAULT_SCHEDULE", (0.9, 0.99))
-    cert = certificate_open_face(p, tol=0.05)
+    start = sos._blocks_closed_face(sos._scale_w(p, sos.T0), p.deg)
+    assert verify_certificate(p, start).residual > 1e-2
+    cert = certificate_open_face(p)
     assert (len(cert.a_list), cert.n1, cert.n2) == (1, 1, 0)
-    assert cert.residual < 0.05
-    monkeypatch.setattr(sos, "DEFAULT_SCHEDULE", (0.9,))
-    with pytest.raises(NoConvergence):
-        certificate_open_face(p, tol=1e-8)
+    assert cert.residual < 1e-12
+    assert cert.residual == verify_certificate(p, cert).residual
+    with pytest.raises(NoConvergence, match="best residual"):
+        certificate_open_face(p, tol=1e-18)
+
+
+def test_identity_jacobian_is_the_derivative_of_the_gap():
+    # the gap is quadratic in the blocks, so its central difference along
+    # any direction v is exactly the Jacobian times v; at degree (2, 1),
+    # where A lives on 3 monomials and B, C on 4, with 1, 2 and 1 columns
+    rng = np.random.default_rng(11)
+    deg, size = (2, 1), 6
+    mats = [rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            for shape in ((3, 1), (4, 2), (4, 1))]
+    target = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    target = target + target.conj().T
+    v = rng.normal(size=30)
+    dirs = np.split(v[:15] + 1j * v[15:], [3, 11])
+    plus, minus = (sos._identity_gap([x + s * d.reshape(x.shape)
+                                      for x, d in zip(mats, dirs)], target, deg)
+                   for s in (1, -1))
+    jac = sos._identity_jacobian(mats, deg)
+    assert jac.shape == (size * size, 30)
+    assert np.max(np.abs(jac @ v - (plus - minus) / 2)) < 1e-12 * np.max(np.abs(plus))
+
+
+@pytest.mark.parametrize("phi, psi", [(0, 0), (0.3, 0), (0, 0.3), (0.5, 0.5),
+                                      (np.pi, 0), (1, 2)])
+def test_open_face_under_torus_rotation(tmp_path, phi, psi):
+    # 2 - e^{i phi} z - e^{i psi} w: the near_torus corpus call rotated on
+    # the torus, which moves its zero off the quadrature grid at some
+    # rotations; every rotation is certified to round-off
+    a = np.array([[2, -np.exp(1j * psi)], [-np.exp(1j * phi), 0]])
+    code, doc = cli_document(tmp_path, "sos", "--poly", poly_to_json(BiPoly(a)),
+                             "--open-face", "--tol", "5e-2")
+    assert code == 0 and (len(doc["A"]), doc["n1"], doc["n2"]) == (1, 1, 0)
+    assert doc["residual"] < 1e-12
+    assert sos_identity_gap(doc, a, np.random.default_rng(9)) < 1e-12
 
 
 def test_schur_cohn_counts():

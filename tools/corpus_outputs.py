@@ -17,10 +17,13 @@ list lengths, the values of ``deg``, and the text of strings with their
 numbers taken out); where the shape differs, the first path at which it
 does and the values there on both sides, such as ``sos B[2].deg [3, 8]
 -> [2, 8]``; where it is equal, the largest change of a printed number
-relative to the largest magnitude in its field, in the base, followed by
-``(old -> new)`` where that field holds one number, such as a residual.  A
-field is a pipeline and a path of keys, with list indices dropped; numbers
-inside a string count in the string's field.  Then come the worst calls by that
+relative to the field's scale, followed by ``(old -> new)`` where that
+field holds one number, such as a residual.  A field's scale is the
+largest magnitude in it, in the base, but at least ROUND_OFF: a field that
+is itself round-off, such as a residual of 1e-16, moves by a small
+fraction of the floor, not by O(1) of itself.  A field is a pipeline and a
+path of keys, with list indices dropped; numbers inside a string count in
+the string's field.  Then come the worst calls by that
 change, and every field that moved, with its largest change.  It only
 reports and always exits 0: a change that only removes code expects 0
 differences, while one that reorders arithmetic may move round-off.
@@ -46,6 +49,7 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (9137, 311)
 WORST = 5        # calls listed by their largest change
 SHOWN = 40       # characters of a value shown where a shape differs
+ROUND_OFF = 1e-12  # least scale of a field: changes below it are round-off
 ABSENT = object()  # the value of a key on the other side only
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b")
 
@@ -173,8 +177,7 @@ def _compare(old, new):
                       if a != b and not (math.isnan(a) and math.isnan(b))),
                      default=0.0)
         if change:
-            scale = max(abs(a) for a in values)
-            moved[field] = change / scale if scale else math.inf
+            moved[field] = change / max(max(abs(a) for a in values), ROUND_OFF)
     if not moved:
         return detail + ["shape equal", "no number moved"], 0.0, {}
     worst = max(moved, key=moved.get)
