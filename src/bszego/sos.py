@@ -13,29 +13,29 @@ and the kernel identity
         + (1 - z zetabar) (sum B_j B_jbar - sum C_j C_jbar)
 
 holds as polynomials in (z, w, conj zeta, conj eta).  That L identity is
-the only one certified here.  Its G form, p pbar - w etabar prev prevbar,
-takes the same blocks with the reflection of p appended to the A block;
-``detrep`` composes it for itself.  Polynomials with zeros on the torus
-(but none on |z| = 1, |w| < 1, and no common factor with their
-reflection) are handled by shrinking w once: the closed-face blocks of
-p(z, T0 w) are refined at t = 1 by Gauss-Newton on the identity of p
-itself, written on coefficients, down to round-off.  The refined blocks
-keep the counts (m, n1, n2) but are no longer orthonormal bases of
-moment-space subspaces.
+the only one certified here, and it is checked on coefficients, as
+P P^H - R R^H = L_w(A A^H) + L_z(B B^H - C C^H) on the (n+1) x (m+1)
+monomial grid, with L(X) = X - S X S^T for the shift S by w or by z.
+Its G form, p pbar - w etabar prev prevbar, takes the same blocks with
+the reflection of p appended to the A block; ``detrep`` composes it for
+itself.  Polynomials with zeros on the torus (but none on |z| = 1,
+|w| < 1, and no common factor with their reflection) are handled by
+shrinking w once: the closed-face blocks of p(z, T0 w) are refined at
+t = 1 by Gauss-Newton on that identity of p itself, down to round-off.
+The refined blocks keep the counts (m, n1, n2) but are no longer
+orthonormal bases of moment-space subspaces.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (CommonFactor, DegenerateForm, MomentDivergence,
-                     NoConvergence, RootNearTorus)
+from .errors import (CommonFactor, DegenerateForm, InvalidDegree,
+                     MomentDivergence, NoConvergence, RootNearTorus)
 from .moments import moments_from_density
-from .poly import (CLUSTER_TOL, BiPoly, _readonly, content_roots, reflect,
-                   w_roots)
+from .poly import CLUSTER_TOL, BiPoly, content_roots, reflect, w_roots
 from .space import MomentSpace
 from .splitshift import shift_split_from_p
 
@@ -46,8 +46,6 @@ REFINE_FLOOR = 16 * np.finfo(float).eps   # relative residual that ends it
 DAMPING = 1e-5          # normal-equation ridge per unit of relative residual
 DAMPING_FLOOR = 1e-15   # least ridge; both relative to the largest diagonal entry
 REFINE_MAX_ENTRIES = 2 ** 22   # largest Jacobian refined (degree (6, 6) is 2.4e6)
-VERIFY_SAMPLES = 200    # points (and point pairs) per verify_certificate check
-VERIFY_RADIUS = 1.5     # half-width of the square verify_certificate samples
 PREFLIGHT_SAMPLES = 8   # z-slices compared by common_factor_with_reflection
 
 
@@ -76,11 +74,15 @@ class ResidualReport:
 
 def _columns(polys, rows, cols):
     """The coefficient grids of ``polys``, zero-padded to rows x cols and
-    flattened z-major, as the columns of one matrix."""
+    flattened z-major, as the columns of one matrix.  A nonzero
+    coefficient outside rows x cols raises InvalidDegree."""
     out = np.zeros((rows, cols, len(polys)), dtype=complex)
     for j, q in enumerate(polys):
-        out[: q.coeffs.shape[0], : q.coeffs.shape[1], j] = q.coeffs
-    return out.reshape(rows * cols, -1)
+        c = q.coeffs
+        if np.any(c[rows:]) or np.any(c[:, cols:]):
+            raise InvalidDegree(f"a polynomial of degree {q.deg} beyond {rows} x {cols}")
+        out[: c.shape[0], : c.shape[1], j] = c[:rows, :cols]
+    return out.reshape(rows * cols, len(polys))
 
 
 def _values(polys, z, w):
@@ -95,45 +97,66 @@ def _values(polys, z, w):
     return (rows @ (w[:, None] ** np.arange(P))[:, :, None])[:, :, 0]
 
 
-@functools.cache
-def _verify_points():
-    """verify_certificate's z, w, zeta and eta, read-only.  Row i pairs
-    (z, w) with (zeta, eta): the diagonal rows, where the two are equal,
-    then the pairs."""
-    d = np.random.default_rng(0).uniform(-VERIFY_RADIUS, VERIFY_RADIUS,
-                                         (8, VERIFY_SAMPLES))
-    z, w, zeta, eta = d[::2] + 1j * d[1::2]     # rows: re z, im z, re w, ...
-    return tuple(map(_readonly, (np.tile(z, 2), np.tile(w, 2),
-                                 np.concatenate([z, zeta]),
-                                 np.concatenate([w, eta]))))
+def _block_terms(n, m):
+    """(support, shift axis, sign) of the blocks A, B and C at degree
+    (n, m): L_w(A A^H) + L_z(B B^H - C C^H), with w on axis 1."""
+    return ((n + 1, m), 1, 1), ((n, m + 1), 0, 1), ((n, m + 1), 0, -1)
+
+
+def _add_l(out, h, shape, axis, deg):
+    """out += L(h) = h - S h S^T on the z-major (n+1) x (m+1) grid, h being
+    a matrix (or a stack of them along further axes) on a block's support
+    ``shape`` and S the shift by z (axis 0) or by w (axis 1), which keeps
+    that support on the grid: h added to one slice of the
+    (n+1, m+1, n+1, m+1, ...) view of out and subtracted from its shift."""
+    n, m = deg
+    view = out.reshape(n + 1, m + 1, n + 1, m + 1, *out.shape[2:])
+    h = h.reshape(*shape, *shape, *h.shape[2:])
+    at = [slice(0, shape[0]), slice(0, shape[1])]
+    view[(*at, *at)] += h
+    at[axis] = slice(1, shape[axis] + 1)
+    view[(*at, *at)] -= h
+
+
+def _identity(p, cert):
+    """The L identity of ``cert`` for p on coefficients: the target
+    P P^H - R R^H on the z-major (n+1) x (m+1) grid, the scale |P|^2, and
+    the block matrices A, B and C, one column per polynomial, each on its
+    support."""
+    n, m = cert.deg
+    pr = _columns((p.trimmed(), reflect(p, cert.deg)), n + 1, m + 1)
+    target = np.outer(pr[:, 0], pr[:, 0].conj()) - np.outer(pr[:, 1], pr[:, 1].conj())
+    mats = [_columns(polys, *shape) for polys, (shape, _, _) in
+            zip((cert.a_list, cert.b_list, cert.c_list), _block_terms(n, m))]
+    return target, np.vdot(pr[:, 0], pr[:, 0]).real, mats
+
+
+def _identity_gap(mats, target, deg):
+    """L_w(A A^H) + L_z(B B^H - C C^H) - target on the (n+1) x (m+1) grid,
+    ``mats`` being the block matrices A, B and C at degree ``deg``."""
+    gap = -target
+    for x, (shape, axis, sign) in zip(mats, _block_terms(*deg)):
+        _add_l(gap, (sign * x) @ x.conj().T, shape, axis, deg)
+    return gap
 
 
 def verify_certificate(p: BiPoly, cert: SosCertificate) -> ResidualReport:
-    """Max relative residual of the certificate identity.
+    """Largest coefficient gap of the certificate identity, over |P|^2.
 
-    Checks the diagonal identity at VERIFY_SAMPLES points of the square
-    of half-width VERIFY_RADIUS and the full kernel identity at as many
-    point pairs: uniform draws from ``np.random.default_rng(0)``, made
-    once per process.  The identity is polynomial, so sampling past the
-    torus is a strengthening.  The (z, w) and the (zeta, eta) points are
-    each evaluated once, in one product for p, its reflection and every
-    block polynomial; the diagonal check takes the values at (z, w) as
-    both factors.  Each check is relative to its largest term at any of
-    its points (at least 1).
+    The identity is one of polynomials, so it holds or fails on its
+    coefficients, the entries of L_w(A A^H) + L_z(B B^H - C C^H)
+    - (P P^H - R R^H) (``_identity_gap``).  The residual is their largest
+    modulus over |P|^2 = sum |p_jk|^2, which neither a common scale of p
+    and the blocks nor a rotation of the torus moves; the worst point is
+    the monomial pair ((j, k), (j', k')) where it sits, the coefficient of
+    z^j w^k conj(zeta)^j' conj(eta)^k'.
     """
-    z, w, zeta, eta = _verify_points()
-    values = _values((p, reflect(p, cert.deg), *cert.a_list, *cert.b_list,
-                      *cert.c_list), zeta, eta)
-    terms = np.tile(values[:VERIFY_SAMPLES], (2, 1)) * np.conj(values)
-    s_a, s_b, s_c = (t.sum(axis=1) for t in np.split(
-        terms[:, 2:], [len(cert.a_list), len(cert.a_list) + cert.n1], axis=1))
-    lhs = terms[:, 0] - terms[:, 1]
-    rhs = (1 - w * np.conj(eta)) * s_a + (1 - z * np.conj(zeta)) * (s_b - s_c)
-    scale = np.maximum(np.abs(terms).max(axis=1), 1.0).reshape(2, -1).max(axis=1)
-    rel = (np.abs(lhs - rhs).reshape(2, -1) / scale[:, None]).ravel()
-    worst = int(np.argmax(rel))
-    return ResidualReport(residual=float(rel[worst]),
-                          worst_point=(z[worst], w[worst], zeta[worst], eta[worst]))
+    n, m = cert.deg
+    target, scale, mats = _identity(p, cert)
+    gap = np.abs(_identity_gap(mats, target, cert.deg)).reshape((n + 1, m + 1) * 2)
+    j, k, jj, kk = map(int, np.unravel_index(np.argmax(gap), gap.shape))
+    return ResidualReport(residual=float(gap[j, k, jj, kk] / scale),
+                          worst_point=((j, k), (jj, kk)))
 
 
 def _blocks_closed_face(p: BiPoly, deg) -> SosCertificate:
@@ -190,18 +213,6 @@ def common_factor_with_reflection(p: BiPoly):
     return not np.any(gap >= CLUSTER_TOL)
 
 
-def _terms(n, m):
-    """The (rows, sign) pairs of the congruences that L_w(A A^H) and
-    L_z(B B^H - C C^H) sum, one tuple per block A, B, C.  rows are flat
-    indices in the z-major (n+1) x (m+1) grid: the block's support
-    ([0,n] x [0,m-1] for A, [0,n-1] x [0,m] for B and C), and that
-    support shifted by w for A, by z for B and C."""
-    grid = np.arange((n + 1) * (m + 1)).reshape(n + 1, m + 1)
-    a, b = grid[:, :m].ravel(), grid[:n].ravel()
-    return (((a, 1), (a + 1, -1)), ((b, 1), (b + m + 1, -1)),
-            ((b, -1), (b + m + 1, 1)))
-
-
 def _hermitian_half(h):
     """The real parts of h on and above the diagonal of its first two
     axes, then the imaginary parts above it: the real coordinates of a
@@ -211,31 +222,20 @@ def _hermitian_half(h):
     return np.concatenate([half.real, half[upper[0] < upper[1]].imag])
 
 
-def _identity_gap(mats, target, deg):
-    """The Hermitian half of L_w(A A^H) + L_z(B B^H - C C^H) - target,
-    ``mats`` being the block matrices A, B and C at degree ``deg``."""
-    gap = -target
-    for x, terms in zip(mats, _terms(*deg)):
-        for rows, sign in terms:
-            gap[np.ix_(rows, rows)] += sign * (x @ x.conj().T)
-    return _hermitian_half(gap)
-
-
 def _identity_jacobian(mats, deg):
     """The Jacobian of ``_identity_gap``: one column per real part of an
     entry of A, B or C (block by block, row-major), then one per
     imaginary part.  Moving entry i of a column x of a block moves the
-    congruence sum by L(e_i x^H) and its adjoint, so each column is a
-    scatter of the current x, not a product."""
+    congruence sum by L(e_i x^H) and its adjoint, so each column is the
+    operator on a placement of the current x, not a product."""
     size = (deg[0] + 1) * (deg[1] + 1)
     parts = []
-    for x, terms in zip(mats, _terms(*deg)):
+    for x, (shape, axis, sign) in zip(mats, _block_terms(*deg)):
         k, c = x.shape
+        placed = np.zeros((k, k, k, c), dtype=complex)          # e_i x^H
+        placed[np.arange(k), :, np.arange(k)] = sign * x.conj()
         part = np.zeros((size, size, k, c), dtype=complex)
-        for rows, sign in terms:
-            placed = np.zeros((size, c), dtype=complex)
-            placed[rows] = x
-            part[rows, :, np.arange(k), :] += sign * placed.conj()
+        _add_l(part, placed, shape, axis, deg)
         parts.append(part.reshape(size, size, -1))
     half = np.concatenate(parts, axis=2)                  # L(e_i x^H)
     adjoint = half.transpose(1, 0, 2).conj()
@@ -245,13 +245,8 @@ def _identity_jacobian(mats, deg):
 
 def _refine(p: BiPoly, cert: SosCertificate) -> SosCertificate:
     """The blocks of ``cert`` refined by Gauss-Newton on the L identity of
-    p at its degree (n, m), written on coefficients:
-
-        P P^H - R R^H = L_w(A A^H) + L_z(B B^H - C C^H),
-
-    with P, R the coefficient vectors of p and its reflection and A, B, C
-    the block matrices, one column per polynomial.  The column counts are
-    kept, so the inertia (m, n1, n2) is that of ``cert``.
+    p on coefficients (``_identity``).  The column counts are kept, so the
+    inertia (m, n1, n2) is that of ``cert``.
 
     The unknowns are the real and imaginary parts of A, B and C, and the
     equations the Hermitian half of the identity (``_identity_gap``).
@@ -268,17 +263,13 @@ def _refine(p: BiPoly, cert: SosCertificate) -> SosCertificate:
     (nan).  A Jacobian of more than REFINE_MAX_ENTRIES entries is not
     built, and ``cert`` is returned as it is.
     """
-    n, m = deg = cert.deg
-    pr = _columns((p, reflect(p, deg)), n + 1, m + 1)
-    target = np.outer(pr[:, 0], pr[:, 0].conj()) - np.outer(pr[:, 1], pr[:, 1].conj())
-    scale = np.vdot(pr[:, 0], pr[:, 0]).real
-    mats = [_columns(cert.a_list, n + 1, m), _columns(cert.b_list, n, m + 1),
-            _columns(cert.c_list, n, m + 1)]
+    deg = cert.deg
+    target, scale, mats = _identity(p, cert)
     unknowns = 2 * sum(x.size for x in mats)
     if len(target) ** 2 * unknowns > REFINE_MAX_ENTRIES:
         return cert
     cuts = np.cumsum([x.size for x in mats])[:-1]
-    r = _identity_gap(mats, target, deg)
+    r = _hermitian_half(_identity_gap(mats, target, deg))
     rel = np.linalg.norm(r) / scale
     best, stall = (rel, mats), 0
     for _ in range(REFINE_STEPS):
@@ -292,13 +283,14 @@ def _refine(p: BiPoly, cert: SosCertificate) -> SosCertificate:
         step = step[: unknowns // 2] + 1j * step[unknowns // 2:]
         steps = [d.reshape(x.shape) for d, x in zip(np.split(step, cuts), mats)]
         trials = [[x + f * d for x, d in zip(mats, steps)] for f in (1, 2)]
-        gaps = [_identity_gap(trial, target, deg) for trial in trials]
+        gaps = [_hermitian_half(_identity_gap(trial, target, deg))
+                for trial in trials]
         pick = int(np.linalg.norm(gaps[1]) < np.linalg.norm(gaps[0]))
         r, mats = gaps[pick], trials[pick]
         rel = np.linalg.norm(r) / scale
         best, stall = ((rel, mats), 0) if rel < best[0] else (best, stall + 1)
-    a, b, c = (tuple(BiPoly(col.reshape(shape)) for col in x.T) for x, shape in
-               zip(best[1], ((n + 1, m), (n, m + 1), (n, m + 1))))
+    a, b, c = (tuple(BiPoly(col.reshape(shape)) for col in x.T)
+               for x, (shape, _, _) in zip(best[1], _block_terms(*deg)))
     return replace(cert, a_list=a, b_list=b, c_list=c, residual=np.nan)
 
 

@@ -1,6 +1,6 @@
 """Every settable option of the library and every optional CLI flag is
-listed here, the library's public names are counted, and only the CLI
-may import the JSON layer.
+listed here, the library's public names are counted, only the CLI may
+import the JSON layer, and the library draws no random numbers.
 
 An option is a defaulted parameter of a public function or method, or a
 field of a ``*Config`` dataclass, anywhere in ``src/bszego``.  A new one
@@ -140,6 +140,32 @@ def unused_imports():
 
 def test_every_import_is_used():
     assert unused_imports() == []
+
+
+def random_references():
+    """Every reference to the random module or to numpy's in src/bszego, as
+    module:line: a name or attribute ``random``, or an import of either."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] \
+                    + [alias.name for alias in node.names]
+            else:
+                continue
+            if any("random" in name.split(".") for name in names):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_library_draws_no_random_numbers():
+    # every answer is a function of the input alone: the identities are
+    # checked on coefficients, not at sample points
+    assert random_references() == []
 
 
 def jsonio_importers():

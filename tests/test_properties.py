@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bszego import (BiPoly, MomentSpace, NoConvergence, enumerate_split_polys,
                     factor_trig, is_positive, moments_from_density,
                     split_poly_from_condition)
-from bszego import reconstruct, sos
+from bszego import reconstruct
 from bszego.moments import gram
 from bszego.reconstruct import FACTOR_TOL
 
@@ -91,9 +91,9 @@ def test_product_matches_pointwise(p, q, seed):
 @given(st.lists(grids(size=9), min_size=1, max_size=8), st.integers(0, 2 ** 32 - 1))
 def test_stacked_values_match_pointwise(polys, seed):
     # grids of any shapes, zero-padded into one stack, evaluated at points
-    # of the square that verify_certificate samples
+    # of the square of half-width 1.5
     rng = np.random.default_rng(seed)
-    z, w = sos.VERIFY_RADIUS * (rng.uniform(-1, 1, (2, 20, 2)) @ [1, 1j])
+    z, w = 1.5 * (rng.uniform(-1, 1, (2, 20, 2)) @ [1, 1j])
     assert_stacked_values_match(polys, z, w)
 
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bszego import (BiPoly, CommonFactor, NoConvergence,
+from bszego import (BiPoly, CommonFactor, InvalidDegree, NoConvergence,
                     certificate_closed_face, certificate_open_face, reflect,
                     verify_certificate)
 from bszego import sos
@@ -75,51 +75,89 @@ def test_blocks_orthonormal_in_density(p_2zw):
     assert abs(g12) < 1.0  # distinct blocks need not be orthogonal
 
 
-def _scalar_residual(p, cert):
-    """verify_certificate one point at a time: the default_rng(0) draws,
-    the identity at each diagonal point and point pair, and its scale."""
-    rng = np.random.default_rng(0)
-    R, k = sos.VERIFY_RADIUS, sos.VERIFY_SAMPLES
+def _loop_residual(p, cert):
+    """verify_certificate one polynomial and one monomial pair at a time:
+    the coefficient of z^j w^k conj(zeta)^j' conj(eta)^k' in
+    p pbar - prev prevbar - (1 - w etabar) sum A Abar
+    - (1 - z zetabar) (sum B Bbar - sum C Cbar), with the w- and z-shifts
+    written out, and its largest modulus over sum |p_jk|^2."""
+    n, m = cert.deg
 
-    def draw():
-        re = [rng.uniform(-R, R) for _ in range(k)]
-        return [complex(x, rng.uniform(-R, R)) for x in re]
+    def coeff(q, j, k):
+        c = q.coeffs
+        inside = 0 <= j < c.shape[0] and 0 <= k < c.shape[1]
+        return complex(c[j, k]) if inside else 0j
 
-    z, w, zeta, eta = draw(), draw(), draw(), draw()
-    prev = reflect(p, cert.deg)
-
-    def mismatch(a, b):
-        pp = complex(p(*a)) * np.conj(complex(p(*b)))
-        rr = complex(prev(*a)) * np.conj(complex(prev(*b)))
-        sums, sizes = [], [abs(pp), abs(rr), 1.0]
-        for block in (cert.a_list, cert.b_list, cert.c_list):
-            terms = [complex(q(*a)) * np.conj(complex(q(*b))) for q in block]
-            sums.append(sum(terms))
-            sizes += [abs(t) for t in terms]
-        rhs = (1 - a[1] * np.conj(b[1])) * sums[0] \
-            + (1 - a[0] * np.conj(b[0])) * (sums[1] - sums[2])
-        return abs(pp - rr - rhs), max(sizes)
-
-    pairs = [(z[i], w[i], z[i], w[i]) for i in range(k)] \
-        + [(z[i], w[i], zeta[i], eta[i]) for i in range(k)]
-    rows = [mismatch(pt[:2], pt[2:]) for pt in pairs]
-    rel = [m / max(s for _, s in rows[:k]) for m, _ in rows[:k]] \
-        + [m / max(s for _, s in rows[k:]) for m, _ in rows[k:]]
-    worst = int(np.argmax(rel))
-    return rel[worst], pairs[worst]
+    terms = [(p, 1, (0, 0)), (reflect(p, cert.deg), -1, (0, 0))] \
+        + [(q, -1, (0, 1)) for q in cert.a_list] \
+        + [(q, -1, (1, 0)) for q in cert.b_list] \
+        + [(q, 1, (1, 0)) for q in cert.c_list]
+    gaps = {}
+    for j in range(n + 1):
+        for k in range(m + 1):
+            for jj in range(n + 1):
+                for kk in range(m + 1):
+                    total = 0j
+                    for q, sign, (dz, dw) in terms:
+                        total += sign * coeff(q, j, k) * np.conj(coeff(q, jj, kk))
+                        if (dz, dw) != (0, 0):
+                            total -= sign * coeff(q, j - dz, k - dw) \
+                                * np.conj(coeff(q, jj - dz, kk - dw))
+                    gaps[(j, k), (jj, kk)] = abs(total)
+    worst = max(gaps, key=gaps.get)
+    return gaps[worst] / np.sum(np.abs(p.coeffs) ** 2), worst
 
 
-def test_verify_samples_the_default_rng_0_points():
+def test_verify_matches_a_loop_over_monomial_pairs():
     p = BiPoly([[1.0], [-2.0]]) * BiPoly([[2.0, 0.0], [0.0, -1.0]])  # (1-2z)(2-zw)
     cert = certificate_closed_face(p)
     assert (len(cert.a_list), cert.n1, cert.n2) == (1, 1, 1)
-    # a wrong C block makes the residual O(1), so the worst point is sharp
+    assert _loop_residual(p, cert)[0] < 1e-14
+    # a wrong C block makes the residual O(1), so the worst pair is sharp
     bad = replace(cert, c_list=tuple(1.1 * q for q in cert.c_list))
-    residual, point = _scalar_residual(p, bad)
+    residual, pair = _loop_residual(p, bad)
     report = verify_certificate(p, bad)
     assert residual > 1e-2
-    assert report.worst_point == point
+    assert report.worst_point == pair
     assert abs(report.residual - residual) < 1e-12 * residual
+
+
+def test_verify_is_relative_to_p():
+    # a wrong certificate of a small p: 1e-6 (2 - zw) with the B block
+    # scaled by 1.5 is off by O(1) of |p|^2, however small |p|^2 is
+    p = 1e-6 * BiPoly([[2.0, 0.0], [0.0, -1.0]])
+    cert = certificate_closed_face(p)
+    assert cert.residual < 1e-14
+    bad = replace(cert, b_list=tuple(1.5 * q for q in cert.b_list))
+    assert verify_certificate(p, bad).residual > 0.1
+
+
+def test_verify_is_unmoved_by_scale_and_torus_rotation():
+    # a seeded (4, 4) certificate, its B block scaled by 1.1 so that the
+    # residual is O(1) and not round-off: scaling p and every block by s,
+    # or rotating every coefficient grid by e^{i (j phi + k psi)}, leaves
+    # the identity's gap the same up to a unimodular factor per entry
+    e = np.random.default_rng(44).normal(size=(5, 5, 2)) @ [1, 1j]
+    e[0, 0] = 0.0
+    a = 0.5 * e / np.sum(np.abs(e))     # 1 + a: zero-free on the closed bidisk
+    a[0, 0] = 1.0
+    p = BiPoly(a)
+    cert = certificate_closed_face(p)
+    assert (cert.deg, cert.residual < 1e-12) == ((4, 4), True)
+    bad = replace(cert, b_list=tuple(1.1 * q for q in cert.b_list))
+    residual = verify_certificate(p, bad).residual
+    assert residual > 1e-3
+
+    def moved(q, s, phi, psi):
+        j, k = np.indices(q.coeffs.shape)
+        return BiPoly(s * np.exp(1j * (j * phi + k * psi)) * q.coeffs)
+
+    for s, phi, psi in [(1e-6, 0, 0), (1e6, 0, 0), (1, 0.3, 1.1), (1, 2.5, -0.7)]:
+        q = moved(p, s, phi, psi)
+        blocks = {name: tuple(moved(b, s, phi, psi) for b in getattr(bad, name))
+                  for name in ("a_list", "b_list", "c_list")}
+        assert abs(verify_certificate(q, replace(bad, **blocks)).residual
+                   - residual) < 1e-13 * residual
 
 
 def test_verify_detects_corruption(p_2zw):
@@ -130,6 +168,18 @@ def test_verify_detects_corruption(p_2zw):
                          residual=cert.residual, deg=cert.deg)
     report = verify_certificate(p_2zw, bad)
     assert report.residual > 1e-3
+
+
+def test_verify_rejects_a_block_beyond_its_support(p_2zw):
+    # at degree (1, 1) the A block lives on z^0..z^1 times w^0 alone: an A
+    # polynomial in w is not of the certificate's form, while zero rows
+    # and columns past a block's support are only padding
+    cert = certificate_closed_face(p_2zw)
+    with pytest.raises(InvalidDegree, match="beyond 2 x 1"):
+        verify_certificate(p_2zw, replace(cert, a_list=(BiPoly([[0.0, 1.0]]),)))
+    padded = tuple(BiPoly(np.pad(q.coeffs, ((0, 1), (0, 1)))) for q in cert.b_list)
+    assert verify_certificate(p_2zw, replace(cert, b_list=padded)) \
+        == verify_certificate(p_2zw, cert)
 
 
 def test_verify_empty_cert_of_one():
@@ -173,7 +223,7 @@ def test_stacked_values_match_each_polynomial(poly, form, blocks):
     assert (len(cert.a_list), cert.n1, cert.n2) == blocks
     polys = (p, reflect(p, cert.deg), *cert.a_list, *cert.b_list, *cert.c_list)
     rng = np.random.default_rng(5)
-    z, w = sos.VERIFY_RADIUS * (rng.uniform(-1, 1, (2, 50, 2)) @ [1, 1j])
+    z, w = 1.5 * (rng.uniform(-1, 1, (2, 50, 2)) @ [1, 1j])
     if form == "G":
         assert len({q.coeffs.shape for q in polys[2:]}) > 1
         assert _g_residual(p, cert, z, w) < 1e-12
@@ -258,9 +308,9 @@ def test_identity_jacobian_is_the_derivative_of_the_gap():
     target = target + target.conj().T
     v = rng.normal(size=30)
     dirs = np.split(v[:15] + 1j * v[15:], [3, 11])
-    plus, minus = (sos._identity_gap([x + s * d.reshape(x.shape)
-                                      for x, d in zip(mats, dirs)], target, deg)
-                   for s in (1, -1))
+    plus, minus = (sos._hermitian_half(sos._identity_gap(
+        [x + s * d.reshape(x.shape) for x, d in zip(mats, dirs)], target, deg))
+        for s in (1, -1))
     jac = sos._identity_jacobian(mats, deg)
     assert jac.shape == (size * size, 30)
     assert np.max(np.abs(jac @ v - (plus - minus) / 2)) < 1e-12 * np.max(np.abs(plus))
