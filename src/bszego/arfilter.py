@@ -31,7 +31,7 @@ class ArSolution:
     min_eigenvalue: float               # of the autocorrelation Gram
 
 
-def solve_ar(table: MomentTable, n, m, tol=MC_TOL) -> ArSolution:
+def solve_ar(table: MomentTable, n, m) -> ArSolution:
     """Decide eAR(n, m) solvability and emit the filter coefficients.
 
     ``table`` holds the autocorrelations c_{k,l}, Hermitian, on a window
@@ -43,12 +43,9 @@ def solve_ar(table: MomentTable, n, m, tol=MC_TOL) -> ArSolution:
     invariant under positive rescaling of the autocorrelations: the
     operators live in orthonormal coordinates.
     """
-    space, ops, report, lam = _positive_form(table, n, m, tol)
+    space, ops, report, lam = _positive_form(table, n, m)
     # at m = 0 the A operator is 0 x n, which the spectral norm cannot take
     a_norm = float(np.linalg.norm(ops.a_mat, 2)) if ops.a_mat.size else 0.0
-    if not report.holds:
-        classification, p = "none", None
-    else:
-        classification = "causal" if a_norm < tol else "acausal"
-        p = _reconstruct(space, ops)
-    return ArSolution(classification, p, report, a_norm, lam)
+    p = _reconstruct(space, ops) if report.holds else None
+    causal = "causal" if a_norm < MC_TOL else "acausal"
+    return ArSolution("none" if p is None else causal, p, report, a_norm, lam)

@@ -39,7 +39,7 @@ from .jsonio import (_pairs, dumps, poly_from_json, poly_to_json,
 from .moments import QuadratureConfig, moments_from_density
 from .reconstruct import factor_trig, reconstruct_p
 from .sos import certificate_closed_face, certificate_open_face
-from .splitshift import _positive_form, check_matrix_condition
+from .splitshift import _positive_form
 
 class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors raise InvalidInput, so that they exit 2
@@ -81,14 +81,13 @@ def _check_doc(report):
 
 def _cmd_check(args):
     table = table_from_json(_read_json(args.moments))
-    _, _, report, _ = _positive_form(table, args.n, args.m, **_given(args, "tol"))
+    _, _, report, _ = _positive_form(table, args.n, args.m)
     return _check_doc(report), 0 if report.holds else 1
 
 
 def _cmd_reconstruct(args):
     table = table_from_json(_read_json(args.moments))
-    p = reconstruct_p(table, args.n, args.m, **_given(args, "tol"))
-    return poly_to_json(p), 0
+    return poly_to_json(reconstruct_p(table, args.n, args.m)), 0
 
 
 def _cmd_factor(args):
@@ -146,7 +145,7 @@ def _cmd_full(args):
 
 def _cmd_ar(args):
     table = table_from_json(_read_json(args.autocorr))
-    sol = solve_ar(table, args.n, args.m, **_given(args, "tol"))
+    sol = solve_ar(table, args.n, args.m)
     a = None if sol.coefficients is None else poly_to_json(sol.coefficients)
     diagnostics = _check_doc(sol.report) | {
         "a_operator_norm": sol.a_operator_norm,
@@ -175,9 +174,9 @@ def build_parser():
             ("moments", _cmd_moments, "moments of dsigma/|p|^2",
              "--poly --jmax --kmax", QuadratureConfig),
             ("check", _cmd_check, "matrix condition / stratification report",
-             "--moments --n --m", check_matrix_condition),
+             "--moments --n --m", None),
             ("reconstruct", _cmd_reconstruct, "recover p from moments",
-             "--moments --n --m", reconstruct_p),
+             "--moments --n --m", None),
             ("full", _cmd_full, "full-measure Bernstein-Szego test",
              "--moments --n --m", check_full_measure),
             ("factor", _cmd_factor, "factor a positive trig polynomial",
@@ -187,7 +186,7 @@ def build_parser():
             ("gdv", _cmd_gdv, "distinguished-variety geometry and pencil", "--poly",
              None),
             ("ar", _cmd_ar, "solve the extended autoregressive model",
-             "--autocorr --n --m", solve_ar)):
+             "--autocorr --n --m", None)):
         s = sub.add_parser(name, help=help_text)
         s.set_defaults(func=func)
         source, *ints = required.split()

@@ -17,7 +17,7 @@ from .errors import (DegenerateForm, MatrixConditionFails, NoConvergence,
 from .moments import MomentTable, QuadratureConfig, TrigPoly, moments_from_trig
 from .poly import BiPoly, reflect
 from .space import MomentSpace
-from .splitshift import (MC_TOL, ShiftOperators, _positive_form,
+from .splitshift import (ShiftOperators, _positive_form,
                          _require_condition, assert_no_face_zeros,
                          minimal_split_poly)
 
@@ -46,14 +46,14 @@ def kernel_poly(space: MomentSpace) -> BiPoly:
     return BiPoly(out)
 
 
-def reconstruct_p(table: MomentTable, n, m, tol=MC_TOL) -> BiPoly:
+def reconstruct_p(table: MomentTable, n, m) -> BiPoly:
     """The polynomial p with the given Bernstein-Szego moments.
 
     Requires a positive form (NotPositive otherwise) and the matrix
     condition; the result is the stable-content representative,
     unit-norm under the form, with canonical phase.
     """
-    space, ops, report, _ = _positive_form(table, n, m, tol)
+    space, ops, report, _ = _positive_form(table, n, m)
     _require_condition(report)
     return _reconstruct(space, ops)
 

@@ -136,7 +136,8 @@ def _identity_gap(mats, target, deg):
     ``mats`` being the block matrices A, B and C at degree ``deg``."""
     gap = -target
     for x, (shape, axis, sign) in zip(mats, _block_terms(*deg)):
-        _add_l(gap, (sign * x) @ x.conj().T, shape, axis, deg)
+        if x.shape[1]:
+            _add_l(gap, (sign * x) @ x.conj().T, shape, axis, deg)
     return gap
 
 
@@ -260,14 +261,11 @@ def _refine(p: BiPoly, cert: SosCertificate) -> SosCertificate:
     REFINE_STEPS steps, at a relative residual (in the Frobenius norm,
     over |P|^2) of REFINE_FLOOR, or after REFINE_STALL steps without a
     new best; the best iterate is returned, residual not yet verified
-    (nan).  A Jacobian of more than REFINE_MAX_ENTRIES entries is not
-    built, and ``cert`` is returned as it is.
+    (nan).
     """
     deg = cert.deg
     target, scale, mats = _identity(p, cert)
     unknowns = 2 * sum(x.size for x in mats)
-    if len(target) ** 2 * unknowns > REFINE_MAX_ENTRIES:
-        return cert
     cuts = np.cumsum([x.size for x in mats])[:-1]
     r = _hermitian_half(_identity_gap(mats, target, deg))
     rel = np.linalg.norm(r) / scale
@@ -302,6 +300,7 @@ def certificate_open_face(p: BiPoly, tol=1e-8) -> SosCertificate:
     closed face; the closed-face blocks of p(z, T0 w) are then refined
     at t = 1 by Gauss-Newton on the identity of p itself (``_refine``),
     and returned when ``verify_certificate`` puts them within ``tol``.
+    A degree past REFINE_MAX_ENTRIES Jacobian entries is refused up front.
     """
     pt = p.trimmed()
     if common_factor_with_reflection(pt):
@@ -310,6 +309,11 @@ def certificate_open_face(p: BiPoly, tol=1e-8) -> SosCertificate:
         return certificate_closed_face(pt)
     except (MomentDivergence, RootNearTorus, DegenerateForm):
         pass
+    n, m = pt.deg     # _refine's Jacobian size depends on the degree alone
+    entries = ((n + 1) * (m + 1)) ** 2 * 2 * ((n + 1) * m * m + n * n * (m + 1))
+    if entries > REFINE_MAX_ENTRIES:
+        raise NoConvergence(f"Jacobian of {entries} entries at degree {pt.deg} "
+                            f"exceeds REFINE_MAX_ENTRIES = {REFINE_MAX_ENTRIES}")
     try:
         start = _blocks_closed_face(_scale_w(pt, T0), pt.deg)
     except (MomentDivergence, RootNearTorus, DegenerateForm) as exc:

@@ -37,7 +37,9 @@ from .moments import MomentTable, is_positive
 from .poly import BiPoly, canonical_phase, split_stable, w_roots
 from .space import MomentSpace, SubspaceBasis
 
-MC_TOL = 1e-8
+# Both are one absolute round-off floor on contractions, hence no caller
+# knob: moving one alone makes check_matrix_condition raise DegenerateForm.
+MC_TOL = 1e-8           # cut of the violation max ||A T^j B||
 KRYLOV_RANK_TOL = 1e-8  # absolute singular-value cut of the Krylov spans
 FACE_SAMPLES = 64       # z points on the circle in assert_no_face_zeros
 FACE_MARGIN = 1e-7      # w-roots this close to the closed disk are face zeros
@@ -115,12 +117,9 @@ def _krylov_span(step, seed, n):
     return u[:, :rank]
 
 
-def check_matrix_condition(ops: ShiftOperators, tol=MC_TOL) -> StratificationReport:
-    """Evaluate max_j ||A T^j B|| and the admissible d interval.
-
-    The operators are contractions in orthonormal coordinates, so the
-    tolerance is applied to the raw spectral norms.
-    """
+def check_matrix_condition(ops: ShiftOperators) -> StratificationReport:
+    """Evaluate max_j ||A T^j B||, its raw spectral norms cut at MC_TOL,
+    and the admissible d interval."""
     n = ops.t_mat.shape[0]
     viol = 0.0
     if min(ops.a_mat.shape) and min(ops.b_mat.shape):
@@ -129,7 +128,7 @@ def check_matrix_condition(ops: ShiftOperators, tol=MC_TOL) -> StratificationRep
             prod = ops.a_mat @ cur
             viol = max(viol, float(np.linalg.norm(prod, 2)))
             cur = ops.t_mat @ cur
-    holds = viol < tol
+    holds = viol < MC_TOL
     a_space, b_space = ops.invariant_spaces
     dim_a, dim_b = a_space.shape[1], b_space.shape[1]
     if holds and dim_a + dim_b > n:
@@ -142,20 +141,20 @@ def check_matrix_condition(ops: ShiftOperators, tol=MC_TOL) -> StratificationRep
                                 d_min=dim_a, d_max=n - dim_b)
 
 
-def _positive_form(table: MomentTable, n, m, tol=MC_TOL):
+def _positive_form(table: MomentTable, n, m):
     """(space, operators, report, lam) of the form at caps (n, m).
 
     The one positivity gate of check, reconstruct, ar and factor:
     NotPositive unless the form is positive definite on [0,n] x [0,m],
     lam being its Gram's smallest eigenvalue.  Then the moment space,
-    its shift operators and their matrix condition within ``tol``.
+    its shift operators and their matrix condition.
     """
     ok, lam = is_positive(table, n, m)
     if not ok:
         raise NotPositive(f"moment form not positive (eigenvalue {lam:.3e})")
     space = MomentSpace(table, n, m)
     ops = build_operators(space)
-    return space, ops, check_matrix_condition(ops, tol), lam
+    return space, ops, check_matrix_condition(ops), lam
 
 
 def _require_condition(report: StratificationReport):

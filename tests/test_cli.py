@@ -14,7 +14,7 @@ from bszego.cli import main
 from bszego.errors import InvalidInput
 from bszego.jsonio import dumps, poly_from_json, poly_to_json, table_to_json
 
-from conftest import trig_abs_squared
+from conftest import cli_document, trig_abs_squared
 
 
 def run(argv):
@@ -305,8 +305,8 @@ WINDOW = ["--jmax", "1", "--kmax", "1"]
     _case("jmax<0", ["moments", "--poly", "{poly}", "--jmax", "-1", "--kmax", "1"]),
     _case("kmax<0", ["moments", "--poly", "{poly}", "--jmax", "1", "--kmax", "-1"]),
     _case("grid 0", ["moments", "--poly", "{poly}", "--grid", "0"] + WINDOW),
-    _case("tol 0", ["check", "--moments", "{trig}", "--tol", "0"] + N_M),
-    _case("tol<0", ["ar", "--autocorr", "{trig}", "--tol=-1"] + N_M),
+    _case("tol 0", ["factor", "--trig", "{trig}", "--tol", "0"] + N_M),
+    _case("tol<0", ["sos", "--open-face", "--poly", "{poly}", "--tol=-1"]),
     _case("tol nan", ["full", "--moments", "{trig}", "--tol", "nan"] + N_M),
     _case("deg null", ["sos", "--poly", "{poly}"], ("deg", None)),
     _case("deg triple", ["sos", "--poly", "{poly}"], ("deg", [1, 1, 1])),
@@ -410,6 +410,12 @@ def test_usage_errors_exit_2_with_json(files, argv, message):
           "unrecognized arguments: --grid 64"),
     _case("gdv tol", ["gdv", "--poly", "{p}", "--tol", "1e-3"],
           "unrecognized arguments: --tol 1e-3"),
+    _case("check tol", ["check", "--moments", "{t}", "--tol", "1e-6"] + N_M,
+          "unrecognized arguments: --tol 1e-6"),
+    _case("reconstruct tol", ["reconstruct", "--moments", "{t}", "--tol", "1e-6"] + N_M,
+          "unrecognized arguments: --tol 1e-6"),
+    _case("ar tol", ["ar", "--autocorr", "{t}", "--tol", "1e-6"] + N_M,
+          "unrecognized arguments: --tol 1e-6"),
     _case("closed-face sos tol", ["sos", "--poly", "{p}", "--tol", "1e-3"],
           "--tol applies only with --open-face"),
 ])
@@ -420,6 +426,24 @@ def test_unread_flags_exit_2(files, argv, message):
     assert code == 2
     doc = json.loads(out)
     assert doc["error"] == "InvalidInput" and doc["message"].startswith(message)
+
+
+def test_noisy_table_fails_at_the_fixed_floor(tmp_path, p_2zw):
+    # the (1, 1) table of 2 - zw with seeded complex noise 1e-5 on every
+    # moment: its violation, about 1e-5, is far above the shift test's
+    # floor MC_TOL, which no flag moves, so all three pipelines answer no
+    c = moments_from_density(p_2zw, 1, 1).c
+    rng = np.random.default_rng(31)
+    noisy = table_to_json(MomentTable(1, 1, c + 1e-5 * (
+        rng.normal(size=c.shape) + 1j * rng.normal(size=c.shape))))
+    code, check = cli_document(tmp_path, "check", "--moments", noisy, *N_M)
+    assert code == 1 and check["holds"] is False
+    assert check["max_violation"] > 1e-6
+    code, doc = cli_document(tmp_path, "reconstruct", "--moments", noisy, *N_M)
+    assert code == 1 and doc["error"] == "MatrixConditionFails"
+    code, ar = cli_document(tmp_path, "ar", "--autocorr", noisy, *N_M)
+    assert code == 1 and ar["classification"] == "none" and ar["a"] is None
+    assert ar["diagnostics"]["max_violation"] == check["max_violation"]
 
 
 @pytest.mark.parametrize("argv, name", [

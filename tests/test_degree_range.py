@@ -109,6 +109,22 @@ def test_open_face_sos_at_larger_degrees(tmp_path, factors, counts):
     assert sos_identity_gap(cert, a, np.random.default_rng(len(a))) < 1e-12
 
 
+@pytest.mark.parametrize("tol", ["1e-8", "0.1"])
+def test_open_face_sos_refuses_past_the_jacobian_cap(tmp_path, tol):
+    # (2 - z - w) prod (alpha - zw), alpha = linspace(2, 3.5, 6), at (7, 7):
+    # the refinement's Jacobian would have 6.4e6 entries, so the call is
+    # refused before any block of p(z, 0.9 w) is built, whatever the
+    # tolerance; those blocks, unrefined, certify p(z, 0.9 w), not p
+    a = BiPoly([[2, -1], [-1, 0]])
+    for alpha in np.linspace(2, 3.5, 6):
+        a = a * BiPoly([[alpha, 0], [0, -1]])
+    code, doc = cli_document(tmp_path, "sos", "--poly", poly_to_json(a),
+                             "--open-face", "--tol", tol)
+    assert code == 3 and doc["error"] == "NoConvergence"
+    assert doc["message"] == ("Jacobian of 6422528 entries at degree (7, 7) "
+                              "exceeds REFINE_MAX_ENTRIES = 4194304")
+
+
 def test_gdv_at_16_16(tmp_path):
     # w^16 prod (1 - conj(a_i) z) - prod (z - a_i): the sheets w^16 = B(z)
     # of a Blaschke product whose 16 zeros have moduli spread over

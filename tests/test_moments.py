@@ -229,6 +229,37 @@ def test_near_torus_closed_form():
                 assert abs(t.at(j, k)) < 1e-12
 
 
+def circle_moments(f, count):
+    """m_f(l) = int x^-l / |f(x)|^2 over the unit circle, for |l| <= count,
+    at index l + count: the 2^16-point trapezoid rule by one 1-D FFT, f's
+    coefficients ascending."""
+    x = np.exp(2j * np.pi * np.arange(2 ** 16) / 2 ** 16)
+    m = np.fft.fft(1.0 / np.abs(np.polynomial.polynomial.polyval(x, f)) ** 2)
+    return m[np.arange(-count, count + 1)] / 2 ** 16
+
+
+@pytest.mark.parametrize("q, r", [
+    ([1.0], [1.035, -1]),
+    ([2, -1], [1.035, -1]),
+    ([2, -1j, 0.5], np.polynomial.polynomial.polyfromroots([1.035, -3])),
+    (np.polynomial.polynomial.polyfromroots([2, -1.5j, 0.5]),
+     np.polynomial.polynomial.polyfromroots([1.035, -2, 3j, 1.5])),
+], ids=["(1,1)", "(2,1)", "(4,2)", "(7,4)"])
+def test_separable_density_closed_form(q, r):
+    # p = q(z) r(zw): with u = zw the density is 1/|q(z)|^2 times
+    # 1/|r(u)|^2, so c_jk = m_q(j - k) m_r(k), a product of two 1-D
+    # Bernstein-Szego moments; r's zero at u = 1.035 is near the torus
+    coeffs = np.zeros((len(q) + len(r) - 1, len(r)), dtype=complex)
+    for k, rk in enumerate(r):
+        coeffs[k: k + len(q), k] = rk * np.asarray(q)
+    n, m = coeffs.shape[0] - 1, coeffs.shape[1] - 1
+    t = moments_from_density(BiPoly(coeffs), n, m)
+    mq, mr = circle_moments(q, n + m), circle_moments(r, m)
+    j, k = np.meshgrid(np.arange(-n, n + 1), np.arange(-m, m + 1), indexing="ij")
+    expect = mq[j - k + n + m] * mr[k + m]
+    assert np.max(np.abs(t.c - expect)) < 1e-13 * abs(t.at(0, 0))
+
+
 def test_grid_function_overflow_rejected():
     def dens(zz, ww):
         with np.errstate(divide="ignore"):

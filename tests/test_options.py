@@ -22,9 +22,6 @@ ALLOWED = {
     "moments.moments_from_density(cfg)",
     "moments.moments_from_trig(cfg)",
     "reconstruct.factor_trig(cfg)",
-    "splitshift.check_matrix_condition(tol)",
-    "reconstruct.reconstruct_p(tol)",
-    "arfilter.solve_ar(tol)",
     "fullmeasure.check_full_measure(Nmax)",
     "fullmeasure.check_full_measure(Mmax)",
     "fullmeasure.check_full_measure(tol)",
@@ -39,7 +36,6 @@ PUBLIC_NAMES = 109
 CLI_FLAGS = {
     ("moments", "--tol"), ("moments", "--grid"),
     ("factor", "--tol"), ("factor", "--grid"),
-    ("check", "--tol"), ("reconstruct", "--tol"), ("ar", "--tol"),
     ("full", "--tol"), ("full", "--depth"),
     ("sos", "--tol"), ("sos", "--open-face"),
 }

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bszego import (BiPoly, MomentSpace, NoConvergence, enumerate_split_polys,
-                    factor_trig, is_positive, moments_from_density,
-                    split_poly_from_condition)
+from bszego import (BiPoly, MomentSpace, MomentTable, NoConvergence,
+                    enumerate_split_polys, factor_trig, is_positive,
+                    moments_from_density, split_poly_from_condition)
 from bszego import reconstruct
+from bszego.jsonio import poly_from_json, table_to_json
 from bszego.moments import gram
 from bszego.reconstruct import FACTOR_TOL
 
-from conftest import (assert_stacked_values_match, monomial_basis,
-                      poly_grid_values, structural, torus_grid, trig_abs_squared,
-                      trig_values_on_grid)
+from conftest import (assert_stacked_values_match, cli_document,
+                      monomial_basis, poly_grid_values, structural, torus_grid,
+                      trig_abs_squared, trig_values_on_grid)
 
 
 @st.composite
@@ -169,3 +170,76 @@ def test_factor_check_never_weaker_than_grid_check(p, log_shift, seed):
         except NoConvergence:
             return
     assert out is q and _grid_check_passes(t, q)
+
+
+@st.composite
+def closed_face_polys(draw):
+    """q(z) s(z, w) of degree at most (4, 4) from a seed.  s = 1 + e, of
+    degree (n - deg q, m) with sum |e_jk| = 0.5, has no zeros on the closed
+    bidisk; or its reflection in z alone, z^k sbar(1/z, w), none on the
+    closed face but all of s(z, 0)'s in the disk.  q's roots lie at moduli
+    in [1.3, 3], half a turn apart, each reflected into the disk or not."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    nq = draw(st.integers(0, 2))
+    n, m = draw(st.integers(max(nq, 1), 4)), draw(st.integers(1, 4))
+    e = rng.normal(size=(n - nq + 1, m + 1, 2)) @ [1, 1j]
+    e[0, 0] = 0.0
+    e *= 0.5 / np.sum(np.abs(e))
+    e[0, 0] = 1.0
+    p = BiPoly(e[::-1].conj() if draw(st.booleans()) else e)
+    turn = rng.uniform(0, 2 * np.pi)
+    for i in range(nq):
+        rho = rng.uniform(1.3, 3.0) * np.exp(1j * (turn + np.pi * i))
+        if draw(st.booleans()):
+            rho = 1 / np.conj(rho)
+        p = p * BiPoly([[-rho], [1.0]])
+    return p
+
+
+def pipeline_answers(tmp_path, table, n, m):
+    """(exit code, answer) of check, reconstruct and ar on one table: the
+    check document without its violation, the polynomial on the
+    (n + 1) x (m + 1) grid, and the classification."""
+    doc, nm = table_to_json(table), ("--n", str(n), "--m", str(m))
+    code, check = cli_document(tmp_path, "check", "--moments", doc, *nm)
+    check.pop("max_violation", None)
+    rcode, p = cli_document(tmp_path, "reconstruct", "--moments", doc, *nm)
+    grid = np.zeros((n + 1, m + 1), dtype=complex)
+    if rcode == 0:
+        c = poly_from_json(p).coeffs
+        grid[: c.shape[0], : c.shape[1]] = c
+    acode, ar = cli_document(tmp_path, "ar", "--autocorr", doc, *nm)
+    return (code, check), (rcode, grid), (acode, ar.get("classification"))
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("metamorphic")
+
+
+@settings(max_examples=12, deadline=None)
+@given(closed_face_polys(), st.floats(0, 2 * np.pi), st.floats(0, 2 * np.pi))
+def test_shift_test_pipelines_are_invariant(cli_dir, p, phi, psi):
+    # the exact symmetries of the problem: a positive scale s of the table
+    # is p / sqrt(s), a torus rotation e^{i(j phi + k psi)} of it rotates
+    # p's coefficients alike, and its conjugate conjugates them; exit codes,
+    # intervals and classifications do not move, and the reconstruction
+    # moves with p up to a unimodular constant
+    n, m = p.deg
+    table = moments_from_density(p, n, m)
+    j, k = np.meshgrid(np.arange(-n, n + 1), np.arange(-m, m + 1), indexing="ij")
+    a, b = np.meshgrid(np.arange(n + 1), np.arange(m + 1), indexing="ij")
+    check, (code, base), ar = pipeline_answers(cli_dir, table, n, m)
+    transforms = [(table.c * s, lambda c, s=s: c / np.sqrt(s)) for s in (1e-8, 1e8)]
+    transforms += [(table.c * np.exp(1j * (j * phi + k * psi)),
+                    lambda c: c * np.exp(1j * (a * phi + b * psi))),
+                   (np.conj(table.c), np.conj)]
+    for c, move in transforms:
+        got_check, (got_code, got), got_ar = pipeline_answers(
+            cli_dir, MomentTable(n, m, c), n, m)
+        assert got_check == check and got_ar == ar and got_code == code
+        if code == 0:
+            want = move(base)
+            phase = np.vdot(want, got)
+            gap = got - phase / abs(phase) * want
+            assert np.max(np.abs(gap)) <= 1e-9 * np.max(np.abs(want))
