@@ -202,6 +202,27 @@ def w_roots(p: BiPoly, zs):
     return coeffs, out
 
 
+def _roots_beyond(coeffs, rho):
+    """Whether every w-root of each slice (column of ``coeffs``) has |w| > rho.
+
+    Schur-Cohn recursion on b(rho u), for all slices at once: a step at
+    top degree j requires |b_0| > |b_j|, then replaces b by
+    conj(b_0) b - b_j b*, b* the reflection at degree j, which keeps b's
+    roots in the closed unit disk (Rouche) and drops the degree to j - 1.
+    Every step is rescaled by its largest coefficient, which would
+    otherwise square away to overflow by degree 16.  A top coefficient
+    that is exactly 0 passes as a root at infinity.
+    """
+    b = coeffs * rho ** np.arange(coeffs.shape[0])[:, None]
+    ok = np.ones(b.shape[1], dtype=bool)
+    for j in range(b.shape[0] - 1, 0, -1):
+        ok &= np.abs(b[0]) > np.abs(b[j])
+        b = np.conj(b[0]) * b[:j] - b[j] * np.conj(b[j:0:-1])
+        scale = np.abs(b).max(axis=0)
+        b /= np.where(scale > 0.0, scale, 1.0)
+    return ok
+
+
 def split_stable(u: BiPoly) -> RootSplit:
     """Split u, in z alone, into a stable and a monic unstable factor.
 

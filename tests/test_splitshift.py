@@ -414,23 +414,79 @@ def _face_zero_message(p):
     return None
 
 
+def _assert_face_message(p, want):
+    if want is None:
+        assert_no_face_zeros(p)
+    else:
+        with pytest.raises(RootNearTorus) as err:
+            assert_no_face_zeros(p)
+        assert str(err.value) == want
+
+
 def test_face_check_matches_slice_loop():
     z3 = np.exp(2j * np.pi * 3.31 / FACE_SAMPLES)
     polys = [BiPoly([[1, 2]]),                       # root w = -1/2
              BiPoly([[-z3], [1]]),                   # z - z3, flat slices
              BiPoly([[3, 1], [-3 / z3, -1 / z3]]),   # (1 - z/z3)(3 + w)
              BiPoly([[2, 1.5j], [0, 1]]),            # a face arc around z = i
-             BiPoly([[3, 1], [1, 0]])]               # zero-free on the face
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        c = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        c[0, 0] = 4.0                                # some raise, some pass
-        polys.append(BiPoly(c))
+             BiPoly([[3, 1], [1, 0]]),               # zero-free on the face
+             # (z - z3) w^2 + w + 1/2 + 20 (z - z3): the w^2 term is exactly
+             # 0 at z3, whose slice w + 1/2 has its root at -1/2
+             BiPoly([[0.5 - 20 * z3, 1, -z3], [20, 0, 1]])]
+    assert _face_zero_message(polys[-1]) == f"w-root of modulus 0.500000 at z = {z3}"
     for p in polys:
-        want = _face_zero_message(p)
-        if want is None:
-            assert_no_face_zeros(p)
-        else:
-            with pytest.raises(RootNearTorus) as err:
-                assert_no_face_zeros(p)
-            assert str(err.value) == want
+        _assert_face_message(p, _face_zero_message(p))
+    # seeded draws whose constant term, by degree, makes about half pass
+    rng = np.random.default_rng(3)
+    for d, lead in ((2, 6.0), (4, 13.0), (8, 27.0), (16, 60.0)):
+        passed = 0
+        for _ in range(20):
+            c = rng.normal(size=(d + 1, d + 1)) + 1j * rng.normal(size=(d + 1, d + 1))
+            c[0, 0] = lead
+            p = BiPoly(c)
+            want = _face_zero_message(p)
+            passed += want is None
+            _assert_face_message(p, want)
+        assert 5 <= passed <= 15, (d, passed)
+
+
+def _mp_face_message(p, zs):
+    """The face check's verdict from the 50-digit roots of each slice."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        rho = 1 + mpmath.mpf(FACE_MARGIN)
+        for z0, wcoef in zip(zs, p.w_poly_at(zs).T):
+            low = min(abs(r) for r in mpmath.polyroots(
+                [mpmath.mpc(c) for c in wcoef[::-1]], maxsteps=200, extraprec=100))
+            if low <= rho:
+                return f"w-root of modulus {float(low):.6f} at z = {z0}"
+    return None
+
+
+def test_face_verdict_at_the_margin_matches_mpmath():
+    # half the roots (at least one) at modulus 1 + FACE_MARGIN (1 + 0.1),
+    # one of them moved to 1 + FACE_MARGIN (1 - 0.1) in the failing case,
+    # the rest at moduli in [1.5, 3]; judged on the rounded coefficients
+    zs = np.exp(2j * np.pi * (np.arange(FACE_SAMPLES) + 0.31) / FACE_SAMPLES)
+    rng = np.random.default_rng(7)
+    for m in (1, 2, 4, 8, 16):
+        for inside in (False, True):
+            near = max(1, m // 2)
+            mods = np.r_[np.full(near, 1 + 1.1 * FACE_MARGIN),
+                         rng.uniform(1.5, 3.0, m - near)]
+            if inside:
+                mods[rng.integers(near)] = 1 + 0.9 * FACE_MARGIN
+            rts = mods * np.exp(2j * np.pi * rng.uniform(size=m))
+            lead = rng.normal() + 1j * rng.normal()
+            # p(w) alone: its 64 slices are bitwise equal, so one is judged
+            p = BiPoly(lead * np.poly(rts)[None, ::-1])
+            assert (p.w_poly_at(zs) == p.w_poly_at(zs[:1])).all()
+            want = _mp_face_message(p, zs[:1])
+            assert (want is not None) == inside
+            _assert_face_message(p, want)
+            if m == 2:
+                # (w - r_0 z)(w - r_1): every slice judged on its own
+                p = BiPoly([[-rts[1], 1]]) * BiPoly([[0, 1], [-rts[0], 0]])
+                want = _mp_face_message(p, zs)
+                assert (want is not None) == inside
+                _assert_face_message(p, want)
