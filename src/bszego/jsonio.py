@@ -24,8 +24,7 @@ from .poly import BiPoly
 def _pairs(a):
     """Complex numbers as [re, im]: one pair for a number, rows for a grid."""
     a = np.asarray(a, dtype=complex)
-    rows = [[[v.real, v.imag] for v in row] for row in np.atleast_2d(a)]
-    return rows if a.ndim else rows[0][0]
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def _unpairs(data, what):

@@ -14,14 +14,15 @@ built from level N's w-sums plus three half-shifted N x N sub-grids of
 new points, so a run that stops at grid N samples each of its N^2 points
 once, as the nested trapezoid rule does (Trefethen & Weideman, SIAM
 Review 56, 2014).  A polynomial is sampled separably (two thin tables of
-2N-th roots of unity times its coefficient block), and |p|^2 is taken as
-re^2 + im^2.  Along w the sums come from a pruned two-level DFT (chunks
-of CHUNK samples, then one twiddle sum over the chunks); along z one FFT
-per level of the 2*kmax + 1 window columns gives the rows.  Sampling runs
-in blocks of about BLOCK_POINTS points (whole rows): each block is
-sampled, inverted and transformed along w before the next is formed, so
-no N x N array is ever held.  The min and max each block computes for the
-pole check also decide whether its reciprocal is finite.
+2N-th roots of unity times its coefficient block) as real planes Re p and
+Im p, and |p|^2 is re^2 + im^2 in place; a trig polynomial is its Re plane.
+Along w the sums come from a pruned two-level DFT (chunks of CHUNK
+samples, then one twiddle sum over the chunks); along z one FFT per level
+of the 2*kmax + 1 window columns gives the rows.  Sampling runs in blocks
+of about BLOCK_POINTS points (whole rows), one buffer per sampling pass:
+each block is sampled, inverted and transformed along w before the next
+overwrites it, so no N x N array is ever held.  The min and max each block computes
+for the pole check also decide whether its reciprocal is finite.
 """
 
 from __future__ import annotations
@@ -130,35 +131,37 @@ def _roots(N):
 
 
 def _grid_rows(coeffs, j0, k0, N, shifts=WHOLE_GRID, real=False):
-    """Values of sum_{a,b} coeffs[a, b] z^(j0+a) w^(k0+b) on N x N sub-grids.
+    """Real planes of sum_{a,b} coeffs[a, b] z^(j0+a) w^(k0+b) on N x N sub-grids.
 
     For each (u, v) in shifts, entry [r, s] of its sub-grid is the value at
     z = e^(2 pi i (2r+u)/2N), w = e^(2 pi i (2s+v)/2N): rows u::2 and
     columns v::2 of the 2N x 2N grid, so (0, 0) is the N x N grid itself.
-    Computed as (Vz @ coeffs) @ Vw^T with Vz[r, a] = z^(j0+a) and
-    Vw[s, b] = w^(k0+b), read from one table of 2N-th roots of unity.
-    Yields consecutive blocks of max(1, BLOCK_POINTS // N) rows, sub-grid
-    after sub-grid; only the thin factor Vz @ coeffs of one sub-grid is
-    held whole.  With ``real`` the blocks are the real parts, for Hermitian
-    coefficients: with Vw = Cw + i Sw, Re(A Vw^T) = [Re A, -Im A] [Cw, Sw]^T
-    for the thin factor A, one real GEMM per block into new contiguous rows.
+    With the thin factor A = Vz @ coeffs, Vz[r, a] = z^(j0+a), and
+    Vw[s, b] = w^(k0+b) = Cw + i Sw, read from one table of 2N-th roots of
+    unity, the planes are Re = [Re A, -Im A] W and Im = [Im A, Re A] W with
+    W = [Cw, Sw]^T: one real GEMM each, Re alone with ``real`` (Hermitian
+    coefficients).  Yields blocks (planes, rows, N) of max(1, BLOCK_POINTS
+    // N) consecutive rows, sub-grid after sub-grid, all in one buffer: a
+    block is valid until the next one is drawn.
     """
     t = 2 * np.arange(N)
     roots = _roots(2 * N)
     jz = np.arange(j0, j0 + coeffs.shape[0])
     kw = np.arange(k0, k0 + coeffs.shape[1])
-    step = max(1, BLOCK_POINTS // N)
+    step = min(N, max(1, BLOCK_POINTS // N))
+    buf = np.empty((1 if real else 2, step, N))
     for u, v in shifts:
-        left = roots[np.outer(t + u, jz) % (2 * N)] @ coeffs
-        vw = roots[np.outer(t + v, kw) % (2 * N)]
-        if real:
-            left = np.hstack([left.real, -left.imag])
-            vw = np.hstack([vw.real, vw.imag])
+        a = roots[np.outer(t + u, jz) % (2 * N)] @ coeffs
+        left = np.stack([np.hstack([a.real, -a.imag]), np.hstack([a.imag, a.real])])
+        vw = roots[np.outer(kw, t + v) % (2 * N)]
+        vw = np.concatenate([vw.real, vw.imag])
         for r in range(0, N, step):
-            yield left[r: r + step] @ vw.T
+            block = buf[:, : min(step, N - r)]
+            yield np.matmul(left[: len(buf), r: r + step], vw, out=block)
 
 
 def _poly_grid_rows(p: BiPoly, N, shifts=WHOLE_GRID):
+    """The planes (Re p, Im p) of p on sub-grids, in ``_grid_rows``' blocks."""
     n, m = p.deg
     if N <= max(n, m):
         raise ValueError("grid too small for the polynomial degree")
@@ -305,11 +308,10 @@ def _reciprocals(blocks, bounds):
         yield np.divide(1.0, d, out=d) if finite else None
 
 
-def _abs2(vals):
-    """|vals|^2 as re^2 + im^2, squaring vals' parts in place."""
-    parts = vals.view(float)
-    np.multiply(parts, parts, out=parts)
-    return parts[:, 0::2] + parts[:, 1::2]
+def _abs2(planes):
+    """|p|^2 = re^2 + im^2 from a block's planes (Re p, Im p), in place in Re."""
+    re, im = np.square(planes, out=planes)
+    return np.add(re, im, out=re)
 
 
 def moments_from_density(p: BiPoly, jmax, kmax,
@@ -325,8 +327,7 @@ def moments_from_density(p: BiPoly, jmax, kmax,
     bounds = [np.inf, 0.0]
 
     def density_at(N, shifts):
-        rows = _poly_grid_rows(pt, N, shifts)
-        yield from _reciprocals((_abs2(vals) for vals in rows), bounds)
+        yield from _reciprocals(map(_abs2, _poly_grid_rows(pt, N, shifts)), bounds)
         lo, hi = bounds
         if lo <= POLE_MARGIN * hi:
             raise MomentDivergence(
@@ -341,7 +342,7 @@ def moments_from_trig(t: TrigPoly, jmax, kmax,
     bounds = [np.inf, -np.inf]
 
     def density_at(N, shifts):
-        yield from _reciprocals(t._rows_on_grid(N, shifts), bounds)
+        yield from _reciprocals((re for (re,) in t._rows_on_grid(N, shifts)), bounds)
         lo, hi = bounds
         if lo <= POLE_MARGIN * max(hi, 1e-300):
             raise NonPositiveDensity(

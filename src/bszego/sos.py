@@ -29,6 +29,7 @@ orthonormal bases of moment-space subspaces.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -214,13 +215,23 @@ def common_factor_with_reflection(p: BiPoly):
     return not np.any(gap >= CLUSTER_TOL)
 
 
+@lru_cache(maxsize=32)
+def _upper(n):
+    """np.triu_indices(n) and its mask above the diagonal, cached read-only."""
+    upper = np.triu_indices(n)
+    strict = upper[0] < upper[1]
+    for a in (*upper, strict):
+        a.setflags(write=False)
+    return upper, strict
+
+
 def _hermitian_half(h):
     """The real parts of h on and above the diagonal of its first two
     axes, then the imaginary parts above it: the real coordinates of a
     Hermitian matrix (or of a stack of them along the last axis)."""
-    upper = np.triu_indices(len(h))
+    upper, strict = _upper(len(h))
     half = h[upper]
-    return np.concatenate([half.real, half[upper[0] < upper[1]].imag])
+    return np.concatenate([half.real, half[strict].imag])
 
 
 def _identity_jacobian(mats, deg):

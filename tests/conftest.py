@@ -88,13 +88,16 @@ def torus_grid(N):
 
 
 def poly_grid_values(p: BiPoly, N):
-    """p on the N x N uniform torus grid, by the quadrature's row sampler."""
-    return np.concatenate(list(_poly_grid_rows(p, N)))
+    """p on the N x N uniform torus grid, by the quadrature's row sampler.
+
+    The sampler reuses one buffer, so each block is copied as it is drawn."""
+    return np.concatenate([re + 1j * im for re, im in _poly_grid_rows(p, N)])
 
 
 def trig_values_on_grid(t: TrigPoly, N):
-    """t on the N x N uniform torus grid (real), by the quadrature's sampler."""
-    return np.concatenate(list(t._rows_on_grid(N)))
+    """t on the N x N uniform torus grid (real), by the quadrature's sampler,
+    each block copied as it is drawn."""
+    return np.concatenate([re.copy() for (re,) in t._rows_on_grid(N)])
 
 
 def max_modulus_gap(p, q, N=256):

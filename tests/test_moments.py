@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval2d
 
 from bszego import (BiPoly, InsufficientMoments, MomentDivergence, MomentTable,
                     NonPositiveDensity, QuadratureConfig, TrigPoly,
@@ -328,6 +329,31 @@ def test_density_samples_bit_identical_in_blocks(monkeypatch):
     moments_from_trig(t, 2, 2)
     assert np.array_equal(seen[0], 1.0 / trig_values_on_grid(t, 64))
     assert np.array_equal(seen[1], _new_points(1.0 / trig_values_on_grid(t, 128)))
+
+
+@pytest.mark.parametrize("shifts", [moments.WHOLE_GRID, moments.NEW_POINTS])
+def test_sampled_planes_match_horner(monkeypatch, shifts):
+    # the planes of every ragged block (5 rows of 64), copied as drawn,
+    # against numpy's own Horner evaluation at the same torus points
+    monkeypatch.setattr(moments, "BLOCK_POINTS", 5 * 64)
+    rng = np.random.default_rng(11)
+    p = BiPoly(rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3)))
+    t = trig_abs_squared(p)
+    N, eps = 64, np.finfo(float).eps
+
+    def points(u, v):
+        z, w = (np.exp(1j * np.pi * (2 * np.arange(N) + a) / N) for a in (u, v))
+        return np.meshgrid(z, w, indexing="ij")
+
+    want = np.concatenate([polyval2d(*points(u, v), p.coeffs) for u, v in shifts])
+    got = np.concatenate([re + 1j * im for re, im in moments._poly_grid_rows(p, N, shifts)])
+    assert got.shape == want.shape == (len(shifts) * N, N)
+    assert np.max(np.abs(got - want)) <= 16 * eps * np.sum(np.abs(p.coeffs))
+    want = np.concatenate([(zz ** -t.jmax * ww ** -t.kmax * polyval2d(zz, ww, t.c)).real
+                           for zz, ww in (points(u, v) for u, v in shifts)])
+    got = np.concatenate([re.copy() for (re,) in t._rows_on_grid(N, shifts)])
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 16 * eps * np.sum(np.abs(t.c))
 
 
 def _pole_message(p, N):
