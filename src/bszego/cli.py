@@ -14,7 +14,7 @@ A complex number is [re, im]; polynomials and moment tables are as in
     gdv: mu, geometry {passed, worst_deviation, worst_z, worst_w},
         detrep {U, n1, n2, scale, residual}
     full: positivity_ok, min_eigenvalue, e2_conditions {"N,M": max},
-        h_conditions {"M": max}, verdict, depth, tol
+        h_conditions {"M": max}, verdict, depth, tol (always VANISH_TOL)
     ar: classification, a (a polynomial or null), diagnostics {the check
         keys, a_operator_norm, min_eigenvalue}
     any failure: error, message
@@ -131,8 +131,7 @@ def _depth(text):
 
 def _cmd_full(args):
     table = table_from_json(_read_json(args.moments))
-    report = check_full_measure(table, args.n, args.m, *args.depth or (None, None),
-                                **_given(args, "tol"))
+    report = check_full_measure(table, args.n, args.m, *args.depth or (None, None))
     code = {"pass": 0, "fail": 1, "inconclusive": 3}[report.verdict]
     return {"positivity_ok": report.positivity_ok,
             "min_eigenvalue": report.min_eigenvalue,
@@ -178,7 +177,7 @@ def build_parser():
             ("reconstruct", _cmd_reconstruct, "recover p from moments",
              "--moments --n --m", None),
             ("full", _cmd_full, "full-measure Bernstein-Szego test",
-             "--moments --n --m", check_full_measure),
+             "--moments --n --m", None),
             ("factor", _cmd_factor, "factor a positive trig polynomial",
              "--trig --n --m", QuadratureConfig),
             ("sos", _cmd_sos, "sum-of-squares certificate", "--poly",

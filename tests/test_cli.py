@@ -307,7 +307,7 @@ WINDOW = ["--jmax", "1", "--kmax", "1"]
     _case("grid 0", ["moments", "--poly", "{poly}", "--grid", "0"] + WINDOW),
     _case("tol 0", ["factor", "--trig", "{trig}", "--tol", "0"] + N_M),
     _case("tol<0", ["sos", "--open-face", "--poly", "{poly}", "--tol=-1"]),
-    _case("tol nan", ["full", "--moments", "{trig}", "--tol", "nan"] + N_M),
+    _case("tol nan", ["moments", "--poly", "{poly}", "--tol", "nan"] + WINDOW),
     _case("deg null", ["sos", "--poly", "{poly}"], ("deg", None)),
     _case("deg triple", ["sos", "--poly", "{poly}"], ("deg", [1, 1, 1])),
     _case("deg string", ["sos", "--poly", "{poly}"], ("deg", "ab")),
@@ -416,6 +416,8 @@ def test_usage_errors_exit_2_with_json(files, argv, message):
           "unrecognized arguments: --tol 1e-6"),
     _case("ar tol", ["ar", "--autocorr", "{t}", "--tol", "1e-6"] + N_M,
           "unrecognized arguments: --tol 1e-6"),
+    _case("full tol", ["full", "--moments", "{t}", "--tol", "1e-6"] + N_M,
+          "unrecognized arguments: --tol 1e-6"),
     _case("closed-face sos tol", ["sos", "--poly", "{p}", "--tol", "1e-3"],
           "--tol applies only with --open-face"),
 ])
@@ -447,9 +449,8 @@ def test_noisy_table_fails_at_the_fixed_floor(tmp_path, p_2zw):
 
 
 @pytest.mark.parametrize("argv, name", [
-    (["full", "--moments", "{t}"] + N_M, "check_full_measure"),
     (["sos", "--open-face", "--poly", "{p}"], "certificate_open_face"),
-], ids=["full", "open-face sos"])
+], ids=["open-face sos"])
 def test_tol_reaches_the_library_as_given(files, monkeypatch, argv, name):
     # an explicit --tol arrives unchanged, below the library default too;
     # without one the library keeps its own default

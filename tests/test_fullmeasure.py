@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from bszego import (BiPoly, DegenerateForm, InsufficientMoments, MomentSpace,
-                    MomentTable, check_full_measure, moments_from_density,
-                    reconstruct_p, strip_match)
+from bszego import (BiPoly, DegenerateForm, InsufficientMoments,
+                    MatrixConditionFails, MomentSpace, MomentTable,
+                    check_full_measure, moments_from_density, reconstruct_p,
+                    strip_match)
 from bszego.fullmeasure import _nested_inverse_max
-from bszego.moments import gram
+from bszego.moments import POSITIVE_TOL, gram, is_positive
 from bszego.space import TRI_BLOCK
 
 from bszego.jsonio import table_to_json
@@ -142,14 +143,20 @@ def dense_conditions(table, n, m, Nmax, Mmax):
 
 
 def test_nested_windows_match_dense_inverses():
+    # block sizes 1, 3 and 5, and an empty family (first == T, as full
+    # builds for its xi windows when Mmax == m), against one dense inverse
+    # per window t >= first
     rng = np.random.default_rng(7)
-    a = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-    G = a @ a.conj().T + 0.1 * np.eye(12)
-    got = _nested_inverse_max(G, 3, 1, [0, 2], "a test matrix")
-    for t in range(1, 4):
-        inv = np.linalg.inv(G[:3 * t + 3, :3 * t + 3])
-        ref = np.max(np.abs(inv[3 * t: 3 * t + 3][:, [0, 2]]))
-        assert abs(got[t - 1] - ref) < 1e-12 * ref
+    for size, T, first, cols in ((1, 7, 2, [0]), (3, 4, 1, [0, 2]),
+                                 (5, 3, 0, [1, 2, 4]), (3, 2, 2, [1])):
+        a = rng.normal(size=(size * T,) * 2) + 1j * rng.normal(size=(size * T,) * 2)
+        G = a @ a.conj().T + 0.1 * np.eye(size * T)
+        got = _nested_inverse_max(G, size, first, cols, "a test matrix")
+        ref = [np.max(np.abs(np.linalg.inv(G[:w, :w])[w - size:, cols]))
+               for w in range(size * (first + 1), size * T + 1, size)]
+        assert len(got) == len(ref) == T - first
+        for g, r in zip(got, ref):
+            assert abs(g - r) <= 1e-12 * r
 
 
 def test_conditions_match_dense_windows(table_perturb_8_8, p_2zw):
@@ -182,3 +189,44 @@ def test_no_dense_solve_beyond_one_block(monkeypatch, table_perturb_8_8):
     assert check_full_measure(table_perturb_8_8, 8, 8).verdict == "pass"
     MomentSpace(table_perturb_8_8, 8, 8).phi_sequence(8, 8)
     assert sizes and max(sizes) <= TRI_BLOCK
+
+
+@pytest.fixture(scope="module")
+def scale_tables():
+    """The (8, 5) table of a seeded 1 + e of degree (2, 2), sum |e| = 0.4,
+    and the (4, 1) table of 0.5 / |2 - zw|^2 + 0.5 / |2 - z|^2."""
+    rng = np.random.default_rng(1)
+    e = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    a = 0.4 * e / np.sum(np.abs(e))
+    a[0, 0] += 1.0
+    mix = sum(0.5 * moments_from_density(BiPoly(q), 4, 1).c
+              for q in ([[2.0, 0.0], [0.0, -1.0]], [[2.0], [-1.0]]))
+    return moments_from_density(BiPoly(a), 8, 5), MomentTable(4, 1, mix)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e9, 1e12])
+def test_verdicts_do_not_depend_on_the_scale(scale_tables, scale):
+    # gamma and xi scale as 1 / c00 and the strip gap as c00, so each is
+    # compared times or over c00 with one floor
+    bs, mix = scale_tables
+    table = MomentTable(8, 5, scale * bs.c)
+    assert strip_match(table, 2, 2).trimmed().deg == (2, 2)
+    assert check_full_measure(table, 2, 2).verdict == "pass"
+    with pytest.raises(MatrixConditionFails):
+        strip_match(MomentTable(4, 1, scale * mix.c), 1, 1)
+
+
+def test_full_is_inconclusive_below_the_positivity_floor(tmp_path):
+    # a point mass at z = w = 1 plus eps times Lebesgue has moments
+    # c = 1 + eps [j = k = 0], so full's window [0, 5] x [0, 4] at (1, 1)
+    # has the Gram J + eps I, with eigenvalue ratio eps / (30 + eps)
+    for ratio in (5e-13, 2e-12):
+        c = np.ones((11, 9), dtype=complex)
+        c[5, 4] += 30 * ratio / (1 - ratio)
+        table = MomentTable(5, 4, c)
+        positive, _ = is_positive(table, 5, 4)
+        assert positive == (ratio > POSITIVE_TOL)
+        code, doc = cli_document(tmp_path, "full", "--moments", table_to_json(table),
+                                 "--n", "1", "--m", "1")
+        assert doc["positivity_ok"] is True
+        assert (code, doc["verdict"]) == ((1, "fail") if positive else (3, "inconclusive"))

@@ -24,7 +24,6 @@ ALLOWED = {
     "reconstruct.factor_trig(cfg)",
     "fullmeasure.check_full_measure(Nmax)",
     "fullmeasure.check_full_measure(Mmax)",
-    "fullmeasure.check_full_measure(tol)",
     "sos.certificate_open_face(tol)",
     "cli.main(argv)",
 }
@@ -36,7 +35,7 @@ PUBLIC_NAMES = 109
 CLI_FLAGS = {
     ("moments", "--tol"), ("moments", "--grid"),
     ("factor", "--tol"), ("factor", "--grid"),
-    ("full", "--tol"), ("full", "--depth"),
+    ("full", "--depth"),
     ("sos", "--tol"), ("sos", "--open-face"),
 }
 

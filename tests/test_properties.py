@@ -74,16 +74,20 @@ def grids(draw, size=6):
 # one-column times one-row, and one-row times one-column
 @example(BiPoly([[1.0], [2j], [-3.0]]), BiPoly([[0.5, 1.0, -1j, 2.0]]), 0)
 @example(BiPoly([[1.0, -2.0, 1j]]), BiPoly([[3.0], [1j]]), 1)
+# a subnormal coefficient: both sides round to multiples of 5e-324
+@example(BiPoly([[5e-324j]]), BiPoly([[0.0, 0.0], [0.0, 1j]]), 0)
 def test_product_matches_pointwise(p, q, seed):
     # (p * q)(z, w) = p(z, w) q(z, w) at random points, relative to the
-    # same product with every coefficient and point replaced by its modulus
+    # same product with every coefficient and point replaced by its modulus,
+    # plus the underflow term of the rounding model, the least normal float
     rng = np.random.default_rng(seed)
     r = rng.uniform(0.5, 1.5, (2, 8))
     z, w = r * np.exp(2j * np.pi * rng.uniform(size=(2, 8)))
     pq = p * q
     assert pq.deg == (p.deg[0] + q.deg[0], p.deg[1] + q.deg[1])
     scale = BiPoly(np.abs(p.coeffs))(*r) * BiPoly(np.abs(q.coeffs))(*r)
-    assert np.all(np.abs(pq(z, w) - p(z, w) * q(z, w)) <= 1e-12 * scale)
+    assert np.all(np.abs(pq(z, w) - p(z, w) * q(z, w))
+                  <= 1e-12 * scale + np.finfo(float).tiny)
     assert np.array_equal((p * 2.0).coeffs, 2.0 * p.coeffs)
     assert np.array_equal((2.0 * p).coeffs, 2.0 * p.coeffs)
 
