@@ -18,9 +18,9 @@ from .errors import (BszegoError, CertificateFailed, CommonFactor,
                      ZOnlyFactor)
 from .poly import (BiPoly, RootSplit, content_roots, reflect, roots,
                    split_stable)
-from .moments import (MomentTable, QuadratureConfig, TrigPoly, gram,
-                      is_positive, moments_from_density,
-                      moments_from_grid_function, moments_from_trig)
+from .moments import (MomentTable, TrigPoly, gram, is_positive,
+                      moments_from_density, moments_from_grid_function,
+                      moments_from_trig)
 from .space import MomentSpace, SubspaceBasis
 from .splitshift import (ShiftOperators, ShiftSplit, StratificationReport,
                          build_operators, check_matrix_condition,

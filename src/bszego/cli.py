@@ -36,7 +36,7 @@ from .errors import BszegoError, InvalidInput
 from .fullmeasure import check_full_measure
 from .jsonio import (_pairs, dumps, poly_from_json, poly_to_json,
                      table_from_json, table_to_json, trig_from_json)
-from .moments import QuadratureConfig, moments_from_density
+from .moments import moments_from_density
 from .reconstruct import factor_trig, reconstruct_p
 from .sos import certificate_closed_face, certificate_open_face
 from .splitshift import _positive_form
@@ -63,13 +63,9 @@ def _given(args, *names):
             if getattr(args, name) is not None}
 
 
-def _qcfg(args):
-    return QuadratureConfig(**_given(args, "max_grid", "tol"))
-
-
 def _cmd_moments(args):
     p = poly_from_json(_read_json(args.poly))
-    table = moments_from_density(p, args.jmax, args.kmax, _qcfg(args))
+    table = moments_from_density(p, args.jmax, args.kmax)
     return table_to_json(table), 0
 
 
@@ -92,7 +88,7 @@ def _cmd_reconstruct(args):
 
 def _cmd_factor(args):
     t = trig_from_json(_read_json(args.trig))
-    p = factor_trig(t, args.n, args.m, _qcfg(args))
+    p = factor_trig(t, args.n, args.m)
     return poly_to_json(p), 0
 
 
@@ -158,8 +154,8 @@ def build_parser():
     """The CLI parser, built on first use and shared for the process.
 
     Each subcommand declares only the flags it reads, so a flag it would
-    ignore is a usage error.  The help of --tol and --grid gives the
-    default of the library parameter they set.
+    ignore is a usage error.  The help of sos --tol gives the default of
+    the library parameter it sets.
     """
     ap = _Parser(
         prog="bszego",
@@ -167,25 +163,22 @@ def build_parser():
                     "factorization, certificates, filters.")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-    # name, handler, help, the input flag then the integer flags, and the
-    # library parameter whose default --tol replaces
-    for name, func, help_text, required, tol_of in (
+    # name, handler, help, then the input flag and the integer flags
+    for name, func, help_text, required in (
             ("moments", _cmd_moments, "moments of dsigma/|p|^2",
-             "--poly --jmax --kmax", QuadratureConfig),
+             "--poly --jmax --kmax"),
             ("check", _cmd_check, "matrix condition / stratification report",
-             "--moments --n --m", None),
+             "--moments --n --m"),
             ("reconstruct", _cmd_reconstruct, "recover p from moments",
-             "--moments --n --m", None),
+             "--moments --n --m"),
             ("full", _cmd_full, "full-measure Bernstein-Szego test",
-             "--moments --n --m", None),
+             "--moments --n --m"),
             ("factor", _cmd_factor, "factor a positive trig polynomial",
-             "--trig --n --m", QuadratureConfig),
-            ("sos", _cmd_sos, "sum-of-squares certificate", "--poly",
-             certificate_open_face),
-            ("gdv", _cmd_gdv, "distinguished-variety geometry and pencil", "--poly",
-             None),
+             "--trig --n --m"),
+            ("sos", _cmd_sos, "sum-of-squares certificate", "--poly"),
+            ("gdv", _cmd_gdv, "distinguished-variety geometry and pencil", "--poly"),
             ("ar", _cmd_ar, "solve the extended autoregressive model",
-             "--autocorr --n --m", None)):
+             "--autocorr --n --m")):
         s = sub.add_parser(name, help=help_text)
         s.set_defaults(func=func)
         source, *ints = required.split()
@@ -194,18 +187,11 @@ def build_parser():
             s.add_argument(flag, type=int, required=True)
         if name == "sos":
             s.add_argument("--open-face", action="store_true")
+            tol = inspect.signature(certificate_open_face).parameters["tol"].default
+            s.add_argument("--tol", type=float,
+                           help=f"tolerance of certificate_open_face (default {tol:g})")
         if name == "full":
             s.add_argument("--depth", type=_depth, help="Nmax,Mmax")
-        if tol_of is None:
-            continue
-        default = inspect.signature(tol_of).parameters
-        s.add_argument("--tol", type=float,
-                       help=f"tolerance of {tol_of.__name__} "
-                            f"(default {default['tol'].default:g})")
-        if tol_of is QuadratureConfig:
-            s.add_argument("--grid", dest="max_grid", metavar="GRID", type=int,
-                           help="maximum quadrature grid per axis, a power of two "
-                                f"(default {default['max_grid'].default})")
     return ap
 
 

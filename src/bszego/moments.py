@@ -5,7 +5,8 @@ positive density on the two-torus, indexed over a centered window
 ``[-jmax..jmax] x [-kmax..kmax]``.  Moments are computed by FFT
 quadrature on uniform torus grids, which is spectrally accurate for the
 smooth densities 1/|p|^2 and 1/t handled here; the grid is doubled until
-every requested moment stabilizes.
+every requested moment stabilizes, by the module's own grid cap MAX_GRID
+and stopping rule STOP_TOL, which no caller sets.
 
 The grids are nested: the points of grid N are the even rows and even
 columns of grid 2N.  Each level keeps, for every one of its rows, the
@@ -43,28 +44,8 @@ BLOCK_POINTS = 1 << 15  # grid points per row block of the quadrature pass
 CHUNK = 64  # w-samples per chunk of the pruned DFT along w (at most N)
 WHOLE_GRID = ((0, 0),)  # the first level's one sub-grid, unshifted
 NEW_POINTS = ((0, 1), (1, 0), (1, 1))  # the sub-grids level 2N adds to level N
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Controls the FFT quadrature loop.
-
-    max_grid is the last grid, in points per axis (a power of two); doubling
-    starts at min(64, max_grid // 2), or at the first power of two above
-    twice the moment window if larger.  tol is the stabilization threshold
-    between successive doublings, relative to max(1, c00).  A denominator
-    whose grid minimum is at most POLE_MARGIN times its grid maximum counts
-    as vanishing.
-    """
-
-    max_grid: int = 4096
-    tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.max_grid < 1 or self.max_grid & (self.max_grid - 1):
-            raise ValueError(f"max_grid {self.max_grid} is not a power of two")
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+MAX_GRID = 4096  # the last quadrature grid, in points per axis
+STOP_TOL = 1e-10  # level-to-level change that stops the doubling, over max(1, |c00|)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +95,7 @@ class TrigPoly(MomentTable):
     def __post_init__(self):
         raw = np.asarray(self.c, dtype=complex)
         super().__post_init__()
-        if np.max(np.abs(self.c - raw)) > 1e-8 * max(1.0, np.max(np.abs(raw))):
+        if np.max(np.abs(self.c - raw)) > 1e-8 * np.max(np.abs(raw)):
             raise NonPositiveDensity("coefficients are not Hermitian-symmetric")
 
     def _rows_on_grid(self, N, shifts=WHOLE_GRID):
@@ -250,7 +231,7 @@ def _level_sums(density_at, N, kmax):
         sums, N = sums2, 2 * N
 
 
-def _moments_of_grid_density(density_at, jmax, kmax, cfg):
+def _moments_of_grid_density(density_at, jmax, kmax):
     """Shared doubling loop over density_at(N, shifts).
 
     density_at(N, shifts) yields the real positive samples of the N x N
@@ -262,15 +243,20 @@ def _moments_of_grid_density(density_at, jmax, kmax, cfg):
     because the samples are real) gives rows -jmax..jmax.  That FFT goes
     through ``np.fft.fft2`` over the last axis only, which is a 1-D FFT,
     because the benchmark trace (bench/spans.py) counts quadrature grids
-    there.  Stability needs two grids to compare, so a window that leaves
-    room for fewer than two grids up to cfg.max_grid is a ValueError.
+    there.
+
+    Doubling starts at grid 64, or at the first power of two above twice
+    the window if larger, and stops once no moment moves by more than
+    STOP_TOL times max(1, |c00|) from one level to the next.  Stability
+    needs two grids to compare, so a window that leaves room for fewer
+    than two grids up to MAX_GRID (one above 1023) is a ValueError; a
+    table still moving at MAX_GRID is a MomentDivergence.
     """
-    N = max(min(64, cfg.max_grid // 2), 2 * max(jmax, kmax) + 2)
-    N = 1 << int(np.ceil(np.log2(N)))
-    if 2 * N > cfg.max_grid:
+    N = 1 << (max(64, 2 * max(jmax, kmax) + 2) - 1).bit_length()
+    if 2 * N > MAX_GRID:
         raise ValueError(
             f"window ({jmax}, {kmax}) starts at grid {N}^2, which leaves "
-            f"fewer than two grids up to {cfg.max_grid}^2")
+            f"fewer than two grids up to {MAX_GRID}^2")
     prev = None
     last_diff = np.inf
     for N, sums in _level_sums(density_at, N, kmax):
@@ -281,9 +267,9 @@ def _moments_of_grid_density(density_at, jmax, kmax, cfg):
         if prev is not None:
             scale = max(1.0, abs(win[jmax, kmax]))
             last_diff = float(np.max(np.abs(win - prev)))
-            if last_diff <= cfg.tol * scale:
+            if last_diff <= STOP_TOL * scale:
                 return MomentTable(jmax, kmax, win)
-        if N == cfg.max_grid:
+        if N == MAX_GRID:
             raise MomentDivergence(
                 f"moments did not stabilize at grid {N}^2 "
                 f"(last change {last_diff:.3e})")
@@ -314,8 +300,7 @@ def _abs2(planes):
     return np.add(re, im, out=re)
 
 
-def moments_from_density(p: BiPoly, jmax, kmax,
-                         cfg: QuadratureConfig = QuadratureConfig()) -> MomentTable:
+def moments_from_density(p: BiPoly, jmax, kmax) -> MomentTable:
     """Moments c_{j,k} = int z^-j w^-k / |p|^2 dsigma over the bicircle.
 
     Raises MomentDivergence when the density has a pole on or near the
@@ -333,11 +318,10 @@ def moments_from_density(p: BiPoly, jmax, kmax,
             raise MomentDivergence(
                 f"|p|^2 nearly vanishes on the torus (min/max = {lo / hi:.3e})")
 
-    return _moments_of_grid_density(density_at, jmax, kmax, cfg)
+    return _moments_of_grid_density(density_at, jmax, kmax)
 
 
-def moments_from_trig(t: TrigPoly, jmax, kmax,
-                      cfg: QuadratureConfig = QuadratureConfig()) -> MomentTable:
+def moments_from_trig(t: TrigPoly, jmax, kmax) -> MomentTable:
     """Moments of dsigma / t for a strictly positive trig polynomial t."""
     bounds = [np.inf, -np.inf]
 
@@ -348,7 +332,7 @@ def moments_from_trig(t: TrigPoly, jmax, kmax,
             raise NonPositiveDensity(
                 f"t is not strictly positive on the grid (min {lo:.3e})")
 
-    return _moments_of_grid_density(density_at, jmax, kmax, cfg)
+    return _moments_of_grid_density(density_at, jmax, kmax)
 
 
 def moments_from_grid_function(fn, jmax, kmax) -> MomentTable:
@@ -366,7 +350,7 @@ def moments_from_grid_function(fn, jmax, kmax) -> MomentTable:
             dens = np.asarray(fn(*np.meshgrid(z, w, indexing="ij")), dtype=float)
             yield dens if np.isfinite(dens).all() else None
 
-    return _moments_of_grid_density(density_at, jmax, kmax, QuadratureConfig())
+    return _moments_of_grid_density(density_at, jmax, kmax)
 
 
 def gram(table: MomentTable, k, l) -> np.ndarray:

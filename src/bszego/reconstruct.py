@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (DegenerateForm, MatrixConditionFails, NoConvergence,
                      NotFactorable)
-from .moments import MomentTable, QuadratureConfig, TrigPoly, moments_from_trig
+from .moments import MomentTable, TrigPoly, moments_from_trig
 from .poly import BiPoly, reflect
 from .space import MomentSpace
 from .splitshift import (ShiftOperators, _positive_form,
@@ -72,7 +72,7 @@ def _reconstruct(space: MomentSpace, ops: ShiftOperators) -> BiPoly:
     return p
 
 
-def factor_trig(t: TrigPoly, n, m, cfg: QuadratureConfig = QuadratureConfig()):
+def factor_trig(t: TrigPoly, n, m):
     """Factor a strictly positive trig polynomial as |p|^2 when possible.
 
     Builds the moments of dsigma / t, tests the matrix condition, then
@@ -81,7 +81,7 @@ def factor_trig(t: TrigPoly, n, m, cfg: QuadratureConfig = QuadratureConfig()):
     NotFactorable when no p of degree (n, m) without zeros on the closed
     face exists.
     """
-    table = moments_from_trig(t, n, m, cfg)
+    table = moments_from_trig(t, n, m)
     try:
         p = reconstruct_p(table, n, m)
     except MatrixConditionFails as exc:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bszego import (BiPoly, MomentSpace, MomentTable, SubspaceBasis, TrigPoly,
-                    moments_from_density, reflect, sos)
+                    moments, moments_from_density, reflect, sos)
 from bszego.cli import main as cli_main
 from bszego.jsonio import dumps
 from bszego.moments import _poly_grid_rows
@@ -92,6 +92,20 @@ def poly_grid_values(p: BiPoly, N):
 
     The sampler reuses one buffer, so each block is copied as it is drawn."""
     return np.concatenate([re + 1j * im for re, im in _poly_grid_rows(p, N)])
+
+
+def sampled_grids(monkeypatch):
+    """The grid sizes the quadrature reaches, in order, from here on."""
+    grids = []
+    levels = moments._level_sums
+
+    def record(density_at, N, kmax):
+        for level in levels(density_at, N, kmax):
+            grids.append(level[0])
+            yield level
+
+    monkeypatch.setattr(moments, "_level_sums", record)
+    return grids
 
 
 def trig_values_on_grid(t: TrigPoly, N):

@@ -8,8 +8,7 @@ import time
 import numpy as np
 
 from bszego import (BiPoly, MomentSpace, MomentTable, MomentDivergence,
-                    NotGdv, NotPositive, QuadratureConfig,
-                    TrigPoly, build_operators, build_detrep,
+                    NotGdv, NotPositive, TrigPoly, build_operators, build_detrep,
                     certificate_closed_face, check_full_measure,
                     check_matrix_condition, enumerate_split_polys, gw_check,
                     is_positive, moments_from_density, reconstruct_p,
@@ -17,7 +16,8 @@ from bszego import (BiPoly, MomentSpace, MomentTable, MomentDivergence,
 from bszego.cli import main as cli_main
 
 from conftest import (containment_defect, geometric_diag_moment,
-                      random_corpus_poly, torus_grid, trig_abs_squared)
+                      random_corpus_poly, sampled_grids, torus_grid,
+                      trig_abs_squared)
 
 
 def report(num, ok, detail=""):
@@ -34,14 +34,14 @@ def corpus(rng, count, allow_unstable_q=False):
     return out
 
 
-def test_criterion_01_moment_engine(p_2zw):
+def test_criterion_01_moment_engine(p_2zw, monkeypatch):
+    grids = sampled_grids(monkeypatch)
     start = time.time()
-    cfg = QuadratureConfig(max_grid=256)
-    table = moments_from_density(p_2zw, 3, 3, cfg)
+    table = moments_from_density(p_2zw, 3, 3)
     worst = max(abs(table.at(j, j) - geometric_diag_moment(j, 2.0))
                 for j in range(-3, 4))
     elapsed = time.time() - start
-    report(1, worst < 1e-10 and elapsed < 1.0,
+    report(1, worst < 1e-10 and elapsed < 1.0 and max(grids) <= 256,
            f"max diag error {worst:.2e}, {elapsed:.2f}s on <=256^2 grids")
 
 

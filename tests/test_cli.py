@@ -143,18 +143,16 @@ def test_moments_divergence_exit_3(files):
 def test_grid_limits(tmp_path):
     path = tmp_path / "three.json"
     path.write_text(dumps(poly_to_json(BiPoly([[3.0, 0.0], [0.0, -1.0]]))))
-    base = ["moments", "--poly", str(path), "--jmax", "1", "--kmax", "1", "--grid"]
-    for grid in ("100", "-8"):                       # not powers of two
-        code, out = run(base + [grid])
-        assert code == 2 and json.loads(out)["error"] == "ValueError"
-        assert f"max_grid {grid} is not a power of two" in json.loads(out)["message"]
-    code, out = run(base + ["2"])                    # one grid: nothing to compare
-    assert code == 2 and "fewer than two grids" in json.loads(out)["message"]
-    code, out = run(base + ["64"])                   # 32^2 and 64^2
-    assert code == 0 and json.loads(out)["jmax"] == 1
-    code, out = run(base + ["16"])                   # 8^2 and 16^2 differ by 1e-4
+    # window 1024 starts at grid 4096^2, the cap: one grid, nothing to compare
+    code, out = run(["moments", "--poly", str(path), "--jmax", "1024", "--kmax", "1"])
+    assert code == 2 and json.loads(out)["error"] == "ValueError"
+    assert "fewer than two grids up to 4096^2" in json.loads(out)["message"]
+    # 1.01 - zw is still moving at the fixed cap, and no flag moves the cap
+    # or the stopping rule
+    path.write_text(dumps(poly_to_json(BiPoly([[1.01, 0.0], [0.0, -1.0]]))))
+    code, out = run(["moments", "--poly", str(path), "--jmax", "1", "--kmax", "1"])
     assert code == 3
-    assert "did not stabilize at grid 16^2" in json.loads(out)["message"]
+    assert "did not stabilize at grid 4096^2" in json.loads(out)["message"]
 
 
 def test_gdv_negative_exit_1(files):
@@ -266,9 +264,8 @@ def test_stdin_input(files, monkeypatch, p_2zw):
 
 
 def test_flags_after_subcommand(files):
-    code, out = run(["moments", "--poly", files["p.json"],
-                     "--jmax", "1", "--kmax", "1", "--grid", "256"])
-    assert code == 0
+    code, out = run(["sos", "--poly", files["p.json"], "--open-face", "--tol", "1e-6"])
+    assert code == 0 and json.loads(out)["residual"] <= 1e-6
 
 
 def test_malformed_input_exit_2(tmp_path):
@@ -304,10 +301,9 @@ WINDOW = ["--jmax", "1", "--kmax", "1"]
     _case("full m<0", ["full", "--moments", "{trig}", "--n", "1", "--m", "-1"]),
     _case("jmax<0", ["moments", "--poly", "{poly}", "--jmax", "-1", "--kmax", "1"]),
     _case("kmax<0", ["moments", "--poly", "{poly}", "--jmax", "1", "--kmax", "-1"]),
-    _case("grid 0", ["moments", "--poly", "{poly}", "--grid", "0"] + WINDOW),
-    _case("tol 0", ["factor", "--trig", "{trig}", "--tol", "0"] + N_M),
+    _case("tol 0", ["sos", "--open-face", "--poly", "{poly}", "--tol", "0"]),
     _case("tol<0", ["sos", "--open-face", "--poly", "{poly}", "--tol=-1"]),
-    _case("tol nan", ["moments", "--poly", "{poly}", "--tol", "nan"] + WINDOW),
+    _case("tol nan", ["sos", "--open-face", "--poly", "{poly}", "--tol", "nan"]),
     _case("deg null", ["sos", "--poly", "{poly}"], ("deg", None)),
     _case("deg triple", ["sos", "--poly", "{poly}"], ("deg", [1, 1, 1])),
     _case("deg string", ["sos", "--poly", "{poly}"], ("deg", "ab")),
@@ -420,6 +416,11 @@ def test_usage_errors_exit_2_with_json(files, argv, message):
           "unrecognized arguments: --tol 1e-6"),
     _case("closed-face sos tol", ["sos", "--poly", "{p}", "--tol", "1e-3"],
           "--tol applies only with --open-face"),
+    *(_case(f"{name} {flag}", [name, source, "{%s}" % key, flag, "64"] + nm,
+            f"unrecognized arguments: {flag} 64")
+      for name, source, key, nm in (("moments", "--poly", "p", WINDOW),
+                                    ("factor", "--trig", "t", N_M))
+      for flag in ("--tol", "--grid")),
 ])
 def test_unread_flags_exit_2(files, argv, message):
     # each subcommand declares only the flags it reads, and none come

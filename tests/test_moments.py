@@ -6,14 +6,14 @@ import pytest
 from numpy.polynomial.polynomial import polyval2d
 
 from bszego import (BiPoly, InsufficientMoments, MomentDivergence, MomentTable,
-                    NonPositiveDensity, QuadratureConfig, TrigPoly,
-                    ZeroPolynomial, gram, is_positive, moments_from_density,
+                    NonPositiveDensity, TrigPoly, ZeroPolynomial, gram,
+                    is_positive, moments_from_density,
                     moments_from_grid_function, moments_from_trig)
 from bszego import moments
 from bszego.moments import _rect_gram_eigvalsh
 
 from conftest import (geometric_diag_moment, poly_grid_values, riemann_moment,
-                      trig_abs_squared, trig_values_on_grid)
+                      sampled_grids, trig_abs_squared, trig_values_on_grid)
 
 
 def test_lebesgue_measure():
@@ -51,28 +51,15 @@ def test_real_coefficients_give_real_moments():
     assert float(np.max(np.abs(t.c.imag))) < 1e-11
 
 
-def _sampled_grids(monkeypatch):
-    """The grid sizes the quadrature reaches, in order, from here on."""
-    grids = []
-    levels = moments._level_sums
-
-    def record(density_at, N, kmax):
-        for level in levels(density_at, N, kmax):
-            grids.append(level[0])
-            yield level
-
-    monkeypatch.setattr(moments, "_level_sums", record)
-    return grids
-
-
 def test_grid_doubling_stability(monkeypatch):
-    # 1.1 - zw: the default tol stops at 512^2, a tighter one a grid later
+    # 1.1 - zw: the stopping rule stops at 512^2, a tighter one a grid later
     p = BiPoly([[1.1, 0.0], [0.0, -1.0]])
-    grids = _sampled_grids(monkeypatch)
+    grids = sampled_grids(monkeypatch)
     base = moments_from_density(p, 2, 2)
     assert grids == [64, 128, 256, 512]
     grids.clear()
-    finer = moments_from_density(p, 2, 2, QuadratureConfig(tol=1e-14))
+    monkeypatch.setattr(moments, "STOP_TOL", 1e-14)
+    finer = moments_from_density(p, 2, 2)
     assert grids == [64, 128, 256, 512, 1024]
     assert float(np.max(np.abs(base.c - finer.c))) < 1e-14
 
@@ -201,7 +188,7 @@ def test_run_samples_each_point_once(monkeypatch):
     # 1.1 - zw, as a grid function: the run stops at 512^2, and the calls
     # sample each of that grid's points exactly once
     p = BiPoly([[1.1, 0.0], [0.0, -1.0]])
-    grids = _sampled_grids(monkeypatch)
+    grids = sampled_grids(monkeypatch)
     seen = []
 
     def dens(zz, ww):
@@ -216,11 +203,11 @@ def test_run_samples_each_point_once(monkeypatch):
     assert len(np.unique(index[0] * N + index[1])) == N * N
 
 
-def test_near_torus_closed_form():
+def test_near_torus_closed_form(monkeypatch):
     p = BiPoly([[1.03, 0.0], [0.0, -1.0]])           # 1.03 - zw
-    with pytest.raises(MomentDivergence):            # needs the 2048^2 grid
-        moments_from_density(p, 2, 2, QuadratureConfig(max_grid=1024))
+    grids = sampled_grids(monkeypatch)
     t = moments_from_density(p, 2, 2)
+    assert grids[-1] == 2048                         # needs the 2048^2 grid
     for j in range(-2, 3):
         for k in range(-2, 3):
             if j == k:
@@ -286,8 +273,9 @@ def _block_tables(monkeypatch, p, points):
 
 def test_quadrature_is_block_invariant(monkeypatch):
     p = BiPoly([[1.4, 0.3], [0.2j, -1.0]])
-    with pytest.raises(MomentDivergence):            # needs the 256^2 grid
-        moments_from_density(p, 3, 2, QuadratureConfig(max_grid=128))
+    grids = sampled_grids(monkeypatch)
+    moments_from_density(p, 3, 2)
+    assert grids[-1] == 2048                         # needs the 2048^2 grid
     whole = _block_tables(monkeypatch, p, 1 << 24)   # one block per grid
     # one row per block; then 12 rows on grid 64 and on the 64-row
     # sub-grids of new points of grid 128, and 6 rows on those of grid
@@ -407,31 +395,29 @@ def test_quadrature_memory_stays_in_blocks():
     assert peak < 8 * 2 ** 20                        # one 2048^2 float array is 32 MiB
 
 
-@pytest.mark.parametrize("kwargs", [dict(max_grid=100), dict(max_grid=-8),
-                                    dict(max_grid=0)])
-def test_grids_must_be_powers_of_two(kwargs):
-    with pytest.raises(ValueError, match="is not a power of two"):
-        QuadratureConfig(**kwargs)
-
-
 def test_fewer_than_two_grids_rejected(monkeypatch):
     p = BiPoly([[3.0, 0.0], [0.0, -1.0]])            # 3 - zw
-    for jmax, grid in [(40, 128), (1, 2)]:
-        with pytest.raises(ValueError, match="fewer than two grids"):
-            moments_from_density(p, jmax, 1, QuadratureConfig(max_grid=grid))
-    # doubling starts at min(64, max_grid // 2): two grids, as --grid 64 gives
-    grids = _sampled_grids(monkeypatch)
-    table = moments_from_density(p, 1, 1, QuadratureConfig(max_grid=64))
-    assert grids == [32, 64]
+    with pytest.raises(ValueError, match=r"window \(1024, 1\) starts at grid "
+                                         r"4096\^2, which leaves fewer than two "
+                                         r"grids up to 4096\^2"):
+        moments_from_density(p, 1024, 1)
+    # doubling starts at 64^2, or at the first power of two above twice the
+    # window: window 1023 starts at 2048^2, the last grid with one after it
+    grids = sampled_grids(monkeypatch)
+    for jmax, first in [(1, 64), (31, 64), (32, 128), (1023, 2048)]:
+        grids.clear()
+        table = moments_from_density(p, jmax, 1)
+        assert grids[0] == first
+    assert grids == [2048, 4096]
     assert abs(table.at(1, 1) - geometric_diag_moment(1, 3.0)) < 1e-14
 
 
 def test_divergence_names_largest_grid_sampled(monkeypatch):
-    grids = _sampled_grids(monkeypatch)
-    p = BiPoly([[1.03, 0.0], [0.0, -1.0]])           # needs the 2048^2 grid
-    with pytest.raises(MomentDivergence, match=r"did not stabilize at grid 1024\^2"):
-        moments_from_density(p, 2, 2, QuadratureConfig(max_grid=1024))
-    assert grids == [64, 128, 256, 512, 1024]
+    grids = sampled_grids(monkeypatch)
+    p = BiPoly([[1.01, 0.0], [0.0, -1.0]])           # still moving at 4096^2
+    with pytest.raises(MomentDivergence, match=r"did not stabilize at grid 4096\^2"):
+        moments_from_density(p, 2, 2)
+    assert grids == [64, 128, 256, 512, 1024, 2048, 4096]
 
 
 def test_divergence_for_torus_zero():
@@ -505,6 +491,18 @@ def test_trig_rejects_sign_changing():
     c[2, 1] = 1.0
     with pytest.raises(NonPositiveDensity):
         TrigPoly(1, 1, c)
+
+
+@pytest.mark.parametrize("size", [1.0, 1e-3, 1e-6, 1e-9, 1e-12, 1e12])
+def test_hermitian_check_is_scale_free(size):
+    # one coefficient without its mirror, 20 % of the largest, is refused
+    # at every size; with its mirror the table is accepted as it is
+    c = np.zeros((3, 3), dtype=complex)
+    c[1, 1], c[2, 1] = size, 0.2j * size
+    with pytest.raises(NonPositiveDensity, match="not Hermitian-symmetric"):
+        TrigPoly(1, 1, c)
+    c[0, 1] = np.conj(c[2, 1])
+    assert np.array_equal(TrigPoly(1, 1, c).c, c)
 
 
 def test_gram_lebesgue_identity(lebesgue_table):

@@ -17,11 +17,6 @@ from bszego.cli import build_parser
 SRC = Path(__file__).resolve().parents[1] / "src" / "bszego"
 
 ALLOWED = {
-    "moments.QuadratureConfig.max_grid",
-    "moments.QuadratureConfig.tol",
-    "moments.moments_from_density(cfg)",
-    "moments.moments_from_trig(cfg)",
-    "reconstruct.factor_trig(cfg)",
     "fullmeasure.check_full_measure(Nmax)",
     "fullmeasure.check_full_measure(Mmax)",
     "sos.certificate_open_face(tol)",
@@ -29,12 +24,10 @@ ALLOWED = {
 }
 
 # top-level public functions and classes plus their public methods
-PUBLIC_NAMES = 109
+PUBLIC_NAMES = 108
 
 # (subcommand, flag) for each optional flag, on the subcommands that read it
 CLI_FLAGS = {
-    ("moments", "--tol"), ("moments", "--grid"),
-    ("factor", "--tol"), ("factor", "--grid"),
     ("full", "--depth"),
     ("sos", "--tol"), ("sos", "--open-face"),
 }

@@ -9,7 +9,8 @@ from bszego import (BiPoly, MomentSpace, MomentTable, NoConvergence,
                     enumerate_split_polys, factor_trig, is_positive,
                     moments_from_density, split_poly_from_condition)
 from bszego import reconstruct
-from bszego.jsonio import poly_from_json, table_to_json
+from bszego.jsonio import (poly_from_json, poly_to_json, table_from_json,
+                           table_to_json)
 from bszego.moments import gram
 from bszego.reconstruct import FACTOR_TOL
 
@@ -247,3 +248,52 @@ def test_shift_test_pipelines_are_invariant(cli_dir, p, phi, psi):
             phase = np.vdot(want, got)
             gap = got - phase / abs(phase) * want
             assert np.max(np.abs(gap)) <= 1e-9 * np.max(np.abs(want))
+
+
+def quadrature_answers(tmp_path, p):
+    """(exit code, answer) of moments and of factor on |p|^2, through the
+    CLI: the table's array, and the factor on the (n + 1) x (m + 1) grid."""
+    n, m = p.deg
+    code, table = cli_document(tmp_path, "moments", "--poly", poly_to_json(p),
+                               "--jmax", str(n), "--kmax", str(m))
+    fcode, f = cli_document(tmp_path, "factor", "--trig",
+                            table_to_json(trig_abs_squared(p)), "--n", str(n),
+                            "--m", str(m))
+    grid = np.zeros((n + 1, m + 1), dtype=complex)
+    if fcode == 0:
+        c = poly_from_json(f).coeffs
+        grid[: c.shape[0], : c.shape[1]] = c
+    return (code, table_from_json(table).c if code == 0 else None), (fcode, grid)
+
+
+@settings(max_examples=12, deadline=None)
+@given(closed_face_polys(), st.floats(0, 2 * np.pi), st.floats(0, 2 * np.pi))
+def test_quadrature_pipelines_are_invariant(cli_dir, p, phi, psi):
+    # a torus rotation of p, p(e^{i phi} z, e^{i psi} w), multiplies its
+    # moment table by e^{i(j phi + k psi)}, and conjugating p conjugates the
+    # table; factor's answer on |p|^2 moves as p does, up to a unimodular
+    # constant.  The rotated grid samples other points, so the answers move
+    # by the quadrature's own error: over 450 seeded draws the tables by at
+    # most 9.8e-16 of max(1, |c00|) and the factors by 2.2e-14 of their
+    # largest coefficient, against the bounds 1e-12 and 1e-11 here.  Scale
+    # is left out: near the torus the stopping rule is absolute below
+    # c00 = 1, so it is not scale-free (ROADMAP item 13)
+    n, m = p.deg
+    j, k = np.meshgrid(np.arange(-n, n + 1), np.arange(-m, m + 1), indexing="ij")
+    a, b = np.meshgrid(np.arange(n + 1), np.arange(m + 1), indexing="ij")
+    (code, table), (fcode, base) = quadrature_answers(cli_dir, p)
+    rotate = np.exp(1j * (a * phi + b * psi))
+    for q, move, move_table in (
+            (BiPoly(p.coeffs * rotate), lambda c: c * rotate,
+             lambda c: c * np.exp(1j * (j * phi + k * psi))),
+            (BiPoly(np.conj(p.coeffs)), np.conj, np.conj)):
+        (got_code, got), (got_fcode, got_f) = quadrature_answers(cli_dir, q)
+        assert got_code == code and got_fcode == fcode
+        if code == 0:
+            scale = max(1.0, abs(table[n, m]))
+            assert np.max(np.abs(got - move_table(table))) <= 1e-12 * scale
+        if fcode == 0:
+            want = move(base)
+            phase = np.vdot(want, got_f)
+            gap = got_f - phase / abs(phase) * want
+            assert np.max(np.abs(gap)) <= 1e-11 * np.max(np.abs(want))

@@ -8,8 +8,8 @@ imported read only: no bytecode is written there) it times
 square, window (2, 2), in process on one BLAS thread, best of REPEAT
 calls.  A run that stops at grid N has sampled each of its N^2 points
 once, so the table gives the grid reached, the best time in ms and that
-time in ns per sampled point.  The grid reached is the smallest
-``QuadratureConfig.max_grid`` at which the call converges.
+time in ns per sampled point.  The grid reached is the last level of one
+call, recorded by wrapping ``moments._level_sums`` for that call alone.
 """
 
 from __future__ import annotations
@@ -28,21 +28,29 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 from corpus import BANDS  # noqa: E402
 
-from bszego import (BiPoly, MomentDivergence, QuadratureConfig,  # noqa: E402
+from bszego import (BiPoly, MomentDivergence, moments,  # noqa: E402
                     moments_from_density)
 
 REPEAT = 15  # calls per case; the best one is reported
 
 
 def grid_reached(p, window):
-    """The smallest max_grid at which the call converges (None: not at 4096)."""
-    for grid in (128, 256, 512, 1024, 2048, 4096):
-        try:
-            moments_from_density(p, *window, QuadratureConfig(max_grid=grid))
-            return grid
-        except MomentDivergence:
-            pass
-    return None
+    """The last grid the call samples (None: still moving at MAX_GRID)."""
+    grids, levels = [], moments._level_sums
+
+    def record(density_at, N, kmax):
+        for level in levels(density_at, N, kmax):
+            grids.append(level[0])
+            yield level
+
+    moments._level_sums = record
+    try:
+        moments_from_density(p, *window)
+    except MomentDivergence:
+        return None
+    finally:
+        moments._level_sums = levels
+    return grids[-1]
 
 
 def best_ms(p, window):
