@@ -87,7 +87,7 @@ def check_self_reflective(p: BiPoly) -> complex:
     denom = np.vdot(b, b).real
     mu = complex(np.vdot(b, a)) / denom
     resid = float(np.max(np.abs(a - mu * b))) / max(1.0, float(np.max(np.abs(a))))
-    if resid > REFLECT_TOL or abs(abs(mu) - 1.0) > REFLECT_TOL:
+    if not (resid <= REFLECT_TOL and abs(abs(mu) - 1.0) <= REFLECT_TOL):
         raise NotSelfReflective(
             f"no unimodular mu matches (residual {resid:.3e}, |mu| = {abs(mu):.6f})")
     return mu / abs(mu)
@@ -198,7 +198,7 @@ def build_detrep(p: BiPoly) -> DetRep:
     u_l, _, v_h = np.linalg.svd(ys @ xs.conj().T)
     U = u_l @ v_h
     fit = float(np.linalg.norm(U @ xs - ys) / max(np.linalg.norm(ys), 1e-300))
-    if fit > FIT_TOL:
+    if not fit <= FIT_TOL:
         raise FitResidualTooLarge(f"lurking-isometry fit residual {fit:.3e}")
 
     rep0 = DetRep(u=U, n1=n1, n2=n2, scale=1.0 + 0.0j, residual=np.nan,
@@ -210,7 +210,7 @@ def build_detrep(p: BiPoly) -> DetRep:
         raise FitResidualTooLarge("pencil determinant vanishes identically")
     residual = float(np.max(np.abs(d - scale * c))
                      / (abs(scale) * np.max(np.abs(c))))
-    if residual > RESIDUAL_TOL:
+    if not residual <= RESIDUAL_TOL:
         raise FitResidualTooLarge(
             f"det(U Delta - Gamma) - scale * p reaches {residual:.3e}")
     # report the scale against the input polynomial, not the normalized one

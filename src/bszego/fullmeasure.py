@@ -141,7 +141,7 @@ def strip_match(table: MomentTable, n, m) -> BiPoly:
     for N in range(n, Nmax + 1):
         for M in Ms:
             worst = c00 * gam[M][N - n]
-            if worst >= VANISH_TOL:
+            if not worst < VANISH_TOL:
                 raise MatrixConditionFails(
                     f"strip condition fails at window ({N + 1}, {M}): "
                     f"{worst:.3e}")
@@ -149,6 +149,6 @@ def strip_match(table: MomentTable, n, m) -> BiPoly:
     check = moments_from_density(p, table.jmax, m)
     strip = table.c[:, table.kmax - m: table.kmax + m + 1]
     gap = float(np.max(np.abs(check.c - strip))) / c00
-    if gap > VANISH_TOL:
+    if not gap <= VANISH_TOL:
         raise NoConvergence(f"strip moments mismatch by {gap:.3e} of c00")
     return p

@@ -17,6 +17,9 @@ once, as the nested trapezoid rule does (Trefethen & Weideman, SIAM
 Review 56, 2014).  A polynomial is sampled separably (two thin tables of
 2N-th roots of unity times its coefficient block) as real planes Re p and
 Im p, and |p|^2 is re^2 + im^2 in place; a trig polynomial is its Re plane.
+The root and power tables depend on the grid, the half-step shift and the
+exponent range alone, so they sit in small read-only caches that every
+call shares, as do the tables of the w-transform.
 Along w the sums come from a pruned two-level DFT (chunks of CHUNK
 samples, then one twiddle sum over the chunks); along z one FFT per level
 of the 2*kmax + 1 window columns gives the rows.  Sampling runs in blocks
@@ -104,11 +107,39 @@ class TrigPoly(MomentTable):
         return _grid_rows(self.c, -self.jmax, -self.kmax, N, shifts, real=True)
 
 
+def _frozen(a):
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=32)
 def _roots(N):
-    """The N-th roots of unity e^(2 pi i t/N), t = 0..N-1."""
+    """The N-th roots of unity e^(2 pi i t/N), t = 0..N-1, cached read-only."""
     t = np.arange(N)
     # angles in [-pi, pi] round to half the error of angles up to 2 pi
-    return np.exp(2j * np.pi * np.where(2 * t > N, t - N, t) / N)
+    return _frozen(np.exp(2j * np.pi * np.where(2 * t > N, t - N, t) / N))
+
+
+@lru_cache(maxsize=32)
+def _power_table(N, shift, lo, count):
+    """V[r, a] = x_r^(lo + a) with x_r = e^(2 pi i (2r + shift)/2N), r < N.
+
+    x_r is row (or column) 2r + shift of the 2N x 2N grid; the entries are
+    read from the 2N-th roots table.  Cached read-only by all four keys.
+    """
+    exps = np.outer(2 * np.arange(N) + shift, np.arange(lo, lo + count))
+    return _frozen(_roots(2 * N)[exps % (2 * N)])
+
+
+@lru_cache(maxsize=32)
+def _real_w_table(N, shift, lo, count):
+    """[Re Vw; Im Vw] with Vw the transpose of ``_power_table``, read-only.
+
+    Built in row-major order, as the GEMMs of ``_grid_rows`` read it fastest.
+    """
+    exps = np.outer(np.arange(lo, lo + count), 2 * np.arange(N) + shift)
+    vw = _roots(2 * N)[exps % (2 * N)]
+    return _frozen(np.concatenate([vw.real, vw.imag]))
 
 
 def _grid_rows(coeffs, j0, k0, N, shifts=WHOLE_GRID, real=False):
@@ -124,21 +155,27 @@ def _grid_rows(coeffs, j0, k0, N, shifts=WHOLE_GRID, real=False):
     coefficients).  Yields blocks (planes, rows, N) of max(1, BLOCK_POINTS
     // N) consecutive rows, sub-grid after sub-grid, all in one buffer: a
     block is valid until the next one is drawn.
+
+    Vz and W depend on the grid, the shift and the exponent range alone, so
+    they come from the caches ``_power_table`` and ``_real_w_table``, keyed
+    by (N, u, j0, rows) and (N, v, k0, columns); the thin factor is built
+    once per distinct row shift u of the call (NEW_POINTS has u = 1 twice).
     """
-    t = 2 * np.arange(N)
-    roots = _roots(2 * N)
-    jz = np.arange(j0, j0 + coeffs.shape[0])
-    kw = np.arange(k0, k0 + coeffs.shape[1])
+    (rows, cols), planes = coeffs.shape, 1 if real else 2
     step = min(N, max(1, BLOCK_POINTS // N))
-    buf = np.empty((1 if real else 2, step, N))
+    buf = np.empty((planes, step, N))
+    lefts = {}
     for u, v in shifts:
-        a = roots[np.outer(t + u, jz) % (2 * N)] @ coeffs
-        left = np.stack([np.hstack([a.real, -a.imag]), np.hstack([a.imag, a.real])])
-        vw = roots[np.outer(kw, t + v) % (2 * N)]
-        vw = np.concatenate([vw.real, vw.imag])
+        if u not in lefts:
+            a = _power_table(N, u, j0, rows) @ coeffs
+            left = lefts[u] = np.empty((planes, N, 2 * cols))
+            left[0, :, :cols], left[0, :, cols:] = a.real, -a.imag
+            if not real:
+                left[1, :, :cols], left[1, :, cols:] = a.imag, a.real
+        left, vw = lefts[u], _real_w_table(N, v, k0, cols)
         for r in range(0, N, step):
             block = buf[:, : min(step, N - r)]
-            yield np.matmul(left[: len(buf), r: r + step], vw, out=block)
+            yield np.matmul(left[:, r: r + step], vw, out=block)
 
 
 def _poly_grid_rows(p: BiPoly, N, shifts=WHOLE_GRID):
@@ -173,10 +210,7 @@ def _w_dft_tables(N, kmax):
     tw[:, 0, k, 1, k] = coarse.imag
     tw[:, 1, k, 0, k] = -coarse.imag
     cs = np.concatenate([fine.real, fine.imag], axis=1)
-    tw = tw.reshape(-1, 2 * K)
-    cs.setflags(write=False)
-    tw.setflags(write=False)
-    return cs, tw
+    return _frozen(cs), _frozen(tw.reshape(-1, 2 * K))
 
 
 def _w_sums(blocks, N, kmax):
@@ -288,7 +322,7 @@ def _reciprocals(blocks, bounds):
     level fails its positivity check.
     """
     for d in blocks:
-        lo, hi = float(np.min(d)), float(np.max(d))
+        lo, hi = float(d.min()), float(d.max())
         bounds[0], bounds[1] = min(bounds[0], lo), max(bounds[1], hi)
         finite = lo > 0.0 and math.isfinite(1.0 / lo)
         yield np.divide(1.0, d, out=d) if finite else None

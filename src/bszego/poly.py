@@ -56,12 +56,20 @@ class BiPoly:
         return float(np.max(np.abs(self.coeffs))) < TRIM_REL
 
     def trimmed(self):
-        """Drop trailing rows/columns with all entries < TRIM_REL * max|coeff|."""
+        """Drop trailing rows/columns with all entries < TRIM_REL * max|coeff|.
+
+        Returns self when the last row and the last column each hold an
+        entry at or above that floor, since nothing trims.
+        """
         a = self.coeffs
-        mx = np.max(np.abs(a))
+        mag = np.abs(a)
+        mx = mag.max()
         if mx == 0.0:
             return BiPoly(np.zeros((1, 1)))
-        keep = np.abs(a) >= TRIM_REL * mx
+        floor = TRIM_REL * mx
+        if mag[-1].max() >= floor and mag[:, -1].max() >= floor:
+            return self
+        keep = mag >= floor
         rows = np.nonzero(keep.any(axis=1))[0]
         cols = np.nonzero(keep.any(axis=0))[0]
         n = rows.max() if rows.size else 0
@@ -246,7 +254,7 @@ def split_stable(u: BiPoly) -> RootSplit:
     stable = c[-1] * npoly.polyfromroots(outside) if outside.size else c[-1:]
     prod = np.convolve(stable, unstable)
     err = np.max(np.abs(prod - c)) / max(1.0, np.max(np.abs(c)))
-    if err > 1e-8:
+    if not err <= 1e-8:
         raise RootNearTorus(f"stable/unstable refactorization residual {err:.3e}")
     return RootSplit(stable=BiPoly(stable[:, None]),
                      unstable=BiPoly(unstable[:, None]), beta=int(inside.size))

@@ -65,9 +65,12 @@ def _reconstruct(space: MomentSpace, ops: ShiftOperators) -> BiPoly:
     """
     p = minimal_split_poly(space, ops)
     kernel = kernel_poly(space)
+    scale = float(np.max(np.abs(kernel.coeffs)))
+    if scale == 0.0:
+        raise DegenerateForm("kernel polynomial vanishes identically")
     gap = kernel - p * reflect(p.z_slice(), (space.nmax, 0))
-    resid = float(np.max(np.abs(gap.coeffs)) / np.max(np.abs(kernel.coeffs)))
-    if resid > KERNEL_TOL:
+    resid = float(np.max(np.abs(gap.coeffs))) / scale
+    if not resid <= KERNEL_TOL:
         raise DegenerateForm(f"kernel identity residual {resid:.3e}")
     return p
 
@@ -93,7 +96,7 @@ def factor_trig(t: TrigPoly, n, m):
     gap[J - t.jmax: J + t.jmax + 1, K - t.kmax: K + t.kmax + 1] = t.c
     gap[J - a: J + a + 1, K - b: K + b + 1] -= (p * reflect(p, (a, b))).coeffs
     resid = float(np.sum(np.abs(gap)))
-    if resid > FACTOR_TOL * t.at(0, 0).real:     # t_00 = mean(t) <= max(t)
+    if not resid <= FACTOR_TOL * t.at(0, 0).real:     # t_00 = mean(t) <= max(t)
         raise NoConvergence(
             f"|p|^2 mismatches t by {resid:.3e} despite the matrix condition")
     assert_no_face_zeros(p)

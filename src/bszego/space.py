@@ -273,8 +273,11 @@ def _solve_lower(L, B):
 
     Each block of TRI_BLOCK rows costs one dense solve on its diagonal
     block and one product with the rows already solved, so no dense
-    solve is larger than TRI_BLOCK.  X is real when L and B are.
+    solve is larger than TRI_BLOCK; an L of one block is one solve.  X is
+    real when L and B are.
     """
+    if L.shape[0] <= TRI_BLOCK:
+        return np.linalg.solve(L, B)
     X = np.array(B, dtype=np.result_type(L, B, float))
     for i in range(0, L.shape[0], TRI_BLOCK):
         k = min(i + TRI_BLOCK, L.shape[0])

@@ -313,7 +313,7 @@ def _k1_coords(a, mid, t_mid, clusters, counts):
 def _checked_split(space, ops, k1_coords) -> ShiftSplit:
     """_split_from_k1 checked: K1 orthogonal to z K2, no face zeros, d disk roots."""
     split = _split_from_k1(space, ops, k1_coords)
-    if np.abs(space.cross(split.k1, split.k2.shifted(1, 0))).max(initial=0.0) > MC_TOL:
+    if not np.abs(space.cross(split.k1, split.k2.shifted(1, 0))).max(initial=0.0) <= MC_TOL:
         raise DegenerateForm("K1 is not orthogonal to z K2")
     assert_no_face_zeros(split.split_poly)
     beta, d = split_stable(split.split_poly.z_slice()).beta, split.k1.dim

@@ -588,3 +588,76 @@ def test_table_window_and_bounds(table_2zw):
         table_2zw.at(4, 0)
     with pytest.raises(InsufficientMoments):
         table_2zw.window(4, 4)
+
+
+def _inline_roots(N):
+    # the N-th roots of unity as the quadrature built them inline, per call
+    t = np.arange(N)
+    return np.exp(2j * np.pi * np.where(2 * t > N, t - N, t) / N)
+
+
+def _clear_table_caches():
+    for cached in (moments._roots, moments._power_table, moments._real_w_table):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("N, shift, lo, count",
+                         [(64, 0, 0, 2), (64, 1, 0, 3), (64, 1, -3, 7), (256, 0, -8, 17)])
+def test_sampling_tables_are_the_inline_formulas(N, shift, lo, count):
+    _clear_table_caches()
+    roots = _inline_roots(2 * N)
+    t = 2 * np.arange(N) + shift
+    exps = np.arange(lo, lo + count)
+    vz = roots[np.outer(t, exps) % (2 * N)]
+    vw = roots[np.outer(exps, t) % (2 * N)]
+    want = (roots, vz, np.concatenate([vw.real, vw.imag]))
+    for _ in range(2):                       # cold, then from the cache
+        got = (moments._roots(2 * N), moments._power_table(N, shift, lo, count),
+               moments._real_w_table(N, shift, lo, count))
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+            assert g.flags.c_contiguous and not g.flags.writeable
+    assert moments._power_table(N, shift, lo, count) is got[1]
+    with pytest.raises(ValueError, match="read-only"):
+        got[2][0, 0] = 0.0
+
+
+def _inline_grid_rows(coeffs, j0, k0, N, shifts, real):
+    """The sampled planes as built with every table inline, one copy per block."""
+    t = 2 * np.arange(N)
+    roots = _inline_roots(2 * N)
+    jz = np.arange(j0, j0 + coeffs.shape[0])
+    kw = np.arange(k0, k0 + coeffs.shape[1])
+    step = min(N, max(1, moments.BLOCK_POINTS // N))
+    buf = np.empty((1 if real else 2, step, N))
+    out = []
+    for u, v in shifts:
+        a = roots[np.outer(t + u, jz) % (2 * N)] @ coeffs
+        left = np.stack([np.hstack([a.real, -a.imag]), np.hstack([a.imag, a.real])])
+        vw = roots[np.outer(kw, t + v) % (2 * N)]
+        vw = np.concatenate([vw.real, vw.imag])
+        for r in range(0, N, step):
+            block = buf[:, : min(step, N - r)]
+            out.append(np.matmul(left[: len(buf), r: r + step], vw, out=block).copy())
+    return out
+
+
+@pytest.mark.parametrize("N", [64, 128])
+@pytest.mark.parametrize("shifts", [moments.WHOLE_GRID, moments.NEW_POINTS])
+def test_cached_planes_are_bit_identical(monkeypatch, shifts, N):
+    # ragged blocks (5 rows of 64 points), a polynomial and a trig
+    # polynomial, on a cold cache and then on a warm one
+    monkeypatch.setattr(moments, "BLOCK_POINTS", 5 * 64)
+    rng = np.random.default_rng(36)
+    p = BiPoly(rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3)))
+    t = trig_abs_squared(p)
+    want_p = _inline_grid_rows(p.coeffs, 0, 0, N, shifts, False)
+    want_t = _inline_grid_rows(t.c, -t.jmax, -t.kmax, N, shifts, True)
+    assert len(want_p) == len(shifts) * -(-N // max(1, 5 * 64 // N))
+    _clear_table_caches()
+    for _ in range(2):
+        got_p = [b.copy() for b in moments._poly_grid_rows(p, N, shifts)]
+        got_t = [b.copy() for b in t._rows_on_grid(N, shifts)]
+        for got, want in ((got_p, want_p), (got_t, want_t)):
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))

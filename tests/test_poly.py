@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bszego import (BiPoly, InvalidDegree, RootNearTorus, ZeroPolynomial,
                     content_roots, reflect, roots, split_stable)
-from bszego.poly import canonical_phase, w_roots
+from bszego.poly import TRIM_REL, canonical_phase, w_roots
 
 from conftest import torus_grid
 
@@ -207,3 +209,52 @@ def test_w_roots_zero_lead_gives_nan_row():
 def test_w_roots_constant_in_w():
     coeffs, rts = w_roots(BiPoly([[1], [2]]), np.array([1.0, 1j, -1.0]))
     assert coeffs.shape == (1, 3) and rts.shape == (3, 0)
+
+
+def _trimmed_by_masks(a):
+    """trimmed's result by its keep masks alone: the oracle for its shortcut."""
+    mx = np.max(np.abs(a))
+    if mx == 0.0:
+        return np.zeros((1, 1), dtype=complex)
+    keep = np.abs(a) >= TRIM_REL * mx
+    rows = np.nonzero(keep.any(axis=1))[0]
+    cols = np.nonzero(keep.any(axis=0))[0]
+    n = rows.max() if rows.size else 0
+    m = cols.max() if cols.size else 0
+    return a[: n + 1, : m + 1]
+
+
+# an entry of a set row or column, in units of the trim floor: zero, below
+# the floor, at it, or above it
+TAIL = st.sampled_from([0.0, 0.3, 0.999, 1.0, 1.001, 5.0])
+
+
+@st.composite
+def trailing_grids(draw):
+    """Coefficient grids with whole rows and columns, the trailing ones
+    among them, set to zero, below TRIM_REL * max, at it or above it."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    body = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+    a = np.array(draw(st.lists(body, min_size=rows * cols, max_size=rows * cols)),
+                 dtype=complex).reshape(rows, cols)
+    mx = np.max(np.abs(a))
+    for _ in range(draw(st.integers(0, rows - 1))):
+        r = draw(st.integers(0, rows - 1))
+        a[r, :] = [draw(TAIL) * TRIM_REL * mx for _ in range(cols)]
+    for _ in range(draw(st.integers(0, cols - 1))):
+        c = draw(st.integers(0, cols - 1))
+        a[:, c] = [draw(TAIL) * TRIM_REL * mx for _ in range(rows)]
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(trailing_grids())
+@example(np.zeros((3, 2), dtype=complex))
+@example(np.zeros((1, 1), dtype=complex))
+@example(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
+@example(np.array([[1.0, 0.0], [1e-13, 0.0]], dtype=complex))
+def test_trimmed_matches_the_mask_rule(a):
+    p = BiPoly(a)
+    got, want = p.trimmed(), _trimmed_by_masks(p.coeffs)
+    assert got.coeffs.shape == want.shape and np.array_equal(got.coeffs, want)
+    assert (got is p) == (want.shape == a.shape and np.any(a != 0.0))

@@ -485,3 +485,24 @@ def test_ill_conditioned_bases_stay_orthonormal(alphas, n):
                        ("F2", n, n - 1), ("E1", n, n)]:
         b = sp.basis(kind, k, l)
         assert np.max(np.abs(sp.cross(b, b) - np.eye(b.dim))) < bound, (kind, k, l)
+
+
+def _blocked_solve_lower(L, B):
+    # the blocked substitution at every size, one dense solve per block
+    X = np.array(B, dtype=np.result_type(L, B, float))
+    for i in range(0, L.shape[0], TRI_BLOCK):
+        k = min(i + TRI_BLOCK, L.shape[0])
+        X[i:k] = np.linalg.solve(L[i:k, i:k], X[i:k] - L[i:k, :i] @ X[:i])
+    return X
+
+
+@pytest.mark.parametrize("complex_l", [False, True])
+@pytest.mark.parametrize("d", range(1, TRI_BLOCK + 2))
+def test_solve_lower_is_the_blocked_substitution(d, complex_l):
+    rng = np.random.default_rng(d)
+    a = rng.normal(size=(d, d)) + complex_l * 1j * rng.normal(size=(d, d))
+    L = np.linalg.cholesky(a @ a.conj().T + d * np.eye(d))
+    real = rng.normal(size=(d, 4))
+    for B in (real, real + 1j * rng.normal(size=(d, 4)), real[::-1], np.eye(d)[:, :3]):
+        got, want = _solve_lower(L, B), _blocked_solve_lower(L, B)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
