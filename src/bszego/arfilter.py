@@ -43,9 +43,9 @@ def solve_ar(table: MomentTable, n, m) -> ArSolution:
     invariant under positive rescaling of the autocorrelations: the
     operators live in orthonormal coordinates.
     """
-    space, ops, report, lam = _positive_form(table, n, m)
+    ops, report, lam = _positive_form(table, n, m)
     # at m = 0 the A operator is 0 x n, which the spectral norm cannot take
     a_norm = float(np.linalg.norm(ops.a_mat, 2)) if ops.a_mat.size else 0.0
-    p = _reconstruct(space, ops) if report.holds else None
+    p = _reconstruct(ops) if report.holds else None
     causal = "causal" if a_norm < MC_TOL else "acausal"
     return ArSolution("none" if p is None else causal, p, report, a_norm, lam)

@@ -77,7 +77,7 @@ def _check_doc(report):
 
 def _cmd_check(args):
     table = table_from_json(_read_json(args.moments))
-    _, _, report, _ = _positive_form(table, args.n, args.m)
+    _, report, _ = _positive_form(table, args.n, args.m)
     return _check_doc(report), 0 if report.holds else 1
 
 

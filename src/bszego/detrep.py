@@ -206,7 +206,8 @@ def build_detrep(p: BiPoly) -> DetRep:
     d = _pencil_coeffs(rep0, (n, m))
     c = p1.coeffs
     scale = complex(np.vdot(c, d) / np.vdot(c, c).real)     # least squares
-    if abs(scale) < 1e-12:
+    # U is unitary, so d does not scale with the input
+    if not np.max(np.abs(d)) >= 1e-12:
         raise FitResidualTooLarge("pencil determinant vanishes identically")
     residual = float(np.max(np.abs(d - scale * c))
                      / (abs(scale) * np.max(np.abs(c))))

@@ -49,6 +49,7 @@ WHOLE_GRID = ((0, 0),)  # the first level's one sub-grid, unshifted
 NEW_POINTS = ((0, 1), (1, 0), (1, 1))  # the sub-grids level 2N adds to level N
 MAX_GRID = 4096  # the last quadrature grid, in points per axis
 STOP_TOL = 1e-10  # level-to-level change that stops the doubling, over max(1, |c00|)
+HERMITIAN_TOL = 1e-8  # TrigPoly's Hermitian defect, relative to its largest coefficient
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +99,7 @@ class TrigPoly(MomentTable):
     def __post_init__(self):
         raw = np.asarray(self.c, dtype=complex)
         super().__post_init__()
-        if np.max(np.abs(self.c - raw)) > 1e-8 * np.max(np.abs(raw)):
+        if not np.max(np.abs(self.c - raw)) <= HERMITIAN_TOL * np.max(np.abs(raw)):
             raise NonPositiveDensity("coefficients are not Hermitian-symmetric")
 
     def _rows_on_grid(self, N, shifts=WHOLE_GRID):

@@ -17,9 +17,8 @@ from .errors import (DegenerateForm, MatrixConditionFails, NoConvergence,
 from .moments import MomentTable, TrigPoly, moments_from_trig
 from .poly import BiPoly, reflect
 from .space import MomentSpace
-from .splitshift import (ShiftOperators, _positive_form,
-                         _require_condition, assert_no_face_zeros,
-                         minimal_split_poly)
+from .splitshift import (ShiftOperators, _positive_form, _require_condition,
+                         _split_from_k1, assert_no_face_zeros)
 
 KERNEL_TOL = 1e-8   # kernel identity residual, relative to max |kernel|
 FACTOR_TOL = 1e-7   # factor_trig's bound on the l1 gap of |p|^2 - t, relative to t_00
@@ -53,22 +52,21 @@ def reconstruct_p(table: MomentTable, n, m) -> BiPoly:
     condition; the result is the stable-content representative,
     unit-norm under the form, with canonical phase.
     """
-    space, ops, report, _ = _positive_form(table, n, m)
+    ops, report, _ = _positive_form(table, n, m)
     _require_condition(report)
-    return _reconstruct(space, ops)
+    return _reconstruct(ops)
 
 
-def _reconstruct(space: MomentSpace, ops: ShiftOperators) -> BiPoly:
-    """The minimal split polynomial, checked by the kernel identity.
-
-    The caller has checked the matrix condition on ``ops``.
+def _reconstruct(ops: ShiftOperators) -> BiPoly:
+    """The minimal split polynomial (K1 the A-space), checked by the
+    kernel identity.  The caller has checked the matrix condition on ``ops``.
     """
-    p = minimal_split_poly(space, ops)
-    kernel = kernel_poly(space)
+    p = _split_from_k1(ops, ops.invariant_spaces[0]).split_poly
+    kernel = kernel_poly(ops.space)
     scale = float(np.max(np.abs(kernel.coeffs)))
     if scale == 0.0:
         raise DegenerateForm("kernel polynomial vanishes identically")
-    gap = kernel - p * reflect(p.z_slice(), (space.nmax, 0))
+    gap = kernel - p * reflect(p.z_slice(), (ops.space.nmax, 0))
     resid = float(np.max(np.abs(gap.coeffs))) / scale
     if not resid <= KERNEL_TOL:
         raise DegenerateForm(f"kernel identity residual {resid:.3e}")

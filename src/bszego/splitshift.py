@@ -1,7 +1,8 @@
 """Truncated shift operators, the matrix condition, and shift-splits.
 
-Everything here lives over a MomentSpace with caps (n, m).  The three
-operators act between the structural subspaces
+Everything here lives over a MomentSpace with caps (n, m), which the
+operators and each shift-split carry.  The three operators act between
+the structural subspaces
 
     A : E1(n-1, m) -> w E2(n, m-1)   compress multiplication by z
     B : w F2(n, m-1) -> E1(n-1, m)   compress the identity
@@ -21,6 +22,8 @@ space has eigenvalue 1/r for each root r of the z-content of p and 0 for
 each formal slot at infinity (cap n above deg p), one Jordan block per
 distinct value; the kernel of prod (T* - 1/r)^k, k up to the
 multiplicity, gives the split-poly with k copies of each root flipped.
+A split builds its split-poly, the generator of E1(n, m) minus
+(K1 + z K2), on first read; an SOS certificate needs K1 and K2 alone.
 """
 
 from __future__ import annotations
@@ -47,8 +50,9 @@ FACE_MARGIN = 1e-7      # w-roots this close to the closed disk are face zeros
 
 @dataclass(frozen=True, eq=False)
 class ShiftOperators:
-    """Matrices of A, B, T in the stored orthonormal bases."""
+    """Matrices of A, B, T in the stored orthonormal bases of ``space``."""
 
+    space: MomentSpace
     a_mat: np.ndarray       # (m, n)
     b_mat: np.ndarray       # (n, m)
     t_mat: np.ndarray       # (n, n)
@@ -72,11 +76,30 @@ class ShiftOperators:
 
 @dataclass(frozen=True, eq=False)
 class ShiftSplit:
-    """A shift-split (K1, K2) of E1(n-1, m) together with its split-poly."""
+    """A shift-split (K1, K2) of E1(n-1, m) in ``space``."""
 
+    space: MomentSpace
     k1: SubspaceBasis
     k2: SubspaceBasis
-    split_poly: BiPoly
+
+    @cached_property
+    def split_poly(self) -> BiPoly:
+        """Unit-norm generator of E1(n, m) minus (K1 + z K2), phase-canonical,
+        built on first read; DegenerateForm unless it is unique up to scale."""
+        space = self.space
+        e1big = space.basis("E1", space.nmax, space.mmax)
+        emb_big = space.embed_basis(e1big)
+        coords = np.hstack([emb_big.conj().T @ space.embed_basis(b)
+                            for b in (self.k1, self.k2.shifted(1, 0))])
+        comp = _complement_in_coords(coords, e1big.dim)
+        if comp.shape[1] != 1:
+            raise DegenerateForm(
+                f"split complement has dimension {comp.shape[1]}, expected 1")
+        p = canonical_phase(_coords_to_basis(e1big, comp).polys()[0])
+        nrm = space.norm(p)
+        if nrm == 0.0:
+            raise DegenerateForm("zero polynomial cannot be normalized")
+        return canonical_phase(p * (1.0 / nrm))
 
 
 @dataclass(frozen=True)
@@ -97,7 +120,7 @@ def build_operators(space: MomentSpace) -> ShiftOperators:
     b_in = space.basis("F2", n, m - 1).shifted(0, 1)
     ze1 = e1.shifted(1, 0)
     # entry (i, j) of each operator is <op(basis_j), out_basis_i>
-    return ShiftOperators(a_mat=space.cross(ze1, a_out).T,
+    return ShiftOperators(space=space, a_mat=space.cross(ze1, a_out).T,
                           b_mat=space.cross(b_in, e1).T,
                           t_mat=space.cross(ze1, e1).T, e1=e1)
 
@@ -142,19 +165,18 @@ def check_matrix_condition(ops: ShiftOperators) -> StratificationReport:
 
 
 def _positive_form(table: MomentTable, n, m):
-    """(space, operators, report, lam) of the form at caps (n, m).
+    """(operators, report, lam) of the form at caps (n, m).
 
     The one positivity gate of check, reconstruct, ar and factor:
     NotPositive unless the form is positive definite on [0,n] x [0,m],
-    lam being its Gram's smallest eigenvalue.  Then the moment space,
-    its shift operators and their matrix condition.
+    lam being its Gram's smallest eigenvalue.  Then the shift operators
+    over the moment space and their matrix condition.
     """
     ok, lam = is_positive(table, n, m)
     if not ok:
         raise NotPositive(f"moment form not positive (eigenvalue {lam:.3e})")
-    space = MomentSpace(table, n, m)
-    ops = build_operators(space)
-    return space, ops, check_matrix_condition(ops), lam
+    ops = build_operators(MomentSpace(table, n, m))
+    return ops, check_matrix_condition(ops), lam
 
 
 def _require_condition(report: StratificationReport):
@@ -181,20 +203,6 @@ def _complement_in_coords(coords, dim):
     return u[:, rank:]
 
 
-def split_poly_of(space: MomentSpace, k1: SubspaceBasis,
-                  k2: SubspaceBasis) -> BiPoly:
-    """Unit-norm generator of E1(n, m) minus (K1 + z K2), phase-canonical."""
-    e1big = space.basis("E1", space.nmax, space.mmax)
-    emb_big = space.embed_basis(e1big)
-    coords = np.hstack([emb_big.conj().T @ space.embed_basis(b)
-                        for b in (k1, k2.shifted(1, 0))])
-    comp = _complement_in_coords(coords, e1big.dim)
-    if comp.shape[1] != 1:
-        raise DegenerateForm(
-            f"split complement has dimension {comp.shape[1]}, expected 1")
-    return canonical_phase(_coords_to_basis(e1big, comp).polys()[0])
-
-
 def shift_split_from_p(space: MomentSpace, p: BiPoly) -> ShiftSplit:
     """The shift-split canonically attached to p via its z-axis slice.
 
@@ -216,14 +224,7 @@ def shift_split_from_p(space: MomentSpace, p: BiPoly) -> ShiftSplit:
     gens_k2 = [rs.unstable.shifted(j, 0) for j in range(n - beta)]
     k1 = space.projected_span(gens_k1, e1, beta)
     k2 = space.projected_span(gens_k2, e1, n - beta)
-    return ShiftSplit(k1=k1, k2=k2, split_poly=split_poly_of(space, k1, k2))
-
-
-def _unit_normalized(space: MomentSpace, p: BiPoly) -> BiPoly:
-    nrm = space.norm(p)
-    if nrm == 0.0:
-        raise DegenerateForm("zero polynomial cannot be normalized")
-    return canonical_phase(p * (1.0 / nrm))
+    return ShiftSplit(space, k1, k2)
 
 
 def assert_no_face_zeros(p: BiPoly):
@@ -237,10 +238,11 @@ def assert_no_face_zeros(p: BiPoly):
     zs = np.exp(2j * np.pi * (np.arange(FACE_SAMPLES) + 0.31) / FACE_SAMPLES)
     wcoef = pt.w_poly_at(zs)
     size = np.abs(wcoef)
-    # a flat slice is constant in w: only its constant term can vanish
+    # a flat slice is constant in w: only its constant term can vanish,
+    # judged against p's largest coefficient
     top = size[1:].max(axis=0, initial=0.0)
     flat = (m == 0) | (top < 1e-13 * size.max(axis=0))
-    vanishes = flat & (size[0] < 1e-10)
+    vanishes = flat & (size[0] <= 1e-10 * np.abs(pt.coeffs).max())
     bad = vanishes | (~flat & ~_roots_beyond(wcoef, 1.0 + FACE_MARGIN))
     if bad.any():
         i = int(np.argmax(bad))           # the first failing z in grid order
@@ -250,22 +252,11 @@ def assert_no_face_zeros(p: BiPoly):
         raise RootNearTorus(f"w-root of modulus {low:.6f} at z = {zs[i]}")
 
 
-def _split_from_k1(space: MomentSpace, ops: ShiftOperators, k1_coords) -> ShiftSplit:
+def _split_from_k1(ops: ShiftOperators, k1_coords) -> ShiftSplit:
     """K1 spanned by ``k1_coords`` (E1 coordinates), K2 its complement."""
     k1 = _coords_to_basis(ops.e1, k1_coords)
     k2 = _coords_to_basis(ops.e1, _complement_in_coords(k1_coords, ops.e1.dim))
-    return ShiftSplit(k1, k2, _unit_normalized(space, split_poly_of(space, k1, k2)))
-
-
-def minimal_split_poly(space: MomentSpace, ops: ShiftOperators) -> BiPoly:
-    """Unit-norm split-poly of the minimal shift-split, phase-canonical.
-
-    K1 is the A-space and K2 its complement in E1(n-1, m); the result is
-    the stable-content representative of p.  The caller has checked the
-    matrix condition on ``ops``.
-    """
-    a_coords, _ = ops.invariant_spaces
-    return _split_from_k1(space, ops, a_coords).split_poly
+    return ShiftSplit(ops.space, k1, k2)
 
 
 def _middle_spectrum(ops: ShiftOperators):
@@ -310,10 +301,11 @@ def _k1_coords(a, mid, t_mid, clusters, counts):
     return np.hstack([a, mid @ kernel])
 
 
-def _checked_split(space, ops, k1_coords) -> ShiftSplit:
+def _checked_split(ops, k1_coords) -> ShiftSplit:
     """_split_from_k1 checked: K1 orthogonal to z K2, no face zeros, d disk roots."""
-    split = _split_from_k1(space, ops, k1_coords)
-    if not np.abs(space.cross(split.k1, split.k2.shifted(1, 0))).max(initial=0.0) <= MC_TOL:
+    split = _split_from_k1(ops, k1_coords)
+    cross = ops.space.cross(split.k1, split.k2.shifted(1, 0))
+    if not np.abs(cross).max(initial=0.0) <= MC_TOL:
         raise DegenerateForm("K1 is not orthogonal to z K2")
     assert_no_face_zeros(split.split_poly)
     beta, d = split_stable(split.split_poly.z_slice()).beta, split.k1.dim
@@ -343,7 +335,7 @@ def split_poly_from_condition(space: MomentSpace, d) -> ShiftSplit:
     # whole clusters in order, the last one in part
     filled = np.cumsum([0] + [k for _, k in clusters])
     counts = np.diff(np.minimum(filled, d - report.d_min))
-    return _checked_split(space, ops, _k1_coords(a, mid, t_mid, clusters, counts))
+    return _checked_split(ops, _k1_coords(a, mid, t_mid, clusters, counts))
 
 
 def enumerate_split_polys(space: MomentSpace):
@@ -360,7 +352,7 @@ def enumerate_split_polys(space: MomentSpace):
     a, mid, t_mid, clusters = _middle_spectrum(ops)
     out = []
     for counts in product(*(range(mult + 1) for _, mult in clusters)):
-        split = _checked_split(space, ops, _k1_coords(a, mid, t_mid, clusters, counts))
+        split = _checked_split(ops, _k1_coords(a, mid, t_mid, clusters, counts))
         out.append((split.split_poly, split.k1.dim))
     out.sort(key=lambda pair: pair[1])
     return out

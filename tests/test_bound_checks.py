@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bszego import DegenerateForm
+from bszego import DegenerateForm, NonPositiveDensity
 from bszego.moments import TrigPoly, moments_from_trig
 from bszego.reconstruct import factor_trig, reconstruct_p
 
@@ -75,3 +75,9 @@ def test_vanishing_kernel_is_degenerate():
             factor_trig(t, 1, 0)
         with pytest.raises(DegenerateForm, match="kernel polynomial vanishes"):
             reconstruct_p(moments_from_trig(t, 1, 0), 1, 0)
+
+
+def test_nan_trig_coefficient_is_refused():
+    # the Hermitian check of a trig polynomial is a bound check too
+    with pytest.raises(NonPositiveDensity, match="not Hermitian-symmetric"):
+        TrigPoly(1, 0, [[0.5], [np.nan], [0.5]])

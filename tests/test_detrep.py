@@ -226,11 +226,14 @@ def test_detrep_json(tmp_path):
 
 def test_detrep_scale_against_input():
     # the reported scale refers to the ORIGINAL polynomial, including the
-    # unimodular normalization factor
-    rep = build_detrep(P_ZW)
+    # unimodular normalization factor, at every size of it: the pencil
+    # does not scale with p, the reported scale goes as 1 / size
     z, w = 0.37 + 0.21j, -0.55 + 0.4j
-    assert abs(rep.det_pencil(z, w) - rep.scale * P_ZW(z, w)) \
-        < 1e-8 * abs(rep.scale)
+    for size in (1e-12, 1.0, 1e12, 1e13, 1e16):
+        p = P_ZW * size
+        rep = build_detrep(p)
+        assert abs(rep.det_pencil(z, w) - rep.scale * p(z, w)) \
+            < 1e-8 * abs(rep.scale) * size
 
 
 def _blaschke_gdv(zeros, m):

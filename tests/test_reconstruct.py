@@ -5,7 +5,7 @@ from bszego import (BiPoly, DegenerateForm, MatrixConditionFails, MomentSpace,
                     MomentTable, NotFactorable, NotPositive, TrigPoly, factor_trig,
                     moments_from_density, moments_from_grid_function,
                     reconstruct_p)
-from bszego import reconstruct
+from bszego import splitshift
 from bszego.poly import content_roots, reflect
 from bszego.reconstruct import kernel_poly
 
@@ -76,8 +76,8 @@ def test_kernel_identity_rejects_a_wrong_split_poly(monkeypatch,
     right = reconstruct_p(table, 8, 8)
     bump = np.zeros(right.coeffs.shape)
     bump[3, 5] = 1e-6 * np.max(np.abs(right.coeffs))
-    monkeypatch.setattr(reconstruct, "minimal_split_poly",
-                        lambda space, ops: BiPoly(right.coeffs + bump))
+    monkeypatch.setattr(splitshift.ShiftSplit, "split_poly",
+                        property(lambda split: BiPoly(right.coeffs + bump)))
     with pytest.raises(DegenerateForm, match="kernel identity"):
         reconstruct_p(table, 8, 8)
 

@@ -5,14 +5,16 @@ import pytest
 
 from bszego import (BiPoly, DegenerateForm, DNotAdmissible,
                     MatrixConditionFails, MomentDivergence, MomentSpace,
-                    RootNearTorus, SubspaceBasis, build_operators,
-                    check_matrix_condition, enumerate_split_polys, gw_check,
-                    moments_from_density, moments_from_grid_function,
-                    reconstruct_p, shift_split_from_p,
-                    split_poly_from_condition)
+                    RootNearTorus, SubspaceBasis, TrigPoly, build_detrep,
+                    build_operators, certificate_closed_face,
+                    check_matrix_condition, enumerate_split_polys,
+                    factor_trig, gw_check, moments_from_density,
+                    moments_from_grid_function, reconstruct_p,
+                    shift_split_from_p, solve_ar, split_poly_from_condition)
 from bszego import splitshift
-from bszego.splitshift import (FACE_MARGIN, FACE_SAMPLES, assert_no_face_zeros,
-                               split_poly_of)
+from bszego.poly import canonical_phase
+from bszego.splitshift import (FACE_MARGIN, FACE_SAMPLES, ShiftSplit,
+                               assert_no_face_zeros)
 
 from bszego.jsonio import table_to_json
 
@@ -119,7 +121,7 @@ def test_krylov_spans_computed_once_per_operators(monkeypatch):
                         lambda *a: calls.append(1) or krylov(*a))
     ops = build_operators(space)
     report = check_matrix_condition(ops)
-    splitshift.minimal_split_poly(space, ops)
+    splitshift._split_from_k1(ops, ops.invariant_spaces[0]).split_poly
     a, _, _, clusters = splitshift._middle_spectrum(ops)
     assert len(calls) == 2
     assert (report.d_min, report.d_max, a.shape[1]) == (0, 1, 0)
@@ -175,6 +177,43 @@ def test_shift_split_invariants_corpus():
         e1big = sp.basis("E1", n, m)
         assert containment_defect(sp, split.k1, e1big) < 1e-8
         assert containment_defect(sp, split.k2.shifted(1, 0), e1big) < 1e-8
+
+
+def test_split_poly_is_unit_norm_and_phase_canonical():
+    # the split-poly of shift_split_from_p follows the rule of the operator
+    # route: unit norm under the form and canonical phase
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        p = random_corpus_poly(rng, allow_unstable_q=True)
+        n, m = p.deg
+        sp = MomentSpace(moments_from_density(p, n, m), n, m)
+        q = shift_split_from_p(sp, p).split_poly
+        assert abs(sp.norm(q) - 1.0) <= 1e-12
+        gap = canonical_phase(q).coeffs - q.coeffs
+        assert np.max(np.abs(gap)) <= 1e-15 * np.max(np.abs(q.coeffs))
+
+
+def test_split_poly_built_only_where_read(monkeypatch):
+    # basis("E1", n, m) at a space's caps (n, m) is read by the split-poly
+    # alone: a certificate and a pencil need K1 and K2 only, while a
+    # reconstruction and an AR filter need the polynomial once
+    reads = []
+    basis = MomentSpace.basis
+
+    def counted(self, kind, k, l):
+        reads.append((kind, k, l) == ("E1", self.nmax, self.mmax))
+        return basis(self, kind, k, l)
+
+    monkeypatch.setattr(MomentSpace, "basis", counted)
+    p = BiPoly([[2.0], [-1.0]]) * BiPoly([[2.0, 0.0], [0.0, -1.0]])
+    table = moments_from_density(p, 2, 1)
+    for call, built in ((lambda: certificate_closed_face(p), 0),
+                        (lambda: build_detrep(BiPoly([[0, -1], [1, 0]])), 0),
+                        (lambda: reconstruct_p(table, 2, 1), 1),
+                        (lambda: solve_ar(table, 2, 1), 1)):
+        reads.clear()
+        call()
+        assert sum(reads) == built
 
 
 def test_divergent_density_split(p_2zw):
@@ -243,7 +282,7 @@ def test_split_poly_of_rejects_overlapping_k1_zk2(lebesgue_table):
     sp = MomentSpace(lebesgue_table, 2, 1)
     k2 = SubspaceBasis(np.ones((1, 1, 1)))
     with pytest.raises(DegenerateForm):
-        split_poly_of(sp, k2.shifted(1, 0), k2)
+        ShiftSplit(sp, k2.shifted(1, 0), k2).split_poly
 
 
 def test_stratification_all_d():
@@ -405,7 +444,7 @@ def _face_zero_message(p):
     for z0 in zs:
         wcoef = pt.w_poly_at(z0)
         if m == 0 or np.max(np.abs(wcoef[1:])) < 1e-13 * np.max(np.abs(wcoef)):
-            if abs(wcoef[0]) < 1e-10:
+            if abs(wcoef[0]) <= 1e-10 * np.max(np.abs(pt.coeffs)):
                 return f"p({z0}, w) vanishes identically in w"
             continue
         rts = np.roots(wcoef[::-1])
@@ -448,6 +487,20 @@ def test_face_check_matches_slice_loop():
             passed += want is None
             _assert_face_message(p, want)
         assert 5 <= passed <= 15, (d, passed)
+
+
+def test_flat_slice_floor_is_relative():
+    # a flat slice vanishes relative to p's largest coefficient, so
+    # |2 - z|^2 factors at every scale down to 1e-24 (at 1e-26 the kernel
+    # check refuses it, tests/test_bound_checks.py)
+    z3 = np.exp(2j * np.pi * 3.31 / FACE_SAMPLES)
+    for s in (1.0, 1e-18, 1e-22, 1e-24):
+        assert_no_face_zeros(BiPoly(s * np.array([[2.0], [-1.0]])))
+        with pytest.raises(RootNearTorus, match="vanishes identically"):
+            assert_no_face_zeros(BiPoly(s * np.array([[-z3], [1.0]])))
+        p = factor_trig(TrigPoly(1, 0, s * np.array([[-2.0], [5.0], [-2.0]])), 1, 0)
+        want = np.sqrt(s) * np.array([[2.0], [-1.0]])
+        assert np.max(np.abs(p.coeffs - want)) <= 1e-12 * np.sqrt(s)
 
 
 def _mp_face_message(p, zs):

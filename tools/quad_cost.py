@@ -17,7 +17,10 @@ the corpus kinds ``stable_kind`` (alpha - zw factors, moduli 2 to 3) and
 of |p|^2, each on the window of p's degree, and gives the grid reached and
 the best time per call in ms.
 
-Every time is the best of REPEAT calls in process on one BLAS thread.
+Every time is the best of a number of calls in process on one BLAS
+thread: NEAR_REPEAT in the first table and SMALL_REPEAT in the second,
+whose sub-millisecond calls need more draws than 15 to reach their best
+on a shared machine.
 The grid reached is the last level of one call, recorded by wrapping
 ``moments._level_sums`` for that call alone.
 """
@@ -44,7 +47,8 @@ from corpus import (BANDS, DEFAULT_SEED, abs_squared, perturb_kind,  # noqa: E40
 from bszego import (BiPoly, MomentDivergence, TrigPoly, moments,  # noqa: E402
                     moments_from_density, moments_from_trig)
 
-REPEAT = 15  # calls per case; the best one is reported
+NEAR_REPEAT = 15    # calls per near-torus case; the best one is reported
+SMALL_REPEAT = 200  # calls per small case; the best one is reported
 SMALL_DEGREES = ((1, 1), (4, 2), (8, 8))
 KINDS = {"stable": lambda rng, n, m: stable_kind(rng, n, m, 2.0, 3.0),
          "perturb": lambda rng, n, m: perturb_kind(rng, n, m, 0.4)}
@@ -69,9 +73,9 @@ def grid_reached(call):
     return grids[-1]
 
 
-def best_ms(call):
+def best_ms(call, repeat):
     times = []
-    for _ in range(REPEAT):
+    for _ in range(repeat):
         t0 = time.perf_counter()
         call()
         times.append(time.perf_counter() - t0)
@@ -85,7 +89,7 @@ def near_torus_table():
         for name, p in (("(1+d)-zw", one), ("((1+d)-zw)^2", one * one)):
             call = partial(moments_from_density, p, *p.deg)
             grid = grid_reached(call)
-            ms = best_ms(call)
+            ms = best_ms(call, NEAR_REPEAT)
             per_point = f"{1e6 * ms / grid ** 2:8.2f}" if grid else f"{'-':>8}"
             print(f"{name:12} {d:7.4f} {grid or '-':>5} {ms:8.2f} {per_point}")
 
@@ -102,7 +106,7 @@ def small_call_table():
             for name, call in calls.items():
                 grid = grid_reached(call)
                 print(f"{kind:8} {f'({n},{m})':6} {name:7} {grid or '-':>5} "
-                      f"{best_ms(call):8.3f}")
+                      f"{best_ms(call, SMALL_REPEAT):8.3f}")
 
 
 def main():
