@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (CertificateFailed, DegenerateSlice, FitResidualTooLarge,
-                     NotGdv, NotSelfReflective, NumericalFailure, ZOnlyFactor)
+                     NotGdv, NotSelfReflective, NumericalFailure, ZeroPolynomial,
+                     ZOnlyFactor)
 from .moments import _roots
 from .poly import BiPoly, content_roots, reflect, w_roots
 from .sos import _blocks_closed_face, _values
@@ -76,7 +77,7 @@ def check_self_reflective(p: BiPoly) -> complex:
     Requires p to carry no z-only factors (they make mu ill-defined).
     """
     pt = p.trimmed()
-    if pt.is_zero():
+    if not pt.coeffs.any():
         raise NotSelfReflective("zero polynomial")
     degree = content_roots(pt).size
     if degree:
@@ -86,7 +87,7 @@ def check_self_reflective(p: BiPoly) -> complex:
     b = prev.coeffs.ravel()
     denom = np.vdot(b, b).real
     mu = complex(np.vdot(b, a)) / denom
-    resid = float(np.max(np.abs(a - mu * b))) / max(1.0, float(np.max(np.abs(a))))
+    resid = float(np.max(np.abs(a - mu * b))) / float(np.max(np.abs(a)))
     if not (resid <= REFLECT_TOL and abs(abs(mu) - 1.0) <= REFLECT_TOL):
         raise NotSelfReflective(
             f"no unimodular mu matches (residual {resid:.3e}, |mu| = {abs(mu):.6f})")
@@ -126,15 +127,17 @@ def derivative_identity_check(p: BiPoly):
     """Check m*p = reflection of dp/dw at (n, m-1) plus w * dp/dw.
 
     Expects p already normalized to equal its own reflection.  Returns
-    (holds, relative residual).
+    (holds, relative residual); raises ZeroPolynomial for p = 0.
     """
     pt = p.trimmed()
+    if not pt.coeffs.any():
+        raise ZeroPolynomial("the zero polynomial has no reflection identity")
     n, m = pt.deg
     dp = pt.w_derivative()
     lhs = float(m) * pt
     rhs = reflect(dp, (n, max(m - 1, 0))) + dp.shifted(0, 1)
     diff = lhs - rhs
-    resid = float(np.max(np.abs(diff.coeffs))) / max(1.0, float(np.max(np.abs(pt.coeffs))))
+    resid = float(np.max(np.abs(diff.coeffs))) / float(np.max(np.abs(pt.coeffs)))
     return resid <= REFLECT_TOL, resid
 
 

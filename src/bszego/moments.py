@@ -342,7 +342,7 @@ def moments_from_density(p: BiPoly, jmax, kmax) -> MomentTable:
     torus (the numerical proxy for p vanishing on T^2).
     """
     pt = p.trimmed()
-    if pt.is_zero():
+    if not pt.coeffs.any():
         raise ZeroPolynomial("density 1/|p|^2 needs a nonzero p")
     bounds = [np.inf, 0.0]
 

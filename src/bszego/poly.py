@@ -3,7 +3,8 @@
 ``BiPoly`` stores a coefficient grid ``coeffs[j, k]`` = coefficient of
 ``z**j * w**k``.  A polynomial in z alone, such as the slice p(z, 0), is
 a ``BiPoly`` of one column.  Degrees in this artifact stay small
-(<= ~16 per variable), so everything is dense and direct.
+(<= ~16 per variable), so everything is dense and direct.  Zero is exact
+zero, and every other floor is relative to the largest coefficient.
 
 All values are immutable after construction; operations are pure.
 """
@@ -50,10 +51,6 @@ class BiPoly:
 
     def __call__(self, z, w):
         return npoly.polyval2d(np.asarray(z), np.asarray(w), self.coeffs)
-
-    def is_zero(self):
-        """Whether every coefficient is below TRIM_REL in absolute value."""
-        return float(np.max(np.abs(self.coeffs))) < TRIM_REL
 
     def trimmed(self):
         """Drop trailing rows/columns with all entries < TRIM_REL * max|coeff|.
@@ -164,8 +161,6 @@ def reflect(p: BiPoly, at) -> BiPoly:
     """
     J, K = int(at[0]), int(at[1])
     t = p.trimmed()
-    if t.is_zero():
-        return BiPoly(np.zeros((J + 1, K + 1)))
     n, m = t.deg
     if J < n or K < m:
         raise InvalidDegree(f"reflection degree {(J, K)} below actual {(n, m)}")
@@ -181,7 +176,7 @@ def roots(u: BiPoly):
     InvalidDegree if ``u`` depends on w.
     """
     t = u.trimmed()
-    if t.is_zero():
+    if not t.coeffs.any():
         raise ZeroPolynomial("cannot take roots of the zero polynomial")
     n, m = t.deg
     if m > 0:
@@ -236,10 +231,8 @@ def split_stable(u: BiPoly) -> RootSplit:
 
     The factors part u's roots by modulus.  Raises RootNearTorus if any
     root lies within ROOT_MARGIN of the unit circle; the theory requires
-    a clean separation.
+    a clean separation.  Raises ZeroPolynomial for the zero polynomial.
     """
-    if u.is_zero():
-        raise ZeroPolynomial("cannot split the zero polynomial")
     rts = roots(u)
     c = u.coeffs[: rts.size + 1, 0]     # trimmed u: one root per degree
     mods = np.abs(rts)
@@ -253,7 +246,7 @@ def split_stable(u: BiPoly) -> RootSplit:
     unstable = npoly.polyfromroots(inside) if inside.size else np.ones(1)
     stable = c[-1] * npoly.polyfromroots(outside) if outside.size else c[-1:]
     prod = np.convolve(stable, unstable)
-    err = np.max(np.abs(prod - c)) / max(1.0, np.max(np.abs(c)))
+    err = np.max(np.abs(prod - c)) / np.max(np.abs(c))
     if not err <= 1e-8:
         raise RootNearTorus(f"stable/unstable refactorization residual {err:.3e}")
     return RootSplit(stable=BiPoly(stable[:, None]),
@@ -270,7 +263,7 @@ def content_roots(p: BiPoly):
     Raises ZeroPolynomial for the zero polynomial.
     """
     t = p.trimmed()
-    if t.is_zero():
+    if not t.coeffs.any():
         raise ZeroPolynomial("the zero polynomial has no content")
     scale = np.max(np.abs(t.coeffs))
     cols = [roots(BiPoly(c[:, None])) for c in t.coeffs.T
@@ -293,7 +286,7 @@ def canonical_phase(p: BiPoly) -> BiPoly:
     """
     t = p.trimmed()
     row = t.coeffs[:, 0]
-    if np.max(np.abs(row)) < TRIM_REL * max(1.0, np.max(np.abs(t.coeffs))):
+    if np.max(np.abs(row)) < TRIM_REL * np.max(np.abs(t.coeffs)):
         row = t.coeffs.ravel()
     mod = np.abs(row)
     idx = int(np.argmax(mod >= (1.0 - PHASE_TIE_REL) * np.max(mod)))

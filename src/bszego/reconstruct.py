@@ -36,7 +36,6 @@ def kernel_poly(space: MomentSpace) -> BiPoly:
     # with the operator bases that the split polynomial comes from.
     n, m = space.nmax, space.mmax
     phis = space.phi_sequence(n, m)
-    # reflect trims: a negligible slice reflects to exact zeros
     refl = np.stack([reflect(phi.z_slice(), (n, 0)).coeffs[:, 0] for phi in phis])
     terms = np.tensordot(refl, [phi.coeffs for phi in phis], axes=(0, 0))
     out = np.zeros((2 * n + 1, m + 1), dtype=complex)

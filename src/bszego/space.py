@@ -125,7 +125,7 @@ class MomentSpace:
         out[:rows, :cols] = grids
         return out.reshape(len(self._emb), *tail)
 
-    def embed(self, p: BiPoly):
+    def _embed(self, p: BiPoly):
         return self._emb @ self._coords(p.trimmed().coeffs)
 
     def embed_basis(self, b: SubspaceBasis):
@@ -133,10 +133,10 @@ class MomentSpace:
 
     def inner(self, f: BiPoly, g: BiPoly):
         """<f, g> under the moment form (linear in f, conjugate in g)."""
-        return complex(np.sum(self.embed(f) * np.conj(self.embed(g))))
+        return complex(np.sum(self._embed(f) * np.conj(self._embed(g))))
 
     def norm(self, f: BiPoly):
-        return float(np.linalg.norm(self.embed(f)))
+        return float(np.linalg.norm(self._embed(f)))
 
     def cross(self, a: SubspaceBasis, b: SubspaceBasis):
         """Matrix X[i, j] = <a_i, b_j>."""
@@ -238,7 +238,7 @@ class MomentSpace:
         rank, u = 0, np.zeros((target.dim, 0))
         if target.dim and generators:
             emb_t = self.embed_basis(target)
-            emb_g = np.column_stack([self.embed(g) for g in generators])
+            emb_g = np.column_stack([self._embed(g) for g in generators])
             coords = emb_t.conj().T @ emb_g       # coords[t, i] = <g_i, b_t>
             gen_scale = float(np.max(np.linalg.norm(emb_g, axis=0)))
             u, s, _ = np.linalg.svd(coords, full_matrices=False)

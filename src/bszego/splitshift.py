@@ -37,7 +37,7 @@ import numpy as np
 from .errors import (DegenerateForm, DNotAdmissible, InvalidDegree,
                      MatrixConditionFails, NotPositive, RootNearTorus)
 from .moments import MomentTable, is_positive
-from .poly import BiPoly, _roots_beyond, canonical_phase, split_stable
+from .poly import TRIM_REL, BiPoly, _roots_beyond, canonical_phase, split_stable
 from .space import MomentSpace, SubspaceBasis
 
 # Both are one absolute round-off floor on contractions, hence no caller
@@ -215,7 +215,7 @@ def shift_split_from_p(space: MomentSpace, p: BiPoly) -> ShiftSplit:
     if pt.deg[0] > n or pt.deg[1] > m:
         raise InvalidDegree("polynomial degree exceeds the space caps")
     p0 = pt.z_slice()
-    if p0.is_zero():
+    if np.max(np.abs(p0.coeffs)) < TRIM_REL * np.max(np.abs(pt.coeffs)):
         raise RootNearTorus("p(z, 0) vanishes identically (zero at w = 0)")
     rs = split_stable(p0)
     beta = rs.beta

@@ -205,6 +205,15 @@ def gram_eigenvalue_range(doc, J, K):
     return float(eigs[0]), float(eigs[-1])
 
 
+def blaschke_gdv(zeros, m):
+    """w^m prod (1 - conj(a) z) - prod (z - a): the sheets w^m = B(z)."""
+    q = np.polynomial.polynomial.polyfromroots(zeros)
+    a = np.zeros((len(q), m + 1), dtype=complex)
+    a[:, m] = q[::-1].conj()
+    a[:, 0] -= q
+    return BiPoly(a)
+
+
 def random_corpus_poly(rng, max_q_deg=2, max_factors=2, allow_unstable_q=False):
     """q(z) (stable unless flipped) times products of (alpha - z w)."""
     q = BiPoly([[1.0]])

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bszego import DegenerateForm, NonPositiveDensity
+from bszego import BiPoly, DegenerateForm, NonPositiveDensity
+from bszego import reconstruct
 from bszego.moments import TrigPoly, moments_from_trig
 from bszego.reconstruct import factor_trig, reconstruct_p
 
@@ -64,11 +65,14 @@ def test_no_check_in_the_library_passes_a_nan():
     assert found == []
 
 
-def test_vanishing_kernel_is_degenerate():
-    # at scale 1e-26 the kernel polynomial of |2 - z|^2-type data comes out
-    # all zero; the kernel check must refuse it, not divide 0 by 0 (tier 1
-    # turns the division's RuntimeWarning into an error)
-    t = TrigPoly(1, 0, 1e-26 * np.array([[-2.0], [5.0], [-2.0]]))
+def test_vanishing_kernel_is_degenerate(monkeypatch):
+    # a kernel polynomial that comes out all zero must be refused, not
+    # divided 0 by 0 (tier 1 turns the division's RuntimeWarning into an
+    # error); no input is known to reach it, so kernel_poly is patched
+    monkeypatch.setattr(reconstruct, "kernel_poly",
+                        lambda space: BiPoly(np.zeros((2 * space.nmax + 1,
+                                                       space.mmax + 1))))
+    t = TrigPoly(1, 0, [[-2.0], [5.0], [-2.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegenerateForm, match="kernel polynomial vanishes"):

@@ -194,3 +194,18 @@ def test_diff_into_a_closed_pipe_exits_0(tmp_path):
         proc.stdout.close()
         assert proc.wait(timeout=60) == 0
         assert proc.stderr.read() == b""
+
+
+def test_scale_multiplies_every_coefficient(tmp_path):
+    # a polynomial's coeffs and a table's c are scaled; deg, jmax and kmax
+    # are not
+    poly = {"deg": [1, 0], "coeffs": [[[2.0, 0.0]], [[-1.0, 0.5]]]}
+    table = {"jmax": 0, "kmax": 1, "c": [[[0.25, 0.0], [1.0, -3.0], [0.0, 0.5]]]}
+    for name, doc in (("000-poly.json", poly), ("001-moments.json", table)):
+        (tmp_path / name).write_text(json.dumps(doc))
+    corpus_outputs._scale_inputs(tmp_path, 1e-20)
+    assert json.loads((tmp_path / "000-poly.json").read_text()) == {
+        "deg": [1, 0], "coeffs": [[[2e-20, 0.0]], [[-1e-20, 5e-21]]]}
+    assert json.loads((tmp_path / "001-moments.json").read_text()) == {
+        "jmax": 0, "kmax": 1,
+        "c": [[[2.5e-21, 0.0], [1e-20, -3.0 * 1e-20], [0.0, 5e-21]]]}

@@ -10,13 +10,13 @@ import pytest
 
 from bszego import (BiPoly, CertificateFailed, DegenerateSlice,
                     FitResidualTooLarge, NotGdv, NotSelfReflective,
-                    ZOnlyFactor, build_detrep, check_gdv_geometry,
+                    ZeroPolynomial, ZOnlyFactor, build_detrep, check_gdv_geometry,
                     check_self_reflective, derivative_identity_check)
 from bszego import cli, detrep, sos
 from bszego.detrep import GEOMETRY_GRID
 from bszego.jsonio import dumps, poly_to_json
 
-from conftest import cli_document
+from conftest import blaschke_gdv, cli_document
 
 P_ZW = BiPoly([[0, -1], [1, 0]])          # z - w
 P_Z2W = BiPoly([[0, -1], [0, 0], [1, 0]])  # z^2 - w
@@ -107,6 +107,9 @@ def test_derivative_identity():
     # an un-normalized polynomial fails the identity
     ok, resid = derivative_identity_check(P_ZW)
     assert not ok
+    # the residual is relative to p, so the zero polynomial has none
+    with pytest.raises(ZeroPolynomial):
+        derivative_identity_check(BiPoly(np.zeros((2, 2))))
 
 
 def test_detrep_z_minus_w():
@@ -236,17 +239,8 @@ def test_detrep_scale_against_input():
             < 1e-8 * abs(rep.scale) * size
 
 
-def _blaschke_gdv(zeros, m):
-    """w^m prod (1 - conj(a) z) - prod (z - a): the sheets w^m = B(z)."""
-    q = np.polynomial.polynomial.polyfromroots(zeros)
-    a = np.zeros((len(q), m + 1), dtype=complex)
-    a[:, m] = q[::-1].conj()
-    a[:, 0] -= q
-    return BiPoly(a)
-
-
 BLASCHKE = [BiPoly([[0.5, 1], [-1, -0.5]]),          # Blaschke sheet, a = 1/2
-            _blaschke_gdv([0.3, -0.4j], 2)]
+            blaschke_gdv([0.3, -0.4j], 2)]
 BLASCHKE_IDS = ["blaschke", "blaschke-2-2"]
 
 

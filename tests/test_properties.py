@@ -5,18 +5,21 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bszego import (BiPoly, MomentSpace, MomentTable, NoConvergence,
+from bszego import (BiPoly, MomentSpace, MomentTable, NoConvergence, TrigPoly,
                     enumerate_split_polys, factor_trig, is_positive,
-                    moments_from_density, split_poly_from_condition)
+                    moments_from_density, moments_from_trig,
+                    split_poly_from_condition)
 from bszego import reconstruct
 from bszego.jsonio import (poly_from_json, poly_to_json, table_from_json,
                            table_to_json)
 from bszego.moments import gram
+from bszego.poly import content_roots, reflect, split_stable
 from bszego.reconstruct import FACTOR_TOL
 
-from conftest import (assert_stacked_values_match, cli_document,
-                      monomial_basis, poly_grid_values, structural, torus_grid,
-                      trig_abs_squared, trig_values_on_grid)
+from conftest import (assert_stacked_values_match, blaschke_gdv, cli_document,
+                      monomial_basis, poly_grid_values, random_corpus_poly,
+                      structural, torus_grid, trig_abs_squared,
+                      trig_values_on_grid)
 
 
 @st.composite
@@ -297,3 +300,111 @@ def test_quadrature_pipelines_are_invariant(cli_dir, p, phi, psi):
             phase = np.vdot(want, got_f)
             gap = got_f - phase / abs(phase) * want
             assert np.max(np.abs(gap)) <= 1e-11 * np.max(np.abs(want))
+
+
+# ---------------------------------------------------------------------------
+# scale: p and s * p, s > 0, get the same answers (log10 s in [-30, 30])
+# ---------------------------------------------------------------------------
+
+scales = st.floats(-30.0, 30.0).map(lambda e: 10.0 ** e)
+
+
+def _same_roots(got, want):
+    """Whether two root lists agree up to order and round-off."""
+    return got.size == want.size and all(
+        np.min(np.abs(want - r)) <= 1e-9 * max(1.0, abs(r)) for r in got)
+
+
+@settings(max_examples=20, deadline=None)
+@given(scales, st.integers(0, 2 ** 32 - 1))
+@example(1e-13, 0)
+def test_polynomial_operations_are_scale_free(s, seed):
+    # zero is exact zero: no absolute floor refuses s * p or drops its
+    # coefficients
+    split = split_stable(BiPoly([[2.0 * s], [-s]]))
+    assert split.beta == 0 and np.allclose(split.unstable.coeffs, [[1.0]])
+    assert np.allclose(split.stable.coeffs, s * np.array([[2.0], [-1.0]]),
+                       rtol=1e-15, atol=0.0)
+    p = random_corpus_poly(np.random.default_rng(seed), allow_unstable_q=True)
+    assert np.array_equal(reflect(s * p, p.deg).coeffs, s * reflect(p, p.deg).coeffs)
+    assert _same_roots(content_roots(s * p), content_roots(p))
+
+
+@settings(max_examples=12, deadline=None)
+@given(scales, st.integers(0, 2 ** 32 - 1))
+# the phi z-slices of |2 - z|^2 at 1e-26 are about 1e-13, below an absolute
+# 1e-12 floor
+@example(1e-26, 0)
+def test_factor_is_scale_free(cli_dir, s, seed):
+    # s |p|^2 factors as sqrt(s) p, up to a unimodular constant
+    q = random_corpus_poly(np.random.default_rng(seed))
+    for p in (BiPoly([[2.0], [-1.0]]), q):
+        n, m = p.deg
+        t = trig_abs_squared(p)
+        code, doc = cli_document(cli_dir, "factor", "--trig",
+                                 table_to_json(TrigPoly(n, m, s * t.c)),
+                                 "--n", str(n), "--m", str(m))
+        assert code == 0
+        got = poly_from_json(doc).coeffs
+        want = np.sqrt(s) * p.coeffs
+        phase = np.vdot(want, got)
+        gap = got - phase / abs(phase) * want
+        assert np.max(np.abs(gap)) <= 1e-11 * np.max(np.abs(want))
+    # and the library's reconstruction from the moments of 1 / (s |2 - z|^2)
+    t = TrigPoly(1, 0, s * np.array([[-2.0], [5.0], [-2.0]]))
+    got = reconstruct.reconstruct_p(moments_from_trig(t, 1, 0), 1, 0).coeffs
+    assert np.allclose(np.abs(got), np.sqrt(s) * np.array([[2.0], [1.0]]),
+                       rtol=1e-9, atol=0.0)
+
+
+@settings(max_examples=12, deadline=None)
+@given(closed_face_polys(), scales)
+@example(BiPoly([[2.0, 0.0], [0.0, -1.0]]), 1e-13)
+@example(BiPoly([[6.0, -2.0], [-3.0, 1.0]]), 1e-30)
+def test_closed_face_sos_is_scale_free(cli_dir, p, s):
+    # the same exit code and block counts, at round-off
+    code, base = cli_document(cli_dir, "sos", "--poly", poly_to_json(p))
+    got_code, got = cli_document(cli_dir, "sos", "--poly", poly_to_json(s * p))
+    assert got_code == code
+    if code == 0:
+        counts = [(len(doc["A"]), doc["n1"], doc["n2"]) for doc in (base, got)]
+        assert counts[0] == counts[1]
+        assert got["residual"] <= 1e-14
+
+
+@settings(max_examples=12, deadline=None)
+@given(scales, st.integers(0, 2 ** 32 - 1))
+@example(1e-13, 0)
+def test_gdv_is_scale_free(cli_dir, s, seed):
+    # the same pencil sizes at round-off; U is left unchecked, since its
+    # gauge is not fixed (ROADMAP item 4)
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(1, 4))
+    zeros = rng.uniform(0.1, 0.6, count) * np.exp(2j * np.pi * rng.uniform(size=count))
+    for p in (BiPoly([[0.0, -1.0], [1.0, 0.0]]),
+              blaschke_gdv(zeros, int(rng.integers(1, 3)))):
+        sizes = []
+        for q in (p, s * p):
+            code, doc = cli_document(cli_dir, "gdv", "--poly", poly_to_json(q))
+            assert code == 0 and doc["detrep"]["residual"] <= 1e-12
+            sizes.append((doc["detrep"]["n1"], doc["detrep"]["n2"]))
+        assert sizes[0] == sizes[1]
+
+
+@settings(max_examples=12, deadline=None)
+@given(closed_face_polys(), scales)
+@example(BiPoly([[2.0, 0.0], [0.0, -1.0]]), 1e-13)
+def test_moments_are_scale_free(cli_dir, p, s):
+    # the table of s p is the table of p over s^2.  Above s = 1 only the
+    # exit code is compared: c00 falls below 1, where the stopping rule is
+    # absolute (ROADMAP item 13)
+    n, m = p.deg
+    args = ("--jmax", str(n), "--kmax", str(m))
+    code, base = cli_document(cli_dir, "moments", "--poly", poly_to_json(p), *args)
+    got_code, got = cli_document(cli_dir, "moments", "--poly",
+                                 poly_to_json(s * p), *args)
+    assert got_code == code
+    if code == 0 and s <= 1.0:
+        want = table_from_json(base).c
+        gap = s ** 2 * table_from_json(got).c - want
+        assert np.max(np.abs(gap)) <= 1e-12 * np.max(np.abs(want))

@@ -1,6 +1,6 @@
 """Exit code and stdout of every benchmark corpus call, for one source tree.
 
-    python tools/corpus_outputs.py TREE OUT.json
+    python tools/corpus_outputs.py [--scale S] TREE OUT.json
     python tools/corpus_outputs.py --diff BASE.json HEAD.json
 
 The first form imports ``bszego`` from ``TREE/src`` and the corpus from
@@ -8,7 +8,13 @@ this checkout's ``bench/corpus.py`` (read only: no bytecode is written
 there).  It builds the inputs of every workload at seeds 9137 and 311,
 runs each call once in process on one BLAS thread, as ``bench/run.py``
 does, and writes one record per call.  The input directory is replaced
-by ``{inputs}`` in the recorded stdout.
+by ``{inputs}`` in the recorded stdout.  With ``--scale S`` every
+coefficient of every input file (each number of a polynomial's
+``coeffs`` or a table's ``c``) is multiplied by S before the calls run.
+A positive scale of p, or of a moment or trig table, leaves every exit
+code and block count unchanged, so ``--diff`` of an unscaled record
+against a scaled one of the same tree shows each call whose exit code or
+shape a scale moves.
 
 The second form prints how many calls differ between two such files in
 exit code or stdout bytes, in all and per workload.  For each differing
@@ -54,7 +60,19 @@ ABSENT = object()  # the value of a key on the other side only
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b")
 
 
-def record(tree, out):
+def _scale_inputs(inputs, scale):
+    """Multiply every coefficient of every input file in ``inputs`` by scale."""
+    for name in os.listdir(inputs):
+        path = os.path.join(inputs, name)
+        with open(path) as fh:
+            doc = json.load(fh)
+        key = "coeffs" if "coeffs" in doc else "c"
+        doc[key] = [[[x * scale for x in pair] for pair in row] for row in doc[key]]
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+
+
+def record(tree, out, scale=1.0):
     sys.dont_write_bytecode = True
     sys.path[:0] = [os.path.join(os.path.abspath(tree), "src"), BENCH]
     import corpus
@@ -70,6 +88,8 @@ def record(tree, out):
                 inputs = os.path.join(workdir, f"{workload}-{seed}")
                 argvs = corpus.materialize(problems, inputs,
                                            moments_from_density, BiPoly)
+                if scale != 1.0:
+                    _scale_inputs(inputs, scale)
                 for idx, (prob, argv) in enumerate(zip(problems, argvs)):
                     buf = io.StringIO()
                     try:
@@ -234,6 +254,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--diff", action="store_true",
                         help="compare two record files instead of running")
+    parser.add_argument("--scale", type=float, default=1.0,
+                        help="multiply every input coefficient by this factor")
     parser.add_argument("first", help="source tree, or the base record file")
     parser.add_argument("second", help="output file, or the head record file")
     args = parser.parse_args(argv)
@@ -246,7 +268,7 @@ def main(argv=None):
             # devnull so that the interpreter's last flush does not fail
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     else:
-        record(args.first, args.second)
+        record(args.first, args.second, args.scale)
 
 
 if __name__ == "__main__":
