@@ -26,10 +26,10 @@ from .splitshift import (ShiftOperators, ShiftSplit, StratificationReport,
                          build_operators, check_matrix_condition,
                          enumerate_split_polys, gw_check, shift_split_from_p,
                          split_poly_from_condition)
-from .reconstruct import factor_trig, reconstruct_p
-from .sos import (SosCertificate, certificate_closed_face,
+from .reconstruct import factor_trig, kernel_poly, reconstruct_p
+from .sos import (ResidualReport, SosCertificate, certificate_closed_face,
                   certificate_open_face, verify_certificate)
-from .detrep import (DetRep, build_detrep, check_gdv_geometry,
+from .detrep import (DetRep, GeometryReport, build_detrep, check_gdv_geometry,
                      check_self_reflective, derivative_identity_check)
 from .fullmeasure import FullMeasureReport, check_full_measure, strip_match
 from .arfilter import ArSolution, solve_ar

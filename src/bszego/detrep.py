@@ -26,7 +26,7 @@ from .errors import (CertificateFailed, DegenerateSlice, FitResidualTooLarge,
                      NotGdv, NotSelfReflective, NumericalFailure, ZeroPolynomial,
                      ZOnlyFactor)
 from .moments import _roots
-from .poly import BiPoly, content_roots, reflect, w_roots
+from .poly import BiPoly, _w_roots, content_roots, reflect
 from .sos import _blocks_closed_face, _values
 
 
@@ -52,7 +52,7 @@ class DetRep:
     def m(self):
         return self.u.shape[0] - self.n1 - self.n2
 
-    def det_pencil(self, z, w):
+    def _det_pencil(self, z, w):
         """det(U Delta - Gamma) at (z, w); arrays of points give an array."""
         z, w = np.broadcast_arrays(np.asarray(z, dtype=complex), w)
         one, sizes = np.ones_like(z), (self.m, self.n1, self.n2)
@@ -74,11 +74,10 @@ class GeometryReport:
 def check_self_reflective(p: BiPoly) -> complex:
     """The unimodular mu with p = mu * reflection(p), if it exists.
 
-    Requires p to carry no z-only factors (they make mu ill-defined).
+    Requires p to carry no z-only factors (they make mu ill-defined);
+    ``content_roots`` raises ZeroPolynomial for p = 0.
     """
     pt = p.trimmed()
-    if not pt.coeffs.any():
-        raise NotSelfReflective("zero polynomial")
     degree = content_roots(pt).size
     if degree:
         raise ZOnlyFactor(f"p carries the z-only factor of degree {degree}")
@@ -103,6 +102,8 @@ def check_gdv_geometry(p: BiPoly) -> GeometryReport:
     DegenerateSlice names the first such point of the rotated grid.
     """
     pt = p.trimmed()
+    if not pt.coeffs.any():
+        raise ZeroPolynomial("the zero polynomial has no zero set")
     n, m = pt.deg
     if m == 0:
         raise NotGdv("p does not depend on w")
@@ -110,7 +111,7 @@ def check_gdv_geometry(p: BiPoly) -> GeometryReport:
     for rot in (0.0, 0.5 / GEOMETRY_GRID):
         zs = np.exp(2j * np.pi * (np.arange(GEOMETRY_GRID) + rot)
                     / GEOMETRY_GRID)
-        wcoef, rts = w_roots(pt, zs)
+        wcoef, rts = _w_roots(pt, zs)
         small = np.abs(wcoef[-1]) < 1e-12 * scale
         if not small.any():
             break
@@ -146,7 +147,7 @@ def _variety_samples(p: BiPoly, count):
     pt = p.trimmed()
     # real angles: a complex division by count would multiply by 1/count
     zs = np.exp(1j * (2 * np.pi * (np.arange(count) + 0.123) / count))
-    wcoef, rts = w_roots(pt, zs)
+    wcoef, rts = _w_roots(pt, zs)
     keep = np.abs(wcoef[-1]) >= 1e-12 * np.max(np.abs(pt.coeffs))
     if rts.size == 0 or not keep.any():
         raise NotGdv("zero set has no sheets over the unit circle")
@@ -157,7 +158,7 @@ def _pencil_coeffs(rep: DetRep, deg):
     """Coefficients of det(U Delta - Gamma), of degree at most ``deg``,
     from its values on the (n+1) x (m+1) grid of roots of unity."""
     zz, ww = np.meshgrid(_roots(deg[0] + 1), _roots(deg[1] + 1), indexing="ij")
-    vals = rep.det_pencil(zz, ww)
+    vals = rep._det_pencil(zz, ww)
     return np.fft.fft2(vals) / vals.size
 
 

@@ -21,7 +21,7 @@ from .errors import InvalidDegree, RootNearTorus, ZeroPolynomial
 TRIM_REL = 1e-12          # drop trailing coefficients below this times max |coeff|
 ROOT_MARGIN = 1e-6        # width of the forbidden band around |root| = 1
 CLUSTER_TOL = 1e-6        # roots this close count as shared
-PHASE_TIE_REL = 1e-8      # canonical_phase: moduli this close to the row maximum tie
+PHASE_TIE_REL = 1e-8      # _canonical_phase: moduli this close to the row maximum tie
 
 
 def _readonly(a):
@@ -81,13 +81,13 @@ class BiPoly:
         return out
 
     def __add__(self, other):
-        other = as_bipoly(other)
+        other = _as_bipoly(other)
         shape = (max(self.coeffs.shape[0], other.coeffs.shape[0]),
                  max(self.coeffs.shape[1], other.coeffs.shape[1]))
         return BiPoly(self._padded_to(shape) + other._padded_to(shape))
 
     def __sub__(self, other):
-        return self + (-as_bipoly(other))
+        return self + (-_as_bipoly(other))
 
     def __neg__(self):
         return BiPoly(-self.coeffs)
@@ -95,7 +95,7 @@ class BiPoly:
     def __mul__(self, other):
         if np.isscalar(other):
             return BiPoly(self.coeffs * other)
-        other = as_bipoly(other)
+        other = _as_bipoly(other)
         (ja, ka), (jb, kb) = self.coeffs.shape, other.coeffs.shape
         # rows zero-padded to the product's width convolve without carries
         width = ka + kb - 1
@@ -127,7 +127,7 @@ class BiPoly:
         return npoly.polyval(z0, self.coeffs)  # contracts the z axis
 
 
-def as_bipoly(x) -> BiPoly:
+def _as_bipoly(x) -> BiPoly:
     if isinstance(x, BiPoly):
         return x
     if np.isscalar(x):
@@ -186,7 +186,7 @@ def roots(u: BiPoly):
     return np.roots(t.coeffs[::-1, 0])
 
 
-def w_roots(p: BiPoly, zs):
+def _w_roots(p: BiPoly, zs):
     """Coefficients (m+1, S) and w-roots (S, m) of the slices p(zs[s], w).
 
     The roots are the eigenvalues of the companion matrices ``np.roots``
@@ -276,7 +276,7 @@ def content_roots(p: BiPoly):
     return np.array(kept, dtype=complex)
 
 
-def canonical_phase(p: BiPoly) -> BiPoly:
+def _canonical_phase(p: BiPoly) -> BiPoly:
     """Rotate p by a unimodular constant fixing a canonical phase.
 
     The coefficient of largest modulus in the w^0 row is made real

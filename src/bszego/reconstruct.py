@@ -17,8 +17,8 @@ from .errors import (DegenerateForm, MatrixConditionFails, NoConvergence,
 from .moments import MomentTable, TrigPoly, moments_from_trig
 from .poly import BiPoly, reflect
 from .space import MomentSpace
-from .splitshift import (ShiftOperators, _positive_form, _require_condition,
-                         _split_from_k1, assert_no_face_zeros)
+from .splitshift import (ShiftOperators, _assert_no_face_zeros, _positive_form,
+                         _require_condition, _split_from_k1)
 
 KERNEL_TOL = 1e-8   # kernel identity residual, relative to max |kernel|
 FACTOR_TOL = 1e-7   # factor_trig's bound on the l1 gap of |p|^2 - t, relative to t_00
@@ -96,5 +96,5 @@ def factor_trig(t: TrigPoly, n, m):
     if not resid <= FACTOR_TOL * t.at(0, 0).real:     # t_00 = mean(t) <= max(t)
         raise NoConvergence(
             f"|p|^2 mismatches t by {resid:.3e} despite the matrix condition")
-    assert_no_face_zeros(p)
+    _assert_no_face_zeros(p)
     return p

@@ -18,12 +18,13 @@ P P^H - R R^H = L_w(A A^H) + L_z(B B^H - C C^H) on the (n+1) x (m+1)
 monomial grid, with L(X) = X - S X S^T for the shift S by w or by z.
 Its G form, p pbar - w etabar prev prevbar, takes the same blocks with
 the reflection of p appended to the A block; ``detrep`` composes it for
-itself.  Polynomials with zeros on the torus (but none on |z| = 1,
-|w| < 1, and no common factor with their reflection) are handled by
-shrinking w once: the closed-face blocks of p(z, T0 w) are refined at
-t = 1 by Gauss-Newton on that identity of p itself, down to round-off.
-The refined blocks keep the counts (m, n1, n2) but are no longer
-orthonormal bases of moment-space subspaces.
+itself.  A sampled face zero refuses the closed-face certificate.
+Polynomials with zeros on the torus (but none on |z| = 1, |w| < 1, and
+no common factor with their reflection) are handled by shrinking w
+once: the closed-face blocks of p(z, T0 w) are refined at t = 1 by
+Gauss-Newton on that identity of p itself, down to round-off and within
+``tol``.  The refined blocks keep the counts (m, n1, n2) but are no
+longer orthonormal bases of moment-space subspaces.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ import numpy as np
 from .errors import (CommonFactor, DegenerateForm, InvalidDegree,
                      MomentDivergence, NoConvergence, RootNearTorus)
 from .moments import moments_from_density
-from .poly import CLUSTER_TOL, BiPoly, content_roots, reflect, w_roots
+from .poly import CLUSTER_TOL, BiPoly, _w_roots, content_roots, reflect
 from .space import MomentSpace
-from .splitshift import shift_split_from_p
+from .splitshift import _assert_no_face_zeros, shift_split_from_p
 
 T0 = 0.9                # w-shrink factor of the open-face starting blocks
 REFINE_STEPS = 60       # Gauss-Newton step cap of the open-face refinement
@@ -47,7 +48,7 @@ REFINE_FLOOR = 16 * np.finfo(float).eps   # relative residual that ends it
 DAMPING = 1e-5          # normal-equation ridge per unit of relative residual
 DAMPING_FLOOR = 1e-15   # least ridge; both relative to the largest diagonal entry
 REFINE_MAX_ENTRIES = 2 ** 22   # largest Jacobian refined (degree (6, 6) is 2.4e6)
-PREFLIGHT_SAMPLES = 8   # z-slices compared by common_factor_with_reflection
+PREFLIGHT_SAMPLES = 8   # z-slices compared by _common_factor_with_reflection
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,9 +181,11 @@ def certificate_closed_face(p: BiPoly) -> SosCertificate:
     """Certificate for p with no zeros on the closed face.
 
     Block counts are (m, n1, n2), with n2 the number of zeros of p(z, 0)
-    in the open disk.
+    in the open disk.  Once they are built, ``factor_trig``'s sampled face
+    test refuses a p with face zeros, whose blocks certify another p.
     """
     cert = _blocks_closed_face(p, p.trimmed().deg)
+    _assert_no_face_zeros(p)
     return replace(cert, residual=verify_certificate(p, cert).residual)
 
 
@@ -192,14 +195,14 @@ def _scale_w(p: BiPoly, t) -> BiPoly:
     return BiPoly(c)
 
 
-def common_factor_with_reflection(p: BiPoly):
+def _common_factor_with_reflection(p: BiPoly):
     """Test whether p and its reflection share a factor.
 
     A z-only common factor is a root shared by the two z-only contents
     (``content_roots``, matched within CLUSTER_TOL); for p in z alone
     that is the whole test.  A common factor of positive w-degree forces
     shared w-roots on every z-slice, which is sampled at PREFLIGHT_SAMPLES
-    slices: enough for the certificate preflight.
+    slices: enough to refuse the refinement.
     """
     pt = p.trimmed()
     prev = reflect(pt, pt.deg).trimmed()
@@ -208,8 +211,8 @@ def common_factor_with_reflection(p: BiPoly):
         return True
     zs = 0.9371 * np.exp(2j * np.pi * (np.arange(PREFLIGHT_SAMPLES) + 0.17)
                          / PREFLIGHT_SAMPLES)
-    _, r1 = w_roots(pt, zs)
-    _, r2 = w_roots(prev, zs)
+    _, r1 = _w_roots(pt, zs)
+    _, r2 = _w_roots(prev, zs)
     # a slice without roots has gap inf, one with a nan row decides nothing
     gap = np.abs(r1[:, :, None] - r2[:, None, :]).min((1, 2), initial=np.inf)
     return not np.any(gap >= CLUSTER_TOL)
@@ -307,19 +310,22 @@ def certificate_open_face(p: BiPoly, tol=1e-8) -> SosCertificate:
     """Certificate for p with no zeros on |z| = 1, |w| < 1.
 
     Zeros on the torus itself are allowed provided p shares no factor
-    with its reflection.  Shrinking w by T0 moves the zeros off the
-    closed face; the closed-face blocks of p(z, T0 w) are then refined
+    with its reflection.  A closed-face certificate within ``tol`` is
+    returned as it is.  Otherwise shrinking w by T0 moves the zeros off
+    the closed face; the closed-face blocks of p(z, T0 w) are then refined
     at t = 1 by Gauss-Newton on the identity of p itself (``_refine``),
     and returned when ``verify_certificate`` puts them within ``tol``.
     A degree past REFINE_MAX_ENTRIES Jacobian entries is refused up front.
     """
     pt = p.trimmed()
-    if common_factor_with_reflection(pt):
-        raise CommonFactor("p shares a factor with its reflection")
     try:
-        return certificate_closed_face(pt)
+        cert = certificate_closed_face(pt)
+        if cert.residual <= tol:
+            return cert
     except (MomentDivergence, RootNearTorus, DegenerateForm):
         pass
+    if _common_factor_with_reflection(pt):
+        raise CommonFactor("p shares a factor with its reflection")
     n, m = pt.deg     # _refine's Jacobian size depends on the degree alone
     entries = ((n + 1) * (m + 1)) ** 2 * 2 * ((n + 1) * m * m + n * n * (m + 1))
     if entries > REFINE_MAX_ENTRIES:

@@ -8,7 +8,7 @@ R = Re G - (Im G) J and the unitary Q = (I + iJ)/sqrt(2), J the reversal
 (``moments._real_form``).  The space factors R = L L^T once per rectangle,
 in real arithmetic.  The caps' factor gives the embedding (Q L)^T, which
 maps coefficient vectors isometrically into C^d for inner products and
-projected spans.  The structural subspaces (E1, F1, E2, F2, H), each
+projected spans.  The structural subspaces E1, F1, E2 and F2, each
 the complement of every monomial of a rectangle but one edge of it, all
 come from one formula on their rectangle's factor (``_complement``).
 
@@ -195,40 +195,32 @@ class MomentSpace:
     def basis(self, kind, k, l) -> SubspaceBasis:
         """Orthonormal basis of a structural subspace, memoised per space.
 
-        Every kind is the complement in the rectangle P_{k,l} (P_{2n,M}
-        for H) of every monomial but one edge of it, built by
-        ``_complement`` from that rectangle's real Cholesky factor, which
-        is computed once per space and shared by the kinds on one rectangle
-        (the caps' factor also gives the embedding).  A rank drop raises
-        DegenerateForm.
+        Each kind is the complement in the rectangle P_{k,l} of every
+        monomial but one edge of it, built by ``_complement`` from that
+        rectangle's real Cholesky factor, which is computed once per space
+        and shared by the kinds on one rectangle (the caps' factor also
+        gives the embedding).  A rank drop raises DegenerateForm, and a
+        kind other than these four ValueError.
 
         E1(k,l) = P_{k,l} minus w P_{k,l-1}   (dimension k+1)
         F1(k,l) = P_{k,l} minus P_{k,l-1}     (dimension k+1)
         E2(k,l) = P_{k,l} minus z P_{k-1,l}   (dimension l+1)
         F2(k,l) = P_{k,l} minus P_{k-1,l}     (dimension l+1)
-        H(n,M)  = P_{2n,M} minus all monomials except z^n (dimension 1),
-        requested as basis("H", n, M).
         """
         key = (kind, k, l)
         if key in self._bases:
             return self._bases[key]
-        if kind == "H":
-            if 2 * k > self.nmax or l > self.mmax:
-                raise InsufficientMoments("H space exceeds caps")
-            corner, gens = (2 * k, l), [k * (l + 1)]
-        elif kind in ("E1", "F1", "E2", "F2"):
-            if k < 0 or l < 0:
-                return SubspaceBasis(np.zeros((max(k + 1, 0), max(l + 1, 0), 0)))
-            if k > self.nmax or l > self.mmax:
-                raise InsufficientMoments(
-                    f"{kind}({k},{l}) exceeds caps ({self.nmax}, {self.mmax})")
-            grid = np.arange((k + 1) * (l + 1)).reshape(k + 1, l + 1)
-            corner = (k, l)
-            gens = {"E1": grid[:, 0], "F1": grid[:, l],
-                    "E2": grid[0], "F2": grid[k]}[kind]
-        else:
+        if kind not in ("E1", "F1", "E2", "F2"):
             raise ValueError(f"unknown space kind {kind!r}")
-        self._bases[key] = self._complement(*corner, gens)
+        if k < 0 or l < 0:
+            return SubspaceBasis(np.zeros((max(k + 1, 0), max(l + 1, 0), 0)))
+        if k > self.nmax or l > self.mmax:
+            raise InsufficientMoments(
+                f"{kind}({k},{l}) exceeds caps ({self.nmax}, {self.mmax})")
+        grid = np.arange((k + 1) * (l + 1)).reshape(k + 1, l + 1)
+        gens = {"E1": grid[:, 0], "F1": grid[:, l],
+                "E2": grid[0], "F2": grid[k]}[kind]
+        self._bases[key] = self._complement(k, l, gens)
         return self._bases[key]
 
     def projected_span(self, generators, target: SubspaceBasis,

@@ -37,14 +37,14 @@ import numpy as np
 from .errors import (DegenerateForm, DNotAdmissible, InvalidDegree,
                      MatrixConditionFails, NotPositive, RootNearTorus)
 from .moments import MomentTable, is_positive
-from .poly import TRIM_REL, BiPoly, _roots_beyond, canonical_phase, split_stable
+from .poly import TRIM_REL, BiPoly, _canonical_phase, _roots_beyond, split_stable
 from .space import MomentSpace, SubspaceBasis
 
 # Both are one absolute round-off floor on contractions, hence no caller
 # knob: moving one alone makes check_matrix_condition raise DegenerateForm.
 MC_TOL = 1e-8           # cut of the violation max ||A T^j B||
 KRYLOV_RANK_TOL = 1e-8  # absolute singular-value cut of the Krylov spans
-FACE_SAMPLES = 64       # z points on the circle in assert_no_face_zeros
+FACE_SAMPLES = 64       # z points on the circle in _assert_no_face_zeros
 FACE_MARGIN = 1e-7      # w-roots this close to the closed disk are face zeros
 
 
@@ -95,11 +95,11 @@ class ShiftSplit:
         if comp.shape[1] != 1:
             raise DegenerateForm(
                 f"split complement has dimension {comp.shape[1]}, expected 1")
-        p = canonical_phase(_coords_to_basis(e1big, comp).polys()[0])
+        p = _canonical_phase(_coords_to_basis(e1big, comp).polys()[0])
         nrm = space.norm(p)
         if nrm == 0.0:
             raise DegenerateForm("zero polynomial cannot be normalized")
-        return canonical_phase(p * (1.0 / nrm))
+        return _canonical_phase(p * (1.0 / nrm))
 
 
 @dataclass(frozen=True)
@@ -227,11 +227,12 @@ def shift_split_from_p(space: MomentSpace, p: BiPoly) -> ShiftSplit:
     return ShiftSplit(space, k1, k2)
 
 
-def assert_no_face_zeros(p: BiPoly):
+def _assert_no_face_zeros(p: BiPoly):
     """Sampled check that p has no zeros on |z| = 1, |w| <= 1.
 
     Each z-slice is decided by a Schur-Cohn recursion at radius
     1 + FACE_MARGIN; only the reported slice's w-roots are computed.
+    Every split, ``factor_trig`` and ``certificate_closed_face`` run it.
     """
     pt = p.trimmed()
     m = pt.deg[1]
@@ -307,7 +308,7 @@ def _checked_split(ops, k1_coords) -> ShiftSplit:
     cross = ops.space.cross(split.k1, split.k2.shifted(1, 0))
     if not np.abs(cross).max(initial=0.0) <= MC_TOL:
         raise DegenerateForm("K1 is not orthogonal to z K2")
-    assert_no_face_zeros(split.split_poly)
+    _assert_no_face_zeros(split.split_poly)
     beta, d = split_stable(split.split_poly.z_slice()).beta, split.k1.dim
     if beta != d:
         raise DegenerateForm(f"constructed split-poly has {beta} disk roots, wanted {d}")

@@ -10,7 +10,6 @@ from bszego import (BiPoly, MomentSpace, MomentTable, SubspaceBasis, TrigPoly,
 from bszego.cli import main as cli_main
 from bszego.jsonio import dumps
 from bszego.moments import _poly_grid_rows
-from bszego.poly import as_bipoly
 
 
 # ---------------------------------------------------------------------------
@@ -73,9 +72,6 @@ def rect(j0, j1, k0, k1):
 
 def structural(kind, k, l):
     """(ambient, removed) monomials of MomentSpace.basis(kind, k, l)."""
-    if kind == "H":
-        ambient = rect(0, 2 * k, 0, l)
-        return ambient, [u for u in ambient if u != (k, 0)]
     removed = {"E1": rect(0, k, 1, l), "F1": rect(0, k, 0, l - 1),
                "E2": rect(1, k, 0, l), "F2": rect(0, k - 1, 0, l)}[kind]
     return rect(0, k, 0, l), removed
@@ -348,18 +344,6 @@ def p_perturb_8_8():
 def table_perturb_8_8(p_perturb_8_8):
     # window (16, 11) is what check_full_measure(table, 8, 8) reads
     return moments_from_density(p_perturb_8_8, 16, 11)
-
-
-def pad_table(diag_fn, jmax, kmax):
-    """Table with c_{j,j} = diag_fn(j) on the diagonal, zero elsewhere."""
-    c = np.zeros((2 * jmax + 1, 2 * kmax + 1), dtype=complex)
-    for j in range(-min(jmax, kmax), min(jmax, kmax) + 1):
-        c[j + jmax, j + kmax] = diag_fn(j)
-    return MomentTable(jmax, kmax, c)
-
-
-def poly(rows):
-    return as_bipoly(np.asarray(rows, dtype=complex))
 
 
 def cli_document(tmp_path, command, flag, doc, *args):

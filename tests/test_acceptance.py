@@ -196,7 +196,7 @@ def test_criterion_08_determinantal_representations():
             pv = p(z, w)
             if abs(pv) < 1e-2:
                 continue
-            worst = max(worst, abs(rep.det_pencil(z, w) - rep.scale * pv)
+            worst = max(worst, abs(rep._det_pencil(z, w) - rep.scale * pv)
                         / abs(rep.scale * pv))
             count += 1
         ok &= unit < 1e-8 and worst < 1e-6

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bszego import BiPoly, MomentTable, moments_from_density
+from bszego import (BiPoly, MomentTable, certificate_closed_face,
+                    moments_from_density)
 from bszego.cli import main
 from bszego.errors import InvalidInput
 from bszego.jsonio import dumps, poly_from_json, poly_to_json, table_to_json
@@ -185,6 +186,55 @@ def test_sos_open_face_common_factor(files):
     code, out = run(["sos", "--poly", files["zw.json"], "--open-face"])
     assert code == 1
     assert json.loads(out)["error"] == "CommonFactor"
+
+
+Q_2Z_12Z = BiPoly([[2.0], [-1.0]]) * BiPoly([[1.0], [-2.0]])   # (2 - z)(1 - 2z)
+
+
+@pytest.mark.parametrize("p", [Q_2Z_12Z * BiPoly([[2.0, 0.0], [0.0, -1.0]]),
+                               Q_2Z_12Z], ids=["m1", "m0"])
+def test_sos_open_face_returns_the_closed_face_certificate(tmp_path, p):
+    # (2 - z)(1 - 2z) is its own reflection up to sign, so p shares it with
+    # its reflection; that refuses only the refinement, and the closed-face
+    # certificate comes first
+    closed = cli_document(tmp_path, "sos", "--poly", poly_to_json(p))
+    opened = cli_document(tmp_path, "sos", "--poly", poly_to_json(p), "--open-face")
+    assert closed[0] == 0 and closed[1]["residual"] < 1e-14
+    assert opened == closed
+
+
+def test_sos_refuses_a_face_zero(tmp_path):
+    # the blocks of 1 - 2w certify 2 - w, of the same modulus on the torus
+    doc = poly_to_json(BiPoly([[1.0, -2.0]]))
+    code, out = cli_document(tmp_path, "sos", "--poly", doc)
+    assert (code, out["error"]) == (3, "RootNearTorus")
+    code, out = cli_document(tmp_path, "sos", "--poly", doc, "--open-face")
+    assert (code, out["error"]) == (3, "NoConvergence")
+
+
+def test_sos_open_face_keeps_its_tolerance(tmp_path):
+    # the closed-face certificate of prod (alpha - zw), degree (8, 8), has
+    # residual 3.8e-8
+    p = BiPoly([[1.0]])
+    for alpha in np.linspace(1.2, 2.0, 8):
+        p = p * BiPoly([[alpha, 0.0], [0.0, -1.0]])
+    assert certificate_closed_face(p).residual > 1e-8
+    code, out = cli_document(tmp_path, "sos", "--poly", poly_to_json(p),
+                             "--open-face", "--tol", "1e-8")
+    assert (code, out["error"]) == (3, "NoConvergence")
+    assert "REFINE_MAX_ENTRIES" in out["message"]
+
+
+ZERO_GRID = {"deg": [1, 1], "coeffs": [[[0.0, 0.0], [0.0, 0.0]],
+                                       [[0.0, 0.0], [0.0, 0.0]]]}
+
+
+@pytest.mark.parametrize("argv", [["gdv"], ["sos"], ["sos", "--open-face"]])
+def test_zero_polynomial_exits_2(tmp_path, argv):
+    code, out = cli_document(tmp_path, argv[0], "--poly", ZERO_GRID, *argv[1:])
+    assert (code, out["error"]) == (2, "ZeroPolynomial")
+    if argv[0] == "sos":
+        assert out["message"] == "density 1/|p|^2 needs a nonzero p"
 
 
 def test_full_command(files, tmp_path):

@@ -42,6 +42,13 @@ def test_mu_rejects_z_only_factor():
         check_self_reflective(z2 * P_ZW)                    # (z - 2)^2 (z - w)
 
 
+def test_zero_polynomial_is_refused_as_input():
+    zero = BiPoly(np.zeros((2, 2)))
+    for check in (check_self_reflective, check_gdv_geometry, build_detrep):
+        with pytest.raises(ZeroPolynomial):
+            check(zero)
+
+
 def test_geometry():
     assert check_gdv_geometry(P_ZW).passed
     assert check_gdv_geometry(P_Z2W).passed
@@ -124,7 +131,7 @@ def test_detrep_z_minus_w():
         pv = P_ZW(z, w)
         if abs(pv) < 1e-2:
             continue
-        ratio = rep.det_pencil(z, w) / pv
+        ratio = rep._det_pencil(z, w) / pv
         assert abs(ratio - rep.scale) < 1e-6 * abs(rep.scale)
 
 
@@ -142,7 +149,7 @@ def test_detrep_on_variety_consistency():
     for idx in range(50):
         z0 = np.exp(2j * np.pi * (idx + 0.555) / 50)
         w0 = z0 ** 2
-        assert abs(rep.det_pencil(z0, w0)) < 1e-7 * abs(rep.scale)
+        assert abs(rep._det_pencil(z0, w0)) < 1e-7 * abs(rep.scale)
 
 
 def test_detrep_agler_mccarthy_shape():
@@ -170,7 +177,7 @@ def test_detrep_degree_dropping_derivative():
     assert (rep.n1, rep.n2) == (1, 0)
     assert rep.residual < 1e-8
     z, w = 0.3 + 0.2j, 1.7 - 0.4j
-    assert abs(rep.det_pencil(z, w) - rep.scale * p(z, w)) < 1e-10
+    assert abs(rep._det_pencil(z, w) - rep.scale * p(z, w)) < 1e-10
 
 
 def test_detrep_higher_sheeted():
@@ -235,7 +242,7 @@ def test_detrep_scale_against_input():
     for size in (1e-12, 1.0, 1e12, 1e13, 1e16):
         p = P_ZW * size
         rep = build_detrep(p)
-        assert abs(rep.det_pencil(z, w) - rep.scale * p(z, w)) \
+        assert abs(rep._det_pencil(z, w) - rep.scale * p(z, w)) \
             < 1e-8 * abs(rep.scale) * size
 
 

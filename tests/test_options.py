@@ -1,17 +1,22 @@
 """Every settable option of the library and every optional CLI flag is
-listed here, the library's public names are counted, only the CLI may
-import the JSON layer, and the library draws no random numbers.
+listed here, the library's public names are counted, ``bszego`` exports
+exactly the public top-level names of its library modules, only the CLI
+may import the JSON layer, and the library draws no random numbers.
 
 An option is a defaulted parameter of a public function or method, or a
 field of a ``*Config`` dataclass, anywhere in ``src/bszego``.  A new one
 must be added to ALLOWED, a new CLI flag to CLI_FLAGS, and a new public
-name must raise PUBLIC_NAMES, so that each is seen in review.
+name must raise PUBLIC_NAMES, so that each is seen in review.  A
+top-level name outside the CLI and the JSON layer is public exactly when
+``bszego`` exports it.
 """
 
 import argparse
 import ast
+import inspect
 from pathlib import Path
 
+import bszego
 from bszego.cli import build_parser
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bszego"
@@ -24,7 +29,7 @@ ALLOWED = {
 }
 
 # top-level public functions and classes plus their public methods
-PUBLIC_NAMES = 105
+PUBLIC_NAMES = 99
 
 # (subcommand, flag) for each optional flag, on the subcommands that read it
 CLI_FLAGS = {
@@ -100,6 +105,22 @@ def test_public_names_are_counted():
     found = public_names()
     assert len(found) == len(set(found))
     assert len(found) == PUBLIC_NAMES
+
+
+def exported_names():
+    """The names ``bszego`` exports, as module.name of the module that
+    defines each; its submodules and dunder names are left out."""
+    return [f"{obj.__module__.rsplit('.', 1)[-1]}.{name}"
+            for name, obj in vars(bszego).items()
+            if not name.startswith("_") and not inspect.ismodule(obj)]
+
+
+def test_exports_are_the_public_top_level_names():
+    # the CLI and the JSON layer are no library API: cli.main is the
+    # console script and jsonio's documents are the CLI's
+    found = [name for name in public_names() if name.count(".") == 1
+             and name.split(".")[0] not in ("cli", "jsonio")]
+    assert sorted(exported_names()) == sorted(found)
 
 
 def test_cli_flags_are_the_allowed_ones():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from bszego import (BiPoly, InvalidDegree, RootNearTorus, ZeroPolynomial,
                     content_roots, reflect, roots, split_stable)
-from bszego.poly import TRIM_REL, canonical_phase, w_roots
+from bszego.poly import TRIM_REL, _canonical_phase, _w_roots
 
 from conftest import torus_grid
 
@@ -171,11 +171,11 @@ def test_content_roots_of_zero():
 
 def test_canonical_phase():
     p = BiPoly(np.array([[2j, 0], [0, 1.0]]))
-    cp = canonical_phase(p)
+    cp = _canonical_phase(p)
     # the largest w^0-row coefficient becomes real positive
     assert abs(cp.coeffs[0, 0] - 2.0) < 1e-14
     # |-8| and |8 + 1e-14| tie within PHASE_TIE_REL: the z^0 entry wins
-    cp = canonical_phase(BiPoly(np.array([[-8.0], [8.0 + 1e-14], [2.0]])))
+    cp = _canonical_phase(BiPoly(np.array([[-8.0], [8.0 + 1e-14], [2.0]])))
     assert cp.coeffs[0, 0] == 8.0
 
 
@@ -192,7 +192,7 @@ def test_w_roots_match_np_roots():
         n, m = rng.integers(0, 9, 2)
         p = BiPoly(rng.normal(size=(n + 1, m + 1))
                    + 1j * rng.normal(size=(n + 1, m + 1)))
-        coeffs, rts = w_roots(p, zs)
+        coeffs, rts = _w_roots(p, zs)
         assert rts.shape == (64, m)
         for s, z0 in enumerate(zs):
             assert np.array_equal(coeffs[:, s], p.w_poly_at(z0))
@@ -201,13 +201,13 @@ def test_w_roots_match_np_roots():
 
 def test_w_roots_zero_lead_gives_nan_row():
     p = BiPoly([[2, 1], [0, -1]])              # 2 + (1 - z) w
-    _, rts = w_roots(p, np.array([1.0, -1.0]))
+    _, rts = _w_roots(p, np.array([1.0, -1.0]))
     assert np.isnan(rts[0]).all()
     assert np.allclose(rts[1], [-1.0])
 
 
 def test_w_roots_constant_in_w():
-    coeffs, rts = w_roots(BiPoly([[1], [2]]), np.array([1.0, 1j, -1.0]))
+    coeffs, rts = _w_roots(BiPoly([[1], [2]]), np.array([1.0, 1j, -1.0]))
     assert coeffs.shape == (1, 3) and rts.shape == (3, 0)
 
 

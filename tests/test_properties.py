@@ -49,7 +49,6 @@ def test_structural_bases_and_positivity(p, data):
     l = data.draw(st.integers(0, m), label="l")
     dims = {"E1": k + 1, "F1": k + 1, "E2": l + 1, "F2": l + 1}
     cases = [(kind, k, l, dim) for kind, dim in dims.items()]
-    cases.append(("H", n // 2, m, 1))
     for kind, a, b, dim in cases:
         basis = sp.basis(kind, a, b)
         assert basis.dim == dim
@@ -408,3 +407,20 @@ def test_moments_are_scale_free(cli_dir, p, s):
         want = table_from_json(base).c
         gap = s ** 2 * table_from_json(got).c - want
         assert np.max(np.abs(gap)) <= 1e-12 * np.max(np.abs(want))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(1.2, 4.0), st.floats(0, 2 * np.pi), st.integers(0, 2 ** 32 - 1))
+def test_closed_face_sos_refuses_a_face_zero(cli_dir, r, theta, seed):
+    # q(z) (1 - a w) vanishes at w = 1 / a inside the disk, and its blocks
+    # certify q(z) (conj(a) - w), of the same modulus on the torus; the
+    # roots of q keep off the circle, so the blocks are built
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(0, 4))
+    mods = np.where(rng.uniform(size=count) < 0.5, rng.uniform(0.2, 0.8, count),
+                    rng.uniform(1.25, 3.0, count))
+    q = np.polynomial.polynomial.polyfromroots(
+        mods * np.exp(2j * np.pi * rng.uniform(size=count)))
+    p = BiPoly(q[:, None]) * BiPoly([[1.0, -r * np.exp(1j * theta)]])
+    code, doc = cli_document(cli_dir, "sos", "--poly", poly_to_json(p))
+    assert (code, doc.get("error")) == (3, "RootNearTorus")

@@ -7,7 +7,7 @@ from bszego import (BiPoly, CommonFactor, InvalidDegree, NoConvergence,
                     certificate_closed_face, certificate_open_face, reflect,
                     verify_certificate)
 from bszego import sos
-from bszego.sos import SosCertificate, common_factor_with_reflection
+from bszego.sos import SosCertificate, _common_factor_with_reflection
 
 from bszego.jsonio import poly_to_json
 
@@ -276,7 +276,7 @@ def test_common_z_only_factor(factors, shared):
     p = BiPoly([[1.0]])
     for f in factors:
         p = p * BiPoly(f)
-    assert common_factor_with_reflection(p) == shared
+    assert _common_factor_with_reflection(p) == shared
 
 
 def test_open_face_boundary_zero_refined():
@@ -285,7 +285,7 @@ def test_open_face_boundary_zero_refined():
     # certify it to round-off, within the default tolerance; a tolerance
     # below round-off is still refused with the residual reached
     p = BiPoly([[2, -1], [-1, 0]])
-    assert not common_factor_with_reflection(p)
+    assert not _common_factor_with_reflection(p)
     start = sos._blocks_closed_face(sos._scale_w(p, sos.T0), p.deg)
     assert verify_certificate(p, start).residual > 1e-2
     cert = certificate_open_face(p)

@@ -94,10 +94,10 @@ def test_basis_cache(space_2zw):
     assert f1.dim == e1.dim and subspace_angle(space_2zw, e1, f1) > 1e-3
 
 
-def test_h_space_dimension(p_2zw):
-    t = moments_from_density(p_2zw, 2, 1)
-    sp = MomentSpace(t, 2, 1)
-    assert sp.basis("H", 1, 1).dim == 1
+@pytest.mark.parametrize("kind", ["H", "e1", "E3"])
+def test_basis_refuses_an_unknown_kind(space_2zw, kind):
+    with pytest.raises(ValueError, match="unknown space kind"):
+        space_2zw.basis(kind, 1, 1)
 
 
 def test_phi_sequence_lebesgue(space_leb):
@@ -346,7 +346,6 @@ def test_bases_match_qr_svd_reference(which, table_perturb_8_8,
     # the caps, then two rectangles that are not leading blocks of the
     # z-major or the w-major order
     cases = [(kind, n, n) for kind in ("E1", "F1", "E2", "F2")]
-    cases += [("H", n // 2, n)]
     cases += [(kind, k, l) for kind in ("E1", "F1", "E2", "F2")
               for k, l in ((n - 3, n - 2), (2, n - 1))]
     for kind, k, l in cases:
@@ -387,7 +386,7 @@ def space_perturb_4_4():
 
 @pytest.mark.parametrize("kind, k, l, grid", [
     ("E1", 3, 4, (4, 5)), ("F1", 3, 4, (4, 5)), ("E2", 4, 3, (5, 4)),
-    ("F2", 4, 3, (5, 4)), ("H", 2, 4, (5, 5)), ("E1", 2, 1, (3, 2))])
+    ("F2", 4, 3, (5, 4)), ("E1", 2, 1, (3, 2))])
 def test_basis_layout_shifts_and_reflects_like_bipoly(space_perturb_4_4,
                                                       kind, k, l, grid):
     b = space_perturb_4_4.basis(kind, k, l)
@@ -456,8 +455,7 @@ def test_one_real_factor_per_rectangle(monkeypatch, space_perturb_4_4):
     sp = MomentSpace(space_perturb_4_4.table, 4, 4)
     sp.basis("E2", 4, 3)
     factored.clear()
-    for kind, k, l in [("F2", 4, 3), ("E2", 4, 3), ("E1", 4, 4), ("F1", 4, 4),
-                       ("H", 2, 4)]:
+    for kind, k, l in [("F2", 4, 3), ("E2", 4, 3), ("E1", 4, 4), ("F1", 4, 4)]:
         sp.basis(kind, k, l)
     assert factored == []
 

@@ -12,9 +12,9 @@ from bszego import (BiPoly, DegenerateForm, DNotAdmissible,
                     moments_from_grid_function, reconstruct_p,
                     shift_split_from_p, solve_ar, split_poly_from_condition)
 from bszego import splitshift
-from bszego.poly import canonical_phase
+from bszego.poly import _canonical_phase
 from bszego.splitshift import (FACE_MARGIN, FACE_SAMPLES, ShiftSplit,
-                               assert_no_face_zeros)
+                               _assert_no_face_zeros)
 
 from bszego.jsonio import table_to_json
 
@@ -189,7 +189,7 @@ def test_split_poly_is_unit_norm_and_phase_canonical():
         sp = MomentSpace(moments_from_density(p, n, m), n, m)
         q = shift_split_from_p(sp, p).split_poly
         assert abs(sp.norm(q) - 1.0) <= 1e-12
-        gap = canonical_phase(q).coeffs - q.coeffs
+        gap = _canonical_phase(q).coeffs - q.coeffs
         assert np.max(np.abs(gap)) <= 1e-15 * np.max(np.abs(q.coeffs))
 
 
@@ -455,10 +455,10 @@ def _face_zero_message(p):
 
 def _assert_face_message(p, want):
     if want is None:
-        assert_no_face_zeros(p)
+        _assert_no_face_zeros(p)
     else:
         with pytest.raises(RootNearTorus) as err:
-            assert_no_face_zeros(p)
+            _assert_no_face_zeros(p)
         assert str(err.value) == want
 
 
@@ -495,9 +495,9 @@ def test_flat_slice_floor_is_relative():
     # check refuses it, tests/test_bound_checks.py)
     z3 = np.exp(2j * np.pi * 3.31 / FACE_SAMPLES)
     for s in (1.0, 1e-18, 1e-22, 1e-24):
-        assert_no_face_zeros(BiPoly(s * np.array([[2.0], [-1.0]])))
+        _assert_no_face_zeros(BiPoly(s * np.array([[2.0], [-1.0]])))
         with pytest.raises(RootNearTorus, match="vanishes identically"):
-            assert_no_face_zeros(BiPoly(s * np.array([[-z3], [1.0]])))
+            _assert_no_face_zeros(BiPoly(s * np.array([[-z3], [1.0]])))
         p = factor_trig(TrigPoly(1, 0, s * np.array([[-2.0], [5.0], [-2.0]])), 1, 0)
         want = np.sqrt(s) * np.array([[2.0], [-1.0]])
         assert np.max(np.abs(p.coeffs - want)) <= 1e-12 * np.sqrt(s)
