@@ -9,13 +9,12 @@ representations of generalized distinguished varieties.
 """
 
 from .errors import (BszegoError, CertificateFailed, CommonFactor,
-                     DegenerateForm, DegenerateSlice, DNotAdmissible,
-                     FitResidualTooLarge, InsufficientMoments, InvalidDegree,
-                     InvalidInput, MatrixConditionFails, MomentDivergence,
-                     NegativeResult, NoConvergence, NonPositiveDensity,
-                     NotFactorable, NotGdv, NotPositive, NotSelfReflective,
-                     NumericalFailure, RootNearTorus, ZeroPolynomial,
-                     ZOnlyFactor)
+                     DegenerateForm, DNotAdmissible, FitResidualTooLarge,
+                     InsufficientMoments, InvalidDegree, InvalidInput,
+                     MatrixConditionFails, MomentDivergence, NegativeResult,
+                     NoConvergence, NonPositiveDensity, NotFactorable, NotGdv,
+                     NotPositive, NotSelfReflective, NumericalFailure,
+                     RootNearTorus, ZeroPolynomial, ZOnlyFactor)
 from .poly import (BiPoly, RootSplit, content_roots, reflect, roots,
                    split_stable)
 from .moments import (MomentTable, TrigPoly, gram, is_positive,

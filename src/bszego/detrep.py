@@ -22,19 +22,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (CertificateFailed, DegenerateSlice, FitResidualTooLarge,
-                     NotGdv, NotSelfReflective, NumericalFailure, ZeroPolynomial,
+from .errors import (CertificateFailed, FitResidualTooLarge, NotGdv,
+                     NotSelfReflective, NumericalFailure, ZeroPolynomial,
                      ZOnlyFactor)
 from .moments import _roots
 from .poly import BiPoly, _w_roots, content_roots, reflect
 from .sos import _blocks_closed_face, _values
 
 
-SAMPLES = 128          # z points on the circle for variety sampling
+SAMPLES = 128          # least z points on the circle, see _circle_roots
 FIT_TOL = 1e-6         # on-variety Procrustes residual bound
 RESIDUAL_TOL = 1e-6    # largest det - scale * p coefficient gap, relative
 REFLECT_TOL = 1e-8     # relative residual of the reflection identities
-GEOMETRY_GRID = 64     # z points on the circle for the geometry check
 GEOMETRY_TOL = 1e-6    # largest accepted | |w-root| - 1 |
 
 
@@ -96,10 +95,9 @@ def check_self_reflective(p: BiPoly) -> complex:
 def check_gdv_geometry(p: BiPoly) -> GeometryReport:
     """Whether every w-root over the z-circle sits on the w-circle.
 
-    Roots are taken at GEOMETRY_GRID equispaced z from z = 1, or on that
-    grid rotated by 1/(2 GEOMETRY_GRID) of a step (1/128 of a step) if the
-    w^m coefficient is below 1e-12 of max |coeff| at one of its points.
-    DegenerateSlice names the first such point of the rotated grid.
+    The roots are taken on the grid ``build_detrep`` samples, the
+    max(SAMPLES, ceil(4 (n + m)^2 / m)) points of ``_circle_roots``, less
+    any z where the w^m coefficient is below 1e-12 of max |coeff|.
     """
     pt = p.trimmed()
     if not pt.coeffs.any():
@@ -107,17 +105,7 @@ def check_gdv_geometry(p: BiPoly) -> GeometryReport:
     n, m = pt.deg
     if m == 0:
         raise NotGdv("p does not depend on w")
-    scale = float(np.max(np.abs(pt.coeffs)))
-    for rot in (0.0, 0.5 / GEOMETRY_GRID):
-        zs = np.exp(2j * np.pi * (np.arange(GEOMETRY_GRID) + rot)
-                    / GEOMETRY_GRID)
-        wcoef, rts = _w_roots(pt, zs)
-        small = np.abs(wcoef[-1]) < 1e-12 * scale
-        if not small.any():
-            break
-    else:
-        raise DegenerateSlice(
-            f"leading w-coefficient ~0 at z = {zs[np.argmax(small)]}")
+    zs, rts = _circle_roots(pt, max(SAMPLES, -(-4 * (n + m) ** 2 // m)))
     dev = np.abs(np.abs(rts) - 1.0)
     k = int(np.argmax(dev))       # first maximum in grid order, then root order
     return GeometryReport(bool(dev.flat[k] < GEOMETRY_TOL), float(dev.flat[k]),
@@ -142,8 +130,10 @@ def derivative_identity_check(p: BiPoly):
     return resid <= REFLECT_TOL, resid
 
 
-def _variety_samples(p: BiPoly, count):
-    """Arrays (z, w) of points on the zero set with z on the unit circle."""
+def _circle_roots(p: BiPoly, count):
+    """(zs, roots): ``count`` equispaced z on the unit circle, offset by
+    0.123 of a step, less those where the w^m coefficient is below 1e-12
+    of max |coeff|, and the m w-roots over each, one row per z."""
     pt = p.trimmed()
     # real angles: a complex division by count would multiply by 1/count
     zs = np.exp(1j * (2 * np.pi * (np.arange(count) + 0.123) / count))
@@ -151,7 +141,7 @@ def _variety_samples(p: BiPoly, count):
     keep = np.abs(wcoef[-1]) >= 1e-12 * np.max(np.abs(pt.coeffs))
     if rts.size == 0 or not keep.any():
         raise NotGdv("zero set has no sheets over the unit circle")
-    return np.repeat(zs[keep], rts.shape[1]), rts[keep].ravel()
+    return zs[keep], rts[keep]
 
 
 def _pencil_coeffs(rep: DetRep, deg):
@@ -194,8 +184,8 @@ def build_detrep(p: BiPoly) -> DetRep:
             f"block sizes ({k}, {n1}, {n2}) incompatible with degree ({n}, {m})")
 
     # at least 4 (m+n)^2 sample pairs; each circle point carries m roots
-    need = int(np.ceil(4.0 * len(polys) ** 2 / max(m, 1)))
-    z, w = _variety_samples(p1, max(SAMPLES, need))
+    zs, rts = _circle_roots(p1, max(SAMPLES, -(-4 * len(polys) ** 2 // m)))
+    z, w = np.repeat(zs, rts.shape[1]), rts.ravel()
     av, bv, cv = np.split(_values(polys, z, w).T, [m, m + n1])
     xs = np.concatenate([w * av, z * bv, cv])
     ys = np.concatenate([av, bv, z * cv])

@@ -100,10 +100,6 @@ class NoConvergence(NumericalFailure):
     pass
 
 
-class DegenerateSlice(NumericalFailure):
-    pass
-
-
 class CertificateFailed(NumericalFailure):
     pass
 

@@ -111,12 +111,6 @@ class TrigPoly(MomentTable):
         if not np.max(np.abs(self.c - raw)) <= HERMITIAN_TOL * np.max(np.abs(raw)):
             raise NonPositiveDensity("coefficients are not Hermitian-symmetric")
 
-    def _rows_on_grid(self, N, shifts=WHOLE_GRID, mirrored=False):
-        if N <= 2 * max(self.jmax, self.kmax):
-            raise ValueError("grid too small for the coefficient window")
-        return _grid_rows(self.c, -self.jmax, -self.kmax, N, shifts,
-                          real=True, mirrored=mirrored)
-
 
 def _frozen(a):
     a.setflags(write=False)
@@ -177,7 +171,9 @@ def _grid_rows(coeffs, j0, k0, N, shifts=WHOLE_GRID, real=False, mirrored=False)
     coefficients).  Yields blocks (planes, rows, N) of max(1, BLOCK_POINTS
     // N) consecutive rows, sub-grid after sub-grid, all in one buffer: a
     block is valid until the next one is drawn.  With ``mirrored`` only the
-    leading rows ``_sampled_rows`` counts are drawn of each sub-grid.
+    leading rows ``_sampled_rows`` counts are drawn of each sub-grid.  A grid
+    with fewer than max(rows, cols) points per axis would alias the block's
+    exponents onto each other, and is a ValueError.
 
     Vz and W depend on the grid, the shift and the exponent range alone, so
     they come from the caches ``_power_table`` and ``_real_w_table``, keyed
@@ -185,6 +181,8 @@ def _grid_rows(coeffs, j0, k0, N, shifts=WHOLE_GRID, real=False, mirrored=False)
     once per distinct row shift u of the call (NEW_POINTS has u = 1 twice).
     """
     (rows, cols), planes = coeffs.shape, 1 if real else 2
+    if N < max(rows, cols):
+        raise ValueError("grid too small for the coefficient block")
     step = min(N, max(1, BLOCK_POINTS // N))
     buf = np.empty((planes, step, N))
     lefts = {}
@@ -200,14 +198,6 @@ def _grid_rows(coeffs, j0, k0, N, shifts=WHOLE_GRID, real=False, mirrored=False)
         for r in range(0, count, step):
             n = min(step, count - r)
             yield np.matmul(left[:, r: r + n], vw, out=buf[:, :n])
-
-
-def _poly_grid_rows(p: BiPoly, N, shifts=WHOLE_GRID, mirrored=False):
-    """The planes (Re p, Im p) of p on sub-grids, in ``_grid_rows``' blocks."""
-    n, m = p.deg
-    if N <= max(n, m):
-        raise ValueError("grid too small for the polynomial degree")
-    return _grid_rows(p.coeffs, 0, 0, N, shifts, mirrored=mirrored)
 
 
 @lru_cache(maxsize=32)
@@ -401,7 +391,7 @@ def moments_from_density(p: BiPoly, jmax, kmax) -> MomentTable:
     mirrored = not pt.coeffs.imag.any()   # real p: p(conj z, conj w) = conj p(z, w)
 
     def density_at(N, shifts):
-        planes = _poly_grid_rows(pt, N, shifts, mirrored)
+        planes = _grid_rows(pt.coeffs, 0, 0, N, shifts, mirrored=mirrored)
         yield from _reciprocals(map(_abs2, planes), bounds)
         lo, hi = bounds
         if lo <= POLE_MARGIN * hi:
@@ -417,7 +407,8 @@ def moments_from_trig(t: TrigPoly, jmax, kmax) -> MomentTable:
     mirrored = not t.c.imag.any()   # real t: t(conj z, conj w) = t(z, w)
 
     def density_at(N, shifts):
-        rows = t._rows_on_grid(N, shifts, mirrored)
+        rows = _grid_rows(t.c, -t.jmax, -t.kmax, N, shifts, real=True,
+                          mirrored=mirrored)
         yield from _reciprocals((re for (re,) in rows), bounds)
         lo, hi = bounds
         if lo <= POLE_MARGIN * max(hi, 1e-300):
@@ -468,10 +459,11 @@ def is_positive(table: MomentTable, n, m):
     """Whether the form is positive definite on monomials [0,n] x [0,m].
 
     The Gram's smallest eigenvalue must exceed POSITIVE_TOL times its
-    largest, so the verdict does not depend on the table's scale.
+    largest, so the verdict does not depend on the table's scale; the
+    eigenvalues are those of the real form ``_real_form``.
     Returns (bool, smallest eigenvalue of the Gram matrix).
     """
-    eigs = _rect_gram_eigvalsh(gram(table, n, m))
+    eigs = np.linalg.eigvalsh(_real_form(gram(table, n, m)))
     lam = float(eigs[0])
     return lam > POSITIVE_TOL * float(eigs[-1]), lam
 
@@ -487,8 +479,3 @@ def _real_form(G):
     matrix is unitarily similar to a real one; A. Lee, LAA 29, 1980).
     """
     return G.real - G.imag[:, ::-1]
-
-
-def _rect_gram_eigvalsh(G):
-    """Ascending eigenvalues of a Gram over a rectangle, in real arithmetic."""
-    return np.linalg.eigvalsh(_real_form(G))

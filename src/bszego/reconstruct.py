@@ -15,7 +15,7 @@ import numpy as np
 from .errors import (DegenerateForm, MatrixConditionFails, NoConvergence,
                      NotFactorable)
 from .moments import MomentTable, TrigPoly, moments_from_trig
-from .poly import BiPoly, reflect
+from .poly import TRIM_REL, BiPoly, reflect
 from .space import MomentSpace
 from .splitshift import (ShiftOperators, _assert_no_face_zeros, _positive_form,
                          _require_condition, _split_from_k1)
@@ -79,9 +79,15 @@ def factor_trig(t: TrigPoly, n, m):
     reconstructs p and checks t = |p|^2 on coefficients; the l1 norm of
     their gap bounds |p|^2 - t on the whole torus.  Raises
     NotFactorable when no p of degree (n, m) without zeros on the closed
-    face exists.
+    face exists; |p|^2 has degree at most p's, so that includes a t with
+    a coefficient beyond (n, m) at or above TRIM_REL of its largest.
     """
     table = moments_from_trig(t, n, m)
+    mag = np.abs(t.c)
+    j, k = np.nonzero(mag >= TRIM_REL * mag.max())
+    deg = (int(np.abs(j - t.jmax).max()), int(np.abs(k - t.kmax).max()))
+    if deg[0] > n or deg[1] > m:
+        raise NotFactorable(f"t has degree {deg}, above ({n}, {m})")
     try:
         p = reconstruct_p(table, n, m)
     except MatrixConditionFails as exc:

@@ -189,12 +189,6 @@ def certificate_closed_face(p: BiPoly) -> SosCertificate:
     return replace(cert, residual=verify_certificate(p, cert).residual)
 
 
-def _scale_w(p: BiPoly, t) -> BiPoly:
-    c = np.array(p.coeffs)
-    c *= t ** np.arange(c.shape[1])
-    return BiPoly(c)
-
-
 def _common_factor_with_reflection(p: BiPoly):
     """Test whether p and its reflection share a factor.
 
@@ -335,7 +329,8 @@ def certificate_open_face(p: BiPoly, tol=1e-8) -> SosCertificate:
         raise NoConvergence(f"Jacobian of {entries} entries at degree {pt.deg} "
                             f"exceeds REFINE_MAX_ENTRIES = {REFINE_MAX_ENTRIES}")
     try:
-        start = _blocks_closed_face(_scale_w(pt, T0), pt.deg)
+        shrunk = BiPoly(pt.coeffs * T0 ** np.arange(m + 1))      # p(z, T0 w)
+        start = _blocks_closed_face(shrunk, pt.deg)
     except (MomentDivergence, RootNearTorus, DegenerateForm) as exc:
         raise NoConvergence(f"no certificate of p(z, {T0} w): {exc}") from exc
     cert = _refine(pt, start)

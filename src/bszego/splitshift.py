@@ -230,23 +230,18 @@ def shift_split_from_p(space: MomentSpace, p: BiPoly) -> ShiftSplit:
 def _assert_no_face_zeros(p: BiPoly, radius=1.0 + FACE_MARGIN):
     """Sampled check that p has no zeros on |z| = 1, |w| < radius.
 
-    Each z-slice is decided by a Schur-Cohn recursion at ``radius``; only
-    the reported slice's w-roots are computed.  Every split, ``factor_trig``
-    and ``certificate_closed_face`` run it at 1 + FACE_MARGIN, for the
-    closed face, and ``certificate_open_face`` at 1 - FACE_MARGIN, for the
-    open face.
+    A z-slice vanishes when every coefficient is at most 1e-10 of p's
+    largest; every other slice is decided by a Schur-Cohn recursion at
+    ``radius``, and only the reported slice's w-roots are computed.  Every
+    split, ``factor_trig`` and ``certificate_closed_face`` run it at
+    1 + FACE_MARGIN, for the closed face, and ``certificate_open_face`` at
+    1 - FACE_MARGIN, for the open face.
     """
     pt = p.trimmed()
-    m = pt.deg[1]
     zs = np.exp(2j * np.pi * (np.arange(FACE_SAMPLES) + 0.31) / FACE_SAMPLES)
     wcoef = pt.w_poly_at(zs)
-    size = np.abs(wcoef)
-    # a flat slice is constant in w: only its constant term can vanish,
-    # judged against p's largest coefficient
-    top = size[1:].max(axis=0, initial=0.0)
-    flat = (m == 0) | (top < 1e-13 * size.max(axis=0))
-    vanishes = flat & (size[0] <= 1e-10 * np.abs(pt.coeffs).max())
-    bad = vanishes | (~flat & ~_roots_beyond(wcoef, radius))
+    vanishes = np.abs(wcoef).max(axis=0) <= 1e-10 * np.abs(pt.coeffs).max()
+    bad = vanishes | ~_roots_beyond(wcoef, radius)
     if bad.any():
         i = int(np.argmax(bad))           # the first failing z in grid order
         if vanishes[i]:

@@ -9,7 +9,7 @@ from bszego import (BiPoly, MomentSpace, MomentTable, SubspaceBasis, TrigPoly,
                     moments, moments_from_density, reflect, sos)
 from bszego.cli import main as cli_main
 from bszego.jsonio import dumps
-from bszego.moments import _poly_grid_rows
+from bszego.moments import _grid_rows
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,7 @@ def poly_grid_values(p: BiPoly, N):
     """p on the N x N uniform torus grid, by the quadrature's row sampler.
 
     The sampler reuses one buffer, so each block is copied as it is drawn."""
-    return np.concatenate([re + 1j * im for re, im in _poly_grid_rows(p, N)])
+    return np.concatenate([re + 1j * im for re, im in _grid_rows(p.coeffs, 0, 0, N)])
 
 
 def sampled_grids(monkeypatch):
@@ -107,7 +107,8 @@ def sampled_grids(monkeypatch):
 def trig_values_on_grid(t: TrigPoly, N):
     """t on the N x N uniform torus grid (real), by the quadrature's sampler,
     each block copied as it is drawn."""
-    return np.concatenate([re.copy() for (re,) in t._rows_on_grid(N)])
+    return np.concatenate([re.copy() for (re,) in
+                           _grid_rows(t.c, -t.jmax, -t.kmax, N, real=True)])
 
 
 def max_modulus_gap(p, q, N=256):

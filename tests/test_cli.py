@@ -218,6 +218,47 @@ def test_sos_refuses_a_face_zero(tmp_path):
         assert out["message"].startswith("w-root of modulus 0.500000 at z = ")
 
 
+def test_sos_open_face_refuses_slices_that_vanish(tmp_path):
+    # (z - z0)(2 - w) and (1 - z/z3)(3 + w) vanish on the face along a
+    # sample z of the face check; the twin of the second, with its z-root
+    # between two samples, is not seen there and is refused as a common
+    # factor with its reflection, which it also is
+    z0, z3, z3b = (np.exp(2j * np.pi * a / 64) for a in (0.31, 3.31, 3.81))
+    for p, z in ((BiPoly([[-z0], [1]]) * BiPoly([[2, -1]]), z0),
+                 (BiPoly([[3, 1], [-3 / z3, -1 / z3]]), z3)):
+        code, out = cli_document(tmp_path, "sos", "--poly", poly_to_json(p),
+                                 "--open-face")
+        assert (code, out) == (3, {"error": "RootNearTorus", "message":
+                                   f"p({z}, w) vanishes identically in w"})
+    twin = BiPoly([[3, 1], [-3 / z3b, -1 / z3b]])
+    code, out = cli_document(tmp_path, "sos", "--poly", poly_to_json(twin),
+                             "--open-face")
+    assert (code, out["error"]) == (1, "CommonFactor")
+
+
+def test_sos_refuses_a_zero_at_w_0(tmp_path):
+    # w (2 - z) vanishes on the whole slice w = 0
+    p = BiPoly([[0, 2], [0, -1]])
+    code, out = cli_document(tmp_path, "sos", "--poly", poly_to_json(p))
+    assert (code, out["error"]) == (3, "RootNearTorus")
+    assert out["message"] == "p(z, 0) vanishes identically (zero at w = 0)"
+
+
+def test_full_refuses_a_depth_below_the_degree(files):
+    code, out = run(["full", "--moments", files["trig.json"], "--depth", "0,0"] + N_M)
+    assert (code, json.loads(out)) == (2, {"error": "InsufficientMoments",
+                                           "message": "depth below the degree bound"})
+
+
+def test_factor_refuses_a_degree_above_the_caps(tmp_path):
+    # |2 + 0.5w - zw|^2 has degree (1, 1), so no p of degree (1, 0) factors it
+    t = table_to_json(trig_abs_squared(BiPoly([[2, 0.5], [0, -1]])))
+    for n, m in (("1", "0"), ("0", "1")):
+        code, out = cli_document(tmp_path, "factor", "--trig", t, "--n", n, "--m", m)
+        assert (code, out) == (1, {"error": "NotFactorable",
+                                   "message": f"t has degree (1, 1), above ({n}, {m})"})
+
+
 def test_sos_open_face_keeps_its_tolerance(tmp_path):
     # the closed-face certificate of prod (alpha - zw), degree (8, 8), has
     # residual 3.8e-8
@@ -383,6 +424,32 @@ def test_malformed_numbers_exit_2(tmp_path, argv, field):
     code, out = run([a.format(**paths) for a in argv])
     assert code == 2
     assert json.loads(out)["error"] in ("InvalidInput", "ValueError")
+
+
+def _structure_case(id_, argv, doc, message):
+    return pytest.param(argv, doc, message, id=id_)
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    _structure_case("no coeffs", ["sos", "--poly"], {"deg": [1, 1]},
+                    "polynomial JSON needs a 'coeffs' field"),
+    _structure_case("flat grid", ["sos", "--poly"],
+                    {"coeffs": [[2.0, 0.0], [0.0, -1.0]]},
+                    "polynomial grid must be rows x cols x [re, im]"),
+    _structure_case("deg mismatch", ["sos", "--poly"],
+                    {"deg": [2, 1], "coeffs": [[[2.0, 0.0], [0.0, 0.0]]] * 2},
+                    "declared degree [2, 1] does not match grid (2, 2)"),
+    _structure_case("no c", ["factor", "--trig"], {"jmax": 1, "kmax": 1},
+                    "trig polynomial JSON needs a 'c' field"),
+    _structure_case("window mismatch", ["check", "--moments"],
+                    {"jmax": 2, "kmax": 1, "c": [[[1.0, 0.0]] * 3] * 3},
+                    "moment table grid (3, 3) does not match window (2, 1)"),
+])
+def test_malformed_structure_exit_2(tmp_path, argv, doc, message):
+    # the structural refusals of the JSON layer
+    extra = [] if argv[0] == "sos" else N_M
+    code, out = cli_document(tmp_path, *argv, doc, *extra)
+    assert (code, out) == (2, {"error": "InvalidInput", "message": message})
 
 
 @pytest.mark.parametrize("pipeline, flag, extra, what", [

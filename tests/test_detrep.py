@@ -2,18 +2,16 @@ import cmath
 import contextlib
 import io
 import json
-import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bszego import (BiPoly, CertificateFailed, DegenerateSlice,
-                    FitResidualTooLarge, NotGdv, NotSelfReflective,
-                    ZeroPolynomial, ZOnlyFactor, build_detrep, check_gdv_geometry,
-                    check_self_reflective, derivative_identity_check)
+from bszego import (BiPoly, CertificateFailed, FitResidualTooLarge, NotGdv,
+                    NotSelfReflective, ZeroPolynomial, ZOnlyFactor, build_detrep,
+                    check_gdv_geometry, check_self_reflective,
+                    derivative_identity_check)
 from bszego import cli, detrep, sos
-from bszego.detrep import GEOMETRY_GRID
 from bszego.jsonio import dumps, poly_to_json
 
 from conftest import blaschke_gdv, cli_document
@@ -57,34 +55,47 @@ def test_geometry():
     assert abs(rep.worst_deviation - 0.5) < 1e-9   # |w| = 1/2 everywhere
 
 
-# first point of the geometry grid rotated by 1/(2 GEOMETRY_GRID) of a step
-ZETA = np.exp(2j * np.pi * (0.5 / GEOMETRY_GRID) / GEOMETRY_GRID)
+def _sampler_grid(count=detrep.SAMPLES):
+    """The z points of ``detrep._circle_roots``, computed as it does."""
+    return np.exp(1j * (2 * np.pi * (np.arange(count) + 0.123) / count))
 
 
+@pytest.mark.parametrize("k, count", [(0, detrep.SAMPLES), (15, 1156)])
+def test_geometry_samples_the_sampler_grid(k, count):
+    # 2 + z^k (1 - z) w: |w| = 2 / |1 - z| is largest at the grid point
+    # nearest z = 1, the first; degree (1, 1) reads max(SAMPLES, 16) = 128
+    # points and degree (16, 1) ceil(4 * 17^2 / 1) = 1156
+    c = np.zeros((k + 2, 2))
+    c[0, 0], c[k, 1], c[k + 1, 1] = 2.0, 1.0, -1.0
+    rep = check_gdv_geometry(BiPoly(c))
+    z0 = _sampler_grid(count)[0]
+    assert not rep.passed and rep.worst_z == z0
+    assert abs(rep.worst_w * z0 ** k * (1 - z0) + 2) < 1e-12 * abs(rep.worst_w)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "round-off"])
 @pytest.mark.parametrize("idx", [0, 5])
-def test_geometry_degenerate_on_both_grids(idx):
-    # 2 + (1 - z)(z - zeta) w, zeta a point of the rotated grid, loses its
-    # w-term at z = 1 and at z = zeta
-    zeta = np.exp(2j * np.pi * (idx + 0.5 / GEOMETRY_GRID) / GEOMETRY_GRID)
-    p = BiPoly([[2, -zeta], [0, 1 + zeta], [0, -1]])
-    with pytest.raises(DegenerateSlice, match=re.escape(str(zeta))):
-        check_gdv_geometry(p)
+def test_geometry_leaves_out_a_point_without_w_term(idx, exact):
+    # 2 + (zeta - z) w, zeta point idx of the sampler's grid, loses its
+    # w-term at zeta, exactly, and 2 + (1 - z / zeta) w to round-off.  The
+    # point is left out, and |w| = 2 / |zeta - z| is largest next to it
+    zs = _sampler_grid()
+    zeta = zs[idx]
+    p = BiPoly([[2, zeta], [0, -1]] if exact else [[2, 1], [0, -1 / zeta]])
+    rep = check_gdv_geometry(p)
+    assert not rep.passed and np.isfinite(rep.worst_deviation)
+    assert rep.worst_z in (zs[idx - 1], zs[idx + 1])
+    assert abs(p(rep.worst_z, rep.worst_w)) < 1e-12 * abs(rep.worst_w)
 
 
-def test_geometry_retries_on_rotated_grid():
-    # 2 + (1 - z) w loses its w-term at z = 1 only; |w| = 2 / |1 - z| is
-    # largest at the rotated grid's first point
-    rep = check_gdv_geometry(BiPoly([[2, 1], [0, -1]]))
-    assert not rep.passed
-    assert rep.worst_z == complex(ZETA)
-    assert abs(rep.worst_w * (1 - ZETA) + 2) < 1e-12
-    # (w - z/2)(2 + (1 + z) w): two sheets; the root of the second is
-    # largest next to z = -1, at point 32 of the rotated grid
-    rep = check_gdv_geometry(BiPoly([[0, 1], [-0.5, 0]])
-                             * BiPoly([[2, 1], [0, 1]]))
-    z32 = np.exp(2j * np.pi * (32 + 0.5 / GEOMETRY_GRID) / GEOMETRY_GRID)
-    assert abs(rep.worst_z - z32) < 1e-15
-    assert abs(rep.worst_w * (1 + z32) + 2) < 1e-12
+def test_geometry_leaves_out_a_point_of_a_two_sheet_curve():
+    # (w - z/2)(2 + (zeta - z) w), zeta point 64 of the grid: the second
+    # sheet's root is largest next to zeta, never at it
+    zs = _sampler_grid()
+    p = BiPoly([[0, 1], [-0.5, 0]]) * BiPoly([[2, zs[64]], [0, -1]])
+    rep = check_gdv_geometry(p)
+    assert rep.worst_z in (zs[63], zs[65])
+    assert abs(p(rep.worst_z, rep.worst_w)) < 1e-12 * abs(rep.worst_w) ** 2
 
 
 def test_gdv_command_checks_once(monkeypatch, tmp_path):

@@ -11,7 +11,7 @@ from bszego import (BiPoly, InsufficientMoments, MomentDivergence, MomentTable,
                     is_positive, moments_from_density,
                     moments_from_grid_function, moments_from_trig)
 from bszego import moments
-from bszego.moments import _rect_gram_eigvalsh
+from bszego.moments import _grid_rows, _real_form
 
 from conftest import (geometric_diag_moment, poly_grid_values, riemann_moment,
                       sampled_grids, trig_abs_squared, trig_values_on_grid)
@@ -417,12 +417,14 @@ def test_sampled_planes_match_horner(monkeypatch, shifts):
         return np.meshgrid(z, w, indexing="ij")
 
     want = np.concatenate([polyval2d(*points(u, v), p.coeffs) for u, v in shifts])
-    got = np.concatenate([re + 1j * im for re, im in moments._poly_grid_rows(p, N, shifts)])
+    got = np.concatenate([re + 1j * im for re, im in
+                          _grid_rows(p.coeffs, 0, 0, N, shifts)])
     assert got.shape == want.shape == (len(shifts) * N, N)
     assert np.max(np.abs(got - want)) <= 16 * eps * np.sum(np.abs(p.coeffs))
     want = np.concatenate([(zz ** -t.jmax * ww ** -t.kmax * polyval2d(zz, ww, t.c)).real
                            for zz, ww in (points(u, v) for u, v in shifts)])
-    got = np.concatenate([re.copy() for (re,) in t._rows_on_grid(N, shifts)])
+    got = np.concatenate([re.copy() for (re,) in
+                          _grid_rows(t.c, -t.jmax, -t.kmax, N, shifts, real=True)])
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 16 * eps * np.sum(np.abs(t.c))
 
@@ -662,7 +664,7 @@ def test_rect_gram_real_form(jmax, kmax):
         g = gram(t, jmax, kmax)
         assert np.array_equal(g[::-1, ::-1], g.conj())
         ref = np.linalg.eigvalsh(g)
-        got = _rect_gram_eigvalsh(g)
+        got = np.linalg.eigvalsh(_real_form(g))
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -765,8 +767,9 @@ def test_cached_planes_are_bit_identical(monkeypatch, shifts, N):
     assert len(want_p) == len(shifts) * -(-N // max(1, 5 * 64 // N))
     _clear_table_caches()
     for _ in range(2):
-        got_p = [b.copy() for b in moments._poly_grid_rows(p, N, shifts)]
-        got_t = [b.copy() for b in t._rows_on_grid(N, shifts)]
+        got_p = [b.copy() for b in _grid_rows(p.coeffs, 0, 0, N, shifts)]
+        got_t = [b.copy() for b in
+                 _grid_rows(t.c, -t.jmax, -t.kmax, N, shifts, real=True)]
         for got, want in ((got_p, want_p), (got_t, want_t)):
             assert len(got) == len(want)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))

@@ -1,6 +1,7 @@
 """Every settable option of the library and every optional CLI flag is
 listed here, the library's public names are counted, ``bszego`` exports
-exactly the public top-level names of its library modules, only the CLI
+exactly the public top-level names of its library modules, every error
+class it exports without subclasses is raised somewhere, only the CLI
 may import the JSON layer, and the library draws no random numbers.
 
 An option is a defaulted parameter of a public function or method, or a
@@ -29,7 +30,7 @@ ALLOWED = {
 }
 
 # top-level public functions and classes plus their public methods
-PUBLIC_NAMES = 99
+PUBLIC_NAMES = 98
 
 # (subcommand, flag) for each optional flag, on the subcommands that read it
 CLI_FLAGS = {
@@ -121,6 +122,22 @@ def test_exports_are_the_public_top_level_names():
     found = [name for name in public_names() if name.count(".") == 1
              and name.split(".")[0] not in ("cli", "jsonio")]
     assert sorted(exported_names()) == sorted(found)
+
+
+def raised_names():
+    """The names called in a ``raise`` statement anywhere in src/bszego."""
+    return {node.exc.func.id for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name)}
+
+
+def test_every_exported_leaf_error_is_raised():
+    # an error class whose last raise is removed goes with it
+    leaves = {name for name, obj in vars(bszego).items()
+              if isinstance(obj, type) and issubclass(obj, bszego.BszegoError)
+              and not obj.__subclasses__()}
+    assert leaves and sorted(leaves - raised_names()) == []
 
 
 def test_cli_flags_are_the_allowed_ones():

@@ -1,12 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 
 from bszego import (BiPoly, DegenerateForm, MatrixConditionFails, MomentSpace,
-                    MomentTable, NotFactorable, NotPositive, TrigPoly, factor_trig,
-                    moments_from_density, moments_from_grid_function,
-                    reconstruct_p)
+                    MomentTable, NonPositiveDensity, NotFactorable, NotPositive,
+                    TrigPoly, factor_trig, moments_from_density,
+                    moments_from_grid_function, reconstruct_p)
 from bszego import splitshift
-from bszego.poly import content_roots, reflect
+from bszego.poly import TRIM_REL, content_roots, reflect
 from bszego.reconstruct import kernel_poly
 
 from conftest import max_modulus_gap, random_corpus_poly, trig_abs_squared
@@ -219,3 +221,34 @@ def test_factor_trig_not_factorable():
     t = TrigPoly(2, 2, c)
     with pytest.raises(NotFactorable):
         factor_trig(t, 2, 2)
+
+
+@pytest.mark.parametrize("n, m", [(1, 0), (0, 1)])
+def test_factor_trig_refuses_a_degree_above_the_caps(n, m):
+    # |p|^2 has degree at most p's, so |2 + 0.5w - zw|^2, of degree (1, 1),
+    # has no factor of degree (1, 0) or (0, 1); there the A or the T
+    # operator is empty and the matrix condition holds trivially
+    t = trig_abs_squared(BiPoly([[2, 0.5], [0, -1]]))
+    with pytest.raises(NotFactorable, match=re.escape(
+            f"t has degree (1, 1), above ({n}, {m})")):
+        factor_trig(t, n, m)
+    # a t that is not strictly positive is refused first, whatever its degree
+    c = np.zeros((3, 3))
+    c[0, 0] = c[1, 1] = c[2, 2] = 1.0
+    with pytest.raises(NonPositiveDensity):
+        factor_trig(TrigPoly(1, 1, c), n, m)
+
+
+def test_factor_trig_degree_reads_coefficients_from_trim_rel():
+    # |2 - zw|^2 in a (2, 2) window, with corners (2, 2) and (-2, -2) at
+    # just below and at TRIM_REL of its largest coefficient, 5
+    for rel, refused in ((0.99 * TRIM_REL, False), (TRIM_REL, True)):
+        c = np.zeros((5, 5))
+        c[1:4, 1:4] = trig_abs_squared(BiPoly([[2, 0], [0, -1]])).c.real
+        c[0, 0] = c[4, 4] = rel * 5.0
+        t = TrigPoly(2, 2, c)
+        if refused:
+            with pytest.raises(NotFactorable, match=re.escape("degree (2, 2)")):
+                factor_trig(t, 1, 1)
+        else:
+            assert np.allclose(factor_trig(t, 1, 1).coeffs, [[2, 0], [0, -1]])

@@ -286,7 +286,8 @@ def test_open_face_boundary_zero_refined():
     # below round-off is still refused with the residual reached
     p = BiPoly([[2, -1], [-1, 0]])
     assert not _common_factor_with_reflection(p)
-    start = sos._blocks_closed_face(sos._scale_w(p, sos.T0), p.deg)
+    shrunk = BiPoly(p.coeffs * sos.T0 ** np.arange(2))        # p(z, T0 w)
+    start = sos._blocks_closed_face(shrunk, p.deg)
     assert verify_certificate(p, start).residual > 1e-2
     cert = certificate_open_face(p)
     assert (len(cert.a_list), cert.n1, cert.n2) == (1, 1, 0)

@@ -1,9 +1,10 @@
+import re
 from itertools import product
 
 import numpy as np
 import pytest
 
-from bszego import (BiPoly, DegenerateForm, DNotAdmissible,
+from bszego import (BiPoly, DegenerateForm, DNotAdmissible, InvalidDegree,
                     MatrixConditionFails, MomentDivergence, MomentSpace,
                     RootNearTorus, SubspaceBasis, TrigPoly, build_detrep,
                     build_operators, certificate_closed_face,
@@ -439,14 +440,11 @@ def test_report_json(space_2zw, table_2zw, tmp_path):
 def _face_zero_message(p):
     """The face check one z-slice at a time, with np.roots per slice."""
     pt = p.trimmed()
-    m = pt.deg[1]
     zs = np.exp(2j * np.pi * (np.arange(FACE_SAMPLES) + 0.31) / FACE_SAMPLES)
     for z0 in zs:
         wcoef = pt.w_poly_at(z0)
-        if m == 0 or np.max(np.abs(wcoef[1:])) < 1e-13 * np.max(np.abs(wcoef)):
-            if abs(wcoef[0]) <= 1e-10 * np.max(np.abs(pt.coeffs)):
-                return f"p({z0}, w) vanishes identically in w"
-            continue
+        if np.max(np.abs(wcoef)) <= 1e-10 * np.max(np.abs(pt.coeffs)):
+            return f"p({z0}, w) vanishes identically in w"
         rts = np.roots(wcoef[::-1])
         if rts.size and np.min(np.abs(rts)) <= 1.0 + FACE_MARGIN:
             return f"w-root of modulus {np.min(np.abs(rts)):.6f} at z = {z0}"
@@ -489,8 +487,28 @@ def test_face_check_matches_slice_loop():
         assert 5 <= passed <= 15, (d, passed)
 
 
+def test_face_check_refuses_slices_that_vanish():
+    # (z - z0)(2 - w) and (1 - z/z3)(3 + w) vanish on the face along a
+    # sample z of the face check, where every coefficient of their slice is
+    # 0 or round-off, which must not decide the slice; the twin of the
+    # second with its z-root between two samples passes: the check is sampled
+    z0, z3, z3b = (np.exp(2j * np.pi * a / FACE_SAMPLES) for a in (0.31, 3.31, 3.81))
+    for p, z in ((BiPoly([[-z0], [1]]) * BiPoly([[2, -1]]), z0),
+                 (BiPoly([[3, 1], [-3 / z3, -1 / z3]]), z3)):
+        with pytest.raises(RootNearTorus,
+                           match=re.escape(f"p({z}, w) vanishes identically in w")):
+            _assert_no_face_zeros(p)
+    _assert_no_face_zeros(BiPoly([[3, 1], [-3 / z3b, -1 / z3b]]))
+
+
+def test_split_from_p_refuses_a_degree_above_the_caps(space_2zw):
+    # 2 - z w^2 has degree (1, 2), above the caps (1, 1)
+    with pytest.raises(InvalidDegree, match="polynomial degree exceeds the space caps"):
+        shift_split_from_p(space_2zw, BiPoly([[2, 0, 0], [0, 0, -1]]))
+
+
 def test_flat_slice_floor_is_relative():
-    # a flat slice vanishes relative to p's largest coefficient, so
+    # a slice vanishes relative to p's largest coefficient, so
     # |2 - z|^2 factors at every scale down to 1e-24 (at 1e-26 the kernel
     # check refuses it, tests/test_bound_checks.py)
     z3 = np.exp(2j * np.pi * 3.31 / FACE_SAMPLES)
