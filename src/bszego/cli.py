@@ -98,11 +98,12 @@ def _cmd_sos(args):
     p = poly_from_json(_read_json(args.poly))
     cert = certificate_open_face(p, **_given(args, "tol")) if args.open_face \
         else certificate_closed_face(p)
-    return {"A": [poly_to_json(q) for q in cert.a_list],
-            "B": [poly_to_json(q) for q in cert.b_list],
-            "C": [poly_to_json(q) for q in cert.c_list],
-            "n1": cert.n1, "n2": cert.n2, "deg": list(cert.deg),
-            "residual": cert.residual, "variant": "L"}, 0
+    # each block on its support, (n, m-1) or (n-1, m), as it was verified:
+    # poly_to_json would trim rows and columns of round-off
+    blocks = {name: [{"deg": list(q.deg), "coeffs": _pairs(q.coeffs)} for q in polys]
+              for name, polys in zip("ABC", (cert.a_list, cert.b_list, cert.c_list))}
+    return blocks | {"n1": cert.n1, "n2": cert.n2, "deg": list(cert.deg),
+                     "residual": cert.residual, "variant": "L"}, 0
 
 
 def _cmd_gdv(args):

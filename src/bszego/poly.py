@@ -169,6 +169,56 @@ def reflect(p: BiPoly, at) -> BiPoly:
     return BiPoly(out)
 
 
+def _kernel(p: BiPoly, deg):
+    """The kernel T = P P^H - R R^H of p at the degree pair ``deg``, and |P|^2.
+
+    P and R are the coefficient grids of p and of its reflection at
+    ``deg``, (n+1) x (m+1) and flattened z-major, so T[(j, k), (j', k')] is
+    the coefficient of z^j w^k conj(zeta)^j' conj(eta)^k' in
+    p(z, w) conj p(zeta, eta) - R(z, w) conj R(zeta, eta).  P is R reversed
+    and conjugated, exactly.  Raises InvalidDegree below p's degree.
+    """
+    r = reflect(p, deg).coeffs.ravel()
+    q = np.conj(r[::-1])
+    return np.outer(q, q.conj()) - np.outer(r, r.conj()), np.vdot(q, q).real
+
+
+def _diagonal_sums(a):
+    """Sums along the diagonals of the first two (K x K) axes of ``a``:
+    the partial sums c[k, k'] = sum over i >= 0 of a[k - i, k' - i], and
+    the totals of the diagonals k - k' = d, d = -(K-1)..K-1, in that order.
+    Each diagonal is a column of a skewed copy, which one cumulative sum
+    runs down."""
+    size = len(a)
+    k, kk = np.indices((size, size))
+    at = (k, kk - k + size - 1)            # diagonal k - k' = d in column K - 1 - d
+    skew = np.zeros((size, 2 * size - 1, *a.shape[2:]), dtype=a.dtype)
+    skew[at] = a
+    sums = np.cumsum(skew, axis=0)
+    return sums[at], sums[-1, ::-1]
+
+
+def _schur_cohn(kernel, deg):
+    """The coefficients S_d, d = -n..n, of the Schur-Cohn matrix
+    S(z) = sum_d S_d z^d of the slices w -> p(z, w), as (2n+1, m, m).
+
+    ``kernel`` is T = P P^H - R R^H of p at ``deg`` (``_kernel``).  On
+    |z| = 1, conj(zeta) = 1/z restricts it to X(z) = sum_d X_d z^d with
+    X_d = sum over j - j' = d of T[(j, .), (j', .)], the kernel of the
+    slice alone; S = L_w^-1(X), S[k, k'] = sum over i >= 0 of
+    X[k - i, k' - i], whose row and column m vanish.  S(z) is the
+    Christoffel-Darboux (Gohberg-Semencul) matrix of the slice: positive
+    definite exactly when the slice has no root in the closed disk, and
+    then its inverse is the Toeplitz matrix of the slice's w-moments of
+    1/|p(z, w)|^2.  All of it is sums of kernel entries, exact up to their
+    rounding; no root is taken.
+    """
+    n, m = deg
+    t = kernel.reshape(n + 1, m + 1, n + 1, m + 1).transpose(0, 2, 1, 3)
+    x = _diagonal_sums(t)[1]                       # X_d, (2n+1, m+1, m+1)
+    return _diagonal_sums(x.transpose(1, 2, 0)[:m, :m])[0].transpose(2, 0, 1)
+
+
 def roots(u: BiPoly):
     """All roots (with multiplicity) of a polynomial in z alone.
 

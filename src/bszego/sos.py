@@ -1,30 +1,34 @@
 """Sum-of-hermitian-squares certificates.
 
 For p of degree (n, m) with no zeros on the closed face |z| = 1,
-|w| <= 1, the blocks come straight from the moment space of 1/|p|^2:
-
-    A block: orthonormal basis of E2(n, m-1)        (m polynomials)
-    B block: reflection at (n-1, m) of the K2 basis (n1 = n - n2)
-    C block: the K1 basis                           (n2 = zeros of p(z,0) in D)
-
-and the kernel identity
+|w| <= 1, the kernel identity
 
     p pbar - prev prevbar = (1 - w etabar) sum A_j A_jbar
         + (1 - z zetabar) (sum B_j B_jbar - sum C_j C_jbar)
 
-holds as polynomials in (z, w, conj zeta, conj eta).  That L identity is
-the only one certified here, and it is checked on coefficients, as
-P P^H - R R^H = L_w(A A^H) + L_z(B B^H - C C^H) on the (n+1) x (m+1)
-monomial grid, with L(X) = X - S X S^T for the shift S by w or by z.
-Its G form, p pbar - w etabar prev prevbar, takes the same blocks with
-the reflection of p appended to the A block; ``detrep`` composes it for
-itself.  A sampled face zero refuses the closed-face certificate.
-Polynomials with zeros on the torus (but none on |z| = 1, |w| < 1, and
-no common factor with their reflection) are handled by shrinking w
-once: the closed-face blocks of p(z, T0 w) are refined at t = 1 by
-Gauss-Newton on that identity of p itself, down to round-off and within
-``tol``.  The refined blocks keep the counts (m, n1, n2) but are no
-longer orthonormal bases of moment-space subspaces.
+holds as polynomials in (z, w, conj zeta, conj eta), with m polynomials
+A of degree (n, m-1), and n1 = n - n2 polynomials B and n2 polynomials C
+of degree (n-1, m), n2 the number of zeros of p(z, 0) in the disk
+(Geronimo and Woerdeman, Annals of Math. 160, 2004; Knese, Analysis &
+PDE 3, 2010).  The blocks are built from the Schur-Cohn matrix S(z) of
+the slices w -> p(z, w) (``poly._schur_cohn``), without 2-D quadrature:
+at zeta = z on the circle the identity leaves S = sum |A_j(z, .)|^2, so
+the A block is the outer matrix Fejer-Riesz factor of S, found from the
+z-moments of S^-1 by 1-D quadrature; what A leaves of the kernel is
+L_z(H), and B and C are H's eigenvectors of the two signs.  They are
+not moment-space bases of the paper's subspaces E2, K2 and K1.
+
+That L identity is the only one certified here, and it is checked on
+coefficients, as P P^H - R R^H = L_w(A A^H) + L_z(B B^H - C C^H) on the
+(n+1) x (m+1) monomial grid, with L(X) = X - S X S^T for the shift S by
+w or by z.  Its G form, p pbar - w etabar prev prevbar, takes the same
+blocks with the reflection of p appended to the A block; ``detrep``
+composes it for itself.  A sampled face zero refuses the closed-face
+certificate.  Polynomials with zeros on the torus (but none on |z| = 1,
+|w| < 1, and no common factor with their reflection) are handled by
+shrinking w once: the closed-face blocks of p(z, T0 w) are refined at
+t = 1 by Gauss-Newton on that identity of p itself, down to round-off
+and within ``tol``.  The refined blocks keep the counts (m, n1, n2).
 """
 
 from __future__ import annotations
@@ -35,11 +39,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (CommonFactor, DegenerateForm, InvalidDegree,
-                     MomentDivergence, NoConvergence, RootNearTorus)
-from .moments import moments_from_density
-from .poly import CLUSTER_TOL, BiPoly, _w_roots, content_roots, reflect
-from .space import MomentSpace
-from .splitshift import FACE_MARGIN, _assert_no_face_zeros, shift_split_from_p
+                     MomentDivergence, NoConvergence, RootNearTorus,
+                     ZeroPolynomial)
+from .moments import MAX_GRID, POLE_MARGIN, STOP_TOL, _roots
+from .poly import (CLUSTER_TOL, BiPoly, _diagonal_sums, _kernel, _schur_cohn,
+                   _w_roots, content_roots, reflect)
+from .splitshift import FACE_MARGIN, _assert_no_face_zeros, _split_at_w0
 
 T0 = 0.9                # w-shrink factor of the open-face starting blocks
 REFINE_STEPS = 60       # Gauss-Newton step cap of the open-face refinement
@@ -49,6 +54,8 @@ DAMPING = 1e-5          # normal-equation ridge per unit of relative residual
 DAMPING_FLOOR = 1e-15   # least ridge; both relative to the largest diagonal entry
 REFINE_MAX_ENTRIES = 2 ** 22   # largest Jacobian refined (degree (6, 6) is 2.4e6)
 PREFLIGHT_SAMPLES = 8   # z-slices compared by _common_factor_with_reflection
+FIRST_LEVEL = 64        # z points of the first level of _inverse_moments
+RANK_TOL = 1e-10        # what B and C leave of H, relative to |P|^2
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,11 +133,9 @@ def _identity(p, cert):
     the block matrices A, B and C, one column per polynomial, each on its
     support."""
     n, m = cert.deg
-    pr = _columns((p.trimmed(), reflect(p, cert.deg)), n + 1, m + 1)
-    target = np.outer(pr[:, 0], pr[:, 0].conj()) - np.outer(pr[:, 1], pr[:, 1].conj())
     mats = [_columns(polys, *shape) for polys, (shape, _, _) in
             zip((cert.a_list, cert.b_list, cert.c_list), _block_terms(n, m))]
-    return target, np.vdot(pr[:, 0], pr[:, 0]).real, mats
+    return *_kernel(p, cert.deg), mats
 
 
 def _identity_gap(mats, target, deg):
@@ -162,17 +167,186 @@ def verify_certificate(p: BiPoly, cert: SosCertificate) -> ResidualReport:
                           worst_point=((j, k), (jj, kk)))
 
 
+def _inverse(s, zs):
+    """S^-1 at each sample of the stack ``s`` (samples, m, m), taken at the
+    points ``zs``, from its Cholesky factors.
+
+    S must be positive definite at every sample, with its least Cholesky
+    pivot squared above POLE_MARGIN of its largest entry.  Where it is
+    not, the least eigenvalue decides, against POLE_MARGIN of the largest
+    entry: far below zero, a w-root lies in the closed disk there
+    (RootNearTorus); otherwise S is singular up to round-off, as on a zero
+    of p on the torus (MomentDivergence).
+    """
+    top = np.abs(s).max()
+    try:
+        chol = np.linalg.cholesky(s)
+        if not np.abs(np.diagonal(chol, axis1=1, axis2=2)).min() ** 2 > POLE_MARGIN * top:
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        low = np.linalg.eigvalsh(s)[:, 0]
+        i = int(np.argmin(low))
+        if low[i] < -POLE_MARGIN * top:
+            raise RootNearTorus(f"Schur-Cohn matrix indefinite at z = {zs[i]}: "
+                                "a w-root in the closed disk") from None
+        raise MomentDivergence(f"Schur-Cohn matrix singular at z = {zs[i]}: "
+                               "a zero on the torus") from None
+    linv = np.linalg.inv(chol)
+    return linv.conj().swapaxes(1, 2) @ linv
+
+
+def _inverse_moments(s):
+    """(R, powers, at, inv): R_e = int z^-e S(z)^-1 dsigma(z), e = 0..n, as
+    (n+1, m, m), from the coefficients S_d, d = -n..n, of S
+    (``_schur_cohn``); and the last level's new points, as their powers
+    z^0..z^n (points, n+1), with S and S^-1 at each of them.
+
+    The nested trapezoid rule on FIRST_LEVEL, 2 FIRST_LEVEL, ... roots of
+    unity: each level evaluates S at its new points alone, by one product
+    with their powers, and adds their terms to the running sums.  It stops
+    once no entry moves by more than STOP_TOL times the largest entry of
+    R_0 from one level to the next; R still moving at MAX_GRID points is a
+    MomentDivergence.  The new points of the last level are themselves a
+    shifted trapezoid rule, as fine as the level before.
+    """
+    n, m = (len(s) - 1) // 2, s.shape[1]
+    sums = np.zeros((n + 1, m * m), dtype=complex)
+    size, new, prev, change = FIRST_LEVEL, np.arange(FIRST_LEVEL), None, np.inf
+    while True:
+        powers = _roots(size)[np.outer(new, np.arange(-n, n + 1)) % size]
+        at = (powers @ s.reshape(2 * n + 1, -1)).reshape(-1, m, m)
+        inv = _inverse(at, _roots(size)[new])
+        sums += powers[:, n:].T.conj() @ inv.reshape(-1, m * m)
+        r = sums / size
+        if prev is not None:
+            change = np.abs(r - prev).max()
+            if change <= STOP_TOL * np.abs(r[0]).max():
+                return r.reshape(n + 1, m, m), powers[:, n:], at, inv
+        if size >= MAX_GRID:
+            raise MomentDivergence(
+                f"moments of the inverse Schur-Cohn matrix did not settle at "
+                f"{size} points (last change {change:.3e})")
+        prev, new, size = r, 2 * np.arange(size) + 1, 2 * size
+
+
+def _outer_factor(s):
+    """G_j, j = 0..n, as (n+1, m, m), of the outer factor G(z) = sum G_j z^j
+    with G G^H = S on the circle, from the coefficients S_d of S.
+
+    With M the block Toeplitz matrix [R_(i-j)] of the moments of S^-1
+    (``_inverse_moments``), R_-e = R_e^H, the first block column Y of M^-1
+    is G(z) G_0^H: for an outer G, S^-1 G = G^-H has no positive z-moments
+    and the z-moment G_0^-H at 0.  So Y_0 = G_0 G_0^H = L L^H, and
+    G_j = Y_j L^-H is G up to a constant unitary on the right.
+
+    The moments carry the round-off of S^-1 at the samples, up to cond(S)
+    times eps, and so would G G^H - S.  One Newton step on the last
+    level's new points takes G to round-off (Wilson, SIAM J. Appl. Math.
+    23, 1972): with E = S - G G^H and F = G^-1 E G^-H, where G^-1 = G^H S^-1
+    to first order, X = F_0 / 2 + sum over d >= 1 of F_d z^d solves
+    X + X^H = F, so G + G X meets E to first order, and its z-degrees
+    0..n are the step.  The step is kept where it lowers the largest
+    sampled E.
+    """
+    n, m = (len(s) - 1) // 2, s.shape[1]
+    r, vz, sz, inv = _inverse_moments(s)
+    blocks = np.concatenate([r[:0:-1].conj().swapaxes(1, 2), r])    # R_-n..R_n
+    i, j = np.indices((n + 1, n + 1))
+    toeplitz = blocks[i - j + n].transpose(0, 2, 1, 3).reshape((n + 1) * m, -1)
+    y = np.linalg.solve(toeplitz, np.eye((n + 1) * m, m)).reshape(n + 1, m, m)
+    chol = np.linalg.cholesky(0.5 * (y[0] + y[0].conj().T))
+    g = np.linalg.solve(chol, y.conj().swapaxes(1, 2)).conj().swapaxes(1, 2)
+
+    def values(coeffs):             # z-degrees 0..n at the samples
+        return (vz @ coeffs.reshape(n + 1, -1)).reshape(-1, m, m)
+
+    def coefficients(vals):         # z-degrees 0..n of samples
+        return vz.T.conj() @ vals.reshape(len(vz), -1) / len(vz)
+
+    def adjoint(a):
+        return a.conj().swapaxes(1, 2)
+
+    gz = values(g)
+    ez = sz - gz @ adjoint(gz)
+    gi = adjoint(gz) @ inv
+    x = coefficients(gi @ ez @ adjoint(gi))
+    x[0] *= 0.5
+    step = coefficients(gz @ values(x))
+    gz = gz + values(step)
+    better = np.abs(sz - gz @ adjoint(gz)).max() < np.abs(ez).max()
+    return g + step.reshape(n + 1, m, m) if better else g
+
+
+def _range_basis(h, rank):
+    """Orthonormal columns spanning ``rank`` columns of h, picked as QR with
+    column pivoting picks them (Businger and Golub, 1965): each the column
+    of largest norm once the span of those before is projected out, the
+    norms downdated as the columns are added.  A column already in that
+    span adds a zero column."""
+    q = np.zeros((len(h), rank), dtype=complex)
+    norms = np.einsum("ij,ij->j", h.conj(), h).real
+    for i in range(rank):
+        v = h[:, int(np.argmax(norms))]
+        for _ in range(2):          # twice is enough (Giraud et al., 2005)
+            v = v - q[:, :i] @ (q[:, :i].conj().T @ v)
+        size = np.linalg.norm(v)
+        if size > 0.0:
+            q[:, i] = v / size
+            norms -= np.abs(q[:, i].conj() @ h) ** 2
+    return q
+
+
 def _blocks_closed_face(p: BiPoly, deg) -> SosCertificate:
     """The blocks for p at a degree pair ``deg`` at or above p's, residual
-    not yet verified (nan)."""
+    not yet verified (nan).
+
+    A (m polynomials on the support (n+1, m)) is the outer factor G of the
+    Schur-Cohn matrix S(z) of p's slices (``_outer_factor``),
+    A_i[j, k] = G_j[k, i]: on |z| = 1 the identity at zeta = z leaves
+    S = sum |A_i(z, .)|^2 as forms in w.  What A leaves of the kernel,
+    T - L_w(A A^H), then vanishes at zeta = z, so it is L_z(H) for H on the
+    support (n, m+1), summed from the top z-degree down.  H has rank n,
+    so its eigenpairs beyond round-off are those of Q^H H Q, Q spanning n
+    of its columns (``_range_basis``).  With n2 the number of roots of
+    p(z, 0) in the disk and n1 = n - n2, B is V+ lam+^1/2 (= H V+ lam+^-1/2)
+    over the n1 largest of them and C is V- |lam-|^1/2 over the n2 least.
+    What they leave of H, in the Frobenius norm, and any eigenvalue of the
+    wrong sign for its block must be within RANK_TOL of |P|^2, or the form
+    is a DegenerateForm.  p = 0, and p(z, 0) = 0, are refused first.
+    """
     pt = p.trimmed()
+    if not pt.coeffs.any():
+        raise ZeroPolynomial("density 1/|p|^2 needs a nonzero p")
     n, m = deg
-    table = moments_from_density(pt, max(n, 1), max(m, 1))
-    space = MomentSpace(table, n, m)
-    split = shift_split_from_p(space, pt)
-    a_list = tuple(space.basis("E2", n, m - 1).polys())
-    b_list = tuple(split.k2.reflected((max(n - 1, 0), m)).polys())
-    c_list = tuple(split.k1.polys())
+    n2 = _split_at_w0(pt).beta
+    n1 = n - n2
+    target, scale = _kernel(pt, deg)
+    rest = target.copy()
+    a = np.zeros(((n + 1) * m, 0), dtype=complex)
+    if m:
+        # G_j[k, i] = A_i[j, k]: column i of a is A_i, z-major on its support
+        a = _outer_factor(_schur_cohn(target, deg)).reshape(-1, m)
+        _add_l(rest, -(a @ a.conj().T), (n + 1, m), 1, deg)
+    # H[j, j'] = -sum over i >= 1 of rest[j + i, j' + i], from the top down
+    flipped = rest.reshape(n + 1, m + 1, n + 1, m + 1).transpose(0, 2, 1, 3)[::-1, ::-1]
+    h = -_diagonal_sums(flipped)[0][:n, :n][::-1, ::-1]
+    h = h.transpose(0, 2, 1, 3).reshape(n * (m + 1), n * (m + 1))
+    q = _range_basis(h, n)
+    lam, vec = np.linalg.eigh(q.conj().T @ h @ q)
+    vec = q @ vec
+    sign = np.ones(n)
+    sign[:n2] = -1.0                     # the C slots, then the B slots
+    off = max(np.maximum(-sign * lam, 0.0).max(initial=0.0),
+              np.linalg.norm(h - (vec * lam) @ vec.conj().T))
+    if not off <= RANK_TOL * scale:
+        raise DegenerateForm(
+            f"H is {off / scale:.3e} |P|^2 away from the counts "
+            f"(n1, n2) = ({n1}, {n2})")
+    root = vec * np.sqrt(np.maximum(sign * lam, 0.0))
+    a_list, b_list, c_list = (
+        tuple(BiPoly(col.reshape(shape)) for col in x.T)
+        for x, (shape, _, _) in zip((a, root[:, n2:], root[:, :n2]),
+                                    _block_terms(n, m)))
     return SosCertificate(a_list=a_list, b_list=b_list, c_list=c_list,
                           residual=np.nan, deg=(n, m))
 

@@ -23,7 +23,7 @@ each formal slot at infinity (cap n above deg p), one Jordan block per
 distinct value; the kernel of prod (T* - 1/r)^k, k up to the
 multiplicity, gives the split-poly with k copies of each root flipped.
 A split builds its split-poly, the generator of E1(n, m) minus
-(K1 + z K2), on first read; an SOS certificate needs K1 and K2 alone.
+(K1 + z K2), on first read.
 """
 
 from __future__ import annotations
@@ -203,6 +203,16 @@ def _complement_in_coords(coords, dim):
     return u[:, rank:]
 
 
+def _split_at_w0(p: BiPoly):
+    """``split_stable`` of the slice p(z, 0) of a trimmed p, whose beta
+    counts p's zeros (z, 0) in the disk; a slice below TRIM_REL of p's
+    largest coefficient is a zero of p along w = 0 (RootNearTorus)."""
+    p0 = p.z_slice()
+    if np.max(np.abs(p0.coeffs)) < TRIM_REL * np.max(np.abs(p.coeffs)):
+        raise RootNearTorus("p(z, 0) vanishes identically (zero at w = 0)")
+    return split_stable(p0)
+
+
 def shift_split_from_p(space: MomentSpace, p: BiPoly) -> ShiftSplit:
     """The shift-split canonically attached to p via its z-axis slice.
 
@@ -214,10 +224,7 @@ def shift_split_from_p(space: MomentSpace, p: BiPoly) -> ShiftSplit:
     pt = p.trimmed()
     if pt.deg[0] > n or pt.deg[1] > m:
         raise InvalidDegree("polynomial degree exceeds the space caps")
-    p0 = pt.z_slice()
-    if np.max(np.abs(p0.coeffs)) < TRIM_REL * np.max(np.abs(pt.coeffs)):
-        raise RootNearTorus("p(z, 0) vanishes identically (zero at w = 0)")
-    rs = split_stable(p0)
+    rs = _split_at_w0(pt)
     beta = rs.beta
     e1 = space.basis("E1", n - 1, m)
     gens_k1 = [rs.stable.shifted(j, 0) for j in range(beta)]

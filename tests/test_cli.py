@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bszego import (BiPoly, MomentTable, certificate_closed_face,
-                    moments_from_density)
+from bszego import (BiPoly, MomentTable, SosCertificate, moments_from_density,
+                    verify_certificate)
 from bszego.cli import main
 from bszego.errors import InvalidInput
 from bszego.jsonio import dumps, poly_from_json, poly_to_json, table_to_json
@@ -260,16 +260,52 @@ def test_factor_refuses_a_degree_above_the_caps(tmp_path):
 
 
 def test_sos_open_face_keeps_its_tolerance(tmp_path):
-    # the closed-face certificate of prod (alpha - zw), degree (8, 8), has
-    # residual 3.8e-8
+    # prod (alpha - zw), alpha = linspace(1.2, 2, 8), degree (8, 8): the
+    # moments of the inverse Schur-Cohn matrix do not settle, so closed-face
+    # sos refuses it up front, and open-face sos refuses it past the
+    # Jacobian cap of its refinement
     p = BiPoly([[1.0]])
     for alpha in np.linspace(1.2, 2.0, 8):
         p = p * BiPoly([[alpha, 0.0], [0.0, -1.0]])
-    assert certificate_closed_face(p).residual > 1e-8
+    code, out = cli_document(tmp_path, "sos", "--poly", poly_to_json(p))
+    assert (code, out["error"]) == (3, "MomentDivergence")
     code, out = cli_document(tmp_path, "sos", "--poly", poly_to_json(p),
                              "--open-face", "--tol", "1e-8")
     assert (code, out["error"]) == (3, "NoConvergence")
     assert "REFINE_MAX_ENTRIES" in out["message"]
+
+
+@pytest.mark.parametrize("poly, code, error", [
+    ([[1.01, 0.0], [0.0, -1.0]], 0, None),
+    ([[1.001, 0.0], [0.0, -1.0]], 0, None),
+    ([[1.0, -2.0]], 3, "RootNearTorus"),
+    ([[0.0, 2.0], [0.0, -1.0]], 3, "RootNearTorus"),
+], ids=["1.01-zw", "1.001-zw", "1-2w", "w(2-z)"])
+def test_sos_near_and_on_the_face(tmp_path, poly, code, error):
+    # (1 + d) - zw has the constant Schur-Cohn matrix (1 + d)^2 - 1, however
+    # small d, and is certified at round-off; 1 - 2w has a w-root inside the
+    # disk on every slice, and w (2 - z) vanishes on the slice w = 0
+    got, out = cli_document(tmp_path, "sos", "--poly", poly_to_json(BiPoly(poly)))
+    assert (got, out.get("error")) == (code, error)
+    if code == 0:
+        assert (len(out["A"]), out["n1"], out["n2"]) == (1, 1, 0)
+        assert out["residual"] <= 1e-15
+
+
+def test_sos_prints_the_blocks_it_verified(tmp_path):
+    # the A blocks of (2 - zw)(2.5 - zw) have z-rows of round-off, which a
+    # trim would drop.  Each block is printed on its support, (n, m - 1) for
+    # A and (n - 1, m) for B and C, and the residual recomputed from the
+    # printed blocks is the printed one
+    p = BiPoly([[2.0, 0.0], [0.0, -1.0]]) * BiPoly([[2.5, 0.0], [0.0, -1.0]])
+    code, doc = cli_document(tmp_path, "sos", "--poly", poly_to_json(p))
+    assert code == 0 and doc["deg"] == [2, 2]
+    blocks = {name: tuple(map(poly_from_json, doc[name])) for name in "ABC"}
+    assert [q.deg for q in blocks["A"]] == [(2, 1)] * 2
+    assert [q.deg for q in blocks["B"] + blocks["C"]] == [(1, 2)] * 2
+    assert any(q.trimmed().deg != q.deg for q in blocks["A"])
+    cert = SosCertificate(*blocks.values(), residual=np.nan, deg=(2, 2))
+    assert verify_certificate(p, cert).residual == doc["residual"]
 
 
 ZERO_GRID = {"deg": [1, 1], "coeffs": [[[0.0, 0.0], [0.0, 0.0]],

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from bszego import (BiPoly, InvalidDegree, RootNearTorus, ZeroPolynomial,
                     content_roots, reflect, roots, split_stable)
-from bszego.poly import TRIM_REL, _canonical_phase, _w_roots
+from bszego.poly import TRIM_REL, _canonical_phase, _kernel, _schur_cohn, _w_roots
+from bszego.sos import _outer_factor
 
 from conftest import torus_grid
 
@@ -258,3 +259,82 @@ def test_trimmed_matches_the_mask_rule(a):
     got, want = p.trimmed(), _trimmed_by_masks(p.coeffs)
     assert got.coeffs.shape == want.shape and np.array_equal(got.coeffs, want)
     assert (got is p) == (want.shape == a.shape and np.any(a != 0.0))
+
+
+def _schur_cohn_at(p, z):
+    """S(z) of p at its own degree, from the coefficients S_d."""
+    n, m = p.deg
+    s = _schur_cohn(_kernel(p, p.deg)[0], p.deg)
+    return np.tensordot(z ** np.arange(-n, n + 1), s, 1)
+
+
+def _slice_polys(seed, count):
+    """Random p of degree up to (3, 4) with w^0 coefficients scaled, so that
+    the slices over the circle are stable for some p and not for others."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, m = int(rng.integers(0, 4)), int(rng.integers(1, 5))
+        c = rng.normal(size=(n + 1, m + 1)) + 1j * rng.normal(size=(n + 1, m + 1))
+        c[:, 0] *= rng.uniform(0.5, 6.0)
+        yield BiPoly(c)
+
+
+def test_schur_cohn_is_positive_exactly_on_stable_slices():
+    # S(z) is positive definite exactly when every root of p(z, w) lies
+    # outside the closed disk; slices with a root within 1e-6 of the circle
+    # are left out
+    seen = set()
+    for p in _slice_polys(11, 60):
+        for z in np.exp(2j * np.pi * np.array([0.1, 0.35, 0.8])):
+            q = p.w_poly_at(z)
+            low = np.abs(np.roots(q[::-1])).min()
+            if abs(low - 1.0) < 1e-6:
+                continue
+            stable = bool(low > 1.0)
+            s = _schur_cohn_at(p, z)
+            assert np.abs(s - s.conj().T).max() <= 1e-14 * _kernel(p, p.deg)[1]
+            assert bool(np.linalg.eigvalsh(s)[0] > 0) == stable
+            seen.add(stable)
+    assert seen == {True, False}
+
+
+def test_schur_cohn_inverse_is_the_w_moment_toeplitz():
+    # on a stable slice, S(z)^-1 is the Toeplitz matrix [c_(k - k')] of the
+    # w-moments c_k = int w^-k / |p(z, w)|^2 dsigma(w), from a fine FFT
+    count = 0
+    ws = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    for p in _slice_polys(12, 60):
+        m = p.deg[1]
+        z = np.exp(0.7j)
+        q = p.w_poly_at(z)
+        if m < 2 or np.abs(np.roots(q[::-1])).min() < 1.3:
+            continue
+        c = np.fft.fft(1.0 / np.abs(np.polynomial.polynomial.polyval(ws, q)) ** 2) / ws.size
+        k = np.arange(m)
+        toeplitz = c[(k[:, None] - k[None, :]) % ws.size]
+        inverse = np.linalg.inv(_schur_cohn_at(p, z))
+        assert np.abs(inverse - toeplitz).max() <= 1e-14 * np.abs(toeplitz).max()
+        count += 1
+    assert count >= 5
+
+
+def test_outer_factor_of_schur_cohn():
+    # G(z) G(z)^H = S(z) on the circle, within round-off of |P|^2, and G is
+    # outer: det G(z) has no zero in the closed disk
+    count = 0
+    for p in _slice_polys(13, 60):
+        (n, m), zs = p.deg, np.exp(2j * np.pi * np.arange(7) / 7 + 0.2j)
+        circle = np.exp(2j * np.pi * np.arange(256) / 256)
+        if np.abs(_w_roots(p, circle)[1]).min() < 1.3:
+            continue
+        kernel, scale = _kernel(p, p.deg)
+        g = _outer_factor(_schur_cohn(kernel, p.deg))
+        for z in zs:
+            gz = np.tensordot(z ** np.arange(n + 1), g, 1)
+            assert np.abs(gz @ gz.conj().T - _schur_cohn_at(p, z)).max() <= 1e-14 * scale
+        for z in 0.99 * zs * np.linspace(0.0, 1.0, 5)[:, None]:
+            for x in z:
+                gz = np.tensordot(x ** np.arange(n + 1), g, 1)
+                assert abs(np.linalg.det(gz)) > 0.0
+        count += 1
+    assert count >= 5

@@ -378,3 +378,17 @@ def test_cert_json(p_2zw, tmp_path):
     assert doc["variant"] == "L"
     assert doc["n1"] == 1 and doc["n2"] == 0
     assert len(doc["A"]) == len(cert.a_list) == 1
+
+
+@pytest.mark.parametrize("count, low", [(4, 1.3), (6, 1.2)], ids=["(4,4)", "(6,6)"])
+def test_ill_conditioned_closed_face_at_round_off(count, low):
+    # prod (alpha - zw) over alpha = linspace(low, 2, count) has an
+    # ill-conditioned Schur-Cohn matrix: the outer factor from the moments
+    # of S^-1 alone misses G G^H = S by 2e-13 at (4,4) and 2e-10 at (6,6),
+    # and its Newton step takes the certificate to round-off
+    p = BiPoly([[1.0]])
+    for alpha in np.linspace(low, 2.0, count):
+        p = p * BiPoly([[alpha, 0.0], [0.0, -1.0]])
+    cert = certificate_closed_face(p)
+    assert (len(cert.a_list), cert.n1, cert.n2) == (count, count, 0)
+    assert cert.residual < 1e-14

@@ -196,7 +196,7 @@ def test_split_poly_is_unit_norm_and_phase_canonical():
 
 def test_split_poly_built_only_where_read(monkeypatch):
     # basis("E1", n, m) at a space's caps (n, m) is read by the split-poly
-    # alone: a certificate and a pencil need K1 and K2 only, while a
+    # alone: a certificate and a pencil build no moment space, while a
     # reconstruction and an AR filter need the polynomial once
     reads = []
     basis = MomentSpace.basis
