@@ -130,17 +130,35 @@ def _wrap(parts, depth, brackets="[]"):
 
 
 @lru_cache(maxsize=64)
-def _leaf_block(n, depth, m=None):
-    """The layout of a list of n leaves, or of n lists of m leaves each."""
-    return _wrap(["%s" if m is None else _leaf_block(m, depth + 1)] * n, depth)
+def _leaf_block(shape, depth):
+    """The layout of nested lists of leaves whose lengths at each level are
+    ``shape``."""
+    inner = "%s" if len(shape) == 1 else _leaf_block(shape[1:], depth + 1)
+    return _wrap([inner] * shape[0], depth)
+
+
+def _grid_leaves(items):
+    """(shape, leaves) of a list of leaves, or of lists of one length whose
+    items, joined in order, are such a list in turn (every coefficient
+    grid of [re, im] pairs); None for anything else."""
+    types = set(map(type, items))
+    if _LEAF_TYPES.issuperset(types):
+        return (len(items),), items
+    lengths = set(map(len, items)) if types == {list} else set()
+    if len(lengths) != 1:
+        return None
+    inner = _grid_leaves(list(chain.from_iterable(items)))
+    if inner is None:
+        return None
+    return (len(items), *lengths, *inner[0][1:]), inner[1]
 
 
 def _layout(o, depth, leaves):
     """The indented layout of o at depth, appending its keys and leaves.
 
-    A list of leaves, and a list of equal-length lists of leaves (the
-    [re, im] rows of every coefficient grid), take their layout from a
-    cache without a step per leaf.
+    A list of leaves, and nested lists of equal lengths at each level
+    down to leaves (every coefficient grid of [re, im] pairs), take their
+    layout from a cache without a step per row or leaf.
     """
     if isinstance(o, dict):
         parts = []
@@ -151,14 +169,10 @@ def _layout(o, depth, leaves):
             parts.append("%s: " + _layout(value, depth + 1, leaves))
         return _wrap(parts, depth, "{}")
     if isinstance(o, (list, tuple)):
-        types = set(map(type, o))
-        if _LEAF_TYPES.issuperset(types):
-            leaves.extend(o)
-            return _leaf_block(len(o), depth)
-        if types == {list} and len(set(map(len, o))) == 1 \
-                and _LEAF_TYPES.issuperset(map(type, chain.from_iterable(o))):
-            leaves.extend(chain.from_iterable(o))
-            return _leaf_block(len(o), depth, len(o[0]))
+        grid = _grid_leaves(o)
+        if grid is not None:
+            leaves.extend(grid[1])
+            return _leaf_block(grid[0], depth)
         return _wrap([_layout(v, depth + 1, leaves) for v in o], depth)
     leaves.append(o)
     return "%s"

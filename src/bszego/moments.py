@@ -443,7 +443,8 @@ def gram(table: MomentTable, k, l) -> np.ndarray:
     monomial; it equals its conjugate transpose exactly, because the table
     is exactly Hermitian.  Entry ((a1, a2), (b1, b2)) is c[jmax - a1 + b1,
     kmax - a2 + b2], so the Gram is one strided view of the table from
-    c_00 on, backwards along a and forwards along b, copied once.
+    c_00 on, backwards along a and forwards along b, copied once in C
+    order so that the flattening is a view of the copy.
     """
     if k > table.jmax or l > table.kmax:
         raise InsufficientMoments(
@@ -452,7 +453,7 @@ def gram(table: MomentTable, k, l) -> np.ndarray:
     view = as_strided(table.c[table.jmax:, table.kmax:], (k + 1, l + 1) * 2,
                       (-s0, -s1, s0, s1), writeable=False)
     size = (k + 1) * (l + 1)
-    return np.array(view).reshape(size, size)
+    return np.array(view, order="C").reshape(size, size)
 
 
 def is_positive(table: MomentTable, n, m):

@@ -183,19 +183,31 @@ def _kernel(p: BiPoly, deg):
     return np.outer(q, q.conj()) - np.outer(r, r.conj()), np.vdot(q, q).real
 
 
-def _diagonal_sums(a):
-    """Sums along the diagonals of the first two (K x K) axes of ``a``:
-    the partial sums c[k, k'] = sum over i >= 0 of a[k - i, k' - i], and
-    the totals of the diagonals k - k' = d, d = -(K-1)..K-1, in that order.
-    Each diagonal is a column of a skewed copy, which one cumulative sum
-    runs down."""
+def _skewed(a):
+    """A copy of ``a`` whose column K - 1 - d holds the diagonal k - k' = d,
+    d = -(K-1)..K-1, of its first two (K x K) axes, zero padded, and the
+    index of ``a``'s entries in it."""
     size = len(a)
     k, kk = np.indices((size, size))
-    at = (k, kk - k + size - 1)            # diagonal k - k' = d in column K - 1 - d
+    at = (k, kk - k + size - 1)
     skew = np.zeros((size, 2 * size - 1, *a.shape[2:]), dtype=a.dtype)
     skew[at] = a
-    sums = np.cumsum(skew, axis=0)
-    return sums[at], sums[-1, ::-1]
+    return skew, at
+
+
+def _diagonal_sums(a):
+    """The partial sums c[k, k'] = sum over i >= 0 of a[k - i, k' - i] along
+    the diagonals of the first two (K x K) axes of ``a``: one cumulative
+    sum down the columns of the skewed copy."""
+    skew, at = _skewed(a)
+    return np.cumsum(skew, axis=0)[at]
+
+
+def _diagonal_totals(a):
+    """The totals of the diagonals k - k' = d, d = -(K-1)..K-1 in that
+    order, of the first two (K x K) axes of ``a``: the column sums of the
+    skewed copy, bit for bit the last row of its cumulative sum."""
+    return _skewed(a)[0].sum(axis=0)[::-1]
 
 
 def _schur_cohn(kernel, deg):
@@ -215,8 +227,8 @@ def _schur_cohn(kernel, deg):
     """
     n, m = deg
     t = kernel.reshape(n + 1, m + 1, n + 1, m + 1).transpose(0, 2, 1, 3)
-    x = _diagonal_sums(t)[1]                       # X_d, (2n+1, m+1, m+1)
-    return _diagonal_sums(x.transpose(1, 2, 0)[:m, :m])[0].transpose(2, 0, 1)
+    x = _diagonal_totals(t)                        # X_d, (2n+1, m+1, m+1)
+    return _diagonal_sums(x.transpose(1, 2, 0)[:m, :m]).transpose(2, 0, 1)
 
 
 def roots(u: BiPoly):

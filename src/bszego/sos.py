@@ -329,7 +329,7 @@ def _blocks_closed_face(p: BiPoly, deg) -> SosCertificate:
         _add_l(rest, -(a @ a.conj().T), (n + 1, m), 1, deg)
     # H[j, j'] = -sum over i >= 1 of rest[j + i, j' + i], from the top down
     flipped = rest.reshape(n + 1, m + 1, n + 1, m + 1).transpose(0, 2, 1, 3)[::-1, ::-1]
-    h = -_diagonal_sums(flipped)[0][:n, :n][::-1, ::-1]
+    h = -_diagonal_sums(flipped)[:n, :n][::-1, ::-1]
     h = h.transpose(0, 2, 1, 3).reshape(n * (m + 1), n * (m + 1))
     q = _range_basis(h, n)
     lam, vec = np.linalg.eigh(q.conj().T @ h @ q)

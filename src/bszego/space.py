@@ -158,9 +158,10 @@ class MomentSpace:
                     "moment Gram matrix is not positive definite") from exc
         return self._factors[k, l]
 
-    def _complement(self, k, l, gens):
-        """Orthonormal basis of P_{k,l} minus the span of every monomial
-        but the generators, given by their z-major positions ``gens``.
+    def _complement(self, k, l, *gens):
+        """Orthonormal bases of P_{k,l} minus the span of every monomial
+        but the generators, one basis for each set of z-major generator
+        positions in ``gens``, all from one pair of triangular solves.
 
         On coefficient vectors over the rectangle the form is <x, y> =
         y^H conj(G) x, G the monomials' Gram.  With E the unit columns of
@@ -172,25 +173,32 @@ class MomentSpace:
         descending order), so the rank is full when lam > 0 and
         max lam / min lam < RANK_TOL^-2.  Since
         G = Q R Q^H with Q symmetric, conj(G)^-1 = conj(Q) R^-1 Q, and R^-1
-        takes two real triangular solves on the rectangle's factor.
+        takes two real triangular solves on the rectangle's factor, whose
+        right-hand side stacks the unit columns of every set.
         """
-        g = len(gens)
+        cols = np.concatenate(gens)
+        g = len(cols)
         L = self._factor(k, l)
         E = np.zeros((len(L), g))
-        E[gens, np.arange(g)] = 1.0
+        E[cols, np.arange(g)] = 1.0
         # R^-1 [E, JE] is R^-1 sqrt(2) Q E in real and imaginary parts; L^T
         # is upper triangular, and reversing both axes makes it lower
         Y = _solve_lower(L, np.hstack([E, E[::-1]]))
         Y = _solve_lower(L.T[::-1, ::-1], Y[::-1])[::-1]
         re, im = Y[:, :g], Y[:, g:]
         X = 0.5 * ((re + im[::-1]) + 1j * (im - re[::-1]))   # conj(Q) R^-1 Q E
-        lam, V = np.linalg.eigh(X[gens])
-        rank = int(np.sum(lam * RANK_TOL ** 2 < lam[0])) if lam[0] > 0 else 0
-        if rank != g:
-            raise DegenerateForm(
-                f"subspace rank {rank} differs from expected {g}")
-        vectors = _phase_normalize(X @ (V / np.sqrt(lam)))
-        return SubspaceBasis(vectors.reshape(k + 1, l + 1, g))
+        out, start = [], 0
+        for pos in gens:
+            x = X[:, start:start + len(pos)]
+            start += len(pos)
+            lam, V = np.linalg.eigh(x[pos])
+            rank = int(np.sum(lam * RANK_TOL ** 2 < lam[0])) if lam[0] > 0 else 0
+            if rank != len(pos):
+                raise DegenerateForm(
+                    f"subspace rank {rank} differs from expected {len(pos)}")
+            vectors = _phase_normalize(x @ (V / np.sqrt(lam)))
+            out.append(SubspaceBasis(vectors.reshape(k + 1, l + 1, len(pos))))
+        return out
 
     def basis(self, kind, k, l) -> SubspaceBasis:
         """Orthonormal basis of a structural subspace, memoised per space.
@@ -199,8 +207,9 @@ class MomentSpace:
         monomial but one edge of it, built by ``_complement`` from that
         rectangle's real Cholesky factor, which is computed once per space
         and shared by the kinds on one rectangle (the caps' factor also
-        gives the embedding).  A rank drop raises DegenerateForm, and a
-        kind other than these four ValueError.
+        gives the embedding).  E2 and F2, which the shift operators read
+        together, are built together by one call.  A rank drop raises
+        DegenerateForm, and a kind other than these four ValueError.
 
         E1(k,l) = P_{k,l} minus w P_{k,l-1}   (dimension k+1)
         F1(k,l) = P_{k,l} minus P_{k,l-1}     (dimension k+1)
@@ -219,8 +228,11 @@ class MomentSpace:
                 f"{kind}({k},{l}) exceeds caps ({self.nmax}, {self.mmax})")
         grid = np.arange((k + 1) * (l + 1)).reshape(k + 1, l + 1)
         gens = {"E1": grid[:, 0], "F1": grid[:, l],
-                "E2": grid[0], "F2": grid[k]}[kind]
-        self._bases[key] = self._complement(k, l, gens)
+                "E2": grid[0], "F2": grid[k]}
+        kinds = ("E2", "F2") if kind in ("E2", "F2") else (kind,)
+        bases = self._complement(k, l, *(gens[name] for name in kinds))
+        for name, b in zip(kinds, bases):
+            self._bases[name, k, l] = b
         return self._bases[key]
 
     def projected_span(self, generators, target: SubspaceBasis,

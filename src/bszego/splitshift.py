@@ -118,11 +118,13 @@ def build_operators(space: MomentSpace) -> ShiftOperators:
     e1 = space.basis("E1", n - 1, m)
     a_out = space.basis("E2", n, m - 1).shifted(0, 1)
     b_in = space.basis("F2", n, m - 1).shifted(0, 1)
-    ze1 = e1.shifted(1, 0)
-    # entry (i, j) of each operator is <op(basis_j), out_basis_i>
-    return ShiftOperators(space=space, a_mat=space.cross(ze1, a_out).T,
-                          b_mat=space.cross(b_in, e1).T,
-                          t_mat=space.cross(ze1, e1).T, e1=e1)
+    # entry (i, j) of each operator is <op(basis_j), out_basis_i>: the
+    # products of space.cross, with each of the four bases embedded once
+    emb_ze1, emb_b = (space.embed_basis(b).T for b in (e1.shifted(1, 0), b_in))
+    conj_e1, conj_a = (np.conj(space.embed_basis(b)) for b in (e1, a_out))
+    return ShiftOperators(space=space, a_mat=(emb_ze1 @ conj_a).T,
+                          b_mat=(emb_b @ conj_e1).T,
+                          t_mat=(emb_ze1 @ conj_e1).T, e1=e1)
 
 
 def _krylov_span(step, seed, n):

@@ -65,6 +65,21 @@ def test_dumps_grids_byte_for_byte():
     assert dumps(doc) == _reference(doc)
 
 
+@pytest.mark.parametrize("doc", [
+    [[[1.0, -2.5], [0.0, 3.0]], [[4.0, 5.0], [-0.0, 6.0]]],     # 2 x 2 grid
+    {"c": [[[0.5, 1.5]]], "deg": [0, 0]},                     # 1 x 1 grid
+    [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0]]],                 # ragged rows
+    [[[1.0, 2.0], [3.0]], [[4.0, 5.0], [6.0, 7.0]]],          # ragged pairs
+    [[[1.0, 2.0], 3.0], [[4.0, 5.0], 6.0]],                   # pairs and scalars
+    [[[1.0, 2.0], [3.0, 4.0]], [5.0, 6.0]],                   # a row of scalars
+    [[[1.0, 2.0]], [[3.0, {"x": 4.0}]]],                      # a dict in a pair
+    [], [[]], [[], []], [[[]]], [[[], []], [[], []]],         # empty grids
+    [[[[1.0, 2.0]], [[3.0, 4.0]]]],                           # one level deeper
+])
+def test_dumps_lays_out_grids_in_one_step(doc):
+    assert dumps(doc) == _reference(doc)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf, np.nan])
 def test_dumps_refuses_non_finite(bad):
     for doc in (bad, [1.0, bad], {"c": [[[0.0, bad]]]}, {"x": {"y": [bad, "z"]}}):

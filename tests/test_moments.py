@@ -643,6 +643,23 @@ def test_gram_strided_copy_matches_flat_gather():
                     assert g.flags.writeable and not np.shares_memory(g, table.c)
 
 
+def test_gram_copies_the_table_once():
+    # the strided view is gathered straight into C order, so the flattening
+    # is a view of that one copy: the peak is the result's own bytes
+    rng = np.random.default_rng(16)
+    c = rng.normal(size=(33, 33)) + 1j * rng.normal(size=(33, 33))
+    t = MomentTable(16, 16, c + np.conj(c[::-1, ::-1]))
+    gram(t, 16, 16)
+    tracemalloc.start()
+    try:
+        g = gram(t, 16, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.flags.c_contiguous
+    assert peak <= 1.1 * g.nbytes
+
+
 def test_gram_out_of_range(table_2zw):
     with pytest.raises(InsufficientMoments,
                        match=r"moment \(4, 0\) outside window \(3, 3\)"):

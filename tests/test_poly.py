@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from bszego import (BiPoly, InvalidDegree, RootNearTorus, ZeroPolynomial,
                     content_roots, reflect, roots, split_stable)
-from bszego.poly import TRIM_REL, _canonical_phase, _kernel, _schur_cohn, _w_roots
+from bszego.poly import (TRIM_REL, _canonical_phase, _diagonal_sums, _diagonal_totals,
+                         _kernel, _schur_cohn, _w_roots)
 from bszego.sos import _outer_factor
 
 from conftest import torus_grid
@@ -259,6 +260,25 @@ def test_trimmed_matches_the_mask_rule(a):
     got, want = p.trimmed(), _trimmed_by_masks(p.coeffs)
     assert got.coeffs.shape == want.shape and np.array_equal(got.coeffs, want)
     assert (got is p) == (want.shape == a.shape and np.any(a != 0.0))
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 17])
+def test_diagonal_sums_and_totals_add_in_order(size):
+    # the partial sums and the totals of the diagonals k - k' = d, each added
+    # from k = 0 up as a loop would, bit for bit; totals run d = -(K-1)..K-1
+    rng = np.random.default_rng(size)
+    a = rng.normal(size=(size, size, 3, 2)) + 1j * rng.normal(size=(size, size, 3, 2))
+    sums, totals = np.zeros_like(a), []
+    for k in range(size):
+        for kk in range(size):
+            sums[k, kk] = a[k, kk] + (sums[k - 1, kk - 1] if k and kk else 0)
+    for d in range(1 - size, size):
+        acc = 0
+        for k in range(max(d, 0), min(size, size + d)):
+            acc = acc + a[k, k - d]
+        totals.append(acc)
+    assert np.array_equal(_diagonal_sums(a), sums)
+    assert np.array_equal(_diagonal_totals(a), np.array(totals))
 
 
 def _schur_cohn_at(p, z):

@@ -238,7 +238,7 @@ def test_kernel_subtraction_identity(p_2zw):
     e1 = sp.basis("E1", j, m)
     f1 = sp.basis("F1", j, m)
     # K_{j, m-1}: reproducing kernel of the full P_{j, m-1}
-    kfull = sp._complement(j, m - 1, np.arange((j + 1) * m))
+    kfull, = sp._complement(j, m - 1, np.arange((j + 1) * m))
     rng = np.random.default_rng(7)
     for _ in range(50):
         z, w, zeta, eta = 0.8 * (rng.normal(size=4) + 1j * rng.normal(size=4))

@@ -39,6 +39,34 @@ def test_operators_2zw_frozen(space_2zw):
     assert abs(ops.b_mat[0, 0] - 0.5) < 1e-10
 
 
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_operators_from_bases_built_and_embedded_once(n):
+    # E2 and F2 share one pair of triangular solves and every basis is
+    # embedded once: T is bit for bit the per-kind construction (each basis
+    # alone on a fresh space, then space.cross), A and B equal it up to
+    # round-off, and the memoised E2 and F2 are the bases the operators used
+    rng = np.random.default_rng(40 + n)
+    e = rng.normal(size=(n + 1, n + 1)) + 1j * rng.normal(size=(n + 1, n + 1))
+    e[0, 0] = 0.0
+    e *= 0.5 / np.sum(np.abs(e))
+    e[0, 0] = 1.0
+    table = moments_from_density(BiPoly(e), n, n)
+    sp = MomentSpace(table, n, n)
+    ops = build_operators(sp)
+    ref = MomentSpace(table, n, n)
+    e1 = ref.basis("E1", n - 1, n)
+    edges = np.arange((n + 1) * n).reshape(n + 1, n)
+    e2, = ref._complement(n, n - 1, edges[0])
+    f2, = ref._complement(n, n - 1, edges[n])
+    ze1 = e1.shifted(1, 0)
+    assert np.array_equal(ops.t_mat, ref.cross(ze1, e1).T)
+    assert np.max(np.abs(ops.a_mat - ref.cross(ze1, e2.shifted(0, 1)).T)) <= 1e-13
+    assert np.max(np.abs(ops.b_mat - ref.cross(f2.shifted(0, 1), e1).T)) <= 1e-13
+    e2, f2 = (sp.basis(kind, n, n - 1).shifted(0, 1) for kind in ("E2", "F2"))
+    assert np.array_equal(ops.a_mat, sp.cross(ops.e1.shifted(1, 0), e2).T)
+    assert np.array_equal(ops.b_mat, sp.cross(f2, ops.e1).T)
+
+
 def test_operators_product_measure_dense_oracle():
     # p = (1-2z)(2-w): independent dense Gram-Schmidt oracle at (1, 1)
     p = BiPoly([[1], [-2.0]]) * BiPoly([[2.0, -1.0]])
