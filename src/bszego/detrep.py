@@ -178,15 +178,11 @@ def build_detrep(p: BiPoly) -> DetRep:
             f"certificate of the reflected w-derivative: {exc}") from exc
     # the G form: P's reflection is one more A polynomial
     polys = (*cert.a_list, reflect(P, deg), *cert.b_list, *cert.c_list)
-    k, n1, n2 = len(cert.a_list) + 1, cert.n1, cert.n2
-    if k != m or n1 + n2 != n:
-        raise CertificateFailed(
-            f"block sizes ({k}, {n1}, {n2}) incompatible with degree ({n}, {m})")
 
     # at least 4 (m+n)^2 sample pairs; each circle point carries m roots
     zs, rts = _circle_roots(p1, max(SAMPLES, -(-4 * len(polys) ** 2 // m)))
     z, w = np.repeat(zs, rts.shape[1]), rts.ravel()
-    av, bv, cv = np.split(_values(polys, z, w).T, [m, m + n1])
+    av, bv, cv = np.split(_values(polys, z, w).T, [m, m + cert.n1])
     xs = np.concatenate([w * av, z * bv, cv])
     ys = np.concatenate([av, bv, z * cv])
     u_l, _, v_h = np.linalg.svd(ys @ xs.conj().T)
@@ -195,7 +191,7 @@ def build_detrep(p: BiPoly) -> DetRep:
     if not fit <= FIT_TOL:
         raise FitResidualTooLarge(f"lurking-isometry fit residual {fit:.3e}")
 
-    rep0 = DetRep(u=U, n1=n1, n2=n2, scale=1.0 + 0.0j, residual=np.nan,
+    rep0 = DetRep(u=U, n1=cert.n1, n2=cert.n2, scale=1.0 + 0.0j, residual=np.nan,
                   mu=mu, geometry=geo)
     d = _pencil_coeffs(rep0, (n, m))
     c = p1.coeffs

@@ -35,6 +35,12 @@ of about BLOCK_POINTS points (whole rows), one buffer per sampling pass:
 each block is sampled, inverted and transformed along w before the next
 overwrites it, so no N x N array is ever held.  The min and max each block computes
 for the pole check also decide whether its reciprocal is finite.
+
+The Schur-Cohn matrix S(z) of p's slices (``poly._schur_cohn``) is a
+matrix trig polynomial in z, and ``_inverse_moments`` takes the z-moments
+of S^-1 by the same nested rule in one dimension: level 2N samples only
+its N new points.  Both rules start at FIRST_LEVEL points per axis and
+share MAX_GRID, POLE_MARGIN and STOP_TOL (relative to R_0 in 1-D).
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import (InsufficientMoments, MomentDivergence,
-                     NonPositiveDensity, ZeroPolynomial)
+                     NonPositiveDensity, RootNearTorus, ZeroPolynomial)
 from .poly import BiPoly, _readonly
 
 POLE_MARGIN = 1e-12  # denominator minimum, relative to its grid maximum
@@ -56,6 +62,7 @@ BLOCK_POINTS = 1 << 15  # grid points per row block of the quadrature pass
 CHUNK = 64  # w-samples per chunk of the pruned DFT along w (at most N)
 WHOLE_GRID = ((0, 0),)  # the first level's one sub-grid, unshifted
 NEW_POINTS = ((0, 1), (1, 0), (1, 1))  # the sub-grids level 2N adds to level N
+FIRST_LEVEL = 64  # points per axis of the first level of both nested rules
 MAX_GRID = 4096  # the last quadrature grid, in points per axis
 STOP_TOL = 1e-10  # level-to-level change that stops the doubling, over max(1, |c00|)
 HERMITIAN_TOL = 1e-8  # TrigPoly's Hermitian defect, relative to its largest coefficient
@@ -323,14 +330,14 @@ def _moments_of_grid_density(density_at, jmax, kmax):
     last axis only, which is a 1-D FFT, because the benchmark trace
     (bench/spans.py) counts quadrature grids there.
 
-    Doubling starts at grid 64, or at the first power of two above twice
-    the window if larger, and stops once no moment moves by more than
+    Doubling starts at grid FIRST_LEVEL, or at the first power of two above
+    twice the window if larger, and stops once no moment moves by more than
     STOP_TOL times max(1, |c00|) from one level to the next.  Stability
     needs two grids to compare, so a window that leaves room for fewer
     than two grids up to MAX_GRID (one above 1023) is a ValueError; a
     table still moving at MAX_GRID is a MomentDivergence.
     """
-    N = 1 << (max(64, 2 * max(jmax, kmax) + 2) - 1).bit_length()
+    N = 1 << (max(FIRST_LEVEL, 2 * max(jmax, kmax) + 2) - 1).bit_length()
     if 2 * N > MAX_GRID:
         raise ValueError(
             f"window ({jmax}, {kmax}) starts at grid {N}^2, which leaves "
@@ -352,6 +359,68 @@ def _moments_of_grid_density(density_at, jmax, kmax):
                 f"moments did not stabilize at grid {N}^2 "
                 f"(last change {last_diff:.3e})")
         prev = win
+
+
+def _inverse(s, zs):
+    """S^-1 at each sample of the stack ``s`` (samples, m, m), taken at the
+    points ``zs``, from its Cholesky factors.
+
+    S must be positive definite at every sample, with its least Cholesky
+    pivot squared above POLE_MARGIN of its largest entry.  Where it is
+    not, the least eigenvalue decides, against POLE_MARGIN of the largest
+    entry: far below zero, a w-root lies in the closed disk there
+    (RootNearTorus); otherwise S is singular up to round-off, as on a zero
+    of p on the torus (MomentDivergence).
+    """
+    top = np.abs(s).max()
+    try:
+        chol = np.linalg.cholesky(s)
+        if not np.abs(np.diagonal(chol, axis1=1, axis2=2)).min() ** 2 > POLE_MARGIN * top:
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        low = np.linalg.eigvalsh(s)[:, 0]
+        i = int(np.argmin(low))
+        if low[i] < -POLE_MARGIN * top:
+            raise RootNearTorus(f"Schur-Cohn matrix indefinite at z = {zs[i]}: "
+                                "a w-root in the closed disk") from None
+        raise MomentDivergence(f"Schur-Cohn matrix singular at z = {zs[i]}: "
+                               "a zero on the torus") from None
+    linv = np.linalg.inv(chol)
+    return linv.conj().swapaxes(1, 2) @ linv
+
+
+def _inverse_moments(s):
+    """(R, powers, at, inv): R_e = int z^-e S(z)^-1 dsigma(z), e = 0..n, as
+    (n+1, m, m), from the coefficients S_d, d = -n..n, of S
+    (``poly._schur_cohn``); and the last level's new points, as their powers
+    z^0..z^n (points, n+1), with S and S^-1 at each of them.
+
+    The nested trapezoid rule on FIRST_LEVEL, 2 FIRST_LEVEL, ... roots of
+    unity: each level evaluates S at its new points alone, by one product
+    with their powers, and adds their terms to the running sums.  It stops
+    once no entry moves by more than STOP_TOL times the largest entry of
+    R_0 from one level to the next; R still moving at MAX_GRID points is a
+    MomentDivergence.  The new points of the last level are themselves a
+    shifted trapezoid rule, as fine as the level before.
+    """
+    n, m = (len(s) - 1) // 2, s.shape[1]
+    sums = np.zeros((n + 1, m * m), dtype=complex)
+    size, new, prev, change = FIRST_LEVEL, np.arange(FIRST_LEVEL), None, np.inf
+    while True:
+        powers = _roots(size)[np.outer(new, np.arange(-n, n + 1)) % size]
+        at = (powers @ s.reshape(2 * n + 1, -1)).reshape(-1, m, m)
+        inv = _inverse(at, _roots(size)[new])
+        sums += powers[:, n:].T.conj() @ inv.reshape(-1, m * m)
+        r = sums / size
+        if prev is not None:
+            change = np.abs(r - prev).max()
+            if change <= STOP_TOL * np.abs(r[0]).max():
+                return r.reshape(n + 1, m, m), powers[:, n:], at, inv
+        if size >= MAX_GRID:
+            raise MomentDivergence(
+                f"moments of the inverse Schur-Cohn matrix did not settle at "
+                f"{size} points (last change {change:.3e})")
+        prev, new, size = r, 2 * np.arange(size) + 1, 2 * size
 
 
 def _reciprocals(blocks, bounds):

@@ -5,6 +5,8 @@
 a ``BiPoly`` of one column.  Degrees in this artifact stay small
 (<= ~16 per variable), so everything is dense and direct.  Zero is exact
 zero, and every other floor is relative to the largest coefficient.
+The slice verdicts (``_assert_no_face_zeros``, ``_split_at_w0``) live
+here, beside the root finders they call.
 
 All values are immutable after construction; operations are pure.
 """
@@ -22,6 +24,8 @@ TRIM_REL = 1e-12          # drop trailing coefficients below this times max |coe
 ROOT_MARGIN = 1e-6        # width of the forbidden band around |root| = 1
 CLUSTER_TOL = 1e-6        # roots this close count as shared
 PHASE_TIE_REL = 1e-8      # _canonical_phase: moduli this close to the row maximum tie
+FACE_SAMPLES = 64         # z points on the circle in _assert_no_face_zeros
+FACE_MARGIN = 1e-7        # w-roots this close to the closed disk are face zeros
 
 
 def _readonly(a):
@@ -315,6 +319,39 @@ def split_stable(u: BiPoly) -> RootSplit:
                      unstable=BiPoly(unstable[:, None]), beta=int(inside.size))
 
 
+def _split_at_w0(p: BiPoly):
+    """``split_stable`` of the slice p(z, 0) of a trimmed p, whose beta
+    counts p's zeros (z, 0) in the disk; a slice below TRIM_REL of p's
+    largest coefficient is a zero of p along w = 0 (RootNearTorus)."""
+    p0 = p.z_slice()
+    if np.max(np.abs(p0.coeffs)) < TRIM_REL * np.max(np.abs(p.coeffs)):
+        raise RootNearTorus("p(z, 0) vanishes identically (zero at w = 0)")
+    return split_stable(p0)
+
+
+def _assert_no_face_zeros(p: BiPoly, radius=1.0 + FACE_MARGIN):
+    """Sampled check that p has no zeros on |z| = 1, |w| < radius.
+
+    A z-slice vanishes when every coefficient is at most 1e-10 of p's
+    largest; every other slice is decided by a Schur-Cohn recursion at
+    ``radius``, and only the reported slice's w-roots are computed.  Every
+    split, ``factor_trig`` and ``certificate_closed_face`` run it at
+    1 + FACE_MARGIN, for the closed face, and ``certificate_open_face`` at
+    1 - FACE_MARGIN, for the open face.
+    """
+    pt = p.trimmed()
+    zs = np.exp(2j * np.pi * (np.arange(FACE_SAMPLES) + 0.31) / FACE_SAMPLES)
+    wcoef = pt.w_poly_at(zs)
+    vanishes = np.abs(wcoef).max(axis=0) <= 1e-10 * np.abs(pt.coeffs).max()
+    bad = vanishes | ~_roots_beyond(wcoef, radius)
+    if bad.any():
+        i = int(np.argmax(bad))           # the first failing z in grid order
+        if vanishes[i]:
+            raise RootNearTorus(f"p({zs[i]}, w) vanishes identically in w")
+        low = np.abs(np.roots(wcoef[::-1, i])).min()   # np.roots drops a zero top
+        raise RootNearTorus(f"w-root of modulus {low:.6f} at z = {zs[i]}")
+
+
 def content_roots(p: BiPoly):
     """Roots, with multiplicity, of the z-only content of p.
 
@@ -339,7 +376,7 @@ def content_roots(p: BiPoly):
 
 
 def _canonical_phase(p: BiPoly) -> BiPoly:
-    """Rotate p by a unimodular constant fixing a canonical phase.
+    """Rotate a nonzero p by a unimodular constant fixing a canonical phase.
 
     The coefficient of largest modulus in the w^0 row is made real
     positive.  Moduli within PHASE_TIE_REL of the largest count as a tie,
@@ -353,6 +390,4 @@ def _canonical_phase(p: BiPoly) -> BiPoly:
     mod = np.abs(row)
     idx = int(np.argmax(mod >= (1.0 - PHASE_TIE_REL) * np.max(mod)))
     pivot = row[idx]
-    if pivot == 0.0:
-        return p
     return p * (np.abs(pivot) / pivot)

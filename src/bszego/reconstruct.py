@@ -15,10 +15,10 @@ import numpy as np
 from .errors import (DegenerateForm, MatrixConditionFails, NoConvergence,
                      NotFactorable)
 from .moments import MomentTable, TrigPoly, moments_from_trig
-from .poly import TRIM_REL, BiPoly, reflect
+from .poly import TRIM_REL, BiPoly, _assert_no_face_zeros, reflect
 from .space import MomentSpace
-from .splitshift import (ShiftOperators, _assert_no_face_zeros, _positive_form,
-                         _require_condition, _split_from_k1)
+from .splitshift import (ShiftOperators, _positive_form, _require_condition,
+                         _split_from_k1)
 
 KERNEL_TOL = 1e-8   # kernel identity residual, relative to max |kernel|
 FACTOR_TOL = 1e-7   # factor_trig's bound on the l1 gap of |p|^2 - t, relative to t_00

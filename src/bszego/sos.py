@@ -14,9 +14,9 @@ PDE 3, 2010).  The blocks are built from the Schur-Cohn matrix S(z) of
 the slices w -> p(z, w) (``poly._schur_cohn``), without 2-D quadrature:
 at zeta = z on the circle the identity leaves S = sum |A_j(z, .)|^2, so
 the A block is the outer matrix Fejer-Riesz factor of S, found from the
-z-moments of S^-1 by 1-D quadrature; what A leaves of the kernel is
-L_z(H), and B and C are H's eigenvectors of the two signs.  They are
-not moment-space bases of the paper's subspaces E2, K2 and K1.
+z-moments of S^-1 (``moments._inverse_moments``); what A leaves of the
+kernel is L_z(H), and B and C are H's eigenvectors of the two signs.
+They are not moment-space bases of the paper's subspaces E2, K2 and K1.
 
 That L identity is the only one certified here, and it is checked on
 coefficients, as P P^H - R R^H = L_w(A A^H) + L_z(B B^H - C C^H) on the
@@ -41,10 +41,10 @@ import numpy as np
 from .errors import (CommonFactor, DegenerateForm, InvalidDegree,
                      MomentDivergence, NoConvergence, RootNearTorus,
                      ZeroPolynomial)
-from .moments import MAX_GRID, POLE_MARGIN, STOP_TOL, _roots
-from .poly import (CLUSTER_TOL, BiPoly, _diagonal_sums, _kernel, _schur_cohn,
-                   _w_roots, content_roots, reflect)
-from .splitshift import FACE_MARGIN, _assert_no_face_zeros, _split_at_w0
+from .moments import _inverse_moments
+from .poly import (CLUSTER_TOL, FACE_MARGIN, BiPoly, _assert_no_face_zeros,
+                   _diagonal_sums, _kernel, _schur_cohn, _split_at_w0, _w_roots,
+                   content_roots, reflect)
 
 T0 = 0.9                # w-shrink factor of the open-face starting blocks
 REFINE_STEPS = 60       # Gauss-Newton step cap of the open-face refinement
@@ -54,7 +54,6 @@ DAMPING = 1e-5          # normal-equation ridge per unit of relative residual
 DAMPING_FLOOR = 1e-15   # least ridge; both relative to the largest diagonal entry
 REFINE_MAX_ENTRIES = 2 ** 22   # largest Jacobian refined (degree (6, 6) is 2.4e6)
 PREFLIGHT_SAMPLES = 8   # z-slices compared by _common_factor_with_reflection
-FIRST_LEVEL = 64        # z points of the first level of _inverse_moments
 RANK_TOL = 1e-10        # what B and C leave of H, relative to |P|^2
 
 
@@ -167,76 +166,14 @@ def verify_certificate(p: BiPoly, cert: SosCertificate) -> ResidualReport:
                           worst_point=((j, k), (jj, kk)))
 
 
-def _inverse(s, zs):
-    """S^-1 at each sample of the stack ``s`` (samples, m, m), taken at the
-    points ``zs``, from its Cholesky factors.
-
-    S must be positive definite at every sample, with its least Cholesky
-    pivot squared above POLE_MARGIN of its largest entry.  Where it is
-    not, the least eigenvalue decides, against POLE_MARGIN of the largest
-    entry: far below zero, a w-root lies in the closed disk there
-    (RootNearTorus); otherwise S is singular up to round-off, as on a zero
-    of p on the torus (MomentDivergence).
-    """
-    top = np.abs(s).max()
-    try:
-        chol = np.linalg.cholesky(s)
-        if not np.abs(np.diagonal(chol, axis1=1, axis2=2)).min() ** 2 > POLE_MARGIN * top:
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        low = np.linalg.eigvalsh(s)[:, 0]
-        i = int(np.argmin(low))
-        if low[i] < -POLE_MARGIN * top:
-            raise RootNearTorus(f"Schur-Cohn matrix indefinite at z = {zs[i]}: "
-                                "a w-root in the closed disk") from None
-        raise MomentDivergence(f"Schur-Cohn matrix singular at z = {zs[i]}: "
-                               "a zero on the torus") from None
-    linv = np.linalg.inv(chol)
-    return linv.conj().swapaxes(1, 2) @ linv
-
-
-def _inverse_moments(s):
-    """(R, powers, at, inv): R_e = int z^-e S(z)^-1 dsigma(z), e = 0..n, as
-    (n+1, m, m), from the coefficients S_d, d = -n..n, of S
-    (``_schur_cohn``); and the last level's new points, as their powers
-    z^0..z^n (points, n+1), with S and S^-1 at each of them.
-
-    The nested trapezoid rule on FIRST_LEVEL, 2 FIRST_LEVEL, ... roots of
-    unity: each level evaluates S at its new points alone, by one product
-    with their powers, and adds their terms to the running sums.  It stops
-    once no entry moves by more than STOP_TOL times the largest entry of
-    R_0 from one level to the next; R still moving at MAX_GRID points is a
-    MomentDivergence.  The new points of the last level are themselves a
-    shifted trapezoid rule, as fine as the level before.
-    """
-    n, m = (len(s) - 1) // 2, s.shape[1]
-    sums = np.zeros((n + 1, m * m), dtype=complex)
-    size, new, prev, change = FIRST_LEVEL, np.arange(FIRST_LEVEL), None, np.inf
-    while True:
-        powers = _roots(size)[np.outer(new, np.arange(-n, n + 1)) % size]
-        at = (powers @ s.reshape(2 * n + 1, -1)).reshape(-1, m, m)
-        inv = _inverse(at, _roots(size)[new])
-        sums += powers[:, n:].T.conj() @ inv.reshape(-1, m * m)
-        r = sums / size
-        if prev is not None:
-            change = np.abs(r - prev).max()
-            if change <= STOP_TOL * np.abs(r[0]).max():
-                return r.reshape(n + 1, m, m), powers[:, n:], at, inv
-        if size >= MAX_GRID:
-            raise MomentDivergence(
-                f"moments of the inverse Schur-Cohn matrix did not settle at "
-                f"{size} points (last change {change:.3e})")
-        prev, new, size = r, 2 * np.arange(size) + 1, 2 * size
-
-
 def _outer_factor(s):
     """G_j, j = 0..n, as (n+1, m, m), of the outer factor G(z) = sum G_j z^j
     with G G^H = S on the circle, from the coefficients S_d of S.
 
     With M the block Toeplitz matrix [R_(i-j)] of the moments of S^-1
-    (``_inverse_moments``), R_-e = R_e^H, the first block column Y of M^-1
-    is G(z) G_0^H: for an outer G, S^-1 G = G^-H has no positive z-moments
-    and the z-moment G_0^-H at 0.  So Y_0 = G_0 G_0^H = L L^H, and
+    (``moments._inverse_moments``), R_-e = R_e^H, the first block column Y
+    of M^-1 is G(z) G_0^H: for an outer G, S^-1 G = G^-H has no positive
+    z-moments and the z-moment G_0^-H at 0.  So Y_0 = G_0 G_0^H = L L^H, and
     G_j = Y_j L^-H is G up to a constant unitary on the right.
 
     The moments carry the round-off of S^-1 at the samples, up to cond(S)

@@ -14,9 +14,11 @@ come from one formula on their rectangle's factor (``_complement``).
 
 A basis stores its polynomials as BiPoly coefficient grids stacked
 along a last axis, ``coeffs[j, k, i]``; flattened z-major, each grid is
-a coordinate column for the Cholesky embedding.  Every basis polynomial
-is phase-normalized so its first significant coefficient in that order
-is real positive.
+a coordinate column for the Cholesky embedding.  A basis carries no
+phase rule: each polynomial's unimodular factor is whatever its solve
+or SVD leaves, since only spans and inner products are read from it.
+The one phase rule, ``poly._canonical_phase``, acts on the polynomials
+that are printed.
 """
 
 from __future__ import annotations
@@ -81,18 +83,6 @@ class SubspaceBasis:
             raise InsufficientMoments("reflection degree below the basis degree")
         flipped = SubspaceBasis(np.conj(self.coeffs[::-1, ::-1]))
         return flipped.shifted(at[0] + 1 - rows, at[1] + 1 - cols)
-
-
-def _phase_normalize(vectors):
-    """Scale every (nonzero) column so that its first entry above 1e-8 of
-    the column's largest modulus is real positive."""
-    if vectors.size == 0:
-        return vectors
-    mags = np.abs(vectors)
-    top = mags.max(axis=0)
-    lead = vectors[np.argmax(mags > 1e-8 * top, axis=0),
-                   np.arange(vectors.shape[1])]
-    return vectors * (np.abs(lead) / lead)
 
 
 class MomentSpace:
@@ -196,8 +186,7 @@ class MomentSpace:
             if rank != len(pos):
                 raise DegenerateForm(
                     f"subspace rank {rank} differs from expected {len(pos)}")
-            vectors = _phase_normalize(x @ (V / np.sqrt(lam)))
-            out.append(SubspaceBasis(vectors.reshape(k + 1, l + 1, len(pos))))
+            out.append(SubspaceBasis((x @ (V / np.sqrt(lam))).reshape(k + 1, l + 1, -1)))
         return out
 
     def basis(self, kind, k, l) -> SubspaceBasis:
@@ -252,8 +241,7 @@ class MomentSpace:
             raise DegenerateForm(
                 f"projected span rank {rank}, expected {expect}")
         rows, cols, _ = target.coeffs.shape
-        vectors = _phase_normalize(target.vectors @ u[:, :rank])
-        return SubspaceBasis(vectors.reshape(rows, cols, rank))
+        return SubspaceBasis((target.vectors @ u[:, :rank]).reshape(rows, cols, rank))
 
     # -- operations ----------------------------------------------------------
 

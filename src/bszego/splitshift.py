@@ -35,17 +35,16 @@ from itertools import product
 import numpy as np
 
 from .errors import (DegenerateForm, DNotAdmissible, InvalidDegree,
-                     MatrixConditionFails, NotPositive, RootNearTorus)
+                     MatrixConditionFails, NotPositive)
 from .moments import MomentTable, is_positive
-from .poly import TRIM_REL, BiPoly, _canonical_phase, _roots_beyond, split_stable
+from .poly import (BiPoly, _assert_no_face_zeros, _canonical_phase, _split_at_w0,
+                   split_stable)
 from .space import MomentSpace, SubspaceBasis
 
 # Both are one absolute round-off floor on contractions, hence no caller
 # knob: moving one alone makes check_matrix_condition raise DegenerateForm.
 MC_TOL = 1e-8           # cut of the violation max ||A T^j B||
 KRYLOV_RANK_TOL = 1e-8  # absolute singular-value cut of the Krylov spans
-FACE_SAMPLES = 64       # z points on the circle in _assert_no_face_zeros
-FACE_MARGIN = 1e-7      # w-roots this close to the closed disk are face zeros
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,11 +94,8 @@ class ShiftSplit:
         if comp.shape[1] != 1:
             raise DegenerateForm(
                 f"split complement has dimension {comp.shape[1]}, expected 1")
-        p = _canonical_phase(_coords_to_basis(e1big, comp).polys()[0])
-        nrm = space.norm(p)
-        if nrm == 0.0:
-            raise DegenerateForm("zero polynomial cannot be normalized")
-        return _canonical_phase(p * (1.0 / nrm))
+        p = _coords_to_basis(e1big, comp).polys()[0]
+        return _canonical_phase(p * (1.0 / space.norm(p)))
 
 
 @dataclass(frozen=True)
@@ -205,16 +201,6 @@ def _complement_in_coords(coords, dim):
     return u[:, rank:]
 
 
-def _split_at_w0(p: BiPoly):
-    """``split_stable`` of the slice p(z, 0) of a trimmed p, whose beta
-    counts p's zeros (z, 0) in the disk; a slice below TRIM_REL of p's
-    largest coefficient is a zero of p along w = 0 (RootNearTorus)."""
-    p0 = p.z_slice()
-    if np.max(np.abs(p0.coeffs)) < TRIM_REL * np.max(np.abs(p.coeffs)):
-        raise RootNearTorus("p(z, 0) vanishes identically (zero at w = 0)")
-    return split_stable(p0)
-
-
 def shift_split_from_p(space: MomentSpace, p: BiPoly) -> ShiftSplit:
     """The shift-split canonically attached to p via its z-axis slice.
 
@@ -234,29 +220,6 @@ def shift_split_from_p(space: MomentSpace, p: BiPoly) -> ShiftSplit:
     k1 = space.projected_span(gens_k1, e1, beta)
     k2 = space.projected_span(gens_k2, e1, n - beta)
     return ShiftSplit(space, k1, k2)
-
-
-def _assert_no_face_zeros(p: BiPoly, radius=1.0 + FACE_MARGIN):
-    """Sampled check that p has no zeros on |z| = 1, |w| < radius.
-
-    A z-slice vanishes when every coefficient is at most 1e-10 of p's
-    largest; every other slice is decided by a Schur-Cohn recursion at
-    ``radius``, and only the reported slice's w-roots are computed.  Every
-    split, ``factor_trig`` and ``certificate_closed_face`` run it at
-    1 + FACE_MARGIN, for the closed face, and ``certificate_open_face`` at
-    1 - FACE_MARGIN, for the open face.
-    """
-    pt = p.trimmed()
-    zs = np.exp(2j * np.pi * (np.arange(FACE_SAMPLES) + 0.31) / FACE_SAMPLES)
-    wcoef = pt.w_poly_at(zs)
-    vanishes = np.abs(wcoef).max(axis=0) <= 1e-10 * np.abs(pt.coeffs).max()
-    bad = vanishes | ~_roots_beyond(wcoef, radius)
-    if bad.any():
-        i = int(np.argmax(bad))           # the first failing z in grid order
-        if vanishes[i]:
-            raise RootNearTorus(f"p({zs[i]}, w) vanishes identically in w")
-        low = np.abs(np.roots(wcoef[::-1, i])).min()   # np.roots drops a zero top
-        raise RootNearTorus(f"w-root of modulus {low:.6f} at z = {zs[i]}")
 
 
 def _split_from_k1(ops: ShiftOperators, k1_coords) -> ShiftSplit:

@@ -11,7 +11,8 @@ from bszego import (BiPoly, InsufficientMoments, MomentDivergence, MomentTable,
                     is_positive, moments_from_density,
                     moments_from_grid_function, moments_from_trig)
 from bszego import moments
-from bszego.moments import _grid_rows, _real_form
+from bszego.moments import _grid_rows, _inverse_moments, _real_form
+from bszego.poly import _kernel, _schur_cohn
 
 from conftest import (geometric_diag_moment, poly_grid_values, riemann_moment,
                       sampled_grids, trig_abs_squared, trig_values_on_grid)
@@ -790,3 +791,22 @@ def test_cached_planes_are_bit_identical(monkeypatch, shifts, N):
         for got, want in ((got_p, want_p), (got_t, want_t)):
             assert len(got) == len(want)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (4, 4), (8, 8), (3, 5)])
+def test_schur_cohn_moments_are_the_table_windows(n, m):
+    # S(z)^-1 is the Toeplitz matrix of the slice's w-moments of 1/|p|^2,
+    # so its z-moments R_e, from the 1-D rule, are Toeplitz windows of the
+    # 2-D table: R_e[k, k'] = c_{e, k - k'}
+    rng = np.random.default_rng(4400 + 10 * n + m)
+    e = rng.normal(size=(n + 1, m + 1)) + 1j * rng.normal(size=(n + 1, m + 1))
+    e[0, 0] = 0.0
+    a = 0.5 * e / np.sum(np.abs(e))     # 1 + e, no zeros on the closed bidisk
+    a[0, 0] += 1.0
+    p = BiPoly(a)
+    r = _inverse_moments(_schur_cohn(_kernel(p, (n, m))[0], (n, m)))[0]
+    table = moments_from_density(p, n, m - 1)
+    k = np.subtract.outer(np.arange(m), np.arange(m))
+    want = np.stack([[[table.at(j, d) for d in row] for row in k]
+                     for j in range(n + 1)])
+    assert np.max(np.abs(r - want)) <= 1e-13 * abs(table.at(0, 0))

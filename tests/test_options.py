@@ -2,7 +2,8 @@
 listed here, the library's public names are counted, ``bszego`` exports
 exactly the public top-level names of its library modules, every error
 class it exports without subclasses is raised somewhere, only the CLI
-may import the JSON layer, and the library draws no random numbers.
+may import the JSON layer, each quadrature and slice decision has one
+owning module, and the library draws no random numbers.
 
 An option is a defaulted parameter of a public function or method, or a
 field of a ``*Config`` dataclass, anywhere in ``src/bszego``.  A new one
@@ -194,9 +195,9 @@ def test_library_draws_no_random_numbers():
     assert random_references() == []
 
 
-def jsonio_importers():
-    """The src/bszego modules that import jsonio, in any form of import and
-    at any depth, function-local imports included."""
+def importers(module):
+    """The src/bszego modules that import ``module``, or a name from it, in
+    any form of import and at any depth, function-local imports included."""
     found = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -206,7 +207,7 @@ def jsonio_importers():
                 names = [alias.name for alias in node.names]
             else:
                 continue
-            if any("jsonio" in name.split(".") for name in names):
+            if any(module in name.split(".") for name in names):
                 found.add(path.stem)
     return found
 
@@ -214,4 +215,42 @@ def jsonio_importers():
 def test_only_the_cli_imports_jsonio():
     # the layout of every output document lives in one module: the library
     # returns plain data and the CLI writes it
-    assert jsonio_importers() == {"cli"}
+    assert importers("jsonio") == {"cli"}
+
+
+def namers(names):
+    """The src/bszego modules that refer to any of ``names``: as a name, an
+    attribute or an imported name."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used = [node.id]
+            elif isinstance(node, ast.Attribute):
+                used = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                used = [alias.name for alias in node.names]
+            else:
+                continue
+            if set(used) & set(names):
+                found.add(path.stem)
+    return found
+
+
+def assigners(names):
+    """The src/bszego modules that assign any of ``names`` at top level."""
+    return {path.stem for path in sorted(SRC.glob("*.py"))
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id in names for t in node.targets)}
+
+
+def test_each_decision_has_one_owner():
+    # the certificate modules reach neither the shift operators nor the
+    # moment space; both quadratures' constants are moments' alone, and
+    # the slice verdicts' constants poly's
+    for module in ("splitshift", "space"):
+        assert not importers(module) & {"sos", "detrep"}, module
+    assert namers({"MAX_GRID", "STOP_TOL", "POLE_MARGIN", "FIRST_LEVEL"}) \
+        == {"moments"}
+    assert assigners({"FACE_SAMPLES", "FACE_MARGIN"}) == {"poly"}

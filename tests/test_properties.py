@@ -301,6 +301,46 @@ def test_quadrature_pipelines_are_invariant(cli_dir, p, phi, psi):
             assert np.max(np.abs(gap)) <= 1e-11 * np.max(np.abs(want))
 
 
+def _rotated(p, phi, psi):
+    """p(e^{i phi} z, e^{i psi} w)."""
+    a, b = np.indices(p.coeffs.shape)
+    return BiPoly(p.coeffs * np.exp(1j * (a * phi + b * psi)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(closed_face_polys(), st.floats(0, 2 * np.pi), st.floats(0, 2 * np.pi))
+def test_closed_face_sos_is_invariant(cli_dir, p, phi, psi):
+    # p has no zeros on the closed face, and a torus rotation or the
+    # conjugate of p keeps it so, with the roots of p(z, 0) as far from the
+    # circle: each exits 0 with the same block counts (m, n1, n2) and a
+    # residual at round-off, from the Schur-Cohn quadrature on complex inputs
+    counts = []
+    for q in (p, _rotated(p, phi, psi), BiPoly(np.conj(p.coeffs))):
+        code, doc = cli_document(cli_dir, "sos", "--poly", poly_to_json(q))
+        assert code == 0 and doc["residual"] <= 1e-14
+        counts.append((len(doc["A"]), doc["n1"], doc["n2"]))
+    assert counts[1] == counts[0] and counts[2] == counts[0]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0, 2 * np.pi), st.floats(0, 2 * np.pi))
+def test_gdv_is_invariant(cli_dir, seed, phi, psi):
+    # the sheets w^m = B(z) of a Blaschke product up to degree (4, 4): a
+    # torus rotation or the conjugate is again such a variety, with the same
+    # pencil sizes (m, n1, n2) and its pencil residual at round-off
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(1, 5))
+    zeros = rng.uniform(0.1, 0.6, count) * np.exp(2j * np.pi * rng.uniform(size=count))
+    p = blaschke_gdv(zeros, int(rng.integers(1, 5)))
+    sizes = []
+    for q in (p, _rotated(p, phi, psi), BiPoly(np.conj(p.coeffs))):
+        code, doc = cli_document(cli_dir, "gdv", "--poly", poly_to_json(q))
+        assert code == 0 and doc["detrep"]["residual"] <= 1e-12
+        rep = doc["detrep"]
+        sizes.append((len(rep["U"]) - rep["n1"] - rep["n2"], rep["n1"], rep["n2"]))
+    assert sizes[1] == sizes[0] and sizes[2] == sizes[0]
+
+
 # ---------------------------------------------------------------------------
 # scale: p and s * p, s > 0, get the same answers (log10 s in [-30, 30])
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ from bszego import (BiPoly, DegenerateForm, DNotAdmissible, InvalidDegree,
                     moments_from_grid_function, reconstruct_p,
                     shift_split_from_p, solve_ar, split_poly_from_condition)
 from bszego import splitshift
-from bszego.poly import _canonical_phase
-from bszego.splitshift import (FACE_MARGIN, FACE_SAMPLES, ShiftSplit,
-                               _assert_no_face_zeros)
+from bszego.poly import (FACE_MARGIN, FACE_SAMPLES, _assert_no_face_zeros,
+                         _canonical_phase)
+from bszego.splitshift import ShiftSplit
 
 from bszego.jsonio import table_to_json
 

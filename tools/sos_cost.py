@@ -3,9 +3,13 @@
     python tools/sos_cost.py
 
 Each case is timed in process on one BLAS thread, best of REPEAT calls,
-and the table gives the case, its degree, the best time in ms, the block
-counts (m, n1, n2) and the residual, or the error class it ends in.  The
-cases:
+and the table gives the case, its degree, the best time in ms, the number
+of points at which one call evaluates the Schur-Cohn matrix S(z), the
+block counts (m, n1, n2) and the residual, or the error class it ends in.
+The points are counted in the stacks one more call passes to
+``moments._inverse``: the 1-D quadrature levels of the closed-face blocks,
+and for an open-face case those of its closed-face attempt and of its
+start together.  The cases:
 
 * closed-face ``certificate_closed_face`` on the seeded corpus kinds of
   the certify workload (``stable_kind`` with moduli 2 to 3, and
@@ -37,7 +41,7 @@ from corpus import (BANDS, CERTIFY_DEGREES, DEFAULT_SEED, stable_kind,  # noqa: 
                     unstable_kind)
 
 from bszego import (BiPoly, BszegoError, certificate_closed_face,  # noqa: E402
-                    certificate_open_face)
+                    certificate_open_face, moments)
 
 REPEAT = 15  # calls per case; the best one is reported
 
@@ -59,8 +63,27 @@ def cases():
         yield name + " open", BiPoly([[2.0, -c], [-b, 0.0]]), certificate_open_face
 
 
+def samples(call):
+    """The number of points at which the call evaluates S(z)^-1, counted in
+    the stacks it passes to ``moments._inverse``."""
+    count, inverse = [0], moments._inverse
+
+    def counted(s, zs):
+        count[0] += len(zs)
+        return inverse(s, zs)
+
+    moments._inverse = counted
+    try:
+        call()
+    except BszegoError:
+        pass
+    finally:
+        moments._inverse = inverse
+    return count[0]
+
+
 def main():
-    print(f"{'case':24} {'deg':6} {'best ms':>8} {'blocks':10} residual")
+    print(f"{'case':24} {'deg':6} {'best ms':>8} {'S(z) pts':>8} {'blocks':10} residual")
     for name, p, certify in cases():
         times = []
         for _ in range(REPEAT):
@@ -73,7 +96,8 @@ def main():
                 outcome = type(exc).__name__
             times.append(time.perf_counter() - t0)
         n, m = p.deg
-        print(f"{name:24} {f'({n},{m})':6} {1e3 * min(times):8.2f} {outcome}")
+        print(f"{name:24} {f'({n},{m})':6} {1e3 * min(times):8.2f} "
+              f"{samples(lambda: certify(p)):8d} {outcome}")
 
 
 if __name__ == "__main__":
