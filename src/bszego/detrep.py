@@ -4,15 +4,20 @@ A curve p(z, w) = 0 whose zero set avoids the bands |z| = 1, |w| != 1
 is self-reflective up to a unimodular constant; after normalizing
 p equal to its own reflection, the reflected w-derivative P has a
 sum-of-squares certificate of G form: P's closed-face blocks with its
-reflection appended to the A block.  Sampled along the curve, they
-define a partial isometry.  Completing it by a unitary Procrustes
-fit yields U with det(U Delta - Gamma) a constant multiple of p, where
+reflection P~ appended to the A block.  On coefficients the certificate
+reads X^H X = Y^H Y, X the rows [w A; P; z B; C] and Y the rows
+[A; P~; B; z C], so the polar factor V of Y X^H maps X to Y.  The
+derivative identity m p = P + w P~ gives P = -w P~ on the curve, and V
+with P's column negated is the lurking isometry (Agler and McCarthy,
+Acta Math. 194, 2005; Knese, Trans. AMS 362, 2010): a unitary U with
+det(U Delta - Gamma) a constant multiple of p, where
 
     Delta = diag(w I_m, z I_n1, I_n2),  Gamma = diag(I_m, I_n1, z I_n2).
 
-The fit bound and the pencil's coefficients check the answer.  Where P
-vanishes on the torus (sheets meeting over the circle, a repeated
-factor) its blocks cannot be built, and CertificateFailed is raised.
+The bound on |V X - Y| and the pencil's coefficients check the answer.
+Where P vanishes on the torus (sheets meeting over the circle, a
+repeated factor) its blocks cannot be built, and CertificateFailed is
+raised.
 """
 
 from __future__ import annotations
@@ -27,11 +32,11 @@ from .errors import (CertificateFailed, FitResidualTooLarge, NotGdv,
                      ZOnlyFactor)
 from .moments import _roots
 from .poly import BiPoly, _w_roots, content_roots, reflect
-from .sos import _blocks_closed_face, _values
+from .sos import _blocks_closed_face, _columns
 
 
-SAMPLES = 128          # least z points on the circle, see _circle_roots
-FIT_TOL = 1e-6         # on-variety Procrustes residual bound
+SAMPLES = 128          # least z points of the geometry check
+FIT_TOL = 1e-6         # lurking-isometry residual bound, on coefficients
 RESIDUAL_TOL = 1e-6    # largest det - scale * p coefficient gap, relative
 REFLECT_TOL = 1e-8     # relative residual of the reflection identities
 GEOMETRY_TOL = 1e-6    # largest accepted | |w-root| - 1 |
@@ -95,9 +100,12 @@ def check_self_reflective(p: BiPoly) -> complex:
 def check_gdv_geometry(p: BiPoly) -> GeometryReport:
     """Whether every w-root over the z-circle sits on the w-circle.
 
-    The roots are taken on the grid ``build_detrep`` samples, the
-    max(SAMPLES, ceil(4 (n + m)^2 / m)) points of ``_circle_roots``, less
-    any z where the w^m coefficient is below 1e-12 of max |coeff|.
+    The roots are taken over max(SAMPLES, ceil(4 (n + m)^2 / m)) equispaced
+    z on the unit circle, offset by 0.123 of a step, less any z where the
+    w^m coefficient is below 1e-12 of max |coeff| (a sheet goes to infinity
+    there).  The trimmed p keeps a w^m coefficient of at least that size,
+    and over more than n points discrete Parseval puts the largest |w^m
+    coefficient| at or above it, up to round-off, so some z is kept.
     """
     pt = p.trimmed()
     if not pt.coeffs.any():
@@ -105,7 +113,12 @@ def check_gdv_geometry(p: BiPoly) -> GeometryReport:
     n, m = pt.deg
     if m == 0:
         raise NotGdv("p does not depend on w")
-    zs, rts = _circle_roots(pt, max(SAMPLES, -(-4 * (n + m) ** 2 // m)))
+    count = max(SAMPLES, -(-4 * (n + m) ** 2 // m))
+    # real angles: a complex division by count would multiply by 1/count
+    zs = np.exp(1j * (2 * np.pi * (np.arange(count) + 0.123) / count))
+    wcoef, rts = _w_roots(pt, zs)
+    keep = np.abs(wcoef[-1]) >= 1e-12 * np.max(np.abs(pt.coeffs))
+    zs, rts = zs[keep], rts[keep]
     dev = np.abs(np.abs(rts) - 1.0)
     k = int(np.argmax(dev))       # first maximum in grid order, then root order
     return GeometryReport(bool(dev.flat[k] < GEOMETRY_TOL), float(dev.flat[k]),
@@ -128,20 +141,6 @@ def derivative_identity_check(p: BiPoly):
     diff = lhs - rhs
     resid = float(np.max(np.abs(diff.coeffs))) / float(np.max(np.abs(pt.coeffs)))
     return resid <= REFLECT_TOL, resid
-
-
-def _circle_roots(p: BiPoly, count):
-    """(zs, roots): ``count`` equispaced z on the unit circle, offset by
-    0.123 of a step, less those where the w^m coefficient is below 1e-12
-    of max |coeff|, and the m w-roots over each, one row per z."""
-    pt = p.trimmed()
-    # real angles: a complex division by count would multiply by 1/count
-    zs = np.exp(1j * (2 * np.pi * (np.arange(count) + 0.123) / count))
-    wcoef, rts = _w_roots(pt, zs)
-    keep = np.abs(wcoef[-1]) >= 1e-12 * np.max(np.abs(pt.coeffs))
-    if rts.size == 0 or not keep.any():
-        raise NotGdv("zero set has no sheets over the unit circle")
-    return zs[keep], rts[keep]
 
 
 def _pencil_coeffs(rep: DetRep, deg):
@@ -176,20 +175,21 @@ def build_detrep(p: BiPoly) -> DetRep:
     except NumericalFailure as exc:
         raise CertificateFailed(
             f"certificate of the reflected w-derivative: {exc}") from exc
-    # the G form: P's reflection is one more A polynomial
-    polys = (*cert.a_list, reflect(P, deg), *cert.b_list, *cert.c_list)
-
-    # at least 4 (m+n)^2 sample pairs; each circle point carries m roots
-    zs, rts = _circle_roots(p1, max(SAMPLES, -(-4 * len(polys) ** 2 // m)))
-    z, w = np.repeat(zs, rts.shape[1]), rts.ravel()
-    av, bv, cv = np.split(_values(polys, z, w).T, [m, m + cert.n1])
-    xs = np.concatenate([w * av, z * bv, cv])
-    ys = np.concatenate([av, bv, z * cv])
-    u_l, _, v_h = np.linalg.svd(ys @ xs.conj().T)
-    U = u_l @ v_h
-    fit = float(np.linalg.norm(U @ xs - ys) / max(np.linalg.norm(ys), 1e-300))
+    # the G form on coefficients is X^H X = Y^H Y, X the rows [w A; P; z B; C]
+    # and Y the rows [A; P~; B; z C], P~ = reflection(P) appended to A
+    x = (*(q.shifted(0, 1) for q in cert.a_list), P,
+         *(q.shifted(1, 0) for q in cert.b_list), *cert.c_list)
+    y = (*cert.a_list, reflect(P, deg), *cert.b_list,
+         *(q.shifted(1, 0) for q in cert.c_list))
+    x, y = (_columns(rows, n + 1, m).T for rows in (x, y))
+    u_l, _, v_h = np.linalg.svd(y @ x.conj().T)
+    U = u_l @ v_h                # the polar factor V of Y X^H, with V X = Y
+    fit = float(np.linalg.norm(U @ x - y) / max(np.linalg.norm(y), 1e-300))
     if not fit <= FIT_TOL:
         raise FitResidualTooLarge(f"lurking-isometry fit residual {fit:.3e}")
+    # on the curve m p1 = P + w P~ gives P = -w P~, so V with P's column
+    # negated maps (w A_ext, z B, C) to (A_ext, B, z C) there
+    U[:, m - 1] *= -1.0
 
     rep0 = DetRep(u=U, n1=cert.n1, n2=cert.n2, scale=1.0 + 0.0j, residual=np.nan,
                   mu=mu, geometry=geo)

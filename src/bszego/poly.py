@@ -132,11 +132,9 @@ class BiPoly:
 
 
 def _as_bipoly(x) -> BiPoly:
-    if isinstance(x, BiPoly):
-        return x
-    if np.isscalar(x):
-        return BiPoly(np.array([[x]], dtype=complex))
-    return BiPoly(np.asarray(x, dtype=complex))
+    if not isinstance(x, BiPoly):
+        raise TypeError(f"a BiPoly operand, not {type(x).__name__}")
+    return x
 
 
 @dataclass(frozen=True)

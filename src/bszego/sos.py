@@ -93,18 +93,6 @@ def _columns(polys, rows, cols):
     return out.reshape(rows * cols, len(polys))
 
 
-def _values(polys, z, w):
-    """q(z[i], w[i]) in row i and one column per polynomial q: the
-    coefficient grids, zero-padded to one stack, times the power table of
-    z in one product and contracted with that of w in another."""
-    K = max(q.coeffs.shape[0] for q in polys)
-    P = max(q.coeffs.shape[1] for q in polys)
-    # (z power, q, w power)
-    stack = _columns(polys, K, P).reshape(K, P, -1).transpose(0, 2, 1)
-    rows = (z[:, None] ** np.arange(K) @ stack.reshape(K, -1)).reshape(len(z), -1, P)
-    return (rows @ (w[:, None] ** np.arange(P))[:, :, None])[:, :, 0]
-
-
 def _block_terms(n, m):
     """(support, shift axis, sign) of the blocks A, B and C at degree
     (n, m): L_w(A A^H) + L_z(B B^H - C C^H), with w on axis 1."""

@@ -191,6 +191,29 @@ def pencil_gap(doc, p, rng, count=64):
     return float(np.max(np.abs(det - want)) / np.max(np.abs(want)))
 
 
+def lurking_isometry_gap(p: BiPoly, u, P: BiPoly, cert, count=16):
+    """Largest |U [w A; z B; C] - [A; B; z C]| over |[A; B; z C]| at the
+    points of the curve p = 0 over ``count`` z on the unit circle, A being
+    the certificate's A block with the reflection of P at ``cert.deg``
+    appended, the rows in ``build_detrep``'s order.  numpy only: the
+    w-roots are ``np.roots`` of one slice at a time, and every block is
+    evaluated by ``polyval2d``."""
+    n, m = cert.deg
+    pc = np.zeros((n + 1, m + 1), dtype=complex)
+    pc[:P.coeffs.shape[0], :P.coeffs.shape[1]] = P.coeffs
+    blocks = ([q.coeffs for q in cert.a_list] + [pc[::-1, ::-1].conj()],
+              [q.coeffs for q in cert.b_list], [q.coeffs for q in cert.c_list])
+    worst = 0.0
+    for z in np.exp(2j * np.pi * (np.arange(count) + 0.37) / count):
+        for w in np.roots(np.polynomial.polynomial.polyval(z, p.coeffs)[::-1]):
+            a, b, c = (np.array([np.polynomial.polynomial.polyval2d(z, w, q)
+                                 for q in qs], dtype=complex) for qs in blocks)
+            y = np.concatenate([a, b, z * c])
+            gap = u @ np.concatenate([w * a, z * b, c]) - y
+            worst = max(worst, float(np.linalg.norm(gap) / np.linalg.norm(y)))
+    return worst
+
+
 def gram_eigenvalue_range(doc, J, K):
     """Smallest and largest eigenvalue of the Gram of the monomials
     [0, J] x [0, K] of a JSON moment table, entry (a, b), (u, v) being
@@ -264,10 +287,22 @@ def basis_kernel(b: SubspaceBasis, zw, zeta_eta):
                   axis=-1)
 
 
+def stacked_values(polys, z, w):
+    """q(z[i], w[i]) in row i and one column per polynomial q: the
+    coefficient grids, zero-padded to one stack, times the power table of
+    z in one product and contracted with that of w in another."""
+    K = max(q.coeffs.shape[0] for q in polys)
+    P = max(q.coeffs.shape[1] for q in polys)
+    # (z power, q, w power)
+    stack = sos._columns(polys, K, P).reshape(K, P, -1).transpose(0, 2, 1)
+    rows = (z[:, None] ** np.arange(K) @ stack.reshape(K, -1)).reshape(len(z), -1, P)
+    return (rows @ (w[:, None] ** np.arange(P))[:, :, None])[:, :, 0]
+
+
 def assert_stacked_values_match(polys, z, w):
-    """The values of sos's stacked evaluation against q(z, w), one
+    """The values of the stacked evaluation against q(z, w), one
     polynomial at a time, within 1e-13 of sum |c_jk| |z|^j |w|^k."""
-    values = sos._values(polys, z, w)
+    values = stacked_values(polys, z, w)
     assert values.shape == (len(z), len(polys))
     for q, got in zip(polys, values.T):
         size = BiPoly(np.abs(q.coeffs))(np.abs(z), np.abs(w))

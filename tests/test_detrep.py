@@ -14,7 +14,7 @@ from bszego import (BiPoly, CertificateFailed, FitResidualTooLarge, NotGdv,
 from bszego import cli, detrep, sos
 from bszego.jsonio import dumps, poly_to_json
 
-from conftest import blaschke_gdv, cli_document
+from conftest import blaschke_gdv, cli_document, lurking_isometry_gap
 
 P_ZW = BiPoly([[0, -1], [1, 0]])          # z - w
 P_Z2W = BiPoly([[0, -1], [0, 0], [1, 0]])  # z^2 - w
@@ -56,7 +56,7 @@ def test_geometry():
 
 
 def _sampler_grid(count=detrep.SAMPLES):
-    """The z points of ``detrep._circle_roots``, computed as it does."""
+    """The z points of ``check_gdv_geometry``, computed as it does."""
     return np.exp(1j * (2 * np.pi * (np.arange(count) + 0.123) / count))
 
 
@@ -114,6 +114,29 @@ def test_gdv_command_checks_once(monkeypatch, tmp_path):
     doc = json.loads(out.getvalue())
     assert calls == {"check_gdv_geometry": 1, "check_self_reflective": 1}
     assert np.allclose(doc["mu"], [-1.0, 0.0]) and doc["geometry"]["passed"]
+
+
+def test_gdv_solves_the_circle_slices_once(monkeypatch, tmp_path):
+    # the geometry check's companion eigenproblems are the only ones: the
+    # pencil is built from the certificate's coefficients
+    sizes = []
+
+    def spy(p, zs, _real=detrep._w_roots):
+        sizes.append(len(zs))
+        return _real(p, zs)
+
+    monkeypatch.setattr(detrep, "_w_roots", spy)
+    code, doc = cli_document(tmp_path, "gdv", "--poly",
+                             poly_to_json(blaschke_gdv([0.3, -0.4j], 2)))
+    assert code == 0 and doc["geometry"]["passed"]
+    assert sizes == [detrep.SAMPLES]
+
+
+def test_gdv_without_w_exits_1(tmp_path):
+    # 1 + 2z has no w-sheets to lie on the circle
+    code, doc = cli_document(tmp_path, "gdv", "--poly", poly_to_json(BiPoly([[1], [2]])))
+    assert (code, doc["error"]) == (1, "NotGdv")
+    assert "does not depend on w" in doc["message"]
 
 
 def test_derivative_identity():
@@ -302,3 +325,59 @@ def test_perturbed_pencil_is_refused(p, monkeypatch):
     monkeypatch.setattr(detrep, "_pencil_coeffs", perturbed)
     with pytest.raises(FitResidualTooLarge, match=r"scale \* p reaches"):
         build_detrep(p)
+
+
+def _with_blocks(monkeypatch, change=lambda cert: cert):
+    """Route build_detrep's certificate through ``change``; the list of
+    (P, blocks) pairs it was given."""
+    seen = []
+
+    def spy(P, deg, _real=detrep._blocks_closed_face):
+        seen.append((P, change(_real(P, deg))))
+        return seen[-1][1]
+
+    monkeypatch.setattr(detrep, "_blocks_closed_face", spy)
+    return seen
+
+
+@pytest.mark.parametrize("p", [
+    blaschke_gdv([0.3, -0.4j], 2),
+    blaschke_gdv([0.5, 0.2 + 0.3j, -0.4j, -0.1 - 0.5j], 4),
+    blaschke_gdv([0.1, 0.45j, -0.3, 0.2 - 0.5j, 0.55, -0.25j, 0.4 + 0.1j,
+                  -0.6], 4),
+    blaschke_gdv([0.1, 0.45j, -0.3, 0.2 - 0.5j, 0.55, -0.25j, 0.4 + 0.1j,
+                  -0.6], 8),
+    W_MINUS_Z, P_Z2W * -1.0, BiPoly([[-1, 0], [0, 1]]),
+    BiPoly([[-1, 0], [0, 0], [0, 1]])],
+    ids=["blaschke-2-2", "blaschke-4-4", "blaschke-8-4", "blaschke-8-8",
+         "w-z", "w-z^2", "zw-1", "z^2w-1"])
+def test_pencil_is_the_lurking_isometry_on_the_curve(p, monkeypatch):
+    # U, found on coefficients, maps the block values (w A, z B, C) to
+    # (A, B, z C) at points of the curve it never saw: the property the
+    # sampled fit enforced
+    seen = _with_blocks(monkeypatch)
+    rep = build_detrep(p)
+    (P, cert), = seen
+    assert lurking_isometry_gap(p, rep.u, P, cert) <= 1e-12
+
+
+@pytest.mark.parametrize("p", BLASCHKE, ids=BLASCHKE_IDS)
+def test_perturbed_block_fails_the_fit(p, monkeypatch):
+    # one block polynomial scaled by 1 + 1e-3 breaks X^H X = Y^H Y, and no
+    # unitary maps X to Y within FIT_TOL
+    def perturbed(cert):
+        name = next(k for k in ("a_list", "b_list", "c_list") if getattr(cert, k))
+        first, *rest = getattr(cert, name)
+        return replace(cert, **{name: (first * 1.001, *rest)})
+
+    _with_blocks(monkeypatch, perturbed)
+    with pytest.raises(FitResidualTooLarge, match="lurking-isometry fit residual"):
+        build_detrep(p)
+
+
+def test_vanishing_pencil_is_refused(monkeypatch):
+    # a determinant whose every coefficient is 0 is a multiple of no p
+    monkeypatch.setattr(detrep, "_pencil_coeffs",
+                        lambda rep, deg: np.zeros((deg[0] + 1, deg[1] + 1), dtype=complex))
+    with pytest.raises(FitResidualTooLarge, match="vanishes identically"):
+        build_detrep(BLASCHKE[0])

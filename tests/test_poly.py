@@ -187,6 +187,20 @@ def test_reflect_z_poly_padding():
     assert np.allclose(r.coeffs[:, 0], [0, 0, -2, 1])
 
 
+def test_sums_take_a_bipoly_and_products_a_scalar_too():
+    # + and - take a BiPoly and * a BiPoly or a scalar; no number or array
+    # is read as a polynomial
+    p = BiPoly([[1, 2], [3, 4]])
+    for other in (1.0, np.ones((2, 2)), [[1, 2]]):
+        with pytest.raises(TypeError, match="BiPoly operand"):
+            p + other
+        with pytest.raises(TypeError, match="BiPoly operand"):
+            p - other
+    with pytest.raises(TypeError, match="BiPoly operand"):
+        p * np.ones((2, 2))
+    assert np.array_equal((p - p * 0.5).coeffs, 0.5 * p.coeffs)
+
+
 def test_w_roots_match_np_roots():
     rng = np.random.default_rng(17)
     zs = np.exp(2j * np.pi * (np.arange(64) + 0.2) / 64)

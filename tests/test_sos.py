@@ -12,7 +12,7 @@ from bszego.sos import SosCertificate, _common_factor_with_reflection
 from bszego.jsonio import poly_to_json
 
 from conftest import (assert_stacked_values_match, brute_inner, cli_document,
-                      sos_identity_gap, torus_grid)
+                      sos_identity_gap, stacked_values, torus_grid)
 
 
 def test_cert_2zw_matches_analytic(p_2zw):
@@ -200,7 +200,7 @@ def _g_residual(p, cert, z, w):
     """Largest gap of |p|^2 - |w|^2 |prev|^2 = (1 - |w|^2) sum |A|^2
     + (1 - |z|^2) (sum |B|^2 - sum |C|^2) at the points, relative to the
     largest |p|^2 there (at least 1)."""
-    sq = [np.abs(sos._values(block, z, w)) ** 2
+    sq = [np.abs(stacked_values(block, z, w)) ** 2
           for block in ((p, reflect(p, cert.deg)), cert.a_list, cert.b_list,
                         cert.c_list)]
     lhs = sq[0][:, 0] - np.abs(w) ** 2 * sq[0][:, 1]
