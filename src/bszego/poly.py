@@ -374,17 +374,15 @@ def content_roots(p: BiPoly):
 
 
 def _canonical_phase(p: BiPoly) -> BiPoly:
-    """Rotate a nonzero p by a unimodular constant fixing a canonical phase.
+    """Rotate p, whose w^0 row is nonzero, by a unimodular constant fixing
+    a canonical phase.
 
     The coefficient of largest modulus in the w^0 row is made real
     positive.  Moduli within PHASE_TIE_REL of the largest count as a tie,
     which the lowest z-power wins, so that round-off cannot pick the
     pivot of an exact tie such as (8, -8, 2).
     """
-    t = p.trimmed()
-    row = t.coeffs[:, 0]
-    if np.max(np.abs(row)) < TRIM_REL * np.max(np.abs(t.coeffs)):
-        row = t.coeffs.ravel()
+    row = p.coeffs[:, 0]
     mod = np.abs(row)
     idx = int(np.argmax(mod >= (1.0 - PHASE_TIE_REL) * np.max(mod)))
     pivot = row[idx]

@@ -236,6 +236,14 @@ def test_sos_open_face_refuses_slices_that_vanish(tmp_path):
     assert (code, out["error"]) == (1, "CommonFactor")
 
 
+def test_sos_open_face_refuses_a_start_it_cannot_build(tmp_path):
+    # z - 1 + 0.01w has face zeros near z = 1 that the face check's samples
+    # miss (ROADMAP item 15); the certificate is refused as not found
+    p = BiPoly([[-1.0, 0.01], [1.0, 0.0]])
+    code, out = cli_document(tmp_path, "sos", "--poly", poly_to_json(p), "--open-face")
+    assert (code, out["error"]) == (3, "NoConvergence")
+
+
 def test_sos_refuses_a_zero_at_w_0(tmp_path):
     # w (2 - z) vanishes on the whole slice w = 0
     p = BiPoly([[0, 2], [0, -1]])
@@ -660,3 +668,17 @@ def test_answer_into_a_closed_pipe_keeps_its_exit_code(files):
         proc.stdout.close()
         assert proc.wait(timeout=60) == 0
         assert proc.stderr.read() == b""
+
+
+def test_answer_into_a_closed_pipe_in_process(files, monkeypatch):
+    # the same in this process: printing raises BrokenPipeError, and main
+    # points the descriptor at devnull and returns its exit code
+    read, write = os.pipe()
+    os.close(read)
+    with os.fdopen(write, "w") as out:
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", out)
+            code = main(["moments", "--poly", files["p.json"],
+                         "--jmax", "1", "--kmax", "1"])
+        assert os.path.samestat(os.fstat(out.fileno()), os.stat(os.devnull))
+    assert code == 0

@@ -148,6 +148,8 @@ def test_derivative_identity():
     # an un-normalized polynomial fails the identity
     ok, resid = derivative_identity_check(P_ZW)
     assert not ok
+    # without w both sides are zero: m p = 0 and dp/dw = 0
+    assert derivative_identity_check(BiPoly([[1.0], [2.0]])) == (True, 0.0)
     # the residual is relative to p, so the zero polynomial has none
     with pytest.raises(ZeroPolynomial):
         derivative_identity_check(BiPoly(np.zeros((2, 2))))

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from bszego import (BiPoly, DegenerateForm, InsufficientMoments,
-                    MatrixConditionFails, MomentSpace, MomentTable,
+                    MatrixConditionFails, MomentSpace, MomentTable, NoConvergence,
                     check_full_measure, moments_from_density, reconstruct_p,
                     strip_match)
+from bszego import fullmeasure
 from bszego.fullmeasure import _nested_inverse_max
 from bszego.moments import POSITIVE_TOL, gram, is_positive
 from bszego.space import TRI_BLOCK
@@ -75,6 +76,17 @@ def test_strip_match_bs(p_2zw):
     table = moments_from_density(p_2zw, 4, 1)
     p = strip_match(table, 1, 1)
     assert np.allclose(p.coeffs, p_2zw.coeffs, atol=1e-8)
+
+
+def test_strip_match_checks_the_strip_it_reconstructs(monkeypatch, p_2zw):
+    # a reconstruction 0.1 % too large: its moments miss the strip by 0.2 %
+    # of c00.  Moving the table's strip moments instead trips the gamma
+    # conditions first, so the reconstruction is what is made wrong
+    reconstruct = fullmeasure.reconstruct_p
+    monkeypatch.setattr(fullmeasure, "reconstruct_p",
+                        lambda table, n, m: reconstruct(table, n, m) * 1.001)
+    with pytest.raises(NoConvergence, match="strip moments mismatch by 1.997e-03 of c00"):
+        strip_match(moments_from_density(p_2zw, 4, 1), 1, 1)
 
 
 def test_strip_match_lebesgue():

@@ -80,6 +80,12 @@ def test_dumps_lays_out_grids_in_one_step(doc):
     assert dumps(doc) == _reference(doc)
 
 
+def test_dumps_refuses_a_key_that_is_not_a_string():
+    # json.dumps would write the key 1 as "1", which reads back as a string
+    with pytest.raises(TypeError, match="keys must be str, not int"):
+        dumps({1: 2})
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf, np.nan])
 def test_dumps_refuses_non_finite(bad):
     for doc in (bad, [1.0, bad], {"c": [[[0.0, bad]]]}, {"x": {"y": [bad, "z"]}}):

@@ -42,3 +42,32 @@ def test_unexecuted_statements_of_a_traced_module(tmp_path):
     # a statement that ran on any of its lines counts as run, and so does
     # the def around it
     assert line_trace.unexecuted(SOURCE, {1, 10}) == [2, 11, 14, 16]
+
+
+def test_the_gate_fails_on_an_unrun_statement_or_a_stale_entry(tmp_path, capsys):
+    # f runs with a true x, so "return 2" never runs: outside the allowed
+    # entries it fails the gate, allowed it passes, and an allowed entry that
+    # names no unrun statement is stale and fails it again
+    path = tmp_path / "toy.py"
+    path.write_text(SOURCE)
+    path = os.path.realpath(path)
+    with line_trace.trace([path]) as ran:
+        exec(compile(SOURCE, path, "exec"), {})
+    unrun = ("toy.py", "return 2")
+    assert line_trace.report([path], ran, frozenset()) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "1 statements of src/bszego never executed, 1 of them not allowed; "
+        "0 stale entries")
+    assert line_trace.report([path], ran, frozenset({unrun})) == 0
+    assert capsys.readouterr().out.splitlines()[0].endswith(":11  return 2  (allowed)")
+    for stale in (("toy.py", "y = f(1)"), ("cli.py", "sys.exit(main())")):
+        assert line_trace.report([path], ran, frozenset({unrun, stale})) == 1
+        assert f"stale allowed entry: {stale[0]}  {stale[1]}" in capsys.readouterr().out
+
+
+def test_each_allowed_entry_is_a_statement_of_its_module():
+    for module, statement in line_trace.ALLOWED:
+        source = (Path(line_trace.SRC) / module).read_text()
+        text = source.splitlines()
+        assert statement in {text[first - 1].strip()
+                             for first, _ in line_trace.statements(source)}

@@ -717,6 +717,9 @@ def test_table_window_and_bounds(table_2zw):
         table_2zw.at(4, 0)
     with pytest.raises(InsufficientMoments):
         table_2zw.window(4, 4)
+    with pytest.raises(InsufficientMoments,
+                       match=r"table shape \(2, 2\) does not match window \(1, 1\)"):
+        MomentTable(1, 1, np.zeros((2, 2)))
 
 
 def _inline_roots(N):

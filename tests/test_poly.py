@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from bszego import (BiPoly, InvalidDegree, RootNearTorus, ZeroPolynomial,
                     content_roots, reflect, roots, split_stable)
+from bszego import poly as poly_mod
 from bszego.poly import (TRIM_REL, _canonical_phase, _diagonal_sums, _diagonal_totals,
                          _kernel, _schur_cohn, _w_roots)
 from bszego.sos import _outer_factor
@@ -15,6 +16,11 @@ from conftest import torus_grid
 def zpoly(c):
     """The polynomial in z alone with ascending coefficients c."""
     return BiPoly(np.asarray(c, dtype=complex)[:, None])
+
+
+def test_bipoly_refuses_an_array_of_three_axes():
+    with pytest.raises(InvalidDegree, match="coefficient array must be 2-D"):
+        BiPoly(np.zeros((2, 2, 2)))
 
 
 def test_reflect_constant():
@@ -120,6 +126,14 @@ def test_split_stable_mixed():
 def test_split_stable_root_on_circle():
     with pytest.raises(RootNearTorus):
         split_stable(zpoly([1, -1]))
+
+
+def test_split_stable_checks_its_refactorization(monkeypatch):
+    # roots of 3 - 7z + 2z^2 = (2z - 1)(z - 3) a little off: the factors
+    # they give do not multiply back to u, and the residual check refuses
+    monkeypatch.setattr(poly_mod, "roots", lambda u: np.array([0.501, 3.0]))
+    with pytest.raises(RootNearTorus, match="refactorization residual 8.571e-04"):
+        split_stable(zpoly([3, -7, 2]))
 
 
 def test_split_stable_product_property():

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from bszego import (BiPoly, DegenerateForm, MatrixConditionFails, MomentSpace,
-                    MomentTable, NonPositiveDensity, NotFactorable, NotPositive,
-                    TrigPoly, factor_trig, moments_from_density,
+                    MomentTable, NoConvergence, NonPositiveDensity, NotFactorable,
+                    NotPositive, TrigPoly, factor_trig, moments_from_density,
                     moments_from_grid_function, reconstruct_p)
-from bszego import splitshift
+from bszego import reconstruct, splitshift
 from bszego.poly import TRIM_REL, content_roots, reflect
 from bszego.reconstruct import kernel_poly
 
@@ -209,6 +209,15 @@ def test_factor_trig_idempotent(p_2zw):
     p1 = factor_trig(t, 1, 1)
     p2 = factor_trig(trig_abs_squared(p1), 1, 1)
     assert np.allclose(p1.coeffs, p2.coeffs, atol=1e-8)
+
+
+def test_factor_trig_checks_its_factor_on_coefficients(monkeypatch, p_2zw):
+    # a factor 1e-5 off 2 - zw in its constant: |q|^2 misses t by 6e-5 in l1
+    q = p_2zw + BiPoly([[1e-5]])
+    monkeypatch.setattr(reconstruct, "reconstruct_p", lambda *args: q)
+    with pytest.raises(NoConvergence, match=r"\|p\|\^2 mismatches t by 6.000e-05 "
+                                           "despite the matrix condition"):
+        factor_trig(trig_abs_squared(p_2zw), 1, 1)
 
 
 def test_factor_trig_not_factorable():

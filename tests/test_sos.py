@@ -3,9 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bszego import (BiPoly, CommonFactor, InvalidDegree, NoConvergence,
-                    certificate_closed_face, certificate_open_face, reflect,
-                    verify_certificate)
+from bszego import (BiPoly, CommonFactor, DegenerateForm, InvalidDegree,
+                    NoConvergence, certificate_closed_face, certificate_open_face,
+                    reflect, verify_certificate)
 from bszego import sos
 from bszego.sos import SosCertificate, _common_factor_with_reflection
 
@@ -392,3 +392,13 @@ def test_ill_conditioned_closed_face_at_round_off(count, low):
     cert = certificate_closed_face(p)
     assert (len(cert.a_list), cert.n1, cert.n2) == (count, count, 0)
     assert cert.residual < 1e-14
+
+
+def test_blocks_refuse_an_h_away_from_its_counts(monkeypatch, p_2zw):
+    # with no room for round-off, H of (2 - zw)(3 + w + 0.5z) is refused
+    # for its distance from the counts its w^0 slice gives
+    monkeypatch.setattr(sos, "RANK_TOL", 0.0)
+    p = p_2zw * BiPoly([[3.0, 1.0], [0.5, 0.0]])
+    with pytest.raises(DegenerateForm, match=r"H is .* \|P\|\^2 away from the counts "
+                                             r"\(n1, n2\) = \(2, 0\)"):
+        certificate_closed_face(p)

@@ -375,6 +375,13 @@ def test_embedding_beyond_the_caps_raises_insufficient_moments(space_2zw):
         space_2zw.cross(e1.shifted(1, 0), e1)
     with pytest.raises(InsufficientMoments, match=beyond):
         space_2zw._embed(BiPoly(np.ones((3, 2))))
+    with pytest.raises(InsufficientMoments, match=r"E1\(2,1\) exceeds caps \(1, 1\)"):
+        space_2zw.basis("E1", 2, 1)
+
+
+def test_basis_refuses_coefficients_that_are_not_a_stack_of_grids():
+    with pytest.raises(DegenerateForm, match="must be a stack of grids"):
+        SubspaceBasis(np.zeros((2, 2)))
 
 
 @pytest.fixture(scope="module")

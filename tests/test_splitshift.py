@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -268,6 +269,20 @@ def test_exact_modulus_tie_gives_plus_p():
         assert np.max(np.abs(q.coeffs - scale * p.coeffs)) < 1e-10 * scale
 
 
+def test_split_checks_its_disk_root_count(monkeypatch, space_2zw):
+    # a split-poly whose z-slice counts one disk root too many is refused
+    real = splitshift.split_stable
+
+    def one_too_many(u):
+        split = real(u)
+        return replace(split, beta=split.beta + 1)
+
+    monkeypatch.setattr(splitshift, "split_stable", one_too_many)
+    with pytest.raises(DegenerateForm,
+                       match="constructed split-poly has 1 disk roots, wanted 0"):
+        split_poly_from_condition(space_2zw, 0)
+
+
 def test_split_from_condition_d1_not_admissible(space_2zw):
     with pytest.raises(DNotAdmissible):
         split_poly_from_condition(space_2zw, 1)
@@ -438,6 +453,8 @@ def test_splits_are_the_flipped_polynomials(case):
 def test_gw_examples(space_2zw, lebesgue_table):
     assert gw_check(space_2zw)
     assert gw_check(MomentSpace(lebesgue_table, 2, 1))
+    # at caps (1, 0) F2(1, -1) is empty, so nothing can fail to be orthogonal
+    assert gw_check(MomentSpace(lebesgue_table, 1, 0))
     # forced-unstable input: z - w/2 has no z-only factor and a disk root
     pf = BiPoly([[0, -0.5], [1, 0]])
     table = moments_from_density(pf, 1, 1)
