@@ -91,7 +91,7 @@ def check_self_reflective(p: BiPoly) -> complex:
     denom = np.vdot(b, b).real
     mu = complex(np.vdot(b, a)) / denom
     resid = float(np.max(np.abs(a - mu * b))) / float(np.max(np.abs(a)))
-    if not (resid <= REFLECT_TOL and abs(abs(mu) - 1.0) <= REFLECT_TOL):
+    if not resid <= REFLECT_TOL:  # |b| = |a|, so ||mu| - 1| <= N resid^2
         raise NotSelfReflective(
             f"no unimodular mu matches (residual {resid:.3e}, |mu| = {abs(mu):.6f})")
     return mu / abs(mu)

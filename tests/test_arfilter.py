@@ -79,6 +79,24 @@ def test_scale_invariance(p_2zw):
         assert solA.classification == baseA
 
 
+@pytest.mark.parametrize("coeffs", [[[2.0], [-1.0]], [[2.0, -1.0]]],
+                         ids=["2-z at (1,0)", "2-w at (0,1)"])
+def test_degenerate_caps(coeffs, tmp_path):
+    # at m = 0 the A operator is 0 x n, and at n = 0 the B operator is
+    # 0 x m: the matrix condition holds with nothing to test, and the filter
+    # is causal with an A norm of 0
+    p = BiPoly(coeffs)
+    nm = ["--n", str(p.deg[0]), "--m", str(p.deg[1])]
+    doc = table_to_json(moments_from_density(p, *p.deg))
+    code, out = cli_document(tmp_path, "check", "--moments", doc, *nm)
+    assert code == 0 and out["holds"] and (out["dimA"], out["dimB"]) == (0, 0)
+    code, out = cli_document(tmp_path, "ar", "--autocorr", doc, *nm)
+    assert code == 0 and out["classification"] == "causal"
+    assert out["diagnostics"]["a_operator_norm"] == 0.0
+    a = np.array(out["a"]["coeffs"])
+    assert np.allclose(a[..., 0] + 1j * a[..., 1], coeffs, atol=1e-8)
+
+
 def test_solution_json(p_2zw, tmp_path):
     table = moments_from_density(p_2zw, 1, 1)
     sol = solve_ar(table, 1, 1)

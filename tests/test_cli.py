@@ -445,6 +445,7 @@ WINDOW = ["--jmax", "1", "--kmax", "1"]
     _case("tol 0", ["sos", "--open-face", "--poly", "{poly}", "--tol", "0"]),
     _case("tol<0", ["sos", "--open-face", "--poly", "{poly}", "--tol=-1"]),
     _case("tol nan", ["sos", "--open-face", "--poly", "{poly}", "--tol", "nan"]),
+    _case("tol inf", ["sos", "--open-face", "--poly", "{poly}", "--tol", "inf"]),
     _case("deg null", ["sos", "--poly", "{poly}"], ("deg", None)),
     _case("deg triple", ["sos", "--poly", "{poly}"], ("deg", [1, 1, 1])),
     _case("deg string", ["sos", "--poly", "{poly}"], ("deg", "ab")),
@@ -477,14 +478,20 @@ def _structure_case(id_, argv, doc, message):
 @pytest.mark.parametrize("argv, doc, message", [
     _structure_case("no coeffs", ["sos", "--poly"], {"deg": [1, 1]},
                     "polynomial JSON needs a 'coeffs' field"),
+    _structure_case("not an object", ["sos", "--poly"], 2.0,
+                    "polynomial JSON needs a 'coeffs' field"),
     _structure_case("flat grid", ["sos", "--poly"],
                     {"coeffs": [[2.0, 0.0], [0.0, -1.0]]},
+                    "polynomial grid must be rows x cols x [re, im]"),
+    _structure_case("triple grid", ["sos", "--poly"], {"coeffs": [[[2.0, 0.0, 0.0]]]},
                     "polynomial grid must be rows x cols x [re, im]"),
     _structure_case("deg mismatch", ["sos", "--poly"],
                     {"deg": [2, 1], "coeffs": [[[2.0, 0.0], [0.0, 0.0]]] * 2},
                     "declared degree [2, 1] does not match grid (2, 2)"),
     _structure_case("no c", ["factor", "--trig"], {"jmax": 1, "kmax": 1},
                     "trig polynomial JSON needs a 'c' field"),
+    _structure_case("table not an object", ["check", "--moments"], 1.0,
+                    "moment table JSON needs a 'c' field"),
     _structure_case("window mismatch", ["check", "--moments"],
                     {"jmax": 2, "kmax": 1, "c": [[[1.0, 0.0]] * 3] * 3},
                     "moment table grid (3, 3) does not match window (2, 1)"),

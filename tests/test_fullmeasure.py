@@ -68,8 +68,14 @@ def test_degenerate_gives_fail():
 
 
 def test_insufficient_window():
-    with pytest.raises(InsufficientMoments):
+    with pytest.raises(InsufficientMoments, match="below required"):
         check_full_measure(lebesgue(2, 2), 1, 1)
+    # the default depth (4, 4) needs kmax 4 of a window wide enough in j
+    with pytest.raises(InsufficientMoments, match=r"\(5, 3\) below required \(5, 4\)"):
+        check_full_measure(lebesgue(5, 3), 1, 1)
+    for depth in ((0, 3), (3, 0)):
+        with pytest.raises(InsufficientMoments, match="depth below the degree bound"):
+            check_full_measure(lebesgue(4, 3), 1, 1, *depth)
 
 
 def test_strip_match_bs(p_2zw):

@@ -21,6 +21,8 @@ def test_numpy_float_leaves_load():
     doc = {"deg": [2, 1], "coeffs": [[[v.real, v.imag] for v in row] for row in c]}
     assert type(doc["coeffs"][0][0][0]) is np.float64
     assert np.array_equal(poly_from_json(doc).coeffs, c)
+    # without 'deg' the degree is read from the grid
+    assert np.array_equal(poly_from_json({"coeffs": doc["coeffs"]}).coeffs, c)
     t = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     doc = {"jmax": 1, "kmax": 1, "c": [[[v.real, v.imag] for v in row] for row in t]}
     assert type(doc["c"][0][0][0]) is np.float64

@@ -713,10 +713,13 @@ def test_gram_positive_for_bounded_density():
 def test_table_window_and_bounds(table_2zw):
     w = table_2zw.window(1, 1)
     assert w.jmax == 1 and abs(w.at(1, 1) - table_2zw.at(1, 1)) < 1e-15
-    with pytest.raises(InsufficientMoments):
-        table_2zw.at(4, 0)
-    with pytest.raises(InsufficientMoments):
-        table_2zw.window(4, 4)
+    jmax, kmax = table_2zw.jmax, table_2zw.kmax
+    for j, k in ((jmax + 1, 0), (0, kmax + 1)):
+        with pytest.raises(InsufficientMoments, match="outside window"):
+            table_2zw.at(j, k)
+    for j, k in ((jmax + 1, kmax + 1), (jmax, kmax + 1)):
+        with pytest.raises(InsufficientMoments, match="exceeds table"):
+            table_2zw.window(j, k)
     with pytest.raises(InsufficientMoments,
                        match=r"table shape \(2, 2\) does not match window \(1, 1\)"):
         MomentTable(1, 1, np.zeros((2, 2)))

@@ -62,8 +62,9 @@ def test_reflect_preserves_modulus_on_torus():
 
 
 def test_reflect_rejects_small_degree():
-    with pytest.raises(InvalidDegree):
-        reflect(BiPoly([[0, 0], [0, 1.0]]), (1, 0))
+    for at in ((1, 0), (0, 1)):   # below the w-degree, below the z-degree
+        with pytest.raises(InvalidDegree, match=r"below actual \(1, 1\)"):
+            reflect(BiPoly([[0, 0], [0, 1.0]]), at)
 
 
 def test_roots_linear():

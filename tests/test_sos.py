@@ -175,8 +175,9 @@ def test_verify_rejects_a_block_beyond_its_support(p_2zw):
     # polynomial in w is not of the certificate's form, while zero rows
     # and columns past a block's support are only padding
     cert = certificate_closed_face(p_2zw)
-    with pytest.raises(InvalidDegree, match="beyond 2 x 1"):
-        verify_certificate(p_2zw, replace(cert, a_list=(BiPoly([[0.0, 1.0]]),)))
+    for beyond in ([[0.0, 1.0]], [[0.0], [0.0], [1.0]]):    # w, z^2
+        with pytest.raises(InvalidDegree, match="beyond 2 x 1"):
+            verify_certificate(p_2zw, replace(cert, a_list=(BiPoly(beyond),)))
     padded = tuple(BiPoly(np.pad(q.coeffs, ((0, 1), (0, 1)))) for q in cert.b_list)
     assert verify_certificate(p_2zw, replace(cert, b_list=padded)) \
         == verify_certificate(p_2zw, cert)
@@ -295,6 +296,34 @@ def test_open_face_boundary_zero_refined():
     assert cert.residual == verify_certificate(p, cert).residual
     with pytest.raises(NoConvergence, match="best residual"):
         certificate_open_face(p, tol=1e-18)
+
+
+def test_open_face_refines_a_closed_face_certificate_above_tol(p_2zw, monkeypatch):
+    # 2 - zw has a closed-face certificate at round-off; below that
+    # tolerance it goes to the refinement, which cannot reach it either
+    refine, refined = sos._refine, []
+    monkeypatch.setattr(sos, "_refine",
+                        lambda p, cert: refined.append(p) or refine(p, cert))
+    with pytest.raises(NoConvergence, match="above tolerance 1e-20"):
+        certificate_open_face(p_2zw, tol=1e-20)
+    assert len(refined) == 1
+
+
+@pytest.mark.parametrize("p", [
+    BiPoly([[2, -1], [-1, 0]]) * BiPoly([[3, 0], [0, -1]]),
+    BiPoly([[2, -np.exp(2j)], [-np.exp(1j), 0]]),
+], ids=["(2-z-w)(3-zw)", "2-e^i z-e^2i w"])
+def test_open_face_refinement_ends_when_it_stalls(p, monkeypatch):
+    # with no residual floor the refinement ends only after REFINE_STALL
+    # steps without a new best: short of REFINE_STEPS Jacobians, and with
+    # the best iterate within the default tolerance
+    monkeypatch.setattr(sos, "REFINE_FLOOR", 0.0)
+    jacobian, built = sos._identity_jacobian, []
+    monkeypatch.setattr(sos, "_identity_jacobian",
+                        lambda mats, deg: built.append(deg) or jacobian(mats, deg))
+    cert = certificate_open_face(p)
+    assert cert.residual <= 1e-8
+    assert 0 < len(built) < sos.REFINE_STEPS
 
 
 def test_identity_jacobian_is_the_derivative_of_the_gap():

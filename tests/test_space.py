@@ -263,8 +263,9 @@ def test_caps_and_degeneracy():
         MomentSpace(t, 1, 1)
     c = np.zeros((3, 3), dtype=complex)
     c[1, 1] = 1.0
-    with pytest.raises(InsufficientMoments):
-        MomentSpace(MomentTable(1, 1, c), 2, 1)
+    for caps in ((2, 1), (1, 2)):
+        with pytest.raises(InsufficientMoments, match=r"below caps"):
+            MomentSpace(MomentTable(1, 1, c), *caps)
 
 
 @pytest.mark.parametrize("d", [1, TRI_BLOCK - 1, TRI_BLOCK + 1, 70])
@@ -375,8 +376,13 @@ def test_embedding_beyond_the_caps_raises_insufficient_moments(space_2zw):
         space_2zw.cross(e1.shifted(1, 0), e1)
     with pytest.raises(InsufficientMoments, match=beyond):
         space_2zw._embed(BiPoly(np.ones((3, 2))))
-    with pytest.raises(InsufficientMoments, match=r"E1\(2,1\) exceeds caps \(1, 1\)"):
-        space_2zw.basis("E1", 2, 1)
+    with pytest.raises(InsufficientMoments,
+                       match=r"polynomial degree \(1, 2\) exceeds caps \(1, 1\)"):
+        space_2zw.norm(BiPoly(np.ones((2, 3))))
+    for k, l in ((2, 1), (1, 2)):
+        with pytest.raises(InsufficientMoments,
+                           match=rf"E1\({k},{l}\) exceeds caps \(1, 1\)"):
+            space_2zw.basis("E1", k, l)
 
 
 def test_basis_refuses_coefficients_that_are_not_a_stack_of_grids():
@@ -414,8 +420,9 @@ def test_basis_layout_shifts_and_reflects_like_bipoly(space_perturb_4_4,
             assert q.coeffs.shape == want.shape
             assert np.max(np.abs(q.coeffs - want)) <= \
                 1e-12 * np.max(np.abs(want))
-    with pytest.raises(InsufficientMoments):
-        b.reflected((grid[0] - 2, grid[1] - 1))
+    for at in [(grid[0] - 2, grid[1] - 1), (grid[0] - 1, grid[1] - 2)]:
+        with pytest.raises(InsufficientMoments, match="below the basis degree"):
+            b.reflected(at)
 
 
 def _alpha_zw_space(alphas, n):

@@ -453,8 +453,10 @@ def test_splits_are_the_flipped_polynomials(case):
 def test_gw_examples(space_2zw, lebesgue_table):
     assert gw_check(space_2zw)
     assert gw_check(MomentSpace(lebesgue_table, 2, 1))
-    # at caps (1, 0) F2(1, -1) is empty, so nothing can fail to be orthogonal
+    # at caps (1, 0) F2(1, -1) is empty, and at (0, 1) F1(-1, 1), so
+    # nothing can fail to be orthogonal
     assert gw_check(MomentSpace(lebesgue_table, 1, 0))
+    assert gw_check(MomentSpace(lebesgue_table, 0, 1))
     # forced-unstable input: z - w/2 has no z-only factor and a disk root
     pf = BiPoly([[0, -0.5], [1, 0]])
     table = moments_from_density(pf, 1, 1)
@@ -462,6 +464,9 @@ def test_gw_examples(space_2zw, lebesgue_table):
     assert not gw_check(spf)
     rep = check_matrix_condition(build_operators(spf))
     assert rep.holds and rep.dim_a == 1
+    # so no split-poly has fewer than d_min = dim A = 1 disk roots
+    with pytest.raises(DNotAdmissible, match=r"d = 0 outside admissible \[1, "):
+        split_poly_from_condition(spf, 0)
 
 
 def test_gw_equals_shift_containment(space_2zw):
@@ -547,9 +552,11 @@ def test_face_check_refuses_slices_that_vanish():
 
 
 def test_split_from_p_refuses_a_degree_above_the_caps(space_2zw):
-    # 2 - z w^2 has degree (1, 2), above the caps (1, 1)
-    with pytest.raises(InvalidDegree, match="polynomial degree exceeds the space caps"):
-        shift_split_from_p(space_2zw, BiPoly([[2, 0, 0], [0, 0, -1]]))
+    # 2 - z w^2 has degree (1, 2) and 2 - z^2 w degree (2, 1), each above
+    # the caps (1, 1)
+    for coeffs in ([[2, 0, 0], [0, 0, -1]], [[2, 0], [0, 0], [0, -1]]):
+        with pytest.raises(InvalidDegree, match="polynomial degree exceeds the space caps"):
+            shift_split_from_p(space_2zw, BiPoly(coeffs))
 
 
 def test_flat_slice_floor_is_relative():
