@@ -98,9 +98,10 @@ def _cmd_sos(args):
     p = poly_from_json(_read_json(args.poly))
     cert = certificate_open_face(p, **_given(args, "tol")) if args.open_face \
         else certificate_closed_face(p)
-    # each block on its support, (n, m-1) or (n-1, m), as it was verified:
-    # poly_to_json would trim rows and columns of round-off
-    blocks = {name: [{"deg": list(q.deg), "coeffs": _pairs(q.coeffs)} for q in polys]
+    # each block on its support, (n, m-1) or (n-1, m), as it was verified, from
+    # one (count, rows, cols, 2) array: poly_to_json would trim round-off
+    blocks = {name: [{"deg": list(q.deg), "coeffs": grid}
+                     for q, grid in zip(polys, _pairs([q.coeffs for q in polys]))]
               for name, polys in zip("ABC", (cert.a_list, cert.b_list, cert.c_list))}
     return blocks | {"n1": cert.n1, "n2": cert.n2, "deg": list(cert.deg),
                      "residual": cert.residual, "variant": "L"}, 0

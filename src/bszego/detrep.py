@@ -32,7 +32,7 @@ from .errors import (CertificateFailed, FitResidualTooLarge, NotGdv,
                      ZOnlyFactor)
 from .moments import _roots
 from .poly import BiPoly, _w_roots, content_roots, reflect
-from .sos import _blocks_closed_face, _columns
+from .sos import _blocks_closed_face
 
 
 SAMPLES = 128          # least z points of the geometry check
@@ -171,17 +171,19 @@ def build_detrep(p: BiPoly) -> DetRep:
     deg = (n, max(m - 1, 0))
     P = reflect(p1.w_derivative(), deg)
     try:
-        cert = _blocks_closed_face(P, deg)
+        _, _, (a, b, c) = _blocks_closed_face(P, deg)
     except NumericalFailure as exc:
         raise CertificateFailed(
             f"certificate of the reflected w-derivative: {exc}") from exc
     # the G form on coefficients is X^H X = Y^H Y, X the rows [w A; P; z B; C]
     # and Y the rows [A; P~; B; z C], P~ = reflection(P) appended to A
-    x = (*(q.shifted(0, 1) for q in cert.a_list), P,
-         *(q.shifted(1, 0) for q in cert.b_list), *cert.c_list)
-    y = (*cert.a_list, reflect(P, deg), *cert.b_list,
-         *(q.shifted(1, 0) for q in cert.c_list))
-    x, y = (_columns(rows, n + 1, m).T for rows in (x, y))
+    x, y = np.zeros((2, n + 1, m, n + m), dtype=complex)
+    k = m + b.shape[1]                                      # the first C row
+    x[:, 1:, :m - 1] = y[:, :-1, :m - 1] = a.reshape(n + 1, m - 1, m - 1)
+    x[:, :, m - 1], y[:, :, m - 1] = P.coeffs, reflect(P, deg).coeffs
+    x[1:, :, m:k] = y[:-1, :, m:k] = b.reshape(n, m, k - m)
+    x[:-1, :, k:] = y[1:, :, k:] = c.reshape(n, m, n + m - k)
+    x, y = (rows.reshape(-1, n + m).T for rows in (x, y))
     u_l, _, v_h = np.linalg.svd(y @ x.conj().T)
     U = u_l @ v_h                # the polar factor V of Y X^H, with V X = Y
     fit = float(np.linalg.norm(U @ x - y) / max(np.linalg.norm(y), 1e-300))
@@ -191,7 +193,7 @@ def build_detrep(p: BiPoly) -> DetRep:
     # negated maps (w A_ext, z B, C) to (A_ext, B, z C) there
     U[:, m - 1] *= -1.0
 
-    rep0 = DetRep(u=U, n1=cert.n1, n2=cert.n2, scale=1.0 + 0.0j, residual=np.nan,
+    rep0 = DetRep(u=U, n1=b.shape[1], n2=c.shape[1], scale=1.0 + 0.0j, residual=np.nan,
                   mu=mu, geometry=geo)
     d = _pencil_coeffs(rep0, (n, m))
     c = p1.coeffs

@@ -5,7 +5,8 @@ index = z power, column index = w power.  Univariate polynomials use
 m = 0.
 
 Moment / trig table: {"jmax": J, "kmax": K, "c": [[[re, im], ...], ...]}
-row-major over j = -J..J then k = -K..K.
+row-major over j = -J..J then k = -K..K.  ``dumps`` writes a numpy array
+of numbers as its ``tolist()`` would be written.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from .poly import BiPoly
 
 
 def _pairs(a):
-    """Complex numbers as [re, im]: one pair for a number, rows for a grid."""
+    """Complex numbers as [re, im] on a last axis: a pair for a number, rows for a grid."""
     a = np.asarray(a, dtype=complex)
-    return np.stack([a.real, a.imag], -1).tolist()
+    return np.stack([a.real, a.imag], -1)
 
 
 def _unpairs(data, what):
@@ -56,7 +57,7 @@ def _count(value, what):
 def poly_to_json(p: BiPoly) -> dict:
     t = p.trimmed()
     n, m = t.deg
-    return {"deg": [n, m], "coeffs": _pairs(t.coeffs)}
+    return {"deg": [n, m], "coeffs": _pairs(t.coeffs).tolist()}
 
 
 def poly_from_json(doc) -> BiPoly:
@@ -76,7 +77,7 @@ def poly_from_json(doc) -> BiPoly:
 
 def table_to_json(t: MomentTable) -> dict:
     """Moment table or trig polynomial as JSON."""
-    return {"jmax": t.jmax, "kmax": t.kmax, "c": _pairs(t.c)}
+    return {"jmax": t.jmax, "kmax": t.kmax, "c": _pairs(t.c).tolist()}
 
 
 def _centered_from_json(doc, cls, what):
@@ -158,8 +159,12 @@ def _layout(o, depth, leaves):
 
     A list of leaves, and nested lists of equal lengths at each level
     down to leaves (every coefficient grid of [re, im] pairs), take their
-    layout from a cache without a step per row or leaf.
+    layout from a cache without a step per row or leaf, as does a numpy
+    array (as its ``tolist()``), its leaves from one ``ravel().tolist()``.
     """
+    if isinstance(o, np.ndarray) and o.ndim:
+        leaves.extend(o.ravel().tolist())
+        return _leaf_block(o.shape, depth)
     if isinstance(o, dict):
         parts = []
         for key, value in sorted(o.items()):

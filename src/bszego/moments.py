@@ -39,8 +39,9 @@ for the pole check also decide whether its reciprocal is finite.
 The Schur-Cohn matrix S(z) of p's slices (``poly._schur_cohn``) is a
 matrix trig polynomial in z, and ``_inverse_moments`` takes the z-moments
 of S^-1 by the same nested rule in one dimension: level 2N samples only
-its N new points.  Both rules start at FIRST_LEVEL points per axis and
-share MAX_GRID, POLE_MARGIN and STOP_TOL (relative to R_0 in 1-D).
+its N new points, whose powers sit in a read-only cache.  Both rules start
+at FIRST_LEVEL points per axis and share MAX_GRID, POLE_MARGIN and STOP_TOL
+(relative to R_0 in 1-D).
 """
 
 from __future__ import annotations
@@ -389,6 +390,14 @@ def _inverse(s, zs):
     return linv.conj().swapaxes(1, 2) @ linv
 
 
+@lru_cache(maxsize=32)
+def _level_powers(size, n):
+    """A level's new points (the odd ones past FIRST_LEVEL), z^-n..z^n at them; read-only."""
+    new = np.arange(size) if size == FIRST_LEVEL else 2 * np.arange(size // 2) + 1
+    exps = np.outer(new, np.arange(-n, n + 1)) % size
+    return _frozen(_roots(size)[new]), _frozen(_roots(size)[exps])
+
+
 def _inverse_moments(s):
     """(R, powers, at, inv): R_e = int z^-e S(z)^-1 dsigma(z), e = 0..n, as
     (n+1, m, m), from the coefficients S_d, d = -n..n, of S
@@ -405,11 +414,11 @@ def _inverse_moments(s):
     """
     n, m = (len(s) - 1) // 2, s.shape[1]
     sums = np.zeros((n + 1, m * m), dtype=complex)
-    size, new, prev, change = FIRST_LEVEL, np.arange(FIRST_LEVEL), None, np.inf
+    size, prev, change = FIRST_LEVEL, None, np.inf
     while True:
-        powers = _roots(size)[np.outer(new, np.arange(-n, n + 1)) % size]
+        zs, powers = _level_powers(size, n)
         at = (powers @ s.reshape(2 * n + 1, -1)).reshape(-1, m, m)
-        inv = _inverse(at, _roots(size)[new])
+        inv = _inverse(at, zs)
         sums += powers[:, n:].T.conj() @ inv.reshape(-1, m * m)
         r = sums / size
         if prev is not None:
@@ -420,7 +429,7 @@ def _inverse_moments(s):
             raise MomentDivergence(
                 f"moments of the inverse Schur-Cohn matrix did not settle at "
                 f"{size} points (last change {change:.3e})")
-        prev, new, size = r, 2 * np.arange(size) + 1, 2 * size
+        prev, size = r, 2 * size
 
 
 def _reciprocals(blocks, bounds):

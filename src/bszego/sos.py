@@ -21,19 +21,20 @@ They are not moment-space bases of the paper's subspaces E2, K2 and K1.
 That L identity is the only one certified here, and it is checked on
 coefficients, as P P^H - R R^H = L_w(A A^H) + L_z(B B^H - C C^H) on the
 (n+1) x (m+1) monomial grid, with L(X) = X - S X S^T for the shift S by
-w or by z.  Its G form, p pbar - w etabar prev prevbar, takes the same
-blocks with the reflection of p appended to the A block; ``detrep``
-composes it for itself.  A sampled face zero refuses the closed-face
-certificate.  Polynomials with zeros on the torus (but none on |z| = 1,
-|w| < 1, and no common factor with their reflection) are handled by
-shrinking w once: the closed-face blocks of p(z, T0 w) are refined at
-t = 1 by Gauss-Newton on that identity of p itself, down to round-off
-and within ``tol``.  The refined blocks keep the counts (m, n1, n2).
+w or by z, on the kernel and the block matrices as built.  Its G form,
+p pbar - w etabar prev prevbar, takes the same blocks with the
+reflection of p appended to the A block; ``detrep`` composes it.  A
+sampled face zero refuses the closed-face certificate.  Polynomials with
+zeros on the torus (but none on |z| = 1, |w| < 1, and no common factor
+with their reflection) are handled by shrinking w once: the closed-face
+blocks of p(z, T0 w) are refined at t = 1 by Gauss-Newton on that
+identity of p itself, down to round-off and within ``tol``.  The refined
+blocks keep the counts (m, n1, n2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -114,17 +115,6 @@ def _add_l(out, h, shape, axis, deg):
     view[(*at, *at)] -= h
 
 
-def _identity(p, cert):
-    """The L identity of ``cert`` for p on coefficients: the target
-    P P^H - R R^H on the z-major (n+1) x (m+1) grid, the scale |P|^2, and
-    the block matrices A, B and C, one column per polynomial, each on its
-    support."""
-    n, m = cert.deg
-    mats = [_columns(polys, *shape) for polys, (shape, _, _) in
-            zip((cert.a_list, cert.b_list, cert.c_list), _block_terms(n, m))]
-    return *_kernel(p, cert.deg), mats
-
-
 def _identity_gap(mats, target, deg):
     """L_w(A A^H) + L_z(B B^H - C C^H) - target on the (n+1) x (m+1) grid,
     ``mats`` being the block matrices A, B and C at degree ``deg``."""
@@ -146,12 +136,26 @@ def verify_certificate(p: BiPoly, cert: SosCertificate) -> ResidualReport:
     the monomial pair ((j, k), (j', k')) where it sits, the coefficient of
     z^j w^k conj(zeta)^j' conj(eta)^k'.
     """
-    n, m = cert.deg
-    target, scale, mats = _identity(p, cert)
-    gap = np.abs(_identity_gap(mats, target, cert.deg)).reshape((n + 1, m + 1) * 2)
+    mats = [_columns(polys, *shape) for polys, (shape, _, _) in
+            zip((cert.a_list, cert.b_list, cert.c_list), _block_terms(*cert.deg))]
+    return _report(*_kernel(p, cert.deg), mats, cert.deg)
+
+
+def _report(target, scale, mats, deg):
+    """The report of the block matrices ``mats`` against T and |P|^2."""
+    n, m = deg
+    gap = np.abs(_identity_gap(mats, target, deg)).reshape((n + 1, m + 1) * 2)
     j, k, jj, kk = map(int, np.unravel_index(np.argmax(gap), gap.shape))
     return ResidualReport(residual=float(gap[j, k, jj, kk] / scale),
                           worst_point=((j, k), (jj, kk)))
+
+
+def _certificate(target, scale, mats, deg):
+    """The certificate of the block matrices ``mats``, one polynomial a
+    column, with their residual against T and |P|^2, as verified."""
+    return SosCertificate(*(tuple(BiPoly(col.reshape(shape)) for col in x.T)
+                            for x, (shape, _, _) in zip(mats, _block_terms(*deg))),
+                          residual=_report(target, scale, mats, deg).residual, deg=deg)
 
 
 def _outer_factor(s):
@@ -221,9 +225,10 @@ def _range_basis(h, rank):
     return q
 
 
-def _blocks_closed_face(p: BiPoly, deg) -> SosCertificate:
-    """The blocks for p at a degree pair ``deg`` at or above p's, residual
-    not yet verified (nan).
+def _blocks_closed_face(p: BiPoly, deg):
+    """(T, |P|^2, (A, B, C)): the kernel of p at a degree pair ``deg`` at or
+    above p's (``poly._kernel``), and the block matrices built from it, one
+    column per polynomial, z-major on each block's support.
 
     A (m polynomials on the support (n+1, m)) is the outer factor G of the
     Schur-Cohn matrix S(z) of p's slices (``_outer_factor``),
@@ -268,12 +273,7 @@ def _blocks_closed_face(p: BiPoly, deg) -> SosCertificate:
             f"H is {off / scale:.3e} |P|^2 away from the counts "
             f"(n1, n2) = ({n1}, {n2})")
     root = vec * np.sqrt(np.maximum(sign * lam, 0.0))
-    a_list, b_list, c_list = (
-        tuple(BiPoly(col.reshape(shape)) for col in x.T)
-        for x, (shape, _, _) in zip((a, root[:, n2:], root[:, :n2]),
-                                    _block_terms(n, m)))
-    return SosCertificate(a_list=a_list, b_list=b_list, c_list=c_list,
-                          residual=np.nan, deg=(n, m))
+    return target, scale, (a, root[:, n2:], root[:, :n2])
 
 
 def certificate_closed_face(p: BiPoly) -> SosCertificate:
@@ -283,9 +283,9 @@ def certificate_closed_face(p: BiPoly) -> SosCertificate:
     in the open disk.  Once they are built, ``factor_trig``'s sampled face
     test refuses a p with face zeros, whose blocks certify another p.
     """
-    cert = _blocks_closed_face(p, p.trimmed().deg)
+    built = _blocks_closed_face(p, deg := p.trimmed().deg)
     _assert_no_face_zeros(p)
-    return replace(cert, residual=verify_certificate(p, cert).residual)
+    return _certificate(*built, deg)
 
 
 def _common_factor_with_reflection(p: BiPoly):
@@ -351,10 +351,11 @@ def _identity_jacobian(mats, deg):
                       _hermitian_half(1j * (half - adjoint))])
 
 
-def _refine(p: BiPoly, cert: SosCertificate) -> SosCertificate:
-    """The blocks of ``cert`` refined by Gauss-Newton on the L identity of
-    p on coefficients (``_identity``).  The column counts are kept, so the
-    inertia (m, n1, n2) is that of ``cert``.
+def _refine(p: BiPoly, mats, deg):
+    """(T, |P|^2, (A, B, C)): the kernel of p at ``deg`` and the block
+    matrices ``mats`` refined by Gauss-Newton on the L identity of p on
+    coefficients.  The column counts are kept, so the inertia (m, n1, n2)
+    is that of ``mats``.
 
     The unknowns are the real and imaginary parts of A, B and C, and the
     equations the Hermitian half of the identity (``_identity_gap``).
@@ -367,11 +368,9 @@ def _refine(p: BiPoly, cert: SosCertificate) -> SosCertificate:
     whichever leaves the smaller residual.  The refinement ends at
     REFINE_STEPS steps, at a relative residual (in the Frobenius norm,
     over |P|^2) of REFINE_FLOOR, or after REFINE_STALL steps without a
-    new best; the best iterate is returned, residual not yet verified
-    (nan).
+    new best; the best iterate is returned.
     """
-    deg = cert.deg
-    target, scale, mats = _identity(p, cert)
+    target, scale = _kernel(p, deg)
     unknowns = 2 * sum(x.size for x in mats)
     cuts = np.cumsum([x.size for x in mats])[:-1]
     r = _hermitian_half(_identity_gap(mats, target, deg))
@@ -394,9 +393,7 @@ def _refine(p: BiPoly, cert: SosCertificate) -> SosCertificate:
         r, mats = gaps[pick], trials[pick]
         rel = np.linalg.norm(r) / scale
         best, stall = ((rel, mats), 0) if rel < best[0] else (best, stall + 1)
-    a, b, c = (tuple(BiPoly(col.reshape(shape)) for col in x.T)
-               for x, (shape, _, _) in zip(best[1], _block_terms(*deg)))
-    return replace(cert, a_list=a, b_list=b, c_list=c, residual=np.nan)
+    return target, scale, best[1]
 
 
 def certificate_open_face(p: BiPoly, tol=1e-8) -> SosCertificate:
@@ -409,7 +406,8 @@ def certificate_open_face(p: BiPoly, tol=1e-8) -> SosCertificate:
     RootNearTorus, and shrinking w by T0 moves the zeros off the closed
     face; the closed-face blocks of p(z, T0 w) are then refined at t = 1
     by Gauss-Newton on the identity of p itself (``_refine``), and
-    returned when ``verify_certificate`` puts them within ``tol``.
+    returned when their residual, taken from the refined matrices, is
+    within ``tol``.
     A degree past REFINE_MAX_ENTRIES Jacobian entries is refused up front.
     """
     pt = p.trimmed()
@@ -429,11 +427,10 @@ def certificate_open_face(p: BiPoly, tol=1e-8) -> SosCertificate:
                             f"exceeds REFINE_MAX_ENTRIES = {REFINE_MAX_ENTRIES}")
     try:
         shrunk = BiPoly(pt.coeffs * T0 ** np.arange(m + 1))      # p(z, T0 w)
-        start = _blocks_closed_face(shrunk, pt.deg)
+        _, _, start = _blocks_closed_face(shrunk, pt.deg)
     except (MomentDivergence, RootNearTorus, DegenerateForm) as exc:
         raise NoConvergence(f"no certificate of p(z, {T0} w): {exc}") from exc
-    cert = _refine(pt, start)
-    cert = replace(cert, residual=verify_certificate(pt, cert).residual)
+    cert = _certificate(*_refine(pt, start, pt.deg), pt.deg)
     if cert.residual <= tol:
         return cert
     raise NoConvergence(f"best residual {cert.residual:.3e} above tolerance {tol}")

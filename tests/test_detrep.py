@@ -11,7 +11,7 @@ from bszego import (BiPoly, CertificateFailed, FitResidualTooLarge, NotGdv,
                     NotSelfReflective, ZeroPolynomial, ZOnlyFactor, build_detrep,
                     check_gdv_geometry, check_self_reflective,
                     derivative_identity_check)
-from bszego import cli, detrep, sos
+from bszego import cli, detrep, reflect, sos
 from bszego.jsonio import dumps, poly_to_json
 
 from conftest import blaschke_gdv, cli_document, lurking_isometry_gap
@@ -329,14 +329,16 @@ def test_perturbed_pencil_is_refused(p, monkeypatch):
         build_detrep(p)
 
 
-def _with_blocks(monkeypatch, change=lambda cert: cert):
-    """Route build_detrep's certificate through ``change``; the list of
-    (P, blocks) pairs it was given."""
+def _with_blocks(monkeypatch, change=lambda mats: mats):
+    """Route build_detrep's block matrices through ``change``; the list of
+    (P, certificate of the blocks it was given) pairs."""
     seen = []
 
     def spy(P, deg, _real=detrep._blocks_closed_face):
-        seen.append((P, change(_real(P, deg))))
-        return seen[-1][1]
+        target, scale, mats = _real(P, deg)
+        mats = change(mats)
+        seen.append((P, sos._certificate(target, scale, mats, deg)))
+        return target, scale, mats
 
     monkeypatch.setattr(detrep, "_blocks_closed_face", spy)
     return seen
@@ -367,10 +369,11 @@ def test_pencil_is_the_lurking_isometry_on_the_curve(p, monkeypatch):
 def test_perturbed_block_fails_the_fit(p, monkeypatch):
     # one block polynomial scaled by 1 + 1e-3 breaks X^H X = Y^H Y, and no
     # unitary maps X to Y within FIT_TOL
-    def perturbed(cert):
-        name = next(k for k in ("a_list", "b_list", "c_list") if getattr(cert, k))
-        first, *rest = getattr(cert, name)
-        return replace(cert, **{name: (first * 1.001, *rest)})
+    def perturbed(mats):
+        i = next(i for i, x in enumerate(mats) if x.shape[1])
+        block = mats[i].copy()
+        block[:, 0] *= 1.001
+        return (*mats[:i], block, *mats[i + 1:])
 
     _with_blocks(monkeypatch, perturbed)
     with pytest.raises(FitResidualTooLarge, match="lurking-isometry fit residual"):
@@ -383,3 +386,24 @@ def test_vanishing_pencil_is_refused(monkeypatch):
                         lambda rep, deg: np.zeros((deg[0] + 1, deg[1] + 1), dtype=complex))
     with pytest.raises(FitResidualTooLarge, match="vanishes identically"):
         build_detrep(BLASCHKE[0])
+
+
+@pytest.mark.parametrize("p", [BLASCHKE[1], blaschke_gdv([0.5, 0.2 + 0.3j, -0.4j, -0.1 - 0.5j], 4),
+                               W_MINUS_Z], ids=["blaschke-2-2", "blaschke-4-4", "w-z"])
+def test_pencil_svd_sees_the_rows_built_from_the_polynomials(p, monkeypatch):
+    # the one SVD of build_detrep factors exactly Y X^H, X and Y stacked,
+    # as before, by sos._columns from the certificate's shifted polynomials
+    seen, svds = _with_blocks(monkeypatch), []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a: svds.append(a.copy()) or svd(a))
+    build_detrep(p)
+    (P, cert), = seen
+    n, m = P.deg[0], P.deg[1] + 1
+    deg = (n, m - 1)
+    x = (*(q.shifted(0, 1) for q in cert.a_list), P,
+         *(q.shifted(1, 0) for q in cert.b_list), *cert.c_list)
+    y = (*cert.a_list, reflect(P, deg), *cert.b_list,
+         *(q.shifted(1, 0) for q in cert.c_list))
+    x, y = (sos._columns(rows, n + 1, m).T for rows in (x, y))
+    (got,) = svds
+    assert np.array_equal(got, y @ x.conj().T)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bszego import BiPoly, MomentTable
 from bszego.jsonio import (dumps, poly_from_json, poly_to_json,
@@ -29,8 +30,19 @@ def test_numpy_float_leaves_load():
     assert np.array_equal(table_from_json(doc).c, MomentTable(1, 1, t).c)
 
 
+def _listed(doc):
+    """The document with every numpy array replaced by its tolist()."""
+    if isinstance(doc, np.ndarray):
+        return doc.tolist()
+    if isinstance(doc, dict):
+        return {key: _listed(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_listed(value) for value in doc]
+    return doc
+
+
 def _reference(doc):
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    return json.dumps(_listed(doc), indent=2, sort_keys=True, allow_nan=False)
 
 
 leaves = (st.none() | st.booleans() | st.integers()
@@ -38,8 +50,15 @@ leaves = (st.none() | st.booleans() | st.integers()
           | st.floats(allow_nan=False, allow_infinity=False)
           | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
           | st.text())
+# float arrays as the sos blocks are printed: pairs, grids of pairs, stacks
+# of grids, and empty ones
+arrays = hnp.arrays(
+    np.float64, st.sampled_from([(2,), (3, 2, 2), (2, 1, 3, 2), (0, 2), (3, 0, 2),
+                                 (0, 2, 2, 2)]),
+    elements=st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1e308]))
 documents = st.recursive(
-    leaves,
+    leaves | arrays,
     lambda inner: (st.lists(inner, max_size=5)
                    | st.lists(st.lists(leaves, min_size=2, max_size=2), max_size=4)
                    | st.dictionaries(st.text(), inner, max_size=5)),
@@ -55,6 +74,8 @@ documents = st.recursive(
 @example({"s": 'quote " back \\ slash / tab \t nl \n nul \x00 é   😀',
           "%s": "%d", "": [0, -1, 10 ** 30]})
 @example([[1, 2], [3]])
+@example({"A": [{"deg": [1, 0], "coeffs": np.array([[[-0.0, 5e-324]], [[1e308, 2.5]]])}],
+          "C": [], "pair": np.array([0.5, -0.0]), "none": np.zeros((3, 0, 2))})
 def test_dumps_matches_json_dumps(doc):
     assert dumps(doc) == _reference(doc)
 
@@ -82,6 +103,17 @@ def test_dumps_lays_out_grids_in_one_step(doc):
     assert dumps(doc) == _reference(doc)
 
 
+def test_documents_keep_their_lists():
+    # poly_to_json and table_to_json return plain lists, which the standard
+    # library writes and a caller may assign into
+    doc = poly_to_json(BiPoly([[2.0, -1.0]]))
+    table = table_to_json(MomentTable(0, 0, [[1.0]]))
+    assert type(doc["coeffs"]) is list and type(table["c"]) is list
+    doc["coeffs"][0][0][0] = 3.0
+    assert json.loads(json.dumps(doc)) == {"deg": [0, 1],
+                                           "coeffs": [[[3.0, 0.0], [-1.0, 0.0]]]}
+
+
 def test_dumps_refuses_a_key_that_is_not_a_string():
     # json.dumps would write the key 1 as "1", which reads back as a string
     with pytest.raises(TypeError, match="keys must be str, not int"):
@@ -90,7 +122,8 @@ def test_dumps_refuses_a_key_that_is_not_a_string():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf, np.nan])
 def test_dumps_refuses_non_finite(bad):
-    for doc in (bad, [1.0, bad], {"c": [[[0.0, bad]]]}, {"x": {"y": [bad, "z"]}}):
+    for doc in (bad, [1.0, bad], {"c": [[[0.0, bad]]]}, {"x": {"y": [bad, "z"]}},
+                np.array([1.0, bad]), {"A": [{"coeffs": np.array([[[0.0, bad]]])}]}):
         with pytest.raises(ValueError):
             dumps(doc)
         with pytest.raises(ValueError):

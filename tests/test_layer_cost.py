@@ -1,6 +1,7 @@
-"""tools/layer_cost.py's timer, counting swap and point count."""
+"""tools/layer_cost.py's timer, counting swap, point count and CLI column."""
 
 import importlib.util
+import json
 import sys
 from functools import partial
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 from bszego import (BiPoly, MomentDivergence, certificate_closed_face, moments,
                     moments_from_density)
+from bszego.jsonio import poly_to_json
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "layer_cost.py"
 _spec = importlib.util.spec_from_file_location("layer_cost", TOOL)
@@ -60,3 +62,18 @@ def test_a_complex_density_samples_every_point_of_its_grid(p_2zw):
     assert layer_cost.sampled(partial(moments_from_density, p_2zw, 1, 1)) \
         == (128, 65 * 128)
     assert (moments._level_sums, moments._w_sums) == originals
+
+
+def test_the_cli_column_runs_the_whole_sos_call(p_2zw, tmp_path, capsys):
+    # the sos table's cli column times bszego sos as the benchmark runs it:
+    # the input read from a file, certified and printed, nothing reaching
+    # the terminal
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(poly_to_json(p_2zw)))
+    ms, code = layer_cost.best_of(
+        partial(layer_cost.quiet_cli, ["sos", "--poly", str(path)]), 2)
+    assert ms > 0 and code == 0
+    assert capsys.readouterr().out == ""
+    _, code = layer_cost.best_of(
+        partial(layer_cost.quiet_cli, ["sos", "--poly", str(tmp_path / "none.json")]), 1)
+    assert code == 2

@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bszego import (BiPoly, MomentSpace, MomentTable, NoConvergence, TrigPoly,
+                    check_full_measure,
                     enumerate_split_polys, factor_trig, is_positive,
                     moments_from_density, moments_from_trig,
                     split_poly_from_condition)
@@ -464,3 +465,35 @@ def test_closed_face_sos_refuses_a_face_zero(cli_dir, r, theta, seed):
     p = BiPoly(q[:, None]) * BiPoly([[1.0, -r * np.exp(1j * theta)]])
     code, doc = cli_document(cli_dir, "sos", "--poly", poly_to_json(p))
     assert (code, doc.get("error")) == (3, "RootNearTorus")
+
+
+def _full_entries(report):
+    return np.array([*report.e2_conditions.values(), *report.h_conditions.values()])
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(1, 4), m=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       phi=st.floats(-np.pi, np.pi), psi=st.floats(-np.pi, np.pi),
+       s=st.floats(1e-3, 1e3))
+def test_full_under_the_exact_symmetries(n, m, seed, phi, psi, s):
+    # a torus rotation multiplies c_jk by e^(i(j phi + k psi)), conjugation
+    # conjugates it, and a scale s multiplies it by s: the verdict stays, the
+    # entries agree (times 1/s under the scale) within round-off of the
+    # vanishing floor they are held to, 1e-13 / c00 against VANISH_TOL / c00,
+    # and the least Gram eigenvalue within 1e-12 of itself (times s)
+    rng = np.random.default_rng(seed)
+    e = rng.normal(size=(n + 1, m + 1)) + 1j * rng.normal(size=(n + 1, m + 1))
+    e[0, 0] = 0.0
+    a = 0.4 * e / np.abs(e).sum()
+    a[0, 0] += 1.0
+    table = moments_from_density(BiPoly(a), max(n + 4, 2 * n), m + 3)
+    base = check_full_measure(table, n, m)
+    j, k = np.indices(table.c.shape)
+    turn = np.exp(1j * ((j - table.jmax) * phi + (k - table.kmax) * psi))
+    floor = 1e-13 / table.c[table.jmax, table.kmax].real
+    for c, factor in ((turn * table.c, 1.0), (table.c.conj(), 1.0), (s * table.c, s)):
+        got = check_full_measure(MomentTable(table.jmax, table.kmax, c), n, m)
+        assert got.verdict == base.verdict
+        assert np.all(np.abs(factor * _full_entries(got) - _full_entries(base)) <= floor)
+        assert abs(got.min_eigenvalue - factor * base.min_eigenvalue) \
+            <= 1e-12 * factor * abs(base.min_eigenvalue)

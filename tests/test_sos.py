@@ -1,4 +1,7 @@
+import importlib.util
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,7 +196,7 @@ def test_verify_empty_cert_of_one():
 def _g_blocks(p, deg):
     """The blocks of the G identity at ``deg``, built as build_detrep builds
     them: the closed-face blocks with the reflection of p appended to A."""
-    cert = sos._blocks_closed_face(p, deg)
+    cert = sos._certificate(*sos._blocks_closed_face(p, deg), deg)
     return replace(cert, a_list=cert.a_list + (reflect(p, deg),))
 
 
@@ -288,8 +291,8 @@ def test_open_face_boundary_zero_refined():
     p = BiPoly([[2, -1], [-1, 0]])
     assert not _common_factor_with_reflection(p)
     shrunk = BiPoly(p.coeffs * sos.T0 ** np.arange(2))        # p(z, T0 w)
-    start = sos._blocks_closed_face(shrunk, p.deg)
-    assert verify_certificate(p, start).residual > 1e-2
+    _, _, start = sos._blocks_closed_face(shrunk, p.deg)
+    assert sos._certificate(*sos._kernel(p, p.deg), start, p.deg).residual > 1e-2
     cert = certificate_open_face(p)
     assert (len(cert.a_list), cert.n1, cert.n2) == (1, 1, 0)
     assert cert.residual < 1e-12
@@ -303,7 +306,7 @@ def test_open_face_refines_a_closed_face_certificate_above_tol(p_2zw, monkeypatc
     # tolerance it goes to the refinement, which cannot reach it either
     refine, refined = sos._refine, []
     monkeypatch.setattr(sos, "_refine",
-                        lambda p, cert: refined.append(p) or refine(p, cert))
+                        lambda p, mats, deg: refined.append(p) or refine(p, mats, deg))
     with pytest.raises(NoConvergence, match="above tolerance 1e-20"):
         certificate_open_face(p_2zw, tol=1e-20)
     assert len(refined) == 1
@@ -393,7 +396,7 @@ def test_cert_declared_degree():
     # the constant 1 treated at formal degree (1, 0): reflection is z and
     # |1|^2 - |z|^2 = (1 - |z|^2) * |B_1|^2 with a single unimodular B
     p = BiPoly([[1.0]])
-    cert = sos._blocks_closed_face(p, (1, 0))
+    cert = sos._certificate(*sos._blocks_closed_face(p, (1, 0)), (1, 0))
     assert (len(cert.a_list), cert.n1, cert.n2) == (0, 1, 0)
     assert abs(abs(cert.b_list[0].coeffs[0, 0]) - 1.0) < 1e-10
     assert cert.deg == (1, 0)
@@ -431,3 +434,59 @@ def test_blocks_refuse_an_h_away_from_its_counts(monkeypatch, p_2zw):
     with pytest.raises(DegenerateForm, match=r"H is .* \|P\|\^2 away from the counts "
                                              r"\(n1, n2\) = \(2, 0\)"):
         certificate_closed_face(p)
+
+
+def _bench_corpus():
+    """bench/corpus.py, loaded without writing bytecode beside it."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "dont_write_bytecode", True)
+        mp.setitem(sys.modules, spec.name, module)      # its dataclasses look it up
+        spec.loader.exec_module(module)
+    return module
+
+
+def _residual_cases():
+    """(id, p, certificate function): the certify kinds at CERTIFY_DEGREES,
+    (1 + d) - zw and its square at the BANDS edges, and two open-face
+    torus zeros."""
+    corpus = _bench_corpus()
+    rng = np.random.default_rng(corpus.DEFAULT_SEED)
+    for n, m in corpus.CERTIFY_DEGREES:
+        for kind, a in (("zw", corpus.stable_kind(rng, n, m, 2.0, 3.0)),
+                        ("unstable", corpus.unstable_kind(rng, n, m))):
+            yield f"{kind}-{n}-{m}", BiPoly(a), certificate_closed_face
+    for d in sorted(d for band in corpus.BANDS.values() for d in band):
+        one = BiPoly([[1.0 + d, 0.0], [0.0, -1.0]])
+        yield f"(1+{d})-zw", one, certificate_closed_face
+        yield f"((1+{d})-zw)^2", one * one, certificate_closed_face
+    yield "2-z-w", BiPoly([[2.0, -1.0], [-1.0, 0.0]]), certificate_open_face
+    yield ("2-e^i z-e^2i w", BiPoly([[2.0, -np.exp(2j)], [-np.exp(1j), 0.0]]),
+           certificate_open_face)
+
+
+@pytest.mark.parametrize("p, certify", [case[1:] for case in _residual_cases()],
+                         ids=[case[0] for case in _residual_cases()])
+def test_residual_from_the_built_blocks_is_the_verified_one(p, certify):
+    # the residual taken from the block matrices as they were built (or
+    # refined) is, to the last bit, the one verify_certificate recomputes
+    # from the certificate's polynomials
+    cert = certify(p)
+    assert cert.residual == verify_certificate(p, cert).residual
+
+
+def test_closed_face_sos_builds_its_kernel_once(tmp_path, monkeypatch):
+    # one closed-face `bszego sos` call builds T once and rebuilds no block
+    # matrix from polynomials
+    calls = {"_kernel": 0, "_columns": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(sos, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(sos, name, counted)
+    p = BiPoly([[2.0, 0.0], [0.0, -1.0]]) * BiPoly([[2.5, 0.3], [0.2, -1.0]])
+    code, doc = cli_document(tmp_path, "sos", "--poly", poly_to_json(p))
+    assert code == 0 and doc["residual"] < 1e-14
+    assert calls == {"_kernel": 1, "_columns": 0}

@@ -25,7 +25,9 @@ Sos: ``certificate_closed_face`` on the seeded certify kinds at
 ``CERTIFY_DEGREES``, on (1 + d) - zw and its square at each band edge and
 on 1.01 - zw; ``certificate_open_face`` on the torus zeros 2 - e^i z -
 e^2i w and 2 - e^0.3i z - w, which vanish off the sampled grids.  The
-time, the points at which one call evaluates the Schur-Cohn matrix S(z)
+time, the time of the whole ``bszego sos`` call on the same input
+(``cli.main`` on a temporary file, stdout captured: reading, certifying
+and printing), the points at which one call evaluates the Schur-Cohn matrix S(z)
 (the stacks passed to ``moments._inverse``, an open-face case's
 closed-face attempt included), and the block counts (m, n1, n2) and
 residual, or the error class the call ends in.
@@ -44,7 +46,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"   # before numpy is imported
 
 import contextlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from functools import partial  # noqa: E402
 
@@ -59,6 +64,8 @@ from corpus import (BANDS, CERTIFY_DEGREES, DEFAULT_SEED, abs_squared,  # noqa: 
 from bszego import (BiPoly, BszegoError, TrigPoly, certificate_closed_face,  # noqa: E402
                     certificate_open_face, check_full_measure, moments,
                     moments_from_density, moments_from_trig)
+from bszego.cli import main as cli_main  # noqa: E402
+from bszego.jsonio import poly_to_json  # noqa: E402
 
 REPEAT = 15         # calls per case; the best one is reported
 SMALL_REPEAT = 200  # calls per small quadrature case
@@ -174,17 +181,30 @@ def sos_cases():
         yield name + " open", BiPoly([[2.0, -c], [-b, 0.0]]), certificate_open_face
 
 
+def quiet_cli(argv):
+    """``cli.main(argv)`` with its stdout captured."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli_main(argv)
+
+
 def sos_table():
-    print(f"{'case':24} {'deg':6} {'best ms':>8} {'S(z) pts':>8} {'blocks':10} residual")
-    for name, p, certify in sos_cases():
-        call = partial(certify, p)
-        ms, cert = best_of(call, REPEAT)
-        with counting("_inverse", stacks) as sizes:
-            best_of(call, 1)
-        outcome = (type(cert).__name__ if isinstance(cert, BszegoError) else
-                   f"{str((len(cert.a_list), cert.n1, cert.n2)):10} {cert.residual:.2e}")
-        print(f"{name:24} {f'({p.deg[0]},{p.deg[1]})':6} {ms:8.2f} "
-              f"{sum(sizes):8d} {outcome}")
+    print(f"{'case':24} {'deg':6} {'best ms':>8} {'cli ms':>8} {'S(z) pts':>8} "
+          f"{'blocks':10} residual")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, p, certify in sos_cases():
+            call = partial(certify, p)
+            ms, cert = best_of(call, REPEAT)
+            path = os.path.join(tmp, "p.json")
+            with open(path, "w") as fh:
+                json.dump(poly_to_json(p), fh)
+            flags = ["--open-face"] if certify is certificate_open_face else []
+            cli_ms, _ = best_of(partial(quiet_cli, ["sos", "--poly", path, *flags]), REPEAT)
+            with counting("_inverse", stacks) as sizes:
+                best_of(call, 1)
+            outcome = (type(cert).__name__ if isinstance(cert, BszegoError) else
+                       f"{str((len(cert.a_list), cert.n1, cert.n2)):10} {cert.residual:.2e}")
+            print(f"{name:24} {f'({p.deg[0]},{p.deg[1]})':6} {ms:8.2f} {cli_ms:8.2f} "
+                  f"{sum(sizes):8d} {outcome}")
 
 
 def full_table():
