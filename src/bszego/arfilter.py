@@ -43,7 +43,7 @@ def solve_ar(table: MomentTable, n, m) -> ArSolution:
     invariant under positive rescaling of the autocorrelations: the
     operators live in orthonormal coordinates.
     """
-    ops, report, lam = _positive_form(table, n, m)
+    ops, report, lam = _positive_form(table, n, m, eigenvalue=True)
     # at m = 0 the A operator is 0 x n, which the spectral norm cannot take
     a_norm = float(np.linalg.norm(ops.a_mat, 2)) if ops.a_mat.size else 0.0
     p = _reconstruct(ops) if report.holds else None

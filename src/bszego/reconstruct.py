@@ -32,7 +32,7 @@ def kernel_poly(space: MomentSpace) -> BiPoly:
     """
     # The sum does not depend on the orthonormal basis of E2(n, m), yet
     # it is built from phi_sequence, with its own Gram factor, over the
-    # cached basis("E2", n, m) on purpose: the check must share nothing
+    # cached basis("E2", n, m) on purpose: the check must share no factor
     # with the operator bases that the split polynomial comes from.
     n, m = space.nmax, space.mmax
     phis = space.phi_sequence(n, m)

@@ -5,12 +5,12 @@ the inner product <f, g> = sum f_u conj(g_v) c_{v-u} on monomials
 z^u w^v with u in [0,N] x [0,M].  The Gram G of a rectangle [0,k] x [0,l]
 of monomials is centro-Hermitian, so G = Q R Q^H with the real symmetric
 R = Re G - (Im G) J and the unitary Q = (I + iJ)/sqrt(2), J the reversal
-(``moments._real_form``).  The space factors R = L L^T once per rectangle,
-in real arithmetic.  The caps' factor gives the embedding (Q L)^T, which
-maps coefficient vectors isometrically into C^d for inner products and
-projected spans.  The structural subspaces E1, F1, E2 and F2, each
-the complement of every monomial of a rectangle but one edge of it, all
-come from one formula on their rectangle's factor (``_complement``).
+(``moments._real_form``).  The space gathers the caps' Gram and factors
+R = L L^T once, in real arithmetic.  The factor gives the embedding
+(Q L)^T, which maps coefficient vectors isometrically into C^d for inner
+products and projected spans, and the columns of conj(G)^-1 at the caps
+grid's boundary, from which the structural subspaces E1, F1, E2 and F2
+of every rectangle inside the caps come by one formula (``_complement``).
 
 A basis stores its polynomials as BiPoly coefficient grids stacked
 along a last axis, ``coeffs[j, k, i]``; flattened z-major, each grid is
@@ -86,19 +86,24 @@ class SubspaceBasis:
 
 
 class MomentSpace:
-    """(P_{N,M}, <.,.>_T) for the positive form given by a moment table."""
+    """(P_{N,M}, <.,.>_T) for the positive form given by a moment table;
+    ``forms`` passes the caps Gram and its real form if the caller has them."""
 
-    def __init__(self, table: MomentTable, nmax, mmax):
+    def __init__(self, table: MomentTable, nmax, mmax, forms=None):
         if table.jmax < nmax or table.kmax < mmax:
             raise InsufficientMoments(
                 f"table window ({table.jmax}, {table.kmax}) below caps "
                 f"({nmax}, {mmax})")
         self.table = table
-        self.nmax = int(nmax)
-        self.mmax = int(mmax)
-        self._factors = {}
-        self._bases = {}
-        L = self._factor(self.nmax, self.mmax)
+        self.nmax, self.mmax = int(nmax), int(mmax)
+        self._bases, self._inverses = {}, {}
+        self._gram = gram(table, self.nmax, self.mmax) if forms is None else forms[0]
+        try:
+            R = _real_form(self._gram) if forms is None else forms[1]
+            self._L = L = np.linalg.cholesky(R)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateForm(
+                "moment Gram matrix is not positive definite") from exc
         # G = (Q L)(Q L)^H with Q L = (L + i JL)/sqrt(2), JL = L rows reversed
         self._emb = ((L + 1j * L[::-1]) / np.sqrt(2)).T   # emb(f) = _emb @ f
 
@@ -136,51 +141,50 @@ class MomentSpace:
 
     # -- subspace construction ----------------------------------------------
 
-    def _factor(self, k, l):
-        """Real Cholesky factor of the rectangle [0,k] x [0,l]'s Gram in real
-        form, R = Re G - (Im G) J = L L^T, memoised per space."""
-        if (k, l) not in self._factors:
-            try:
-                self._factors[k, l] = np.linalg.cholesky(
-                    _real_form(gram(self.table, k, l)))
-            except np.linalg.LinAlgError as exc:
-                raise DegenerateForm(
-                    "moment Gram matrix is not positive definite") from exc
-        return self._factors[k, l]
+    def _inverse_columns(self, pos):
+        """Columns of conj(G)^-1 = conj(Q) R^-1 Q at the caps positions ``pos``.
+
+        For the unit columns E of a set closed under the reversal J, R^-1
+        [E, JE] is R^-1 sqrt(2) Q E in real and imaginary parts, and JE is
+        E with its columns reversed: one pair of real triangular solves on
+        L.  The set, cached, is the caps grid's boundary, ``pos`` and J pos.
+        """
+        flat, M = np.zeros(len(self._L), dtype=bool), self.mmax + 1
+        flat[:M] = flat[-M:] = flat[::M] = flat[M - 1::M] = True   # the boundary
+        flat[pos] = flat[::-1][pos] = True
+        closed, key = np.flatnonzero(flat), flat.tobytes()
+        if key not in self._inverses:
+            # L^T is upper triangular, and reversing both axes makes it lower
+            Y = _solve_lower(self._L, (np.arange(flat.size)[:, None] == closed) * 1.0)
+            Y = _solve_lower(self._L.T[::-1, ::-1], Y[::-1])[::-1]
+            self._inverses[key] = 0.5 * (Y + Y[::-1, ::-1] + 1j * (Y[:, ::-1] - Y[::-1]))
+        return self._inverses[key][:, np.searchsorted(closed, pos)]
 
     def _complement(self, k, l, *gens):
         """Orthonormal bases of P_{k,l} minus the span of every monomial
         but the generators, one basis for each set of z-major generator
-        positions in ``gens``, all from one pair of triangular solves.
+        positions in ``gens``, all from the caps' inverse columns.
 
-        On coefficient vectors over the rectangle the form is <x, y> =
-        y^H conj(G) x, G the monomials' Gram.  With E the unit columns of
-        the generators, the columns of X = conj(G)^-1 E are orthogonal to
-        every other monomial and span the complement; their Gram X^H conj(G)
-        X is S = X[gens].  With S = V diag(lam) V^H, X V lam^-1/2 is
-        orthonormal: it is the basis an SVD of the projected generators
-        X S^-1 gives (their Gram is S^-1, their singular values lam^-1/2 in
-        descending order), so the rank is full when lam > 0 and
-        max lam / min lam < RANK_TOL^-2.  Since
-        G = Q R Q^H with Q symmetric, conj(G)^-1 = conj(Q) R^-1 Q, and R^-1
-        takes two real triangular solves on the rectangle's factor, whose
-        right-hand side stacks the unit columns of every set.
+        On coefficient vectors over the rectangle S = [0,k] x [0,l] the form
+        is <x, y> = y^H conj(G_S) x, G_S the monomials' Gram.  With E the unit
+        columns of the generators, the columns of X = conj(G_S)^-1 E are
+        orthogonal to every other monomial and span the complement; their
+        Gram X^H conj(G_S) X is S = X[gens].  With H = conj(G)^-1 and O the
+        caps positions outside S, conj(G_S)^-1 = H_SS - H_SO H_OO^-1 H_OS (a
+        Schur complement): one solve of size |O|.  With S = V diag(lam) V^H,
+        X V lam^-1/2 is orthonormal, the basis an SVD of the projected
+        generators X S^-1 gives (their Gram S^-1, singular values lam^-1/2
+        descending): the rank is full when lam > 0, max / min < RANK_TOL^-2.
         """
-        cols = np.concatenate(gens)
-        g = len(cols)
-        L = self._factor(k, l)
-        E = np.zeros((len(L), g))
-        E[cols, np.arange(g)] = 1.0
-        # R^-1 [E, JE] is R^-1 sqrt(2) Q E in real and imaginary parts; L^T
-        # is upper triangular, and reversing both axes makes it lower
-        Y = _solve_lower(L, np.hstack([E, E[::-1]]))
-        Y = _solve_lower(L.T[::-1, ::-1], Y[::-1])[::-1]
-        re, im = Y[:, :g], Y[:, g:]
-        X = 0.5 * ((re + im[::-1]) + 1j * (im - re[::-1]))   # conj(Q) R^-1 Q E
-        out, start = [], 0
+        grid = np.arange(len(self._L)).reshape(self.nmax + 1, self.mmax + 1)
+        inside = grid[:k + 1, :l + 1].ravel()
+        outside = np.concatenate([grid[:k + 1, l + 1:].ravel(), grid[k + 1:].ravel()])
+        H = self._inverse_columns(np.concatenate([outside, inside[np.concatenate(gens)]]))
+        o, H_out = len(outside), H[outside]
+        X = (H[:, o:] - H[:, :o] @ np.linalg.solve(H_out[:, :o], H_out[:, o:]))[inside]
+        out, end = [], 0
         for pos in gens:
-            x = X[:, start:start + len(pos)]
-            start += len(pos)
+            x, end = X[:, end:end + len(pos)], end + len(pos)
             lam, V = np.linalg.eigh(x[pos])
             rank = int(np.sum(lam * RANK_TOL ** 2 < lam[0])) if lam[0] > 0 else 0
             if rank != len(pos):
@@ -193,10 +197,8 @@ class MomentSpace:
         """Orthonormal basis of a structural subspace, memoised per space.
 
         Each kind is the complement in the rectangle P_{k,l} of every
-        monomial but one edge of it, built by ``_complement`` from that
-        rectangle's real Cholesky factor, which is computed once per space
-        and shared by the kinds on one rectangle (the caps' factor also
-        gives the embedding).  E2 and F2, which the shift operators read
+        monomial but one edge of it, built by ``_complement`` from the
+        caps' inverse columns.  E2 and F2, which the shift operators read
         together, are built together by one call.  A rank drop raises
         DegenerateForm, and a kind other than these four ValueError.
 
@@ -250,13 +252,14 @@ class MomentSpace:
 
         phi_j is built from the inverse of (c_{v-u}) over the index set
         S_j = [0,n] x [0,m] minus {(0,0), ..., (0,j-1)}, whose Gram is a
-        trailing block of the z-major Gram of [0,n] x [0,m]: one Cholesky
-        factor serves every stage (_inverse_rows).  This is the basis
-        kernel_poly sums over (see the note there); basis("E2", n, m)
-        spans the same space by its own Gram-Schmidt.
+        trailing block of the caps Gram's [0,n] x [0,m] block (n, m within
+        the caps): one Cholesky factor serves every stage (_inverse_rows).
+        This is the basis kernel_poly sums over (see the note there);
+        basis("E2", n, m) spans the same space by its own Gram-Schmidt.
         """
-        rows = _inverse_rows(gram(self.table, n, m), m + 1,
-                             f"the phi sequence ({n}, {m})")
+        caps = self._gram.reshape((self.nmax + 1, self.mmax + 1) * 2)
+        G = caps[:n + 1, :m + 1, :n + 1, :m + 1].reshape(((n + 1) * (m + 1),) * 2)
+        rows = _inverse_rows(G, m + 1, f"the phi sequence ({n}, {m})")
         return [BiPoly(row.reshape(n + 1, m + 1)) for row in rows]
 
 
@@ -294,5 +297,5 @@ def _inverse_rows(G, count, where):
         raise DegenerateForm(
             f"moment matrix not positive definite at {where}") from exc
     # U = L reversed on both axes; rows of U^-1 from U^T Y = I
-    return np.triu(_solve_lower(L.T[::-1, ::-1], np.eye(len(G))[:, :count]).T)
+    return np.triu(_solve_lower(L.T[::-1, ::-1], np.eye(len(G), count)).T)
 

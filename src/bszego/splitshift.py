@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import (DegenerateForm, DNotAdmissible, InvalidDegree,
                      MatrixConditionFails, NotPositive)
-from .moments import MomentTable, is_positive
+from .moments import MomentTable, _positive, _real_form, gram
 from .poly import (BiPoly, _assert_no_face_zeros, _canonical_phase, _split_at_w0,
                    split_stable)
 from .space import MomentSpace, SubspaceBasis
@@ -162,18 +162,20 @@ def check_matrix_condition(ops: ShiftOperators) -> StratificationReport:
                                 d_min=dim_a, d_max=n - dim_b)
 
 
-def _positive_form(table: MomentTable, n, m):
+def _positive_form(table: MomentTable, n, m, eigenvalue=False):
     """(operators, report, lam) of the form at caps (n, m).
 
     The one positivity gate of check, reconstruct, ar and factor:
-    NotPositive unless the form is positive definite on [0,n] x [0,m],
-    lam being its Gram's smallest eigenvalue.  Then the shift operators
-    over the moment space and their matrix condition.
+    NotPositive unless ``moments._positive`` finds the form positive on
+    [0,n] x [0,m], lam being its smallest eigenvalue if ``eigenvalue`` (ar
+    prints it), else None.  Then, on the same Gram, the operators and report.
     """
-    ok, lam = is_positive(table, n, m)
+    G = gram(table, n, m)
+    R = _real_form(G)
+    ok, lam = _positive(R, eigenvalue)
     if not ok:
         raise NotPositive(f"moment form not positive (eigenvalue {lam:.3e})")
-    ops = build_operators(MomentSpace(table, n, m))
+    ops = build_operators(MomentSpace(table, n, m, (G, R)))
     return ops, check_matrix_condition(ops), lam
 
 

@@ -249,6 +249,34 @@ def random_corpus_poly(rng, max_q_deg=2, max_factors=2, allow_unstable_q=False):
     return (q * g).trimmed()
 
 
+def perturb_poly(seed, n, m, size=0.5):
+    """Seeded 1 + e(z, w) of degree (n, m) with sum |e_jk| = size, zero-free
+    on the closed bidisk when size < 1."""
+    rng = np.random.default_rng(seed)
+    e = rng.normal(size=(n + 1, m + 1)) + 1j * rng.normal(size=(n + 1, m + 1))
+    e[0, 0] = 0.0
+    a = size * e / np.sum(np.abs(e))
+    a[0, 0] += 1.0
+    return BiPoly(a)
+
+
+def alpha_zw_poly(alphas):
+    """prod (alpha - zw) over ``alphas``: stable, ill-conditioned forms."""
+    p = BiPoly([[1.0]])
+    for alpha in alphas:
+        p = p * BiPoly([[alpha, 0.0], [0.0, -1.0]])
+    return p
+
+
+def shifted_c00(table: MomentTable, n, m, ratio):
+    """``table`` with c_00 lowered so that the Gram of [0,n] x [0,m], whose
+    diagonal is c_00, has smallest / largest eigenvalue ``ratio``."""
+    eigs = np.linalg.eigvalsh(gram_from_table(table, rect(0, n, 0, m)))
+    c = table.c.copy()
+    c[table.jmax, table.kmax] -= (eigs[0] - ratio * eigs[-1]) / (1.0 - ratio)
+    return MomentTable(table.jmax, table.kmax, c)
+
+
 def trig_abs_squared(p: BiPoly) -> TrigPoly:
     """|p(z, w)|^2 on the torus as a trig polynomial.
 

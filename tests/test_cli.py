@@ -9,13 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bszego import (BiPoly, MomentTable, SosCertificate, moments_from_density,
-                    verify_certificate)
+from bszego import (BiPoly, MomentTable, SosCertificate, is_positive,
+                    moments_from_density, verify_certificate)
+from bszego import reconstruct as reconstruct_mod
 from bszego.cli import main
 from bszego.errors import InvalidInput
 from bszego.jsonio import dumps, poly_from_json, poly_to_json, table_to_json
 
-from conftest import cli_document, trig_abs_squared
+from conftest import (alpha_zw_poly, cli_document, perturb_poly, shifted_c00,
+                      trig_abs_squared)
 
 
 def run(argv):
@@ -132,6 +134,47 @@ def test_ill_conditioned_table_exit_3(tmp_path):
                  ["ar", "--autocorr", path]):
         code, out = run(argv + nm)
         assert code == 3 and json.loads(out)["error"] == "DegenerateForm"
+
+
+@pytest.mark.parametrize("ratio", [-1e-3, 0.0, 0.5e-12, 2e-12, 1e-3])
+def test_the_gate_refuses_what_is_positive_refuses(tmp_path, monkeypatch, ratio):
+    # check, reconstruct, ar and factor (on the moments of 1/t, here the
+    # shifted table) pass a table with smallest / largest Gram eigenvalue
+    # above 1e-12 through the gate, and refuse every other with exit 2 and
+    # one document that prints is_positive's eigenvalue
+    p = perturb_poly(22, 2, 2)
+    table = shifted_c00(moments_from_density(p, 2, 2), 2, 2, ratio)
+    ok, lam = is_positive(table, 2, 2)
+    assert ok == (ratio > 1e-12)
+    monkeypatch.setattr(reconstruct_mod, "moments_from_trig", lambda t, n, m: table)
+    path = _table_file(tmp_path, "c.json", table)
+    trig = _table_file(tmp_path, "t.json", trig_abs_squared(p))
+    for command, flag, name in (("check", "--moments", path),
+                                ("reconstruct", "--moments", path),
+                                ("ar", "--autocorr", path), ("factor", "--trig", trig)):
+        code, out = run([command, flag, name, "--n", "2", "--m", "2"])
+        if ok:
+            assert code != 2, command
+        else:
+            assert code == 2 and json.loads(out) == {
+                "error": "NotPositive",
+                "message": f"moment form not positive (eigenvalue {lam:.3e})"}, command
+
+
+def test_factor_exits_3_where_check_does(tmp_path, monkeypatch):
+    # the ill-conditioned table of the test above, reached by factor as the
+    # moments of 1/t: past the gate, the same DegenerateForm and message
+    p = alpha_zw_poly(np.linspace(2, 4, 16))
+    table = moments_from_density(p, 16, 16)
+    monkeypatch.setattr(reconstruct_mod, "moments_from_trig", lambda t, n, m: table)
+    nm = ["--n", "16", "--m", "16"]
+    docs = []
+    for argv in (["check", "--moments", _table_file(tmp_path, "a.json", table)],
+                 ["factor", "--trig", _table_file(tmp_path, "t.json", trig_abs_squared(p))]):
+        code, out = run(argv + nm)
+        docs.append(json.loads(out))
+        assert code == 3 and docs[-1]["error"] == "DegenerateForm"
+    assert docs[0] == docs[1]
 
 
 def test_moments_divergence_exit_3(files):

@@ -1,4 +1,5 @@
-"""tools/layer_cost.py's timer, counting swap, point count and CLI column."""
+"""tools/layer_cost.py's timer, counting swap, point count, CLI column and
+moment-space row."""
 
 import importlib.util
 import json
@@ -77,3 +78,16 @@ def test_the_cli_column_runs_the_whole_sos_call(p_2zw, tmp_path, capsys):
     _, code = layer_cost.best_of(
         partial(layer_cost.quiet_cli, ["sos", "--poly", str(tmp_path / "none.json")]), 1)
     assert code == 2
+
+
+def test_the_moment_space_row_times_three_calls_and_checks_the_answer(p_2zw):
+    # at (1, 1) on 2 - zw: three times, the violation at round-off and the
+    # reconstruction of p itself
+    table = moments_from_density(p_2zw, 1, 1)
+    space_ms, rec_ms, ar_ms, violation, gap = layer_cost.space_row(p_2zw, table, 1, 2)
+    assert min(space_ms, rec_ms, ar_ms) > 0
+    assert violation < 1e-12 and gap < 1e-12
+    # a table that is not p's moments shows as a gap of order one
+    other = moments_from_density(BiPoly([[3.0, 0.0], [0.0, -1.0]]), 1, 1)
+    assert layer_cost.space_row(p_2zw, other, 1, 1)[4] > 0.1
+    assert layer_cost.SPACE_DEGREES == (4, 8, 12, 16)

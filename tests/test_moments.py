@@ -14,8 +14,9 @@ from bszego import moments
 from bszego.moments import _grid_rows, _inverse_moments, _real_form
 from bszego.poly import _kernel, _schur_cohn
 
-from conftest import (geometric_diag_moment, poly_grid_values, riemann_moment,
-                      sampled_grids, trig_abs_squared, trig_values_on_grid)
+from conftest import (alpha_zw_poly, geometric_diag_moment, perturb_poly,
+                      poly_grid_values, riemann_moment, sampled_grids, shifted_c00,
+                      trig_abs_squared, trig_values_on_grid)
 
 
 def test_lebesgue_measure():
@@ -700,6 +701,54 @@ def test_is_positive_degenerate():
     t = MomentTable(1, 1, np.zeros((3, 3), dtype=complex))
     ok, lam = is_positive(t, 1, 1)
     assert not ok
+
+
+def test_positivity_certificate_reaches_is_positive_verdict_on_tables():
+    tables = [(moments_from_density(perturb_poly(seed, n, n), n, n), n)
+              for seed, n in ((1, 1), (2, 2), (4, 4), (8, 8))]
+    tables += [(moments_from_density(alpha_zw_poly(np.linspace(a, b, n)), n, n), n)
+               for a, b, n in ((1.2, 2, 8), (2, 4, 16))]
+    singular = MomentTable(1, 1, np.zeros((3, 3), dtype=complex))
+    indefinite = MomentTable(1, 1, np.where(np.arange(9).reshape(3, 3) == 4, -1.0, 0.0))
+    tables += [(singular, 1), (indefinite, 1)]
+    # the seeded 1 + e table at (4, 4) made singular and indefinite by c_00
+    base = tables[2][0]
+    tables += [(shifted_c00(base, 4, 4, r), 4) for r in (0.0, -1e-3, 1e-13, 1e-11)]
+    decided = []
+    for table, n in tables:
+        R = _real_form(gram(table, n, n))
+        ok, lam = moments._positive(R)
+        assert ok == is_positive(table, n, n)[0], n
+        decided.append(lam is None)
+    # the certificate decides the well-conditioned positive tables alone;
+    # the ill-conditioned, singular and indefinite ones reach eigvalsh
+    assert decided == [True] * 4 + [False] * 8
+
+
+def test_positivity_certificate_sweeps_the_eigenvalue_ratio():
+    # real symmetric forms with smallest / largest eigenvalue from 1e-14 to
+    # 1e-6, on both sides of POSITIVE_TOL and of the certificate's margin,
+    # 1e3 POSITIVE_TOL times the largest absolute row sum over the largest
+    # eigenvalue (1, here)
+    rng = np.random.default_rng(7)
+    d, tol = 40, moments.POSITIVE_TOL
+    V = np.linalg.qr(rng.normal(size=(d, d)))[0]
+
+    def form(ratio):
+        R = (V * np.geomspace(ratio, 1.0, d)) @ V.T
+        return 0.5 * (R + R.T)
+
+    # eigvalsh's own error in the ratio is about d eps = 1e-14, 1 % of tol
+    ratios = list(np.logspace(-14, -6, 40)) + [0.9 * tol, 1.1 * tol]
+    margin = 1e3 * tol * np.abs(form(1e-9)).sum(axis=1).max()
+    for ratio in ratios + [0.9 * margin, 1.1 * margin]:
+        ok, lam = moments._positive(form(ratio))
+        want, lam_want = moments._positive(form(ratio), eigenvalue=True)
+        assert ok == want == (ratio > tol), ratio
+        assert ok if lam is None else lam == lam_want
+    # just above the margin the certificate decides, just below eigvalsh
+    assert moments._positive(form(1.1 * margin))[1] is None
+    assert moments._positive(form(0.9 * margin))[1] is not None
 
 
 def test_gram_positive_for_bounded_density():

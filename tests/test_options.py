@@ -247,10 +247,12 @@ def assigners(names):
 
 def test_each_decision_has_one_owner():
     # the certificate modules reach neither the shift operators nor the
-    # moment space; both quadratures' constants are moments' alone, and
+    # moment space; both quadratures' constants are moments' alone, the
+    # positivity bound too (its certificate lives beside is_positive), and
     # the slice verdicts' constants poly's
     for module in ("splitshift", "space"):
         assert not importers(module) & {"sos", "detrep"}, module
     assert namers({"MAX_GRID", "STOP_TOL", "POLE_MARGIN", "FIRST_LEVEL"}) \
         == {"moments"}
+    assert namers({"POSITIVE_TOL"}) == {"moments"}
     assert assigners({"FACE_SAMPLES", "FACE_MARGIN"}) == {"poly"}

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from bszego import (BiPoly, DegenerateForm, InsufficientMoments, MomentSpace,
-                    MomentTable, moments_from_density, reflect)
+                    MomentTable, NotPositive, moments_from_density, reflect,
+                    solve_ar)
 from bszego import space as space_mod
+from bszego import splitshift as splitshift_mod
 from bszego.fullmeasure import _nested_inverse_max
 from bszego.moments import _real_form, gram
 from bszego.reconstruct import reconstruct_p
@@ -11,8 +13,8 @@ from bszego.space import (RANK_TOL, TRI_BLOCK, SubspaceBasis, _inverse_rows,
                           _solve_lower)
 
 from conftest import (basis_kernel, basis_values, brute_inner, gram_from_table,
-                      gram_schmidt_coeffs, monomial_basis, project, structural,
-                      subspace_angle)
+                      gram_schmidt_coeffs, monomial_basis, perturb_poly, project,
+                      structural, subspace_angle)
 
 
 @pytest.fixture(scope="module")
@@ -287,6 +289,18 @@ def test_inverse_rows_match_dense_inverses(d):
     assert np.max(np.abs(_solve_lower(L, B) - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("d, count", [(1, 1), (9, 3), (TRI_BLOCK + 1, 5), (70, 70)])
+def test_inverse_rows_solve_for_the_identity_columns_they_keep(d, count):
+    # the right-hand side is the first count columns of the identity, built
+    # as such: bit for bit what solving for the whole identity's view gives
+    rng = np.random.default_rng(d)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    G = a @ a.conj().T + d * np.eye(d)
+    L = np.linalg.cholesky(G[::-1, ::-1])
+    want = np.triu(_solve_lower(L.T[::-1, ::-1], np.eye(d)[:, :count]).T)
+    assert np.array_equal(_inverse_rows(G, count, "a test matrix"), want)
+
+
 def test_indefinite_gram_raises_degenerate():
     G = np.diag([2.0, -1.0, 1.0])
     with pytest.raises(DegenerateForm, match="stage x"):
@@ -433,25 +447,118 @@ def _alpha_zw_space(alphas, n):
     return MomentSpace(moments_from_density(p, n, n), n, n)
 
 
-def test_one_real_factor_per_rectangle(monkeypatch, space_perturb_4_4):
+def _factor_spy(monkeypatch):
+    """np.linalg.cholesky, recording (dtype kind, size, succeeded) per call."""
     factored = []
     cholesky = np.linalg.cholesky
 
     def counting(a):
-        factored.append((a.dtype.kind, len(a)))
-        return cholesky(a)
+        try:
+            out = cholesky(a)
+        except np.linalg.LinAlgError:
+            factored.append((a.dtype.kind, len(a), False))
+            raise
+        factored.append((a.dtype.kind, len(a), True))
+        return out
 
     monkeypatch.setattr(np.linalg, "cholesky", counting)
+    return factored
+
+
+def test_one_real_factor_per_space(monkeypatch, space_perturb_4_4):
+    factored = _factor_spy(monkeypatch)
     reconstruct_p(space_perturb_4_4.table, 4, 4)
-    # the caps (4, 4), E1(3, 4) and E2 = F2(4, 3) in real form; the phi
-    # sequence factors its own complex Gram
-    assert sorted(factored) == [("c", 25), ("f", 20), ("f", 20), ("f", 25)]
+    # the caps (4, 4) in real form, the positivity certificate's shifted
+    # copy of it, and the phi sequence's own complex Gram; no rectangle
+    # inside the caps has a factor of its own
+    assert sorted(factored) == [("c", 25, True), ("f", 25, True), ("f", 25, True)]
     sp = MomentSpace(space_perturb_4_4.table, 4, 4)
-    sp.basis("E2", 4, 3)
     factored.clear()
-    for kind, k, l in [("F2", 4, 3), ("E2", 4, 3), ("E1", 4, 4), ("F1", 4, 4)]:
-        sp.basis(kind, k, l)
+    for kind in ("E1", "F1", "E2", "F2"):
+        for k in range(5):
+            for l in range(5):
+                sp.basis(kind, k, l)
     assert factored == []
+    # every basis read the one cached set of boundary columns of conj(G)^-1,
+    # apart from the rectangles whose columns leave the boundary
+    assert len(sp._inverses) > 1
+    sp = MomentSpace(space_perturb_4_4.table, 4, 4)
+    for kind, k, l in [("E1", 3, 4), ("E2", 4, 3), ("F2", 4, 3), ("E1", 4, 4),
+                       ("F1", 4, 4)]:
+        sp.basis(kind, k, l)
+    assert len(sp._inverses) == 1
+
+
+def test_inverse_columns_off_the_boundary_match_the_dense_inverse(space_perturb_4_4):
+    sp = space_perturb_4_4
+    H = np.linalg.inv(np.conj(gram(sp.table, 4, 4)))
+    for pos in (np.array([0, 4, 20, 24]), np.array([6, 12, 3]), np.arange(25)):
+        got = sp._inverse_columns(pos)
+        assert np.max(np.abs(got - H[:, pos])) <= 1e-13 * np.max(np.abs(H))
+
+
+@pytest.mark.parametrize("n, m", [(3, 3), (5, 4)])
+def test_every_basis_matches_the_reference_on_every_rectangle(n, m):
+    # E1, F1, E2 and F2 on every rectangle inside the caps: each spans the
+    # QR/SVD reference's subspace and is orthonormal, both within 1e-12
+    sp = MomentSpace(moments_from_density(perturb_poly(10 * n + m, n, m), n, m), n, m)
+    for kind in ("E1", "F1", "E2", "F2"):
+        for k in range(n + 1):
+            for l in range(m + 1):
+                b = sp.basis(kind, k, l)
+                ref = _reference_complement(sp, *structural(kind, k, l))
+                assert subspace_angle(sp, b, ref) <= 1e-12, (kind, k, l)
+                assert np.max(np.abs(sp.cross(b, b) - np.eye(b.dim))) <= 1e-12
+
+
+@pytest.mark.parametrize("alphas, n, sides", [
+    (np.linspace(1.2, 2, 8), 8, range(9)),
+    (np.linspace(2, 4, 16), 16, (0, 9, 15, 16))])
+def test_ill_conditioned_bases_match_the_reference(alphas, n, sides):
+    # the same on prod (alpha - zw), Gram condition numbers 1.5e10 and 9.6e9,
+    # within eps * cond(G): on every rectangle at (8, 8), on the rectangles
+    # with sides in ``sides`` at (16, 16)
+    sp = _alpha_zw_space(alphas, n)
+    eigs = np.linalg.eigvalsh(_real_form(gram(sp.table, n, n)))
+    bound = np.finfo(float).eps * eigs[-1] / eigs[0]
+    for kind in ("E1", "F1", "E2", "F2"):
+        for k in sides:
+            for l in sides:
+                b = sp.basis(kind, k, l)
+                ref = _reference_complement(sp, *structural(kind, k, l))
+                assert subspace_angle(sp, b, ref) <= bound, (kind, k, l)
+                assert np.max(np.abs(sp.cross(b, b) - np.eye(b.dim))) <= bound
+
+
+def _spy(monkeypatch, module, name, seen, key):
+    """``module.name`` wrapped to append ``key(*args)`` to ``seen`` per call."""
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        seen.append(key(*args))
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_a_table_that_is_not_positive_costs_one_gather_one_factor_one_eigvalsh(
+        monkeypatch, space_perturb_4_4):
+    factored, gathered, spectra = _factor_spy(monkeypatch), [], []
+    for module in (splitshift_mod, space_mod):
+        _spy(monkeypatch, module, "gram", gathered, lambda table, k, l: (k, l))
+    _spy(monkeypatch, np.linalg, "eigvalsh", spectra, len)
+    c = space_perturb_4_4.table.c.copy()
+    c[4, 4] -= 10.0            # c_00 shifted below the Gram's smallest eigenvalue
+    with pytest.raises(NotPositive, match="moment form not positive"):
+        reconstruct_p(MomentTable(4, 4, c), 4, 4)
+    assert (gathered, factored, spectra) == ([(4, 4)], [("f", 25, False)], [25])
+    # a positive table: one gather, no eigvalsh, three factors; ar, which
+    # prints the smallest eigenvalue, skips the certificate for one eigvalsh
+    for call, eigvalsh_sizes, factors in ((reconstruct_p, [], 3), (solve_ar, [25], 2)):
+        for seen in (factored, gathered, spectra):
+            seen.clear()
+        call(space_perturb_4_4.table, 4, 4)
+        assert (gathered, spectra, len(factored)) == ([(4, 4)], eigvalsh_sizes, factors)
 
 
 def test_solve_lower_keeps_real_inputs_real():

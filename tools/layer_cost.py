@@ -1,4 +1,5 @@
-"""Cost of the paper's layers one at a time: quadrature, sos certificates, full measure.
+"""Cost of the paper's layers one at a time: quadrature, sos certificates,
+full measure, moment space.
 
     python tools/layer_cost.py
 
@@ -36,6 +37,16 @@ Full measure: ``check_full_measure(table, n, n)`` at its default depth on
 the table of a seeded 1 + e (``perturb_kind``) of each degree (n, n) of
 FULL_DEGREES, on the window the benchmark's ``full`` calls use: the time
 (the table's quadrature is set-up) and the verdict.
+
+Moment space: on the table of a seeded 1 + e (``perturb_kind``) of each
+degree (n, n) of SPACE_DEGREES, window (n, n) as the benchmark's
+``check`` calls read it, the time of ``MomentSpace`` with the shift
+operators and their matrix condition (``build_operators``,
+``check_matrix_condition``: the Cholesky embedding and the subspace
+bases), of ``reconstruct_p`` and of ``solve_ar``, each with its own
+positivity gate; then the matrix condition's violation and the largest
+coefficient gap of the reconstruction to the input, both unit-norm under
+the form and phase-canonical, relative to its largest coefficient.
 """
 
 from __future__ import annotations
@@ -61,16 +72,20 @@ import numpy as np  # noqa: E402
 from corpus import (BANDS, CERTIFY_DEGREES, DEFAULT_SEED, abs_squared,  # noqa: E402
                     perturb_kind, stable_kind, unstable_kind)
 
-from bszego import (BiPoly, BszegoError, TrigPoly, certificate_closed_face,  # noqa: E402
-                    certificate_open_face, check_full_measure, moments,
-                    moments_from_density, moments_from_trig)
+from bszego import (BiPoly, BszegoError, MomentSpace, TrigPoly,  # noqa: E402
+                    build_operators, certificate_closed_face,
+                    certificate_open_face, check_full_measure,
+                    check_matrix_condition, moments, moments_from_density,
+                    moments_from_trig, reconstruct_p, solve_ar)
 from bszego.cli import main as cli_main  # noqa: E402
 from bszego.jsonio import poly_to_json  # noqa: E402
+from bszego.poly import _canonical_phase  # noqa: E402
 
 REPEAT = 15         # calls per case; the best one is reported
 SMALL_REPEAT = 200  # calls per small quadrature case
 SMALL_DEGREES = ((1, 1), (4, 2), (8, 8))
 FULL_DEGREES = (2, 4, 8, 16)
+SPACE_DEGREES = (4, 8, 12, 16)
 ROTATION = np.exp(0.7j)  # turns real coefficients complex, |p| unchanged
 EDGES = sorted(d for band in BANDS.values() for d in band)
 
@@ -216,12 +231,39 @@ def full_table():
         print(f"{f'({n},{n})':>8} {ms:8.2f} {report.verdict}")
 
 
+def space_row(p, table, n, repeat):
+    """The best ms of the moment space with its operators and matrix
+    condition, of ``reconstruct_p`` and of ``solve_ar`` at caps (n, n), the
+    violation, and the reconstruction's gap to p."""
+    def operators():
+        return check_matrix_condition(build_operators(MomentSpace(table, n, n)))
+
+    space_ms, report = best_of(operators, repeat)
+    rec_ms, q = best_of(partial(reconstruct_p, table, n, n), repeat)
+    ar_ms, _ = best_of(partial(solve_ar, table, n, n), repeat)
+    ref = _canonical_phase(p * (1.0 / MomentSpace(table, n, n).norm(p))).coeffs
+    gap = float(np.max(np.abs(q.coeffs - ref)) / np.max(np.abs(ref)))
+    return space_ms, rec_ms, ar_ms, report.max_violation, gap
+
+
+def space_table():
+    print(f"{'deg':>8} {'space ms':>8} {'recon ms':>8} {'ar ms':>8} "
+          f"{'violation':>9} {'gap':>8}")
+    for n in SPACE_DEGREES:
+        p = BiPoly(perturb_kind(np.random.default_rng(DEFAULT_SEED), n, n, 0.4))
+        row = space_row(p, moments_from_density(p, n, n), n, REPEAT)
+        print(f"{f'({n},{n})':>8} {row[0]:8.2f} {row[1]:8.2f} {row[2]:8.2f} "
+              f"{row[3]:9.1e} {row[4]:8.1e}")
+
+
 def main():
     quadrature_tables()
     print()
     sos_table()
     print()
     full_table()
+    print()
+    space_table()
 
 
 if __name__ == "__main__":
