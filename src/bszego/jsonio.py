@@ -5,15 +5,14 @@ index = z power, column index = w power.  Univariate polynomials use
 m = 0.
 
 Moment / trig table: {"jmax": J, "kmax": K, "c": [[[re, im], ...], ...]}
-row-major over j = -J..J then k = -K..K.  ``dumps`` writes a numpy array
-of numbers as its ``tolist()`` would be written.
+row-major over j = -J..J then k = -K..K.  The writers give each grid as a
+numpy array of [re, im] pairs, which ``dumps`` writes as its ``tolist()``.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -57,7 +56,7 @@ def _count(value, what):
 def poly_to_json(p: BiPoly) -> dict:
     t = p.trimmed()
     n, m = t.deg
-    return {"deg": [n, m], "coeffs": _pairs(t.coeffs).tolist()}
+    return {"deg": [n, m], "coeffs": _pairs(t.coeffs)}
 
 
 def poly_from_json(doc) -> BiPoly:
@@ -77,7 +76,7 @@ def poly_from_json(doc) -> BiPoly:
 
 def table_to_json(t: MomentTable) -> dict:
     """Moment table or trig polynomial as JSON."""
-    return {"jmax": t.jmax, "kmax": t.kmax, "c": _pairs(t.c).tolist()}
+    return {"jmax": t.jmax, "kmax": t.kmax, "c": _pairs(t.c)}
 
 
 def _centered_from_json(doc, cls, what):
@@ -103,7 +102,6 @@ def trig_from_json(doc) -> TrigPoly:
 # one call of the C encoder writes every leaf; ensure_ascii escapes each
 # newline inside a string, so the item separator "\n" splits them apart
 _LEAVES = json.JSONEncoder(separators=("\n", ":"), allow_nan=False)
-_LEAF_TYPES = frozenset([str, int, float, bool, type(None), np.float64])
 
 
 def dumps(doc) -> str:
@@ -138,29 +136,12 @@ def _leaf_block(shape, depth):
     return _wrap([inner] * shape[0], depth)
 
 
-def _grid_leaves(items):
-    """(shape, leaves) of a list of leaves, or of lists of one length whose
-    items, joined in order, are such a list in turn (every coefficient
-    grid of [re, im] pairs); None for anything else."""
-    types = set(map(type, items))
-    if _LEAF_TYPES.issuperset(types):
-        return (len(items),), items
-    lengths = set(map(len, items)) if types == {list} else set()
-    if len(lengths) != 1:
-        return None
-    inner = _grid_leaves(list(chain.from_iterable(items)))
-    if inner is None:
-        return None
-    return (len(items), *lengths, *inner[0][1:]), inner[1]
-
-
 def _layout(o, depth, leaves):
     """The indented layout of o at depth, appending its keys and leaves.
 
-    A list of leaves, and nested lists of equal lengths at each level
-    down to leaves (every coefficient grid of [re, im] pairs), take their
-    layout from a cache without a step per row or leaf, as does a numpy
-    array (as its ``tolist()``), its leaves from one ``ravel().tolist()``.
+    A numpy array (every coefficient grid) is laid out as its
+    ``tolist()``, from a cache without a step per row or leaf, its leaves
+    from one ``ravel().tolist()``.
     """
     if isinstance(o, np.ndarray) and o.ndim:
         leaves.extend(o.ravel().tolist())
@@ -174,10 +155,6 @@ def _layout(o, depth, leaves):
             parts.append("%s: " + _layout(value, depth + 1, leaves))
         return _wrap(parts, depth, "{}")
     if isinstance(o, (list, tuple)):
-        grid = _grid_leaves(o)
-        if grid is not None:
-            leaves.extend(grid[1])
-            return _leaf_block(grid[0], depth)
         return _wrap([_layout(v, depth + 1, leaves) for v in o], depth)
     leaves.append(o)
     return "%s"

@@ -35,9 +35,8 @@ def kernel_poly(space: MomentSpace) -> BiPoly:
     # cached basis("E2", n, m) on purpose: the check must share no factor
     # with the operator bases that the split polynomial comes from.
     n, m = space.nmax, space.mmax
-    phis = space.phi_sequence(n, m)
-    refl = np.stack([reflect(phi.z_slice(), (n, 0)).coeffs[:, 0] for phi in phis])
-    terms = np.tensordot(refl, [phi.coeffs for phi in phis], axes=(0, 0))
+    phis = space.phi_sequence(n, m).coeffs
+    terms = np.tensordot(phis[::-1, 0].conj(), phis, axes=(1, 2))
     out = np.zeros((2 * n + 1, m + 1), dtype=complex)
     for i in range(n + 1):      # terms[i] carries z^i of each reflection
         out[i: i + n + 1] += terms[i]

@@ -21,8 +21,11 @@ They are not moment-space bases of the paper's subspaces E2, K2 and K1.
 That L identity is the only one certified here, and it is checked on
 coefficients, as P P^H - R R^H = L_w(A A^H) + L_z(B B^H - C C^H) on the
 (n+1) x (m+1) monomial grid, with L(X) = X - S X S^T for the shift S by
-w or by z, on the kernel and the block matrices as built.  Its G form,
-p pbar - w etabar prev prevbar, takes the same blocks with the
+w or by z, on the kernel and the block matrices as built.  A certificate
+holds each block as a stack of grids on its support, ``a[j, k, i]`` with
+the polynomial index last (``SubspaceBasis``'s layout): a reshaped view
+of the block's matrix, which ``verify_certificate`` reshapes back.  Its
+G form, p pbar - w etabar prev prevbar, takes the same blocks with the
 reflection of p appended to the A block; ``detrep`` composes it.  A
 sampled face zero refuses the closed-face certificate.  Polynomials with
 zeros on the torus (but none on |z| = 1, |w| < 1, and no common factor
@@ -60,38 +63,25 @@ RANK_TOL = 1e-10        # what B and C leave of H, relative to |P|^2
 
 @dataclass(frozen=True, eq=False)
 class SosCertificate:
-    a_list: tuple
-    b_list: tuple
-    c_list: tuple
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
     residual: float
     deg: tuple              # degree pair at which p and its reflection live
 
     @property
     def n1(self):
-        return len(self.b_list)
+        return self.b.shape[2]
 
     @property
     def n2(self):
-        return len(self.c_list)
+        return self.c.shape[2]
 
 
 @dataclass(frozen=True)
 class ResidualReport:
     residual: float
     worst_point: tuple
-
-
-def _columns(polys, rows, cols):
-    """The coefficient grids of ``polys``, zero-padded to rows x cols and
-    flattened z-major, as the columns of one matrix.  A nonzero
-    coefficient outside rows x cols raises InvalidDegree."""
-    out = np.zeros((rows, cols, len(polys)), dtype=complex)
-    for j, q in enumerate(polys):
-        c = q.coeffs
-        if np.any(c[rows:]) or np.any(c[:, cols:]):
-            raise InvalidDegree(f"a polynomial of degree {q.deg} beyond {rows} x {cols}")
-        out[: c.shape[0], : c.shape[1], j] = c[:rows, :cols]
-    return out.reshape(rows * cols, len(polys))
 
 
 def _block_terms(n, m):
@@ -134,10 +124,14 @@ def verify_certificate(p: BiPoly, cert: SosCertificate) -> ResidualReport:
     modulus over |P|^2 = sum |p_jk|^2, which neither a common scale of p
     and the blocks nor a rotation of the torus moves; the worst point is
     the monomial pair ((j, k), (j', k')) where it sits, the coefficient of
-    z^j w^k conj(zeta)^j' conj(eta)^k'.
+    z^j w^k conj(zeta)^j' conj(eta)^k'.  A block's stack of grids off its
+    support, (n + 1, m) for A and (n, m + 1) for B and C, is InvalidDegree.
     """
-    mats = [_columns(polys, *shape) for polys, (shape, _, _) in
-            zip((cert.a_list, cert.b_list, cert.c_list), _block_terms(*cert.deg))]
+    mats = []
+    for x, (shape, _, _) in zip((cert.a, cert.b, cert.c), _block_terms(*cert.deg)):
+        if x.shape[:-1] != shape:
+            raise InvalidDegree(f"a block of grids {x.shape[:-1]} off its support {shape}")
+        mats.append(x.reshape(shape[0] * shape[1], x.shape[2]))
     return _report(*_kernel(p, cert.deg), mats, cert.deg)
 
 
@@ -151,11 +145,15 @@ def _report(target, scale, mats, deg):
 
 
 def _certificate(target, scale, mats, deg):
-    """The certificate of the block matrices ``mats``, one polynomial a
-    column, with their residual against T and |P|^2, as verified."""
-    return SosCertificate(*(tuple(BiPoly(col.reshape(shape)) for col in x.T)
-                            for x, (shape, _, _) in zip(mats, _block_terms(*deg))),
-                          residual=_report(target, scale, mats, deg).residual, deg=deg)
+    """The certificate of the block matrices ``mats``, each column a grid
+    on its block's support (a read-only reshaped view), with their
+    residual against T and |P|^2, as verified."""
+    stacks = [x.reshape(*shape, x.shape[1]) for x, (shape, _, _) in
+              zip(mats, _block_terms(*deg))]
+    for x in stacks:
+        x.flags.writeable = False
+    return SosCertificate(*stacks, residual=_report(target, scale, mats, deg).residual,
+                          deg=deg)
 
 
 def _outer_factor(s):

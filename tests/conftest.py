@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from bszego import (BiPoly, MomentSpace, MomentTable, SubspaceBasis, TrigPoly,
-                    moments, moments_from_density, reflect, sos)
+from bszego import (BiPoly, InsufficientMoments, MomentSpace, MomentTable,
+                    SubspaceBasis, TrigPoly, moments, moments_from_density,
+                    reflect)
 from bszego.cli import main as cli_main
 from bszego.jsonio import dumps
 from bszego.moments import _grid_rows
@@ -201,8 +202,8 @@ def lurking_isometry_gap(p: BiPoly, u, P: BiPoly, cert, count=16):
     n, m = cert.deg
     pc = np.zeros((n + 1, m + 1), dtype=complex)
     pc[:P.coeffs.shape[0], :P.coeffs.shape[1]] = P.coeffs
-    blocks = ([q.coeffs for q in cert.a_list] + [pc[::-1, ::-1].conj()],
-              [q.coeffs for q in cert.b_list], [q.coeffs for q in cert.c_list])
+    blocks = ([*cert.a.transpose(2, 0, 1), pc[::-1, ::-1].conj()],
+              cert.b.transpose(2, 0, 1), cert.c.transpose(2, 0, 1))
     worst = 0.0
     for z in np.exp(2j * np.pi * (np.arange(count) + 0.37) / count):
         for w in np.roots(np.polynomial.polynomial.polyval(z, p.coeffs)[::-1]):
@@ -322,7 +323,7 @@ def stacked_values(polys, z, w):
     K = max(q.coeffs.shape[0] for q in polys)
     P = max(q.coeffs.shape[1] for q in polys)
     # (z power, q, w power)
-    stack = sos._columns(polys, K, P).reshape(K, P, -1).transpose(0, 2, 1)
+    stack = grid_stack(polys, (K, P)).transpose(0, 2, 1)
     rows = (z[:, None] ** np.arange(K) @ stack.reshape(K, -1)).reshape(len(z), -1, P)
     return (rows @ (w[:, None] ** np.arange(P))[:, :, None])[:, :, 0]
 
@@ -335,6 +336,35 @@ def assert_stacked_values_match(polys, z, w):
     for q, got in zip(polys, values.T):
         size = BiPoly(np.abs(q.coeffs))(np.abs(z), np.abs(w))
         assert np.all(np.abs(got - q(z, w)) <= 1e-13 * size)
+
+
+def polys_of(stack):
+    """The polynomials of a stack of grids ``x[j, k, i]`` (a certificate
+    block, ``phi_sequence``'s basis), one BiPoly per grid, in order."""
+    return tuple(BiPoly(stack[:, :, i]) for i in range(stack.shape[2]))
+
+
+def grid_stack(polys, shape):
+    """Polynomials as one stack of grids ``x[j, k, i]`` on ``shape``, each
+    grid zero-padded to it: ``polys_of`` undone, a certificate block."""
+    out = np.zeros((*shape, len(polys)), dtype=complex)
+    for i, q in enumerate(polys):
+        out[:q.coeffs.shape[0], :q.coeffs.shape[1], i] = q.coeffs
+    return out
+
+
+def reflected(b: SubspaceBasis, at):
+    """Image of a basis under the anti-unitary reflection at degree ``at``."""
+    rows, cols, _ = b.coeffs.shape
+    if rows > at[0] + 1 or cols > at[1] + 1:
+        raise InsufficientMoments("reflection degree below the basis degree")
+    flipped = SubspaceBasis(np.conj(b.coeffs[::-1, ::-1]))
+    return flipped.shifted(at[0] + 1 - rows, at[1] + 1 - cols)
+
+
+def listed(doc):
+    """A document as ``json.load`` reads it back: every array a nested list."""
+    return json.loads(dumps(doc))
 
 
 def project(space: MomentSpace, f: BiPoly, onto: SubspaceBasis):

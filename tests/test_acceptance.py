@@ -15,7 +15,7 @@ from bszego import (BiPoly, MomentSpace, MomentTable, MomentDivergence,
                     shift_split_from_p, solve_ar)
 from bszego.cli import main as cli_main
 
-from conftest import (containment_defect, geometric_diag_moment,
+from conftest import (containment_defect, geometric_diag_moment, polys_of,
                       random_corpus_poly, sampled_grids, torus_grid,
                       trig_abs_squared)
 
@@ -146,14 +146,14 @@ def test_criterion_06_sos_certificates(p_2zw):
     for _ in range(200):
         z, w = 1.5 * (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2))
         analytic = 3 * (1 - abs(w) ** 2) + 3 * abs(w) ** 2 * (1 - abs(z) ** 2)
-        built = (1 - abs(w) ** 2) * sum(abs(q(z, w)) ** 2 for q in cert.a_list) \
-            + (1 - abs(z) ** 2) * (sum(abs(q(z, w)) ** 2 for q in cert.b_list)
-                                   - sum(abs(q(z, w)) ** 2 for q in cert.c_list))
+        built = (1 - abs(w) ** 2) * sum(abs(q(z, w)) ** 2 for q in polys_of(cert.a)) \
+            + (1 - abs(z) ** 2) * (sum(abs(q(z, w)) ** 2 for q in polys_of(cert.b))
+                                   - sum(abs(q(z, w)) ** 2 for q in polys_of(cert.c)))
         worst_identity = max(worst_identity, abs(built - analytic))
-    counts_ok = (len(cert.a_list), cert.n1, cert.n2) == (1, 1, 0)
+    counts_ok = (cert.a.shape[2], cert.n1, cert.n2) == (1, 1, 0)
     cert2 = certificate_closed_face(BiPoly([[1.0], [-2.0]]))
-    counts2_ok = (len(cert2.a_list), cert2.n1, cert2.n2) == (0, 0, 1)
-    c1_ok = abs(abs(cert2.c_list[0].coeffs[0, 0]) - np.sqrt(3.0)) < 1e-10
+    counts2_ok = (cert2.a.shape[2], cert2.n1, cert2.n2) == (0, 0, 1)
+    c1_ok = abs(abs(cert2.c[0, 0, 0]) - np.sqrt(3.0)) < 1e-10
     worst_kernel = 0.0
     for p in corpus(np.random.default_rng(202), 20):
         c = certificate_closed_face(p)

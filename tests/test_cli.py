@@ -12,12 +12,12 @@ import pytest
 from bszego import (BiPoly, MomentTable, SosCertificate, is_positive,
                     moments_from_density, verify_certificate)
 from bszego import reconstruct as reconstruct_mod
-from bszego.cli import main
+from bszego.cli import build_parser, main
 from bszego.errors import InvalidInput
 from bszego.jsonio import dumps, poly_from_json, poly_to_json, table_to_json
 
-from conftest import (alpha_zw_poly, cli_document, perturb_poly, shifted_c00,
-                      trig_abs_squared)
+from conftest import (alpha_zw_poly, cli_document, grid_stack, listed,
+                      perturb_poly, shifted_c00, trig_abs_squared)
 
 
 def run(argv):
@@ -355,7 +355,9 @@ def test_sos_prints_the_blocks_it_verified(tmp_path):
     assert [q.deg for q in blocks["A"]] == [(2, 1)] * 2
     assert [q.deg for q in blocks["B"] + blocks["C"]] == [(1, 2)] * 2
     assert any(q.trimmed().deg != q.deg for q in blocks["A"])
-    cert = SosCertificate(*blocks.values(), residual=np.nan, deg=(2, 2))
+    cert = SosCertificate(*(grid_stack(blocks[name], support) for name, support
+                            in zip("ABC", [(3, 2), (2, 3), (2, 3)])),
+                          residual=np.nan, deg=(2, 2))
     assert verify_certificate(p, cert).residual == doc["residual"]
 
 
@@ -439,6 +441,53 @@ def test_document_keys(files, tmp_path):
     assert set(docs["ar"]["a"]) == poly
 
 
+GRID_KEYS = {"c", "coeffs", "mu", "worst_z", "worst_w", "U", "scale"}
+
+
+def _grids(doc):
+    """The number of coefficient grids and complex numbers in a document,
+    each asserted to be a float ndarray of [re, im] pairs; no list in the
+    document may hold a list, as a grid written as nested lists would."""
+    if isinstance(doc, dict):
+        count = 0
+        for key, value in doc.items():
+            if key in GRID_KEYS:
+                assert type(value) is np.ndarray, key
+                assert value.dtype == float and value.shape[-1] == 2, key
+                count += 1
+            else:
+                count += _grids(value)
+        return count
+    if isinstance(doc, (list, tuple)):
+        assert not any(isinstance(v, (list, tuple, np.ndarray)) for v in doc)
+        return sum(_grids(v) for v in doc)
+    assert not isinstance(doc, np.ndarray)
+    return 0
+
+
+def test_every_grid_reaches_dumps_as_an_array(files, tmp_path):
+    # each subcommand's document as its handler returns it to main, before
+    # dumps: every coefficient grid and complex number is one numpy array
+    mpath = tmp_path / "m.json"
+    mpath.write_text(run(["moments", "--poly", files["p.json"],
+                          "--jmax", "5", "--kmax", "4"])[1])
+    table = ["--moments", str(mpath)] + N_M
+    counts = {}
+    for argv in (["moments", "--poly", files["p.json"]] + WINDOW,
+                 ["check"] + table, ["reconstruct"] + table,
+                 ["factor", "--trig", files["trig.json"]] + N_M,
+                 ["sos", "--poly", files["p.json"]],
+                 ["gdv", "--poly", files["zw.json"]],
+                 ["full"] + table, ["ar", "--autocorr", str(mpath)] + N_M):
+        args = build_parser().parse_args(argv)
+        doc, code = args.func(args)
+        assert code == 0
+        counts[argv[0]] = _grids(doc)
+    # sos: one A and one B grid; gdv: mu, worst_z, worst_w, U and scale
+    assert counts == {"moments": 1, "check": 0, "reconstruct": 1, "factor": 1,
+                      "sos": 2, "gdv": 5, "full": 0, "ar": 1}
+
+
 def test_stdin_input(files, monkeypatch, p_2zw):
     from bszego.jsonio import poly_to_json as ptj
     monkeypatch.setattr("sys.stdin", io.StringIO(dumps(ptj(p_2zw))))
@@ -508,7 +557,7 @@ def test_malformed_numbers_exit_2(tmp_path, argv, field):
         if field is not None and field[0] in doc:
             doc = {**doc, field[0]: field[1]}
         paths[name] = str(tmp_path / f"{name}.json")
-        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        (tmp_path / f"{name}.json").write_text(dumps(doc))
     code, out = run([a.format(**paths) for a in argv])
     assert code == 2
     assert json.loads(out)["error"] in ("InvalidInput", "ValueError")
@@ -562,10 +611,10 @@ def test_non_finite_input_exit_2(tmp_path, pipeline, flag, extra, what, value):
     # json.load reads NaN and Infinity; every input kind must refuse them
     p = BiPoly([[2.0, 0.0], [0.0, -1.0]])
     if flag == "--poly":
-        doc = poly_to_json(p)
+        doc = listed(poly_to_json(p))
         doc["coeffs"][1][1][0] = value
     else:
-        doc = table_to_json(trig_abs_squared(p))
+        doc = listed(table_to_json(trig_abs_squared(p)))
         doc["c"][0][0][1] = value
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
@@ -585,8 +634,8 @@ def test_non_finite_input_exit_2(tmp_path, pipeline, flag, extra, what, value):
 def test_non_number_entries_exit_2(tmp_path, pipeline, flag, extra, what, value):
     # only JSON numbers that fit a float may stand in a coefficient grid
     p = BiPoly([[2.0, 0.0], [0.0, -1.0]])
-    doc = poly_to_json(p) if flag == "--poly" \
-        else table_to_json(trig_abs_squared(p))
+    doc = listed(poly_to_json(p) if flag == "--poly"
+                 else table_to_json(trig_abs_squared(p)))
     doc["coeffs" if flag == "--poly" else "c"][0][0][1] = value
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

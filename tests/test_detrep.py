@@ -14,7 +14,8 @@ from bszego import (BiPoly, CertificateFailed, FitResidualTooLarge, NotGdv,
 from bszego import cli, detrep, reflect, sos
 from bszego.jsonio import dumps, poly_to_json
 
-from conftest import blaschke_gdv, cli_document, lurking_isometry_gap
+from conftest import (blaschke_gdv, cli_document, grid_stack, lurking_isometry_gap,
+                      polys_of)
 
 P_ZW = BiPoly([[0, -1], [1, 0]])          # z - w
 P_Z2W = BiPoly([[0, -1], [0, 0], [1, 0]])  # z^2 - w
@@ -392,7 +393,8 @@ def test_vanishing_pencil_is_refused(monkeypatch):
                                W_MINUS_Z], ids=["blaschke-2-2", "blaschke-4-4", "w-z"])
 def test_pencil_svd_sees_the_rows_built_from_the_polynomials(p, monkeypatch):
     # the one SVD of build_detrep factors exactly Y X^H, X and Y stacked,
-    # as before, by sos._columns from the certificate's shifted polynomials
+    # as before, from the certificate's shifted polynomials zero-padded to
+    # one grid and flattened z-major
     seen, svds = _with_blocks(monkeypatch), []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda a: svds.append(a.copy()) or svd(a))
@@ -400,10 +402,10 @@ def test_pencil_svd_sees_the_rows_built_from_the_polynomials(p, monkeypatch):
     (P, cert), = seen
     n, m = P.deg[0], P.deg[1] + 1
     deg = (n, m - 1)
-    x = (*(q.shifted(0, 1) for q in cert.a_list), P,
-         *(q.shifted(1, 0) for q in cert.b_list), *cert.c_list)
-    y = (*cert.a_list, reflect(P, deg), *cert.b_list,
-         *(q.shifted(1, 0) for q in cert.c_list))
-    x, y = (sos._columns(rows, n + 1, m).T for rows in (x, y))
+    x = (*(q.shifted(0, 1) for q in polys_of(cert.a)), P,
+         *(q.shifted(1, 0) for q in polys_of(cert.b)), *polys_of(cert.c))
+    y = (*polys_of(cert.a), reflect(P, deg), *polys_of(cert.b),
+         *(q.shifted(1, 0) for q in polys_of(cert.c)))
+    x, y = (grid_stack(rows, (n + 1, m)).reshape((n + 1) * m, -1).T for rows in (x, y))
     (got,) = svds
     assert np.array_equal(got, y @ x.conj().T)

@@ -100,18 +100,22 @@ def test_dumps_grids_byte_for_byte():
     [[[[1.0, 2.0]], [[3.0, 4.0]]]],                           # one level deeper
 ])
 def test_dumps_lays_out_grids_in_one_step(doc):
+    # nested lists take the step-per-item layout; only arrays take one step
     assert dumps(doc) == _reference(doc)
 
 
-def test_documents_keep_their_lists():
-    # poly_to_json and table_to_json return plain lists, which the standard
-    # library writes and a caller may assign into
-    doc = poly_to_json(BiPoly([[2.0, -1.0]]))
+def test_documents_hold_their_grids_as_arrays():
+    # poly_to_json and table_to_json give each grid (p's trimmed) as the
+    # array of [re, im] pairs, which dumps writes as the standard library
+    # writes its tolist()
+    doc = poly_to_json(BiPoly([[2.0, -1.0, 1e-20]]))
     table = table_to_json(MomentTable(0, 0, [[1.0]]))
-    assert type(doc["coeffs"]) is list and type(table["c"]) is list
-    doc["coeffs"][0][0][0] = 3.0
-    assert json.loads(json.dumps(doc)) == {"deg": [0, 1],
-                                           "coeffs": [[[3.0, 0.0], [-1.0, 0.0]]]}
+    assert type(doc["coeffs"]) is np.ndarray and type(table["c"]) is np.ndarray
+    assert np.array_equal(doc["coeffs"], [[[2.0, 0.0], [-1.0, 0.0]]])    # trimmed
+    assert np.array_equal(table["c"], [[[1.0, 0.0]]])
+    assert json.loads(dumps(doc)) == {"deg": [0, 1],
+                                      "coeffs": [[[2.0, 0.0], [-1.0, 0.0]]]}
+    assert dumps({"p": doc, "t": table}) == _reference({"p": doc, "t": table})
 
 
 def test_dumps_refuses_a_key_that_is_not_a_string():

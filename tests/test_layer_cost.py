@@ -2,7 +2,6 @@
 moment-space row."""
 
 import importlib.util
-import json
 import sys
 from functools import partial
 from pathlib import Path
@@ -12,7 +11,7 @@ import pytest
 
 from bszego import (BiPoly, MomentDivergence, certificate_closed_face, moments,
                     moments_from_density)
-from bszego.jsonio import poly_to_json
+from bszego.jsonio import dumps, poly_to_json
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "layer_cost.py"
 _spec = importlib.util.spec_from_file_location("layer_cost", TOOL)
@@ -70,7 +69,7 @@ def test_the_cli_column_runs_the_whole_sos_call(p_2zw, tmp_path, capsys):
     # the input read from a file, certified and printed, nothing reaching
     # the terminal
     path = tmp_path / "p.json"
-    path.write_text(json.dumps(poly_to_json(p_2zw)))
+    path.write_text(dumps(poly_to_json(p_2zw)))
     ms, code = layer_cost.best_of(
         partial(layer_cost.quiet_cli, ["sos", "--poly", str(path)]), 2)
     assert ms > 0 and code == 0

@@ -5,8 +5,9 @@ import pytest
 
 from bszego import (BiPoly, DegenerateForm, MatrixConditionFails, MomentSpace,
                     MomentTable, NoConvergence, NonPositiveDensity, NotFactorable,
-                    NotPositive, TrigPoly, factor_trig, moments_from_density,
-                    moments_from_grid_function, reconstruct_p)
+                    NotPositive, SubspaceBasis, TrigPoly, factor_trig,
+                    moments_from_density, moments_from_grid_function,
+                    reconstruct_p)
 from bszego import reconstruct, splitshift
 from bszego.poly import TRIM_REL, content_roots, reflect
 from bszego.reconstruct import kernel_poly
@@ -98,16 +99,16 @@ def _kernel_by_products(space):
     """kernel_poly as a sum of BiPoly products, one per phi."""
     n, m = space.nmax, space.mmax
     out = BiPoly(np.zeros((2 * n + 1, m + 1)))
-    for phi in space.phi_sequence(n, m):
+    for phi in space.phi_sequence(n, m).polys():
         out = out + phi * reflect(phi.z_slice(), (n, 0))
     return out
 
 
 class _PhiSpace:
-    """Stand-in for a MomentSpace that hands out fixed phis."""
+    """Stand-in for a MomentSpace that hands out fixed phis, as a stack."""
 
     def __init__(self, phis):
-        self.phis = phis
+        self.phis = SubspaceBasis(np.stack([phi.coeffs for phi in phis], axis=-1))
         self.nmax, self.mmax = phis[0].deg
 
     def phi_sequence(self, n, m):

@@ -1,4 +1,5 @@
 import importlib.util
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -15,22 +16,23 @@ from bszego.sos import SosCertificate, _common_factor_with_reflection
 from bszego.jsonio import poly_to_json
 
 from conftest import (assert_stacked_values_match, brute_inner, cli_document,
-                      sos_identity_gap, stacked_values, torus_grid)
+                      grid_stack, polys_of, sos_identity_gap, stacked_values,
+                      torus_grid)
 
 
 def test_cert_2zw_matches_analytic(p_2zw):
     # |2-zw|^2 - |2zw-1|^2 = 3(1-|w|^2) + 3|w|^2 (1-|z|^2)
     cert = certificate_closed_face(p_2zw)
-    assert (len(cert.a_list), cert.n1, cert.n2) == (1, 1, 0)
+    assert (cert.a.shape[2], cert.n1, cert.n2) == (1, 1, 0)
     assert cert.residual < 1e-10
     rng = np.random.default_rng(0)
     for _ in range(200):
         z, w = 1.5 * (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2))
         lhs = abs(p_2zw(z, w)) ** 2 - abs(2 * z * w - 1) ** 2
         analytic = 3 * (1 - abs(w) ** 2) + 3 * abs(w) ** 2 * (1 - abs(z) ** 2)
-        built = (1 - abs(w) ** 2) * sum(abs(q(z, w)) ** 2 for q in cert.a_list) \
-            + (1 - abs(z) ** 2) * (sum(abs(q(z, w)) ** 2 for q in cert.b_list)
-                                   - sum(abs(q(z, w)) ** 2 for q in cert.c_list))
+        built = (1 - abs(w) ** 2) * sum(abs(q(z, w)) ** 2 for q in polys_of(cert.a)) \
+            + (1 - abs(z) ** 2) * (sum(abs(q(z, w)) ** 2 for q in polys_of(cert.b))
+                                   - sum(abs(q(z, w)) ** 2 for q in polys_of(cert.c)))
         assert abs(lhs - analytic) < 1e-10 * max(1, abs(lhs))
         assert abs(built - analytic) < 1e-10 * max(1, abs(lhs))
 
@@ -38,15 +40,15 @@ def test_cert_2zw_matches_analytic(p_2zw):
 def test_cert_univariate_unstable():
     # |1-2z|^2 - |z-2|^2 = -3 (1-|z|^2): single C block of magnitude sqrt(3)
     cert = certificate_closed_face(BiPoly([[1.0], [-2.0]]))
-    assert (len(cert.a_list), cert.n1, cert.n2) == (0, 0, 1)
-    c1 = cert.c_list[0]
+    assert (cert.a.shape[2], cert.n1, cert.n2) == (0, 0, 1)
+    c1 = polys_of(cert.c)[0]
     assert abs(abs(c1.coeffs[0, 0]) - np.sqrt(3.0)) < 1e-10
     assert cert.residual < 1e-10
 
 
 def test_cert_degree_zero():
     cert = certificate_closed_face(BiPoly([[1.0]]))
-    assert cert.a_list == () and cert.b_list == () and cert.c_list == ()
+    assert (cert.a.shape, cert.b.shape, cert.c.shape) == ((1, 0, 0), (0, 1, 0), (0, 1, 0))
     assert cert.residual < 1e-14
 
 
@@ -57,24 +59,24 @@ def test_count_law_and_stable_case():
         p = random_corpus_poly(rng, allow_unstable_q=True)
         n, m = p.deg
         cert = certificate_closed_face(p)
-        assert len(cert.a_list) == m
+        assert cert.a.shape[2] == m
         assert cert.n1 + cert.n2 == n
         from bszego.poly import split_stable
         assert cert.n2 == split_stable(p.z_slice()).beta
         if cert.n2 == 0:
-            assert cert.c_list == ()   # Cole-Wermer two-term form
+            assert cert.c.shape[2] == 0   # Cole-Wermer two-term form
         assert cert.residual < 1e-8
 
 
 def test_blocks_orthonormal_in_density(p_2zw):
     cert = certificate_closed_face(p_2zw)
-    blocks = list(cert.a_list) + list(cert.b_list) + list(cert.c_list)
+    blocks = [*polys_of(cert.a), *polys_of(cert.b), *polys_of(cert.c)]
     for i, x in enumerate(blocks):
         g = brute_inner(p_2zw, x, x)
         assert abs(g - 1.0) < 1e-8
     # A block orthogonal within itself when longer than 1 entry is
     # covered by the corpus; here cross-check A vs B reflected spaces
-    g12 = brute_inner(p_2zw, cert.a_list[0], cert.b_list[0])
+    g12 = brute_inner(p_2zw, polys_of(cert.a)[0], polys_of(cert.b)[0])
     assert abs(g12) < 1.0  # distinct blocks need not be orthogonal
 
 
@@ -92,9 +94,9 @@ def _loop_residual(p, cert):
         return complex(c[j, k]) if inside else 0j
 
     terms = [(p, 1, (0, 0)), (reflect(p, cert.deg), -1, (0, 0))] \
-        + [(q, -1, (0, 1)) for q in cert.a_list] \
-        + [(q, -1, (1, 0)) for q in cert.b_list] \
-        + [(q, 1, (1, 0)) for q in cert.c_list]
+        + [(q, -1, (0, 1)) for q in polys_of(cert.a)] \
+        + [(q, -1, (1, 0)) for q in polys_of(cert.b)] \
+        + [(q, 1, (1, 0)) for q in polys_of(cert.c)]
     gaps = {}
     for j in range(n + 1):
         for k in range(m + 1):
@@ -114,10 +116,10 @@ def _loop_residual(p, cert):
 def test_verify_matches_a_loop_over_monomial_pairs():
     p = BiPoly([[1.0], [-2.0]]) * BiPoly([[2.0, 0.0], [0.0, -1.0]])  # (1-2z)(2-zw)
     cert = certificate_closed_face(p)
-    assert (len(cert.a_list), cert.n1, cert.n2) == (1, 1, 1)
+    assert (cert.a.shape[2], cert.n1, cert.n2) == (1, 1, 1)
     assert _loop_residual(p, cert)[0] < 1e-14
     # a wrong C block makes the residual O(1), so the worst pair is sharp
-    bad = replace(cert, c_list=tuple(1.1 * q for q in cert.c_list))
+    bad = replace(cert, c=1.1 * cert.c)
     residual, pair = _loop_residual(p, bad)
     report = verify_certificate(p, bad)
     assert residual > 1e-2
@@ -131,7 +133,7 @@ def test_verify_is_relative_to_p():
     p = 1e-6 * BiPoly([[2.0, 0.0], [0.0, -1.0]])
     cert = certificate_closed_face(p)
     assert cert.residual < 1e-14
-    bad = replace(cert, b_list=tuple(1.5 * q for q in cert.b_list))
+    bad = replace(cert, b=1.5 * cert.b)
     assert verify_certificate(p, bad).residual > 0.1
 
 
@@ -147,66 +149,72 @@ def test_verify_is_unmoved_by_scale_and_torus_rotation():
     p = BiPoly(a)
     cert = certificate_closed_face(p)
     assert (cert.deg, cert.residual < 1e-12) == ((4, 4), True)
-    bad = replace(cert, b_list=tuple(1.1 * q for q in cert.b_list))
+    bad = replace(cert, b=1.1 * cert.b)
     residual = verify_certificate(p, bad).residual
     assert residual > 1e-3
 
-    def moved(q, s, phi, psi):
-        j, k = np.indices(q.coeffs.shape)
-        return BiPoly(s * np.exp(1j * (j * phi + k * psi)) * q.coeffs)
+    def moved(x, s, phi, psi):
+        """A stack of grids, each times s e^{i (j phi + k psi)}."""
+        j, k = np.indices(x.shape[:2])
+        return (s * np.exp(1j * (j * phi + k * psi)))[..., None] * x
 
     for s, phi, psi in [(1e-6, 0, 0), (1e6, 0, 0), (1, 0.3, 1.1), (1, 2.5, -0.7)]:
-        q = moved(p, s, phi, psi)
-        blocks = {name: tuple(moved(b, s, phi, psi) for b in getattr(bad, name))
-                  for name in ("a_list", "b_list", "c_list")}
+        q = BiPoly(moved(p.coeffs[..., None], s, phi, psi)[..., 0])
+        blocks = {name: moved(getattr(bad, name), s, phi, psi) for name in "abc"}
         assert abs(verify_certificate(q, replace(bad, **blocks)).residual
                    - residual) < 1e-13 * residual
 
 
 def test_verify_detects_corruption(p_2zw):
     cert = certificate_closed_face(p_2zw)
-    bad = SosCertificate(a_list=cert.a_list,
-                         b_list=(BiPoly([[0.0, 2.0]]),),  # 2w instead of sqrt(3) w
-                         c_list=cert.c_list,
+    bad = SosCertificate(a=cert.a,
+                         b=grid_stack((BiPoly([[0.0, 2.0]]),), (1, 2)),  # 2w, not sqrt(3) w
+                         c=cert.c,
                          residual=cert.residual, deg=cert.deg)
     report = verify_certificate(p_2zw, bad)
     assert report.residual > 1e-3
 
 
-def test_verify_rejects_a_block_beyond_its_support(p_2zw):
-    # at degree (1, 1) the A block lives on z^0..z^1 times w^0 alone: an A
-    # polynomial in w is not of the certificate's form, while zero rows
-    # and columns past a block's support are only padding
+def test_verify_refuses_a_block_off_its_support(p_2zw):
+    # at degree (1, 1) the A block is a stack of 2 x 1 grids (z^0..z^1 times
+    # w^0) and the B block of 1 x 2 grids: a stack of any other grid shape,
+    # zero-padded or cut, or not a stack at all, is not of the certificate's
+    # form, while the certificate's own stacks verify exactly
     cert = certificate_closed_face(p_2zw)
-    for beyond in ([[0.0, 1.0]], [[0.0], [0.0], [1.0]]):    # w, z^2
-        with pytest.raises(InvalidDegree, match="beyond 2 x 1"):
-            verify_certificate(p_2zw, replace(cert, a_list=(BiPoly(beyond),)))
-    padded = tuple(BiPoly(np.pad(q.coeffs, ((0, 1), (0, 1)))) for q in cert.b_list)
-    assert verify_certificate(p_2zw, replace(cert, b_list=padded)) \
-        == verify_certificate(p_2zw, cert)
+    assert (cert.a.shape, cert.b.shape, cert.c.shape) == ((2, 1, 1), (1, 2, 1), (1, 2, 0))
+    assert not any(x.flags.writeable for x in (cert.a, cert.b, cert.c))
+    assert verify_certificate(p_2zw, cert).residual == cert.residual < 1e-14
+    w, z2 = np.array([[0.0, 1.0]]), np.array([[0.0], [0.0], [1.0]])
+    for name, block in [("a", w[..., None]), ("a", z2[..., None]),
+                        ("a", np.zeros((1, 1, 1))), ("a", np.zeros((2, 1))),
+                        ("b", np.pad(cert.b, ((0, 1), (0, 1), (0, 0)))),
+                        ("c", np.zeros((2, 2, 0)))]:
+        support = (2, 1) if name == "a" else (1, 2)
+        with pytest.raises(InvalidDegree, match=re.escape(f"off its support {support}")):
+            verify_certificate(p_2zw, replace(cert, **{name: block}))
 
 
 def test_verify_empty_cert_of_one():
-    cert = SosCertificate(a_list=(), b_list=(), c_list=(), residual=0.0,
-                          deg=(0, 0))
+    cert = SosCertificate(a=np.zeros((1, 0, 0)), b=np.zeros((0, 1, 0)),
+                          c=np.zeros((0, 1, 0)), residual=0.0, deg=(0, 0))
     report = verify_certificate(BiPoly([[1.0]]), cert)
     assert report.residual < 1e-14
 
 
 def _g_blocks(p, deg):
-    """The blocks of the G identity at ``deg``, built as build_detrep builds
-    them: the closed-face blocks with the reflection of p appended to A."""
+    """The blocks A, B and C of the G identity at ``deg`` as polynomials,
+    built as build_detrep builds them: the closed-face blocks with the
+    reflection of p appended to A."""
     cert = sos._certificate(*sos._blocks_closed_face(p, deg), deg)
-    return replace(cert, a_list=cert.a_list + (reflect(p, deg),))
+    return (*polys_of(cert.a), reflect(p, deg)), polys_of(cert.b), polys_of(cert.c)
 
 
-def _g_residual(p, cert, z, w):
+def _g_residual(p, deg, blocks, z, w):
     """Largest gap of |p|^2 - |w|^2 |prev|^2 = (1 - |w|^2) sum |A|^2
     + (1 - |z|^2) (sum |B|^2 - sum |C|^2) at the points, relative to the
     largest |p|^2 there (at least 1)."""
     sq = [np.abs(stacked_values(block, z, w)) ** 2
-          for block in ((p, reflect(p, cert.deg)), cert.a_list, cert.b_list,
-                        cert.c_list)]
+          for block in ((p, reflect(p, deg)), *blocks)]
     lhs = sq[0][:, 0] - np.abs(w) ** 2 * sq[0][:, 1]
     rhs = (1 - np.abs(w) ** 2) * sq[1].sum(axis=1) \
         + (1 - np.abs(z) ** 2) * (sq[2].sum(axis=1) - sq[3].sum(axis=1))
@@ -223,14 +231,19 @@ def test_stacked_values_match_each_polynomial(poly, form, blocks):
     # has another grid shape, 2-zw without C block, and the empty
     # certificate of 1
     p = BiPoly(poly)
-    cert = _g_blocks(p, p.deg) if form == "G" else certificate_closed_face(p)
-    assert (len(cert.a_list), cert.n1, cert.n2) == blocks
-    polys = (p, reflect(p, cert.deg), *cert.a_list, *cert.b_list, *cert.c_list)
+    if form == "G":
+        abc = _g_blocks(p, p.deg)
+    else:
+        cert = certificate_closed_face(p)
+        assert cert.deg == p.deg
+        abc = tuple(map(polys_of, (cert.a, cert.b, cert.c)))
+    assert tuple(map(len, abc)) == blocks
+    polys = (p, reflect(p, p.deg), *abc[0], *abc[1], *abc[2])
     rng = np.random.default_rng(5)
     z, w = 1.5 * (rng.uniform(-1, 1, (2, 50, 2)) @ [1, 1j])
     if form == "G":
         assert len({q.coeffs.shape for q in polys[2:]}) > 1
-        assert _g_residual(p, cert, z, w) < 1e-12
+        assert _g_residual(p, p.deg, abc, z, w) < 1e-12
     assert_stacked_values_match(polys, z, w)
 
 
@@ -245,7 +258,7 @@ def test_open_face_on_closed_face_poly(p_2zw):
     c1 = certificate_closed_face(p_2zw)
     c2 = certificate_open_face(p_2zw)
     assert abs(c1.residual - c2.residual) < 1e-8
-    for a, b in zip(c1.a_list, c2.a_list):
+    for a, b in zip(polys_of(c1.a), polys_of(c2.a)):
         assert np.allclose(a.coeffs, b.coeffs, atol=1e-8)
 
 
@@ -255,11 +268,11 @@ def test_open_face_z_only_reflected_derivative():
     P = reflect(BiPoly([[0, -1], [0, 0], [1, 0]]).w_derivative(), (2, 0))
     assert np.allclose(P.coeffs.ravel(), [0, 0, -1])
     cert = certificate_open_face(P)
-    assert (len(cert.a_list), cert.n1, cert.n2) == (0, 0, 2)
+    assert (cert.a.shape[2], cert.n1, cert.n2) == (0, 0, 2)
     rng = np.random.default_rng(3)
     for _ in range(20):
         z = 1.3 * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
-        total = sum(abs(q(z, 0.3)) ** 2 for q in cert.c_list)
+        total = sum(abs(q(z, 0.3)) ** 2 for q in polys_of(cert.c))
         assert abs(total - (1 + abs(z) ** 2)) < 1e-8
 
 
@@ -294,7 +307,7 @@ def test_open_face_boundary_zero_refined():
     _, _, start = sos._blocks_closed_face(shrunk, p.deg)
     assert sos._certificate(*sos._kernel(p, p.deg), start, p.deg).residual > 1e-2
     cert = certificate_open_face(p)
-    assert (len(cert.a_list), cert.n1, cert.n2) == (1, 1, 0)
+    assert (cert.a.shape[2], cert.n1, cert.n2) == (1, 1, 0)
     assert cert.residual < 1e-12
     assert cert.residual == verify_certificate(p, cert).residual
     with pytest.raises(NoConvergence, match="best residual"):
@@ -380,15 +393,15 @@ def test_schur_cohn_counts():
 
 
 def test_g_variant_identity(p_2zw):
-    cert = _g_blocks(p_2zw, p_2zw.deg)
-    assert len(cert.a_list) == 2     # L blocks plus the reflection of p
+    a, b, c = _g_blocks(p_2zw, p_2zw.deg)
+    assert len(a) == 2     # L blocks plus the reflection of p
     rng = np.random.default_rng(5)
     for _ in range(50):
         z, w = 1.4 * (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2))
         lhs = abs(p_2zw(z, w)) ** 2 - abs(w) ** 2 * abs(2 * z * w - 1) ** 2
-        rhs = (1 - abs(w) ** 2) * sum(abs(q(z, w)) ** 2 for q in cert.a_list) \
-            + (1 - abs(z) ** 2) * (sum(abs(q(z, w)) ** 2 for q in cert.b_list)
-                                   - sum(abs(q(z, w)) ** 2 for q in cert.c_list))
+        rhs = (1 - abs(w) ** 2) * sum(abs(q(z, w)) ** 2 for q in a) \
+            + (1 - abs(z) ** 2) * (sum(abs(q(z, w)) ** 2 for q in b)
+                                   - sum(abs(q(z, w)) ** 2 for q in c))
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
 
 
@@ -397,8 +410,8 @@ def test_cert_declared_degree():
     # |1|^2 - |z|^2 = (1 - |z|^2) * |B_1|^2 with a single unimodular B
     p = BiPoly([[1.0]])
     cert = sos._certificate(*sos._blocks_closed_face(p, (1, 0)), (1, 0))
-    assert (len(cert.a_list), cert.n1, cert.n2) == (0, 1, 0)
-    assert abs(abs(cert.b_list[0].coeffs[0, 0]) - 1.0) < 1e-10
+    assert (cert.a.shape[2], cert.n1, cert.n2) == (0, 1, 0)
+    assert abs(abs(cert.b[0, 0, 0]) - 1.0) < 1e-10
     assert cert.deg == (1, 0)
     assert verify_certificate(p, cert).residual < 1e-12
 
@@ -409,7 +422,7 @@ def test_cert_json(p_2zw, tmp_path):
     assert code == 0
     assert doc["variant"] == "L"
     assert doc["n1"] == 1 and doc["n2"] == 0
-    assert len(doc["A"]) == len(cert.a_list) == 1
+    assert len(doc["A"]) == cert.a.shape[2] == 1
 
 
 @pytest.mark.parametrize("count, low", [(4, 1.3), (6, 1.2)], ids=["(4,4)", "(6,6)"])
@@ -422,7 +435,7 @@ def test_ill_conditioned_closed_face_at_round_off(count, low):
     for alpha in np.linspace(low, 2.0, count):
         p = p * BiPoly([[alpha, 0.0], [0.0, -1.0]])
     cert = certificate_closed_face(p)
-    assert (len(cert.a_list), cert.n1, cert.n2) == (count, count, 0)
+    assert (cert.a.shape[2], cert.n1, cert.n2) == (count, count, 0)
     assert cert.residual < 1e-14
 
 
@@ -478,9 +491,9 @@ def test_residual_from_the_built_blocks_is_the_verified_one(p, certify):
 
 
 def test_closed_face_sos_builds_its_kernel_once(tmp_path, monkeypatch):
-    # one closed-face `bszego sos` call builds T once and rebuilds no block
-    # matrix from polynomials
-    calls = {"_kernel": 0, "_columns": 0}
+    # one closed-face `bszego sos` call builds T once and reshapes no block
+    # back from the certificate's stacks
+    calls = {"_kernel": 0, "verify_certificate": 0}
     for name in calls:
         def counted(*args, _real=getattr(sos, name), _name=name):
             calls[_name] += 1
@@ -489,4 +502,4 @@ def test_closed_face_sos_builds_its_kernel_once(tmp_path, monkeypatch):
     p = BiPoly([[2.0, 0.0], [0.0, -1.0]]) * BiPoly([[2.5, 0.3], [0.2, -1.0]])
     code, doc = cli_document(tmp_path, "sos", "--poly", poly_to_json(p))
     assert code == 0 and doc["residual"] < 1e-14
-    assert calls == {"_kernel": 1, "_columns": 0}
+    assert calls == {"_kernel": 1, "verify_certificate": 0}

@@ -58,7 +58,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import contextlib  # noqa: E402
 import io  # noqa: E402
-import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
@@ -78,7 +77,7 @@ from bszego import (BiPoly, BszegoError, MomentSpace, TrigPoly,  # noqa: E402
                     check_matrix_condition, moments, moments_from_density,
                     moments_from_trig, reconstruct_p, solve_ar)
 from bszego.cli import main as cli_main  # noqa: E402
-from bszego.jsonio import poly_to_json  # noqa: E402
+from bszego.jsonio import dumps, poly_to_json  # noqa: E402
 from bszego.poly import _canonical_phase  # noqa: E402
 
 REPEAT = 15         # calls per case; the best one is reported
@@ -211,13 +210,13 @@ def sos_table():
             ms, cert = best_of(call, REPEAT)
             path = os.path.join(tmp, "p.json")
             with open(path, "w") as fh:
-                json.dump(poly_to_json(p), fh)
+                fh.write(dumps(poly_to_json(p)))
             flags = ["--open-face"] if certify is certificate_open_face else []
             cli_ms, _ = best_of(partial(quiet_cli, ["sos", "--poly", path, *flags]), REPEAT)
             with counting("_inverse", stacks) as sizes:
                 best_of(call, 1)
             outcome = (type(cert).__name__ if isinstance(cert, BszegoError) else
-                       f"{str((len(cert.a_list), cert.n1, cert.n2)):10} {cert.residual:.2e}")
+                       f"{str((cert.a.shape[2], cert.n1, cert.n2)):10} {cert.residual:.2e}")
             print(f"{name:24} {f'({p.deg[0]},{p.deg[1]})':6} {ms:8.2f} {cli_ms:8.2f} "
                   f"{sum(sizes):8d} {outcome}")
 
