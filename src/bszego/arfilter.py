@@ -19,7 +19,8 @@ import numpy as np
 from .moments import MomentTable
 from .poly import BiPoly
 from .reconstruct import _reconstruct
-from .splitshift import MC_TOL, StratificationReport, _positive_form
+from .splitshift import (MC_TOL, StratificationReport, _positive_form,
+                         build_operators, check_matrix_condition)
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,7 +44,9 @@ def solve_ar(table: MomentTable, n, m) -> ArSolution:
     invariant under positive rescaling of the autocorrelations: the
     operators live in orthonormal coordinates.
     """
-    ops, report, lam = _positive_form(table, n, m, eigenvalue=True)
+    space, lam = _positive_form(table, n, m, eigenvalue=True)
+    ops = build_operators(space)
+    report = check_matrix_condition(ops)
     # at m = 0 the A operator is 0 x n, which the spectral norm cannot take
     a_norm = float(np.linalg.norm(ops.a_mat, 2)) if ops.a_mat.size else 0.0
     p = _reconstruct(ops) if report.holds else None

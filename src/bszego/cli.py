@@ -39,7 +39,7 @@ from .jsonio import (_pairs, dumps, poly_from_json, poly_to_json,
 from .moments import moments_from_density
 from .reconstruct import factor_trig, reconstruct_p
 from .sos import certificate_closed_face, certificate_open_face
-from .splitshift import _positive_form
+from .splitshift import _positive_form, build_operators, check_matrix_condition
 
 class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors raise InvalidInput, so that they exit 2
@@ -77,7 +77,8 @@ def _check_doc(report):
 
 def _cmd_check(args):
     table = table_from_json(_read_json(args.moments))
-    _, report, _ = _positive_form(table, args.n, args.m)
+    space, _ = _positive_form(table, args.n, args.m)
+    report = check_matrix_condition(build_operators(space))
     return _check_doc(report), 0 if report.holds else 1
 
 

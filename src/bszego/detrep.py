@@ -31,7 +31,7 @@ from .errors import (CertificateFailed, FitResidualTooLarge, NotGdv,
                      NotSelfReflective, NumericalFailure, ZeroPolynomial,
                      ZOnlyFactor)
 from .moments import _roots
-from .poly import BiPoly, _w_roots, content_roots, reflect
+from .poly import BiPoly, _frozen, _w_roots, content_roots, reflect
 from .sos import _blocks_closed_face
 
 
@@ -193,8 +193,8 @@ def build_detrep(p: BiPoly) -> DetRep:
     # negated maps (w A_ext, z B, C) to (A_ext, B, z C) there
     U[:, m - 1] *= -1.0
 
-    rep0 = DetRep(u=U, n1=b.shape[1], n2=c.shape[1], scale=1.0 + 0.0j, residual=np.nan,
-                  mu=mu, geometry=geo)
+    rep0 = DetRep(u=_frozen(U), n1=b.shape[1], n2=c.shape[1], scale=1.0 + 0.0j,
+                  residual=np.nan, mu=mu, geometry=geo)
     d = _pencil_coeffs(rep0, (n, m))
     c = p1.coeffs
     scale = complex(np.vdot(c, d) / np.vdot(c, c).real)     # least squares

@@ -56,7 +56,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import (InsufficientMoments, MomentDivergence,
                      NonPositiveDensity, RootNearTorus, ZeroPolynomial)
-from .poly import BiPoly, _readonly
+from .poly import BiPoly, _frozen, _readonly
 
 POLE_MARGIN = 1e-12  # denominator minimum, relative to its grid maximum
 POSITIVE_TOL = 1e-12  # is_positive's bound on the Gram's eigenvalue ratio
@@ -119,11 +119,6 @@ class TrigPoly(MomentTable):
         super().__post_init__()
         if not np.max(np.abs(self.c - raw)) <= HERMITIAN_TOL * np.max(np.abs(raw)):
             raise NonPositiveDensity("coefficients are not Hermitian-symmetric")
-
-
-def _frozen(a):
-    a.setflags(write=False)
-    return a
 
 
 @lru_cache(maxsize=32)

@@ -28,10 +28,13 @@ FACE_SAMPLES = 64         # z points on the circle in _assert_no_face_zeros
 FACE_MARGIN = 1e-7        # w-roots this close to the closed disk are face zeros
 
 
-def _readonly(a):
-    a = np.array(a, dtype=complex)
+def _frozen(a):
     a.setflags(write=False)
     return a
+
+
+def _readonly(a):
+    return _frozen(np.array(a, dtype=complex))
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,6 +6,13 @@ stable-content representative, unit-norm under the form.  The paper's
 kernel identity checks it independently: the orthonormal polynomials
 of E2(n, m), each times the reflection of its z-slice, sum to
 p(z1, z2) times the reflection of p(z1, 0).
+
+For p without zeros on the closed bidisk, conj(G)^-1 e_0 = conj(p_00) p
+(2-D Yule-Walker; Geronimo and Woerdeman, Ann. of Math. 160, 2004), and
+``factor_trig`` reads p from it first.  It keeps that p when |p|^2 = t on
+coefficients, p has no zeros on the closed face and p(z, 0) none in the
+closed disk: then p is the minimal split polynomial, up to round-off.
+Otherwise the split route decides, as ``reconstruct_p``.
 """
 
 from __future__ import annotations
@@ -13,12 +20,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (DegenerateForm, MatrixConditionFails, NoConvergence,
-                     NotFactorable)
+                     NotFactorable, RootNearTorus)
 from .moments import MomentTable, TrigPoly, moments_from_trig
-from .poly import TRIM_REL, BiPoly, _assert_no_face_zeros, reflect
+from .poly import (TRIM_REL, BiPoly, _assert_no_face_zeros, _canonical_phase,
+                   _roots_beyond, reflect)
 from .space import MomentSpace
 from .splitshift import (ShiftOperators, _positive_form, _require_condition,
-                         _split_from_k1)
+                         _split_from_k1, build_operators, check_matrix_condition)
 
 KERNEL_TOL = 1e-8   # kernel identity residual, relative to max |kernel|
 FACTOR_TOL = 1e-7   # factor_trig's bound on the l1 gap of |p|^2 - t, relative to t_00
@@ -50,8 +58,8 @@ def reconstruct_p(table: MomentTable, n, m) -> BiPoly:
     condition; the result is the stable-content representative,
     unit-norm under the form, with canonical phase.
     """
-    ops, report, _ = _positive_form(table, n, m)
-    _require_condition(report)
+    ops = build_operators(_positive_form(table, n, m)[0])
+    _require_condition(check_matrix_condition(ops))
     return _reconstruct(ops)
 
 
@@ -74,12 +82,11 @@ def _reconstruct(ops: ShiftOperators) -> BiPoly:
 def factor_trig(t: TrigPoly, n, m):
     """Factor a strictly positive trig polynomial as |p|^2 when possible.
 
-    Builds the moments of dsigma / t, tests the matrix condition, then
-    reconstructs p and checks t = |p|^2 on coefficients; the l1 norm of
-    their gap bounds |p|^2 - t on the whole torus.  Raises
-    NotFactorable when no p of degree (n, m) without zeros on the closed
-    face exists; |p|^2 has degree at most p's, so that includes a t with
-    a coefficient beyond (n, m) at or above TRIM_REL of its largest.
+    Builds the moments of dsigma / t, then takes ``_stable_factor``'s p or,
+    when it refuses, checks ``reconstruct_p``'s by ``_check_factor``.
+    Raises NotFactorable when no p of degree (n, m) without zeros on the
+    closed face exists; |p|^2 has degree at most p's, so that includes a t
+    with a coefficient beyond (n, m) at or above TRIM_REL of its largest.
     """
     table = moments_from_trig(t, n, m)
     mag = np.abs(t.c)
@@ -87,10 +94,33 @@ def factor_trig(t: TrigPoly, n, m):
     deg = (int(np.abs(j - t.jmax).max()), int(np.abs(k - t.kmax).max()))
     if deg[0] > n or deg[1] > m:
         raise NotFactorable(f"t has degree {deg}, above ({n}, {m})")
+    p = _stable_factor(_positive_form(table, n, m)[0], t)
+    if p is not None:
+        return p
     try:
         p = reconstruct_p(table, n, m)
     except MatrixConditionFails as exc:
         raise NotFactorable(str(exc)) from exc
+    return _check_factor(t, p)
+
+
+def _stable_factor(space: MomentSpace, t: TrigPoly):
+    """t's factor without zeros on the closed bidisk (module docstring): the
+    column of conj(G)^-1 at the constant monomial over the square root of its
+    first entry, phase-canonical; None unless p(z, 0) has no root in the
+    closed disk and ``_check_factor`` passes."""
+    col = space._inverse_columns(0)
+    p = _canonical_phase(BiPoly(col.reshape(space.nmax + 1, -1) / np.sqrt(col[0].real)))
+    try:
+        return _check_factor(t, p) if _roots_beyond(p.coeffs[:, :1], 1.0)[0] else None
+    except (NoConvergence, RootNearTorus):
+        return None
+
+
+def _check_factor(t: TrigPoly, p: BiPoly) -> BiPoly:
+    """p, checked: NoConvergence unless the l1 norm of |p|^2 - t on
+    coefficients, which bounds it on the whole torus, is within FACTOR_TOL
+    of t_00; RootNearTorus if p has a zero on the closed face."""
     # |p|^2's Laurent coefficients, centred at (a, b): p times its reflection
     a, b = p.deg
     J, K = max(t.jmax, a), max(t.kmax, b)

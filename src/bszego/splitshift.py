@@ -37,8 +37,8 @@ import numpy as np
 from .errors import (DegenerateForm, DNotAdmissible, InvalidDegree,
                      MatrixConditionFails, NotPositive)
 from .moments import MomentTable, _positive, _real_form, gram
-from .poly import (BiPoly, _assert_no_face_zeros, _canonical_phase, _split_at_w0,
-                   split_stable)
+from .poly import (BiPoly, _assert_no_face_zeros, _canonical_phase, _frozen,
+                   _split_at_w0, split_stable)
 from .space import MomentSpace, SubspaceBasis
 
 # Both are one absolute round-off floor on contractions, hence no caller
@@ -68,9 +68,7 @@ class ShiftOperators:
         n = max(self.t_mat.shape[0], 1)
         b_space = _krylov_span(self.t_mat, self.b_mat, n)
         a_space = _krylov_span(self.t_mat.conj().T, self.a_mat.conj().T, n)
-        a_space.setflags(write=False)
-        b_space.setflags(write=False)
-        return a_space, b_space
+        return _frozen(a_space), _frozen(b_space)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,9 +116,9 @@ def build_operators(space: MomentSpace) -> ShiftOperators:
     # products of space.cross, with each of the four bases embedded once
     emb_ze1, emb_b = (space.embed_basis(b).T for b in (e1.shifted(1, 0), b_in))
     conj_e1, conj_a = (np.conj(space.embed_basis(b)) for b in (e1, a_out))
-    return ShiftOperators(space=space, a_mat=(emb_ze1 @ conj_a).T,
-                          b_mat=(emb_b @ conj_e1).T,
-                          t_mat=(emb_ze1 @ conj_e1).T, e1=e1)
+    return ShiftOperators(space=space, a_mat=_frozen((emb_ze1 @ conj_a).T),
+                          b_mat=_frozen((emb_b @ conj_e1).T),
+                          t_mat=_frozen((emb_ze1 @ conj_e1).T), e1=e1)
 
 
 def _krylov_span(step, seed, n):
@@ -163,20 +161,19 @@ def check_matrix_condition(ops: ShiftOperators) -> StratificationReport:
 
 
 def _positive_form(table: MomentTable, n, m, eigenvalue=False):
-    """(operators, report, lam) of the form at caps (n, m).
+    """(space, lam): the moment space of the form at caps (n, m).
 
     The one positivity gate of check, reconstruct, ar and factor:
     NotPositive unless ``moments._positive`` finds the form positive on
     [0,n] x [0,m], lam being its smallest eigenvalue if ``eigenvalue`` (ar
-    prints it), else None.  Then, on the same Gram, the operators and report.
+    prints it), else None.  The space reuses the gate's Gram and real form.
     """
     G = gram(table, n, m)
     R = _real_form(G)
     ok, lam = _positive(R, eigenvalue)
     if not ok:
         raise NotPositive(f"moment form not positive (eigenvalue {lam:.3e})")
-    ops = build_operators(MomentSpace(table, n, m, (G, R)))
-    return ops, check_matrix_condition(ops), lam
+    return MomentSpace(table, n, m, (G, R)), lam
 
 
 def _require_condition(report: StratificationReport):

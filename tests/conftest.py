@@ -1,6 +1,9 @@
 import contextlib
+import importlib.util
 import io
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,6 +279,18 @@ def shifted_c00(table: MomentTable, n, m, ratio):
     c = table.c.copy()
     c[table.jmax, table.kmax] -= (eigs[0] - ratio * eigs[-1]) / (1.0 - ratio)
     return MomentTable(table.jmax, table.kmax, c)
+
+
+def bench_corpus():
+    """bench/corpus.py, loaded without writing bytecode beside it."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "dont_write_bytecode", True)
+        mp.setitem(sys.modules, spec.name, module)      # its dataclasses look it up
+        spec.loader.exec_module(module)
+    return module
 
 
 def trig_abs_squared(p: BiPoly) -> TrigPoly:

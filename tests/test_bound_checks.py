@@ -68,15 +68,18 @@ def test_no_check_in_the_library_passes_a_nan():
 def test_vanishing_kernel_is_degenerate(monkeypatch):
     # a kernel polynomial that comes out all zero must be refused, not
     # divided 0 by 0 (tier 1 turns the division's RuntimeWarning into an
-    # error); no input is known to reach it, so kernel_poly is patched
+    # error); no input is known to reach it, so kernel_poly is patched.
+    # factor_trig reaches the kernel only past the stable factor, which
+    # 4 - z conj(w) - conj(z) w lacks
     monkeypatch.setattr(reconstruct, "kernel_poly",
                         lambda space: BiPoly(np.zeros((2 * space.nmax + 1,
                                                        space.mmax + 1))))
     t = TrigPoly(1, 0, [[-2.0], [5.0], [-2.0]])
+    acausal = TrigPoly(1, 1, [[0, 0, -1.0], [0, 4.0, 0], [-1.0, 0, 0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegenerateForm, match="kernel polynomial vanishes"):
-            factor_trig(t, 1, 0)
+            factor_trig(acausal, 1, 1)
         with pytest.raises(DegenerateForm, match="kernel polynomial vanishes"):
             reconstruct_p(moments_from_trig(t, 1, 0), 1, 0)
 

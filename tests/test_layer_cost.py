@@ -1,5 +1,5 @@
-"""tools/layer_cost.py's timer, counting swap, point count, CLI column and
-moment-space row."""
+"""tools/layer_cost.py's timer, counting swap, point count, CLI column,
+factor row and moment-space row."""
 
 import importlib.util
 import sys
@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bszego import (BiPoly, MomentDivergence, certificate_closed_face, moments,
-                    moments_from_density)
-from bszego.jsonio import dumps, poly_to_json
+from bszego import (BiPoly, MomentDivergence, TrigPoly, certificate_closed_face,
+                    moments, moments_from_density)
+from bszego.jsonio import dumps, poly_to_json, table_to_json
+
+from conftest import bench_corpus, trig_abs_squared
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "layer_cost.py"
 _spec = importlib.util.spec_from_file_location("layer_cost", TOOL)
@@ -77,6 +79,24 @@ def test_the_cli_column_runs_the_whole_sos_call(p_2zw, tmp_path, capsys):
     _, code = layer_cost.best_of(
         partial(layer_cost.quiet_cli, ["sos", "--poly", str(tmp_path / "none.json")]), 1)
     assert code == 2
+
+
+def test_the_factor_row_names_the_route_that_answered(p_2zw, tmp_path):
+    # |2 - zw|^2 is answered by the stable factor, exactly on coefficients;
+    # the sum2 control by the split route, which refuses it
+    corpus = bench_corpus()
+    rows = {}
+    for name, t in (("2-zw", trig_abs_squared(p_2zw)),
+                    ("sum2", TrigPoly(2, 2, corpus.non_factorable_trig()))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(dumps(table_to_json(t)))
+        rows[name] = layer_cost.factor_row(t, t.jmax, t.kmax, str(path), 2)
+        assert min(rows[name][:3]) > 0
+    assert rows["2-zw"][3] == "stable" and float(rows["2-zw"][4]) < 1e-12
+    assert rows["sum2"][3:] == ("split", "NotFactorable")
+    # the table's rows are the certify workload's factor calls
+    assert [p.kind for p in corpus.generate("certify", 1)
+            if p.pipeline == "factor"] == ["zw", "perturb"] * 6 + ["sum2"]
 
 
 def test_the_moment_space_row_times_three_calls_and_checks_the_answer(p_2zw):

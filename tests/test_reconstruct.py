@@ -5,14 +5,15 @@ import pytest
 
 from bszego import (BiPoly, DegenerateForm, MatrixConditionFails, MomentSpace,
                     MomentTable, NoConvergence, NonPositiveDensity, NotFactorable,
-                    NotPositive, SubspaceBasis, TrigPoly, factor_trig,
-                    moments_from_density, moments_from_grid_function,
-                    reconstruct_p)
+                    NotPositive, RootNearTorus, SubspaceBasis, TrigPoly,
+                    factor_trig, moments_from_density,
+                    moments_from_grid_function, moments_from_trig, reconstruct_p)
 from bszego import reconstruct, splitshift
 from bszego.poly import TRIM_REL, content_roots, reflect
 from bszego.reconstruct import kernel_poly
 
-from conftest import max_modulus_gap, random_corpus_poly, trig_abs_squared
+from conftest import (bench_corpus, max_modulus_gap, random_corpus_poly,
+                      trig_abs_squared)
 
 
 def test_round_trip_2zw(p_2zw, table_2zw):
@@ -213,8 +214,10 @@ def test_factor_trig_idempotent(p_2zw):
 
 
 def test_factor_trig_checks_its_factor_on_coefficients(monkeypatch, p_2zw):
-    # a factor 1e-5 off 2 - zw in its constant: |q|^2 misses t by 6e-5 in l1
+    # a factor 1e-5 off 2 - zw in its constant: |q|^2 misses t by 6e-5 in l1;
+    # the split route answers it, once the stable factor is refused
     q = p_2zw + BiPoly([[1e-5]])
+    monkeypatch.setattr(reconstruct, "_stable_factor", lambda *args: None)
     monkeypatch.setattr(reconstruct, "reconstruct_p", lambda *args: q)
     with pytest.raises(NoConvergence, match=r"\|p\|\^2 mismatches t by 6.000e-05 "
                                            "despite the matrix condition"):
@@ -262,3 +265,135 @@ def test_factor_trig_degree_reads_coefficients_from_trim_rel():
                 factor_trig(t, 1, 1)
         else:
             assert np.allclose(factor_trig(t, 1, 1).coeffs, [[2, 0], [0, -1]])
+
+
+# -- factor_trig's first route: the stable factor off the inverse Gram -------
+
+def _stable_cases():
+    """(id, p) of the benchmark's seeded stable_kind (moduli 2 to 3) and
+    perturb_kind (sum |e| = 0.4) polynomials from (1, 1) to (16, 16)."""
+    corpus = bench_corpus()
+    rng = np.random.default_rng(corpus.DEFAULT_SEED)
+    for n, m in ((1, 1), (2, 2), (4, 2), (4, 4), (6, 4), (8, 8), (12, 12), (16, 16)):
+        yield f"zw-{n}-{m}", BiPoly(corpus.stable_kind(rng, n, m, 2.0, 3.0))
+        yield f"perturb-{n}-{m}", BiPoly(corpus.perturb_kind(rng, n, m, 0.4))
+
+
+STABLE_CASES = list(_stable_cases())
+
+
+def _inverse_column(p):
+    """The column of conj(G)^-1 at the constant monomial, G the Gram of
+    1/|p|^2 on p's degree rectangle, as a grid."""
+    n, m = p.deg
+    space = MomentSpace(moments_from_trig(trig_abs_squared(p), n, m), n, m)
+    return space._inverse_columns(0).reshape(n + 1, m + 1)
+
+
+@pytest.mark.parametrize("p", [c[1] for c in STABLE_CASES],
+                         ids=[c[0] for c in STABLE_CASES])
+def test_inverse_gram_column_is_the_stable_factor(p):
+    # conj(G)^-1 e_0 = conj(p_00) p for p without zeros on the closed
+    # bidisk (2-D Yule-Walker), to round-off of its largest coefficient
+    want = np.conj(p.coeffs[0, 0]) * p.coeffs
+    gap = np.max(np.abs(_inverse_column(p) - want)) / np.max(np.abs(want))
+    assert gap <= 100 * np.finfo(float).eps
+
+
+def test_inverse_gram_column_is_not_an_unstable_factor():
+    # an unstable_kind (4, 4) p has z-roots in the disk: the column is the
+    # stable representative's, off p itself by order one
+    corpus = bench_corpus()
+    p = BiPoly(corpus.unstable_kind(np.random.default_rng(corpus.DEFAULT_SEED), 4, 4))
+    assert corpus.disk_roots(p.coeffs) > 0
+    want = np.conj(p.coeffs[0, 0]) * p.coeffs
+    assert np.max(np.abs(_inverse_column(p) - want)) > 0.1 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("p", [c[1] for c in STABLE_CASES],
+                         ids=[c[0] for c in STABLE_CASES])
+def test_factor_trig_equals_the_minimal_split(p):
+    # the first route's answer is the one reconstruct_p gives on the same
+    # moments, phase and norm included, up to round-off
+    t = trig_abs_squared(p)
+    n, m = p.deg
+    want = reconstruct_p(moments_from_trig(t, n, m), n, m).coeffs
+    got = factor_trig(t, n, m).coeffs
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.fixture
+def operator_calls(monkeypatch):
+    """The build_operators and phi_sequence calls made while a test runs."""
+    calls = []
+    build, phi = reconstruct.build_operators, MomentSpace.phi_sequence
+
+    def counted_build(space):
+        calls.append("build_operators")
+        return build(space)
+
+    def counted_phi(space, n, m):
+        calls.append("phi_sequence")
+        return phi(space, n, m)
+
+    monkeypatch.setattr(reconstruct, "build_operators", counted_build)
+    monkeypatch.setattr(MomentSpace, "phi_sequence", counted_phi)
+    return calls
+
+
+def test_a_stable_factor_needs_no_operators(operator_calls, p_2zw):
+    assert np.allclose(factor_trig(trig_abs_squared(p_2zw), 1, 1).coeffs,
+                       p_2zw.coeffs, atol=1e-12)
+    assert operator_calls == []
+
+
+def test_without_a_stable_factor_the_split_route_decides(operator_calls):
+    # 4 - z conj(w) - conj(z) w has only its forced-acausal factor, whose
+    # square modulus misses t on coefficients; the split route builds it,
+    # checked by the kernel identity
+    acausal = TrigPoly(1, 1, [[0, 0, -1.0], [0, 4.0, 0], [-1.0, 0, 0]])
+    space = MomentSpace(moments_from_trig(acausal, 1, 1), 1, 1)
+    col = space._inverse_columns(0)
+    candidate = BiPoly(col.reshape(2, 2) / np.sqrt(col[0].real))
+    with pytest.raises(NoConvergence):
+        reconstruct._check_factor(acausal, candidate)
+    assert reconstruct._stable_factor(space, acausal) is None
+    p = factor_trig(acausal, 1, 1)
+    assert abs(abs(p.coeffs[1, 0]) ** 2 - (2 + np.sqrt(3))) < 1e-8
+    assert abs(abs(p.coeffs[0, 1]) ** 2 - (2 - np.sqrt(3))) < 1e-8
+    assert operator_calls == ["build_operators", "phi_sequence"]
+    # |2 - zw|^2 + |2 - z - w/2|^2 is no |p|^2: the matrix condition fails
+    # before any kernel is built
+    operator_calls.clear()
+    corpus = bench_corpus()
+    with pytest.raises(NotFactorable, match="no closed-face Bernstein-Szego"):
+        factor_trig(TrigPoly(2, 2, corpus.non_factorable_trig()), 2, 2)
+    assert operator_calls == ["build_operators"]
+
+
+# (2 - z)(2 + w), with two polynomials of the same modulus on the torus:
+# (2 - z)(1 + 2w) vanishes on the face at w = -1/2, (1 - 2z)(2 + w) at
+# z = 1/2, w = 0
+STABLE_2Z_2W = BiPoly([[4.0, 2.0], [-2.0, -1.0]])
+
+
+@pytest.mark.parametrize("q, reason", [
+    (BiPoly([[2.0, 4.0], [-1.0, -2.0]]), "face"),
+    (BiPoly([[2.0, 1.0], [-4.0, -2.0]]), "disk"),
+])
+def test_a_candidate_with_a_zero_in_the_bidisk_is_refused(monkeypatch, operator_calls,
+                                                          q, reason):
+    # no t is known whose inverse-Gram column has |p|^2 = t and a zero in
+    # the closed bidisk, so the candidate is patched; it passes the
+    # coefficient check, and only its zero refuses it
+    t = trig_abs_squared(STABLE_2Z_2W)
+    if reason == "face":
+        with pytest.raises(RootNearTorus, match="w-root of modulus 0.500000"):
+            reconstruct._check_factor(t, q)
+    else:
+        assert reconstruct._check_factor(t, q) is q
+    monkeypatch.setattr(reconstruct, "_canonical_phase", lambda p: q)
+    p = factor_trig(t, 1, 1)
+    assert np.allclose(p.coeffs, STABLE_2Z_2W.coeffs, atol=1e-12)
+    assert operator_calls == ["build_operators", "phi_sequence"]

@@ -1,8 +1,5 @@
-import importlib.util
 import re
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +12,9 @@ from bszego.sos import SosCertificate, _common_factor_with_reflection
 
 from bszego.jsonio import poly_to_json
 
-from conftest import (assert_stacked_values_match, brute_inner, cli_document,
-                      grid_stack, polys_of, sos_identity_gap, stacked_values,
-                      torus_grid)
+from conftest import (assert_stacked_values_match, bench_corpus, brute_inner,
+                      cli_document, grid_stack, polys_of, sos_identity_gap,
+                      stacked_values, torus_grid)
 
 
 def test_cert_2zw_matches_analytic(p_2zw):
@@ -449,23 +446,11 @@ def test_blocks_refuse_an_h_away_from_its_counts(monkeypatch, p_2zw):
         certificate_closed_face(p)
 
 
-def _bench_corpus():
-    """bench/corpus.py, loaded without writing bytecode beside it."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("bench_corpus", path)
-    module = importlib.util.module_from_spec(spec)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sys, "dont_write_bytecode", True)
-        mp.setitem(sys.modules, spec.name, module)      # its dataclasses look it up
-        spec.loader.exec_module(module)
-    return module
-
-
 def _residual_cases():
     """(id, p, certificate function): the certify kinds at CERTIFY_DEGREES,
     (1 + d) - zw and its square at the BANDS edges, and two open-face
     torus zeros."""
-    corpus = _bench_corpus()
+    corpus = bench_corpus()
     rng = np.random.default_rng(corpus.DEFAULT_SEED)
     for n, m in corpus.CERTIFY_DEGREES:
         for kind, a in (("zw", corpus.stable_kind(rng, n, m, 2.0, 3.0)),

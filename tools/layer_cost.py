@@ -1,5 +1,5 @@
 """Cost of the paper's layers one at a time: quadrature, sos certificates,
-full measure, moment space.
+factorization, full measure, moment space.
 
     python tools/layer_cost.py
 
@@ -32,6 +32,15 @@ and printing), the points at which one call evaluates the Schur-Cohn matrix S(z)
 (the stacks passed to ``moments._inverse``, an open-face case's
 closed-face attempt included), and the block counts (m, n1, n2) and
 residual, or the error class the call ends in.
+
+Factor: the certify workload's ``factor`` problems at DEFAULT_SEED
+(``corpus.generate``), the seeded zw and perturb inputs at
+``CERTIFY_DEGREES`` and the sum2 control.  The best ms of ``factor_trig``,
+of the whole ``bszego factor`` call (``cli.main`` on a temporary file,
+stdout captured) and of ``moments_from_trig``; the route that answered
+(``stable``, the inverse Gram's first column, or ``split``, the minimal
+split polynomial); and the l1 coefficient gap of |p|^2 - t relative to
+t_00, or the error class the call ends in.
 
 Full measure: ``check_full_measure(table, n, n)`` at its default depth on
 the table of a seeded 1 + e (``perturb_kind``) of each degree (n, n) of
@@ -69,16 +78,19 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import numpy as np  # noqa: E402
 from corpus import (BANDS, CERTIFY_DEGREES, DEFAULT_SEED, abs_squared,  # noqa: E402
-                    perturb_kind, stable_kind, unstable_kind)
+                    generate, perturb_kind, stable_kind, unstable_kind)
 
 from bszego import (BiPoly, BszegoError, MomentSpace, TrigPoly,  # noqa: E402
                     build_operators, certificate_closed_face,
                     certificate_open_face, check_full_measure,
-                    check_matrix_condition, moments, moments_from_density,
-                    moments_from_trig, reconstruct_p, solve_ar)
+                    check_matrix_condition, factor_trig, moments,
+                    moments_from_density, moments_from_trig, reconstruct_p,
+                    solve_ar)
 from bszego.cli import main as cli_main  # noqa: E402
-from bszego.jsonio import dumps, poly_to_json  # noqa: E402
+from bszego.jsonio import dumps, poly_to_json, table_to_json  # noqa: E402
 from bszego.poly import _canonical_phase  # noqa: E402
+from bszego.reconstruct import _stable_factor  # noqa: E402
+from bszego.splitshift import _positive_form  # noqa: E402
 
 REPEAT = 15         # calls per case; the best one is reported
 SMALL_REPEAT = 200  # calls per small quadrature case
@@ -221,6 +233,37 @@ def sos_table():
                   f"{sum(sizes):8d} {outcome}")
 
 
+def factor_row(t, n, m, path, repeat):
+    """The best ms of ``factor_trig``, of ``bszego factor`` on the document
+    at ``path`` and of ``moments_from_trig`` at caps (n, m), the route that
+    answered, and the coefficient gap of |p|^2 - t over t_00 or the error
+    class."""
+    ms, p = best_of(partial(factor_trig, t, n, m), repeat)
+    argv = ["factor", "--trig", path, "--n", str(n), "--m", str(m)]
+    cli_ms, _ = best_of(partial(quiet_cli, argv), repeat)
+    quad_ms, table = best_of(partial(moments_from_trig, t, n, m), repeat)
+    stable = _stable_factor(_positive_form(table, n, m)[0], t)
+    outcome = (type(p).__name__ if isinstance(p, BszegoError) else
+               f"{np.sum(np.abs(abs_squared(p.coeffs) - t.c)) / t.at(0, 0).real:.1e}")
+    return ms, cli_ms, quad_ms, "split" if stable is None else "stable", outcome
+
+
+def factor_table():
+    print(f"{'kind':8} {'deg':6} {'best ms':>8} {'cli ms':>8} {'quad ms':>8} "
+          f"{'route':6} gap")
+    problems = [p for p in generate("certify", DEFAULT_SEED) if p.pipeline == "factor"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.json")
+        for prob in problems:
+            c = prob.docs["trig"]
+            t = TrigPoly(c.shape[0] // 2, c.shape[1] // 2, c)
+            with open(path, "w") as fh:
+                fh.write(dumps(table_to_json(t)))
+            row = factor_row(t, *prob.deg, path, REPEAT)
+            print(f"{prob.kind:8} {str(prob.deg).replace(' ', ''):6} {row[0]:8.2f} "
+                  f"{row[1]:8.2f} {row[2]:8.2f} {row[3]:6} {row[4]}")
+
+
 def full_table():
     print(f"{'deg':>8} {'best ms':>8} verdict")
     for n in FULL_DEGREES:
@@ -259,6 +302,8 @@ def main():
     quadrature_tables()
     print()
     sos_table()
+    print()
+    factor_table()
     print()
     full_table()
     print()
