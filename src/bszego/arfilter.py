@@ -16,11 +16,12 @@ from typing import Optional
 
 import numpy as np
 
-from .moments import MomentTable
+from .moments import MomentTable, _real_form
 from .poly import BiPoly
 from .reconstruct import _reconstruct
-from .splitshift import (MC_TOL, StratificationReport, _positive_form,
-                         build_operators, check_matrix_condition)
+from .space import MomentSpace
+from .splitshift import (MC_TOL, StratificationReport, build_operators,
+                         check_matrix_condition)
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,7 +45,8 @@ def solve_ar(table: MomentTable, n, m) -> ArSolution:
     invariant under positive rescaling of the autocorrelations: the
     operators live in orthonormal coordinates.
     """
-    space, lam = _positive_form(table, n, m, eigenvalue=True)
+    space = MomentSpace(table, n, m)
+    lam = float(np.linalg.eigvalsh(_real_form(space._gram))[0])
     ops = build_operators(space)
     report = check_matrix_condition(ops)
     # at m = 0 the A operator is 0 x n, which the spectral norm cannot take

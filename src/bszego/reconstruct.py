@@ -12,7 +12,8 @@ For p without zeros on the closed bidisk, conj(G)^-1 e_0 = conj(p_00) p
 ``factor_trig`` reads p from it first.  It keeps that p when |p|^2 = t on
 coefficients, p has no zeros on the closed face and p(z, 0) none in the
 closed disk: then p is the minimal split polynomial, up to round-off.
-Otherwise the split route decides, as ``reconstruct_p``.
+Otherwise the split route decides on the same moment space, as
+``reconstruct_p``.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .moments import MomentTable, TrigPoly, moments_from_trig
 from .poly import (TRIM_REL, BiPoly, _assert_no_face_zeros, _canonical_phase,
                    _roots_beyond, reflect)
 from .space import MomentSpace
-from .splitshift import (ShiftOperators, _positive_form, _require_condition,
-                         _split_from_k1, build_operators, check_matrix_condition)
+from .splitshift import (ShiftOperators, _require_condition, _split_from_k1,
+                         build_operators, check_matrix_condition)
 
 KERNEL_TOL = 1e-8   # kernel identity residual, relative to max |kernel|
 FACTOR_TOL = 1e-7   # factor_trig's bound on the l1 gap of |p|^2 - t, relative to t_00
@@ -58,7 +59,7 @@ def reconstruct_p(table: MomentTable, n, m) -> BiPoly:
     condition; the result is the stable-content representative,
     unit-norm under the form, with canonical phase.
     """
-    ops = build_operators(_positive_form(table, n, m)[0])
+    ops = build_operators(MomentSpace(table, n, m))
     _require_condition(check_matrix_condition(ops))
     return _reconstruct(ops)
 
@@ -82,8 +83,9 @@ def _reconstruct(ops: ShiftOperators) -> BiPoly:
 def factor_trig(t: TrigPoly, n, m):
     """Factor a strictly positive trig polynomial as |p|^2 when possible.
 
-    Builds the moments of dsigma / t, then takes ``_stable_factor``'s p or,
-    when it refuses, checks ``reconstruct_p``'s by ``_check_factor``.
+    Builds the moments of dsigma / t and their moment space, then takes
+    ``_stable_factor``'s p or, when it refuses, checks the minimal split
+    polynomial of the same space, ``reconstruct_p``'s, by ``_check_factor``.
     Raises NotFactorable when no p of degree (n, m) without zeros on the
     closed face exists; |p|^2 has degree at most p's, so that includes a t
     with a coefficient beyond (n, m) at or above TRIM_REL of its largest.
@@ -94,14 +96,16 @@ def factor_trig(t: TrigPoly, n, m):
     deg = (int(np.abs(j - t.jmax).max()), int(np.abs(k - t.kmax).max()))
     if deg[0] > n or deg[1] > m:
         raise NotFactorable(f"t has degree {deg}, above ({n}, {m})")
-    p = _stable_factor(_positive_form(table, n, m)[0], t)
+    space = MomentSpace(table, n, m)
+    p = _stable_factor(space, t)
     if p is not None:
         return p
+    ops = build_operators(space)
     try:
-        p = reconstruct_p(table, n, m)
+        _require_condition(check_matrix_condition(ops))
     except MatrixConditionFails as exc:
         raise NotFactorable(str(exc)) from exc
-    return _check_factor(t, p)
+    return _check_factor(t, _reconstruct(ops))
 
 
 def _stable_factor(space: MomentSpace, t: TrigPoly):

@@ -2,24 +2,25 @@
 
 ``MomentSpace`` wraps a moment table with degree caps (N, M) and realizes
 the inner product <f, g> = sum f_u conj(g_v) c_{v-u} on monomials
-z^u w^v with u in [0,N] x [0,M].  The Gram G of a rectangle [0,k] x [0,l]
-of monomials is centro-Hermitian, so G = Q R Q^H with the real symmetric
-R = Re G - (Im G) J and the unitary Q = (I + iJ)/sqrt(2), J the reversal
-(``moments._real_form``).  The space gathers the caps' Gram and factors
-R = L L^T once, in real arithmetic.  The factor gives the embedding
-(Q L)^T, which maps coefficient vectors isometrically into C^d for inner
-products and projected spans, and the columns of conj(G)^-1 at the caps
-grid's boundary, from which the structural subspaces E1, F1, E2 and F2
-of every rectangle inside the caps come by one formula (``_complement``).
+z^u w^v with u in [0,N] x [0,M]: x^T G conj(y) on coefficient vectors x
+and y, G the caps' Gram.  The space is the one positivity gate: it
+gathers G once and refuses a form that ``moments._positive`` does not
+find positive.  G is centro-Hermitian, so G = Q R Q^H with the real
+symmetric R = Re G - (Im G) J and the unitary Q = (I + iJ)/sqrt(2), J
+the reversal (``moments._real_form``).  The space factors R = L L^T once,
+in real arithmetic; the factor gives the columns of conj(G)^-1 at the
+caps grid's boundary, from which the structural subspaces E1, F1, E2 and
+F2 of every rectangle inside the caps come by one formula
+(``_complement``).
 
 A basis, ``phi_sequence``'s too, stores its polynomials as BiPoly
 coefficient grids stacked along a last axis, ``coeffs[j, k, i]`` (the
-layout of the ``sos`` certificate blocks); flattened z-major, each grid
-is a coordinate column for the Cholesky embedding.  A basis carries no
-phase rule: each polynomial's unimodular factor is whatever its solve
-or SVD leaves, since only spans and inner products are read from it.
-The one phase rule, ``poly._canonical_phase``, acts on the polynomials
-that are printed.
+layout of the ``sos`` certificate blocks); padded to the caps and
+flattened z-major, each grid is a coefficient vector of the form.  A
+basis carries no phase rule: each polynomial's unimodular factor is
+whatever its solve or SVD leaves, since only spans and inner products
+are read from it.  The one phase rule, ``poly._canonical_phase``, acts on
+the polynomials that are printed.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateForm, InsufficientMoments
-from .moments import MomentTable, _real_form, gram
+from .errors import DegenerateForm, InsufficientMoments, NotPositive
+from .moments import MomentTable, _positive, _real_form, gram
 from .poly import BiPoly, _readonly
 
 RANK_TOL = 1e-8  # relative singular-value threshold for numerical rank
@@ -79,10 +80,10 @@ class SubspaceBasis:
 
 
 class MomentSpace:
-    """(P_{N,M}, <.,.>_T) for the positive form given by a moment table;
-    ``forms`` passes the caps Gram and its real form if the caller has them."""
+    """(P_{N,M}, <.,.>_T) for the positive form given by a moment table:
+    NotPositive unless ``moments._positive`` finds it positive on the caps."""
 
-    def __init__(self, table: MomentTable, nmax, mmax, forms=None):
+    def __init__(self, table: MomentTable, nmax, mmax):
         if table.jmax < nmax or table.kmax < mmax:
             raise InsufficientMoments(
                 f"table window ({table.jmax}, {table.kmax}) below caps "
@@ -90,15 +91,16 @@ class MomentSpace:
         self.table = table
         self.nmax, self.mmax = int(nmax), int(mmax)
         self._bases, self._inverses = {}, {}
-        self._gram = gram(table, self.nmax, self.mmax) if forms is None else forms[0]
+        self._gram = gram(table, self.nmax, self.mmax)
+        R = _real_form(self._gram)
+        ok, lam = _positive(R)
+        if not ok:
+            raise NotPositive(f"moment form not positive (eigenvalue {lam:.3e})")
         try:
-            R = _real_form(self._gram) if forms is None else forms[1]
-            self._L = L = np.linalg.cholesky(R)
+            self._L = np.linalg.cholesky(R)
         except np.linalg.LinAlgError as exc:
             raise DegenerateForm(
                 "moment Gram matrix is not positive definite") from exc
-        # G = (Q L)(Q L)^H with Q L = (L + i JL)/sqrt(2), JL = L rows reversed
-        self._emb = ((L + 1j * L[::-1]) / np.sqrt(2)).T   # emb(f) = _emb @ f
 
     # -- coefficient plumbing ------------------------------------------------
 
@@ -111,26 +113,25 @@ class MomentSpace:
                                       f"exceeds caps ({self.nmax}, {self.mmax})")
         out = np.zeros((self.nmax + 1, self.mmax + 1, *tail), dtype=complex)
         out[:rows, :cols] = grids
-        return out.reshape(len(self._emb), *tail)
+        return out.reshape(len(self._gram), *tail)
 
-    def _embed(self, p: BiPoly):
-        return self._emb @ self._coords(p.trimmed().coeffs)
-
-    def embed_basis(self, b: SubspaceBasis):
-        return self._emb @ self._coords(b.coeffs)
+    def _form(self, x, y):
+        """x^T G conj(y): the form on coefficient vectors, or on the columns
+        of two stacks of them."""
+        return x.T @ (self._gram @ np.conj(y))
 
     def inner(self, f: BiPoly, g: BiPoly):
         """<f, g> under the moment form (linear in f, conjugate in g)."""
-        return complex(np.sum(self._embed(f) * np.conj(self._embed(g))))
+        return complex(self._form(self._coords(f.trimmed().coeffs),
+                                  self._coords(g.trimmed().coeffs)))
 
     def norm(self, f: BiPoly):
-        return float(np.linalg.norm(self._embed(f)))
+        x = self._coords(f.trimmed().coeffs)
+        return float(np.sqrt(self._form(x, x).real))
 
     def cross(self, a: SubspaceBasis, b: SubspaceBasis):
         """Matrix X[i, j] = <a_i, b_j>."""
-        ea = self.embed_basis(a)
-        eb = self.embed_basis(b)
-        return ea.T @ np.conj(eb)
+        return self._form(self._coords(a.coeffs), self._coords(b.coeffs))
 
     # -- subspace construction ----------------------------------------------
 
@@ -228,10 +229,9 @@ class MomentSpace:
         dimension must be ``expect`` (DegenerateForm otherwise)."""
         rank, u = 0, np.zeros((target.dim, 0))
         if target.dim and generators:
-            emb_t = self.embed_basis(target)
-            emb_g = np.column_stack([self._embed(g) for g in generators])
-            coords = emb_t.conj().T @ emb_g       # coords[t, i] = <g_i, b_t>
-            gen_scale = float(np.max(np.linalg.norm(emb_g, axis=0)))
+            x = np.column_stack([self._coords(g.trimmed().coeffs) for g in generators])
+            coords = self._form(x, self._coords(target.coeffs)).T   # <g_i, b_t>
+            gen_scale = float(np.sqrt(np.max(np.diagonal(self._form(x, x)).real)))
             u, s, _ = np.linalg.svd(coords, full_matrices=False)
             if s[0] > 1e-12 * gen_scale:
                 rank = int(np.sum(s > RANK_TOL * s[0]))

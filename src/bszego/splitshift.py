@@ -35,8 +35,7 @@ from itertools import product
 import numpy as np
 
 from .errors import (DegenerateForm, DNotAdmissible, InvalidDegree,
-                     MatrixConditionFails, NotPositive)
-from .moments import MomentTable, _positive, _real_form, gram
+                     MatrixConditionFails)
 from .poly import (BiPoly, _assert_no_face_zeros, _canonical_phase, _frozen,
                    _split_at_w0, split_stable)
 from .space import MomentSpace, SubspaceBasis
@@ -66,9 +65,14 @@ class ShiftOperators:
         caps the powers at n-1.  Computed on first use and shared, read-only.
         """
         n = max(self.t_mat.shape[0], 1)
-        b_space = _krylov_span(self.t_mat, self.b_mat, n)
-        a_space = _krylov_span(self.t_mat.conj().T, self.a_mat.conj().T, n)
-        return _frozen(a_space), _frozen(b_space)
+        a_space = _krylov_span(_powers(self.t_mat.conj().T, self.a_mat.conj().T, n))
+        return _frozen(a_space), _frozen(_krylov_span(self._b_powers))
+
+    @cached_property
+    def _b_powers(self):
+        """T^j B for j < max(n, 1): the B-space's Krylov blocks, which the
+        matrix condition multiplies by A."""
+        return _powers(self.t_mat, self.b_mat, max(self.t_mat.shape[0], 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,8 +89,7 @@ class ShiftSplit:
         built on first read; DegenerateForm unless it is unique up to scale."""
         space = self.space
         e1big = space.basis("E1", space.nmax, space.mmax)
-        emb_big = space.embed_basis(e1big)
-        coords = np.hstack([emb_big.conj().T @ space.embed_basis(b)
+        coords = np.hstack([space.cross(b, e1big).T
                             for b in (self.k1, self.k2.shifted(1, 0))])
         comp = _complement_in_coords(coords, e1big.dim)
         if comp.shape[1] != 1:
@@ -112,24 +115,24 @@ def build_operators(space: MomentSpace) -> ShiftOperators:
     e1 = space.basis("E1", n - 1, m)
     a_out = space.basis("E2", n, m - 1).shifted(0, 1)
     b_in = space.basis("F2", n, m - 1).shifted(0, 1)
-    # entry (i, j) of each operator is <op(basis_j), out_basis_i>: the
-    # products of space.cross, with each of the four bases embedded once
-    emb_ze1, emb_b = (space.embed_basis(b).T for b in (e1.shifted(1, 0), b_in))
-    conj_e1, conj_a = (np.conj(space.embed_basis(b)) for b in (e1, a_out))
-    return ShiftOperators(space=space, a_mat=_frozen((emb_ze1 @ conj_a).T),
-                          b_mat=_frozen((emb_b @ conj_e1).T),
-                          t_mat=_frozen((emb_ze1 @ conj_e1).T), e1=e1)
+    # entry (i, j) of each operator is <op(basis_j), out_basis_i>
+    ze1 = e1.shifted(1, 0)
+    return ShiftOperators(space=space, a_mat=_frozen(space.cross(ze1, a_out).T),
+                          b_mat=_frozen(space.cross(b_in, e1).T),
+                          t_mat=_frozen(space.cross(ze1, e1).T), e1=e1)
 
 
-def _krylov_span(step, seed, n):
-    """Orthonormal columns spanning sum_j step^j seed, j < n."""
+def _powers(step, seed, n):
+    """step^j seed for j < n, each from the one before."""
     blocks = [seed]
-    cur = seed
     for _ in range(1, n):
-        cur = step @ cur
-        blocks.append(cur)
-    K = np.hstack(blocks)
-    u, s, _ = np.linalg.svd(K, full_matrices=False)
+        blocks.append(step @ blocks[-1])
+    return blocks
+
+
+def _krylov_span(blocks):
+    """Orthonormal columns spanning the Krylov blocks."""
+    u, s, _ = np.linalg.svd(np.hstack(blocks), full_matrices=False)
     # operators are contractions in orthonormal coordinates, so rank is
     # judged on the absolute scale 1 (an all-noise Krylov block is empty)
     rank = int(np.sum(s > KRYLOV_RANK_TOL))
@@ -142,10 +145,7 @@ def check_matrix_condition(ops: ShiftOperators) -> StratificationReport:
     n = ops.t_mat.shape[0]
     viol = 0.0
     if min(ops.a_mat.shape) and min(ops.b_mat.shape):
-        prods, cur = [], ops.b_mat
-        for _ in range(max(n, 1)):
-            prods.append(ops.a_mat @ cur)
-            cur = ops.t_mat @ cur
+        prods = [ops.a_mat @ block for block in ops._b_powers]
         viol = float(np.linalg.norm(np.stack(prods), 2, axis=(1, 2)).max())
     holds = viol < MC_TOL
     a_space, b_space = ops.invariant_spaces
@@ -158,22 +158,6 @@ def check_matrix_condition(ops: ShiftOperators) -> StratificationReport:
     return StratificationReport(holds=holds, max_violation=viol,
                                 dim_a=dim_a, dim_b=dim_b,
                                 d_min=dim_a, d_max=n - dim_b)
-
-
-def _positive_form(table: MomentTable, n, m, eigenvalue=False):
-    """(space, lam): the moment space of the form at caps (n, m).
-
-    The one positivity gate of check, reconstruct, ar and factor:
-    NotPositive unless ``moments._positive`` finds the form positive on
-    [0,n] x [0,m], lam being its smallest eigenvalue if ``eigenvalue`` (ar
-    prints it), else None.  The space reuses the gate's Gram and real form.
-    """
-    G = gram(table, n, m)
-    R = _real_form(G)
-    ok, lam = _positive(R, eigenvalue)
-    if not ok:
-        raise NotPositive(f"moment form not positive (eigenvalue {lam:.3e})")
-    return MomentSpace(table, n, m, (G, R)), lam
 
 
 def _require_condition(report: StratificationReport):

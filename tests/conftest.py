@@ -391,6 +391,20 @@ def project(space: MomentSpace, f: BiPoly, onto: SubspaceBasis):
     return coeffs, residual.trimmed()
 
 
+def embedding(space: MomentSpace):
+    """(Q L)^T, L the space's real factor and Q = (I + iJ)/sqrt(2): since
+    G = (Q L)(Q L)^H, it maps coefficient vectors isometrically into C^d,
+    so the QR/SVD references share the factor with the space but none of
+    its Gram products."""
+    L = space._L
+    return ((L + 1j * L[::-1]) / np.sqrt(2)).T
+
+
+def embedded(space: MomentSpace, b: SubspaceBasis):
+    """The basis's coefficient columns, padded to the caps, embedded."""
+    return embedding(space) @ space._coords(b.coeffs)
+
+
 def subspace_angle(space: MomentSpace, a: SubspaceBasis, b: SubspaceBasis):
     """Largest principal-angle sine between two subspaces (0 = equal span).
 
@@ -401,8 +415,8 @@ def subspace_angle(space: MomentSpace, a: SubspaceBasis, b: SubspaceBasis):
         return 1.0
     if a.dim == 0:
         return 0.0
-    qa = np.linalg.qr(space.embed_basis(a))[0]
-    qb = np.linalg.qr(space.embed_basis(b))[0]
+    qa = np.linalg.qr(embedded(space, a))[0]
+    qb = np.linalg.qr(embedded(space, b))[0]
     return float(np.linalg.norm(qa @ qa.conj().T - qb @ qb.conj().T, 2))
 
 
@@ -411,8 +425,8 @@ def containment_defect(space: MomentSpace, inner_b: SubspaceBasis,
     """max over basis vectors v of ||v - P_outer v|| (0 = contained)."""
     if inner_b.dim == 0:
         return 0.0
-    qi = space.embed_basis(inner_b)
-    qo = space.embed_basis(outer_b)
+    qi = embedded(space, inner_b)
+    qo = embedded(space, outer_b)
     resid = qi - qo @ (qo.conj().T @ qi)
     return float(np.max(np.linalg.norm(resid, axis=0)))
 

@@ -15,8 +15,8 @@ from bszego import (BiPoly, MomentSpace, MomentTable, MomentDivergence,
                     shift_split_from_p, solve_ar)
 from bszego.cli import main as cli_main
 
-from conftest import (containment_defect, geometric_diag_moment, polys_of,
-                      random_corpus_poly, sampled_grids, torus_grid,
+from conftest import (containment_defect, embedded, geometric_diag_moment,
+                      polys_of, random_corpus_poly, sampled_grids, torus_grid,
                       trig_abs_squared)
 
 
@@ -65,8 +65,8 @@ def test_criterion_02_equivalence_suite():
                             containment_defect(sp, split.k1, e1big),
                             containment_defect(sp, split.k2.shifted(1, 0), e1big))
         e1small = sp.basis("E1", n - 1, m)
-        both = np.hstack([sp.embed_basis(split.k1), sp.embed_basis(split.k2)])
-        proj = sp.embed_basis(e1small)
+        both = np.hstack([embedded(sp, split.k1), embedded(sp, split.k2)])
+        proj = embedded(sp, e1small)
         resid = both - proj @ (proj.conj().T @ both)
         worst_span = max(worst_span, float(np.linalg.norm(resid)))
         t2 = moments_from_density(split.split_poly, n, m)

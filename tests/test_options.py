@@ -31,7 +31,7 @@ ALLOWED = {
 }
 
 # top-level public functions and classes plus their public methods
-PUBLIC_NAMES = 97
+PUBLIC_NAMES = 96
 
 # (subcommand, flag) for each optional flag, on the subcommands that read it
 CLI_FLAGS = {
@@ -245,6 +245,18 @@ def assigners(names):
             and any(isinstance(t, ast.Name) and t.id in names for t in node.targets)}
 
 
+def raisers(names):
+    """The src/bszego modules that raise any of the exception classes ``names``."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in names:
+                    found.add(path.stem)
+    return found
+
+
 def test_each_decision_has_one_owner():
     # the certificate modules reach neither the shift operators nor the
     # moment space; both quadratures' constants are moments' alone, the
@@ -255,4 +267,8 @@ def test_each_decision_has_one_owner():
     assert namers({"MAX_GRID", "STOP_TOL", "POLE_MARGIN", "FIRST_LEVEL"}) \
         == {"moments"}
     assert namers({"POSITIVE_TOL"}) == {"moments"}
+    # the moment space is the one positivity gate of the moment pipelines:
+    # it alone refuses a form, on the verdict moments reaches
+    assert raisers({"NotPositive"}) == {"space"}
+    assert namers({"_positive"}) == {"space", "moments"}
     assert assigners({"FACE_SAMPLES", "FACE_MARGIN"}) == {"poly"}

@@ -173,7 +173,7 @@ def test_factor_check_never_weaker_than_grid_check(p, log_shift, seed):
     q = p + BiPoly(10.0 ** log_shift * e / np.sum(np.abs(e)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reconstruct, "_stable_factor", lambda *args: None)
-        mp.setattr(reconstruct, "reconstruct_p", lambda *args: q)
+        mp.setattr(reconstruct, "_reconstruct", lambda *args: q)
         try:
             out = factor_trig(t, n, m)
         except NoConvergence:

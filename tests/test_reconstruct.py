@@ -218,7 +218,7 @@ def test_factor_trig_checks_its_factor_on_coefficients(monkeypatch, p_2zw):
     # the split route answers it, once the stable factor is refused
     q = p_2zw + BiPoly([[1e-5]])
     monkeypatch.setattr(reconstruct, "_stable_factor", lambda *args: None)
-    monkeypatch.setattr(reconstruct, "reconstruct_p", lambda *args: q)
+    monkeypatch.setattr(reconstruct, "_reconstruct", lambda *args: q)
     with pytest.raises(NoConvergence, match=r"\|p\|\^2 mismatches t by 6.000e-05 "
                                            "despite the matrix condition"):
         factor_trig(trig_abs_squared(p_2zw), 1, 1)

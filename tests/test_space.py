@@ -1,20 +1,22 @@
+import sys
+
 import numpy as np
 import pytest
 
 from bszego import (BiPoly, DegenerateForm, InsufficientMoments, MomentSpace,
-                    MomentTable, NotPositive, moments_from_density, reflect,
-                    solve_ar)
+                    MomentTable, NotFactorable, NotPositive, TrigPoly,
+                    factor_trig, moments_from_density, reflect, solve_ar)
 from bszego import space as space_mod
-from bszego import splitshift as splitshift_mod
 from bszego.fullmeasure import _nested_inverse_max
 from bszego.moments import _real_form, gram
 from bszego.reconstruct import reconstruct_p
 from bszego.space import (RANK_TOL, TRI_BLOCK, SubspaceBasis, _inverse_rows,
                           _solve_lower)
 
-from conftest import (basis_kernel, basis_values, brute_inner, gram_from_table,
-                      gram_schmidt_coeffs, monomial_basis, perturb_poly, project,
-                      reflected, structural, subspace_angle)
+from conftest import (basis_kernel, basis_values, brute_inner, embedding,
+                      gram_from_table, gram_schmidt_coeffs, grid_stack,
+                      monomial_basis, perturb_poly, project, reflected,
+                      structural, subspace_angle, trig_abs_squared)
 
 
 @pytest.fixture(scope="module")
@@ -260,14 +262,45 @@ def test_p_orthogonal_to_upper_monomials(p_2zw, table_2zw):
 
 
 def test_caps_and_degeneracy():
+    # the space is the positivity gate: the zero form is refused there
     t = MomentTable(1, 1, np.zeros((3, 3), dtype=complex))
-    with pytest.raises(DegenerateForm):
+    with pytest.raises(NotPositive, match=r"not positive \(eigenvalue 0.000e\+00\)"):
         MomentSpace(t, 1, 1)
     c = np.zeros((3, 3), dtype=complex)
     c[1, 1] = 1.0
     for caps in ((2, 1), (1, 2)):
         with pytest.raises(InsufficientMoments, match=r"below caps"):
             MomentSpace(MomentTable(1, 1, c), *caps)
+
+
+def test_a_factor_that_fails_past_the_gate_is_degenerate(monkeypatch):
+    # the zero form, let through the gate, has no real factor
+    monkeypatch.setattr(space_mod, "_positive", lambda R: (True, None))
+    with pytest.raises(DegenerateForm,
+                       match="moment Gram matrix is not positive definite"):
+        MomentSpace(MomentTable(1, 1, np.zeros((3, 3), dtype=complex)), 1, 1)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_inner_norm_and_cross_equal_the_quadrature_inner_product(n):
+    # x^T G conj(y) against brute_inner, the integral of f conj(g) / |p|^2 on
+    # a 128^2 torus grid, which shares no code with MomentSpace (its
+    # aliasing error is below 1e-16 here); inner and norm trim their input,
+    # so zero rows and columns past the caps are no error
+    p = perturb_poly(100 + n, n, n)
+    sp = MomentSpace(moments_from_density(p, n, n), n, n)
+    rng = np.random.default_rng(n)
+    f, g = (BiPoly(rng.normal(size=(a + 1, b + 1, 2)) @ [1, 1j])
+            for a, b in ((n, n - 2), (n - 1, n)))
+    ref = np.array([[brute_inner(p, x, y, N=128) for y in (f, g)] for x in (f, g)])
+    tol = 1e-14 * np.max(np.abs(ref))
+    both = SubspaceBasis(grid_stack([f, g], (n + 1, n + 1)))
+    assert np.max(np.abs(sp.cross(both, both) - ref)) <= tol
+    padded = BiPoly(np.pad(f.coeffs, ((0, 1), (0, 2))))
+    assert abs(sp.inner(padded, g) - ref[0, 1]) <= tol
+    assert abs(sp.inner(g, padded) - ref[1, 0]) <= tol
+    for x, ref_sq in ((padded, ref[0, 0]), (g, ref[1, 1])):
+        assert abs(sp.norm(x) - np.sqrt(ref_sq.real)) <= 1e-14 * np.sqrt(ref_sq.real)
 
 
 @pytest.mark.parametrize("d", [1, TRI_BLOCK - 1, TRI_BLOCK + 1, 70])
@@ -317,12 +350,13 @@ def _reference_complement(sp, ambient, removed):
 
     removed_set = set(removed)
     gens = [u for u in ambient if u not in removed_set]
-    X = sp._emb[:, index(gens)]
-    q, _ = np.linalg.qr(sp._emb[:, index(removed)])
+    emb = embedding(sp)
+    X = emb[:, index(gens)]
+    q, _ = np.linalg.qr(emb[:, index(removed)])
     X = X - q @ (q.conj().T @ X)
     u, s, _ = np.linalg.svd(X, full_matrices=False)
     assert np.sum(s > RANK_TOL * s[0]) == len(gens)
-    full = np.linalg.solve(sp._emb, u)
+    full = np.linalg.solve(emb, u)
     vectors = full[index(ambient)]
     k, l = ambient[-1]                    # the ambient rectangle's corner
     return SubspaceBasis(vectors.reshape(k + 1, l + 1, len(gens)))
@@ -383,13 +417,13 @@ def test_complement_rank_check_is_live(monkeypatch, table_2zw):
 
 
 def test_embedding_beyond_the_caps_raises_insufficient_moments(space_2zw):
-    # a basis grid and a polynomial past the caps fail alike
+    # a basis grid and a polynomial past the caps fail alike in the form
     e1 = space_2zw.basis("E1", 1, 1)
     beyond = r"polynomial degree \(2, 1\) exceeds caps \(1, 1\)"
     with pytest.raises(InsufficientMoments, match=beyond):
         space_2zw.cross(e1.shifted(1, 0), e1)
     with pytest.raises(InsufficientMoments, match=beyond):
-        space_2zw._embed(BiPoly(np.ones((3, 2))))
+        space_2zw.inner(BiPoly(np.ones((3, 2))), BiPoly([[1.0]]))
     with pytest.raises(InsufficientMoments,
                        match=r"polynomial degree \(1, 2\) exceeds caps \(1, 1\)"):
         space_2zw.norm(BiPoly(np.ones((2, 3))))
@@ -544,8 +578,7 @@ def _spy(monkeypatch, module, name, seen, key):
 def test_a_table_that_is_not_positive_costs_one_gather_one_factor_one_eigvalsh(
         monkeypatch, space_perturb_4_4):
     factored, gathered, spectra = _factor_spy(monkeypatch), [], []
-    for module in (splitshift_mod, space_mod):
-        _spy(monkeypatch, module, "gram", gathered, lambda table, k, l: (k, l))
+    _spy(monkeypatch, space_mod, "gram", gathered, lambda table, k, l: (k, l))
     _spy(monkeypatch, np.linalg, "eigvalsh", spectra, len)
     c = space_perturb_4_4.table.c.copy()
     c[4, 4] -= 10.0            # c_00 shifted below the Gram's smallest eigenvalue
@@ -553,12 +586,30 @@ def test_a_table_that_is_not_positive_costs_one_gather_one_factor_one_eigvalsh(
         reconstruct_p(MomentTable(4, 4, c), 4, 4)
     assert (gathered, factored, spectra) == ([(4, 4)], [("f", 25, False)], [25])
     # a positive table: one gather, no eigvalsh, three factors; ar, which
-    # prints the smallest eigenvalue, skips the certificate for one eigvalsh
-    for call, eigvalsh_sizes, factors in ((reconstruct_p, [], 3), (solve_ar, [25], 2)):
+    # prints the smallest eigenvalue, adds one eigvalsh of the space's form
+    for call, eigvalsh_sizes, factors in ((reconstruct_p, [], 3), (solve_ar, [25], 3)):
         for seen in (factored, gathered, spectra):
             seen.clear()
         call(space_perturb_4_4.table, 4, 4)
         assert (gathered, spectra, len(factored)) == ([(4, 4)], eigvalsh_sizes, factors)
+
+
+def test_a_factor_by_the_split_route_gathers_and_factors_once(monkeypatch):
+    # |2 - zw|^2 + |2 - z - w/2|^2 has no stable factor, so the split route
+    # refuses it, on the gate's moment space: one gather of the caps (2, 2)
+    # and one real factor of it, besides the positivity certificate's
+    # shifted copy; the matrix condition fails before the phi sequence
+    t = trig_abs_squared(BiPoly([[2, 0], [0, -1.0]]))
+    c = np.zeros((5, 5), dtype=complex)
+    c[1:4, 1:4] = t.c + trig_abs_squared(BiPoly([[2, -1.0], [-0.5, 0]])).c
+    factored, gathered = _factor_spy(monkeypatch), []
+    for module in [m for name, m in sys.modules.items()
+                   if name.startswith("bszego.") and hasattr(m, "gram")]:
+        _spy(monkeypatch, module, "gram", gathered, lambda table, k, l: (k, l))
+    with pytest.raises(NotFactorable, match="no closed-face"):
+        factor_trig(TrigPoly(2, 2, c), 2, 2)
+    assert gathered == [(2, 2)]
+    assert factored == [("f", 9, True), ("f", 9, True)]
 
 
 def test_solve_lower_keeps_real_inputs_real():

@@ -21,8 +21,8 @@ from bszego.splitshift import ShiftSplit
 from bszego.jsonio import table_to_json
 
 from conftest import (cli_document, containment_defect, gram_from_table,
-                      gram_schmidt_coeffs, max_modulus_gap, random_corpus_poly,
-                      subspace_angle)
+                      gram_schmidt_coeffs, max_modulus_gap, perturb_poly,
+                      random_corpus_poly, subspace_angle)
 
 
 @pytest.fixture(scope="module")
@@ -42,8 +42,8 @@ def test_operators_2zw_frozen(space_2zw):
 
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_operators_from_bases_built_and_embedded_once(n):
-    # E2 and F2 share one pair of triangular solves and every basis is
-    # embedded once: T is bit for bit the per-kind construction (each basis
+    # E2 and F2 share one pair of triangular solves and each operator is one
+    # space.cross: T is bit for bit the per-kind construction (each basis
     # alone on a fresh space, then space.cross), A and B equal it up to
     # round-off, and the memoised E2 and F2 are the bases the operators used
     rng = np.random.default_rng(40 + n)
@@ -157,6 +157,32 @@ def test_krylov_spans_computed_once_per_operators(monkeypatch):
     assert (report.d_min, report.d_max, a.shape[1]) == (0, 1, 0)
     assert [k for _, k in clusters] == [1]
     assert not a.flags.writeable
+
+
+def test_matrix_condition_reads_the_b_space_krylov_blocks(monkeypatch):
+    # A T^j B comes from the blocks T^j B that the B-space is spanned from:
+    # one pass of powers per span, and the violation bit for bit what a loop
+    # of its own, with the same products in the same order, gives; on a
+    # form that fails the condition and on one that holds it
+    def dens(zz, ww):
+        return 0.5 / np.abs(2.0 - zz * ww) ** 2 + 0.5 / np.abs(2.0 - zz) ** 2
+
+    calls = []
+    powers = splitshift._powers
+    monkeypatch.setattr(splitshift, "_powers", lambda *a: calls.append(1) or powers(*a))
+    for table, n, m in ((moments_from_grid_function(dens, 3, 2), 3, 2),
+                        (moments_from_density(perturb_poly(7, 4, 4), 4, 4), 4, 4)):
+        calls.clear()
+        ops = build_operators(MomentSpace(table, n, m))
+        report = check_matrix_condition(ops)
+        assert len(calls) == 2
+        prods, cur = [], ops.b_mat
+        for _ in range(n):
+            prods.append(ops.a_mat @ cur)
+            cur = ops.t_mat @ cur
+        assert report.max_violation == float(
+            np.linalg.norm(np.stack(prods), 2, axis=(1, 2)).max())
+        assert (report.max_violation > 1e-4) == (n == 3)
 
 
 def test_condition_fails_generic():

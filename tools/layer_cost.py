@@ -51,9 +51,9 @@ Moment space: on the table of a seeded 1 + e (``perturb_kind``) of each
 degree (n, n) of SPACE_DEGREES, window (n, n) as the benchmark's
 ``check`` calls read it, the time of ``MomentSpace`` with the shift
 operators and their matrix condition (``build_operators``,
-``check_matrix_condition``: the Cholesky embedding and the subspace
-bases), of ``reconstruct_p`` and of ``solve_ar``, each with its own
-positivity gate; then the matrix condition's violation and the largest
+``check_matrix_condition``: the positivity gate, the real factor and the
+subspace bases), of ``reconstruct_p`` and of ``solve_ar``, each of which
+builds its own moment space; then the matrix condition's violation and the largest
 coefficient gap of the reconstruction to the input, both unit-norm under
 the form and phase-canonical, relative to its largest coefficient.
 """
@@ -90,7 +90,6 @@ from bszego.cli import main as cli_main  # noqa: E402
 from bszego.jsonio import dumps, poly_to_json, table_to_json  # noqa: E402
 from bszego.poly import _canonical_phase  # noqa: E402
 from bszego.reconstruct import _stable_factor  # noqa: E402
-from bszego.splitshift import _positive_form  # noqa: E402
 
 REPEAT = 15         # calls per case; the best one is reported
 SMALL_REPEAT = 200  # calls per small quadrature case
@@ -242,7 +241,7 @@ def factor_row(t, n, m, path, repeat):
     argv = ["factor", "--trig", path, "--n", str(n), "--m", str(m)]
     cli_ms, _ = best_of(partial(quiet_cli, argv), repeat)
     quad_ms, table = best_of(partial(moments_from_trig, t, n, m), repeat)
-    stable = _stable_factor(_positive_form(table, n, m)[0], t)
+    stable = _stable_factor(MomentSpace(table, n, m), t)
     outcome = (type(p).__name__ if isinstance(p, BszegoError) else
                f"{np.sum(np.abs(abs_squared(p.coeffs) - t.c)) / t.at(0, 0).real:.1e}")
     return ms, cli_ms, quad_ms, "split" if stable is None else "stable", outcome
