@@ -46,11 +46,12 @@ def solve_ar(table: MomentTable, n, m) -> ArSolution:
     operators live in orthonormal coordinates.
     """
     space = MomentSpace(table, n, m)
-    lam = float(np.linalg.eigvalsh(_real_form(space._gram))[0])
+    lam = space._lam        # the gate's eigenvalue, None when its certificate decided
+    lam = float(np.linalg.eigvalsh(_real_form(space._gram))[0]) if lam is None else lam
     ops = build_operators(space)
     report = check_matrix_condition(ops)
-    # at m = 0 the A operator is 0 x n, which the spectral norm cannot take
-    a_norm = float(np.linalg.norm(ops.a_mat, 2)) if ops.a_mat.size else 0.0
+    # at m = 0 the A operator is 0 x n, which has no singular value
+    a_norm = float(np.linalg.svd(ops.a_mat, compute_uv=False)[0]) if ops.a_mat.size else 0.0
     p = _reconstruct(ops) if report.holds else None
     causal = "causal" if a_norm < MC_TOL else "acausal"
     return ArSolution("none" if p is None else causal, p, report, a_norm, lam)

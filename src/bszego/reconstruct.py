@@ -45,10 +45,10 @@ def kernel_poly(space: MomentSpace) -> BiPoly:
     # with the operator bases that the split polynomial comes from.
     n, m = space.nmax, space.mmax
     phis = space.phi_sequence(n, m).coeffs
-    terms = np.tensordot(phis[::-1, 0].conj(), phis, axes=(1, 2))
+    terms = phis[::-1, 0].conj() @ phis.reshape((n + 1) * (m + 1), -1).T
     out = np.zeros((2 * n + 1, m + 1), dtype=complex)
     for i in range(n + 1):      # terms[i] carries z^i of each reflection
-        out[i: i + n + 1] += terms[i]
+        out[i: i + n + 1] += terms[i].reshape(n + 1, m + 1)
     return BiPoly(out)
 
 
@@ -73,8 +73,9 @@ def _reconstruct(ops: ShiftOperators) -> BiPoly:
     scale = float(np.max(np.abs(kernel.coeffs)))
     if scale == 0.0:
         raise DegenerateForm("kernel polynomial vanishes identically")
-    gap = kernel - p * reflect(p.z_slice(), (ops.space.nmax, 0))
-    resid = float(np.max(np.abs(gap.coeffs))) / scale
+    # p's grid has n + 1 rows: conj(p(z, 0)) reversed is its reflection at n
+    gap = kernel.coeffs - (p * BiPoly(p.coeffs[::-1, :1].conj())).coeffs
+    resid = float(np.max(np.abs(gap))) / scale
     if not resid <= KERNEL_TOL:
         raise DegenerateForm(f"kernel identity residual {resid:.3e}")
     return p

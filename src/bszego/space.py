@@ -90,12 +90,13 @@ class MomentSpace:
                 f"({nmax}, {mmax})")
         self.table = table
         self.nmax, self.mmax = int(nmax), int(mmax)
-        self._bases, self._inverses = {}, {}
+        self._bases, self._columns = {}, None
         self._gram = gram(table, self.nmax, self.mmax)
+        self._slot = np.full(len(self._gram), -1)   # see _inverse_columns
         R = _real_form(self._gram)
-        ok, lam = _positive(R)
+        ok, self._lam = _positive(R)    # R's least eigenvalue if the gate took it
         if not ok:
-            raise NotPositive(f"moment form not positive (eigenvalue {lam:.3e})")
+            raise NotPositive(f"moment form not positive (eigenvalue {self._lam:.3e})")
         try:
             self._L = np.linalg.cholesky(R)
         except np.linalg.LinAlgError as exc:
@@ -104,15 +105,16 @@ class MomentSpace:
 
     # -- coefficient plumbing ------------------------------------------------
 
-    def _coords(self, grids):
-        """A coefficient grid, or a stack of grids along a last axis, padded
-        to the caps and flattened z-major (caps enforced)."""
+    def _coords(self, grids, dz=0, dw=0):
+        """A coefficient grid, or a stack of grids along a last axis, times
+        z^dz w^dw, padded to the caps and flattened z-major (caps enforced)."""
         rows, cols, *tail = grids.shape
+        rows, cols = rows + dz, cols + dw
         if rows > self.nmax + 1 or cols > self.mmax + 1:
             raise InsufficientMoments(f"polynomial degree {(rows - 1, cols - 1)} "
                                       f"exceeds caps ({self.nmax}, {self.mmax})")
         out = np.zeros((self.nmax + 1, self.mmax + 1, *tail), dtype=complex)
-        out[:rows, :cols] = grids
+        out[dz:rows, dw:cols] = grids
         return out.reshape(len(self._gram), *tail)
 
     def _form(self, x, y):
@@ -141,18 +143,20 @@ class MomentSpace:
         For the unit columns E of a set closed under the reversal J, R^-1
         [E, JE] is R^-1 sqrt(2) Q E in real and imaginary parts, and JE is
         E with its columns reversed: one pair of real triangular solves on
-        L.  The set, cached, is the caps grid's boundary, ``pos`` and J pos.
+        L.  Kept as ``_columns[:, _slot[i]]`` = conj(G)^-1 e_i, the set is the caps
+        grid's boundary (where the bases and ``factor`` read), plus ``pos`` and J pos.
         """
-        flat, M = np.zeros(len(self._L), dtype=bool), self.mmax + 1
-        flat[:M] = flat[-M:] = flat[::M] = flat[M - 1::M] = True   # the boundary
-        flat[pos] = flat[::-1][pos] = True
-        closed, key = np.flatnonzero(flat), flat.tobytes()
-        if key not in self._inverses:
+        if self._slot[pos].min() < 0:
+            flat, M = self._slot >= 0, self.mmax + 1
+            flat[:M] = flat[-M:] = flat[::M] = flat[M - 1::M] = True   # the boundary
+            flat[pos] = flat[::-1][pos] = True
+            closed = np.flatnonzero(flat)
             # L^T is upper triangular, and reversing both axes makes it lower
             Y = _solve_lower(self._L, (np.arange(flat.size)[:, None] == closed) * 1.0)
             Y = _solve_lower(self._L.T[::-1, ::-1], Y[::-1])[::-1]
-            self._inverses[key] = 0.5 * (Y + Y[::-1, ::-1] + 1j * (Y[:, ::-1] - Y[::-1]))
-        return self._inverses[key][:, np.searchsorted(closed, pos)]
+            self._columns = 0.5 * (Y + Y[::-1, ::-1] + 1j * (Y[:, ::-1] - Y[::-1]))
+            self._slot[closed] = np.arange(len(closed))
+        return self._columns[:, self._slot[pos]]
 
     def _complement(self, k, l, *gens):
         """Orthonormal bases of P_{k,l} minus the span of every monomial
@@ -173,17 +177,19 @@ class MomentSpace:
         grid = np.arange(len(self._L)).reshape(self.nmax + 1, self.mmax + 1)
         inside = grid[:k + 1, :l + 1].ravel()
         outside = np.concatenate([grid[:k + 1, l + 1:].ravel(), grid[k + 1:].ravel()])
-        H = self._inverse_columns(np.concatenate([outside, inside[np.concatenate(gens)]]))
-        o, H_out = len(outside), H[outside]
-        X = (H[:, o:] - H[:, :o] @ np.linalg.solve(H_out[:, :o], H_out[:, o:]))[inside]
-        out, end = [], 0
-        for pos in gens:
-            x, end = X[:, end:end + len(pos)], end + len(pos)
-            lam, V = np.linalg.eigh(x[pos])
+        gens = np.array(gens)       # one row of generator positions per basis
+        H = self._inverse_columns(np.concatenate([outside, inside[gens.ravel()]]))
+        o, X = len(outside), H[:, len(outside):]
+        if o:       # the caps rectangle has no Schur complement to take
+            X = X - H[:, :o] @ np.linalg.solve(H[outside, :o], H[outside, o:])
+        X = X[inside].reshape(len(inside), *gens.shape)    # X[:, j]: basis j's columns
+        lams, Vs = np.linalg.eigh(X[gens, np.arange(len(gens))[:, None]])   # one call
+        out = []
+        for x, lam, V in zip(X.transpose(1, 0, 2), lams, Vs):
             rank = int(np.sum(lam * RANK_TOL ** 2 < lam[0])) if lam[0] > 0 else 0
-            if rank != len(pos):
+            if rank != len(lam):
                 raise DegenerateForm(
-                    f"subspace rank {rank} differs from expected {len(pos)}")
+                    f"subspace rank {rank} differs from expected {len(lam)}")
             out.append(SubspaceBasis((x @ (V / np.sqrt(lam))).reshape(k + 1, l + 1, -1)))
         return out
 

@@ -88,14 +88,14 @@ class ShiftSplit:
         """Unit-norm generator of E1(n, m) minus (K1 + z K2), phase-canonical,
         built on first read; DegenerateForm unless it is unique up to scale."""
         space = self.space
-        e1big = space.basis("E1", space.nmax, space.mmax)
-        coords = np.hstack([space.cross(b, e1big).T
-                            for b in (self.k1, self.k2.shifted(1, 0))])
+        e1big = space.basis("E1", space.nmax, space.mmax)   # it fills the caps
+        gens = np.hstack([space._coords(self.k1.coeffs), space._coords(self.k2.coeffs, 1)])
+        coords = space._form(gens, e1big.vectors).T     # <b, e1big_t>, b in K1 and z K2
         comp = _complement_in_coords(coords, e1big.dim)
         if comp.shape[1] != 1:
             raise DegenerateForm(
                 f"split complement has dimension {comp.shape[1]}, expected 1")
-        p = _coords_to_basis(e1big, comp).polys()[0]
+        p = BiPoly((e1big.vectors @ comp).reshape(space.nmax + 1, -1))
         return _canonical_phase(p * (1.0 / space.norm(p)))
 
 
@@ -113,13 +113,13 @@ def build_operators(space: MomentSpace) -> ShiftOperators:
     """The A, B, T matrices for the form at the space's caps (n, m)."""
     n, m = space.nmax, space.mmax
     e1 = space.basis("E1", n - 1, m)
-    a_out = space.basis("E2", n, m - 1).shifted(0, 1)
-    b_in = space.basis("F2", n, m - 1).shifted(0, 1)
-    # entry (i, j) of each operator is <op(basis_j), out_basis_i>
-    ze1 = e1.shifted(1, 0)
-    return ShiftOperators(space=space, a_mat=_frozen(space.cross(ze1, a_out).T),
-                          b_mat=_frozen(space.cross(b_in, e1).T),
-                          t_mat=_frozen(space.cross(ze1, e1).T), e1=e1)
+    e2, f2 = (space.basis(kind, n, m - 1).coeffs for kind in ("E2", "F2"))
+    # entry (i, j) of each operator is <op(basis_j), out_basis_i>: one Gram
+    # product for all three, then each block alone (bit for bit space.cross)
+    gy = space._gram @ np.conj(np.hstack([space._coords(e1.coeffs), space._coords(e2, 0, 1)]))
+    ze1, wf2 = space._coords(e1.coeffs, 1).T, space._coords(f2, 0, 1).T
+    return ShiftOperators(space, _frozen((ze1 @ gy[:, n:]).T), _frozen((wf2 @ gy[:, :n]).T),
+                          _frozen((ze1 @ gy[:, :n]).T), e1)
 
 
 def _powers(step, seed, n):
@@ -146,7 +146,7 @@ def check_matrix_condition(ops: ShiftOperators) -> StratificationReport:
     viol = 0.0
     if min(ops.a_mat.shape) and min(ops.b_mat.shape):
         prods = [ops.a_mat @ block for block in ops._b_powers]
-        viol = float(np.linalg.norm(np.stack(prods), 2, axis=(1, 2)).max())
+        viol = float(np.linalg.svd(np.stack(prods), compute_uv=False).max())
     holds = viol < MC_TOL
     a_space, b_space = ops.invariant_spaces
     dim_a, dim_b = a_space.shape[1], b_space.shape[1]
@@ -166,11 +166,6 @@ def _require_condition(report: StratificationReport):
         raise MatrixConditionFails(
             f"max ||A T^j B|| = {report.max_violation:.3e}; "
             "no closed-face Bernstein-Szego representation exists")
-
-
-def _coords_to_basis(e1: SubspaceBasis, coords) -> SubspaceBasis:
-    rows, cols, _ = e1.coeffs.shape
-    return SubspaceBasis((e1.vectors @ coords).reshape(rows, cols, coords.shape[1]))
 
 
 def _complement_in_coords(coords, dim):
@@ -207,8 +202,9 @@ def shift_split_from_p(space: MomentSpace, p: BiPoly) -> ShiftSplit:
 
 def _split_from_k1(ops: ShiftOperators, k1_coords) -> ShiftSplit:
     """K1 spanned by ``k1_coords`` (E1 coordinates), K2 its complement."""
-    k1 = _coords_to_basis(ops.e1, k1_coords)
-    k2 = _coords_to_basis(ops.e1, _complement_in_coords(k1_coords, ops.e1.dim))
+    rows, cols, _ = ops.e1.coeffs.shape
+    k1, k2 = (SubspaceBasis((ops.e1.vectors @ c).reshape(rows, cols, c.shape[1]))
+              for c in (k1_coords, _complement_in_coords(k1_coords, ops.e1.dim)))
     return ShiftSplit(ops.space, k1, k2)
 
 

@@ -5,6 +5,7 @@ from bszego import (BiPoly, MomentTable, NotPositive, moments_from_density,
                     solve_ar)
 
 from bszego.jsonio import table_to_json
+from bszego.moments import _real_form, gram
 
 from conftest import cli_document, max_modulus_gap
 
@@ -15,6 +16,28 @@ def test_causal_product_filter(p_2zw):
     assert sol.classification == "causal"
     # coefficients follow the (2, -1) pattern exactly (unit noise variance)
     assert np.allclose(sol.coefficients.coeffs, [[2, 0], [0, -1]], atol=1e-8)
+
+
+@pytest.mark.parametrize("alphas, n", [((2.0,), 2), (np.linspace(1.2, 2, 8), 8)])
+def test_ar_takes_its_least_eigenvalue_once(monkeypatch, alphas, n):
+    # prod (alpha - zw): at (2, 2) the gate's Cholesky certificate decides
+    # and solve_ar takes the eigenvalue itself; at (8, 8), Gram condition
+    # 1.5e10, the certificate fails and the gate's eigvalsh is the one kept
+    p = BiPoly([[1.0]])
+    for alpha in alphas:
+        p = p * BiPoly([[alpha, 0], [0, -1.0]])
+    table = moments_from_density(p, n, n)
+    eigvalsh, sizes = np.linalg.eigvalsh, []
+
+    def spy(a):
+        sizes.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    sol = solve_ar(table, n, n)
+    monkeypatch.undo()
+    assert sizes == [(n + 1) ** 2]
+    assert sol.min_eigenvalue == np.linalg.eigvalsh(_real_form(gram(table, n, n)))[0]
 
 
 def test_one_space_per_solve(p_2zw, monkeypatch):

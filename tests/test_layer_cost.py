@@ -100,13 +100,34 @@ def test_the_factor_row_names_the_route_that_answered(p_2zw, tmp_path):
 
 
 def test_the_moment_space_row_times_three_calls_and_checks_the_answer(p_2zw):
-    # at (1, 1) on 2 - zw: three times, the violation at round-off and the
-    # reconstruction of p itself
+    # at (1, 1) on 2 - zw: three times, the numpy.linalg calls of solve_ar,
+    # the violation at round-off and the reconstruction of p itself
     table = moments_from_density(p_2zw, 1, 1)
-    space_ms, rec_ms, ar_ms, violation, gap = layer_cost.space_row(p_2zw, table, 1, 2)
+    space_ms, rec_ms, ar_ms, calls, violation, gap = layer_cost.space_row(
+        p_2zw, table, 1, 2)
     assert min(space_ms, rec_ms, ar_ms) > 0
     assert violation < 1e-12 and gap < 1e-12
+    # the gate's certificate and the real factor, the eigenvalue, the phi
+    # sequence's factor, and at least one solve, eigh and svd
+    assert calls >= 7
     # a table that is not p's moments shows as a gap of order one
     other = moments_from_density(BiPoly([[3.0, 0.0], [0.0, -1.0]]), 1, 1)
-    assert layer_cost.space_row(p_2zw, other, 1, 1)[4] > 0.1
-    assert layer_cost.SPACE_DEGREES == (4, 8, 12, 16)
+    assert layer_cost.space_row(p_2zw, other, 1, 1)[5] > 0.1
+    assert layer_cost.SPACE_DEGREES == (2, 4, 8, 12, 16)
+
+
+def test_the_linalg_count_sees_every_function_and_restores_it(p_2zw):
+    # each numpy.linalg function counts by name, also one a function of the
+    # library reaches; every original is back after the block, also when it
+    # raises
+    originals = {name: getattr(np.linalg, name) for name in ("svd", "eigh", "solve")}
+    table = moments_from_density(p_2zw, 1, 1)
+    with layer_cost.linalg_calls() as calls:
+        np.linalg.svd(np.eye(2), compute_uv=False)
+        layer_cost.solve_ar(table, 1, 1)
+    assert calls[0] == "svd" and calls.count("cholesky") == 3
+    assert calls.count("eigvalsh") == 1 and "eigh" in calls and "solve" in calls
+    with pytest.raises(np.linalg.LinAlgError):
+        with layer_cost.linalg_calls():
+            np.linalg.cholesky(-np.eye(2))
+    assert all(getattr(np.linalg, name) is f for name, f in originals.items())

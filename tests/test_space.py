@@ -513,14 +513,15 @@ def test_one_real_factor_per_space(monkeypatch, space_perturb_4_4):
             for l in range(5):
                 sp.basis(kind, k, l)
     assert factored == []
-    # every basis read the one cached set of boundary columns of conj(G)^-1,
-    # apart from the rectangles whose columns leave the boundary
-    assert len(sp._inverses) > 1
+    # every basis read the one kept set of columns of conj(G)^-1, the caps
+    # grid's boundary (16 of 25 positions), which the rectangles whose
+    # columns leave the boundary widened
+    assert np.count_nonzero(sp._slot >= 0) > 16
     sp = MomentSpace(space_perturb_4_4.table, 4, 4)
     for kind, k, l in [("E1", 3, 4), ("E2", 4, 3), ("F2", 4, 3), ("E1", 4, 4),
                        ("F1", 4, 4)]:
         sp.basis(kind, k, l)
-    assert len(sp._inverses) == 1
+    assert np.count_nonzero(sp._slot >= 0) == 16
 
 
 def test_inverse_columns_off_the_boundary_match_the_dense_inverse(space_perturb_4_4):
@@ -592,6 +593,41 @@ def test_a_table_that_is_not_positive_costs_one_gather_one_factor_one_eigvalsh(
             seen.clear()
         call(space_perturb_4_4.table, 4, 4)
         assert (gathered, spectra, len(factored)) == ([(4, 4)], eigvalsh_sizes, factors)
+
+
+def test_a_basis_on_the_caps_rectangle_solves_nothing(monkeypatch, space_perturb_4_4):
+    # E1(4, 4) fills the caps: no Schur complement, so no np.linalg.solve
+    # once the boundary columns are in; E1(3, 4) has one row outside
+    sp = MomentSpace(space_perturb_4_4.table, 4, 4)
+    sp._inverse_columns(0)
+    solves = []
+    _spy(monkeypatch, np.linalg, "solve", solves, lambda a, b: a.shape)
+    sp.basis("E1", 4, 4)
+    assert solves == []
+    sp.basis("E1", 3, 4)
+    assert solves == [(5, 5)]
+
+
+def test_e2_and_f2_take_one_eigh(monkeypatch, space_perturb_4_4):
+    # the two generator blocks of E2(4, 3) and F2(4, 3) are one batched call
+    sp = MomentSpace(space_perturb_4_4.table, 4, 4)
+    stacks = []
+    _spy(monkeypatch, np.linalg, "eigh", stacks, lambda a: a.shape)
+    sp.basis("E2", 4, 3)
+    sp.basis("F2", 4, 3)
+    assert stacks == [(2, 4, 4)]
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_a_reconstruction_solves_the_boundary_once(monkeypatch, n):
+    # the operators' and the split polynomial's bases read one pair of
+    # triangular solves on the caps grid's boundary, (n + 1)^2 - (n - 1)^2
+    # columns; phi_sequence's own factor solves for its n + 1 rows
+    solves = []
+    _spy(monkeypatch, space_mod, "_solve_lower", solves, lambda L, B: B.shape[1])
+    reconstruct_p(moments_from_density(perturb_poly(70 + n, n, n), n, n), n, n)
+    boundary = 4 * n
+    assert sorted(solves) == sorted([boundary, boundary, n + 1])
 
 
 def test_a_factor_by_the_split_route_gathers_and_factors_once(monkeypatch):

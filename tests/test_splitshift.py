@@ -42,10 +42,11 @@ def test_operators_2zw_frozen(space_2zw):
 
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_operators_from_bases_built_and_embedded_once(n):
-    # E2 and F2 share one pair of triangular solves and each operator is one
-    # space.cross: T is bit for bit the per-kind construction (each basis
-    # alone on a fresh space, then space.cross), A and B equal it up to
-    # round-off, and the memoised E2 and F2 are the bases the operators used
+    # E2 and F2 share one pair of triangular solves, and the three operators
+    # share one product with the Gram: T is bit for bit the per-kind
+    # construction (each basis alone on a fresh space, then space.cross), A
+    # and B equal it up to round-off, and the memoised E2 and F2 are the
+    # bases the operators used, bit for bit at any BLAS thread count
     rng = np.random.default_rng(40 + n)
     e = rng.normal(size=(n + 1, n + 1)) + 1j * rng.normal(size=(n + 1, n + 1))
     e[0, 0] = 0.0

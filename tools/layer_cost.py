@@ -53,9 +53,12 @@ degree (n, n) of SPACE_DEGREES, window (n, n) as the benchmark's
 operators and their matrix condition (``build_operators``,
 ``check_matrix_condition``: the positivity gate, the real factor and the
 subspace bases), of ``reconstruct_p`` and of ``solve_ar``, each of which
-builds its own moment space; then the matrix condition's violation and the largest
-coefficient gap of the reconstruction to the input, both unit-norm under
-the form and phase-canonical, relative to its largest coefficient.
+builds its own moment space; the calls one ``solve_ar`` makes into
+``numpy.linalg`` (its functions swapped for counting wrappers, as
+``counting`` swaps a ``moments`` function); then the matrix condition's
+violation and the largest coefficient gap of the reconstruction to the
+input, both unit-norm under the form and phase-canonical, relative to its
+largest coefficient.
 """
 
 from __future__ import annotations
@@ -95,7 +98,7 @@ REPEAT = 15         # calls per case; the best one is reported
 SMALL_REPEAT = 200  # calls per small quadrature case
 SMALL_DEGREES = ((1, 1), (4, 2), (8, 8))
 FULL_DEGREES = (2, 4, 8, 16)
-SPACE_DEGREES = (4, 8, 12, 16)
+SPACE_DEGREES = (2, 4, 8, 12, 16)
 ROTATION = np.exp(0.7j)  # turns real coefficients complex, |p| unchanged
 EDGES = sorted(d for band in BANDS.values() for d in band)
 
@@ -125,6 +128,30 @@ def counting(name, wrapper):
         yield seen
     finally:
         setattr(moments, name, original)
+
+
+@contextlib.contextmanager
+def linalg_calls():
+    """Inside the block each function of ``numpy.linalg`` appends its name
+    to the list the block receives when called; the originals are back on
+    exit, also when the block raises."""
+    originals = {name: getattr(np.linalg, name) for name in np.linalg.__all__
+                 if not isinstance(getattr(np.linalg, name), type)}
+    seen = []
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            seen.append(name)
+            return original(*args, **kwargs)
+        return call
+
+    for name, original in originals.items():
+        setattr(np.linalg, name, counted(name, original))
+    try:
+        yield seen
+    finally:
+        for name, original in originals.items():
+            setattr(np.linalg, name, original)
 
 
 def grids(level_sums, seen):
@@ -275,26 +302,29 @@ def full_table():
 def space_row(p, table, n, repeat):
     """The best ms of the moment space with its operators and matrix
     condition, of ``reconstruct_p`` and of ``solve_ar`` at caps (n, n), the
-    violation, and the reconstruction's gap to p."""
+    ``numpy.linalg`` calls of one ``solve_ar``, the violation, and the
+    reconstruction's gap to p."""
     def operators():
         return check_matrix_condition(build_operators(MomentSpace(table, n, n)))
 
     space_ms, report = best_of(operators, repeat)
     rec_ms, q = best_of(partial(reconstruct_p, table, n, n), repeat)
     ar_ms, _ = best_of(partial(solve_ar, table, n, n), repeat)
+    with linalg_calls() as calls:
+        best_of(partial(solve_ar, table, n, n), 1)
     ref = _canonical_phase(p * (1.0 / MomentSpace(table, n, n).norm(p))).coeffs
     gap = float(np.max(np.abs(q.coeffs - ref)) / np.max(np.abs(ref)))
-    return space_ms, rec_ms, ar_ms, report.max_violation, gap
+    return space_ms, rec_ms, ar_ms, len(calls), report.max_violation, gap
 
 
 def space_table():
-    print(f"{'deg':>8} {'space ms':>8} {'recon ms':>8} {'ar ms':>8} "
+    print(f"{'deg':>8} {'space ms':>8} {'recon ms':>8} {'ar ms':>8} {'linalg':>6} "
           f"{'violation':>9} {'gap':>8}")
     for n in SPACE_DEGREES:
         p = BiPoly(perturb_kind(np.random.default_rng(DEFAULT_SEED), n, n, 0.4))
         row = space_row(p, moments_from_density(p, n, n), n, REPEAT)
         print(f"{f'({n},{n})':>8} {row[0]:8.2f} {row[1]:8.2f} {row[2]:8.2f} "
-              f"{row[3]:9.1e} {row[4]:8.1e}")
+              f"{row[3]:6d} {row[4]:9.1e} {row[5]:8.1e}")
 
 
 def main():
