@@ -11,6 +11,13 @@ necessarily a truncation, so verdicts are always "up to depth".
 Inverse-Gram entries scale as 1 / c00 and moment gaps as c00, so each
 is compared times or over c00 with one floor, VANISH_TOL: no verdict
 depends on the measure's scale.
+
+No window's Gram is inverted on its own.  The windows nest in both z and
+w, but every gamma window holds the rectangle [0, n] x [0, M]: with it
+first, one Cholesky factor of [0, Nmax+1] x [0, Mmax] serves every gamma
+family, each family's windows being the leading blocks of a Schur
+complement of at most (Nmax - n + 1)(M + 1) rows (``_gamma_families``).
+The xi windows are the leading blocks of one w-major Gram.
 """
 
 from __future__ import annotations
@@ -40,41 +47,84 @@ class FullMeasureReport:
     tol: float               # VANISH_TOL, the floor the verdict used
 
 
-def _nested_inverse_max(G, size, first, cols, where):
-    """Largest |entry| in the last block rows of nested windows' inverses.
-
-    G is in window order: window t is its leading (t + 1) * size rows and
-    columns, of which the last ``size`` are block t.  Entry t - first of
-    the result, t >= first, is the largest |entry| in the block-t rows and
-    block-0 columns ``cols`` of window t's inverse.  With G = L L^H, those
-    rows are D_t^-H (L^-1 E_cols)_t for the diagonal block D_t of L, so
-    one factor and one batched solve against the stack of D_t^H serve
-    every window.
-    """
+def _factor(G, where):
+    """Cholesky factor of G; DegenerateForm naming ``where`` if it fails."""
     try:
-        L = np.linalg.cholesky(G)
+        return np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
         raise DegenerateForm(
             f"Gram windows {where} not positive definite") from exc
-    units = np.zeros((len(G), len(cols)))
-    units[cols, np.arange(len(cols))] = 1.0     # the columns cols of the identity
-    X = _solve_lower(L, units)
+
+
+def _units(size, rows):
+    """The columns ``rows`` of the size x size identity."""
+    units = np.zeros((size, len(rows)))
+    units[rows, np.arange(len(rows))] = 1.0
+    return units
+
+
+def _nested_inverse_max(G, size, first, B, where):
+    """Largest |entry| in the last block rows of nested windows' inverses
+    times the leading rows of B.
+
+    G is in window order: window t is its leading (t + 1) * size rows and
+    columns, of which the last ``size`` are block t.  Entry t - first of
+    the result, t >= first, is the largest |entry| in the block-t rows of
+    window t's inverse times B's first (t + 1) * size rows.  With G = L
+    L^H, those rows are D_t^-H (L^-1 B)_t for the diagonal block D_t of L,
+    so one factor and one batched solve against the stack of D_t^H serve
+    every window.
+    """
+    L = _factor(G, where)
+    X = _solve_lower(L, B)
     T = len(G) // size
     t = np.arange(first, T)
     D = L.reshape(T, size, T, size)[t, :, t]   # D[i] = D_{t[i]}
     rows = np.linalg.solve(D.conj().transpose(0, 2, 1),
-                           X[first * size:].reshape(len(t), size, len(cols)))
+                           X[first * size:].reshape(len(t), size, B.shape[1]))
     return np.abs(rows).max(axis=(1, 2)).tolist()
 
 
-def _gammas(table, n, Nmax, M):
-    """Largest |gamma entry| on [0, N+1] x [0, M] for N = n..Nmax.
+def _gamma_families(table, n, Nmax, Ms):
+    """{M: largest |gamma entry| on [0, N+1] x [0, M], N = n..Nmax} for M in Ms.
 
-    The windows are the leading blocks of the z-major Gram of
-    [0, Nmax+1] x [0, M].
+    Every window of family M starts with A_M = [0, n] x [0, M], which holds
+    the gamma columns (0, k).  One factor L serves every family: that of
+    the Gram of [0, Nmax+1] x [0, Mmax], ordered with [0, n] x [0, Mmax]
+    first, w-major (so each A_M is a leading block), then the z-blocks
+    n+1..Nmax+1, z-major.  L's rows W_M at the family's tail and columns A_M
+    give the Schur complement S_M = C_M - W_M W_M^H of the tail's Gram C_M,
+    whose leading blocks are the windows' tails; the gamma rows of a
+    window's inverse are those of S_t^-1 (-W_M L_A^-1 E), E the unit
+    columns (0, k), so S_M's nested windows give them all.  One solve on
+    the head gives L_A^-1 E for every family.
     """
-    return _nested_inverse_max(gram(table, Nmax + 1, M), M + 1, n + 1,
-                               range(M + 1), f"[0, {Nmax + 1}] x [0, {M}]")
+    Mmax = max(Ms)
+    G, h = gram(table, Nmax + 1, Mmax), (n + 1) * (Mmax + 1)
+    order = np.r_[np.arange(h).reshape(n + 1, Mmax + 1).T.ravel(), h:len(G)]
+    L = _factor(G[order[:, None], order], f"[0, {Nmax + 1}] x [0, {Mmax}]")
+    X = _solve_lower(L[:h, :h], _units(h, range(0, h, n + 1)))   # (0, k) is row k(n+1)
+    tails = L[h:, :h].reshape(Nmax - n + 1, Mmax + 1, h)
+    out = {}
+    for M in Ms:
+        a = (n + 1) * (M + 1)
+        W = tails[:, :M + 1, :a].reshape(-1, a)
+        S = gram(table, Nmax - n, M) - W @ W.conj().T
+        out[M] = _nested_inverse_max(S, M + 1, 0, -W @ X[:a, :M + 1],
+                                     f"[0, {Nmax + 1}] x [0, {M}]")
+    return out
+
+
+def _xi_family(table, n, m, Mmax):
+    """Largest |xi entry| on [0, 2n] x [0, M] for M = m+1..Mmax.
+
+    In w-major order the xi rows (j, M) are the last block of window M;
+    that is z-major order on the transposed table, which keeps every entry
+    bit for bit (an exactly Hermitian table re-symmetrises exactly).
+    """
+    wmajor = gram(MomentTable(table.kmax, table.jmax, table.c.T), Mmax, 2 * n)
+    return _nested_inverse_max(wmajor, 2 * n + 1, m + 1, _units(len(wmajor), [n]),
+                               f"[0, {2 * n}] x [0, {Mmax}]")
 
 
 def check_full_measure(table: MomentTable, n, m, Nmax=None,
@@ -88,12 +138,13 @@ def check_full_measure(table: MomentTable, n, m, Nmax=None,
     ``is_positive`` calls nearly singular give "inconclusive", both with
     no entries.  The reported entries are not scaled.
 
-    Each family of nested windows is the leading blocks of one Gram:
-    ``gram`` of [0, Nmax+1] x [0, M] for the gamma windows of each M, in
-    z-major order, and for the xi windows the same gather on the
-    transposed table, which is w-major order on [0, 2n] x [0, Mmax].  So
-    one Cholesky factor and one batched solve per family give all their
-    entries; no window's Gram is inverted on its own.
+    The gamma windows of every M come from one Cholesky factor of the
+    Gram of [0, Nmax+1] x [0, Mmax], its rectangle [0, n] x [0, Mmax]
+    first: those of each M are the leading blocks of a Schur complement
+    on [n+1, Nmax+1] x [0, M], one small factor and one batched solve per
+    M.  The xi windows are the leading blocks of ``gram`` on the transposed
+    table, which is w-major order on [0, 2n] x [0, Mmax]: one factor and
+    one batched solve.
     """
     Nmax = n + 3 if Nmax is None else int(Nmax)
     Mmax = m + 3 if Mmax is None else int(Mmax)
@@ -110,15 +161,9 @@ def check_full_measure(table: MomentTable, n, m, Nmax=None,
     verdict = "inconclusive" if min_eig > 0.0 else "fail"
     if positive:
         Ms = range(max(m - 1, 0), Mmax + 1)
-        gam = {M: _gammas(table, n, Nmax, M) for M in Ms}
+        gam = _gamma_families(table, n, Nmax, Ms)
         e2 = {(N, M): gam[M][N - n] for N in range(n, Nmax + 1) for M in Ms}
-        # in w-major order the xi rows (j, M) are the last block of window
-        # M; that is z-major order on the transposed table, which keeps every
-        # entry bit for bit (an exactly Hermitian table re-symmetrises exactly)
-        wmajor = gram(MomentTable(table.kmax, table.jmax, table.c.T), Mmax, 2 * n)
-        xi = _nested_inverse_max(wmajor, 2 * n + 1, m + 1, [n],
-                                 f"[0, {2 * n}] x [0, {Mmax}]")
-        h = dict(zip(range(m + 1, Mmax + 1), xi))
+        h = dict(zip(range(m + 1, Mmax + 1), _xi_family(table, n, m, Mmax)))
         c00 = float(table.at(0, 0).real)
         ok = all(c00 * v < VANISH_TOL for v in (*e2.values(), *h.values()))
         verdict = "pass" if ok else "fail"
@@ -132,12 +177,15 @@ def strip_match(table: MomentTable, n, m) -> BiPoly:
 
     The gamma conditions at M = m-1 and m are checked first (they are
     what extends the window reconstruction along the z-axis), times c00
-    against VANISH_TOL; the reconstructed polynomial must then reproduce
-    every table moment with |k| <= m to VANISH_TOL * c00.
+    against VANISH_TOL, on the windows [0, N+1] x [0, M] up to N = jmax - 1:
+    both families come from one Cholesky factor of [0, jmax] x [0, m], as
+    in ``check_full_measure`` (DegenerateForm if it fails).  The
+    reconstructed polynomial must then reproduce every table moment with
+    |k| <= m to VANISH_TOL * c00.
     """
     Nmax = table.jmax - 1
     Ms = [M for M in (m - 1, m) if M >= 0]
-    gam = {M: _gammas(table, n, Nmax, M) for M in Ms}
+    gam = _gamma_families(table, n, Nmax, Ms)
     # the gammas' Cholesky factor succeeded, so c00, its first pivot, is > 0
     c00 = float(table.at(0, 0).real)
     for N in range(n, Nmax + 1):

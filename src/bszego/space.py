@@ -26,12 +26,13 @@ the polynomials that are printed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DegenerateForm, InsufficientMoments, NotPositive
 from .moments import MomentTable, _positive, _real_form, gram
-from .poly import BiPoly, _readonly
+from .poly import BiPoly, _frozen, _readonly
 
 RANK_TOL = 1e-8  # relative singular-value threshold for numerical rank
 TRI_BLOCK = 32   # rows per diagonal block of _solve_lower's substitution
@@ -174,9 +175,7 @@ class MomentSpace:
         generators X S^-1 gives (their Gram S^-1, singular values lam^-1/2
         descending): the rank is full when lam > 0, max / min < RANK_TOL^-2.
         """
-        grid = np.arange(len(self._L)).reshape(self.nmax + 1, self.mmax + 1)
-        inside = grid[:k + 1, :l + 1].ravel()
-        outside = np.concatenate([grid[:k + 1, l + 1:].ravel(), grid[k + 1:].ravel()])
+        inside, outside = _rectangle(self.nmax, self.mmax, k, l)
         gens = np.array(gens)       # one row of generator positions per basis
         H = self._inverse_columns(np.concatenate([outside, inside[gens.ravel()]]))
         o, X = len(outside), H[:, len(outside):]
@@ -186,8 +185,9 @@ class MomentSpace:
         lams, Vs = np.linalg.eigh(X[gens, np.arange(len(gens))[:, None]])   # one call
         out = []
         for x, lam, V in zip(X.transpose(1, 0, 2), lams, Vs):
-            rank = int(np.sum(lam * RANK_TOL ** 2 < lam[0])) if lam[0] > 0 else 0
-            if rank != len(lam):
+            full = lam[0] > 0 and lam[-1] * RANK_TOL ** 2 < lam[0]   # lam ascends
+            if not full:
+                rank = int(np.sum(lam * RANK_TOL ** 2 < lam[0])) if lam[0] > 0 else 0
                 raise DegenerateForm(
                     f"subspace rank {rank} differs from expected {len(lam)}")
             out.append(SubspaceBasis((x @ (V / np.sqrt(lam))).reshape(k + 1, l + 1, -1)))
@@ -264,6 +264,15 @@ class MomentSpace:
         G = caps[:n + 1, :m + 1, :n + 1, :m + 1].reshape(((n + 1) * (m + 1),) * 2)
         rows = _inverse_rows(G, m + 1, f"the phi sequence ({n}, {m})")
         return SubspaceBasis(rows.T.reshape(n + 1, m + 1, m + 1))
+
+
+@lru_cache(maxsize=256)
+def _rectangle(nmax, mmax, k, l):
+    """z-major caps positions inside [0,k] x [0,l] and outside it, caps
+    (nmax, mmax), the outside ones columns l+1.. of rows 0..k first."""
+    grid = np.arange((nmax + 1) * (mmax + 1)).reshape(nmax + 1, mmax + 1)
+    outside = np.concatenate([grid[:k + 1, l + 1:].ravel(), grid[k + 1:].ravel()])
+    return _frozen(grid[:k + 1, :l + 1].ravel()), _frozen(outside)
 
 
 def _solve_lower(L, B):

@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bszego import (BiPoly, MomentDivergence, TrigPoly, certificate_closed_face,
-                    moments, moments_from_density)
+from bszego import (BiPoly, MomentDivergence, MomentTable, TrigPoly,
+                    certificate_closed_face, moments, moments_from_density)
 from bszego.jsonio import dumps, poly_to_json, table_to_json
 
 from conftest import bench_corpus, trig_abs_squared
@@ -131,3 +131,17 @@ def test_the_linalg_count_sees_every_function_and_restores_it(p_2zw):
         with layer_cost.linalg_calls():
             np.linalg.cholesky(-np.eye(2))
     assert all(getattr(np.linalg, name) is f for name, f in originals.items())
+
+
+def test_the_full_row_times_the_call_and_its_three_layers(p_2zw):
+    # at (1, 1) on 2 - zw, on the window the full table reads: the whole
+    # call, its eigvalsh, its gamma families and its xi family, and the
+    # verdict of the call
+    table = moments_from_density(p_2zw, 5, 4)
+    row = layer_cost.full_row(table, 1, 2)
+    assert min(row[:4]) > 0 and row[4] == "pass"
+    # a mixture is positive but not of Bernstein-Szego type
+    mix = MomentTable(5, 4, 0.5 * (table.c + moments_from_density(
+        BiPoly([[2.0], [-1.0]]), 5, 4).c))
+    assert layer_cost.full_row(mix, 1, 1)[4] == "fail"
+    assert layer_cost.FULL_DEGREES == (2, 4, 8, 12, 16)

@@ -45,7 +45,9 @@ t_00, or the error class the call ends in.
 Full measure: ``check_full_measure(table, n, n)`` at its default depth on
 the table of a seeded 1 + e (``perturb_kind``) of each degree (n, n) of
 FULL_DEGREES, on the window the benchmark's ``full`` calls use: the time
-(the table's quadrature is set-up) and the verdict.
+(the table's quadrature is set-up), the time of each of its layers called
+alone (the positivity test's ``eigvalsh``, the gamma families from their
+one shared factor, the xi family) and the verdict.
 
 Moment space: on the table of a seeded 1 + e (``perturb_kind``) of each
 degree (n, n) of SPACE_DEGREES, window (n, n) as the benchmark's
@@ -86,18 +88,19 @@ from corpus import (BANDS, CERTIFY_DEGREES, DEFAULT_SEED, abs_squared,  # noqa: 
 from bszego import (BiPoly, BszegoError, MomentSpace, TrigPoly,  # noqa: E402
                     build_operators, certificate_closed_face,
                     certificate_open_face, check_full_measure,
-                    check_matrix_condition, factor_trig, moments,
-                    moments_from_density, moments_from_trig, reconstruct_p,
-                    solve_ar)
+                    check_matrix_condition, factor_trig, fullmeasure,
+                    moments, moments_from_density, moments_from_trig,
+                    reconstruct_p, solve_ar)
 from bszego.cli import main as cli_main  # noqa: E402
 from bszego.jsonio import dumps, poly_to_json, table_to_json  # noqa: E402
+from bszego.moments import is_positive  # noqa: E402
 from bszego.poly import _canonical_phase  # noqa: E402
 from bszego.reconstruct import _stable_factor  # noqa: E402
 
 REPEAT = 15         # calls per case; the best one is reported
 SMALL_REPEAT = 200  # calls per small quadrature case
 SMALL_DEGREES = ((1, 1), (4, 2), (8, 8))
-FULL_DEGREES = (2, 4, 8, 16)
+FULL_DEGREES = (2, 4, 8, 12, 16)
 SPACE_DEGREES = (2, 4, 8, 12, 16)
 ROTATION = np.exp(0.7j)  # turns real coefficients complex, |p| unchanged
 EDGES = sorted(d for band in BANDS.values() for d in band)
@@ -290,13 +293,27 @@ def factor_table():
                   f"{row[1]:8.2f} {row[2]:8.2f} {row[3]:6} {row[4]}")
 
 
+def full_row(table, n, repeat):
+    """The best ms of ``check_full_measure(table, n, n)`` at its default
+    depth (n + 3, n + 3) and of its three layers, each called alone: the
+    positivity test (``is_positive``, one ``eigvalsh``), the gamma families
+    and the xi family; and the verdict."""
+    depth = n + 3
+    ms, report = best_of(partial(check_full_measure, table, n, n), repeat)
+    layers = (partial(is_positive, table, max(depth + 1, 2 * n), depth),
+              partial(fullmeasure._gamma_families, table, n, depth,
+                      range(max(n - 1, 0), depth + 1)),
+              partial(fullmeasure._xi_family, table, n, n, depth))
+    return (ms, *(best_of(layer, repeat)[0] for layer in layers), report.verdict)
+
+
 def full_table():
-    print(f"{'deg':>8} {'best ms':>8} verdict")
+    print(f"{'deg':>8} {'best ms':>8} {'eigvalsh':>8} {'gamma':>8} {'xi':>8} verdict")
     for n in FULL_DEGREES:
         p = BiPoly(perturb_kind(np.random.default_rng(DEFAULT_SEED), n, n, 0.4))
-        table = moments_from_density(p, max(n + 4, 2 * n), n + 3)
-        ms, report = best_of(partial(check_full_measure, table, n, n), REPEAT)
-        print(f"{f'({n},{n})':>8} {ms:8.2f} {report.verdict}")
+        row = full_row(moments_from_density(p, max(n + 4, 2 * n), n + 3), n, REPEAT)
+        print(f"{f'({n},{n})':>8} {row[0]:8.2f} {row[1]:8.2f} {row[2]:8.2f} "
+              f"{row[3]:8.2f} {row[4]}")
 
 
 def space_row(p, table, n, repeat):
